@@ -280,15 +280,18 @@ impl Sweep {
 
     /// Smallest frontend group [`Sweep::run_cached`] captures. A
     /// capture run costs ~1.8x a live run (event encoding) and each
-    /// group pays one stream decode worth ~0.6x a live run, while a
-    /// replayed lane's marginal cost is only slightly below a
-    /// lane-batched lane's (the engine dominates both once the CAM
-    /// lookup is a single multiply). The cache therefore has to spread
-    /// its fixed capture+decode overhead across many replays before it
-    /// beats lane batching — measured break-even lands in the low
-    /// teens, so groups narrower than this route to lane batching
-    /// (three up to the threshold) or the serial loop (pairs,
-    /// singletons) instead.
+    /// group pays one stream decode worth ~0.6x a live run: fixed
+    /// costs the replayed lanes must recoup. The value was measured
+    /// when a replayed lane cost only slightly less than a lane-batched
+    /// one, which put the break-even in the low teens. Replay has since
+    /// become much cheaper per lane — the tiled replay loop inlines each
+    /// engine's register hits and moves spilled frames a cache line at
+    /// a time, while a lane-batched lane still pays the full per-op
+    /// dispatch — so the true break-even now sits lower. The constant
+    /// is kept so the routing of every grid stays as measured; re-
+    /// measuring it belongs with collapsing the sweep paths into one.
+    /// Groups narrower than this route to lane batching (three up to
+    /// the threshold) or the serial loop (pairs, singletons).
     pub const MIN_CAPTURE_GROUP: usize = 16;
 
     /// [`Sweep::run_cached`] plus the cache's observability counters:

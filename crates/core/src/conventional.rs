@@ -36,6 +36,7 @@ impl ConventionalFile {
 }
 
 impl RegisterFile for ConventionalFile {
+    #[inline(always)]
     fn read(
         &mut self,
         addr: RegAddr,
@@ -44,6 +45,7 @@ impl RegisterFile for ConventionalFile {
         self.inner.read(addr, store)
     }
 
+    #[inline(always)]
     fn write(
         &mut self,
         addr: RegAddr,

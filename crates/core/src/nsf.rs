@@ -93,10 +93,10 @@ impl NsfConfig {
     }
 }
 
-/// Storage of one physical line.
-#[derive(Clone, Debug)]
+/// Status bits of one physical line (its registers live in
+/// [`NamedStateFile::regs`]).
+#[derive(Clone, Copy, Debug, Default)]
 struct Line {
-    regs: Box<[Word]>,
     /// Bit i set ⇔ register i of the line holds data.
     valid: u32,
     /// Bit i set ⇔ register i has been written since it was last spilled.
@@ -104,14 +104,6 @@ struct Line {
 }
 
 impl Line {
-    fn new(width: u8) -> Self {
-        Line {
-            regs: vec![0; width as usize].into_boxed_slice(),
-            valid: 0,
-            dirty: 0,
-        }
-    }
-
     fn clear(&mut self) {
         self.valid = 0;
         self.dirty = 0;
@@ -142,6 +134,12 @@ pub struct NamedStateFile {
     cfg: NsfConfig,
     decoder: AssocDecoder,
     lines: Vec<Line>,
+    /// Register values, line-major: register `i` of physical slot `s` is
+    /// `regs[s * regs_per_line + i]`.
+    regs: Vec<Word>,
+    /// `<line, register-within-line>` of each legal offset, indexed by
+    /// offset — a table load instead of a division on every access.
+    split: Box<[(u8, u8)]>,
     picker: VictimPicker,
     stats: RegFileStats,
     /// Running count of set valid bits across all lines, maintained
@@ -173,7 +171,11 @@ impl NamedStateFile {
         NamedStateFile {
             cfg,
             decoder: AssocDecoder::new(n),
-            lines: vec![Line::new(cfg.regs_per_line); n],
+            lines: vec![Line::default(); n],
+            regs: vec![0; cfg.total_regs as usize],
+            split: (0..cfg.ctx_regs)
+                .map(|o| (o / cfg.regs_per_line, o % cfg.regs_per_line))
+                .collect(),
             picker: VictimPicker::new(n, cfg.replacement),
             stats: RegFileStats::default(),
             valid_count: 0,
@@ -183,6 +185,12 @@ impl NamedStateFile {
     /// The configuration this file was built with.
     pub fn config(&self) -> &NsfConfig {
         &self.cfg
+    }
+
+    /// Index in `regs` of register `within` of physical slot `slot`.
+    #[inline]
+    fn reg_index(&self, slot: usize, within: u8) -> usize {
+        slot * usize::from(self.cfg.regs_per_line) + usize::from(within)
     }
 
     fn check(&self, addr: RegAddr) -> Result<(), RegFileError> {
@@ -212,7 +220,7 @@ impl NamedStateFile {
             let i = writeback.trailing_zeros() as u8;
             writeback &= writeback - 1;
             let offset = tag.line * self.cfg.regs_per_line + i;
-            mem_cycles += store.spill(tag.cid, offset, line.regs[i as usize])?;
+            mem_cycles += store.spill(tag.cid, offset, self.regs[self.reg_index(victim, i)])?;
             moved += 1;
         }
         self.decoder.unbind(victim);
@@ -293,8 +301,9 @@ impl NamedStateFile {
             moved += 1;
             if let Some(v) = value {
                 live += 1;
+                let r = self.reg_index(slot, i);
+                self.regs[r] = v;
                 let l = &mut self.lines[slot];
-                l.regs[i as usize] = v;
                 l.valid |= 1 << i;
                 l.dirty &= !(1 << i); // freshly loaded ⇒ clean
                 self.valid_count += 1;
@@ -308,44 +317,72 @@ impl NamedStateFile {
         self.stats.spill_reload_cycles += u64::from(cycles);
         Ok(cycles)
     }
-}
 
-impl RegisterFile for NamedStateFile {
-    fn read(
+    /// The `<line, register-within-line>` split of a legal offset.
+    #[inline]
+    fn line_of(&self, addr: RegAddr) -> (u8, u8) {
+        self.split[usize::from(addr.offset)]
+    }
+
+    /// The CAM hit path: the slot whose line holds `addr`, if `addr` is
+    /// a legal offset whose line is bound. Touches no state.
+    #[inline]
+    fn bound_slot(&self, addr: RegAddr) -> Option<(usize, u8)> {
+        let &(line, within) = self.split.get(usize::from(addr.offset))?;
+        let slot = self.decoder.lookup(addr.cid, line)?;
+        Some((slot, within))
+    }
+
+    /// Stores `value` into a bound slot's register and marks it live and
+    /// dirty — the end of every write, hit or miss.
+    #[inline]
+    fn install(&mut self, slot: usize, within: u8, value: Word) {
+        let bit = 1u32 << within;
+        let r = self.reg_index(slot, within);
+        self.regs[r] = value;
+        let l = &mut self.lines[slot];
+        if l.valid & bit == 0 {
+            self.valid_count += 1;
+        }
+        l.valid |= bit;
+        l.dirty |= bit;
+        self.picker.touch(slot);
+    }
+
+    /// A read that did not hit: a bad offset, a partial miss (line bound,
+    /// register absent) or a full miss. Reloads per the reload policy.
+    #[inline(never)]
+    fn read_miss(
         &mut self,
         addr: RegAddr,
         store: &mut dyn BackingStore,
     ) -> Result<Access, RegFileError> {
         self.check(addr)?;
         self.stats.reads += 1;
-        let rpl = self.cfg.regs_per_line;
-        let line = addr.line_index(rpl);
-        let within = addr.line_slot(rpl);
+        self.stats.read_misses += 1;
+        let (line, within) = self.line_of(addr);
         let bit = 1u32 << within;
 
-        // CAM match.
         if let Some(slot) = self.decoder.lookup(addr.cid, line) {
-            if self.lines[slot].valid & bit != 0 {
-                self.stats.read_hits += 1;
-                self.picker.touch(slot);
-                return Ok(Access::hit(self.lines[slot].regs[within as usize]));
-            }
             // Line resident, register not: partial miss — demand reload.
-            self.stats.read_misses += 1;
+            debug_assert_eq!(
+                self.lines[slot].valid & bit,
+                0,
+                "a hit reached the miss path"
+            );
             let cycles = self.reload_line(slot, addr.cid, line, within, store)?;
             self.picker.touch(slot);
             if self.lines[slot].valid & bit == 0 {
                 return Err(RegFileError::ReadUndefined(addr));
             }
             return Ok(Access {
-                value: self.lines[slot].regs[within as usize],
+                value: self.regs[self.reg_index(slot, within)],
                 stall_cycles: cycles,
                 missed: true,
             });
         }
 
         // Full miss: allocate, then reload.
-        self.stats.read_misses += 1;
         let (slot, alloc_cycles) = self.allocate_line(addr.cid, line, store)?;
         let reload_cycles = self.reload_line(slot, addr.cid, line, within, store)?;
         self.picker.touch(slot);
@@ -357,13 +394,16 @@ impl RegisterFile for NamedStateFile {
             return Err(RegFileError::ReadUndefined(addr));
         }
         Ok(Access {
-            value: self.lines[slot].regs[within as usize],
+            value: self.regs[self.reg_index(slot, within)],
             stall_cycles: alloc_cycles + reload_cycles,
             missed: true,
         })
     }
 
-    fn write(
+    /// A write whose line is not bound (or whose offset is bad):
+    /// allocate the line, fetching it first under fetch-on-write.
+    #[inline(never)]
+    fn write_miss(
         &mut self,
         addr: RegAddr,
         value: Word,
@@ -371,36 +411,57 @@ impl RegisterFile for NamedStateFile {
     ) -> Result<Access, RegFileError> {
         self.check(addr)?;
         self.stats.writes += 1;
-        let rpl = self.cfg.regs_per_line;
-        let line = addr.line_index(rpl);
-        let within = addr.line_slot(rpl);
-        let bit = 1u32 << within;
-
-        let (slot, stall) = if let Some(slot) = self.decoder.lookup(addr.cid, line) {
-            self.stats.write_hits += 1;
-            (slot, 0)
-        } else {
-            self.stats.write_misses += 1;
-            let (slot, mut cycles) = self.allocate_line(addr.cid, line, store)?;
-            if self.cfg.write_miss == WriteMissPolicy::FetchOnWrite {
-                cycles += self.reload_line(slot, addr.cid, line, within, store)?;
-            }
-            (slot, cycles)
-        };
-
-        let l = &mut self.lines[slot];
-        if l.valid & bit == 0 {
-            self.valid_count += 1;
+        self.stats.write_misses += 1;
+        let (line, within) = self.line_of(addr);
+        let (slot, mut cycles) = self.allocate_line(addr.cid, line, store)?;
+        if self.cfg.write_miss == WriteMissPolicy::FetchOnWrite {
+            cycles += self.reload_line(slot, addr.cid, line, within, store)?;
         }
-        l.regs[within as usize] = value;
-        l.valid |= bit;
-        l.dirty |= bit;
-        self.picker.touch(slot);
+        self.install(slot, within, value);
         Ok(Access {
             value,
-            stall_cycles: stall,
-            missed: stall > 0,
+            stall_cycles: cycles,
+            missed: cycles > 0,
         })
+    }
+}
+
+impl RegisterFile for NamedStateFile {
+    #[inline(always)]
+    fn read(
+        &mut self,
+        addr: RegAddr,
+        store: &mut dyn BackingStore,
+    ) -> Result<Access, RegFileError> {
+        // CAM match plus the register's valid bit.
+        if let Some((slot, within)) = self.bound_slot(addr) {
+            if self.lines[slot].valid & (1 << within) != 0 {
+                let value = self.regs[self.reg_index(slot, within)];
+                self.stats.reads += 1;
+                self.stats.read_hits += 1;
+                self.picker.touch(slot);
+                return Ok(Access::hit(value));
+            }
+        }
+        self.read_miss(addr, store)
+    }
+
+    #[inline(always)]
+    fn write(
+        &mut self,
+        addr: RegAddr,
+        value: Word,
+        store: &mut dyn BackingStore,
+    ) -> Result<Access, RegFileError> {
+        // A bound line takes the write whether or not the register held
+        // data.
+        let Some((slot, within)) = self.bound_slot(addr) else {
+            return self.write_miss(addr, value, store);
+        };
+        self.stats.writes += 1;
+        self.stats.write_hits += 1;
+        self.install(slot, within, value);
+        Ok(Access::hit(value))
     }
 
     fn switch_to(&mut self, cid: Cid, _store: &mut dyn BackingStore) -> Result<u32, RegFileError> {

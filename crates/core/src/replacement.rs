@@ -44,6 +44,7 @@ impl OrderList {
         OrderList { prev, next }
     }
 
+    #[inline]
     fn sentinel(&self) -> u32 {
         (self.prev.len() - 1) as u32
     }
@@ -55,6 +56,7 @@ impl OrderList {
     }
 
     /// Moves `slot` to the back (most recent position).
+    #[inline(always)]
     fn move_to_back(&mut self, slot: usize) {
         let s = slot as u32;
         let (p, n) = (self.prev[slot], self.next[slot]);
@@ -103,6 +105,7 @@ impl VictimPicker {
     }
 
     /// Records an access to `slot`.
+    #[inline(always)]
     pub fn touch(&mut self, slot: usize) {
         self.recency.move_to_back(slot);
     }

@@ -23,7 +23,7 @@ use crate::addr::{Cid, RegAddr};
 use crate::policy::{ReplacementPolicy, SpillEngine};
 use crate::replacement::VictimPicker;
 use crate::stats::{Occupancy, RegFileStats};
-use crate::traits::{Access, BackingStore, RegFileError, RegisterFile};
+use crate::traits::{bit_runs, Access, BackingStore, RegFileError, RegisterFile};
 use crate::Word;
 
 /// Sentinel in [`SegmentedFile::resident`] for "context not resident".
@@ -100,24 +100,16 @@ impl SegmentedConfig {
     }
 }
 
-#[derive(Clone)]
+/// Owner and status bits of one frame (its registers live in
+/// [`SegmentedFile::regs`]).
+#[derive(Clone, Copy, Default)]
 struct Frame {
     owner: Option<Cid>,
-    regs: Box<[Word]>,
     valid: u64,
     dirty: u64,
 }
 
 impl Frame {
-    fn new(width: u8) -> Self {
-        Frame {
-            owner: None,
-            regs: vec![0; width as usize].into_boxed_slice(),
-            valid: 0,
-            dirty: 0,
-        }
-    }
-
     fn clear(&mut self) {
         self.owner = None;
         self.valid = 0;
@@ -129,6 +121,9 @@ impl Frame {
 pub struct SegmentedFile {
     cfg: SegmentedConfig,
     frames: Vec<Frame>,
+    /// Register values, frame-major: register `i` of frame `f` is
+    /// `regs[f * frame_regs + i]`.
+    regs: Vec<Word>,
     /// cid → frame index for resident contexts, addressed by context
     /// ID (`NOT_RESIDENT` marks absence). Context switches consult this
     /// on every simulated switch, so it is an array load, not a hash.
@@ -171,7 +166,8 @@ impl SegmentedFile {
         }
         SegmentedFile {
             cfg,
-            frames: vec![Frame::new(cfg.frame_regs); n],
+            frames: vec![Frame::default(); n],
+            regs: vec![0; n * usize::from(cfg.frame_regs)],
             resident: Vec::new(),
             resident_count: 0,
             current: None,
@@ -215,6 +211,7 @@ impl SegmentedFile {
         }
     }
 
+    #[inline]
     fn touch(&mut self, idx: usize) {
         self.ops += 1;
         self.last_touch[idx] = self.ops;
@@ -239,46 +236,41 @@ impl SegmentedFile {
         idx: usize,
         store: &mut dyn BackingStore,
     ) -> Result<u32, RegFileError> {
-        let width = self.cfg.frame_regs;
-        let prepaid_budget = self.prepaid_regs(idx);
-        let frame = &mut self.frames[idx];
+        let width = usize::from(self.cfg.frame_regs);
+        let prepaid_budget = self.prepaid_regs(idx) as usize;
+        let frame = &self.frames[idx];
+        let regs = &self.regs[idx * width..(idx + 1) * width];
         let cid = frame.owner.expect("spilling an unowned frame");
-        let mut moved = 0u32;
-        let mut mem_cycles = 0u32;
-        for i in 0..width {
-            let bit = 1u64 << i;
-            let valid = frame.valid & bit != 0;
-            match self.cfg.policy {
-                FramePolicy::Full => {
-                    // The whole frame moves; empty slots carry no data but
-                    // still cost a memory transfer.
-                    let cyc = store.spill(cid, i, frame.regs[i as usize])?;
-                    if moved >= prepaid_budget {
-                        mem_cycles += cyc;
-                    }
-                    if !valid {
-                        // Do not let garbage masquerade as live data.
-                        store.discard_reg(cid, i);
-                    }
-                    moved += 1;
-                }
-                FramePolicy::ValidOnly => {
-                    if valid {
-                        let cyc = store.spill(cid, i, frame.regs[i as usize])?;
-                        if moved >= prepaid_budget {
-                            mem_cycles += cyc;
-                        }
-                        moved += 1;
-                    }
-                }
+        // Memory cycles of each transfer, in transfer order.
+        let mut cycles = [0u32; 64];
+        let moved = match self.cfg.policy {
+            FramePolicy::Full => {
+                // The whole frame moves; empty slots carry no data but
+                // still cost a memory transfer.
+                store.spill_run(cid, 0, regs, frame.valid, &mut cycles[..width])?;
+                width
             }
-        }
+            FramePolicy::ValidOnly => {
+                let mut moved = 0;
+                for (first, len) in bit_runs(frame.valid) {
+                    let (f, n) = (usize::from(first), usize::from(len));
+                    let run = &mut cycles[moved..moved + n];
+                    store.spill_run(cid, first, &regs[f..f + n], !0, run)?;
+                    moved += n;
+                }
+                moved
+            }
+        };
+        // The dribble engine already wrote the first transfers back
+        // while the frame sat idle; only the rest reach memory now.
+        let prepaid = moved.min(prepaid_budget);
+        let mem_cycles: u32 = cycles[prepaid..moved].iter().sum();
         let freed = frame.valid.count_ones();
-        frame.clear();
+        self.frames[idx].clear();
         self.valid_count -= freed;
         self.clear_resident(cid);
         self.mark_free(idx);
-        let prepaid = moved.min(prepaid_budget);
+        let (moved, prepaid) = (moved as u32, prepaid as u32);
         self.stats.regs_spilled += u64::from(moved);
         self.stats.regs_dribbled += u64::from(prepaid);
         // Only the transfers the dribble engine had not finished stall
@@ -301,33 +293,37 @@ impl SegmentedFile {
         if !store.any_present(cid) {
             return Ok(0);
         }
-        let mut moved = 0u32;
-        let mut live = 0u32;
-        let mut mem_cycles = 0u32;
-        for i in 0..width {
-            let fetch = match self.cfg.policy {
-                FramePolicy::Full => true,
-                FramePolicy::ValidOnly => store.is_present(cid, i),
-            };
-            if !fetch {
-                continue;
-            }
-            let (value, cyc) = store.reload(cid, i)?;
-            mem_cycles += cyc;
-            moved += 1;
-            if let Some(v) = value {
-                live += 1;
-                let frame = &mut self.frames[idx];
-                frame.regs[i as usize] = v;
-                frame.valid |= 1 << i;
-                // Counted per register, not batched after the loop: a store
-                // fault mid-reload must not desync the count from the bits.
-                self.valid_count += 1;
-            }
+        let fetch = match self.cfg.policy {
+            FramePolicy::Full => u64::MAX >> (64 - u32::from(width)),
+            FramePolicy::ValidOnly => (0..width)
+                .filter(|&i| store.is_present(cid, i))
+                .fold(0, |mask, i| mask | 1 << i),
+        };
+        let mut values = [0 as Word; 64];
+        let mut cycles = [0u32; 64];
+        let mut live = 0u64;
+        for (first, len) in bit_runs(fetch) {
+            let run = usize::from(first)..usize::from(first + len);
+            let present =
+                store.reload_run(cid, first, &mut values[run.clone()], &mut cycles[run])?;
+            live |= present << first;
         }
+        // Installed only once every run succeeded: a store fault leaves
+        // the frame as empty as it was claimed.
+        let base = idx * usize::from(width);
+        let mut bits = live;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.regs[base + i] = values[i];
+        }
+        self.frames[idx].valid |= live;
+        self.valid_count += live.count_ones();
+        let moved = fetch.count_ones();
+        let mem_cycles: u32 = cycles.iter().sum();
         self.stats.lines_reloaded += 1;
         self.stats.regs_reloaded += u64::from(moved);
-        self.stats.live_regs_reloaded += u64::from(live);
+        self.stats.live_regs_reloaded += u64::from(live.count_ones());
         let cycles = self.cfg.engine.transfer_cost(moved, mem_cycles);
         self.stats.spill_reload_cycles += u64::from(cycles);
         Ok(cycles)
@@ -364,52 +360,87 @@ impl SegmentedFile {
         Some(idx)
     }
 
-    fn current_frame(&self, cid: Cid) -> Result<usize, RegFileError> {
-        match self.current {
-            Some(idx) if self.frames[idx].owner == Some(cid) => Ok(idx),
-            _ => Err(RegFileError::NotCurrent(cid)),
+    /// Index in `regs` of register `offset` of frame `idx`.
+    #[inline]
+    fn reg_index(&self, idx: usize, offset: u8) -> usize {
+        idx * usize::from(self.cfg.frame_regs) + usize::from(offset)
+    }
+
+    /// The current frame, if `addr` is a legal offset of the context
+    /// that owns it — the condition every register access needs.
+    #[inline]
+    fn current_for(&self, addr: RegAddr) -> Option<usize> {
+        let idx = self.current?;
+        (addr.offset < self.cfg.frame_regs && self.frames[idx].owner == Some(addr.cid))
+            .then_some(idx)
+    }
+
+    /// Why an access to `addr` cannot reach the current frame. Such an
+    /// access is rejected before it reaches the file and is not counted,
+    /// keeping hits + misses == accesses.
+    #[cold]
+    fn rejected(&self, addr: RegAddr) -> RegFileError {
+        match self.check(addr) {
+            Err(e) => e,
+            Ok(()) => RegFileError::NotCurrent(addr.cid),
         }
+    }
+
+    /// A read of the current frame that found no data: the file cannot
+    /// reload it (frames move whole on switches), so it is undefined.
+    #[inline(never)]
+    fn read_miss(&mut self, addr: RegAddr) -> Result<Access, RegFileError> {
+        let Some(idx) = self.current_for(addr) else {
+            return Err(self.rejected(addr));
+        };
+        self.stats.reads += 1;
+        self.touch(idx);
+        self.stats.read_misses += 1;
+        Err(RegFileError::ReadUndefined(addr))
     }
 }
 
 impl RegisterFile for SegmentedFile {
+    #[inline(always)]
     fn read(
         &mut self,
         addr: RegAddr,
         _store: &mut dyn BackingStore,
     ) -> Result<Access, RegFileError> {
-        self.check(addr)?;
-        // A NotCurrent rejection never reaches the file; only accesses
-        // that do are counted, keeping hits + misses == accesses.
-        let idx = self.current_frame(addr.cid)?;
-        self.stats.reads += 1;
-        self.touch(idx);
-        let frame = &self.frames[idx];
-        if frame.valid & (1 << addr.offset) == 0 {
-            self.stats.read_misses += 1;
-            return Err(RegFileError::ReadUndefined(addr));
+        match self.current_for(addr) {
+            Some(idx) if self.frames[idx].valid & (1 << addr.offset) != 0 => {
+                self.stats.reads += 1;
+                self.stats.read_hits += 1;
+                self.touch(idx);
+                Ok(Access::hit(self.regs[self.reg_index(idx, addr.offset)]))
+            }
+            _ => self.read_miss(addr),
         }
-        self.stats.read_hits += 1;
-        Ok(Access::hit(frame.regs[addr.offset as usize]))
     }
 
+    /// Writes always hit once the context is current: its frame holds
+    /// every register of the context.
+    #[inline(always)]
     fn write(
         &mut self,
         addr: RegAddr,
         value: Word,
         _store: &mut dyn BackingStore,
     ) -> Result<Access, RegFileError> {
-        self.check(addr)?;
-        let idx = self.current_frame(addr.cid)?;
+        let Some(idx) = self.current_for(addr) else {
+            return Err(self.rejected(addr));
+        };
         self.stats.writes += 1;
         self.touch(idx);
+        let r = self.reg_index(idx, addr.offset);
+        self.regs[r] = value;
         let frame = &mut self.frames[idx];
-        if frame.valid & (1 << addr.offset) == 0 {
+        let bit = 1 << addr.offset;
+        if frame.valid & bit == 0 {
             self.valid_count += 1;
         }
-        frame.regs[addr.offset as usize] = value;
-        frame.valid |= 1 << addr.offset;
-        frame.dirty |= 1 << addr.offset;
+        frame.valid |= bit;
+        frame.dirty |= bit;
         self.stats.write_hits += 1;
         Ok(Access::hit(value))
     }
@@ -692,6 +723,26 @@ mod tests {
             dr_cycles < plain_cycles,
             "prepaid spills must shrink the stall: {dr_cycles} vs {plain_cycles}"
         );
+    }
+
+    #[test]
+    fn dribble_prepaid_transfers_cost_no_memory_cycles() {
+        use crate::segmented::DribbleConfig;
+        let mut cfg = SegmentedConfig::paper_default(2, 4);
+        cfg.dribble = Some(DribbleConfig { ops_per_reg: 10 });
+        let mut f = SegmentedFile::new(cfg);
+        let mut s = MapStore::with_latency(5);
+        f.switch_to(1, &mut s).unwrap(); // frame 0, touched at op 1
+        f.switch_to(2, &mut s).unwrap(); // frame 1, op 2
+        for _ in 0..20 {
+            f.write(RegAddr::new(2, 0), 1, &mut s).unwrap(); // ops 3..=22
+        }
+        // Evicting frame 0 after 21 idle ops: 2 of its 4 transfers are
+        // prepaid, so only the other 2 stall and pay memory cycles.
+        let cycles = f.switch_to(3, &mut s).unwrap();
+        assert_eq!(f.stats().regs_spilled, 4);
+        assert_eq!(f.stats().regs_dribbled, 2);
+        assert_eq!(cycles, cfg.engine.transfer_cost(2, 2 * 5));
     }
 
     #[test]

@@ -112,6 +112,65 @@ pub trait BackingStore {
     /// carries no defined data.
     fn reload(&mut self, cid: Cid, offset: u8) -> Result<(Option<Word>, u32), StoreFault>;
 
+    /// Spills registers `first..first + values.len()` of `cid` as one
+    /// run: the same transfers, in the same ascending order, as one
+    /// [`spill`](Self::spill) per register. Bit `i` of `valid` says
+    /// whether `values[i]` holds data. A register without it still moves
+    /// (a whole-frame transfer carries empty slots too), but its backed
+    /// copy is then dropped, as [`discard_reg`](Self::discard_reg) does,
+    /// so the garbage never reads back as live. Each register's memory
+    /// cycles go to `cycles[i]`. A run holds at most 64 registers (the
+    /// width of a backing frame's presence bits).
+    ///
+    /// The default is that per-register loop, so wrappers with
+    /// per-transfer behaviour (fault injection) keep it. Stores over a
+    /// real memory hierarchy override it to translate once per run.
+    fn spill_run(
+        &mut self,
+        cid: Cid,
+        first: u8,
+        values: &[Word],
+        valid: u64,
+        cycles: &mut [u32],
+    ) -> Result<(), StoreFault> {
+        debug_assert_eq!(values.len(), cycles.len());
+        for (i, (&value, cyc)) in values.iter().zip(cycles.iter_mut()).enumerate() {
+            let offset = first + i as u8;
+            *cyc = self.spill(cid, offset, value)?;
+            if valid & (1 << i) == 0 {
+                self.discard_reg(cid, offset);
+            }
+        }
+        Ok(())
+    }
+
+    /// Reloads registers `first..first + values.len()` of `cid` as one
+    /// run: the same transfers, in the same ascending order, as one
+    /// [`reload`](Self::reload) per register. Returns the mask of the
+    /// registers that carried data (bit `i` ⇔ register `first + i`); only
+    /// their `values` slots are written. Each register's memory cycles go
+    /// to `cycles[i]`. The default is the per-register loop, as for
+    /// [`spill_run`](Self::spill_run).
+    fn reload_run(
+        &mut self,
+        cid: Cid,
+        first: u8,
+        values: &mut [Word],
+        cycles: &mut [u32],
+    ) -> Result<u64, StoreFault> {
+        debug_assert_eq!(values.len(), cycles.len());
+        let mut present = 0;
+        for (i, (slot, cyc)) in values.iter_mut().zip(cycles.iter_mut()).enumerate() {
+            let (value, c) = self.reload(cid, first + i as u8)?;
+            *cyc = c;
+            if let Some(v) = value {
+                *slot = v;
+                present |= 1 << i;
+            }
+        }
+        Ok(present)
+    }
+
     /// `true` if the backing frame holds data for this register — the
     /// per-register valid bits a `ValidOnly` reload policy consults.
     fn is_present(&self, cid: Cid, offset: u8) -> bool;
@@ -126,6 +185,22 @@ pub trait BackingStore {
     /// Drops the backed copy of a single dead register (issued on the
     /// explicit per-register deallocation hint, paper §4.2).
     fn discard_reg(&mut self, cid: Cid, offset: u8);
+}
+
+/// The maximal runs of set bits in `mask`, lowest first, as
+/// `(first bit, length)` pairs: how a masked frame transfer splits into
+/// [`BackingStore::spill_run`]/[`BackingStore::reload_run`] calls.
+pub(crate) fn bit_runs(mut mask: u64) -> impl Iterator<Item = (u8, u8)> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let first = mask.trailing_zeros();
+        let len = (!(mask >> first)).trailing_zeros();
+        let end = first + len;
+        mask = if end >= 64 { 0 } else { mask & (!0 << end) };
+        Some((first as u8, len as u8))
+    })
 }
 
 /// A register file organization, as seen by the processor pipeline.
@@ -206,6 +281,15 @@ mod tests {
         let e2 = RegFileError::ReadUndefined(RegAddr::new(1, 2));
         assert!(std::error::Error::source(&e2).is_none());
         assert!(e2.to_string().contains("<1:2>"));
+    }
+
+    #[test]
+    fn bit_runs_splits_masks() {
+        let runs = |m| bit_runs(m).collect::<Vec<_>>();
+        assert_eq!(runs(0), vec![]);
+        assert_eq!(runs(0b1011_0110), vec![(1, 2), (4, 2), (7, 1)]);
+        assert_eq!(runs(u64::MAX), vec![(0, 64)]);
+        assert_eq!(runs(1 << 63 | 1), vec![(0, 1), (63, 1)]);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::addr::{Cid, RegAddr};
 use crate::policy::SpillEngine;
 use crate::stats::{Occupancy, RegFileStats};
-use crate::traits::{Access, BackingStore, RegFileError, RegisterFile};
+use crate::traits::{bit_runs, Access, BackingStore, RegFileError, RegisterFile};
 use crate::Word;
 use std::collections::HashMap;
 
@@ -141,8 +141,7 @@ impl WindowedFile {
         store: &mut dyn BackingStore,
     ) -> Result<u32, RegFileError> {
         let cid = self.chain[idx].cid;
-        let mut moved = 0u32;
-        let mut mem_cycles = 0u32;
+        let mut cycles = [0u32; 64];
         {
             // Spill with the window still in place: a store fault mid-spill
             // must leave the activation resident, not silently drop the
@@ -151,18 +150,20 @@ impl WindowedFile {
                 .window
                 .as_ref()
                 .expect("spilling a resident window");
-            for i in 0..self.cfg.window_regs {
-                if w.valid & (1 << i) != 0 {
-                    mem_cycles += store.spill(cid, i, w.regs[i as usize])?;
-                    moved += 1;
-                }
+            for (first, len) in bit_runs(w.valid) {
+                let run = usize::from(first)..usize::from(first + len);
+                store.spill_run(cid, first, &w.regs[run.clone()], !0, &mut cycles[run])?;
             }
         }
         let w = self.chain[idx].window.take().expect("still resident");
+        let moved = w.valid.count_ones();
         self.resident_count -= 1;
-        self.valid_count -= w.valid.count_ones();
+        self.valid_count -= moved;
         self.stats.regs_spilled += u64::from(moved);
-        let cycles = self.cfg.engine.transfer_cost(moved, mem_cycles);
+        let cycles = self
+            .cfg
+            .engine
+            .transfer_cost(moved, cycles.iter().sum::<u32>());
         self.stats.spill_reload_cycles += u64::from(cycles);
         Ok(cycles)
     }
@@ -174,23 +175,24 @@ impl WindowedFile {
         store: &mut dyn BackingStore,
     ) -> Result<(Window, u32), RegFileError> {
         let mut w = self.fresh_window();
-        let mut moved = 0u32;
-        let mut mem_cycles = 0u32;
-        for i in 0..self.cfg.window_regs {
-            if store.is_present(cid, i) {
-                let (v, cyc) = store.reload(cid, i)?;
-                mem_cycles += cyc;
-                moved += 1;
-                if let Some(v) = v {
-                    w.regs[i as usize] = v;
-                    w.valid |= 1 << i;
-                }
-            }
+        let fetch = (0..self.cfg.window_regs)
+            .filter(|&i| store.is_present(cid, i))
+            .fold(0u64, |mask, i| mask | 1 << i);
+        let mut cycles = [0u32; 64];
+        for (first, len) in bit_runs(fetch) {
+            let run = usize::from(first)..usize::from(first + len);
+            let present =
+                store.reload_run(cid, first, &mut w.regs[run.clone()], &mut cycles[run])?;
+            w.valid |= present << first;
         }
+        let moved = fetch.count_ones();
         self.stats.lines_reloaded += 1;
         self.stats.regs_reloaded += u64::from(moved);
         self.stats.live_regs_reloaded += u64::from(moved);
-        let cycles = self.cfg.engine.transfer_cost(moved, mem_cycles);
+        let cycles = self
+            .cfg
+            .engine
+            .transfer_cost(moved, cycles.iter().sum::<u32>());
         self.stats.spill_reload_cycles += u64::from(cycles);
         Ok((w, cycles))
     }
@@ -210,53 +212,79 @@ impl WindowedFile {
         }
         Ok(cycles)
     }
+
+    /// The chain top's resident window, if `addr` is a legal offset of
+    /// the context that owns it — the condition every register access
+    /// needs.
+    #[inline]
+    fn top_window(&mut self, addr: RegAddr) -> Option<&mut Window> {
+        if addr.offset >= self.cfg.window_regs {
+            return None;
+        }
+        match self.chain.last_mut() {
+            Some(s) if s.cid == addr.cid => s.window.as_mut(),
+            _ => None,
+        }
+    }
+
+    /// Why an access to `addr` cannot reach the top window. Rejected
+    /// accesses never reach the file and are not counted.
+    #[cold]
+    fn rejected(&self, addr: RegAddr) -> RegFileError {
+        match self.check(addr) {
+            Err(e) => e,
+            Ok(()) => RegFileError::NotCurrent(addr.cid),
+        }
+    }
+
+    /// A read that did not hit: rejected, or a register of the top window
+    /// that holds no data (windows move whole, so it is undefined).
+    #[inline(never)]
+    fn read_miss(&mut self, addr: RegAddr) -> Result<Access, RegFileError> {
+        if self.top_window(addr).is_none() {
+            return Err(self.rejected(addr));
+        }
+        self.stats.reads += 1;
+        self.stats.read_misses += 1;
+        Err(RegFileError::ReadUndefined(addr))
+    }
 }
 
 impl RegisterFile for WindowedFile {
+    #[inline(always)]
     fn read(
         &mut self,
         addr: RegAddr,
         _store: &mut dyn BackingStore,
     ) -> Result<Access, RegFileError> {
-        self.check(addr)?;
-        let cur = match self.chain.last() {
-            Some(s) if s.cid == addr.cid => s.window.as_ref(),
-            _ => None,
-        };
-        let Some(w) = cur else {
-            // Rejected before reaching the file — not a counted access.
-            return Err(RegFileError::NotCurrent(addr.cid));
-        };
-        self.stats.reads += 1;
-        if w.valid & (1 << addr.offset) == 0 {
-            self.stats.read_misses += 1;
-            return Err(RegFileError::ReadUndefined(addr));
+        match self.top_window(addr) {
+            Some(w) if w.valid & (1 << addr.offset) != 0 => {
+                let value = w.regs[usize::from(addr.offset)];
+                self.stats.reads += 1;
+                self.stats.read_hits += 1;
+                Ok(Access::hit(value))
+            }
+            _ => self.read_miss(addr),
         }
-        let value = w.regs[addr.offset as usize];
-        self.stats.read_hits += 1;
-        Ok(Access::hit(value))
     }
 
+    /// Writes always hit once the context owns the top window.
+    #[inline(always)]
     fn write(
         &mut self,
         addr: RegAddr,
         value: Word,
         _store: &mut dyn BackingStore,
     ) -> Result<Access, RegFileError> {
-        self.check(addr)?;
-        let cur = match self.chain.last_mut() {
-            Some(s) if s.cid == addr.cid => s.window.as_mut(),
-            _ => None,
+        let Some(w) = self.top_window(addr) else {
+            return Err(self.rejected(addr));
         };
-        let Some(w) = cur else {
-            return Err(RegFileError::NotCurrent(addr.cid));
-        };
+        let bit = 1 << addr.offset;
+        let fresh = w.valid & bit == 0;
+        w.regs[usize::from(addr.offset)] = value;
+        w.valid |= bit;
+        self.valid_count += u32::from(fresh);
         self.stats.writes += 1;
-        if w.valid & (1 << addr.offset) == 0 {
-            self.valid_count += 1;
-        }
-        w.regs[addr.offset as usize] = value;
-        w.valid |= 1 << addr.offset;
         self.stats.write_hits += 1;
         Ok(Access::hit(value))
     }

@@ -148,6 +148,45 @@ impl Cache {
     /// `write` selects a store; the policy is write-back, write-allocate,
     /// so stores miss and fill exactly like loads.
     pub fn access(&mut self, addr: Addr, write: bool) -> u32 {
+        self.access_way(addr, write).0
+    }
+
+    /// Performs `cycles.len()` accesses at consecutive addresses from
+    /// `addr` (all loads or all stores) and writes each word's latency
+    /// into `cycles`. The result is exactly that of calling
+    /// [`access`](Self::access) once per word in ascending order — the
+    /// clock, LRU stamps, dirty bits, statistics and every latency — but
+    /// the tag check runs once per cache line: once a line's first word
+    /// has been accessed the line is resident, so its remaining words are
+    /// hits that only advance the clock and refresh the line's stamp.
+    pub fn access_run(&mut self, addr: Addr, write: bool, cycles: &mut [u32]) {
+        let line_words = self.cfg.line_words;
+        let mut addr = addr;
+        let mut rest = cycles;
+        while let Some((first, tail)) = rest.split_first_mut() {
+            let (cyc, way) = self.access_way(addr, write);
+            *first = cyc;
+            // Words after `addr` in the same line (a run may start
+            // mid-line and end before the line does).
+            let in_line = (line_words - 1 - (addr & (line_words - 1))) as usize;
+            let (hits, tail) = tail.split_at_mut(in_line.min(tail.len()));
+            if !hits.is_empty() {
+                let n = hits.len() as u64;
+                self.clock += n;
+                self.stats.accesses += n;
+                self.stats.hits += n;
+                self.sets[way].stamp = self.clock;
+                hits.fill(self.cfg.hit_cycles);
+            }
+            addr = addr.wrapping_add(1 + hits.len() as Addr);
+            rest = tail;
+        }
+    }
+
+    /// One access: its latency and the index in `sets` of the way that
+    /// now holds the line.
+    #[inline]
+    fn access_way(&mut self, addr: Addr, write: bool) -> (u32, usize) {
         self.clock += 1;
         self.stats.accesses += 1;
 
@@ -158,18 +197,20 @@ impl Cache {
         let ways = &mut self.sets[base..base + self.ways];
 
         // Hit?
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+        if let Some(i) = ways.iter().position(|w| w.valid && w.tag == tag) {
+            let w = &mut ways[i];
             w.stamp = self.clock;
             w.dirty |= write;
             self.stats.hits += 1;
-            return self.cfg.hit_cycles;
+            return (self.cfg.hit_cycles, base + i);
         }
 
         // Miss: choose the LRU way (invalid ways first).
         self.stats.misses += 1;
-        let victim = ways
+        let (i, victim) = ways
             .iter_mut()
-            .min_by_key(|w| if w.valid { w.stamp + 1 } else { 0 })
+            .enumerate()
+            .min_by_key(|(_, w)| if w.valid { w.stamp + 1 } else { 0 })
             .expect("ways >= 1");
         let mut cycles = self.cfg.hit_cycles + self.cfg.miss_penalty;
         if victim.valid && victim.dirty {
@@ -183,7 +224,7 @@ impl Cache {
             dirty: write,
             stamp: self.clock,
         };
-        cycles
+        (cycles, base + i)
     }
 
     /// Invalidates the whole cache (e.g. between experiment runs).
@@ -264,6 +305,22 @@ mod tests {
         c.access(0, false);
         c.access(0, false);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn access_run_counts_as_a_recent_use() {
+        // A two-word run over line 0 leaves line 0 more recent than line
+        // 8, so the next conflict evicts line 8, as two single accesses
+        // would.
+        let mut c = tiny();
+        c.access(0, false);
+        c.access(8, false);
+        let mut cycles = [0; 2];
+        c.access_run(0, true, &mut cycles);
+        assert_eq!(cycles, [1, 1]);
+        c.access(16, false);
+        assert_eq!(c.access(0, false), 1, "line 0 was refreshed by the run");
+        assert_eq!(c.stats().writebacks, 0, "line 8 was clean");
     }
 
     #[test]

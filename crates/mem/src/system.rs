@@ -60,6 +60,28 @@ impl MemSystem {
         cycles
     }
 
+    /// Stores `values` at consecutive addresses from `addr` through the
+    /// data cache, writing each word's latency into `cycles`: the same
+    /// result as one [`store`](Self::store) per word in ascending order,
+    /// with one tag check per cache line and one page-chunked memory
+    /// write.
+    pub fn store_run(&mut self, addr: Addr, values: &[Word], cycles: &mut [u32]) {
+        assert_eq!(values.len(), cycles.len(), "one latency per word");
+        self.dcache.access_run(addr, true, cycles);
+        self.memory.write_block(addr, values);
+    }
+
+    /// Loads `out.len()` words from consecutive addresses at `addr`
+    /// through the data cache, writing each word's latency into
+    /// `cycles`: the same result as one [`load`](Self::load) per word in
+    /// ascending order, with one tag check per cache line and one
+    /// page-chunked memory read.
+    pub fn load_run(&mut self, addr: Addr, out: &mut [Word], cycles: &mut [u32]) {
+        assert_eq!(out.len(), cycles.len(), "one latency per word");
+        self.dcache.access_run(addr, false, cycles);
+        self.memory.read_into(addr, out);
+    }
+
     /// Atomic fetch-and-add on `addr` (uniprocessor, so trivially atomic).
     ///
     /// Returns `(old_value, cycles)`.
@@ -133,6 +155,25 @@ mod tests {
         let (v, c2) = m.load(100);
         assert_eq!(v, 42);
         assert_eq!(c2, 1, "second access hits");
+    }
+
+    #[test]
+    fn runs_match_word_accesses() {
+        let (mut runs, mut words) = (MemSystem::default(), MemSystem::default());
+        let base = 0x1_0000 - 3; // crosses a page and several lines
+        let values: Vec<Word> = (10..20).collect();
+        let mut cycles = vec![0; values.len()];
+        runs.store_run(base, &values, &mut cycles);
+        let want: Vec<u32> = (0..10)
+            .map(|i| words.store(base + i, values[i as usize]))
+            .collect();
+        assert_eq!(cycles, want);
+        let mut out = vec![0; 10];
+        runs.load_run(base, &mut out, &mut cycles);
+        let want: Vec<(Word, u32)> = (0..10).map(|i| words.load(base + i)).collect();
+        assert_eq!(out, want.iter().map(|w| w.0).collect::<Vec<_>>());
+        assert_eq!(cycles, want.iter().map(|w| w.1).collect::<Vec<_>>());
+        assert_eq!(runs.dcache_stats(), words.dcache_stats());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::config::BACKING_STRIDE_WORDS;
 use nsf_core::{BackingStore, Cid, StoreFault, Word};
-use nsf_mem::MemSystem;
+use nsf_mem::{Addr, MemSystem};
 
 /// Per-context presence bits for backed registers (up to 64 per context).
 ///
@@ -61,7 +61,27 @@ pub struct CtableBacking<'a> {
     pub map: &'a mut BackingMap,
 }
 
+/// The low `len` bits set: the registers of a nonempty run (`len` in
+/// `1..=64`, which [`CtableBacking::run_addr`] checks).
+fn run_mask(len: usize) -> u64 {
+    u64::MAX >> (64 - len)
+}
+
 impl CtableBacking<'_> {
+    /// The backing address of register `first` of `cid`, for a run of
+    /// `len` registers that must stay inside the context's 64 presence
+    /// bits.
+    fn run_addr(&self, cid: Cid, first: u8, len: usize) -> Result<Addr, StoreFault> {
+        assert!(
+            usize::from(first) + len <= 64,
+            "a register run must fit the 64 presence bits"
+        );
+        self.mem
+            .ctable()
+            .reg_addr(cid, first)
+            .map_err(|_| StoreFault::Unmapped(cid))
+    }
+
     /// Reads a context's whole save area (the full backing stride) into
     /// `buf` in one page-chunked pass — no per-word translation, no
     /// hashing, no allocation. A bulk inspection path for diagnostics
@@ -122,6 +142,27 @@ impl BackingStore for LaneStore {
         self.view().reload(cid, offset)
     }
 
+    fn spill_run(
+        &mut self,
+        cid: Cid,
+        first: u8,
+        values: &[Word],
+        valid: u64,
+        cycles: &mut [u32],
+    ) -> Result<(), StoreFault> {
+        self.view().spill_run(cid, first, values, valid, cycles)
+    }
+
+    fn reload_run(
+        &mut self,
+        cid: Cid,
+        first: u8,
+        values: &mut [Word],
+        cycles: &mut [u32],
+    ) -> Result<u64, StoreFault> {
+        self.view().reload_run(cid, first, values, cycles)
+    }
+
     fn is_present(&self, cid: Cid, offset: u8) -> bool {
         self.map.bits(cid) & (1 << offset) != 0
     }
@@ -162,6 +203,55 @@ impl BackingStore for CtableBacking<'_> {
         let (value, cycles) = self.mem.load(addr);
         let present = self.map.bits(cid) & (1 << offset) != 0;
         Ok((present.then_some(value), cycles))
+    }
+
+    /// One Ctable translation, one cache-line-granular store pass and
+    /// one block write for the whole run; presence bits end exactly as
+    /// the per-register loop leaves them.
+    fn spill_run(
+        &mut self,
+        cid: Cid,
+        first: u8,
+        values: &[Word],
+        valid: u64,
+        cycles: &mut [u32],
+    ) -> Result<(), StoreFault> {
+        if values.is_empty() {
+            return Ok(());
+        }
+        let addr = self.run_addr(cid, first, values.len())?;
+        self.mem.store_run(addr, values, cycles);
+        let run = run_mask(values.len()) << first;
+        let bits = self.map.bits_mut(cid);
+        *bits = (*bits & !run) | ((valid << first) & run);
+        Ok(())
+    }
+
+    /// One Ctable translation, one cache-line-granular load pass and one
+    /// block read for the whole run. As with single reloads, every slot
+    /// is transferred but only present registers carry data.
+    fn reload_run(
+        &mut self,
+        cid: Cid,
+        first: u8,
+        values: &mut [Word],
+        cycles: &mut [u32],
+    ) -> Result<u64, StoreFault> {
+        if values.is_empty() {
+            return Ok(0);
+        }
+        let addr = self.run_addr(cid, first, values.len())?;
+        let mut words = [0 as Word; 64];
+        let words = &mut words[..values.len()];
+        self.mem.load_run(addr, words, cycles);
+        let present = (self.map.bits(cid) >> first) & run_mask(values.len());
+        let mut bits = present;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            values[i] = words[i];
+        }
+        Ok(present)
     }
 
     fn is_present(&self, cid: Cid, offset: u8) -> bool {

@@ -22,6 +22,7 @@ pub struct OccupancySummary {
 
 impl OccupancySummary {
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, o: Occupancy) {
         self.samples += 1;
         self.sum_valid_regs += u64::from(o.valid_regs);

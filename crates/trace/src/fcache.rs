@@ -220,12 +220,14 @@ pub fn capture_frontend(
 /// report per configuration — bit-identical to what
 /// [`nsf_workloads::run`] would return for each, with every lane's
 /// final memory validated against the workload's check. The buffer is
-/// decoded **once** into a flat replay program; each lane then runs as
-/// its own tight engine+memory pass over it (lanes are independent, so
-/// per-lane sequencing and per-event lockstep produce identical
-/// results — the former keeps one lane's engine and cache state hot).
-/// Any divergence from the recorded live values aborts with
-/// [`SimError::LaneDivergence`]; corrupt buffers abort with
+/// decoded **once** into a flat replay program, which the lanes then run
+/// a tile of a few thousand ops at a time: every lane runs a tile, in a
+/// loop specialized to its engine family, before the next tile starts
+/// (lanes are independent, so this gives the same results as running
+/// the lanes one after another or event by event in lockstep). Any
+/// divergence from the recorded live values aborts with
+/// [`SimError::LaneDivergence`], naming the earliest diverging event
+/// and, on a tie, the lowest lane; corrupt buffers abort with
 /// [`SimError::BadConfig`].
 pub fn replay_frontend(
     buf: &FrontendBuffer,
@@ -245,6 +247,12 @@ pub fn replay_frontend(
     }
     Ok(set.reports(buf))
 }
+
+/// Decoded ops per replay tile: every lane runs one tile before the next
+/// tile starts. At 20 bytes per op a tile is 80 KiB, small enough to
+/// stay in a core's second-level cache while all of a group's lanes run
+/// it, and long enough that the per-tile engine dispatch is negligible.
+const REPLAY_TILE_OPS: usize = 4096;
 
 /// Replay op kinds are the `FTAG_*` event tags plus two ops the decoder
 /// synthesizes for Ctable maintenance.
@@ -365,6 +373,7 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
     // maps the same contexts at the same events).
     let mut mapped: Vec<bool> = Vec::new();
     let backing_base = buf.cfg.backing_base;
+    let ctable_slots = buf.cfg.mem.ctable_slots;
     let mut event: u64 = 0;
     macro_rules! field {
         ($read:expr) => {
@@ -392,6 +401,18 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
             mapped[i] = true;
         }
     }
+    // Every lane's Ctable has `ctable_slots` entries; a context beyond
+    // them cannot come from a live run.
+    let in_ctable = |cid: Cid, event: u64| {
+        if usize::from(cid) < ctable_slots {
+            Ok(cid)
+        } else {
+            Err(SimError::BadConfig(format!(
+                "frontend cache buffer corrupt: context {cid} at event {event} \
+                 is beyond the {ctable_slots}-entry Ctable"
+            )))
+        }
+    };
     while cur.pos < cur.bytes.len() {
         let tag = cur.bytes[cur.pos];
         cur.pos += 1;
@@ -412,7 +433,7 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
                 });
             }
             FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH => {
-                let cid = field!(cur.u16v());
+                let cid = in_ctable(field!(cur.u16v()), event)?;
                 ensure_mapped(&mut ops, &mut mapped, backing_base, cid);
                 ops.push(ReplayOp {
                     kind: tag,
@@ -425,7 +446,7 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
                 });
             }
             FTAG_FREE_CONTEXT => {
-                let cid = field!(cur.u16v());
+                let cid = in_ctable(field!(cur.u16v()), event)?;
                 ops.push(ReplayOp {
                     kind: tag,
                     off: 0,
@@ -568,131 +589,54 @@ impl ReplaySet {
     }
 
     /// Decodes the event stream once, then drives every lane through it
-    /// in lockstep: each decoded op is fetched and dispatched once and
-    /// applied to every lane while it is hot, so the op-stream traffic
-    /// and dispatch cost are paid once per *group* instead of once per
-    /// lane. The engines' combined state is small next to the
-    /// multi-megabyte op stream, so lockstep keeps every lane's register
-    /// file resident; lanes are independent, so any interleaving
-    /// produces identical results. Every value-bearing event is checked
-    /// against the recording — the first disagreement fails the run.
+    /// a tile at a time: each lane runs a whole tile of
+    /// [`REPLAY_TILE_OPS`] ops in a loop specialized to its engine
+    /// family, before the next lane runs the same tile. The tile stays
+    /// cache-resident across lanes, so the op stream is read from memory
+    /// once per group, while each lane keeps its engine hot and its
+    /// register-file hit paths inlined. Lanes are independent, so any
+    /// interleaving gives identical results.
+    ///
+    /// Every value-bearing event is checked against the recording. A
+    /// failure reports what event-by-event lockstep over all lanes would
+    /// report first: the earliest event, and on a tie the lowest lane.
+    /// Within a tile, a lane after a failing one only runs the ops before
+    /// the failure, since it could only fail later or tie and lose.
     fn run(&mut self, buf: &FrontendBuffer) -> Result<(), SimError> {
         let ops = decode_ops(buf)?;
-        for op in &ops {
-            self.step_all(op)?;
+        for tile in ops.chunks(REPLAY_TILE_OPS) {
+            let mut first: Option<(usize, SimError)> = None;
+            for lane in 0..self.regfiles.len() {
+                let end = first.as_ref().map_or(tile.len(), |(at, _)| *at);
+                if let Err(failure) = self.run_lane(lane, &tile[..end]) {
+                    first = Some(failure);
+                }
+            }
+            if let Some((_, err)) = first {
+                return Err(err);
+            }
         }
         Ok(())
     }
 
-    /// Applies one decoded op to every lane.
-    fn step_all(&mut self, op: &ReplayOp) -> Result<(), SimError> {
-        let pc = op.pc;
-        match op.kind {
-            FTAG_READ => self.reg_all(LaneOp::Read(RegAddr::new(op.cid, op.off)), Some(op.a), pc),
-            FTAG_WRITE => self.reg_all(LaneOp::Write(RegAddr::new(op.cid, op.off), op.a), None, pc),
-            FTAG_SWITCH => self.reg_all(LaneOp::SwitchTo(op.cid), None, pc),
-            FTAG_CALL_PUSH => self.reg_all(LaneOp::CallPush(op.cid), None, pc),
-            FTAG_THREAD_SWITCH => self.reg_all(LaneOp::ThreadSwitch(op.cid), None, pc),
-            FTAG_FREE_CONTEXT => self.reg_all(LaneOp::FreeContext(op.cid), None, pc),
-            FTAG_FREE_REG => self.reg_all(LaneOp::FreeReg(RegAddr::new(op.cid, op.off)), None, pc),
-            FTAG_LOAD => {
-                for (lane, (store, clock)) in
-                    self.stores.iter_mut().zip(&mut self.clocks).enumerate()
-                {
-                    let (v, cycles) = store.mem.load(op.a);
-                    *clock += u64::from(cycles);
-                    if v != op.b {
-                        return Err(SimError::LaneDivergence {
-                            pc,
-                            lane,
-                            detail: format!(
-                                "cached replay of load {:#x} (event {pc}) read {v}, \
-                                 live run recorded {}",
-                                op.a, op.b
-                            ),
-                        });
-                    }
-                }
-                Ok(())
-            }
-            FTAG_STORE => {
-                for (store, clock) in self.stores.iter_mut().zip(&mut self.clocks) {
-                    *clock += u64::from(store.mem.store(op.a, op.b));
-                }
-                Ok(())
-            }
-            FTAG_AMO => {
-                let delta = op.b as i32;
-                for (lane, (store, clock)) in
-                    self.stores.iter_mut().zip(&mut self.clocks).enumerate()
-                {
-                    let (old, cycles) = store.mem.fetch_add(op.a, delta);
-                    *clock += u64::from(cycles);
-                    if old != op.c {
-                        return Err(SimError::LaneDivergence {
-                            pc,
-                            lane,
-                            detail: format!(
-                                "cached replay of amoadd {:#x} (event {pc}) read {old}, \
-                                 live run recorded {}",
-                                op.a, op.c
-                            ),
-                        });
-                    }
-                }
-                Ok(())
-            }
-            FTAG_SAMPLE => {
-                for (occ, rf) in self.occupancy.iter_mut().zip(&self.regfiles) {
-                    occ.record(rf.occupancy());
-                }
-                Ok(())
-            }
-            RTAG_MAP => {
-                for store in &mut self.stores {
-                    store.mem.ctable_mut().map(op.cid, op.a);
-                }
-                Ok(())
-            }
-            RTAG_UNMAP => {
-                for store in &mut self.stores {
-                    store.mem.ctable_mut().unmap(op.cid);
-                }
-                Ok(())
-            }
-            other => unreachable!("decode_ops admits no tag {other}"),
+    /// Runs `ops` on one lane, dispatching on its engine family once per
+    /// tile rather than once per op. On failure, returns the index in
+    /// `ops` of the failing op with its error.
+    fn run_lane(&mut self, lane: usize, ops: &[ReplayOp]) -> Result<(), (usize, SimError)> {
+        let mut state = LaneState {
+            lane,
+            store: &mut self.stores[lane],
+            clock: &mut self.clocks[lane],
+            occupancy: &mut self.occupancy[lane],
+        };
+        match &mut self.regfiles[lane] {
+            EngineDispatch::Nsf(rf) => state.run(rf, ops),
+            EngineDispatch::Segmented(rf) => state.run(rf, ops),
+            EngineDispatch::Windowed(rf) => state.run(rf, ops),
+            EngineDispatch::Conventional(rf) => state.run(rf, ops),
+            EngineDispatch::Oracle(rf) => state.run(rf, ops),
+            EngineDispatch::Boxed(rf) => state.run(rf.as_mut(), ops),
         }
-    }
-
-    /// Applies one register-file op to every lane, checking each lane's
-    /// result against the live run's recorded value.
-    fn reg_all(&mut self, rop: LaneOp, expect: Option<Word>, pc: u32) -> Result<(), SimError> {
-        for (lane, ((rf, store), clock)) in self
-            .regfiles
-            .iter_mut()
-            .zip(self.stores.iter_mut())
-            .zip(self.clocks.iter_mut())
-            .enumerate()
-        {
-            match rf.apply_op(rop, store) {
-                Ok(step) => {
-                    *clock += u64::from(step.stall_cycles);
-                    if step.value != expect {
-                        return Err(SimError::LaneDivergence {
-                            pc,
-                            lane,
-                            detail: format!(
-                                "cached replay of {rop:?} (event {pc}) returned {:?}, \
-                                 live run recorded {expect:?}",
-                                step.value
-                            ),
-                        });
-                    }
-                }
-                Err(source) => return Err(SimError::RegFile { pc, source }),
-            }
-        }
-        Ok(())
     }
 
     fn reports(&self, buf: &FrontendBuffer) -> Vec<RunReport> {
@@ -711,12 +655,140 @@ impl ReplaySet {
     }
 }
 
+/// One replay lane's private state, borrowed from a [`ReplaySet`] for
+/// the length of a tile.
+struct LaneState<'a> {
+    lane: usize,
+    store: &'a mut LaneStore,
+    clock: &'a mut u64,
+    occupancy: &'a mut OccupancySummary,
+}
+
+impl LaneState<'_> {
+    /// Applies `ops` in order to the lane's engine `rf` (monomorphized
+    /// per engine family, so register hits inline into this loop).
+    fn run<E: RegisterFile + ?Sized>(
+        &mut self,
+        rf: &mut E,
+        ops: &[ReplayOp],
+    ) -> Result<(), (usize, SimError)> {
+        let mut clock = *self.clock;
+        let result = ops
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, op)| self.step(rf, op, &mut clock).map_err(|e| (i, e)));
+        *self.clock = clock;
+        result
+    }
+
+    #[inline(always)]
+    fn step<E: RegisterFile + ?Sized>(
+        &mut self,
+        rf: &mut E,
+        op: &ReplayOp,
+        clock: &mut u64,
+    ) -> Result<(), SimError> {
+        let pc = op.pc;
+        let store: &mut LaneStore = self.store;
+        let regfile = |source| SimError::RegFile { pc, source };
+        match op.kind {
+            FTAG_READ => {
+                let addr = RegAddr::new(op.cid, op.off);
+                let access = rf.read(addr, store).map_err(regfile)?;
+                *clock += u64::from(access.stall_cycles);
+                if access.value != op.a {
+                    return Err(reg_divergence(
+                        LaneOp::Read(addr),
+                        Some(access.value),
+                        Some(op.a),
+                        pc,
+                        self.lane,
+                    ));
+                }
+            }
+            FTAG_WRITE => {
+                let access = rf
+                    .write(RegAddr::new(op.cid, op.off), op.a, store)
+                    .map_err(regfile)?;
+                *clock += u64::from(access.stall_cycles);
+            }
+            FTAG_SWITCH => *clock += u64::from(rf.switch_to(op.cid, store).map_err(regfile)?),
+            FTAG_CALL_PUSH => *clock += u64::from(rf.call_push(op.cid, store).map_err(regfile)?),
+            FTAG_THREAD_SWITCH => {
+                *clock += u64::from(rf.thread_switch(op.cid, store).map_err(regfile)?);
+            }
+            FTAG_FREE_CONTEXT => rf.free_context(op.cid, store),
+            FTAG_FREE_REG => rf.free_reg(RegAddr::new(op.cid, op.off), store),
+            FTAG_LOAD => {
+                let (v, cycles) = store.mem.load(op.a);
+                *clock += u64::from(cycles);
+                if v != op.b {
+                    return Err(mem_divergence("load", op.a, v, op.b, pc, self.lane));
+                }
+            }
+            FTAG_STORE => *clock += u64::from(store.mem.store(op.a, op.b)),
+            FTAG_AMO => {
+                let (old, cycles) = store.mem.fetch_add(op.a, op.b as i32);
+                *clock += u64::from(cycles);
+                if old != op.c {
+                    return Err(mem_divergence("amoadd", op.a, old, op.c, pc, self.lane));
+                }
+            }
+            FTAG_SAMPLE => self.occupancy.record(rf.occupancy()),
+            RTAG_MAP => store.mem.ctable_mut().map(op.cid, op.a),
+            RTAG_UNMAP => store.mem.ctable_mut().unmap(op.cid),
+            other => unreachable!("decode_ops admits no tag {other}"),
+        }
+        Ok(())
+    }
+}
+
+/// A replayed register op returned a value other than the recorded one.
+#[cold]
+fn reg_divergence(
+    rop: LaneOp,
+    got: Option<Word>,
+    expect: Option<Word>,
+    pc: u32,
+    lane: usize,
+) -> SimError {
+    SimError::LaneDivergence {
+        pc,
+        lane,
+        detail: format!(
+            "cached replay of {rop:?} (event {pc}) returned {got:?}, \
+             live run recorded {expect:?}"
+        ),
+    }
+}
+
+/// A replayed load or atomic read a value other than the recorded one.
+#[cold]
+fn mem_divergence(
+    what: &str,
+    addr: Addr,
+    got: Word,
+    expect: Word,
+    pc: u32,
+    lane: usize,
+) -> SimError {
+    SimError::LaneDivergence {
+        pc,
+        lane,
+        detail: format!(
+            "cached replay of {what} {addr:#x} (event {pc}) read {got}, \
+             live run recorded {expect}"
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::VarReader;
     use nsf_core::SpillEngine;
     use nsf_sim::RegFileSpec;
+    use nsf_workloads::Workload;
 
     fn five_specs() -> Vec<SimConfig> {
         [
@@ -810,6 +882,121 @@ mod tests {
             panic!("expected BadConfig, got {err:?}");
         };
         assert!(msg.contains("corrupt"), "{msg}");
+    }
+
+    /// Encodes a hand-built event stream in the capture format.
+    fn encode(events: &[(u8, u32, u32)]) -> (Vec<u8>, u64) {
+        let mut w = VarWriter::default();
+        for &(tag, x, y) in events {
+            w.put_u8(tag);
+            match tag {
+                FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH | FTAG_FREE_CONTEXT => {
+                    w.put_varint(u64::from(x));
+                }
+                FTAG_READ | FTAG_WRITE => {
+                    // `x` packs `cid << 8 | offset`.
+                    w.put_varint(u64::from(x >> 8));
+                    w.put_u8(x as u8);
+                    w.put_varint(u64::from(y));
+                }
+                FTAG_LOAD | FTAG_STORE => {
+                    w.put_varint(u64::from(x));
+                    w.put_varint(u64::from(y));
+                }
+                FTAG_SAMPLE => {}
+                other => panic!("test encoder has no tag {other}"),
+            }
+        }
+        (w.into_bytes(), events.len() as u64)
+    }
+
+    /// The first failure event-by-event lockstep over all lanes reports:
+    /// the earliest diverging event, then the lowest lane. Lanes are
+    /// independent, so it is the minimum over each lane replayed alone.
+    fn lockstep_first(buf: &FrontendBuffer, w: &Workload, cfgs: &[SimConfig]) -> (u32, usize) {
+        (0..cfgs.len())
+            .map(|lane| match replay_frontend(buf, w, &cfgs[lane..=lane]) {
+                Err(WorkloadError::Sim(SimError::LaneDivergence { pc, .. })) => (pc, lane),
+                other => panic!("lane {lane} alone: expected a divergence, got {other:?}"),
+            })
+            .min()
+            .expect("at least one lane")
+    }
+
+    /// A stream on which an NSF lane and a conventional lane diverge at
+    /// different events. Context 1 writes a register, then a switch to
+    /// context 2 makes the one-frame conventional file spill context 1's
+    /// frame to its save area, while the NSF keeps it resident. A load
+    /// of that save-area word, recorded as 0, therefore diverges on the
+    /// conventional lane only. A read recorded with a wrong value later
+    /// diverges on both. `gap` filler samples go before the load and
+    /// again before the bad read, to put them in other tiles.
+    fn split_divergence(cfg: &SimConfig, gap: usize) -> Vec<(u8, u32, u32)> {
+        let save_word = cfg.backing_base + BACKING_STRIDE_WORDS;
+        let mut ev = vec![
+            (FTAG_SWITCH, 1, 0),
+            (FTAG_WRITE, 1 << 8, 5),
+            (FTAG_SWITCH, 2, 0),
+        ];
+        ev.extend(std::iter::repeat_n((FTAG_SAMPLE, 0, 0), gap));
+        ev.push((FTAG_LOAD, save_word, 0));
+        ev.extend(std::iter::repeat_n((FTAG_SAMPLE, 0, 0), gap));
+        ev.push((FTAG_WRITE, 2 << 8, 7));
+        ev.push((FTAG_READ, 2 << 8, 8));
+        ev
+    }
+
+    #[test]
+    fn tiled_replay_reports_the_lockstep_first_divergence() {
+        let nsf = SimConfig::with_regfile(RegFileSpec::paper_nsf(64));
+        let conv = SimConfig::with_regfile(RegFileSpec::Conventional {
+            regs: 32,
+            engine: SpillEngine::hardware(),
+        });
+        // A real capture supplies the buffer's configuration and report;
+        // its stream is replaced below. The replayed streams load nothing
+        // the workload initializes.
+        let mut buf = capture_frontend(&nsf_workloads::gatesim::build(0), nsf).unwrap();
+        let w = Workload {
+            mem_init: Vec::new(),
+            ..nsf_workloads::gatesim::build(0)
+        };
+        // gap 0: everything in one tile, and the conventional lane (lane
+        // 1 in the first order) diverges before lane 0. Larger gaps put
+        // the two divergences in different tiles.
+        for gap in [0, REPLAY_TILE_OPS + 3, 2 * REPLAY_TILE_OPS] {
+            (buf.bytes, buf.events) = encode(&split_divergence(&nsf, gap));
+            for cfgs in [[nsf, conv, nsf], [conv, nsf, conv]] {
+                let want = lockstep_first(&buf, &w, &cfgs);
+                match replay_frontend(&buf, &w, &cfgs) {
+                    Err(WorkloadError::Sim(SimError::LaneDivergence { pc, lane, .. })) => {
+                        assert_eq!((pc, lane), want, "gap {gap}");
+                    }
+                    other => panic!("gap {gap}: expected a divergence, got {other:?}"),
+                }
+            }
+        }
+        // The first order's answer, spelled out: the load (event
+        // 3 + gap) on the conventional lane 1.
+        (buf.bytes, buf.events) = encode(&split_divergence(&nsf, 0));
+        assert_eq!(lockstep_first(&buf, &w, &[nsf, conv]), (3, 1));
+    }
+
+    #[test]
+    fn context_beyond_the_ctable_is_a_typed_error() {
+        // Stored buffers are read back from disk: a context no Ctable
+        // can map must be rejected at decode, not panic in a lane.
+        let cfg = SimConfig::default();
+        let mut buf = capture_frontend(&nsf_workloads::gatesim::build(0), cfg).unwrap();
+        let beyond = cfg.mem.ctable_slots as u32;
+        for tag in [FTAG_SWITCH, FTAG_FREE_CONTEXT] {
+            (buf.bytes, buf.events) = encode(&[(tag, beyond, 0)]);
+            let err = decode_ops(&buf).unwrap_err();
+            assert!(
+                matches!(&err, SimError::BadConfig(m) if m.contains("beyond")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use nsf_core::SpillEngine;
 use nsf_isa::{Inst, ProgramBuilder, Reg};
-use nsf_sim::{Machine, RegFileSpec, RunReport, SimConfig};
+use nsf_sim::{parse_engine, Machine, RegFileSpec, RunReport, SimConfig};
 use nsf_trace::{capture_frontend, replay_frontend};
 use nsf_workloads::harness::expect_words;
 use nsf_workloads::Workload;
@@ -305,3 +305,57 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// An explorer-sized cell: 19 lanes over all six explorer families
+    /// (NSF at three line widths, segmented with hardware, software and
+    /// valid-bit transfers, windowed, conventional), replayed from one
+    /// stream long enough to span several replay tiles.
+    #[test]
+    fn nineteen_lanes_over_six_families_span_tiles(
+        actions in proptest::collection::vec(arb_action(), 4..10),
+        iters in 600i32..900,
+        call_depth in 0u32..3,
+    ) {
+        let program = build_program(&ProgSpec { actions, iters, call_depth });
+        let cfgs: Vec<SimConfig> = EXPLORER_FAN
+            .iter()
+            .map(|s| SimConfig::with_regfile(parse_engine(s).unwrap()))
+            .collect();
+        let serial = run_serial(&program, &cfgs);
+        let w = make_workload(program, serial[0].1.clone());
+        let buf = capture_frontend(&w, cfgs[0]).unwrap();
+        // Replay tiles hold 4096 ops; this stream spans at least two.
+        prop_assert!(buf.events > 4096, "stream of {} events fits one tile", buf.events);
+        let replayed = replay_frontend(&buf, &w, &cfgs).unwrap();
+        for (i, ((want, _), got)) in serial.iter().zip(&replayed).enumerate() {
+            prop_assert_eq!(want, got, "{} (lane {})", EXPLORER_FAN[i], i);
+        }
+    }
+}
+
+/// Nineteen engines over the explorer's six families, each able to hold
+/// the generated programs' contexts.
+const EXPLORER_FAN: [&str; 19] = [
+    "nsf:16",
+    "nsf:32",
+    "nsf:64",
+    "nsf:32x2",
+    "nsf:64x2",
+    "nsf:64x4",
+    "segmented:2x12",
+    "segmented:3x16",
+    "segmented:4x20",
+    "segmented-sw:2x12",
+    "segmented-sw:3x16",
+    "segmented-sw:4x20",
+    "segmented-valid:2x12",
+    "segmented-valid:3x16",
+    "segmented-valid:4x20",
+    "windowed:12",
+    "windowed:20",
+    "conventional:12",
+    "conventional:20",
+];
