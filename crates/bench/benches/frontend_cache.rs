@@ -1,10 +1,14 @@
 //! Criterion group `frontend_cache`: capture-and-replay against live
 //! simulation on a figure-style configuration fan — one workload, N
-//! frontend-identical engine configurations. `capture8_replay_8cfg`
-//! measures the whole cached sweep (one live capture + eight replayed
-//! lanes); `replay_only_8cfg` isolates the replay engine by reusing a
+//! frontend-identical engine configurations. `capture_replay_{N}cfg`
+//! measures the whole cached group (one live capture plus N - 1
+//! replayed lanes) and `live_{N}cfg` the same N points run live, one
+//! machine each, on gatesim at scale 1 (the evaluation size: at scale 0
+//! fixed per-point costs swamp the frontend). The smallest N where the
+//! first beats the second is the runner's `Sweep::MIN_CAPTURE_GROUP`.
+//! `replay_only_8cfg` isolates the replay engine at scale 0 by reusing a
 //! pre-captured buffer, which is the marginal cost of every grid point
-//! after the first. The serial baseline is the same fan run live.
+//! after the first.
 //!
 //! Group `replay_kernel` times replay alone (no capture) on two stream
 //! shapes: a register-hit-heavy stream (gatesim) and a context-switch-
@@ -20,28 +24,32 @@ use nsf_workloads::{gatesim, rtlsim, run};
 fn bench_frontend_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("frontend_cache");
     g.sample_size(10);
-    let w = gatesim::build(0);
-    // A Figure-12-style size fan: eight NSF capacities, shared frontend.
-    let cfgs: Vec<SimConfig> = (0..8u32).map(|i| nsf_config(48 + 16 * i)).collect();
+    // A Figure-12-style size fan: NSF capacities, shared frontend.
+    let cfgs: Vec<SimConfig> = (0..16u32).map(|i| nsf_config(48 + 16 * i)).collect();
 
-    g.bench_function("live_8cfg", |b| {
-        b.iter(|| {
-            cfgs.iter()
-                .map(|&cfg| run(&w, cfg).expect("validates"))
-                .collect::<Vec<_>>()
-        })
-    });
-    g.bench_function("capture_replay_8cfg", |b| {
-        b.iter(|| {
-            let buf = capture_frontend(&w, cfgs[0]).expect("captures");
-            let mut reports = vec![buf.report.clone()];
-            reports.extend(replay_frontend(&buf, &w, &cfgs[1..]).expect("replays"));
-            reports
-        })
-    });
+    let eval = gatesim::build(1);
+    for n in [2, 3, 4, 8, 16] {
+        let fan = &cfgs[..n];
+        g.bench_function(format!("live_{n}cfg"), |b| {
+            b.iter(|| {
+                fan.iter()
+                    .map(|&cfg| run(&eval, cfg).expect("validates"))
+                    .collect::<Vec<_>>()
+            })
+        });
+        g.bench_function(format!("capture_replay_{n}cfg"), |b| {
+            b.iter(|| {
+                let buf = capture_frontend(&eval, fan[0]).expect("captures");
+                let mut reports = vec![buf.report.clone()];
+                reports.extend(replay_frontend(&buf, &eval, &fan[1..]).expect("replays"));
+                reports
+            })
+        });
+    }
+    let w = gatesim::build(0);
     let buf = capture_frontend(&w, cfgs[0]).expect("captures");
     g.bench_function("replay_only_8cfg", |b| {
-        b.iter(|| replay_frontend(&buf, &w, &cfgs).expect("replays"))
+        b.iter(|| replay_frontend(&buf, &w, &cfgs[..8]).expect("replays"))
     });
     g.finish();
 }

@@ -25,21 +25,19 @@
 //! `--seed`; reruns reproduce bit-for-bit.
 
 use nsf_bench::{CliArgs, CliError, CliSpec};
-use nsf_check::run::{check_family, check_family_stepped, LaneReport};
+use nsf_check::run::check_family;
 use nsf_check::{
-    check_seed, check_seed_stepped, fault_plan_for_seed, generate, shrink, Divergence, Family,
-    Repro, StreamConfig,
+    check_seed, fault_plan_for_seed, generate, shrink, Divergence, Family, Repro, StreamConfig,
 };
 use nsf_trace::RegEvent;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: check_tool fuzz [--family NAME|all] [--seed N] [--iters N] [--ops N] [--repro-dir DIR] [--lane-step] [--quiet]\n\
+        "usage: check_tool fuzz [--family NAME|all] [--seed N] [--iters N] [--ops N] [--repro-dir DIR] [--quiet]\n\
          \x20      check_tool shrink --family NAME --seed N [--ops N] [--out FILE]\n\
          \x20      check_tool replay-repro FILE...\n\
-         families: nsf, segmented, segmented-sw, windowed, conventional\n\
-         --lane-step fuzzes the batched executor's lockstep path (EngineDispatch::step_lanes)"
+         families: nsf, segmented, segmented-sw, windowed, conventional"
     );
     ExitCode::from(64)
 }
@@ -54,7 +52,7 @@ fn spec_for(cmd: &str) -> Option<CliSpec> {
     match cmd {
         "fuzz" => Some(CliSpec {
             value_flags: &["family", "seed", "iters", "ops", "repro-dir"],
-            switches: &["quiet", "lane-step"],
+            switches: &["quiet"],
             repeatable: &[],
         }),
         "shrink" => Some(CliSpec {
@@ -86,33 +84,25 @@ fn stream_config(args: &CliArgs) -> Result<StreamConfig, CliError> {
     Ok(cfg)
 }
 
-/// A family checker: the independent per-lane runner or, under
-/// `--lane-step`, the lockstep runner over the batched executor's
-/// `step_lanes` path. Shrinking must reduce against the same runner
-/// that found the failure, so the choice threads through here.
-type Checker = fn(Family, &[RegEvent], nsf_core::FaultPlan) -> Result<Vec<LaneReport>, Divergence>;
-
 /// Reduces a diverging stream to a minimal one that still produces the
 /// *same* failure (lane and kind), then re-derives the final divergence
 /// from the minimal stream.
 fn shrink_divergence(
-    checker: Checker,
     family: Family,
     ops: &[RegEvent],
     plan: nsf_core::FaultPlan,
     original: &Divergence,
 ) -> (Vec<RegEvent>, Divergence) {
     let same_failure = |cand: &[RegEvent]| {
-        matches!(checker(family, cand, plan),
+        matches!(check_family(family, cand, plan),
             Err(d) if d.lane == original.lane && d.kind == original.kind)
     };
     let small = shrink(ops, same_failure);
-    let d = checker(family, &small, plan).expect_err("shrink preserves the failure");
+    let d = check_family(family, &small, plan).expect_err("shrink preserves the failure");
     (small, d)
 }
 
 fn report_divergence(
-    checker: Checker,
     family: Family,
     seed: Option<u64>,
     ops: &[RegEvent],
@@ -124,7 +114,7 @@ fn report_divergence(
         Some(seed) => eprintln!("DIVERGENCE family {family} seed {seed}: {d}"),
         None => eprintln!("DIVERGENCE family {family}: {d}"),
     }
-    let (small, small_d) = shrink_divergence(checker, family, ops, plan, d);
+    let (small, small_d) = shrink_divergence(family, ops, plan, d);
     eprintln!(
         "shrunk {} ops -> {} (plan {:?}): {small_d}",
         ops.len(),
@@ -159,33 +149,18 @@ fn cmd_fuzz(args: &CliArgs) -> Result<bool, String> {
     let iters: u64 = args.parsed_or("iters", 500u64).map_err(|e| e.to_string())?;
     let cfg = stream_config(args).map_err(|e| e.to_string())?;
     let quiet = args.switch("quiet");
-    let lane_step = args.switch("lane-step");
     let repro_dir = args.flag("repro-dir");
-    type SeedCheck = fn(
-        Family,
-        &StreamConfig,
-        u64,
-    ) -> (
-        Vec<RegEvent>,
-        nsf_core::FaultPlan,
-        Result<Vec<LaneReport>, Divergence>,
-    );
-    let (seed_check, checker): (SeedCheck, Checker) = if lane_step {
-        (check_seed_stepped, check_family_stepped)
-    } else {
-        (check_seed, check_family)
-    };
     let mut clean = true;
 
     for family in families {
         let mut faults = 0u64;
         let mut diverged = false;
         for seed in start..start + iters {
-            let (ops, plan, verdict) = seed_check(family, &cfg, seed);
+            let (ops, plan, verdict) = check_seed(family, &cfg, seed);
             match verdict {
                 Ok(reports) => faults += reports.iter().map(|r| r.faults_absorbed).sum::<u64>(),
                 Err(d) => {
-                    report_divergence(checker, family, Some(seed), &ops, plan, &d, repro_dir)?;
+                    report_divergence(family, Some(seed), &ops, plan, &d, repro_dir)?;
                     clean = false;
                     diverged = true;
                     break;
@@ -193,9 +168,8 @@ fn cmd_fuzz(args: &CliArgs) -> Result<bool, String> {
             }
         }
         if !diverged && !quiet {
-            let mode = if lane_step { ", lane-stepped" } else { "" };
             println!(
-                "{family:<13} {iters} seeds clean ({} lanes{mode}, {faults} injected faults absorbed)",
+                "{family:<13} {iters} seeds clean ({} lanes, {faults} injected faults absorbed)",
                 family.lanes().len()
             );
         }
@@ -219,7 +193,7 @@ fn cmd_shrink(args: &CliArgs) -> Result<bool, String> {
         }
         Err(d) => {
             let repro_dir = args.flag("out").map(|_| ());
-            let (small, small_d) = shrink_divergence(check_family, family, &ops, plan, &d);
+            let (small, small_d) = shrink_divergence(family, &ops, plan, &d);
             eprintln!(
                 "family {family} seed {seed}: shrunk {} ops -> {}: {small_d}",
                 ops.len(),

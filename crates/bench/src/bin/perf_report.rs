@@ -10,8 +10,8 @@
 //! grid is built and run exactly as its binary would (render excluded, so
 //! nothing is printed or written per figure), and the elapsed wall time is
 //! divided into the total instructions simulated. Each grid is then
-//! re-run through the lane-batched core and the frontend-cached core
-//! (`Sweep::run_cached`), asserting bit-identical reports and recording
+//! re-run through the frontend cache without a store
+//! (`Sweep::run_stored`), asserting bit-identical reports and recording
 //! the frontend-vs-engine time split and cache hit rate. A second section
 //! captures the Figure 12 workloads as `.nsftrace` streams and re-sweeps
 //! the figure's whole configuration grid by *replay* — the design-space
@@ -107,9 +107,8 @@ struct Row {
     events: u64,
     wall_ns: u128,
     run_ns: u128,
-    /// Wall time of the same grid through `Sweep::run_lanes`.
-    lanes_run_ns: u128,
-    /// Wall time of the same grid through `Sweep::run_cached`.
+    /// Wall time of the same grid through `Sweep::run_stored` without a
+    /// store.
     cache_run_ns: u128,
     /// Frontend-vs-engine split and hit rate of the cached run.
     cache: FrontendCacheStats,
@@ -132,21 +131,7 @@ impl Row {
         rate(self.events, self.run_ns)
     }
 
-    /// Instr/sec through the lane-batched core.
-    fn lanes_events_per_sec(&self) -> f64 {
-        rate(self.events, self.lanes_run_ns)
-    }
-
-    /// Lane-batched speedup over the serial core on this run.
-    fn lanes_speedup(&self) -> f64 {
-        if self.lanes_run_ns == 0 {
-            0.0
-        } else {
-            self.run_ns as f64 / self.lanes_run_ns as f64
-        }
-    }
-
-    /// Instr/sec through the frontend-cached core.
+    /// Instr/sec through the frontend cache.
     fn cache_events_per_sec(&self) -> f64 {
         rate(self.events, self.cache_run_ns)
     }
@@ -273,7 +258,6 @@ fn explore_section(args: &HarnessArgs) -> Option<ExploreStats> {
     let output = std::process::Command::new(&bin)
         .args(["--scale", &args.scale.to_string()])
         .args(["--threads", &args.threads.to_string()])
-        .args(["--lanes", &args.lanes.to_string()])
         .arg("--quiet")
         .arg("--out")
         .arg(&out)
@@ -377,28 +361,16 @@ fn replay_section(args: &HarnessArgs, live_wall_ns: u128) -> ReplaySection {
 /// here silently times the wrong experiment — reject it with usage.
 fn parse_args() -> Result<HarnessArgs, CliError> {
     const SPEC: CliSpec = CliSpec {
-        value_flags: &["scale", "threads", "lanes", "out"],
-        switches: &[
-            "quiet",
-            "frontend-cache",
-            "no-frontend-cache",
-            "store",
-            "no-store",
-        ],
+        value_flags: &["scale", "threads", "out"],
+        switches: &["quiet", "store", "no-store"],
         repeatable: &[],
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = CliArgs::parse(&raw, &SPEC)?;
-    // Both paths are always *measured* here (the cached and store
-    // columns are the point of the report); the switches are accepted so
-    // one wrapper flag set drives every binary, and conflicts still
-    // error.
-    if args.switch("frontend-cache") && args.switch("no-frontend-cache") {
-        return Err(CliError::Conflict {
-            a: "frontend-cache".into(),
-            b: "no-frontend-cache".into(),
-        });
-    }
+    // Both store settings are always *measured* here (the cached and
+    // store columns are the point of the report); the switches are
+    // accepted so one wrapper flag set drives every binary, and
+    // conflicts still error.
     if args.switch("store") && args.switch("no-store") {
         return Err(CliError::Conflict {
             a: "store".into(),
@@ -409,8 +381,6 @@ fn parse_args() -> Result<HarnessArgs, CliError> {
     Ok(HarnessArgs {
         scale: args.parsed_or("scale", 1u32)?,
         threads: args.parsed_or("threads", defaults.threads)?.max(1),
-        lanes: args.parsed_or("lanes", defaults.lanes)?.max(1),
-        frontend_cache: !args.switch("no-frontend-cache"),
         store: !args.switch("no-store"),
         quiet: args.switch("quiet"),
         out: args.flag("out").map(str::to_string),
@@ -422,9 +392,8 @@ fn main() {
         Ok(args) => args,
         Err(e) => {
             eprintln!(
-                "perf_report: {e}\nusage: perf_report [--scale N] [--threads N] [--lanes N] \
-                 [--frontend-cache | --no-frontend-cache] [--store | --no-store] \
-                 [--out DIR] [--quiet]"
+                "perf_report: {e}\nusage: perf_report [--scale N] [--threads N] \
+                 [--store | --no-store] [--out DIR] [--quiet]"
             );
             std::process::exit(64);
         }
@@ -452,11 +421,7 @@ fn main() {
         let reports = sweep.run(args.threads);
         let run_ns = t.elapsed().as_nanos();
         let t = Instant::now();
-        let lane_reports = sweep.run_lanes(args.threads, args.lanes);
-        let lanes_run_ns = t.elapsed().as_nanos();
-        assert_eq!(reports, lane_reports, "{name}: lane batching must be exact");
-        let t = Instant::now();
-        let (cache_reports, cache) = sweep.run_cached_stats(args.threads, args.lanes);
+        let (cache_reports, cache) = sweep.run_stored_stats(args.threads, 0, None);
         let cache_run_ns = t.elapsed().as_nanos();
         assert_eq!(
             reports, cache_reports,
@@ -464,12 +429,11 @@ fn main() {
         );
         let grid_store = StreamStore::open(store_root.join(name));
         let t = Instant::now();
-        let (cold_reports, _) = sweep.run_stored_stats(args.threads, args.lanes, Some(&grid_store));
+        let (cold_reports, _) = sweep.run_stored_stats(args.threads, 0, Some(&grid_store));
         let store_cold_ns = t.elapsed().as_nanos();
         assert_eq!(reports, cold_reports, "{name}: store-cold must be exact");
         let t = Instant::now();
-        let (warm_reports, store_warm) =
-            sweep.run_stored_stats(args.threads, args.lanes, Some(&grid_store));
+        let (warm_reports, store_warm) = sweep.run_stored_stats(args.threads, 0, Some(&grid_store));
         let store_warm_ns = t.elapsed().as_nanos();
         assert_eq!(reports, warm_reports, "{name}: store-warm must be exact");
         let events: u64 = reports.iter().map(|r| r.instructions).sum();
@@ -479,7 +443,6 @@ fn main() {
             events,
             wall_ns: build_ns + run_ns,
             run_ns,
-            lanes_run_ns,
             cache_run_ns,
             cache,
             store_cold_ns,
@@ -512,19 +475,16 @@ fn main() {
     // generation) excluded, so this isolates the fetch/execute/register/
     // memory loop the devirtualized dispatch and flat page table serve.
     let compare = args.scale == 1 && args.threads == 1;
+    println!("\nSimulation core (sweep.run only, grid build excluded)");
     println!(
-        "\nSimulation core (sweep.run only, grid build excluded; lanes = {})",
-        args.lanes
+        "{:<26} {:>10} {:>14} {:>14} {:>8}",
+        "Grid", "Run ms", "Instr/sec", "Baseline", "Speedup"
     );
-    println!(
-        "{:<26} {:>10} {:>14} {:>14} {:>8} {:>10} {:>10}",
-        "Grid", "Run ms", "Instr/sec", "Baseline", "Speedup", "Lanes ms", "Lanes spd"
-    );
-    nsf_bench::rule(98);
+    nsf_bench::rule(76);
     for r in &rows {
         let base = if compare { r.baseline() } else { None };
         println!(
-            "{:<26} {:>10.1} {:>14.0} {:>14} {:>8} {:>10.1} {:>9.2}x",
+            "{:<26} {:>10.1} {:>14.0} {:>14} {:>8}",
             r.name,
             r.run_ns as f64 / 1e6,
             r.sim_events_per_sec(),
@@ -533,21 +493,17 @@ fn main() {
                 || "-".into(),
                 |b| format!("{:.2}x", r.sim_events_per_sec() / b)
             ),
-            r.lanes_run_ns as f64 / 1e6,
-            r.lanes_speedup(),
         );
     }
-    nsf_bench::rule(98);
+    nsf_bench::rule(76);
 
     // Frontend-vs-engine split of the cached run: frontend ms covers the
     // per-group capture (workload generation + fetch/decode/schedule once
-    // per frontend) plus uncacheable singleton points run live; engine ms
-    // is replay only — the register-file/memory timing model fed from the
-    // recorded event stream. Hit rate is replayed points / points.
-    println!(
-        "\nFrontend cache (sweep.run_cached, lanes = {})",
-        args.lanes
-    );
+    // per frontend) plus points run live (uncapturable, or in groups too
+    // narrow to capture); engine ms is replay only — the register-file/
+    // memory timing model fed from the recorded event stream. Hit rate is
+    // replayed points / points.
+    println!("\nFrontend cache (sweep.run_stored, no store)");
     println!(
         "{:<26} {:>10} {:>12} {:>10} {:>9} {:>10}",
         "Grid", "Cached ms", "Frontend ms", "Engine ms", "Hit rate", "Cache spd"
@@ -659,7 +615,6 @@ fn main() {
     let mut json = String::from("{\n");
     writeln!(json, "  \"scale\": {},", args.scale).unwrap();
     writeln!(json, "  \"threads\": {},", args.threads).unwrap();
-    writeln!(json, "  \"lanes\": {},", args.lanes).unwrap();
     json.push_str("  \"grids\": [\n");
     for (i, r) in rows.iter().enumerate() {
         writeln!(
@@ -690,8 +645,7 @@ fn main() {
             json,
             "    {{\"grid\": \"{}\", \"events\": {}, \"run_wall_ns\": {}, \
              \"instr_per_sec\": {:.0}, \"baseline_instr_per_sec\": {}, \
-             \"speedup\": {}, \"lanes_run_wall_ns\": {}, \
-             \"lanes_instr_per_sec\": {:.0}, \"lanes_speedup\": {:.2}, \
+             \"speedup\": {}, \
              \"cache_run_wall_ns\": {}, \"cache_instr_per_sec\": {:.0}, \
              \"cache_frontend_ns\": {}, \"cache_engine_ns\": {}, \
              \"cache_hit_rate\": {:.3}, \"frontend_cache_speedup\": {:.2}}}{}",
@@ -701,9 +655,6 @@ fn main() {
             r.sim_events_per_sec(),
             base_s,
             speedup_s,
-            r.lanes_run_ns,
-            r.lanes_events_per_sec(),
-            r.lanes_speedup(),
             r.cache_run_ns,
             r.cache_events_per_sec(),
             r.cache.frontend_ns,

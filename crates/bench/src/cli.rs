@@ -47,7 +47,7 @@ pub enum CliError {
         value: String,
     },
     /// Two mutually exclusive switches were both given
-    /// (`--frontend-cache --no-frontend-cache`).
+    /// (`--store --no-store`).
     Conflict {
         /// The first switch.
         a: String,
@@ -270,10 +270,10 @@ mod tests {
         .to_string()
         .contains("\"x\""));
         let c = CliError::Conflict {
-            a: "frontend-cache".into(),
-            b: "no-frontend-cache".into(),
+            a: "store".into(),
+            b: "no-store".into(),
         }
         .to_string();
-        assert!(c.contains("--frontend-cache") && c.contains("--no-frontend-cache"));
+        assert!(c.contains("--store") && c.contains("--no-store"));
     }
 }

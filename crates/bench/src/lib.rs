@@ -33,7 +33,7 @@
 
 use nsf_core::{segmented::FramePolicy, NsfConfig, ReloadPolicy, SegmentedConfig, SpillEngine};
 use nsf_sim::{RunReport, SimConfig};
-use nsf_workloads::{run, run_lanes, Workload};
+use nsf_workloads::{run, Workload};
 
 pub mod cli;
 pub mod figures;
@@ -102,15 +102,6 @@ pub fn segmented_software_config(frames: u32, frame_regs: u8) -> SimConfig {
 /// must never masquerade as a data point.
 pub fn measure(w: &Workload, cfg: SimConfig) -> RunReport {
     run(w, cfg).unwrap_or_else(|e| panic!("{} failed: {e}", w.name))
-}
-
-/// Runs one workload under many configurations — as a single
-/// lane-batched pass when the pair is batchable, serially otherwise —
-/// with [`measure`]'s panic-on-failure contract. A lane divergence
-/// (engine values disagreeing across lanes) panics here too: the
-/// equivalence wall must never masquerade as a data point.
-pub fn measure_lanes(w: &Workload, cfgs: &[SimConfig]) -> Vec<RunReport> {
-    run_lanes(w, cfgs).unwrap_or_else(|e| panic!("{} failed: {e}", w.name))
 }
 
 /// Sums reports across a suite (for the paper's serial/parallel

@@ -1,5 +1,5 @@
 //! Exit-code contract of the strict CLI layer: a malformed value for a
-//! *known* flag (`--lanes x`, `--threads -3`, …) must terminate the
+//! *known* flag (`--threads x`, `--threads -3`, …) must terminate the
 //! process with the conventional usage-error status 64 and print the
 //! usage line — never fall back to a default and silently run the wrong
 //! experiment. Unknown strays stay tolerated (the figure binaries share
@@ -33,11 +33,11 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
 }
 
 #[test]
-fn malformed_lanes_value_exits_64() {
+fn malformed_scale_value_exits_64() {
     let bin = env!("CARGO_BIN_EXE_table1");
-    assert_usage_error(bin, &["--lanes", "x"]);
-    assert_usage_error(bin, &["--lanes", "-3"]);
-    assert_usage_error(bin, &["--scale", "0", "--lanes", "1.5"]);
+    assert_usage_error(bin, &["--scale", "x"]);
+    assert_usage_error(bin, &["--scale", "-3"]);
+    assert_usage_error(bin, &["--threads", "1", "--scale", "1.5"]);
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn malformed_threads_value_exits_64() {
 fn missing_value_for_known_flag_exits_64() {
     let bin = env!("CARGO_BIN_EXE_table1");
     // Trailing flag with no value, and a value swallowed by a switch.
-    assert_usage_error(bin, &["--lanes"]);
+    assert_usage_error(bin, &["--scale"]);
     assert_usage_error(bin, &["--threads", "--quiet"]);
 }
 
@@ -60,22 +60,16 @@ fn perf_report_rejects_unknown_flags_too() {
     // perf_report is stricter than the figure binaries: a typo would
     // silently time the wrong experiment, so strays are errors there.
     let bin = env!("CARGO_BIN_EXE_perf_report");
-    assert_usage_error(bin, &["--lanse", "4"]);
-    assert_usage_error(bin, &["--lanes", "zero"]);
-}
-
-#[test]
-fn contradictory_cache_switches_exit_64() {
-    // `--frontend-cache --no-frontend-cache` has no sane precedence rule;
-    // both the figure binaries and perf_report reject it with usage.
-    let args = &["--frontend-cache", "--no-frontend-cache"];
-    assert_usage_error(env!("CARGO_BIN_EXE_table1"), args);
-    assert_usage_error(env!("CARGO_BIN_EXE_perf_report"), args);
+    assert_usage_error(bin, &["--thraeds", "4"]);
+    // The retired lane and cache flags are unknown here now.
+    assert_usage_error(bin, &["--lanes", "4"]);
+    assert_usage_error(bin, &["--no-frontend-cache"]);
 }
 
 #[test]
 fn contradictory_store_switches_exit_64() {
-    // Same contract for the persistent stream store's switch pair.
+    // `--store --no-store` has no sane precedence rule; both the figure
+    // binaries and perf_report reject it with usage.
     let args = &["--store", "--no-store"];
     assert_usage_error(env!("CARGO_BIN_EXE_fig12_reload_vs_size"), args);
     assert_usage_error(env!("CARGO_BIN_EXE_perf_report"), args);
@@ -118,7 +112,7 @@ const DUPLICATE_SWEEP: &[(&str, &[&str])] = &[
     ),
     (
         env!("CARGO_BIN_EXE_fig09_utilization"),
-        &["--lanes", "2", "--lanes", "4"],
+        &["--out", "a", "--out", "b"],
     ),
     (
         env!("CARGO_BIN_EXE_fig10_reload_traffic"),
@@ -130,7 +124,7 @@ const DUPLICATE_SWEEP: &[(&str, &[&str])] = &[
     ),
     (
         env!("CARGO_BIN_EXE_fig12_reload_vs_size"),
-        &["--lanes", "1", "--lanes", "1"],
+        &["--threads", "1", "--threads", "1"],
     ),
     (
         env!("CARGO_BIN_EXE_fig13_line_size"),
@@ -189,7 +183,7 @@ const DUPLICATE_SWEEP: &[(&str, &[&str])] = &[
 #[test]
 fn duplicate_flags_exit_64_in_every_binary() {
     // `--scale 0 --scale 1` (and every other repeated single-occurrence
-    // flag) has no sane precedence rule — like the contradictory cache
+    // flag) has no sane precedence rule — like the contradictory store
     // switches, every binary rejects it with usage.
     for &(bin, args) in DUPLICATE_SWEEP {
         assert_usage_error(bin, args);
@@ -220,40 +214,63 @@ fn repeatable_engine_flag_still_accumulates() {
     );
 }
 
-#[test]
-fn well_formed_flags_still_run() {
-    let bin = env!("CARGO_BIN_EXE_table1");
+/// Runs a figure binary that must succeed and returns its stdout.
+fn stdout_of(bin: &str, args: &[&str]) -> Vec<u8> {
     let out = Command::new(bin)
-        .args(["--scale", "0", "--lanes", "4", "--quiet"])
+        .args(args)
         .output()
-        .expect("spawn table1");
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(
         out.status.success(),
-        "table1 --scale 0 --lanes 4 failed: {}",
+        "{bin} {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!out.stdout.is_empty(), "table1 printed nothing");
+    assert!(!out.stdout.is_empty(), "{bin} {args:?} printed nothing");
+    out.stdout
 }
 
 #[test]
-fn cache_switches_run_and_agree() {
-    // Each cache switch is accepted alone, and the two modes print
+fn well_formed_flags_still_run() {
+    stdout_of(
+        env!("CARGO_BIN_EXE_table1"),
+        &["--scale", "0", "--threads", "2", "--quiet"],
+    );
+}
+
+#[test]
+fn retired_lane_flags_are_ignored_by_figure_binaries() {
+    // `--lanes` and the frontend-cache switches no longer exist; like any
+    // unknown flag, the figure binaries ignore them (values included,
+    // malformed or not) and print the same figure.
+    let bin = env!("CARGO_BIN_EXE_table1");
+    let plain = stdout_of(bin, &["--scale", "0", "--quiet"]);
+    for stray in [
+        &["--lanes", "4"][..],
+        &["--lanes", "x"],
+        &["--frontend-cache", "--no-frontend-cache"],
+    ] {
+        let args: Vec<&str> = ["--scale", "0", "--quiet"]
+            .iter()
+            .chain(stray)
+            .copied()
+            .collect();
+        assert_eq!(plain, stdout_of(bin, &args), "{stray:?} changed the figure");
+    }
+}
+
+#[test]
+fn store_switches_run_and_agree() {
+    // Each store switch is accepted alone, and the two modes print
     // byte-identical figures — the subprocess-level face of the
     // equivalence wall the library tests pin.
     let bin = env!("CARGO_BIN_EXE_fig09_utilization");
-    let mut outs = Vec::new();
-    for flag in ["--frontend-cache", "--no-frontend-cache"] {
-        let out = Command::new(bin)
-            .args(["--scale", "0", flag])
-            .output()
-            .expect("spawn fig09_utilization");
-        assert!(
-            out.status.success(),
-            "fig09_utilization --scale 0 {flag} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(!out.stdout.is_empty(), "{flag}: printed nothing");
-        outs.push(out.stdout);
-    }
-    assert_eq!(outs[0], outs[1], "cache on/off stdout differs");
+    let dir = std::env::temp_dir().join(format!("nsf-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.display().to_string();
+    let outs: Vec<Vec<u8>> = ["--store", "--no-store"]
+        .iter()
+        .map(|flag| stdout_of(bin, &["--scale", "0", "--out", &out, flag]))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(outs[0], outs[1], "store on/off stdout differs");
 }

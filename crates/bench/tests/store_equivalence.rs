@@ -1,5 +1,5 @@
 //! The persistent stream store's arm of the equivalence wall: for any
-//! mix of engines over any lane/thread budget, a sweep run store-cold,
+//! mix of engines over any thread budget, a sweep run store-cold,
 //! store-warm, and with the store disabled must produce reports
 //! **bit-identical** to the serial `Sweep::run(1)` reference — and a
 //! damaged store entry must be rejected (typed, never a panic), fall
@@ -57,24 +57,23 @@ proptest! {
     #[test]
     fn store_cold_warm_and_disabled_agree(
         picks in proptest::collection::vec((0usize..5, 0u32..3), 1..8),
-        lanes in 1usize..5,
         threads in 1usize..3,
         tag in 0u64..u64::MAX,
     ) {
         let s = sweep_of(&picks);
         let serial = s.run(1);
 
-        let disabled = s.run_stored(threads, lanes, None);
+        let disabled = s.run_stored(threads, None);
         prop_assert_eq!(&serial, &disabled, "store-disabled diverged");
 
         let dir = scratch(tag);
         let _ = std::fs::remove_dir_all(&dir);
         let store = StreamStore::open(dir.clone());
-        let (cold, cold_stats) = s.run_stored_stats(threads, lanes, Some(&store));
+        let (cold, cold_stats) = s.run_stored_stats(threads, 0, Some(&store));
         prop_assert_eq!(&serial, &cold, "store-cold diverged");
         prop_assert_eq!(cold_stats.store_hits, 0);
 
-        let (warm, warm_stats) = s.run_stored_stats(threads, lanes, Some(&store));
+        let (warm, warm_stats) = s.run_stored_stats(threads, 0, Some(&store));
         prop_assert_eq!(&serial, &warm, "store-warm diverged");
         prop_assert_eq!(
             warm_stats.store_misses, 0,
@@ -97,7 +96,7 @@ fn corrupt_entry_falls_back_to_live_capture_and_heals() {
     let dir = scratch(0xc0_44_09);
     let _ = std::fs::remove_dir_all(&dir);
     let store = StreamStore::open(dir.clone());
-    let (cold, _) = s.run_stored_stats(1, 4, Some(&store));
+    let (cold, _) = s.run_stored_stats(1, 0, Some(&store));
     assert_eq!(serial, cold);
 
     // Flip one byte in the middle of every saved entry.
@@ -115,7 +114,7 @@ fn corrupt_entry_falls_back_to_live_capture_and_heals() {
     assert!(entries >= 1, "the cold run saved nothing");
 
     // The wounded store rejects, recaptures, and still agrees ...
-    let (healed, stats) = s.run_stored_stats(1, 4, Some(&store));
+    let (healed, stats) = s.run_stored_stats(1, 0, Some(&store));
     assert_eq!(serial, healed, "corrupt store leaked into the reports");
     assert_eq!(
         stats.store_hits, 0,
@@ -124,7 +123,7 @@ fn corrupt_entry_falls_back_to_live_capture_and_heals() {
     assert!(stats.store_misses >= 1);
 
     // ... and the rewritten entries serve the next run.
-    let (warm, warm_stats) = s.run_stored_stats(1, 4, Some(&store));
+    let (warm, warm_stats) = s.run_stored_stats(1, 0, Some(&store));
     assert_eq!(serial, warm);
     assert_eq!(warm_stats.store_misses, 0, "healed entries must hit");
     let _ = std::fs::remove_dir_all(&dir);

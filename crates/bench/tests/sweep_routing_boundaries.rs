@@ -1,16 +1,14 @@
-//! Boundary audit of `Sweep`'s three execution routes. A frontend group
-//! of width `n` must land on exactly the documented path:
+//! Boundary audit of `Sweep`'s two execution routes. A store-less
+//! frontend group of width `n` must land on exactly the documented path:
 //!
-//! - `n == 1` or `n == 2` — the serial point loop (pairs cannot recoup
-//!   a lane set's batching overhead);
-//! - `3 <= n < MIN_CAPTURE_GROUP` — live lane-batched passes (when the
-//!   caller grants at least two lanes);
-//! - `n >= MIN_CAPTURE_GROUP` (16) — capture the first point's frontend
+//! - `n < MIN_CAPTURE_GROUP` — every point runs live on its own machine;
+//! - `n >= MIN_CAPTURE_GROUP` — capture the first point's frontend
 //!   event stream, replay the remaining `n - 1`.
 //!
-//! Every width is also held to the equivalence wall: reports must be
-//! bit-identical to the serial `Sweep::run(1)` reference, in submission
-//! order.
+//! With a persistent store every capturable group captures (cold) or
+//! replays (warm), whatever its width. Every width is also held to the
+//! equivalence wall: reports must be bit-identical to the serial
+//! `Sweep::run(1)` reference, in submission order.
 
 use nsf_bench::{nsf_config, Sweep, SEQ_FILE_REGS};
 use nsf_trace::StreamStore;
@@ -28,10 +26,18 @@ fn sweep_of_width(n: usize) -> Sweep {
     s
 }
 
+/// The capture break-even is pinned where the measurement put it
+/// (EXPERIMENTS.md, "Capture break-even"), so a retune must be
+/// deliberate.
+#[test]
+fn capture_break_even_is_pinned() {
+    assert_eq!(Sweep::MIN_CAPTURE_GROUP, 3);
+}
+
 #[test]
 fn group_widths_land_on_the_documented_path() {
-    assert_eq!(Sweep::MIN_CAPTURE_GROUP, 16, "boundary audit assumes 16");
-    for n in [1usize, 2, 3, 15, 16, 17] {
+    let m = Sweep::MIN_CAPTURE_GROUP;
+    for n in [1usize, m - 1, m, m + 1, 4 * m] {
         let s = sweep_of_width(n);
         // All points share one frontend: exactly one frontend group,
         // spanning the whole sweep in submission order.
@@ -43,63 +49,23 @@ fn group_widths_land_on_the_documented_path() {
             "width {n}: group must span the sweep in order"
         );
         let serial = s.run(1);
-        let (reports, stats) = s.run_cached_stats(1, 4);
-        assert_eq!(
-            serial, reports,
-            "width {n}: cached route must be bit-identical to serial"
-        );
-        assert_eq!(stats.points, n as u64);
-        // The capture threshold is inclusive: 15 stays live (nothing
-        // replays), 16 captures one point and replays the other 15.
-        let want_replays = if n >= Sweep::MIN_CAPTURE_GROUP {
-            n as u64 - 1
-        } else {
-            0
-        };
-        assert_eq!(
-            stats.replayed_points, want_replays,
-            "width {n}: wrong route (replay count)"
-        );
-        // The lane route agrees too, at every boundary lane count.
-        for lanes in [1usize, 2, n.max(1), n + 1] {
+        for threads in [1, 8] {
+            let (reports, stats) = s.run_stored_stats(threads, 0, None);
             assert_eq!(
-                serial,
-                s.run_lanes(1, lanes),
-                "width {n}: lane route diverged at lanes {lanes}"
+                serial, reports,
+                "width {n} threads {threads}: cached route must be bit-identical to serial"
+            );
+            assert_eq!(stats.points, n as u64);
+            // The capture threshold is inclusive: one below it stays
+            // live (nothing replays), at it the head captures and the
+            // rest replay.
+            let want_replays = if n >= m { n as u64 - 1 } else { 0 };
+            assert_eq!(
+                stats.replayed_points, want_replays,
+                "width {n}: wrong route (replay count)"
             );
         }
     }
-}
-
-/// The live lane-batch fallback needs `lanes >= 2` to form a lane set;
-/// with a single lane every width must fall back to the serial loop and
-/// still replay nothing below the capture threshold.
-#[test]
-fn single_lane_budget_degrades_to_serial_below_capture() {
-    for n in [3usize, 15] {
-        let s = sweep_of_width(n);
-        let serial = s.run(1);
-        let (reports, stats) = s.run_cached_stats(1, 1);
-        assert_eq!(serial, reports, "width {n} at lanes 1");
-        assert_eq!(stats.replayed_points, 0, "width {n}: nothing captures");
-    }
-}
-
-/// The lane-batching break-even is pinned where the measurement put it:
-/// pairs and singletons serial, three and up batched. `depth_sweep`'s
-/// per-depth NSF/segmented pairs regressed ~15% when pairs batched —
-/// this constant is the fix, so a retune must be deliberate.
-#[test]
-fn lane_break_even_is_pinned_at_three() {
-    assert_eq!(Sweep::MIN_LANE_GROUP, 3);
-    assert!(!Sweep::lane_batchable(1));
-    assert!(!Sweep::lane_batchable(2));
-    assert!(Sweep::lane_batchable(3));
-
-    // A pair-only sweep routes serial inside run_lanes and still
-    // matches the serial reference bit for bit.
-    let s = sweep_of_width(2);
-    assert_eq!(s.run(1), s.run_lanes(1, 4), "pair group diverged");
 }
 
 /// A process-unique scratch store (wiped on entry, removed on exit).
@@ -120,7 +86,7 @@ fn store_serves_narrow_groups_warm() {
         let s = sweep_of_width(n);
         let serial = s.run(1);
 
-        let (cold, cold_stats) = s.run_stored_stats(1, 4, Some(&store));
+        let (cold, cold_stats) = s.run_stored_stats(1, 0, Some(&store));
         assert_eq!(serial, cold, "width {n}: cold store diverged");
         assert_eq!(cold_stats.store_misses, 1, "width {n}: one group misses");
         assert_eq!(cold_stats.store_hits, 0);
@@ -130,7 +96,7 @@ fn store_serves_narrow_groups_warm() {
             "width {n}: cold run replays everything behind the head"
         );
 
-        let (warm, warm_stats) = s.run_stored_stats(1, 4, Some(&store));
+        let (warm, warm_stats) = s.run_stored_stats(1, 0, Some(&store));
         assert_eq!(serial, warm, "width {n}: warm store diverged");
         assert_eq!(warm_stats.store_hits, 1, "width {n}: the group hits");
         assert_eq!(warm_stats.store_misses, 0);
@@ -141,26 +107,4 @@ fn store_serves_narrow_groups_warm() {
         assert_eq!(warm_stats.replayed_points, n as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// Lane chunking at the group width itself: `lane_groups(w)` must cut
-/// exact chunks with no off-by-one at the chunk boundary.
-#[test]
-fn lane_groups_chunk_exactly_at_the_boundary() {
-    let s = sweep_of_width(17);
-    assert_eq!(
-        s.lane_groups(16),
-        vec![(0..16).collect::<Vec<_>>(), vec![16]],
-        "16-wide chunks + 1 remainder"
-    );
-    assert_eq!(s.lane_groups(17), vec![(0..17).collect::<Vec<_>>()]);
-    let chunks = s.lane_groups(8);
-    assert_eq!(
-        chunks,
-        vec![
-            (0..8).collect::<Vec<_>>(),
-            (8..16).collect::<Vec<_>>(),
-            vec![16]
-        ]
-    );
 }

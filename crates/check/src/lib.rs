@@ -34,8 +34,8 @@ pub mod stream;
 pub use lanes::{build_lane, Family};
 pub use repro::Repro;
 pub use run::{
-    check_family, check_family_stepped, check_lane, check_seed, check_seed_stepped,
-    fault_plan_for_seed, oracle_outcomes, Divergence, DivergenceKind, LaneReport, Outcome,
+    check_family, check_lane, check_seed, fault_plan_for_seed, oracle_outcomes, Divergence,
+    DivergenceKind, LaneReport, Outcome,
 };
 pub use shrink::shrink;
 pub use stream::{generate, is_valid_stream, SplitMix64, StreamConfig};

@@ -26,8 +26,8 @@
 use crate::lanes::{build_lane, traffic_counts, Family};
 use crate::stream::{generate, SplitMix64, StreamConfig};
 use nsf_core::{
-    BackingStore, Cid, EngineDispatch, FaultPlan, FaultyStore, LaneOp, LaneStep, MapStore,
-    OracleFile, RegFileError, RegFileStats, RegisterFile, Word,
+    BackingStore, Cid, FaultPlan, FaultyStore, MapStore, OracleFile, RegFileError, RegFileStats,
+    RegisterFile, Word,
 };
 use nsf_trace::RegEvent;
 use std::fmt;
@@ -253,8 +253,7 @@ pub fn check_lane(
     })
 }
 
-/// End-of-run residue check shared by the per-lane and lane-stepped
-/// runners. Freed contexts must leave nothing behind. Generated streams
+/// End-of-run residue check for one lane. Freed contexts must leave nothing behind. Generated streams
 /// end fully drained, so the whole file must be empty; shrunk repros may
 /// legitimately end mid-program, so the checks scale to what the stream
 /// actually freed.
@@ -322,7 +321,7 @@ pub fn check_family(
     Ok(reports)
 }
 
-/// The family's twin-stats comparison (shared by both runners).
+/// The family's twin-stats comparison.
 fn twin_divergence(family: Family, reports: &[LaneReport]) -> Result<(), Divergence> {
     if let Some((a, b)) = family.twins() {
         let find = |spec| {
@@ -345,118 +344,6 @@ fn twin_divergence(family: Family, reports: &[LaneReport]) -> Result<(), Diverge
         }
     }
     Ok(())
-}
-
-/// Translates a stream event into the shared [`LaneOp`] form; `None`
-/// for memory traffic (which register-file streams never carry).
-fn lane_op(ev: &RegEvent) -> Option<LaneOp> {
-    Some(match *ev {
-        RegEvent::Read { addr } => LaneOp::Read(addr),
-        RegEvent::Write { addr, value } => LaneOp::Write(addr, value),
-        RegEvent::SwitchTo { cid } => LaneOp::SwitchTo(cid),
-        RegEvent::CallPush { cid } => LaneOp::CallPush(cid),
-        RegEvent::ThreadSwitch { cid } => LaneOp::ThreadSwitch(cid),
-        RegEvent::FreeContext { cid } => LaneOp::FreeContext(cid),
-        RegEvent::FreeReg { addr } => LaneOp::FreeReg(addr),
-        RegEvent::MemRead { .. } | RegEvent::MemWrite { .. } => return None,
-    })
-}
-
-fn reduce_step(r: Result<LaneStep, RegFileError>) -> Outcome {
-    match r {
-        Ok(LaneStep { value: Some(v), .. }) => Outcome::Value(v),
-        Ok(_) => Outcome::Done,
-        Err(e) => err_outcome(&e),
-    }
-}
-
-/// The lane-stepped differential runner: every lane of `family` advances
-/// through the stream **in lockstep** via [`EngineDispatch::step_lanes`]
-/// — the exact entry point the simulator's batched executor uses — with
-/// each op's outcome compared against the oracle per lane. Anything
-/// `check_family` would catch, this catches too; in addition, a bug that
-/// lets one lane's state bleed into another through the shared stepping
-/// path (aliased stores, misrouted results, order dependence) shows up
-/// here and *cannot* show up in the independent per-lane runner.
-///
-/// The fault-retry protocol is identical to [`check_lane`]'s: an
-/// injected fault must surface as `Store`, leave invariants intact, and
-/// succeed (with the oracle's outcome) when the op is retried on that
-/// lane alone.
-pub fn check_family_stepped(
-    family: Family,
-    ops: &[RegEvent],
-    plan: FaultPlan,
-) -> Result<Vec<LaneReport>, Divergence> {
-    let expected = oracle_outcomes(ops);
-    let specs = family.lanes();
-    let mut engines: Vec<EngineDispatch> = specs.iter().map(|s| build_lane(s)).collect();
-    let mut stores: Vec<FaultyStore<MapStore>> = specs
-        .iter()
-        .map(|_| FaultyStore::with_plan(MapStore::new(), plan))
-        .collect();
-    let mut faults_absorbed = vec![0u64; specs.len()];
-
-    for (i, ev) in ops.iter().enumerate() {
-        let Some(op) = lane_op(ev) else { continue };
-        let mut outcomes = vec![Outcome::Done; specs.len()];
-        EngineDispatch::step_lanes(&mut engines, &mut stores, op, |l, r| {
-            outcomes[l] = reduce_step(r);
-        });
-        for (l, spec) in specs.iter().enumerate() {
-            let diverge = |kind, detail| {
-                Err(Divergence {
-                    lane: spec.to_string(),
-                    op_index: Some(i),
-                    kind,
-                    detail,
-                })
-            };
-            let mut got = outcomes[l];
-            if got == Outcome::StoreFault {
-                faults_absorbed[l] += 1;
-                if let Some(v) = invariant_or_capacity_violation(&engines[l]) {
-                    return diverge(
-                        DivergenceKind::FaultRecovery,
-                        format!("after injected fault on `{ev}`: {v}"),
-                    );
-                }
-                got = reduce_step(engines[l].apply_op(op, &mut stores[l]));
-                if got == Outcome::StoreFault {
-                    return diverge(
-                        DivergenceKind::FaultRecovery,
-                        format!("retry of `{ev}` hit a store fault after the plan healed"),
-                    );
-                }
-            }
-            if got != expected[i] {
-                return diverge(
-                    DivergenceKind::Outcome,
-                    format!("`{ev}`: lane {got:?}, oracle {:?}", expected[i]),
-                );
-            }
-            if let Some(v) = invariant_or_capacity_violation(&engines[l]) {
-                return diverge(DivergenceKind::Invariant, format!("after `{ev}`: {v}"));
-            }
-        }
-    }
-
-    let reports: Vec<LaneReport> = specs
-        .iter()
-        .enumerate()
-        .map(|(l, spec)| {
-            if let Some(d) = residue_divergence(spec, &engines[l], stores[l].inner(), ops) {
-                return Err(d);
-            }
-            Ok(LaneReport {
-                spec: spec.to_string(),
-                stats: *engines[l].stats(),
-                faults_absorbed: faults_absorbed[l],
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    twin_divergence(family, &reports)?;
-    Ok(reports)
 }
 
 /// Derives the deterministic fault plan for a fuzz seed: ~40% of seeds
@@ -489,23 +376,6 @@ pub fn check_seed(
     let ops = generate(cfg, seed);
     let plan = fault_plan_for_seed(seed);
     let verdict = check_family(family, &ops, plan);
-    (ops, plan, verdict)
-}
-
-/// One fuzz iteration through the lane-stepped runner: same stream and
-/// fault plan as [`check_seed`], verdict from [`check_family_stepped`].
-pub fn check_seed_stepped(
-    family: Family,
-    cfg: &StreamConfig,
-    seed: u64,
-) -> (
-    Vec<RegEvent>,
-    FaultPlan,
-    Result<Vec<LaneReport>, Divergence>,
-) {
-    let ops = generate(cfg, seed);
-    let plan = fault_plan_for_seed(seed);
-    let verdict = check_family_stepped(family, &ops, plan);
     (ops, plan, verdict)
 }
 
@@ -622,43 +492,6 @@ mod tests {
         assert_eq!(d.kind, DivergenceKind::Outcome);
         assert_eq!(d.op_index, Some(2));
         assert!(d.to_string().contains("nsf:16"), "{d}");
-    }
-
-    #[test]
-    fn stepped_runner_matches_per_lane_runner() {
-        // Lockstep stepping through `EngineDispatch::step_lanes` must
-        // leave every lane exactly where N independent runs would:
-        // identical stats, identical absorbed-fault counts, over both
-        // fault-free and faulted seeds.
-        let cfg = StreamConfig::default();
-        for family in Family::ALL {
-            for seed in 0..6 {
-                let (_, _, serial) = check_seed(family, &cfg, seed);
-                let (_, _, stepped) = check_seed_stepped(family, &cfg, seed);
-                let serial = serial.unwrap_or_else(|d| panic!("{family} seed {seed}: {d}"));
-                let stepped = stepped.unwrap_or_else(|d| panic!("{family} seed {seed}: {d}"));
-                assert_eq!(serial.len(), stepped.len());
-                for (a, b) in serial.iter().zip(&stepped) {
-                    assert_eq!(a.spec, b.spec);
-                    assert_eq!(a.stats, b.stats, "{family} seed {seed} lane {}", a.spec);
-                    assert_eq!(a.faults_absorbed, b.faults_absorbed, "{family} seed {seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stepped_runner_absorbs_injected_faults() {
-        let cfg = StreamConfig::default();
-        for family in Family::ALL {
-            let absorbed = (0..10).any(|seed| {
-                let ops = generate(&cfg, seed);
-                let reports = check_family_stepped(family, &ops, FaultPlan::NthSpill(1))
-                    .unwrap_or_else(|d| panic!("{family} seed {seed}: {d}"));
-                reports.iter().any(|r| r.faults_absorbed > 0)
-            });
-            assert!(absorbed, "{family}: stepped mode never absorbed a fault");
-        }
     }
 
     #[test]

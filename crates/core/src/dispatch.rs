@@ -42,12 +42,11 @@ impl EngineDispatch {
         EngineDispatch::Boxed(inner)
     }
 
-    /// Applies one architectural operation — the lane-stepping entry
-    /// point. Every [`RegisterFile`] method that the simulator or the
-    /// differential checker issues per instruction is reachable through
-    /// one [`LaneOp`], so a batched executor can drive N engines through
-    /// a single decoded stream without re-matching on the instruction
-    /// per lane.
+    /// Applies one architectural operation. Every [`RegisterFile`]
+    /// method that the simulator or the differential checker issues per
+    /// instruction is reachable through one [`LaneOp`], so a decoded
+    /// operation stream can drive any engine without re-matching on the
+    /// instruction.
     #[inline]
     pub fn apply_op(
         &mut self,
@@ -76,39 +75,13 @@ impl EngineDispatch {
             }
         }
     }
-
-    /// Steps every lane through the same operation, in lane order: lane
-    /// `i` sees exactly the operation sequence it would in a serial run,
-    /// so per-lane statistics and backing traffic are bit-identical to N
-    /// independent executions. `visit` receives each lane's result as it
-    /// completes; lanes are independent, so one lane's error never stops
-    /// the others mid-batch.
-    #[inline]
-    pub fn step_lanes<S, F>(
-        lanes: &mut [EngineDispatch],
-        stores: &mut [S],
-        op: LaneOp,
-        mut visit: F,
-    ) where
-        S: BackingStore,
-        F: FnMut(usize, Result<LaneStep, RegFileError>),
-    {
-        assert_eq!(
-            lanes.len(),
-            stores.len(),
-            "each lane needs its own backing store"
-        );
-        for (i, (lane, store)) in lanes.iter_mut().zip(stores.iter_mut()).enumerate() {
-            visit(i, lane.apply_op(op, store));
-        }
-    }
 }
 
-/// One architectural register-file operation in the form the
-/// lane-stepping paths share ([`EngineDispatch::apply_op`],
-/// [`EngineDispatch::step_lanes`]): the simulator's batched executor and
-/// the differential checker's lane-stepped mode both decode to this
-/// once, then fan it across lanes.
+/// One architectural register-file operation, as
+/// [`EngineDispatch::apply_op`] takes it: the simulator reports each
+/// engine operation to its frontend probe in this form, and the
+/// frontend-stream replay and the differential checker decode their
+/// streams to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LaneOp {
     /// Read a register.
@@ -348,57 +321,6 @@ mod tests {
             }
         }
         assert_eq!(direct.stats(), via.stats());
-    }
-
-    #[test]
-    fn step_lanes_keeps_lanes_independent_and_in_order() {
-        // Two NSF lanes of different capacity plus the oracle: the same
-        // op stream must leave each lane exactly as a serial run would.
-        let build = || -> Vec<EngineDispatch> {
-            vec![
-                NamedStateFile::new(NsfConfig::paper_default(16)).into(),
-                NamedStateFile::new(NsfConfig::paper_default(64)).into(),
-                OracleFile::new().into(),
-            ]
-        };
-        let ops = [
-            LaneOp::ThreadSwitch(0),
-            LaneOp::Write(RegAddr::new(0, 1), 11),
-            LaneOp::Read(RegAddr::new(0, 1)),
-            LaneOp::CallPush(3),
-            LaneOp::Write(RegAddr::new(3, 0), 22),
-            LaneOp::Read(RegAddr::new(3, 0)),
-            LaneOp::FreeContext(3),
-            LaneOp::SwitchTo(0),
-            LaneOp::Read(RegAddr::new(0, 1)),
-        ];
-
-        let mut batched = build();
-        let mut batched_stores = vec![MapStore::new(), MapStore::new(), MapStore::new()];
-        let mut seen: Vec<(usize, Option<Word>)> = Vec::new();
-        for &op in &ops {
-            EngineDispatch::step_lanes(&mut batched, &mut batched_stores, op, |i, r| {
-                seen.push((i, r.expect("legal stream").value));
-            });
-        }
-        // Lane order within each op, and value agreement across lanes.
-        for chunk in seen.chunks(3) {
-            assert_eq!([chunk[0].0, chunk[1].0, chunk[2].0], [0, 1, 2]);
-            assert_eq!(chunk[0].1, chunk[1].1);
-            assert_eq!(chunk[1].1, chunk[2].1);
-        }
-
-        let mut serial = build();
-        let mut serial_stores = [MapStore::new(), MapStore::new(), MapStore::new()];
-        for (lane, store) in serial.iter_mut().zip(serial_stores.iter_mut()) {
-            for &op in &ops {
-                lane.apply_op(op, store).expect("legal stream");
-            }
-        }
-        for (b, s) in batched.iter().zip(serial.iter()) {
-            assert_eq!(b.stats(), s.stats(), "{}", b.describe());
-            assert_eq!(b.occupancy().valid_regs, s.occupancy().valid_regs);
-        }
     }
 
     #[test]

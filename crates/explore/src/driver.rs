@@ -87,8 +87,6 @@ pub struct Explorer {
     pub out_dir: PathBuf,
     /// Sweep worker threads.
     pub threads: usize,
-    /// Lane-batch width for the sweep runner.
-    pub lanes: usize,
     /// Points per checkpoint chunk.
     pub chunk: usize,
     /// Stop (successfully) after this many checkpoints — deterministic
@@ -135,7 +133,7 @@ pub struct ExploreOutcome {
 
 impl Explorer {
     /// An explorer with default execution parameters: single shard,
-    /// all cores, the runner's default lane width.
+    /// all cores.
     pub fn new(spec: ExploreSpec, out_dir: PathBuf) -> Self {
         Explorer {
             spec,
@@ -143,7 +141,6 @@ impl Explorer {
             shard_count: 1,
             out_dir,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            lanes: nsf_bench::DEFAULT_LANES,
             chunk: DEFAULT_CHUNK,
             stop_after: None,
             quiet: false,
@@ -401,7 +398,7 @@ impl Explorer {
             sweep.point(wl, p.sim_config()?);
         }
         let store = ctx.as_deref().map(|c| &c.store);
-        let reports = sweep.run_stored(self.threads, self.lanes, store);
+        let reports = sweep.run_stored(self.threads, store);
 
         let mut memo_bytes = Vec::new();
         for (&i, report) in misses.iter().zip(&reports) {

@@ -29,7 +29,7 @@
 //!   workload and are insertion-order-invariant, so shard merge order
 //!   cannot leak into results.
 //!
-//! Execution rides [`nsf_bench::Sweep::run_cached`]: points are
+//! Execution rides [`nsf_bench::Sweep::run_stored`]: points are
 //! enumerated workload-major so each (workload, cache) cell's engine
 //! points share one frontend event-stream capture.
 

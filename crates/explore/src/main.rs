@@ -11,7 +11,7 @@
 //! record. `--merge L1,L2,...` skips execution and merges completed
 //! shard ledgers into the combined front instead.
 
-use nsf_bench::{CliArgs, CliError, CliSpec, DEFAULT_LANES};
+use nsf_bench::{CliArgs, CliError, CliSpec};
 use nsf_explore::{
     merge_ledgers, CacheGeom, ExploreError, ExploreSpec, Explorer, Family, DEFAULT_CHUNK,
 };
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: nsf-explore [--scale N] [--shard I/N] [--out DIR]
                    [--families LIST] [--regs LIST] [--lines LIST]
                    [--contexts LIST] [--caches LIST] [--workloads LIST]
-                   [--chunk N] [--stop-after N] [--threads N] [--lanes N]
+                   [--chunk N] [--stop-after N] [--threads N]
                    [--store | --no-store] [--quiet] [--merge LEDGER,LEDGER,...]
   lists are comma-separated; families use the engine-spec kinds
   (nsf, segmented, segmented-sw, segmented-valid, windowed, conventional);
@@ -43,7 +43,6 @@ const SPEC: CliSpec = CliSpec {
         "chunk",
         "stop-after",
         "threads",
-        "lanes",
         "merge",
     ],
     switches: &["quiet", "store", "no-store"],
@@ -152,7 +151,6 @@ fn build(args: &CliArgs) -> Result<Explorer, CliError> {
     ex.shard_index = shard_index;
     ex.shard_count = shard_count;
     ex.threads = args.parsed_or("threads", ex.threads)?;
-    ex.lanes = args.parsed_or("lanes", DEFAULT_LANES)?;
     ex.chunk = args.parsed_or("chunk", DEFAULT_CHUNK)?;
     ex.stop_after = match args.flag("stop-after") {
         None => None,

@@ -32,7 +32,13 @@ fn assert_usage_error(args: &[&str]) {
 fn duplicate_flags_exit_64() {
     assert_usage_error(&["--shard", "0/2", "--shard", "1/2"]);
     assert_usage_error(&["--scale", "0", "--scale", "1"]);
-    assert_usage_error(&["--lanes", "2", "--lanes", "4"]);
+}
+
+#[test]
+fn retired_lanes_flag_exits_64() {
+    // `--lanes` left with the lane-batched sweep path: the explorer's
+    // strict parser rejects it like any unknown flag.
+    assert_usage_error(&["--lanes", "4"]);
 }
 
 #[test]

@@ -103,11 +103,11 @@ impl CtableBacking<'_> {
 }
 
 /// The owning form of [`CtableBacking`]: one lane's memory system and
-/// presence bits held by value. [`crate::LaneSet`] keeps a `LaneStore`
-/// per lane so register traffic, spill frames and program data stay
-/// private to the lane while the instruction stream is shared. Every
-/// operation delegates to the borrowed view, so the two are
-/// semantically identical by construction.
+/// presence bits held by value. Frontend-stream replay (`nsf-trace`)
+/// keeps a `LaneStore` per replayed configuration so register traffic,
+/// spill frames and program data stay private to the lane while the
+/// event stream is shared. Every operation delegates to the borrowed
+/// view, so the two are semantically identical by construction.
 pub struct LaneStore {
     /// The lane's private memory hierarchy (Ctable + data cache).
     pub mem: MemSystem,

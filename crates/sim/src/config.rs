@@ -294,9 +294,9 @@ impl SimConfig {
     /// geometry, scheduler limits, cycle table, latencies, sampling,
     /// budgets) is identical, so two runs of the same program differ
     /// only in register-file behaviour. This is the compatibility
-    /// predicate lane batching ([`crate::LaneSet`]) requires: lanes
-    /// share one fetch/decode/schedule stream and must therefore share
-    /// every frontend parameter.
+    /// predicate frontend-stream replay requires: a captured
+    /// fetch/decode/schedule stream is valid only for configurations
+    /// that share every frontend parameter with the capture.
     pub fn frontend_eq(&self, other: &SimConfig) -> bool {
         self.mem == other.mem
             && self.sched == other.sched

@@ -31,10 +31,10 @@
 
 pub mod backing;
 pub mod config;
-pub mod lanes;
 pub mod machine;
 pub mod metrics;
 pub mod pipeline;
+pub mod probe;
 pub mod spec;
 pub mod trace;
 
@@ -42,9 +42,9 @@ pub use backing::{BackingMap, CtableBacking, LaneStore};
 pub use config::{
     CycleTable, RegFileSpec, SimConfig, BACKING_STRIDE_WORDS, FRONTEND_FINGERPRINT_VERSION,
 };
-pub use lanes::{batchable, batchable_program, FrontendProbe, LaneSet, NoProbe};
 pub use machine::{Machine, SimError};
 pub use metrics::{OccupancySummary, RunReport};
 pub use pipeline::{reg_uses, Pipeline, RegUses};
+pub use probe::{batchable_program, FrontendProbe, NoProbe};
 pub use spec::{default_engine_spec, parse_engine, SpecError};
 pub use trace::{TraceBuffer, TraceEntry};

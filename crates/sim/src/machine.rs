@@ -5,9 +5,10 @@ use crate::backing::{BackingMap, CtableBacking};
 use crate::config::{SimConfig, BACKING_STRIDE_WORDS};
 use crate::metrics::RunReport;
 use crate::pipeline::Pipeline;
+use crate::probe::{FrontendProbe, NoProbe};
 use crate::trace::{TraceBuffer, TraceEntry};
 use nsf_core::{
-    Cid, EngineDispatch, RecordingFile, RegAddr, RegFileError, RegisterFile, SharedSink,
+    Cid, EngineDispatch, LaneOp, RecordingFile, RegAddr, RegFileError, RegisterFile, SharedSink,
 };
 use nsf_isa::{Inst, InstClass, Program, Reg};
 use nsf_mem::{Addr, Cache, MemSystem, Word};
@@ -49,14 +50,15 @@ pub enum SimError {
     },
     /// The configuration is internally inconsistent.
     BadConfig(String),
-    /// Lane-batched execution observed different architectural values
-    /// across lanes ([`crate::LaneSet`]). Register-file organizations
-    /// may only change *timing*; a value divergence is a simulator or
-    /// engine bug and must never be reported as a data point.
+    /// A replayed lane observed a different architectural value than
+    /// the live run it replays recorded (frontend-stream replay in
+    /// `nsf-trace`). Register-file organizations may only change
+    /// *timing*; a value divergence is a simulator or engine bug and
+    /// must never be reported as a data point.
     LaneDivergence {
-        /// The diverging instruction's program counter.
+        /// Where the divergence happened (the replayed event's index).
         pc: u32,
-        /// Index of the first lane that disagreed with lane 0.
+        /// Index of the lane that diverged.
         lane: usize,
         /// Human-readable description of the disagreement.
         detail: String,
@@ -78,7 +80,7 @@ impl fmt::Display for SimError {
             }
             SimError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             SimError::LaneDivergence { pc, lane, detail } => {
-                write!(f, "lane {lane} diverged from lane 0 at pc {pc}: {detail}")
+                write!(f, "lane {lane} diverged at event {pc}: {detail}")
             }
         }
     }
@@ -101,22 +103,13 @@ impl From<SchedulerError> for SimError {
 }
 
 /// Notional virtual base of the program image (icache address space).
-pub(crate) const ICACHE_BASE: u32 = 0x7000_0000;
+const ICACHE_BASE: u32 = 0x7000_0000;
 
-pub(crate) enum Status {
+enum Status {
     /// Keep issuing from the same thread.
     Continue,
     /// The thread blocked, yielded or finished; back to the scheduler.
     Suspended,
-}
-
-/// How a context became current (see `RegisterFile::call_push` /
-/// `thread_switch`).
-#[derive(Clone, Copy)]
-enum SwitchKind {
-    Plain,
-    CallPush,
-    Thread,
 }
 
 /// The machine: program + memory + register file + threads.
@@ -271,6 +264,15 @@ impl Machine {
     /// Runs to completion but keeps the machine alive, so callers can
     /// inspect memory (`self.mem.peek(..)`) after the program finishes.
     pub fn run_and_keep(&mut self) -> Result<RunReport, SimError> {
+        self.run_probed(&mut NoProbe)
+    }
+
+    /// [`Machine::run_and_keep`] with a [`FrontendProbe`] observing the
+    /// frontend: every register-file operation, program memory access,
+    /// organization-independent cycle charge and occupancy sample, in
+    /// execution order. Probing never perturbs the run: the report (and
+    /// memory) are identical to an unprobed run's.
+    pub fn run_probed<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<RunReport, SimError> {
         loop {
             let decision = {
                 let (sched, mem) = (&mut self.sched, &self.mem);
@@ -281,13 +283,13 @@ impl Machine {
                     if self.last_thread != Some(tid) {
                         if self.last_thread.is_some() {
                             self.report.thread_switches += 1;
-                            self.clock += u64::from(self.cfg.cycles.switch_overhead);
+                            self.charge(self.cfg.cycles.switch_overhead, probe);
                         }
                         self.last_thread = Some(tid);
                     }
                     let cid = self.sched.thread(tid).cid;
-                    self.switch_context_kind(cid, SwitchKind::Thread)?;
-                    self.run_current()?;
+                    self.switch_context(cid, LaneOp::ThreadSwitch, probe)?;
+                    self.run_current(probe)?;
                 }
                 SchedDecision::AdvanceTo(t) => {
                     self.report.idle_cycles += t - self.clock;
@@ -322,6 +324,7 @@ impl Machine {
         self.report.icache = self.icache.as_ref().map(|c| c.stats());
     }
 
+    #[inline]
     fn map_ctable(&mut self, cid: Cid) {
         self.mem.ctable_mut().map(
             cid,
@@ -329,73 +332,110 @@ impl Machine {
         );
     }
 
-    /// Notifies the register file that `cid` is now running (no-op when it
-    /// already is). Charges switch cycles. `kind` routes the notification
-    /// to the organization's call-push / thread-switch / plain handler.
-    fn switch_context_kind(&mut self, cid: Cid, kind: SwitchKind) -> Result<(), SimError> {
-        if self.active_cid == Some(cid) {
-            return Ok(());
-        }
+    /// Advances the clock by an organization-independent charge (base,
+    /// fetch penalty, taken branch, thread-switch overhead).
+    fn charge<P: FrontendProbe>(&mut self, cycles: u32, probe: &mut P) {
+        self.clock += u64::from(cycles);
+        probe.shared_charge(cycles);
+    }
+
+    /// Applies a context operation (switch, call-push, thread switch,
+    /// free) or a register free to the register file, charging its
+    /// stall cycles.
+    fn context_op<P: FrontendProbe>(
+        &mut self,
+        op: LaneOp,
+        pc: u32,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
         let mut store = CtableBacking {
             mem: &mut self.mem,
             map: &mut self.backing,
         };
-        let result = match kind {
-            SwitchKind::Plain => self.regfile.switch_to(cid, &mut store),
-            SwitchKind::CallPush => self.regfile.call_push(cid, &mut store),
-            SwitchKind::Thread => self.regfile.thread_switch(cid, &mut store),
-        };
-        let cycles = result.map_err(|source| SimError::RegFile { pc: 0, source })?;
-        self.clock += u64::from(cycles);
+        let step = self
+            .regfile
+            .apply_op(op, &mut store)
+            .map_err(|source| SimError::RegFile { pc, source })?;
+        self.clock += u64::from(step.stall_cycles);
+        probe.reg_op(op, None);
+        Ok(())
+    }
+
+    /// Notifies the register file that `cid` is now running (no-op when it
+    /// already is). Charges switch cycles. `op` routes the notification
+    /// to the organization's plain / call-push / thread-switch handler.
+    fn switch_context<P: FrontendProbe>(
+        &mut self,
+        cid: Cid,
+        op: fn(Cid) -> LaneOp,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
+        if self.active_cid == Some(cid) {
+            return Ok(());
+        }
+        self.context_op(op(cid), 0, probe)?;
         self.report.context_switches += 1;
         self.active_cid = Some(cid);
         Ok(())
     }
 
-    fn switch_context(&mut self, cid: Cid) -> Result<(), SimError> {
-        self.switch_context_kind(cid, SwitchKind::Plain)
-    }
-
-    fn read_reg(&mut self, cid: Cid, r: Reg, pc: u32) -> Result<Word, SimError> {
+    fn read_reg<P: FrontendProbe>(
+        &mut self,
+        cid: Cid,
+        r: Reg,
+        pc: u32,
+        probe: &mut P,
+    ) -> Result<Word, SimError> {
         match r {
             Reg::G(i) => Ok(self.sched.current_mut().globals[i as usize]),
             Reg::R(off) => {
+                let addr = RegAddr::new(cid, off);
                 let mut store = CtableBacking {
                     mem: &mut self.mem,
                     map: &mut self.backing,
                 };
                 let acc = self
                     .regfile
-                    .read(RegAddr::new(cid, off), &mut store)
+                    .read(addr, &mut store)
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
+                probe.reg_op(LaneOp::Read(addr), Some(acc.value));
                 Ok(acc.value)
             }
         }
     }
 
-    fn write_reg(&mut self, cid: Cid, r: Reg, value: Word, pc: u32) -> Result<(), SimError> {
+    fn write_reg<P: FrontendProbe>(
+        &mut self,
+        cid: Cid,
+        r: Reg,
+        value: Word,
+        pc: u32,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
         match r {
             Reg::G(i) => {
                 self.sched.current_mut().globals[i as usize] = value;
                 Ok(())
             }
             Reg::R(off) => {
+                let addr = RegAddr::new(cid, off);
                 let mut store = CtableBacking {
                     mem: &mut self.mem,
                     map: &mut self.backing,
                 };
                 let acc = self
                     .regfile
-                    .write(RegAddr::new(cid, off), value, &mut store)
+                    .write(addr, value, &mut store)
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
+                probe.reg_op(LaneOp::Write(addr, value), None);
                 Ok(())
             }
         }
     }
 
-    fn run_current(&mut self) -> Result<(), SimError> {
+    fn run_current<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<(), SimError> {
         let mut issued: u64 = 0;
         loop {
             if self.report.instructions >= self.cfg.max_instructions {
@@ -403,7 +443,7 @@ impl Machine {
                     limit: self.cfg.max_instructions,
                 });
             }
-            match self.step()? {
+            match self.step(probe)? {
                 Status::Continue => {}
                 Status::Suspended => return Ok(()),
             }
@@ -419,7 +459,12 @@ impl Machine {
         }
     }
 
+    // The small per-instruction helpers are `#[inline]`: `run_probed` is
+    // generic, so it is compiled in the caller's crate, which cannot
+    // inline unmarked private functions from this one.
+
     /// Stamps the sink (if any) with the current clock.
+    #[inline]
     fn note_clock(&self) {
         if let Some(s) = &self.sink {
             s.borrow_mut().clock(self.clock);
@@ -427,6 +472,7 @@ impl Machine {
     }
 
     /// Reports a cached program load to the sink (if any).
+    #[inline]
     fn note_mem_read(&self, addr: Addr) {
         if let Some(s) = &self.sink {
             s.borrow_mut().mem_read(addr);
@@ -434,6 +480,7 @@ impl Machine {
     }
 
     /// Reports a cached program store to the sink (if any).
+    #[inline]
     fn note_mem_write(&self, addr: Addr) {
         if let Some(s) = &self.sink {
             s.borrow_mut().mem_write(addr);
@@ -441,7 +488,7 @@ impl Machine {
     }
 
     /// Executes one instruction of the running thread.
-    fn step(&mut self) -> Result<Status, SimError> {
+    fn step<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<Status, SimError> {
         self.note_clock();
         // Deliver a pending remote-load/receive value first.
         let (pc, cid) = {
@@ -449,7 +496,7 @@ impl Machine {
             (t.pc, t.cid)
         };
         if let Some((r, v)) = self.sched.current_mut().pending_write.take() {
-            self.write_reg(cid, r, v, pc)?;
+            self.write_reg(cid, r, v, pc, probe)?;
         }
 
         let inst = *self
@@ -465,14 +512,14 @@ impl Machine {
             // The multi-issue frontend arbitrates slots and file ports;
             // co-issued instructions ride the open cycle for free.
             Some(p) => p.issue(&inst, base, &mut self.clock),
-            None => self.clock += u64::from(base),
+            None => self.charge(base, probe),
         }
 
         if let Some(icache) = &mut self.icache {
             // Fetch through the icache: hits overlap the pipeline, so
             // only the penalty beyond the hit path stalls.
-            let cycles = icache.access(ICACHE_BASE + pc, false);
-            self.clock += u64::from(cycles - icache.config().hit_cycles);
+            let penalty = icache.access(ICACHE_BASE + pc, false) - icache.config().hit_cycles;
+            self.charge(penalty, probe);
         }
 
         if self.trace.enabled() {
@@ -492,12 +539,13 @@ impl Machine {
             .is_multiple_of(self.cfg.sample_interval)
         {
             self.report.occupancy.record(self.regfile.occupancy());
+            probe.occupancy_sample();
         }
 
-        let status = self.execute(inst, pc, cid)?;
-        Ok(status)
+        self.execute(inst, pc, cid, probe)
     }
 
+    #[inline]
     fn base_cycles(&self, class: InstClass) -> u32 {
         let c = &self.cfg.cycles;
         match class {
@@ -511,35 +559,41 @@ impl Machine {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute(&mut self, inst: Inst, pc: u32, cid: Cid) -> Result<Status, SimError> {
+    fn execute<P: FrontendProbe>(
+        &mut self,
+        inst: Inst,
+        pc: u32,
+        cid: Cid,
+        probe: &mut P,
+    ) -> Result<Status, SimError> {
         use Inst::*;
 
         macro_rules! alu3 {
             ($rd:expr, $a:expr, $b:expr, $f:expr) => {{
-                let x = self.read_reg(cid, $a, pc)?;
-                let y = self.read_reg(cid, $b, pc)?;
+                let x = self.read_reg(cid, $a, pc, probe)?;
+                let y = self.read_reg(cid, $b, pc, probe)?;
                 #[allow(clippy::redundant_closure_call)]
                 let v = ($f)(x, y);
-                self.write_reg(cid, $rd, v, pc)?;
+                self.write_reg(cid, $rd, v, pc, probe)?;
                 self.advance(1);
             }};
         }
         macro_rules! alui {
             ($rd:expr, $a:expr, $imm:expr, $f:expr) => {{
-                let x = self.read_reg(cid, $a, pc)?;
+                let x = self.read_reg(cid, $a, pc, probe)?;
                 #[allow(clippy::redundant_closure_call)]
                 let v = ($f)(x, $imm as Word);
-                self.write_reg(cid, $rd, v, pc)?;
+                self.write_reg(cid, $rd, v, pc, probe)?;
                 self.advance(1);
             }};
         }
         macro_rules! branch {
             ($a:expr, $b:expr, $t:expr, $cmp:expr) => {{
-                let x = self.read_reg(cid, $a, pc)?;
-                let y = self.read_reg(cid, $b, pc)?;
+                let x = self.read_reg(cid, $a, pc, probe)?;
+                let y = self.read_reg(cid, $b, pc, probe)?;
                 #[allow(clippy::redundant_closure_call)]
                 if ($cmp)(x, y) {
-                    self.clock += u64::from(self.cfg.cycles.taken_extra);
+                    self.charge(self.cfg.cycles.taken_extra, probe);
                     self.sched.current_mut().pc = $t;
                 } else {
                     self.advance(1);
@@ -586,33 +640,41 @@ impl Machine {
                 ))
             }
             Li { rd, imm } => {
-                self.write_reg(cid, rd, imm as Word, pc)?;
+                self.write_reg(cid, rd, imm as Word, pc, probe)?;
                 self.advance(1);
             }
             Mv { rd, rs1 } => {
-                let v = self.read_reg(cid, rs1, pc)?;
-                self.write_reg(cid, rd, v, pc)?;
+                let v = self.read_reg(cid, rs1, pc, probe)?;
+                self.write_reg(cid, rd, v, pc, probe)?;
                 self.advance(1);
             }
 
             Lw { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
+                let addr = self
+                    .read_reg(cid, base, pc, probe)?
+                    .wrapping_add(imm as Word);
                 self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
-                self.write_reg(cid, rd, v, pc)?;
+                probe.mem_load(addr, v);
+                self.write_reg(cid, rd, v, pc, probe)?;
                 self.advance(1);
             }
             Sw { base, src, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
-                let v = self.read_reg(cid, src, pc)?;
+                let addr = self
+                    .read_reg(cid, base, pc, probe)?
+                    .wrapping_add(imm as Word);
+                let v = self.read_reg(cid, src, pc, probe)?;
                 self.note_mem_write(addr);
                 let cycles = self.mem.store(addr, v);
                 self.clock += u64::from(cycles);
+                probe.mem_store(addr, v);
                 self.advance(1);
             }
             LwRemote { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
+                let addr = self
+                    .read_reg(cid, base, pc, probe)?
+                    .wrapping_add(imm as Word);
                 // Remote data bypasses the local data cache; the cost is
                 // the network round trip, overlapped with other threads.
                 let value = self.mem.peek(addr);
@@ -625,8 +687,10 @@ impl Machine {
                 return Ok(Status::Suspended);
             }
             SwRemote { base, src, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
-                let v = self.read_reg(cid, src, pc)?;
+                let addr = self
+                    .read_reg(cid, base, pc, probe)?
+                    .wrapping_add(imm as Word);
+                let v = self.read_reg(cid, src, pc, probe)?;
                 // Fire and forget; completes remotely after the delay.
                 self.mem.poke(addr, v);
                 self.advance(1);
@@ -655,7 +719,7 @@ impl Machine {
                     t.pc = target;
                 }
                 self.report.calls += 1;
-                self.switch_context_kind(new_cid, SwitchKind::CallPush)?;
+                self.switch_context(new_cid, LaneOp::CallPush, probe)?;
             }
             Ret => {
                 let popped = self.sched.current_mut().call_stack.pop();
@@ -668,26 +732,26 @@ impl Machine {
                             t.pc = ret_pc;
                             dead
                         };
-                        self.release_context(dead);
+                        self.release_context(dead, probe)?;
                         self.report.returns += 1;
-                        self.switch_context(caller)?;
+                        self.switch_context(caller, LaneOp::SwitchTo, probe)?;
                     }
                     None => {
                         // Returning from the top level ends the thread.
-                        return self.halt_thread();
+                        return self.halt_thread(probe);
                     }
                 }
             }
 
             Spawn { target, arg } => {
-                let value = self.read_reg(cid, arg, pc)?;
+                let value = self.read_reg(cid, arg, pc, probe)?;
                 let tid = self.sched.spawn(target, value)?;
                 let child_cid = self.sched.thread(tid).cid;
                 self.map_ctable(child_cid);
                 self.report.spawns += 1;
                 self.advance(1);
             }
-            Halt => return self.halt_thread(),
+            Halt => return self.halt_thread(probe),
             Yield => {
                 self.advance(1);
                 self.sched.yield_current();
@@ -699,15 +763,15 @@ impl Machine {
                     .sched
                     .channels
                     .create_with_capacity(self.cfg.channel_capacity);
-                self.write_reg(cid, rd, id, pc)?;
+                self.write_reg(cid, rd, id, pc, probe)?;
                 self.advance(1);
             }
             ChSend { chan, src } => {
-                let id = self.read_reg(cid, chan, pc)?;
+                let id = self.read_reg(cid, chan, pc, probe)?;
                 if !self.sched.channels.is_valid(id) {
                     return Err(SimError::BadChannel { id });
                 }
-                let v = self.read_reg(cid, src, pc)?;
+                let v = self.read_reg(cid, src, pc, probe)?;
                 let at = self.clock + u64::from(self.cfg.msg_latency);
                 if !self.sched.channels.try_send(id, v, at) {
                     // Bounded channel full: wait for space and re-execute.
@@ -717,13 +781,13 @@ impl Machine {
                 self.advance(1);
             }
             ChRecv { rd, chan } => {
-                let id = self.read_reg(cid, chan, pc)?;
+                let id = self.read_reg(cid, chan, pc, probe)?;
                 if !self.sched.channels.is_valid(id) {
                     return Err(SimError::BadChannel { id });
                 }
                 match self.sched.channels.try_recv(id, self.clock) {
                     Some(v) => {
-                        self.write_reg(cid, rd, v, pc)?;
+                        self.write_reg(cid, rd, v, pc, probe)?;
                         self.advance(1);
                     }
                     None => {
@@ -734,18 +798,22 @@ impl Machine {
                 }
             }
             AmoAdd { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?;
+                let addr = self.read_reg(cid, base, pc, probe)?;
                 self.note_mem_write(addr);
                 let (old, cycles) = self.mem.fetch_add(addr, imm);
                 self.clock += u64::from(cycles);
-                self.write_reg(cid, rd, old, pc)?;
+                probe.mem_amo(addr, imm, old);
+                self.write_reg(cid, rd, old, pc, probe)?;
                 self.advance(1);
             }
             SyncWait { base, imm } => {
-                let addr = self.read_reg(cid, base, pc)?.wrapping_add(imm as Word);
+                let addr = self
+                    .read_reg(cid, base, pc, probe)?
+                    .wrapping_add(imm as Word);
                 self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
+                probe.mem_load(addr, v);
                 if v == 0 {
                     self.advance(1);
                 } else {
@@ -756,11 +824,7 @@ impl Machine {
 
             RFree { reg } => {
                 if let Reg::R(off) = reg {
-                    let mut store = CtableBacking {
-                        mem: &mut self.mem,
-                        map: &mut self.backing,
-                    };
-                    self.regfile.free_reg(RegAddr::new(cid, off), &mut store);
+                    self.context_op(LaneOp::FreeReg(RegAddr::new(cid, off)), pc, probe)?;
                 }
                 self.advance(1);
             }
@@ -769,25 +833,27 @@ impl Machine {
         Ok(Status::Continue)
     }
 
+    #[inline]
     fn advance(&mut self, by: u32) {
         self.sched.current_mut().pc += by;
     }
 
     /// Frees a dead context everywhere: register file, Ctable, CID pool.
-    fn release_context(&mut self, cid: Cid) {
-        let mut store = CtableBacking {
-            mem: &mut self.mem,
-            map: &mut self.backing,
-        };
-        self.regfile.free_context(cid, &mut store);
+    fn release_context<P: FrontendProbe>(
+        &mut self,
+        cid: Cid,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
+        self.context_op(LaneOp::FreeContext(cid), 0, probe)?;
         self.mem.ctable_mut().unmap(cid);
         self.sched.free_cid(cid);
         if self.active_cid == Some(cid) {
             self.active_cid = None;
         }
+        Ok(())
     }
 
-    fn halt_thread(&mut self) -> Result<Status, SimError> {
+    fn halt_thread<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<Status, SimError> {
         // Release the whole activation chain of the dying thread.
         let mut cids: Vec<Cid> = {
             let t = self.sched.current_mut();
@@ -795,7 +861,7 @@ impl Machine {
         };
         cids.push(self.sched.current_mut().cid);
         for c in cids {
-            self.release_context(c);
+            self.release_context(c, probe)?;
         }
         self.sched.finish_current();
         Ok(Status::Suspended)
@@ -803,7 +869,7 @@ impl Machine {
 }
 
 /// Signed division matching the ISA contract (x/0 = 0, MIN/-1 wraps).
-pub(crate) fn div_s(x: Word, y: Word) -> Word {
+fn div_s(x: Word, y: Word) -> Word {
     let (x, y) = (x as i32, y as i32);
     if y == 0 {
         0
@@ -813,7 +879,7 @@ pub(crate) fn div_s(x: Word, y: Word) -> Word {
 }
 
 /// Signed remainder matching the ISA contract (x%0 = 0, MIN%-1 = 0).
-pub(crate) fn rem_s(x: Word, y: Word) -> Word {
+fn rem_s(x: Word, y: Word) -> Word {
     let (x, y) = (x as i32, y as i32);
     if y == 0 {
         0

@@ -2,11 +2,10 @@
 //!
 //! Every figure grid sweeps register-file organizations over a fixed
 //! workload, so consecutive grid points re-execute an identical
-//! fetch/decode/schedule/memory frontend. Lane batching
-//! ([`nsf_sim::LaneSet`]) amortizes that inside one batched pass; this
-//! module removes it from *every subsequent point of the sweep*: the
-//! first point of each distinct workload/frontend runs live under a
-//! [`FrontendProbe`] that records the frontend's architectural event
+//! fetch/decode/schedule/memory frontend. This module removes it from
+//! *every point of the sweep but the first*: the first point of each
+//! distinct workload/frontend runs live on a [`nsf_sim::Machine`] under
+//! a [`FrontendProbe`] that records the frontend's architectural event
 //! stream into a compact in-memory buffer (the `.nsftrace` varint
 //! encoding layer, no file I/O — [`VarWriter`]/[`VarReader`]), and
 //! every later frontend-equal point replays that buffer straight into
@@ -21,8 +20,7 @@
 //!   loads, atomics) stores the **live run's value** in the buffer, and
 //!   every replay lane compares what its engine/memory produced against
 //!   it — the first mismatch aborts with
-//!   [`SimError::LaneDivergence`]. This is strictly stronger than lane
-//!   batching's lane-vs-lane-0 check: replay is compared to the live
+//!   [`SimError::LaneDivergence`]: replay is compared to the live
 //!   capture itself.
 //! - Replayed lanes end with real memory (inputs + program stores +
 //!   spill frames), so [`replay_frontend`] validates every lane against
@@ -34,10 +32,11 @@
 //!
 //! ## Why replayed reports are exact
 //!
-//! For batchable programs the clock is write-only (see `lanes.rs`): a
-//! lane's cycle count decomposes into the lane-invariant frontend
-//! charges (recorded as one [`FrontendBuffer::shared_cycles`] sum) plus
-//! its private register-file stalls and data-cache latencies, which the
+//! For batchable programs the clock is write-only (see
+//! `nsf_sim::probe`): a lane's cycle count decomposes into the
+//! lane-invariant frontend charges (recorded as one
+//! [`FrontendBuffer::shared_cycles`] sum) plus its private
+//! register-file stalls and data-cache latencies, which the
 //! replay regenerates by driving the real engine and a real per-lane
 //! memory hierarchy through the recorded operation sequence. All other
 //! frontend counters (instructions, class mix, calls, switches) are
@@ -47,7 +46,7 @@ use crate::format::VarWriter;
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegisterFile};
 use nsf_mem::{Addr, MemSystem, Word};
 use nsf_sim::{
-    FrontendProbe, LaneSet, LaneStore, OccupancySummary, RunReport, SimConfig, SimError,
+    batchable_program, FrontendProbe, LaneStore, OccupancySummary, RunReport, SimConfig, SimError,
     BACKING_STRIDE_WORDS,
 };
 use nsf_workloads::{Workload, WorkloadError};
@@ -67,9 +66,9 @@ const FTAG_STORE: u8 = 9;
 const FTAG_AMO: u8 = 10;
 const FTAG_SAMPLE: u8 = 11;
 
-/// A [`FrontendProbe`] that encodes the shared frontend's event stream
-/// into a [`VarWriter`] as it happens. Attached to a single-lane
-/// [`LaneSet`] run by [`capture_frontend`].
+/// A [`FrontendProbe`] that encodes the frontend's event stream into a
+/// [`VarWriter`] as it happens. Attached to the live run
+/// [`capture_frontend`] makes.
 #[derive(Debug, Default)]
 struct FrontendRecorder {
     w: VarWriter,
@@ -182,14 +181,29 @@ impl FrontendBuffer {
     }
 }
 
-/// Runs `workload` under `cfg` live — single-lane [`LaneSet`], output
-/// validated by the workload's check — while recording the frontend
-/// event stream. Returns the buffer; its [`FrontendBuffer::report`] is
-/// the capture point's own result.
+/// Runs `workload` under `cfg` live — [`nsf_workloads::run_probed`],
+/// output validated by the workload's check — while recording the
+/// frontend event stream. Returns the buffer; its
+/// [`FrontendBuffer::report`] is the capture point's own result.
+///
+/// Only organization-independent streams can be captured: a program
+/// with thread, channel or remote operations, execution tracing
+/// (`trace_depth != 0`) or a frontend other than single-issue
+/// (`issue_width != 1`) is rejected with [`SimError::BadConfig`].
 pub fn capture_frontend(
     workload: &Workload,
     cfg: SimConfig,
 ) -> Result<FrontendBuffer, WorkloadError> {
+    let reject = |why: &str| Err(SimError::BadConfig(format!("cannot capture: {why}")).into());
+    if !batchable_program(&workload.program) {
+        return reject("the program uses thread, channel or remote operations");
+    }
+    if cfg.trace_depth != 0 {
+        return reject("execution tracing is on");
+    }
+    if cfg.issue_width != 1 {
+        return reject("the frontend is not single-issue");
+    }
     let mut rec = FrontendRecorder {
         // Scale-1 streams run to megabytes; reserving up front keeps the
         // encoder out of the vector's doubling copies.
@@ -197,16 +211,7 @@ pub fn capture_frontend(
         events: 0,
         shared_cycles: 0,
     };
-    let mut lanes = LaneSet::new(workload.program.clone(), std::slice::from_ref(&cfg))?;
-    for (addr, words) in &workload.mem_init {
-        lanes.poke_block(*addr, words);
-    }
-    let mut reports = lanes.run_probed(&mut rec)?;
-    (workload.check)(lanes.lane_mem(0)).map_err(|detail| WorkloadError::CheckFailed {
-        name: workload.name,
-        detail,
-    })?;
-    let report = reports.pop().expect("single-lane capture has one report");
+    let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
     Ok(FrontendBuffer {
         cfg,
         bytes: rec.w.into_bytes(),
@@ -816,6 +821,94 @@ mod tests {
         assert!(buf.events > 0);
         assert!(buf.encoded_len() > 0);
         assert!(buf.shared_cycles <= live.cycles);
+    }
+
+    /// FNV-1a-64 over `bytes`.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn capture_stream_is_pinned() {
+        // Stream stores persist these bytes: a capture must emit the
+        // same stream byte for byte, or every stored entry goes stale.
+        let cfg = SimConfig::with_regfile(RegFileSpec::paper_nsf(80));
+        let pins: [(&str, Workload, u64, u64, u64); 3] = [
+            (
+                "gatesim",
+                nsf_workloads::gatesim::build(0),
+                0xf538_326f_28bc_4658,
+                15_993,
+                9_481,
+            ),
+            (
+                "rtlsim",
+                nsf_workloads::rtlsim::build(0),
+                0x35a7_2d31_68ed_71fa,
+                16_485,
+                10_921,
+            ),
+            (
+                "zipfile",
+                nsf_workloads::zipfile::build(0),
+                0xa97b_1ca0_0c66_f5bf,
+                149_504,
+                99_568,
+            ),
+        ];
+        for (name, w, hash, events, shared_cycles) in pins {
+            let buf = capture_frontend(&w, cfg).unwrap();
+            assert_eq!(
+                (fnv1a64(&buf.bytes), buf.events, buf.shared_cycles),
+                (hash, events, shared_cycles),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn uncapturable_inputs_are_typed_errors() {
+        let w = nsf_workloads::gatesim::build(0);
+        let spawning = Workload {
+            program: nsf_isa::asm::assemble("main: li r0, 0\n spawn main, r0\n halt").unwrap(),
+            ..nsf_workloads::gatesim::build(0)
+        };
+        let ok = SimConfig::default();
+        let cases = [
+            (&spawning, ok),
+            (
+                &w,
+                SimConfig {
+                    trace_depth: 4,
+                    ..ok
+                },
+            ),
+            (
+                &w,
+                SimConfig {
+                    issue_width: 2,
+                    read_ports: 3,
+                    write_ports: 2,
+                    ..ok
+                },
+            ),
+            (
+                &w,
+                SimConfig {
+                    issue_width: 0,
+                    ..ok
+                },
+            ),
+        ];
+        for (i, (workload, cfg)) in cases.into_iter().enumerate() {
+            let err = capture_frontend(workload, cfg).unwrap_err();
+            assert!(
+                matches!(err, WorkloadError::Sim(SimError::BadConfig(_))),
+                "case {i}: {err:?}"
+            );
+        }
     }
 
     #[test]

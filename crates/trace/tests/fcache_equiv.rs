@@ -6,10 +6,9 @@
 //! configuration) — the full [`RunReport`] (cycles, register-file
 //! statistics, occupancy samples) and the end-of-run memory residue
 //! (enforced by the workload's own output check over the whole result
-//! area, which [`replay_frontend`] runs on every lane). The program
-//! generator is the same shape as the lane-batching wall's
-//! (`crates/sim/tests/lane_equiv.rs`): counted loops of ALU / store /
-//! load / atomic / rfree steps plus a nested subroutine chain.
+//! area, which [`replay_frontend`] runs on every lane). The generated
+//! programs are counted loops of ALU / store / load / atomic / rfree
+//! steps plus a nested subroutine chain.
 
 use nsf_core::SpillEngine;
 use nsf_isa::{Inst, ProgramBuilder, Reg};

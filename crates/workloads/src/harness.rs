@@ -2,7 +2,7 @@
 
 use nsf_isa::Program;
 use nsf_mem::{Addr, MemSystem, Word};
-use nsf_sim::{LaneSet, Machine, RunReport, SimConfig, SimError};
+use nsf_sim::{FrontendProbe, Machine, NoProbe, RunReport, SimConfig, SimError};
 use std::fmt;
 
 /// A functional output check, run against simulated memory after the
@@ -89,7 +89,18 @@ impl From<SimError> for WorkloadError {
 /// Runs `workload` under `cfg`, validates its output, and returns the
 /// measurement report.
 pub fn run(workload: &Workload, cfg: SimConfig) -> Result<RunReport, WorkloadError> {
-    run_inner(workload, cfg, None)
+    run_inner(workload, cfg, None, &mut NoProbe)
+}
+
+/// Runs `workload` under `cfg` exactly as [`run`] does — same
+/// validation, same report — with `probe` observing the frontend
+/// ([`Machine::run_probed`]).
+pub fn run_probed<P: FrontendProbe>(
+    workload: &Workload,
+    cfg: SimConfig,
+    probe: &mut P,
+) -> Result<RunReport, WorkloadError> {
+    run_inner(workload, cfg, None, probe)
 }
 
 /// Runs `workload` under `cfg` exactly as [`run`] does — same
@@ -104,13 +115,14 @@ pub fn run_recorded(
     cfg: SimConfig,
     sink: nsf_core::SharedSink,
 ) -> Result<RunReport, WorkloadError> {
-    run_inner(workload, cfg, Some(sink))
+    run_inner(workload, cfg, Some(sink), &mut NoProbe)
 }
 
-fn run_inner(
+fn run_inner<P: FrontendProbe>(
     workload: &Workload,
     cfg: SimConfig,
     sink: Option<nsf_core::SharedSink>,
+    probe: &mut P,
 ) -> Result<RunReport, WorkloadError> {
     let mut machine = Machine::new(workload.program.clone(), cfg)?;
     if let Some(sink) = sink {
@@ -119,40 +131,12 @@ fn run_inner(
     for (addr, words) in &workload.mem_init {
         machine.mem.poke_block(*addr, words);
     }
-    let report = machine.run_and_keep()?;
+    let report = machine.run_probed(probe)?;
     (workload.check)(&machine.mem).map_err(|detail| WorkloadError::CheckFailed {
         name: workload.name,
         detail,
     })?;
     Ok(report)
-}
-
-/// Runs `workload` under every configuration in `cfgs` and returns one
-/// report per configuration, in order — bit-identical to what
-/// [`run`] would return for each configuration separately.
-///
-/// When the (program, configurations) pair is lane-batchable
-/// ([`nsf_sim::batchable`]: single-threaded stream, identical frontends)
-/// the whole set executes as one shared-frontend [`LaneSet`] pass;
-/// otherwise each configuration falls back to a serial [`run`]. Either
-/// way **every** lane's output is validated against the workload's
-/// check — statistics are never reported from an unvalidated run.
-pub fn run_lanes(workload: &Workload, cfgs: &[SimConfig]) -> Result<Vec<RunReport>, WorkloadError> {
-    if !nsf_sim::batchable(&workload.program, cfgs) {
-        return cfgs.iter().map(|&cfg| run(workload, cfg)).collect();
-    }
-    let mut lanes = LaneSet::new(workload.program.clone(), cfgs)?;
-    for (addr, words) in &workload.mem_init {
-        lanes.poke_block(*addr, words);
-    }
-    let reports = lanes.run_and_keep()?;
-    for i in 0..lanes.lanes() {
-        (workload.check)(lanes.lane_mem(i)).map_err(|detail| WorkloadError::CheckFailed {
-            name: workload.name,
-            detail: format!("lane {i}: {detail}"),
-        })?;
-    }
-    Ok(reports)
 }
 
 /// Standard result-area base address used by all workloads.

@@ -1,22 +1,50 @@
-//! Thread-count and lane-count independence of the sweep harness.
+//! Thread-count and route independence of the sweep harness.
 //!
 //! Every migrated experiment grid must produce field-for-field identical
 //! reports — and byte-identical rendered tables — whether the sweep ran
-//! on one worker thread or eight, and whether points executed serially
-//! or lane-batched (`--lanes 4` / `--lanes 8`). The simulations
-//! themselves are deterministic (see `tests/determinism.rs`); these
-//! tests pin the two channels the harness could open: result ordering
-//! and the lane-batched execution path.
+//! on one worker thread or eight, and whether it ran as the plain live
+//! sweep (`Sweep::run`) or through the frontend cache the figure
+//! binaries use (`Sweep::run_stored`), with and without a persistent
+//! stream store. The simulations themselves are deterministic (see
+//! `tests/determinism.rs`); these tests pin the two channels the harness
+//! could open: result ordering and the capture/replay route.
 
 use nsf_bench::figures;
-use nsf_bench::Sweep;
+use nsf_bench::{run_with_args, HarnessArgs, Sweep};
 use nsf_sim::RunReport;
 
 type Render = fn(u32, &Sweep, &[RunReport], bool) -> String;
 
-/// Runs one grid serially, with 8 workers, and lane-batched (4- and
-/// 8-wide, serial and threaded pools), asserting every report stream
-/// and every rendered table matches exactly.
+/// Asserts the figure binaries' route — `Sweep::run_stored` at 1 and 8
+/// threads, without a store and with a process-private one (cold, then
+/// warm) — reproduces `serial` exactly.
+fn assert_cached_routes_match(name: &str, sweep: &Sweep, serial: &[RunReport]) {
+    let dir = std::env::temp_dir().join(format!(
+        "nsf-determinism-store-{}-{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    for threads in [1, 8] {
+        for store in [false, true] {
+            let args = HarnessArgs {
+                threads,
+                store,
+                out: Some(dir.display().to_string()),
+                ..HarnessArgs::default()
+            };
+            assert_eq!(
+                serial,
+                run_with_args(sweep, &args),
+                "{name}: reports differ on the cached route ({threads} threads, store {store})"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs one grid serially, with 8 workers, and through the cached
+/// route, asserting every report stream and every rendered table
+/// matches exactly.
 fn assert_thread_independent(name: &str, grid: fn(u32) -> Sweep, render: Render) {
     let sweep = grid(0);
     let serial = sweep.run(1);
@@ -25,13 +53,7 @@ fn assert_thread_independent(name: &str, grid: fn(u32) -> Sweep, render: Render)
         serial, threaded,
         "{name}: reports differ across thread counts"
     );
-    for (threads, lanes) in [(1, 4), (8, 8)] {
-        let laned = sweep.run_lanes(threads, lanes);
-        assert_eq!(
-            serial, laned,
-            "{name}: reports differ lane-batched ({threads} threads, {lanes} lanes)"
-        );
-    }
+    assert_cached_routes_match(name, &sweep, &serial);
     for quiet in [false, true] {
         let a = render(0, &sweep, &serial, quiet);
         let b = render(0, &sweep, &threaded, quiet);
@@ -78,11 +100,7 @@ fn export_csv() {
         serial, threaded,
         "export_csv: reports differ across thread counts"
     );
-    assert_eq!(
-        serial,
-        sweep.run_lanes(1, 8),
-        "export_csv: reports differ lane-batched"
-    );
+    assert_cached_routes_match("export_csv", &sweep, &serial);
     let a = figures::export_csv::csvs(&sweep, &serial);
     let b = figures::export_csv::csvs(&sweep, &threaded);
     assert_eq!(a.len(), b.len());
