@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsf_bench::{nsf_config, segmented_config, segmented_software_config};
 use nsf_sim::SimConfig;
-use nsf_workloads::{gatesim, quicksort, run};
+use nsf_workloads::{gamteb, gatesim, quicksort, run};
 
 fn bench_simulation(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
@@ -23,6 +23,34 @@ fn bench_simulation(c: &mut Criterion) {
             b.iter(|| run(&qs, cfg).expect("validates"));
         });
     }
+    g.finish();
+}
+
+fn bench_live(c: &mut Criterion) {
+    // Points no capture can serve, so they always run on the live
+    // interpreter: a fine-grain parallel program (many short threads, so
+    // scheduling and thread switches weigh in) and a multi-issue frontend.
+    let mut g = c.benchmark_group("live");
+    g.sample_size(20);
+    let gt = gamteb::build(0);
+    for (tag, cfg) in [
+        ("nsf", nsf_config(128)),
+        ("segmented_hw", segmented_config(4, 32)),
+    ] {
+        g.bench_function(format!("gamteb_{tag}"), |b| {
+            b.iter(|| run(&gt, cfg).expect("validates"));
+        });
+    }
+    let gs = gatesim::build(0);
+    let wide = SimConfig {
+        issue_width: 2,
+        read_ports: 3,
+        write_ports: 2,
+        ..nsf_config(80)
+    };
+    g.bench_function("gatesim_nsf_width2", |b| {
+        b.iter(|| run(&gs, wide).expect("validates"));
+    });
     g.finish();
 }
 
@@ -47,6 +75,7 @@ fn bench_default_config(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_simulation,
+    bench_live,
     bench_compile,
     bench_default_config
 );

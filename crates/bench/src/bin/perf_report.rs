@@ -76,31 +76,6 @@ const PAR_ENGINES: &[&str] = &[
     "conventional:32",
 ];
 
-/// Simulation-core throughput (instr/sec, `Sweep::run` only, grid build
-/// excluded) per grid at `--scale 1 --threads 1`, measured at the
-/// pre-devirtualization HEAD on the reference container as the median of
-/// five runs interleaved with the de-virtualized build (interleaving
-/// cancels host-load drift). The `sim_core` section reports current
-/// throughput against these so the speedup of the flat-memory +
-/// static-dispatch core is recorded in `results/BENCH_regfile.json`
-/// alongside the absolute numbers. Wall clocks are machine-dependent;
-/// the ratio is only quoted for runs that match the baseline protocol
-/// (scale 1, one thread).
-const SIM_CORE_BASELINE: &[(&str, f64)] = &[
-    ("ablations", 10_672_498.0),
-    ("depth_sweep", 8_714_106.0),
-    ("export_csv", 12_716_479.0),
-    ("fig09_utilization", 14_028_991.0),
-    ("fig10_reload_traffic", 15_558_061.0),
-    ("fig11_resident_contexts", 16_458_353.0),
-    ("fig12_reload_vs_size", 15_309_296.0),
-    ("fig13_line_size", 13_071_597.0),
-    ("fig14_overhead", 16_154_492.0),
-    ("related_work", 18_143_733.0),
-    ("summary", 16_537_927.0),
-    ("table1", 14_563_774.0),
-];
-
 struct Row {
     name: &'static str,
     points: usize,
@@ -152,13 +127,6 @@ impl Row {
         } else {
             self.store_cold_ns as f64 / self.store_warm_ns as f64
         }
-    }
-
-    fn baseline(&self) -> Option<f64> {
-        SIM_CORE_BASELINE
-            .iter()
-            .find(|&&(n, _)| n == self.name)
-            .map(|&(_, r)| r)
     }
 }
 
@@ -474,28 +442,18 @@ fn main() {
     // The simulation core alone: grid build (compiler + workload
     // generation) excluded, so this isolates the fetch/execute/register/
     // memory loop the devirtualized dispatch and flat page table serve.
-    let compare = args.scale == 1 && args.threads == 1;
     println!("\nSimulation core (sweep.run only, grid build excluded)");
-    println!(
-        "{:<26} {:>10} {:>14} {:>14} {:>8}",
-        "Grid", "Run ms", "Instr/sec", "Baseline", "Speedup"
-    );
-    nsf_bench::rule(76);
+    println!("{:<26} {:>10} {:>14}", "Grid", "Run ms", "Instr/sec");
+    nsf_bench::rule(52);
     for r in &rows {
-        let base = if compare { r.baseline() } else { None };
         println!(
-            "{:<26} {:>10.1} {:>14.0} {:>14} {:>8}",
+            "{:<26} {:>10.1} {:>14.0}",
             r.name,
             r.run_ns as f64 / 1e6,
             r.sim_events_per_sec(),
-            base.map_or_else(|| "-".into(), |b| format!("{b:.0}")),
-            base.map_or_else(
-                || "-".into(),
-                |b| format!("{:.2}x", r.sim_events_per_sec() / b)
-            ),
         );
     }
-    nsf_bench::rule(76);
+    nsf_bench::rule(52);
 
     // Frontend-vs-engine split of the cached run: frontend ms covers the
     // per-group capture (workload generation + fetch/decode/schedule once
@@ -633,19 +591,10 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"sim_core\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let base = if compare { r.baseline() } else { None };
-        let (base_s, speedup_s) = match base {
-            Some(b) => (
-                format!("{b:.0}"),
-                format!("{:.2}", r.sim_events_per_sec() / b),
-            ),
-            None => ("null".into(), "null".into()),
-        };
         writeln!(
             json,
             "    {{\"grid\": \"{}\", \"events\": {}, \"run_wall_ns\": {}, \
-             \"instr_per_sec\": {:.0}, \"baseline_instr_per_sec\": {}, \
-             \"speedup\": {}, \
+             \"instr_per_sec\": {:.0}, \
              \"cache_run_wall_ns\": {}, \"cache_instr_per_sec\": {:.0}, \
              \"cache_frontend_ns\": {}, \"cache_engine_ns\": {}, \
              \"cache_hit_rate\": {:.3}, \"frontend_cache_speedup\": {:.2}}}{}",
@@ -653,8 +602,6 @@ fn main() {
             r.events,
             r.run_ns,
             r.sim_events_per_sec(),
-            base_s,
-            speedup_s,
             r.cache_run_ns,
             r.cache_events_per_sec(),
             r.cache.frontend_ns,

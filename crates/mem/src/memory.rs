@@ -96,17 +96,20 @@ impl MainMemory {
     }
 
     /// Reads the word at `addr` (zero if never written).
+    #[inline]
     pub fn read(&mut self, addr: Addr) -> Word {
         self.reads += 1;
         self.lookup(addr)
     }
 
     /// Reads without touching access statistics (for debugging/inspection).
+    #[inline]
     pub fn peek(&self, addr: Addr) -> Word {
         self.lookup(addr)
     }
 
     /// Writes `value` at `addr`, allocating the page if needed.
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: Word) {
         self.writes += 1;
         let (page, off) = split(addr);

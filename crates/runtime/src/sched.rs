@@ -83,6 +83,9 @@ pub struct Scheduler {
     cfg: SchedulerConfig,
     threads: Vec<Thread>,
     ready: VecDeque<ThreadId>,
+    /// Blocked threads in id order: the wake pass visits only these, in
+    /// the order a scan over every thread would.
+    blocked: Vec<ThreadId>,
     current: Option<ThreadId>,
     free_cids: Vec<Cid>,
     /// Message channels (owned here so wake checks can consult them).
@@ -97,6 +100,7 @@ impl Scheduler {
             cfg,
             threads: Vec::new(),
             ready: VecDeque::new(),
+            blocked: Vec::new(),
             current: None,
             free_cids: (0..cfg.cid_capacity).rev().collect(),
             channels: ChannelTable::new(),
@@ -105,11 +109,13 @@ impl Scheduler {
     }
 
     /// Allocates a Context ID (procedure call or thread spawn).
+    #[inline]
     pub fn alloc_cid(&mut self) -> Result<Cid, SchedulerError> {
         self.free_cids.pop().ok_or(SchedulerError::CidExhausted)
     }
 
     /// Returns a Context ID to the free list.
+    #[inline]
     pub fn free_cid(&mut self, cid: Cid) {
         self.free_cids.push(cid);
     }
@@ -132,6 +138,7 @@ impl Scheduler {
     }
 
     /// The running thread, if any.
+    #[inline]
     pub fn current(&self) -> Option<&Thread> {
         self.current.map(|id| &self.threads[id as usize])
     }
@@ -142,17 +149,26 @@ impl Scheduler {
     ///
     /// Panics if no thread is running (the simulator only calls this
     /// between a `Run` decision and the next block/yield).
+    #[inline]
     pub fn current_mut(&mut self) -> &mut Thread {
         let id = self.current.expect("a thread is running");
         &mut self.threads[id as usize]
     }
 
     /// A thread by id.
+    #[inline]
     pub fn thread(&self, id: ThreadId) -> &Thread {
         &self.threads[id as usize]
     }
 
+    /// Mutable access to a thread by id.
+    #[inline]
+    pub fn thread_mut(&mut self, id: ThreadId) -> &mut Thread {
+        &mut self.threads[id as usize]
+    }
+
     /// All threads (reporting).
+    #[inline]
     pub fn threads(&self) -> &[Thread] {
         &self.threads
     }
@@ -163,18 +179,22 @@ impl Scheduler {
     }
 
     /// Number of threads currently waiting in the ready queue.
+    #[inline]
     pub fn ready_count(&self) -> usize {
         self.ready.len()
     }
 
     /// Parks the running thread on `reason`.
+    #[inline]
     pub fn block_current(&mut self, reason: BlockReason) {
-        let t = self.current_mut();
-        t.state = ThreadState::Blocked(reason);
-        self.current = None;
+        let id = self.current.take().expect("a thread is running");
+        self.threads[id as usize].state = ThreadState::Blocked(reason);
+        let at = self.blocked.partition_point(|&b| b < id);
+        self.blocked.insert(at, id);
     }
 
     /// Moves the running thread to the back of the ready queue.
+    #[inline]
     pub fn yield_current(&mut self) {
         let id = self.current.expect("a thread is running");
         self.threads[id as usize].state = ThreadState::Ready;
@@ -183,6 +203,7 @@ impl Scheduler {
     }
 
     /// Marks the running thread finished and releases its CID.
+    #[inline]
     pub fn finish_current(&mut self) -> ThreadId {
         let id = self.current.expect("a thread is running");
         self.threads[id as usize].state = ThreadState::Done;
@@ -196,24 +217,25 @@ impl Scheduler {
     /// zero (it lives in simulated memory, which the scheduler cannot
     /// see).
     pub fn next(&mut self, now: u64, mut sync_clear: impl FnMut(Addr) -> bool) -> SchedDecision {
-        // Wake pass.
-        for i in 0..self.threads.len() {
-            let id = i as ThreadId;
-            let wake = match self.threads[i].state {
+        // Wake pass, over the blocked threads in id order.
+        let (threads, channels, ready) = (&mut self.threads, &self.channels, &mut self.ready);
+        self.blocked.retain(|&id| {
+            let t = &mut threads[id as usize];
+            let wake = match t.state {
                 ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => ready_at <= now,
-                ThreadState::Blocked(BlockReason::Recv { chan }) => self
-                    .channels
-                    .next_delivery(chan)
-                    .is_some_and(|at| at <= now),
-                ThreadState::Blocked(BlockReason::Send { chan }) => self.channels.has_space(chan),
+                ThreadState::Blocked(BlockReason::Recv { chan }) => {
+                    channels.next_delivery(chan).is_some_and(|at| at <= now)
+                }
+                ThreadState::Blocked(BlockReason::Send { chan }) => channels.has_space(chan),
                 ThreadState::Blocked(BlockReason::Sync { addr }) => sync_clear(addr),
-                _ => false,
+                _ => unreachable!("thread {id} on the blocked list is {:?}", t.state),
             };
             if wake {
-                self.threads[i].state = ThreadState::Ready;
-                self.ready.push_back(id);
+                t.state = ThreadState::Ready;
+                ready.push_back(id);
             }
-        }
+            !wake
+        });
 
         if let Some(id) = self.ready.pop_front() {
             self.threads[id as usize].state = ThreadState::Running;
@@ -223,26 +245,19 @@ impl Scheduler {
 
         // Nothing ready: find the earliest timed wake.
         let mut earliest: Option<u64> = None;
-        let mut any_blocked = false;
-        for t in &self.threads {
-            match t.state {
-                ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => {
-                    any_blocked = true;
-                    earliest = Some(earliest.map_or(ready_at, |e| e.min(ready_at)));
-                }
+        for &id in &self.blocked {
+            let at = match self.threads[id as usize].state {
+                ThreadState::Blocked(BlockReason::RemoteLoad { ready_at }) => Some(ready_at),
                 ThreadState::Blocked(BlockReason::Recv { chan }) => {
-                    any_blocked = true;
-                    if let Some(at) = self.channels.next_delivery(chan) {
-                        earliest = Some(earliest.map_or(at, |e| e.min(at)));
-                    }
+                    self.channels.next_delivery(chan)
                 }
-                ThreadState::Blocked(BlockReason::Sync { .. })
-                | ThreadState::Blocked(BlockReason::Send { .. }) => {
-                    any_blocked = true;
-                }
-                _ => {}
+                _ => None,
+            };
+            if let Some(at) = at {
+                earliest = Some(earliest.map_or(at, |e| e.min(at)));
             }
         }
+        let any_blocked = !self.blocked.is_empty();
         match (earliest, any_blocked) {
             (Some(at), _) => SchedDecision::AdvanceTo(at.max(now + 1)),
             (None, true) => SchedDecision::Deadlock,
@@ -321,6 +336,31 @@ mod tests {
         s.block_current(BlockReason::Sync { addr: 0x10 });
         assert_eq!(s.next(0, |_| false), SchedDecision::Deadlock);
         assert_eq!(s.next(0, |_| true), SchedDecision::Run(a));
+    }
+
+    #[test]
+    fn wakes_follow_thread_id_order_not_block_order() {
+        let mut s = sched();
+        let a = s.spawn(0, 0).unwrap();
+        let b = s.spawn(0, 0).unwrap();
+        let c = s.spawn(0, 0).unwrap();
+        assert_eq!(s.next(0, |_| false), SchedDecision::Run(a));
+        s.yield_current();
+        assert_eq!(s.next(0, |_| false), SchedDecision::Run(b));
+        s.yield_current();
+        assert_eq!(s.next(0, |_| false), SchedDecision::Run(c));
+        s.block_current(BlockReason::RemoteLoad { ready_at: 10 });
+        assert_eq!(s.next(0, |_| false), SchedDecision::Run(a));
+        s.block_current(BlockReason::RemoteLoad { ready_at: 5 });
+        assert_eq!(s.next(0, |_| false), SchedDecision::Run(b));
+        s.finish_current();
+        assert_eq!(s.next(0, |_| false), SchedDecision::AdvanceTo(5));
+        // Both due at once: woken in id order, whatever order they blocked in.
+        assert_eq!(s.next(10, |_| false), SchedDecision::Run(a));
+        s.finish_current();
+        assert_eq!(s.next(10, |_| false), SchedDecision::Run(c));
+        s.finish_current();
+        assert_eq!(s.next(10, |_| false), SchedDecision::AllDone);
     }
 
     #[test]

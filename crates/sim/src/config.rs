@@ -146,7 +146,9 @@ pub struct SimConfig {
     pub remote_latency: u32,
     /// One-way message delivery latency, in cycles.
     pub msg_latency: u32,
-    /// Occupancy sampling period, in instructions.
+    /// Occupancy sampling period, in instructions: a sample is taken
+    /// after every `sample_interval`-th instruction. `0` disables
+    /// sampling (the report's occupancy stays empty).
     pub sample_interval: u64,
     /// Hard instruction budget (guards against runaway programs).
     pub max_instructions: u64,

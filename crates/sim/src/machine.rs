@@ -2,15 +2,15 @@
 //! the memory hierarchy and the thread scheduler.
 
 use crate::backing::{BackingMap, CtableBacking};
-use crate::config::{SimConfig, BACKING_STRIDE_WORDS};
+use crate::config::{CycleTable, SimConfig, BACKING_STRIDE_WORDS};
 use crate::metrics::RunReport;
-use crate::pipeline::Pipeline;
+use crate::pipeline::{reg_uses, Pipeline, RegUses};
 use crate::probe::{FrontendProbe, NoProbe};
 use crate::trace::{TraceBuffer, TraceEntry};
 use nsf_core::{
     Cid, EngineDispatch, LaneOp, RecordingFile, RegAddr, RegFileError, RegisterFile, SharedSink,
 };
-use nsf_isa::{Inst, InstClass, Program, Reg};
+use nsf_isa::{Inst, InstClass, Program, Reg, NUM_GLOBAL_REGS};
 use nsf_mem::{Addr, Cache, MemSystem, Word};
 use nsf_runtime::{BlockReason, SchedDecision, Scheduler, SchedulerError, ThreadId};
 use std::fmt;
@@ -112,6 +112,51 @@ enum Status {
     Suspended,
 }
 
+/// One instruction, predecoded once per program by [`Machine::new`]:
+/// everything the per-instruction path needs besides operand values.
+#[derive(Clone, Copy, Debug)]
+struct Decoded {
+    inst: Inst,
+    /// Index into [`RunReport::class_counts`].
+    class: u8,
+    /// Base issue cycles of the instruction's class.
+    base: u32,
+    /// Registers read and written (the multi-issue scoreboard's input).
+    uses: RegUses,
+}
+
+impl Decoded {
+    fn new(inst: Inst, cycles: &CycleTable) -> Self {
+        let class = inst.class();
+        let base = match class {
+            InstClass::Alu => cycles.alu,
+            InstClass::Mem | InstClass::RemoteMem => cycles.mem_base,
+            InstClass::Control => cycles.control,
+            InstClass::Proc => cycles.proc_op,
+            InstClass::Thread => cycles.thread_op,
+            InstClass::Misc => cycles.misc,
+        };
+        Decoded {
+            inst,
+            class: RunReport::class_index(class) as u8,
+            base,
+            uses: reg_uses(&inst),
+        }
+    }
+}
+
+/// The running thread's per-instruction state, hoisted out of the
+/// scheduler while the thread runs: [`Machine::resume`] loads it and
+/// [`Machine::park`] writes it back when the thread stops issuing.
+#[derive(Clone, Copy, Debug, Default)]
+struct Running {
+    tid: ThreadId,
+    pc: u32,
+    cid: Cid,
+    globals: [Word; NUM_GLOBAL_REGS as usize],
+    instructions: u64,
+}
+
 /// The machine: program + memory + register file + threads.
 ///
 /// # Examples
@@ -137,13 +182,13 @@ enum Status {
 /// ```
 pub struct Machine {
     cfg: SimConfig,
-    program: Program,
+    /// The program, predecoded: one entry per pc.
+    code: Box<[Decoded]>,
     /// The memory system (public so harnesses can stage inputs with
     /// `poke`/`peek` and read results back).
     pub mem: MemSystem,
-    /// The register file, held by value: per-instruction operations
-    /// dispatch through [`EngineDispatch`]'s `match` and inline into
-    /// `step()` instead of paying a vtable call.
+    /// The register file. A run dispatches on its family once and then
+    /// drives the concrete engine (see [`Machine::run_probed`]).
     regfile: EngineDispatch,
     sched: Scheduler,
     backing: BackingMap,
@@ -151,6 +196,12 @@ pub struct Machine {
     report: RunReport,
     last_thread: Option<ThreadId>,
     active_cid: Option<Cid>,
+    /// The running thread's hoisted state (meaningful only inside a
+    /// slice).
+    running: Running,
+    /// Instructions left until the next occupancy sample; `0` when
+    /// sampling is disabled (`sample_interval == 0`).
+    sample_countdown: u64,
     trace: TraceBuffer,
     icache: Option<Cache>,
     sink: Option<SharedSink>,
@@ -203,7 +254,11 @@ impl Machine {
             )));
         }
         let mut m = Machine {
-            program,
+            code: program
+                .insts()
+                .iter()
+                .map(|&inst| Decoded::new(inst, &cfg.cycles))
+                .collect(),
             mem: MemSystem::new(cfg.mem),
             regfile: cfg.regfile.build(),
             sched: Scheduler::new(cfg.sched),
@@ -212,14 +267,15 @@ impl Machine {
             report: RunReport::default(),
             last_thread: None,
             active_cid: None,
+            running: Running::default(),
+            sample_countdown: cfg.sample_interval,
             trace: TraceBuffer::new(cfg.trace_depth),
             icache: cfg.icache.map(Cache::new),
             sink: None,
             pipeline: (cfg.issue_width > 1).then(|| Pipeline::new(&cfg)),
             cfg,
         };
-        let entry = m.program.entry();
-        let tid = m.sched.spawn(entry, 0)?;
+        let tid = m.sched.spawn(program.entry(), 0)?;
         let cid = m.sched.thread(tid).cid;
         m.map_ctable(cid);
         Ok(m)
@@ -247,10 +303,7 @@ impl Machine {
     /// instruction clock stamps. Call before [`Machine::run_and_keep`];
     /// recording is observational and never changes results or timing.
     pub fn attach_sink(&mut self, sink: SharedSink) {
-        let inner = std::mem::replace(
-            &mut self.regfile,
-            EngineDispatch::Oracle(nsf_core::OracleFile::new()), // placeholder, swapped below
-        );
+        let inner = std::mem::replace(&mut self.regfile, placeholder_engine());
         self.regfile =
             EngineDispatch::boxed(Box::new(RecordingFile::new(Box::new(inner), sink.clone())));
         self.sink = Some(sink);
@@ -272,7 +325,34 @@ impl Machine {
     /// organization-independent cycle charge and occupancy sample, in
     /// execution order. Probing never perturbs the run: the report (and
     /// memory) are identical to an unprobed run's.
+    ///
+    /// The run dispatches on the engine family once: the loop is
+    /// monomorphized per concrete engine, so the register-file hit paths
+    /// inline into it (an [`EngineDispatch::Boxed`] engine runs the same
+    /// loop through its vtable). The engine is moved out of `self` for
+    /// the run and put back after it.
     pub fn run_probed<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<RunReport, SimError> {
+        let mut regfile = std::mem::replace(&mut self.regfile, placeholder_engine());
+        let result = match &mut regfile {
+            EngineDispatch::Nsf(rf) => self.run_on(rf, probe),
+            EngineDispatch::Segmented(rf) => self.run_on(rf, probe),
+            EngineDispatch::Windowed(rf) => self.run_on(rf, probe),
+            EngineDispatch::Conventional(rf) => self.run_on(rf, probe),
+            EngineDispatch::Oracle(rf) => self.run_on(rf, probe),
+            EngineDispatch::Boxed(rf) => self.run_on(rf.as_mut(), probe),
+        };
+        self.regfile = regfile;
+        result?;
+        self.finish_report();
+        Ok(self.report.clone())
+    }
+
+    /// The scheduler loop over engine `rf`.
+    fn run_on<E: RegisterFile + ?Sized, P: FrontendProbe>(
+        &mut self,
+        rf: &mut E,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
         loop {
             let decision = {
                 let (sched, mem) = (&mut self.sched, &self.mem);
@@ -287,20 +367,21 @@ impl Machine {
                         }
                         self.last_thread = Some(tid);
                     }
-                    let cid = self.sched.thread(tid).cid;
-                    self.switch_context(cid, LaneOp::ThreadSwitch, probe)?;
-                    self.run_current(probe)?;
+                    self.resume(tid);
+                    let slice = self
+                        .switch_context(rf, self.running.cid, LaneOp::ThreadSwitch, probe)
+                        .and_then(|()| self.run_slice(rf, probe));
+                    self.park();
+                    slice?;
                 }
                 SchedDecision::AdvanceTo(t) => {
                     self.report.idle_cycles += t - self.clock;
                     self.clock = t;
                 }
-                SchedDecision::AllDone => break,
+                SchedDecision::AllDone => return Ok(()),
                 SchedDecision::Deadlock => return Err(SimError::Deadlock { cycle: self.clock }),
             }
         }
-        self.finish_report();
-        Ok(self.report.clone())
     }
 
     fn finish_report(&mut self) {
@@ -314,7 +395,7 @@ impl Machine {
         self.report.regfile_desc = self.regfile.describe();
         self.report.regfile_capacity = self.regfile.capacity();
         self.report.dcache = self.mem.dcache_stats();
-        self.report.static_instructions = self.program.len();
+        self.report.static_instructions = self.code.len();
         self.report.thread_instructions = self
             .sched
             .threads()
@@ -322,6 +403,34 @@ impl Machine {
             .map(|t| t.instructions)
             .collect();
         self.report.icache = self.icache.as_ref().map(|c| c.stats());
+    }
+
+    // The non-generic helpers below are `#[inline]`: `run_probed` is
+    // generic, so it is compiled in the caller's crate, which cannot
+    // inline unmarked functions from this one.
+
+    /// Loads thread `tid`'s per-instruction state out of the scheduler.
+    #[inline]
+    fn resume(&mut self, tid: ThreadId) {
+        let t = self.sched.thread(tid);
+        self.running = Running {
+            tid,
+            pc: t.pc,
+            cid: t.cid,
+            globals: t.globals,
+            instructions: t.instructions,
+        };
+    }
+
+    /// Writes the running thread's hoisted state back to the scheduler.
+    #[inline]
+    fn park(&mut self) {
+        let r = self.running;
+        let t = self.sched.thread_mut(r.tid);
+        t.pc = r.pc;
+        t.cid = r.cid;
+        t.globals = r.globals;
+        t.instructions = r.instructions;
     }
 
     #[inline]
@@ -334,6 +443,7 @@ impl Machine {
 
     /// Advances the clock by an organization-independent charge (base,
     /// fetch penalty, taken branch, thread-switch overhead).
+    #[inline]
     fn charge<P: FrontendProbe>(&mut self, cycles: u32, probe: &mut P) {
         self.clock += u64::from(cycles);
         probe.shared_charge(cycles);
@@ -341,9 +451,11 @@ impl Machine {
 
     /// Applies a context operation (switch, call-push, thread switch,
     /// free) or a register free to the register file, charging its
-    /// stall cycles.
-    fn context_op<P: FrontendProbe>(
+    /// stall cycles. Register reads and writes go through
+    /// [`Machine::read_reg`] and [`Machine::write_reg`].
+    fn context_op<E: RegisterFile + ?Sized, P: FrontendProbe>(
         &mut self,
+        rf: &mut E,
         op: LaneOp,
         pc: u32,
         probe: &mut P,
@@ -352,11 +464,22 @@ impl Machine {
             mem: &mut self.mem,
             map: &mut self.backing,
         };
-        let step = self
-            .regfile
-            .apply_op(op, &mut store)
-            .map_err(|source| SimError::RegFile { pc, source })?;
-        self.clock += u64::from(step.stall_cycles);
+        let stall = match op {
+            LaneOp::SwitchTo(cid) => rf.switch_to(cid, &mut store),
+            LaneOp::CallPush(cid) => rf.call_push(cid, &mut store),
+            LaneOp::ThreadSwitch(cid) => rf.thread_switch(cid, &mut store),
+            LaneOp::FreeContext(cid) => {
+                rf.free_context(cid, &mut store);
+                Ok(0)
+            }
+            LaneOp::FreeReg(addr) => {
+                rf.free_reg(addr, &mut store);
+                Ok(0)
+            }
+            LaneOp::Read(_) | LaneOp::Write(..) => unreachable!("not a context operation"),
+        }
+        .map_err(|source| SimError::RegFile { pc, source })?;
+        self.clock += u64::from(stall);
         probe.reg_op(op, None);
         Ok(())
     }
@@ -364,8 +487,10 @@ impl Machine {
     /// Notifies the register file that `cid` is now running (no-op when it
     /// already is). Charges switch cycles. `op` routes the notification
     /// to the organization's plain / call-push / thread-switch handler.
-    fn switch_context<P: FrontendProbe>(
+    #[inline]
+    fn switch_context<E: RegisterFile + ?Sized, P: FrontendProbe>(
         &mut self,
+        rf: &mut E,
         cid: Cid,
         op: fn(Cid) -> LaneOp,
         probe: &mut P,
@@ -373,29 +498,30 @@ impl Machine {
         if self.active_cid == Some(cid) {
             return Ok(());
         }
-        self.context_op(op(cid), 0, probe)?;
+        self.context_op(rf, op(cid), 0, probe)?;
         self.report.context_switches += 1;
         self.active_cid = Some(cid);
         Ok(())
     }
 
-    fn read_reg<P: FrontendProbe>(
+    #[inline(always)]
+    fn read_reg<E: RegisterFile + ?Sized, P: FrontendProbe>(
         &mut self,
+        rf: &mut E,
         cid: Cid,
         r: Reg,
         pc: u32,
         probe: &mut P,
     ) -> Result<Word, SimError> {
         match r {
-            Reg::G(i) => Ok(self.sched.current_mut().globals[i as usize]),
+            Reg::G(i) => Ok(self.running.globals[usize::from(i)]),
             Reg::R(off) => {
                 let addr = RegAddr::new(cid, off);
                 let mut store = CtableBacking {
                     mem: &mut self.mem,
                     map: &mut self.backing,
                 };
-                let acc = self
-                    .regfile
+                let acc = rf
                     .read(addr, &mut store)
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
@@ -405,8 +531,10 @@ impl Machine {
         }
     }
 
-    fn write_reg<P: FrontendProbe>(
+    #[inline(always)]
+    fn write_reg<E: RegisterFile + ?Sized, P: FrontendProbe>(
         &mut self,
+        rf: &mut E,
         cid: Cid,
         r: Reg,
         value: Word,
@@ -415,7 +543,7 @@ impl Machine {
     ) -> Result<(), SimError> {
         match r {
             Reg::G(i) => {
-                self.sched.current_mut().globals[i as usize] = value;
+                self.running.globals[usize::from(i)] = value;
                 Ok(())
             }
             Reg::R(off) => {
@@ -424,8 +552,7 @@ impl Machine {
                     mem: &mut self.mem,
                     map: &mut self.backing,
                 };
-                let acc = self
-                    .regfile
+                let acc = rf
                     .write(addr, value, &mut store)
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
@@ -435,17 +562,35 @@ impl Machine {
         }
     }
 
-    fn run_current<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<(), SimError> {
+    #[inline]
+    fn check_budget(&self) -> Result<(), SimError> {
+        if self.report.instructions >= self.cfg.max_instructions {
+            return Err(SimError::MaxInstructions {
+                limit: self.cfg.max_instructions,
+            });
+        }
+        Ok(())
+    }
+
+    /// Issues from the running thread until it blocks, yields, finishes
+    /// or is preempted at the quantum.
+    fn run_slice<E: RegisterFile + ?Sized, P: FrontendProbe>(
+        &mut self,
+        rf: &mut E,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
+        self.check_budget()?;
+        self.note_clock();
+        // Deliver a pending remote-load value first. Only a blocking
+        // remote load leaves one, so it can only be due as a slice starts.
+        if let Some((r, v)) = self.sched.current_mut().pending_write.take() {
+            let Running { pc, cid, .. } = self.running;
+            self.write_reg(rf, cid, r, v, pc, probe)?;
+        }
         let mut issued: u64 = 0;
         loop {
-            if self.report.instructions >= self.cfg.max_instructions {
-                return Err(SimError::MaxInstructions {
-                    limit: self.cfg.max_instructions,
-                });
-            }
-            match self.step(probe)? {
-                Status::Continue => {}
-                Status::Suspended => return Ok(()),
+            if let Status::Suspended = self.step(rf, probe)? {
+                return Ok(());
             }
             issued += 1;
             if let Some(q) = self.cfg.quantum {
@@ -456,12 +601,10 @@ impl Machine {
                     return Ok(());
                 }
             }
+            self.check_budget()?;
+            self.note_clock();
         }
     }
-
-    // The small per-instruction helpers are `#[inline]`: `run_probed` is
-    // generic, so it is compiled in the caller's crate, which cannot
-    // inline unmarked private functions from this one.
 
     /// Stamps the sink (if any) with the current clock.
     #[inline]
@@ -488,31 +631,25 @@ impl Machine {
     }
 
     /// Executes one instruction of the running thread.
-    fn step<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<Status, SimError> {
-        self.note_clock();
-        // Deliver a pending remote-load/receive value first.
-        let (pc, cid) = {
-            let t = self.sched.current_mut();
-            (t.pc, t.cid)
+    #[inline(always)]
+    fn step<E: RegisterFile + ?Sized, P: FrontendProbe>(
+        &mut self,
+        rf: &mut E,
+        probe: &mut P,
+    ) -> Result<Status, SimError> {
+        let Running { pc, cid, .. } = self.running;
+        let Some(&d) = self.code.get(pc as usize) else {
+            return Err(SimError::PcOutOfRange { pc });
         };
-        if let Some((r, v)) = self.sched.current_mut().pending_write.take() {
-            self.write_reg(cid, r, v, pc, probe)?;
-        }
-
-        let inst = *self
-            .program
-            .fetch(pc)
-            .ok_or(SimError::PcOutOfRange { pc })?;
 
         self.report.instructions += 1;
-        self.report.class_counts[RunReport::class_index(inst.class())] += 1;
-        self.sched.current_mut().instructions += 1;
-        let base = self.base_cycles(inst.class());
+        self.report.class_counts[usize::from(d.class)] += 1;
+        self.running.instructions += 1;
         match &mut self.pipeline {
             // The multi-issue frontend arbitrates slots and file ports;
             // co-issued instructions ride the open cycle for free.
-            Some(p) => p.issue(&inst, base, &mut self.clock),
-            None => self.charge(base, probe),
+            Some(p) => p.issue(&d.uses, d.base, &mut self.clock),
+            None => self.charge(d.base, probe),
         }
 
         if let Some(icache) = &mut self.icache {
@@ -523,44 +660,34 @@ impl Machine {
         }
 
         if self.trace.enabled() {
-            let tid = self.sched.current().expect("running").id;
             self.trace.record(TraceEntry {
                 cycle: self.clock,
-                tid,
+                tid: self.running.tid,
                 cid,
                 pc,
-                inst,
+                inst: d.inst,
             });
         }
 
-        if self
-            .report
-            .instructions
-            .is_multiple_of(self.cfg.sample_interval)
-        {
-            self.report.occupancy.record(self.regfile.occupancy());
-            probe.occupancy_sample();
+        // Sample occupancy every `sample_interval` instructions; a zero
+        // countdown means sampling is off.
+        if self.sample_countdown != 0 {
+            self.sample_countdown -= 1;
+            if self.sample_countdown == 0 {
+                self.sample_countdown = self.cfg.sample_interval;
+                self.report.occupancy.record(rf.occupancy());
+                probe.occupancy_sample();
+            }
         }
 
-        self.execute(inst, pc, cid, probe)
-    }
-
-    #[inline]
-    fn base_cycles(&self, class: InstClass) -> u32 {
-        let c = &self.cfg.cycles;
-        match class {
-            InstClass::Alu => c.alu,
-            InstClass::Mem | InstClass::RemoteMem => c.mem_base,
-            InstClass::Control => c.control,
-            InstClass::Proc => c.proc_op,
-            InstClass::Thread => c.thread_op,
-            InstClass::Misc => c.misc,
-        }
+        self.execute(rf, d.inst, pc, cid, probe)
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute<P: FrontendProbe>(
+    #[inline(always)]
+    fn execute<E: RegisterFile + ?Sized, P: FrontendProbe>(
         &mut self,
+        rf: &mut E,
         inst: Inst,
         pc: u32,
         cid: Cid,
@@ -568,33 +695,43 @@ impl Machine {
     ) -> Result<Status, SimError> {
         use Inst::*;
 
+        macro_rules! read {
+            ($r:expr) => {
+                self.read_reg(rf, cid, $r, pc, probe)?
+            };
+        }
+        macro_rules! write {
+            ($r:expr, $v:expr) => {
+                self.write_reg(rf, cid, $r, $v, pc, probe)?
+            };
+        }
         macro_rules! alu3 {
             ($rd:expr, $a:expr, $b:expr, $f:expr) => {{
-                let x = self.read_reg(cid, $a, pc, probe)?;
-                let y = self.read_reg(cid, $b, pc, probe)?;
+                let x = read!($a);
+                let y = read!($b);
                 #[allow(clippy::redundant_closure_call)]
                 let v = ($f)(x, y);
-                self.write_reg(cid, $rd, v, pc, probe)?;
+                write!($rd, v);
                 self.advance(1);
             }};
         }
         macro_rules! alui {
             ($rd:expr, $a:expr, $imm:expr, $f:expr) => {{
-                let x = self.read_reg(cid, $a, pc, probe)?;
+                let x = read!($a);
                 #[allow(clippy::redundant_closure_call)]
                 let v = ($f)(x, $imm as Word);
-                self.write_reg(cid, $rd, v, pc, probe)?;
+                write!($rd, v);
                 self.advance(1);
             }};
         }
         macro_rules! branch {
             ($a:expr, $b:expr, $t:expr, $cmp:expr) => {{
-                let x = self.read_reg(cid, $a, pc, probe)?;
-                let y = self.read_reg(cid, $b, pc, probe)?;
+                let x = read!($a);
+                let y = read!($b);
                 #[allow(clippy::redundant_closure_call)]
                 if ($cmp)(x, y) {
                     self.charge(self.cfg.cycles.taken_extra, probe);
-                    self.sched.current_mut().pc = $t;
+                    self.running.pc = $t;
                 } else {
                     self.advance(1);
                 }
@@ -640,31 +777,27 @@ impl Machine {
                 ))
             }
             Li { rd, imm } => {
-                self.write_reg(cid, rd, imm as Word, pc, probe)?;
+                write!(rd, imm as Word);
                 self.advance(1);
             }
             Mv { rd, rs1 } => {
-                let v = self.read_reg(cid, rs1, pc, probe)?;
-                self.write_reg(cid, rd, v, pc, probe)?;
+                let v = read!(rs1);
+                write!(rd, v);
                 self.advance(1);
             }
 
             Lw { rd, base, imm } => {
-                let addr = self
-                    .read_reg(cid, base, pc, probe)?
-                    .wrapping_add(imm as Word);
+                let addr = read!(base).wrapping_add(imm as Word);
                 self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
                 probe.mem_load(addr, v);
-                self.write_reg(cid, rd, v, pc, probe)?;
+                write!(rd, v);
                 self.advance(1);
             }
             Sw { base, src, imm } => {
-                let addr = self
-                    .read_reg(cid, base, pc, probe)?
-                    .wrapping_add(imm as Word);
-                let v = self.read_reg(cid, src, pc, probe)?;
+                let addr = read!(base).wrapping_add(imm as Word);
+                let v = read!(src);
                 self.note_mem_write(addr);
                 let cycles = self.mem.store(addr, v);
                 self.clock += u64::from(cycles);
@@ -672,25 +805,20 @@ impl Machine {
                 self.advance(1);
             }
             LwRemote { rd, base, imm } => {
-                let addr = self
-                    .read_reg(cid, base, pc, probe)?
-                    .wrapping_add(imm as Word);
+                let addr = read!(base).wrapping_add(imm as Word);
                 // Remote data bypasses the local data cache; the cost is
                 // the network round trip, overlapped with other threads.
                 let value = self.mem.peek(addr);
                 let ready_at = self.clock + u64::from(self.cfg.remote_latency);
-                let t = self.sched.current_mut();
-                t.pending_write = Some((rd, value));
-                t.pc = pc + 1;
+                self.sched.current_mut().pending_write = Some((rd, value));
+                self.running.pc = pc + 1;
                 self.sched
                     .block_current(BlockReason::RemoteLoad { ready_at });
                 return Ok(Status::Suspended);
             }
             SwRemote { base, src, imm } => {
-                let addr = self
-                    .read_reg(cid, base, pc, probe)?
-                    .wrapping_add(imm as Word);
-                let v = self.read_reg(cid, src, pc, probe)?;
+                let addr = read!(base).wrapping_add(imm as Word);
+                let v = read!(src);
                 // Fire and forget; completes remotely after the delay.
                 self.mem.poke(addr, v);
                 self.advance(1);
@@ -706,52 +834,39 @@ impl Machine {
                     >= (y as i32))
             }
             Jmp { target } => {
-                self.sched.current_mut().pc = target;
+                self.running.pc = target;
             }
 
             Call { target } => {
                 let new_cid = self.sched.alloc_cid()?;
                 self.map_ctable(new_cid);
-                {
-                    let t = self.sched.current_mut();
-                    t.call_stack.push((pc + 1, t.cid));
-                    t.cid = new_cid;
-                    t.pc = target;
-                }
+                self.sched.current_mut().call_stack.push((pc + 1, cid));
+                self.running.cid = new_cid;
+                self.running.pc = target;
                 self.report.calls += 1;
-                self.switch_context(new_cid, LaneOp::CallPush, probe)?;
+                self.switch_context(rf, new_cid, LaneOp::CallPush, probe)?;
             }
-            Ret => {
-                let popped = self.sched.current_mut().call_stack.pop();
-                match popped {
-                    Some((ret_pc, caller)) => {
-                        let dead = {
-                            let t = self.sched.current_mut();
-                            let dead = t.cid;
-                            t.cid = caller;
-                            t.pc = ret_pc;
-                            dead
-                        };
-                        self.release_context(dead, probe)?;
-                        self.report.returns += 1;
-                        self.switch_context(caller, LaneOp::SwitchTo, probe)?;
-                    }
-                    None => {
-                        // Returning from the top level ends the thread.
-                        return self.halt_thread(probe);
-                    }
+            Ret => match self.sched.current_mut().call_stack.pop() {
+                Some((ret_pc, caller)) => {
+                    self.running.cid = caller;
+                    self.running.pc = ret_pc;
+                    self.release_context(rf, cid, probe)?;
+                    self.report.returns += 1;
+                    self.switch_context(rf, caller, LaneOp::SwitchTo, probe)?;
                 }
-            }
+                // Returning from the top level ends the thread.
+                None => return self.halt_thread(rf, probe),
+            },
 
             Spawn { target, arg } => {
-                let value = self.read_reg(cid, arg, pc, probe)?;
+                let value = read!(arg);
                 let tid = self.sched.spawn(target, value)?;
                 let child_cid = self.sched.thread(tid).cid;
                 self.map_ctable(child_cid);
                 self.report.spawns += 1;
                 self.advance(1);
             }
-            Halt => return self.halt_thread(probe),
+            Halt => return self.halt_thread(rf, probe),
             Yield => {
                 self.advance(1);
                 self.sched.yield_current();
@@ -763,15 +878,15 @@ impl Machine {
                     .sched
                     .channels
                     .create_with_capacity(self.cfg.channel_capacity);
-                self.write_reg(cid, rd, id, pc, probe)?;
+                write!(rd, id);
                 self.advance(1);
             }
             ChSend { chan, src } => {
-                let id = self.read_reg(cid, chan, pc, probe)?;
+                let id = read!(chan);
                 if !self.sched.channels.is_valid(id) {
                     return Err(SimError::BadChannel { id });
                 }
-                let v = self.read_reg(cid, src, pc, probe)?;
+                let v = read!(src);
                 let at = self.clock + u64::from(self.cfg.msg_latency);
                 if !self.sched.channels.try_send(id, v, at) {
                     // Bounded channel full: wait for space and re-execute.
@@ -781,13 +896,13 @@ impl Machine {
                 self.advance(1);
             }
             ChRecv { rd, chan } => {
-                let id = self.read_reg(cid, chan, pc, probe)?;
+                let id = read!(chan);
                 if !self.sched.channels.is_valid(id) {
                     return Err(SimError::BadChannel { id });
                 }
                 match self.sched.channels.try_recv(id, self.clock) {
                     Some(v) => {
-                        self.write_reg(cid, rd, v, pc, probe)?;
+                        write!(rd, v);
                         self.advance(1);
                     }
                     None => {
@@ -798,18 +913,16 @@ impl Machine {
                 }
             }
             AmoAdd { rd, base, imm } => {
-                let addr = self.read_reg(cid, base, pc, probe)?;
+                let addr = read!(base);
                 self.note_mem_write(addr);
                 let (old, cycles) = self.mem.fetch_add(addr, imm);
                 self.clock += u64::from(cycles);
                 probe.mem_amo(addr, imm, old);
-                self.write_reg(cid, rd, old, pc, probe)?;
+                write!(rd, old);
                 self.advance(1);
             }
             SyncWait { base, imm } => {
-                let addr = self
-                    .read_reg(cid, base, pc, probe)?
-                    .wrapping_add(imm as Word);
+                let addr = read!(base).wrapping_add(imm as Word);
                 self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
@@ -824,7 +937,7 @@ impl Machine {
 
             RFree { reg } => {
                 if let Reg::R(off) = reg {
-                    self.context_op(LaneOp::FreeReg(RegAddr::new(cid, off)), pc, probe)?;
+                    self.context_op(rf, LaneOp::FreeReg(RegAddr::new(cid, off)), pc, probe)?;
                 }
                 self.advance(1);
             }
@@ -835,16 +948,17 @@ impl Machine {
 
     #[inline]
     fn advance(&mut self, by: u32) {
-        self.sched.current_mut().pc += by;
+        self.running.pc += by;
     }
 
     /// Frees a dead context everywhere: register file, Ctable, CID pool.
-    fn release_context<P: FrontendProbe>(
+    fn release_context<E: RegisterFile + ?Sized, P: FrontendProbe>(
         &mut self,
+        rf: &mut E,
         cid: Cid,
         probe: &mut P,
     ) -> Result<(), SimError> {
-        self.context_op(LaneOp::FreeContext(cid), 0, probe)?;
+        self.context_op(rf, LaneOp::FreeContext(cid), 0, probe)?;
         self.mem.ctable_mut().unmap(cid);
         self.sched.free_cid(cid);
         if self.active_cid == Some(cid) {
@@ -853,19 +967,33 @@ impl Machine {
         Ok(())
     }
 
-    fn halt_thread<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<Status, SimError> {
+    fn halt_thread<E: RegisterFile + ?Sized, P: FrontendProbe>(
+        &mut self,
+        rf: &mut E,
+        probe: &mut P,
+    ) -> Result<Status, SimError> {
         // Release the whole activation chain of the dying thread.
-        let mut cids: Vec<Cid> = {
-            let t = self.sched.current_mut();
-            t.call_stack.drain(..).map(|(_, c)| c).collect()
-        };
-        cids.push(self.sched.current_mut().cid);
+        let mut cids: Vec<Cid> = self
+            .sched
+            .current_mut()
+            .call_stack
+            .drain(..)
+            .map(|(_, c)| c)
+            .collect();
+        cids.push(self.running.cid);
         for c in cids {
-            self.release_context(c, probe)?;
+            self.release_context(rf, c, probe)?;
         }
         self.sched.finish_current();
         Ok(Status::Suspended)
     }
+}
+
+/// The engine left in [`Machine::regfile`] while the real one is moved
+/// out (for a run, or to be wrapped by [`Machine::attach_sink`]); it
+/// never executes.
+fn placeholder_engine() -> EngineDispatch {
+    EngineDispatch::Oracle(nsf_core::OracleFile::new())
 }
 
 /// Signed division matching the ISA contract (x/0 = 0, MIN/-1 wraps).
@@ -1430,6 +1558,20 @@ mod tests {
         let w = Machine::new(p, wide).unwrap().run().unwrap();
         assert!(n.regfile.port_conflict_cycles > w.regfile.port_conflict_cycles);
         assert!(w.cycles <= n.cycles);
+    }
+
+    #[test]
+    fn sample_interval_sets_the_sample_count() {
+        let p = assemble(ILP_LOOP).unwrap();
+        for interval in [0, 1, 7, 16] {
+            let cfg = SimConfig {
+                sample_interval: interval,
+                ..Default::default()
+            };
+            let r = Machine::new(p.clone(), cfg).unwrap().run().unwrap();
+            let want = r.instructions.checked_div(interval).unwrap_or(0);
+            assert_eq!(r.occupancy.samples, want, "interval {interval}");
+        }
     }
 
     #[test]

@@ -81,6 +81,7 @@ impl RegUses {
 
     /// Register-*file* port demand: `(read ports, write ports)` — `R`
     /// registers only.
+    #[inline]
     pub fn port_demand(&self) -> (u32, u32) {
         let reads = self
             .reads
@@ -151,10 +152,12 @@ struct WriteSet {
 }
 
 impl WriteSet {
+    #[inline]
     fn clear(&mut self) {
         *self = WriteSet::default();
     }
 
+    #[inline]
     fn insert(&mut self, reg: Reg) {
         match reg {
             Reg::R(off) => self.r[usize::from(off >> 6)] |= 1 << (off & 63),
@@ -162,6 +165,7 @@ impl WriteSet {
         }
     }
 
+    #[inline]
     fn contains(&self, reg: Reg) -> bool {
         match reg {
             Reg::R(off) => self.r[usize::from(off >> 6)] & (1 << (off & 63)) != 0,
@@ -172,6 +176,7 @@ impl WriteSet {
     /// RAW or WAW between `uses` and this group's writes. (Forwarding
     /// covers *prior* cycles; same-cycle producers cannot feed
     /// consumers, and two same-cycle writers would race.)
+    #[inline]
     fn hazard(&self, uses: &RegUses) -> bool {
         uses.reads.iter().flatten().any(|&reg| self.contains(reg))
             || uses.write.is_some_and(|reg| self.contains(reg))
@@ -250,6 +255,7 @@ impl Pipeline {
     }
 
     /// Closes the current group: the next instruction opens a new cycle.
+    #[inline]
     fn close(&mut self) {
         self.slots = 0;
         self.reads_used = 0;
@@ -258,24 +264,25 @@ impl Pipeline {
     }
 
     /// Accounts one instruction's issue, advancing `clock` by the cycles
-    /// it costs (0 when it co-issues). Replaces the serial machine's
-    /// `clock += base_cycles` charge; everything downstream of issue
-    /// (engine stalls, memory latency, branch/switch penalties) still
-    /// charges the clock directly and flushes the group via
-    /// `expected_clock` drift.
-    pub fn issue(&mut self, inst: &Inst, base: u32, clock: &mut u64) {
+    /// it costs (0 when it co-issues). `uses` is the instruction's
+    /// [`reg_uses`], which the machine predecodes once per program.
+    /// Replaces the serial machine's `clock += base_cycles` charge;
+    /// everything downstream of issue (engine stalls, memory latency,
+    /// branch/switch penalties) still charges the clock directly and
+    /// flushes the group via `expected_clock` drift.
+    #[inline]
+    pub fn issue(&mut self, uses: &RegUses, base: u32, clock: &mut u64) {
         if *clock != self.expected_clock {
             // Stall or latency cycles elapsed since the last issue: the
             // frontend drained; start a fresh group.
             self.close();
         }
-        let uses = reg_uses(inst);
         let (nreads, nwrites) = uses.port_demand();
         let single_cycle = base == 1;
         let fits_slots = self.slots < self.width;
         let fits_ports = self.reads_used + nreads <= self.read_ports
             && self.writes_used + nwrites <= self.write_ports;
-        let hazard = self.writes.hazard(&uses);
+        let hazard = self.writes.hazard(uses);
 
         if self.slots > 0 && fits_slots && single_cycle && !hazard && fits_ports {
             // Co-issue: a free slot this cycle. Its ported accesses run
@@ -319,6 +326,7 @@ impl Pipeline {
 
     /// Extra cycles needed to push `demand` accesses through `ports`
     /// ports (0 when they fit in one cycle).
+    #[inline]
     fn serialize_cycles(demand: u32, ports: u32) -> u32 {
         if demand <= ports {
             0
@@ -330,6 +338,7 @@ impl Pipeline {
     /// Accrues the CAM ported-access penalty for `accesses` file
     /// accesses in a shared (multi-access) cycle, charging whole cycles
     /// as they accumulate. The stretch breaks the group.
+    #[inline]
     fn charge_cam_penalty(&mut self, accesses: u32, clock: &mut u64) {
         if self.penalty_fp == 0 || accesses == 0 {
             return;
@@ -405,9 +414,9 @@ mod tests {
             rs1: r(3),
             rs2: r(4),
         };
-        p.issue(&a, 1, &mut clock);
+        p.issue(&reg_uses(&a), 1, &mut clock);
         assert_eq!(clock, 1, "group opener pays its base cycle");
-        p.issue(&b, 1, &mut clock);
+        p.issue(&reg_uses(&b), 1, &mut clock);
         assert_eq!(clock, 1, "independent op co-issues for free");
         assert_eq!(p.port_conflict_cycles, 0);
     }
@@ -426,8 +435,8 @@ mod tests {
             rs1: r(2), // reads a's result: same-cycle RAW
             rs2: r(1),
         };
-        p.issue(&a, 1, &mut clock);
-        p.issue(&b, 1, &mut clock);
+        p.issue(&reg_uses(&a), 1, &mut clock);
+        p.issue(&reg_uses(&b), 1, &mut clock);
         assert_eq!(clock, 2, "dependent op waits a cycle for forwarding");
         assert_eq!(p.port_conflict_cycles, 0, "hazard, not a port conflict");
     }
@@ -446,8 +455,8 @@ mod tests {
             rs1: r(3),
             rs2: r(4),
         };
-        p.issue(&a, 1, &mut clock); // uses both read ports
-        p.issue(&b, 1, &mut clock); // independent, but no ports left
+        p.issue(&reg_uses(&a), 1, &mut clock); // uses both read ports
+        p.issue(&reg_uses(&b), 1, &mut clock); // independent, but no ports left
         assert_eq!(clock, 2);
         assert_eq!(p.port_conflict_cycles, 1);
     }
@@ -457,9 +466,9 @@ mod tests {
         let mut p = wide(2, 16, 8);
         let mut clock = 0;
         let li = |rd| Inst::Li { rd: r(rd), imm: 0 };
-        p.issue(&li(0), 1, &mut clock);
-        p.issue(&li(1), 1, &mut clock);
-        p.issue(&li(2), 1, &mut clock); // third of a 2-wide group
+        p.issue(&reg_uses(&li(0)), 1, &mut clock);
+        p.issue(&reg_uses(&li(1)), 1, &mut clock);
+        p.issue(&reg_uses(&li(2)), 1, &mut clock); // third of a 2-wide group
         assert_eq!(clock, 2);
         assert_eq!(p.port_conflict_cycles, 0);
     }
@@ -469,9 +478,9 @@ mod tests {
         let mut p = wide(4, 16, 8);
         let mut clock = 0;
         let li = |rd| Inst::Li { rd: r(rd), imm: 0 };
-        p.issue(&li(0), 1, &mut clock);
+        p.issue(&reg_uses(&li(0)), 1, &mut clock);
         clock += 7; // engine stall / memory latency outside issue
-        p.issue(&li(1), 1, &mut clock);
+        p.issue(&reg_uses(&li(1)), 1, &mut clock);
         assert_eq!(clock, 9, "post-stall instruction opens a new cycle");
     }
 
@@ -479,10 +488,10 @@ mod tests {
     fn multi_cycle_classes_own_their_cycles() {
         let mut p = wide(4, 16, 8);
         let mut clock = 0;
-        p.issue(&Inst::Call { target: 0 }, 2, &mut clock);
+        p.issue(&reg_uses(&Inst::Call { target: 0 }), 2, &mut clock);
         assert_eq!(clock, 2);
         let li = Inst::Li { rd: r(0), imm: 0 };
-        p.issue(&li, 1, &mut clock);
+        p.issue(&reg_uses(&li), 1, &mut clock);
         assert_eq!(clock, 3, "nothing co-issues with a multi-cycle op");
     }
 
@@ -495,7 +504,7 @@ mod tests {
             rs1: r(0),
             rs2: r(1), // 2 reads through a 1-read-port file
         };
-        p.issue(&a, 1, &mut clock);
+        p.issue(&reg_uses(&a), 1, &mut clock);
         assert_eq!(clock, 2, "second read port cycle");
         assert_eq!(p.port_conflict_cycles, 1);
     }
@@ -520,7 +529,7 @@ mod tests {
         // Enough co-issued accesses to roll over a whole cycle.
         let mut issued = 0u64;
         while p.cam_penalty_cycles == 0 && issued < 1000 {
-            p.issue(&li((issued % 200) as u8), 1, &mut clock);
+            p.issue(&reg_uses(&li((issued % 200) as u8)), 1, &mut clock);
             issued += 1;
         }
         assert!(p.cam_penalty_cycles > 0, "accrual reaches whole cycles");

@@ -54,6 +54,7 @@ impl TraceBuffer {
     }
 
     /// Whether recording is enabled.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.depth > 0
     }

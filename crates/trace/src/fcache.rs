@@ -823,6 +823,27 @@ mod tests {
         assert!(buf.shared_cycles <= live.cycles);
     }
 
+    #[test]
+    fn per_instruction_sampling_replays_exactly() {
+        // `sample_interval: 1` puts a sample event after every
+        // instruction; replay must reproduce each lane's live occupancy.
+        let w = nsf_workloads::gatesim::build(0);
+        let cfgs: Vec<SimConfig> = five_specs()
+            .into_iter()
+            .map(|cfg| SimConfig {
+                sample_interval: 1,
+                ..cfg
+            })
+            .collect();
+        let buf = capture_frontend(&w, cfgs[0]).unwrap();
+        let replayed = replay_frontend(&buf, &w, &cfgs).unwrap();
+        for (cfg, got) in cfgs.iter().zip(&replayed) {
+            let live = nsf_workloads::run(&w, *cfg).unwrap();
+            assert_eq!(got.occupancy.samples, live.instructions);
+            assert_eq!(*got, live, "{}", live.regfile_desc);
+        }
+    }
+
     /// FNV-1a-64 over `bytes`.
     fn fnv1a64(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
