@@ -13,14 +13,13 @@
 //! that an interruption could have lost.
 
 use crate::cost::point_cost;
-use crate::ledger::{
-    encode_header, encode_record, parse, LedgerError, LedgerHeader, LedgerRecord, ParsedLedger,
-};
+use crate::ledger::{encode_header, encode_record, parse, LedgerError, LedgerHeader, LedgerRecord};
 use crate::memo::{encode_memo_header, encode_memo_record, memo_key, parse_memo, MemoRecord};
 use crate::pareto::ParetoFront;
 use crate::spec::{shard_of, workload_builder, ExploreSpec, Point};
 use nsf_bench::Sweep;
 use nsf_sim::SpecError;
+use nsf_trace::frame::{truncate_to, write_atomic};
 use nsf_trace::{stream_fingerprint, StreamStore};
 use nsf_workloads::Workload;
 use std::collections::HashMap;
@@ -182,65 +181,18 @@ impl Explorer {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                fs::write(&path, encode_header(&expected))?;
+                write_atomic(&path, &encode_header(&expected))?;
                 return Ok(Vec::new());
             }
             Err(e) => return Err(e.into()),
         };
-        let ParsedLedger {
-            header,
-            records,
-            valid_len,
-        } = parse(&bytes)?;
-        let check = |field, expected: u64, found: u64| {
-            if expected == found {
-                Ok(())
-            } else {
-                Err(LedgerError::Mismatch {
-                    field,
-                    expected,
-                    found,
-                })
-            }
-        };
-        check("fingerprint", expected.fingerprint, header.fingerprint)?;
-        check(
-            "shard index",
-            expected.shard_index.into(),
-            header.shard_index.into(),
-        )?;
-        check(
-            "shard count",
-            expected.shard_count.into(),
-            header.shard_count.into(),
-        )?;
-        check("shard points", expected.shard_points, header.shard_points)?;
-        if records.len() > shard_pts.len() {
-            return Err(LedgerError::Mismatch {
-                field: "record count",
-                expected: shard_pts.len() as u64,
-                found: records.len() as u64,
-            }
-            .into());
-        }
-        for (i, rec) in records.iter().enumerate() {
-            if rec.point_idx != shard_pts[i].idx {
-                return Err(LedgerError::OutOfSequence {
-                    record: i as u64,
-                    expected: shard_pts[i].idx,
-                    found: rec.point_idx,
-                }
-                .into());
-            }
-        }
-        if valid_len < bytes.len() {
-            // A crash mid-append left a partial record; cut back to the
-            // last intact boundary so appending resumes cleanly.
-            let mut f = fs::OpenOptions::new().write(true).open(&path)?;
-            f.set_len(valid_len as u64)?;
-            f.flush()?;
-        }
-        Ok(records)
+        let parsed = parse(&bytes)?;
+        check_identity(&expected, &parsed.header)?;
+        check_records(&parsed.records, shard_pts)?;
+        // A crash mid-append left a partial record; cut back to the last
+        // intact boundary so appending resumes cleanly.
+        truncate_to(&path, parsed.valid_len)?;
+        Ok(parsed.records)
     }
 
     /// Runs (or resumes) the exploration.
@@ -254,11 +206,7 @@ impl Explorer {
             self.shard_count
         );
         let points = self.spec.enumerate();
-        let shard_pts: Vec<Point> = points
-            .iter()
-            .filter(|p| shard_of(p.idx, self.shard_count) == self.shard_index)
-            .cloned()
-            .collect();
+        let shard_pts = shard_points(&points, self.shard_index, self.shard_count);
         fs::create_dir_all(&self.out_dir)?;
         let resumed = self.open_ledger(&shard_pts)?.len();
         let mut ctx = match &self.store_dir {
@@ -458,21 +406,14 @@ impl StoreCtx {
         fs::create_dir_all(dir)?;
         let path = Self::memo_path(dir);
         let mut memo = HashMap::new();
-        match fs::read(&path) {
-            Ok(bytes) => match parse_memo(&bytes) {
-                Ok(parsed) => {
-                    if parsed.valid_len < bytes.len() {
-                        let f = fs::OpenOptions::new().write(true).open(&path)?;
-                        f.set_len(parsed.valid_len as u64)?;
-                    }
-                    for r in parsed.records {
-                        memo.insert(r.key, r);
-                    }
-                }
-                Err(_) => fs::write(&path, encode_memo_header())?,
-            },
+        match fs::read(&path).map(|bytes| parse_memo(&bytes)) {
+            Ok(Ok(parsed)) => {
+                truncate_to(&path, parsed.valid_len)?;
+                memo.extend(parsed.records.into_iter().map(|r| (r.key, r)));
+            }
+            Ok(Err(_)) => write_atomic(&path, &encode_memo_header())?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                fs::write(&path, encode_memo_header())?;
+                write_atomic(&path, &encode_memo_header())?;
             }
             Err(e) => return Err(e.into()),
         }
@@ -483,6 +424,68 @@ impl StoreCtx {
             file,
         })
     }
+}
+
+/// Checks a ledger's header against the one this run (or merge)
+/// expects, field by field.
+fn check_identity(expected: &LedgerHeader, found: &LedgerHeader) -> Result<(), LedgerError> {
+    for (field, expected, found) in [
+        ("fingerprint", expected.fingerprint, found.fingerprint),
+        (
+            "shard index",
+            expected.shard_index.into(),
+            found.shard_index.into(),
+        ),
+        (
+            "shard count",
+            expected.shard_count.into(),
+            found.shard_count.into(),
+        ),
+        ("shard points", expected.shard_points, found.shard_points),
+    ] {
+        if expected != found {
+            return Err(LedgerError::Mismatch {
+                field,
+                expected,
+                found,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Checks that `records` name `shard_pts` in order — a prefix of them.
+/// Anything else (an index out of range, from another shard, repeated
+/// or out of order, or too many records) means the ledger belongs to a
+/// different enumeration.
+fn check_records(records: &[LedgerRecord], shard_pts: &[Point]) -> Result<(), LedgerError> {
+    if records.len() > shard_pts.len() {
+        return Err(LedgerError::Mismatch {
+            field: "record count",
+            expected: shard_pts.len() as u64,
+            found: records.len() as u64,
+        });
+    }
+    for (i, (rec, p)) in records.iter().zip(shard_pts).enumerate() {
+        if rec.point_idx != p.idx {
+            return Err(LedgerError::OutOfSequence {
+                record: i as u64,
+                expected: p.idx,
+                found: rec.point_idx,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The points of `points` that shard `index` of `count` evaluates, in
+/// order.
+fn shard_points(points: &[Point], index: u32, count: u32) -> Vec<Point> {
+    points
+        .iter()
+        .filter(|p| shard_of(p.idx, count) == index)
+        .cloned()
+        .collect()
 }
 
 /// Folds records into one Pareto front per workload (keyed by workload
@@ -544,50 +547,135 @@ pub fn render_front(spec: &ExploreSpec, points: &[Point], records: &[LedgerRecor
 
 /// Merges completed shard ledgers into the full record set and renders
 /// the combined front. Every shard of the exploration must be present
-/// exactly once, complete, and fingerprint-matched to `spec`.
+/// exactly once, complete, fingerprint-matched to `spec`, and hold
+/// exactly its own points in order.
 pub fn merge_ledgers(
     spec: &ExploreSpec,
     ledgers: &[Vec<u8>],
 ) -> Result<(Vec<LedgerRecord>, String), ExploreError> {
     spec.validate()?;
     let points = spec.enumerate();
-    let fp = spec.fingerprint();
     let count = ledgers.len() as u32;
     let mut seen = vec![false; ledgers.len()];
     let mut all: Vec<LedgerRecord> = Vec::new();
     for bytes in ledgers {
         let parsed = parse(bytes)?;
-        let h = parsed.header;
-        let bad = |field, expected, found| {
-            Err(ExploreError::Ledger(LedgerError::Mismatch {
-                field,
-                expected,
-                found,
-            }))
+        let index = parsed.header.shard_index;
+        if index >= count || seen[index as usize] {
+            return Err(LedgerError::Mismatch {
+                field: "shard index",
+                expected: count.into(),
+                found: index.into(),
+            }
+            .into());
+        }
+        seen[index as usize] = true;
+        let shard_pts = shard_points(&points, index, count);
+        let expected = LedgerHeader {
+            fingerprint: spec.fingerprint(),
+            shard_index: index,
+            shard_count: count,
+            shard_points: shard_pts.len() as u64,
         };
-        if h.fingerprint != fp {
-            return bad("fingerprint", fp, h.fingerprint);
-        }
-        if h.shard_count != count {
-            return bad("shard count", count.into(), h.shard_count.into());
-        }
-        if h.shard_index >= count || seen[h.shard_index as usize] {
-            return bad("shard index", count.into(), h.shard_index.into());
-        }
-        seen[h.shard_index as usize] = true;
-        if (parsed.records.len() as u64) < h.shard_points {
-            return bad("shard points", h.shard_points, parsed.records.len() as u64);
+        check_identity(&expected, &parsed.header)?;
+        check_records(&parsed.records, &shard_pts)?;
+        if parsed.records.len() < shard_pts.len() {
+            return Err(LedgerError::Mismatch {
+                field: "shard points",
+                expected: shard_pts.len() as u64,
+                found: parsed.records.len() as u64,
+            }
+            .into());
         }
         all.extend(parsed.records);
     }
     all.sort_by_key(|r| r.point_idx);
     if all.len() != points.len() {
-        return Err(ExploreError::Ledger(LedgerError::Mismatch {
+        return Err(LedgerError::Mismatch {
             field: "merged records",
             expected: points.len() as u64,
             found: all.len() as u64,
-        }));
+        }
+        .into());
     }
     let rendered = render_front(spec, &points, &all);
     Ok((all, rendered))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pareto::PointCost;
+    use crate::spec::{CacheGeom, Family};
+
+    fn spec() -> ExploreSpec {
+        ExploreSpec {
+            families: vec![Family::Nsf, Family::Segmented],
+            total_regs: vec![48, 64, 80],
+            line_sizes: vec![1, 2],
+            contexts: vec![2],
+            caches: vec![CacheGeom::sparc2()],
+            workloads: vec!["gatesim".into()],
+            scale: 0,
+        }
+    }
+
+    /// A complete two-shard ledger for shard `index`, with the record
+    /// indices `idx` (the shard's own points unless a test forges them).
+    fn shard(spec: &ExploreSpec, index: u32, idx: &[u64]) -> Vec<u8> {
+        let points = spec.enumerate();
+        let mut bytes = encode_header(&LedgerHeader {
+            fingerprint: spec.fingerprint(),
+            shard_index: index,
+            shard_count: 2,
+            shard_points: shard_points(&points, index, 2).len() as u64,
+        });
+        for &point_idx in idx {
+            bytes.extend(encode_record(&LedgerRecord {
+                point_idx,
+                instructions: 1,
+                cycles: 1,
+                cost: PointCost {
+                    reloads_per_instr: 0.0,
+                    utilization: 0.0,
+                    area_um2: 0.0,
+                    access_ns: 0.0,
+                },
+            }));
+        }
+        bytes
+    }
+
+    #[test]
+    fn merge_rejects_records_outside_their_shard() {
+        let spec = spec();
+        let points = spec.enumerate();
+        let own = |i| -> Vec<u64> { shard_points(&points, i, 2).iter().map(|p| p.idx).collect() };
+        let (even, odd) = (own(0), own(1));
+        assert!(merge_ledgers(&spec, &[shard(&spec, 0, &even), shard(&spec, 1, &odd)]).is_ok());
+        let n = points.len() as u64;
+        let mut out_of_range = even.clone();
+        *out_of_range.last_mut().unwrap() = n + 40;
+        let mut wrong_shard = even.clone();
+        wrong_shard[1] = odd[0];
+        let mut repeated = even.clone();
+        repeated[2] = repeated[1];
+        let mut swapped = even.clone();
+        swapped.swap(0, 1);
+        for (name, forged) in [
+            ("out of range", out_of_range),
+            ("wrong shard", wrong_shard),
+            ("repeated", repeated),
+            ("out of order", swapped),
+        ] {
+            let got = merge_ledgers(&spec, &[shard(&spec, 0, &forged), shard(&spec, 1, &odd)]);
+            assert!(
+                matches!(
+                    got,
+                    Err(ExploreError::Ledger(LedgerError::OutOfSequence { .. }))
+                ),
+                "{name}: {got:?}"
+            );
+        }
+    }
 }

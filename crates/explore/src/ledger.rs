@@ -1,7 +1,7 @@
 //! The append-only results ledger: every evaluated point becomes one
-//! checksummed record, in the `.nsftrace` encoding style (LEB128
-//! varints via [`nsf_trace::VarWriter`] / [`nsf_trace::VarReader`],
-//! FNV-1a-64 checksums).
+//! checksummed record — a checksummed record log of
+//! [`nsf_trace::frame`], which owns the varints, the FNV-1a-64
+//! checksums, the header check and the torn-tail rule.
 //!
 //! Layout:
 //!
@@ -16,34 +16,26 @@
 //! All integer fields are varints; `f64` fields are varints of their
 //! IEEE-754 bit patterns, so a replayed value is *bit-identical* to the
 //! appended one — the property the resume test's byte-equality rides
-//! on. Records are appended strictly in shard point order, which makes
-//! the valid prefix of a ledger self-describing: parsing stops at the
-//! first corrupt or truncated record (a crash mid-append) and reports
-//! the clean byte length, and the explorer resumes from there. A bad
-//! *header* is not recoverable and is a hard error, as is a header
-//! whose fingerprint or shard coordinates disagree with the run being
+//! on. The memo ([`crate::memo`]) shares the record layout
+//! (`encode_point` / `decode_point`). Records are appended strictly
+//! in shard point order, which makes the valid prefix of a ledger
+//! self-describing: parsing stops at the first corrupt or truncated
+//! record (a crash mid-append) and reports the clean byte length, and
+//! the explorer resumes from there. A bad *header* is not recoverable
+//! and is a hard error ([`LedgerError::Frame`]), as is a header whose
+//! fingerprint or shard coordinates disagree with the run being
 //! resumed.
 
 use crate::pareto::PointCost;
-use nsf_trace::{VarReader, VarWriter};
+use nsf_trace::frame::{checked_record, parse_log, FrameError, RecordLog, VarReader, VarWriter};
 use std::fmt;
 
 /// Leading magic of a ledger file.
 pub const MAGIC: [u8; 4] = *b"NSFX";
 /// Current format version.
 pub const VERSION: u8 = 1;
-/// Tag of an evaluated-point record.
+/// Tag of an evaluated-point record (ledger and memo alike).
 const RECORD_TAG: u8 = 0x01;
-
-/// FNV-1a 64-bit, the checksum of the `.nsftrace` family of formats.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The identity block at the head of a ledger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,8 +68,8 @@ pub struct LedgerRecord {
 pub enum LedgerError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// The header is unreadable — nothing can be salvaged.
-    Corrupt(&'static str),
+    /// The header block is damaged or foreign — nothing can be salvaged.
+    Frame(FrameError),
     /// The header identifies a different run than the one resuming.
     Mismatch {
         /// Which header field disagreed.
@@ -87,8 +79,9 @@ pub enum LedgerError {
         /// What the ledger holds.
         found: u64,
     },
-    /// Records are present but out of order w.r.t. the shard's point
-    /// list — the ledger belongs to a different enumeration.
+    /// A record does not name the shard's next point — out of range,
+    /// from another shard, repeated or out of order: the ledger belongs
+    /// to a different enumeration.
     OutOfSequence {
         /// Record position in the ledger.
         record: u64,
@@ -103,7 +96,7 @@ impl fmt::Display for LedgerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LedgerError::Io(e) => write!(f, "ledger i/o: {e}"),
-            LedgerError::Corrupt(what) => write!(f, "corrupt ledger: {what}"),
+            LedgerError::Frame(e) => write!(f, "corrupt ledger: {e}"),
             LedgerError::Mismatch {
                 field,
                 expected,
@@ -132,140 +125,100 @@ impl From<std::io::Error> for LedgerError {
     }
 }
 
-fn with_checksum(body: Vec<u8>) -> Vec<u8> {
-    let mut tail = VarWriter::new();
-    tail.put_varint(fnv64(&body));
-    let mut out = body;
-    out.extend(tail.into_bytes());
-    out
+impl From<FrameError> for LedgerError {
+    fn from(e: FrameError) -> Self {
+        LedgerError::Frame(e)
+    }
+}
+
+/// Encodes the record layout the ledger and the memo share: tag, the
+/// record's identity (point index or memo key), instructions, cycles,
+/// and the four cost axes as IEEE-754 bit patterns, then the checksum.
+pub(crate) fn encode_point(id: u64, instructions: u64, cycles: u64, cost: &PointCost) -> Vec<u8> {
+    let mut w = VarWriter::new();
+    w.put_u8(RECORD_TAG);
+    for v in [
+        id,
+        instructions,
+        cycles,
+        cost.reloads_per_instr.to_bits(),
+        cost.utilization.to_bits(),
+        cost.area_um2.to_bits(),
+        cost.access_ns.to_bits(),
+    ] {
+        w.put_varint(v);
+    }
+    checked_record(w)
+}
+
+/// Decodes [`encode_point`]'s fields (the record log checks the
+/// checksum): `(id, instructions, cycles, cost)`.
+pub(crate) fn decode_point(
+    r: &mut VarReader<'_>,
+) -> Result<(u64, u64, u64, PointCost), FrameError> {
+    if r.get_u8()? != RECORD_TAG {
+        return Err(FrameError::BadVarint);
+    }
+    let mut f = [0u64; 7];
+    for v in &mut f {
+        *v = r.get_varint()?;
+    }
+    let cost = PointCost {
+        reloads_per_instr: f64::from_bits(f[3]),
+        utilization: f64::from_bits(f[4]),
+        area_um2: f64::from_bits(f[5]),
+        access_ns: f64::from_bits(f[6]),
+    };
+    Ok((f[0], f[1], f[2], cost))
 }
 
 /// Encodes the header block.
 pub fn encode_header(h: &LedgerHeader) -> Vec<u8> {
-    let mut w = VarWriter::new();
-    for b in MAGIC {
-        w.put_u8(b);
+    let mut w = VarWriter::with_header(MAGIC, VERSION);
+    for v in [
+        h.fingerprint,
+        u64::from(h.shard_index),
+        u64::from(h.shard_count),
+        h.shard_points,
+    ] {
+        w.put_varint(v);
     }
-    w.put_u8(VERSION);
-    w.put_varint(h.fingerprint);
-    w.put_varint(u64::from(h.shard_index));
-    w.put_varint(u64::from(h.shard_count));
-    w.put_varint(h.shard_points);
-    with_checksum(w.into_bytes())
+    checked_record(w)
 }
 
 /// Encodes one record.
 pub fn encode_record(r: &LedgerRecord) -> Vec<u8> {
-    let mut w = VarWriter::new();
-    w.put_u8(RECORD_TAG);
-    w.put_varint(r.point_idx);
-    w.put_varint(r.instructions);
-    w.put_varint(r.cycles);
-    w.put_varint(r.cost.reloads_per_instr.to_bits());
-    w.put_varint(r.cost.utilization.to_bits());
-    w.put_varint(r.cost.area_um2.to_bits());
-    w.put_varint(r.cost.access_ns.to_bits());
-    with_checksum(w.into_bytes())
+    encode_point(r.point_idx, r.instructions, r.cycles, &r.cost)
 }
 
-/// A parsed ledger: the valid prefix of a file.
-#[derive(Debug)]
-pub struct ParsedLedger {
-    /// The identity header.
-    pub header: LedgerHeader,
-    /// Every intact record, in append order.
-    pub records: Vec<LedgerRecord>,
-    /// Byte length of the valid prefix. Anything past this is a
-    /// partial or corrupt tail from an interrupted append and must be
-    /// truncated before appending resumes.
-    pub valid_len: usize,
-}
-
-impl ParsedLedger {
-    /// `true` when the file carried bytes past the last intact record.
-    pub fn truncated_tail(&self, file_len: usize) -> bool {
-        self.valid_len < file_len
-    }
-}
+/// A parsed ledger: the header and the valid prefix of its records.
+/// Bytes past [`RecordLog::valid_len`] are a partial or corrupt tail
+/// from an interrupted append and must be truncated before appending
+/// resumes.
+pub type ParsedLedger = RecordLog<LedgerHeader, LedgerRecord>;
 
 /// Parses a ledger image. The header must be intact; a damaged or
 /// half-written record tail is not an error — parsing stops and
-/// [`ParsedLedger::valid_len`] marks the clean prefix.
+/// [`RecordLog::valid_len`] marks the clean prefix.
 pub fn parse(bytes: &[u8]) -> Result<ParsedLedger, LedgerError> {
-    let mut r = VarReader::new(bytes);
-    let bad = |what| LedgerError::Corrupt(what);
-    for expect in MAGIC {
-        if r.get_u8().map_err(|_| bad("missing magic"))? != expect {
-            return Err(bad("bad magic"));
-        }
-    }
-    if r.get_u8().map_err(|_| bad("missing version"))? != VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let mut field = || r.get_varint().map_err(|_| bad("short header"));
-    let fingerprint = field()?;
-    let shard_index = field()?;
-    let shard_count = field()?;
-    let shard_points = field()?;
-    let body_end = r.pos();
-    let stored = r.get_varint().map_err(|_| bad("missing header checksum"))?;
-    if stored != fnv64(&bytes[..body_end]) {
-        return Err(bad("header checksum mismatch"));
-    }
-    let header = LedgerHeader {
-        fingerprint,
-        shard_index: u32::try_from(shard_index).map_err(|_| bad("shard index overflow"))?,
-        shard_count: u32::try_from(shard_count).map_err(|_| bad("shard count overflow"))?,
-        shard_points,
+    let header = |r: &mut VarReader<'_>| {
+        Ok(LedgerHeader {
+            fingerprint: r.get_varint()?,
+            shard_index: r.get_int()?,
+            shard_count: r.get_int()?,
+            shard_points: r.get_varint()?,
+        })
     };
-
-    let mut records = Vec::new();
-    let mut valid_len = r.pos();
-    loop {
-        // One record, atomically: any failure rolls back to the last
-        // intact boundary.
-        let start = valid_len;
-        let mut read = || -> Option<LedgerRecord> {
-            if r.get_u8().ok()? != RECORD_TAG {
-                return None;
-            }
-            let point_idx = r.get_varint().ok()?;
-            let instructions = r.get_varint().ok()?;
-            let cycles = r.get_varint().ok()?;
-            let cost = PointCost {
-                reloads_per_instr: f64::from_bits(r.get_varint().ok()?),
-                utilization: f64::from_bits(r.get_varint().ok()?),
-                area_um2: f64::from_bits(r.get_varint().ok()?),
-                access_ns: f64::from_bits(r.get_varint().ok()?),
-            };
-            let body_end = r.pos();
-            let stored = r.get_varint().ok()?;
-            if stored != fnv64(&bytes[start..body_end]) {
-                return None;
-            }
-            Some(LedgerRecord {
-                point_idx,
-                instructions,
-                cycles,
-                cost,
-            })
-        };
-        match read() {
-            Some(rec) => {
-                records.push(rec);
-                valid_len = r.pos();
-            }
-            None => break,
-        }
-        if r.done() {
-            break;
-        }
-    }
-    Ok(ParsedLedger {
-        header,
-        records,
-        valid_len,
-    })
+    let record = |r: &mut VarReader<'_>| {
+        let (point_idx, instructions, cycles, cost) = decode_point(r)?;
+        Ok(LedgerRecord {
+            point_idx,
+            instructions,
+            cycles,
+            cost,
+        })
+    };
+    Ok(parse_log(bytes, MAGIC, VERSION, header, record)?)
 }
 
 #[cfg(test)]
@@ -340,10 +293,10 @@ mod tests {
     fn header_damage_is_fatal() {
         let mut bytes = image(1);
         bytes[1] ^= 0xff;
-        assert!(matches!(parse(&bytes), Err(LedgerError::Corrupt(_))));
-        assert!(matches!(parse(&[]), Err(LedgerError::Corrupt(_))));
+        assert!(matches!(parse(&bytes), Err(LedgerError::Frame(_))));
+        assert!(matches!(parse(&[]), Err(LedgerError::Frame(_))));
         let short = &image(0)[..4];
-        assert!(matches!(parse(short), Err(LedgerError::Corrupt(_))));
+        assert!(matches!(parse(short), Err(LedgerError::Frame(_))));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   partitioned round-robin by index, so `--shard i/N` runs anywhere
 //!   and [`merge_ledgers`] reassembles the exact single-run result.
 //! - **Checkpointed ledger** ([`ledger`]) — every evaluated point is
-//!   appended as a checksummed varint record (the `.nsftrace` encoding
-//!   style); on restart the explorer replays the ledger, truncates a
+//!   appended as a checksummed varint record (a record log of
+//!   [`nsf_trace::frame`], as is the result memo, [`memo`]); on restart the explorer replays the ledger, truncates a
 //!   half-written tail, and continues after the last intact record. An
 //!   interrupted-then-resumed run produces a **byte-identical** ledger
 //!   and front to an uninterrupted one (pinned by `tests/resume.rs`).
@@ -46,8 +46,6 @@ pub use driver::{
     DEFAULT_CHUNK,
 };
 pub use ledger::{LedgerError, LedgerHeader, LedgerRecord, ParsedLedger};
-pub use memo::{
-    memo_key, parse_memo, MemoCorrupt, MemoRecord, ParsedMemo, MEMO_MAGIC, MEMO_VERSION,
-};
+pub use memo::{memo_key, parse_memo, MemoRecord, ParsedMemo, MEMO_MAGIC, MEMO_VERSION};
 pub use pareto::{CostPoint, ParetoFront, PointCost};
 pub use spec::{shard_of, workload_builder, CacheGeom, ExploreSpec, Family, Point, WORKLOADS};

@@ -13,7 +13,8 @@
 //! are the same simulation by construction, so their
 //! instructions/cycles/[`PointCost`] are interchangeable.
 //!
-//! Layout (the `.nsftrace` encoding style, mirroring [`crate::ledger`]):
+//! Layout (a checksummed record log of [`nsf_trace::frame`], with the
+//! ledger's record layout — [`crate::ledger`]):
 //!
 //! ```text
 //! header := magic "NSFM" | version u8 | fnv64(preceding bytes)
@@ -28,18 +29,17 @@
 //! appended — the property that lets a store-warm explorer run produce
 //! the same ledger and front files as a cold one. The memo file is
 //! advisory: a torn tail is truncated at the last intact record, and a
-//! damaged header discards the file (the explorer just re-simulates).
+//! damaged header (a typed [`FrameError`]) discards the file (the
+//! explorer just re-simulates).
 
-use crate::ledger::fnv64;
+use crate::ledger::{decode_point, encode_point};
 use crate::pareto::PointCost;
-use nsf_trace::{VarReader, VarWriter};
+use nsf_trace::frame::{checked_record, parse_log, Fnv64, FrameError, RecordLog, VarWriter};
 
 /// Leading magic of a memo file.
 pub const MEMO_MAGIC: [u8; 4] = *b"NSFM";
 /// Current memo format version.
 pub const MEMO_VERSION: u8 = 1;
-/// Tag of a memoized-point record.
-const RECORD_TAG: u8 = 0x01;
 
 /// One memoized evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,133 +59,49 @@ pub struct MemoRecord {
 /// change the record's value is folded in; nothing positional (point
 /// index, shard, spec ordering) is.
 pub fn memo_key(frontend_fp: u64, engine: &str, model_version: u32) -> u64 {
-    let mut bytes = Vec::with_capacity(12 + engine.len());
-    bytes.extend_from_slice(&frontend_fp.to_le_bytes());
-    bytes.extend_from_slice(&model_version.to_le_bytes());
-    bytes.extend_from_slice(engine.as_bytes());
-    fnv64(&bytes)
-}
-
-fn with_checksum(body: Vec<u8>) -> Vec<u8> {
-    let mut tail = VarWriter::new();
-    tail.put_varint(fnv64(&body));
-    let mut out = body;
-    out.extend(tail.into_bytes());
-    out
+    let mut h = Fnv64::new();
+    h.word(frontend_fp);
+    h.update(&model_version.to_le_bytes());
+    h.update(engine.as_bytes());
+    h.finish()
 }
 
 /// Encodes the header block.
 pub fn encode_memo_header() -> Vec<u8> {
-    let mut w = VarWriter::new();
-    for b in MEMO_MAGIC {
-        w.put_u8(b);
-    }
-    w.put_u8(MEMO_VERSION);
-    with_checksum(w.into_bytes())
+    checked_record(VarWriter::with_header(MEMO_MAGIC, MEMO_VERSION))
 }
 
 /// Encodes one record.
 pub fn encode_memo_record(r: &MemoRecord) -> Vec<u8> {
-    let mut w = VarWriter::new();
-    w.put_u8(RECORD_TAG);
-    w.put_varint(r.key);
-    w.put_varint(r.instructions);
-    w.put_varint(r.cycles);
-    w.put_varint(r.cost.reloads_per_instr.to_bits());
-    w.put_varint(r.cost.utilization.to_bits());
-    w.put_varint(r.cost.area_um2.to_bits());
-    w.put_varint(r.cost.access_ns.to_bits());
-    with_checksum(w.into_bytes())
+    encode_point(r.key, r.instructions, r.cycles, &r.cost)
 }
 
-/// A parsed memo file: the valid prefix.
-#[derive(Debug)]
-pub struct ParsedMemo {
-    /// Every intact record, in append order (later duplicates of a key
-    /// supersede earlier ones when folded into a map).
-    pub records: Vec<MemoRecord>,
-    /// Byte length of the valid prefix; bytes past it are a torn tail
-    /// from an interrupted append and must be truncated before
-    /// appending resumes.
-    pub valid_len: usize,
-}
+/// A parsed memo file: the valid prefix. Later duplicates of a key
+/// supersede earlier ones when folded into a map; bytes past
+/// [`RecordLog::valid_len`] are a torn tail from an interrupted append
+/// and must be truncated before appending resumes.
+pub type ParsedMemo = RecordLog<(), MemoRecord>;
 
-/// Why a memo file could not be used at all. Unlike the ledger this is
-/// never fatal to a run — the caller discards the file and
-/// re-simulates — but the rejection is typed, never a panic.
-#[derive(Debug)]
-pub struct MemoCorrupt(pub &'static str);
-
-impl std::fmt::Display for MemoCorrupt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "corrupt memo: {}", self.0)
-    }
-}
-
-impl std::error::Error for MemoCorrupt {}
-
-/// Parses a memo image. The header must be intact; a damaged or
-/// half-written record tail stops the parse at the last clean boundary.
-pub fn parse_memo(bytes: &[u8]) -> Result<ParsedMemo, MemoCorrupt> {
-    let mut r = VarReader::new(bytes);
-    let bad = MemoCorrupt;
-    for expect in MEMO_MAGIC {
-        if r.get_u8().map_err(|_| bad("missing magic"))? != expect {
-            return Err(bad("bad magic"));
-        }
-    }
-    if r.get_u8().map_err(|_| bad("missing version"))? != MEMO_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let body_end = r.pos();
-    let stored = r.get_varint().map_err(|_| bad("missing header checksum"))?;
-    if stored != fnv64(&bytes[..body_end]) {
-        return Err(bad("header checksum mismatch"));
-    }
-
-    let mut records = Vec::new();
-    let mut valid_len = r.pos();
-    loop {
-        // One record, atomically: any failure rolls back to the last
-        // intact boundary.
-        let start = valid_len;
-        let mut read = || -> Option<MemoRecord> {
-            if r.get_u8().ok()? != RECORD_TAG {
-                return None;
-            }
-            let key = r.get_varint().ok()?;
-            let instructions = r.get_varint().ok()?;
-            let cycles = r.get_varint().ok()?;
-            let cost = PointCost {
-                reloads_per_instr: f64::from_bits(r.get_varint().ok()?),
-                utilization: f64::from_bits(r.get_varint().ok()?),
-                area_um2: f64::from_bits(r.get_varint().ok()?),
-                access_ns: f64::from_bits(r.get_varint().ok()?),
-            };
-            let body_end = r.pos();
-            let stored = r.get_varint().ok()?;
-            if stored != fnv64(&bytes[start..body_end]) {
-                return None;
-            }
-            Some(MemoRecord {
+/// Parses a memo image. The header must be intact — otherwise the
+/// typed [`FrameError`] tells the caller to discard the file, which is
+/// never fatal to a run; a damaged or half-written record tail stops
+/// the parse at the last clean boundary.
+pub fn parse_memo(bytes: &[u8]) -> Result<ParsedMemo, FrameError> {
+    parse_log(
+        bytes,
+        MEMO_MAGIC,
+        MEMO_VERSION,
+        |_| Ok(()),
+        |r| {
+            let (key, instructions, cycles, cost) = decode_point(r)?;
+            Ok(MemoRecord {
                 key,
                 instructions,
                 cycles,
                 cost,
             })
-        };
-        match read() {
-            Some(rec) => {
-                records.push(rec);
-                valid_len = r.pos();
-            }
-            None => break,
-        }
-        if r.done() {
-            break;
-        }
-    }
-    Ok(ParsedMemo { records, valid_len })
+        },
+    )
 }
 
 #[cfg(test)]

@@ -260,7 +260,7 @@ impl ExploreSpec {
     /// A stable 64-bit fingerprint of the spec, stored in ledger headers
     /// so a resumed run cannot silently continue someone else's sweep.
     pub fn fingerprint(&self) -> u64 {
-        crate::ledger::fnv64(self.canonical().as_bytes())
+        nsf_trace::frame::fnv64(self.canonical().as_bytes())
     }
 
     /// The canonical one-line rendering the fingerprint hashes.

@@ -228,8 +228,8 @@ impl SimConfig {
         }
     }
 
-    /// Feeds every frontend-relevant field — exactly the set
-    /// [`SimConfig::frontend_eq`] compares, and nothing else — into
+    /// Feeds every frontend-relevant field — the one list of them;
+    /// [`SimConfig::frontend_eq`] compares these sequences — into
     /// `push` as a fixed-order word sequence. Two configurations push
     /// identical sequences **iff** they are `frontend_eq` (options are
     /// presence-tagged so `None` can never alias a value), which makes
@@ -300,23 +300,26 @@ impl SimConfig {
     /// fetch/decode/schedule stream is valid only for configurations
     /// that share every frontend parameter with the capture.
     pub fn frontend_eq(&self, other: &SimConfig) -> bool {
-        self.mem == other.mem
-            && self.sched == other.sched
-            && self.cycles == other.cycles
-            && self.remote_latency == other.remote_latency
-            && self.msg_latency == other.msg_latency
-            && self.sample_interval == other.sample_interval
-            && self.max_instructions == other.max_instructions
-            && self.quantum == other.quantum
-            && self.backing_base == other.backing_base
-            && self.trace_depth == other.trace_depth
-            && self.channel_capacity == other.channel_capacity
-            && self.icache == other.icache
-            && self.issue_width == other.issue_width
-            && self.read_ports == other.read_ports
-            && self.write_ports == other.write_ports
+        // Compare the two fingerprint sequences word by word — one field
+        // list, no allocation. `FRONTEND_FIELDS_MAX` bounds a sequence.
+        let mut mine = [0u64; FRONTEND_FIELDS_MAX];
+        let mut len = 0;
+        self.frontend_fingerprint_fields(&mut |v| {
+            mine[len] = v;
+            len += 1;
+        });
+        let (mut at, mut eq) = (0, true);
+        other.frontend_fingerprint_fields(&mut |v| {
+            eq &= at < len && mine[at] == v;
+            at += 1;
+        });
+        eq && at == len
     }
 }
+
+/// Most words [`SimConfig::frontend_fingerprint_fields`] pushes (every
+/// option present).
+const FRONTEND_FIELDS_MAX: usize = 38;
 
 #[cfg(test)]
 mod tests {

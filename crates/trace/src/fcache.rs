@@ -6,8 +6,8 @@
 //! *every point of the sweep but the first*: the first point of each
 //! distinct workload/frontend runs live on a [`nsf_sim::Machine`] under
 //! a [`FrontendProbe`] that records the frontend's architectural event
-//! stream into a compact in-memory buffer (the `.nsftrace` varint
-//! encoding layer, no file I/O — [`VarWriter`]/[`VarReader`]), and
+//! stream into a compact in-memory buffer (the varint layer of
+//! [`crate::frame`], no file I/O — [`VarWriter`]), and
 //! every later frontend-equal point replays that buffer straight into
 //! its [`EngineDispatch`] lane — no workload generation, no fetch, no
 //! decode, no scheduling.
@@ -26,8 +26,8 @@
 //!   spill frames), so [`replay_frontend`] validates every lane against
 //!   the workload's own output check, exactly like
 //!   [`nsf_workloads::run`].
-//! - Decode errors (truncation, over-long varints, unknown tags) are
-//!   typed [`TraceError`]s surfaced as [`SimError::BadConfig`] — a
+//! - Decode errors (truncation, malformed varints, unknown tags) are
+//!   typed errors surfaced as [`SimError::BadConfig`] — a
 //!   corrupt buffer can never silently produce statistics.
 //!
 //! ## Why replayed reports are exact
@@ -42,7 +42,7 @@
 //! frontend counters (instructions, class mix, calls, switches) are
 //! lane-invariant and copied from the capture's report.
 
-use crate::format::VarWriter;
+use crate::frame::{read_varint, FrameError, VarWriter};
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegisterFile};
 use nsf_mem::{Addr, MemSystem, Word};
 use nsf_sim::{
@@ -51,9 +51,9 @@ use nsf_sim::{
 };
 use nsf_workloads::{Workload, WorkloadError};
 
-// Frontend-cache event tags. Dense, disjoint per event kind; the buffer
-// is in-memory and versionless (it never outlives the process), so the
-// vocabulary can evolve freely.
+// Frontend-cache event tags. Dense, disjoint per event kind. The store
+// (`crate::store`) persists these bytes verbatim in `.nsfs` entries, so
+// any change to the tags or their fields needs a `STORE_VERSION` bump.
 const FTAG_READ: u8 = 1;
 const FTAG_WRITE: u8 = 2;
 const FTAG_SWITCH: u8 = 3;
@@ -294,10 +294,11 @@ struct ReplayOp {
     pc: u32,
 }
 
-/// Decode-time cursor. [`VarReader`] is the same encoding, but its
-/// per-field `Result` plumbing costs real time at half a dozen calls per
-/// event times hundreds of thousands of events; this cursor keeps the
-/// reads `Option`-shaped and fully inlined, and the (cold) error
+/// Decode-time cursor. [`crate::frame::VarReader`] reads the same
+/// encoding, but its per-field `Result` plumbing costs real time at half
+/// a dozen calls per event times hundreds of thousands of events; this
+/// cursor keeps the reads `Option`-shaped and fully inlined around the
+/// shared decode step (`frame::read_varint`), and the (cold) error
 /// formatting lives in [`corrupt_at`].
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -314,29 +315,7 @@ impl Cursor<'_> {
 
     #[inline(always)]
     fn varint(&mut self) -> Option<u64> {
-        let b0 = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        if b0 < 0x80 {
-            return Some(u64::from(b0));
-        }
-        let mut v = u64::from(b0 & 0x7F);
-        let mut shift = 7u32;
-        loop {
-            let byte = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                // Tenth byte: only bit 0 still fits a u64 and it must
-                // terminate — reject over-long and overflowing varints
-                // instead of silently truncating (`x << 63` keeps only
-                // the low payload bit).
-                return None;
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-        }
+        read_varint(|| self.u8().ok_or(FrameError::Truncated)).ok()
     }
 
     #[inline(always)]
@@ -790,7 +769,7 @@ fn mem_divergence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::VarReader;
+    use crate::frame::{fnv64 as fnv1a64, VarReader};
     use nsf_core::SpillEngine;
     use nsf_sim::RegFileSpec;
     use nsf_workloads::Workload;
@@ -842,13 +821,6 @@ mod tests {
             assert_eq!(got.occupancy.samples, live.instructions);
             assert_eq!(*got, live, "{}", live.regfile_desc);
         }
-    }
-
-    /// FNV-1a-64 over `bytes`.
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     #[test]
@@ -1126,31 +1098,31 @@ mod tests {
             let tag = r.get_u8().unwrap();
             match tag {
                 FTAG_READ => {
-                    r.get_u16().unwrap();
+                    r.get_int::<u16>().unwrap();
                     r.get_u8().unwrap();
                     patch_at = Some(r.pos());
                     break;
                 }
                 FTAG_WRITE => {
-                    r.get_u16().unwrap();
+                    r.get_int::<u16>().unwrap();
                     r.get_u8().unwrap();
-                    r.get_u32().unwrap();
+                    r.get_int::<u32>().unwrap();
                 }
                 FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH | FTAG_FREE_CONTEXT => {
-                    r.get_u16().unwrap();
+                    r.get_int::<u16>().unwrap();
                 }
                 FTAG_FREE_REG => {
-                    r.get_u16().unwrap();
+                    r.get_int::<u16>().unwrap();
                     r.get_u8().unwrap();
                 }
                 FTAG_LOAD | FTAG_STORE => {
-                    r.get_u32().unwrap();
-                    r.get_u32().unwrap();
+                    r.get_int::<u32>().unwrap();
+                    r.get_int::<u32>().unwrap();
                 }
                 FTAG_AMO => {
-                    r.get_u32().unwrap();
+                    r.get_int::<u32>().unwrap();
                     r.get_varint_signed().unwrap();
-                    r.get_u32().unwrap();
+                    r.get_int::<u32>().unwrap();
                 }
                 FTAG_SAMPLE => {}
                 other => panic!("unknown tag {other}"),

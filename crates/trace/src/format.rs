@@ -1,5 +1,6 @@
 //! The `.nsftrace` on-disk format: a versioned, length-delimited
-//! compact binary encoding with a streaming writer and reader.
+//! compact binary encoding with a streaming writer and reader, framed
+//! by [`crate::frame`].
 //!
 //! ```text
 //! magic    b"NSFT"                        4 bytes
@@ -15,16 +16,20 @@
 //! All integers are LEB128 varints (cids and offsets are tiny, values
 //! and addresses usually short), cycle stamps are delta-encoded against
 //! the previous event, and the checksum is FNV-1a-64 over every byte
-//! from the magic through the event-count varint — so truncation, bit
-//! rot and miscounted streams all surface as typed [`TraceError`]s,
-//! never as garbage events. The write path encodes each event into a
-//! stack buffer: no allocation per event.
+//! from the magic through the event-count varint — the sealed-blob
+//! layout of [`crate::frame`], written and verified as a stream. So
+//! truncation, bit rot and miscounted streams all surface as typed
+//! [`TraceError`]s, never as garbage events. The write path encodes
+//! each event into one reused buffer: no allocation per event.
 
 use crate::event::{RegEvent, TimedEvent};
+use crate::frame::{
+    check_header, put_varint, read_varint, write_atomic, Fnv64, FrameError, HEADER_LEN,
+};
 use nsf_core::{RegAddr, RegFileError};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 /// Leading magic of every `.nsftrace` stream.
@@ -33,9 +38,6 @@ pub const MAGIC: [u8; 4] = *b"NSFT";
 pub const FORMAT_VERSION: u8 = 1;
 /// Trailer tag terminating the event stream.
 const TRAILER_TAG: u8 = 0xFF;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Stream-level description stored in the header.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -62,25 +64,16 @@ pub struct TraceMeta {
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream does not start with [`MAGIC`].
-    BadMagic([u8; 4]),
-    /// The stream's format version is not [`FORMAT_VERSION`].
-    UnsupportedVersion(u8),
-    /// The stream ended mid-record.
-    Truncated,
+    /// The stream's framing is damaged: truncated, foreign magic,
+    /// unsupported version, malformed varint (including cycle stamps
+    /// that overflow a `u64`) or a trailer checksum mismatch.
+    Frame(FrameError),
     /// An event record carries an unknown tag.
     BadTag(u8),
-    /// A varint ran past its maximum width.
-    BadVarint,
     /// A header string is not valid UTF-8.
     BadString,
-    /// The trailer checksum does not match the stream contents.
-    ChecksumMismatch {
-        /// Checksum stored in the trailer.
-        stored: u64,
-        /// Checksum computed over the received bytes.
-        computed: u64,
-    },
+    /// Bytes follow the trailer, which must end the stream.
+    TrailingBytes,
     /// The trailer event count does not match the events decoded.
     CountMismatch {
         /// Count stored in the trailer.
@@ -101,21 +94,10 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
-            TraceError::BadMagic(m) => write!(f, "not an nsftrace stream (magic {m:02x?})"),
-            TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace format version {v} (expect {FORMAT_VERSION})"
-                )
-            }
-            TraceError::Truncated => write!(f, "trace stream truncated mid-record"),
+            TraceError::Frame(e) => write!(f, "corrupt nsftrace stream: {e}"),
             TraceError::BadTag(t) => write!(f, "unknown event tag {t:#04x}"),
-            TraceError::BadVarint => write!(f, "malformed varint"),
             TraceError::BadString => write!(f, "header string is not valid UTF-8"),
-            TraceError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: trailer says {stored:#018x}, stream hashes to {computed:#018x}"
-            ),
+            TraceError::TrailingBytes => write!(f, "bytes follow the trailer"),
             TraceError::CountMismatch { stored, read } => write!(
                 f,
                 "event count mismatch: trailer says {stored}, stream held {read}"
@@ -131,6 +113,7 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
+            TraceError::Frame(e) => Some(e),
             TraceError::Replay { source, .. } => Some(source),
             _ => None,
         }
@@ -140,177 +123,16 @@ impl std::error::Error for TraceError {
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
         if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceError::Truncated
+            TraceError::Frame(FrameError::Truncated)
         } else {
             TraceError::Io(e)
         }
     }
 }
 
-/// Appends `v` as a LEB128 varint to `buf`, returning the new length.
-fn push_varint(buf: &mut [u8], mut len: usize, mut v: u64) -> usize {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf[len] = byte;
-            return len + 1;
-        }
-        buf[len] = byte | 0x80;
-        len += 1;
-    }
-}
-
-/// In-memory writer over the `.nsftrace` encoding layer: the same
-/// LEB128 varint forms [`TraceWriter`] uses, without the file framing
-/// (magic, header, checksum trailer) — for streams that never leave the
-/// process, like the frontend cache's event buffers ([`crate::fcache`]).
-/// Growing a `Vec<u8>` is the only allocation; there is no I/O.
-#[derive(Debug, Default)]
-pub struct VarWriter {
-    buf: Vec<u8>,
-}
-
-impl VarWriter {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        VarWriter::default()
-    }
-
-    /// An empty buffer with `cap` bytes reserved — capture-sized streams
-    /// (megabytes at `--scale 1`) skip the cold vector's doubling copies.
-    pub fn with_capacity(cap: usize) -> Self {
-        VarWriter {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends a raw byte (event tags).
-    #[inline]
-    pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    /// Appends a LEB128 varint — the exact encoding `.nsftrace` fields
-    /// use ([`push_varint`] is shared with [`TraceWriter`]).
-    #[inline]
-    pub fn put_varint(&mut self, v: u64) {
-        // Single-byte fast path: most fields (register offsets, context
-        // IDs, small values) fit in 7 bits, and capture encodes millions
-        // of them per sweep.
-        if v < 0x80 {
-            self.buf.push(v as u8);
-            return;
-        }
-        let mut tmp = [0u8; 10];
-        let len = push_varint(&mut tmp, 0, v);
-        self.buf.extend_from_slice(&tmp[..len]);
-    }
-
-    /// Appends a signed value zigzag-mapped into a varint (small
-    /// magnitudes of either sign stay one byte).
-    #[inline]
-    pub fn put_varint_signed(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
-    /// Encoded length so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consumes the writer, yielding the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// In-memory reader matching [`VarWriter`]: decodes the `.nsftrace`
-/// varint forms from a byte slice. Running past the end or over-long
-/// varints surface as [`TraceError`]s, mirroring [`TraceReader`].
-#[derive(Debug)]
-pub struct VarReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> VarReader<'a> {
-    /// A reader at the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        VarReader { bytes, pos: 0 }
-    }
-
-    /// `true` once every byte has been consumed.
-    pub fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    /// Byte offset of the next read.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Reads one raw byte.
-    #[inline]
-    pub fn get_u8(&mut self) -> Result<u8, TraceError> {
-        let b = *self.bytes.get(self.pos).ok_or(TraceError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads a LEB128 varint.
-    #[inline]
-    pub fn get_varint(&mut self) -> Result<u64, TraceError> {
-        // Single-byte fast path: most fields (register offsets, context
-        // IDs, small values) fit in 7 bits, and replay decodes millions
-        // of them per sweep.
-        if let Some(&b) = self.bytes.get(self.pos) {
-            if b < 0x80 {
-                self.pos += 1;
-                return Ok(u64::from(b));
-            }
-        }
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.get_u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                // Tenth byte: only one payload bit still fits a u64, and
-                // a continuation bit would run past the maximum 10-byte
-                // width — reject rather than silently truncate the high
-                // bits (`x << 63` keeps only bit 0).
-                return Err(TraceError::BadVarint);
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    /// Reads a zigzag-encoded signed varint.
-    #[inline]
-    pub fn get_varint_signed(&mut self) -> Result<i64, TraceError> {
-        let z = self.get_varint()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    /// Reads a varint that must fit a `u32` (values, addresses).
-    #[inline]
-    pub fn get_u32(&mut self) -> Result<u32, TraceError> {
-        u32::try_from(self.get_varint()?).map_err(|_| TraceError::BadVarint)
-    }
-
-    /// Reads a varint that must fit a `u16` (context IDs).
-    #[inline]
-    pub fn get_u16(&mut self) -> Result<u16, TraceError> {
-        u16::try_from(self.get_varint()?).map_err(|_| TraceError::BadVarint)
+impl From<FrameError> for TraceError {
+    fn from(e: FrameError) -> Self {
+        TraceError::Frame(e)
     }
 }
 
@@ -328,11 +150,12 @@ const TAG_MEM_WRITE: u8 = 9;
 /// Streaming `.nsftrace` encoder over any [`Write`] target.
 ///
 /// Events are appended with [`TraceWriter::event`]; [`TraceWriter::finish`]
-/// writes the trailer and returns the target. Per-event encoding uses a
-/// fixed stack buffer — the write path never allocates.
+/// writes the trailer and returns the target. Each event is encoded into
+/// one reused buffer, so the write path does not allocate per event.
 pub struct TraceWriter<W: Write> {
     out: W,
-    hash: u64,
+    hash: Fnv64,
+    buf: Vec<u8>,
     count: u64,
     last_cycle: u64,
 }
@@ -342,38 +165,35 @@ impl<W: Write> TraceWriter<W> {
     pub fn new(out: W, meta: &TraceMeta) -> Result<Self, TraceError> {
         let mut w = TraceWriter {
             out,
-            hash: FNV_OFFSET,
+            hash: Fnv64::new(),
+            buf: Vec::with_capacity(64),
             count: 0,
             last_cycle: 0,
         };
-        w.put(&MAGIC)?;
-        w.put(&[FORMAT_VERSION])?;
-        w.put_str(&meta.workload)?;
-        w.put_str(&meta.engine)?;
-        w.put_varint(u64::from(meta.scale))?;
-        w.put_varint(meta.instructions)?;
-        w.put_varint(meta.cycles)?;
-        w.put_varint(meta.context_switches)?;
+        w.buf.extend_from_slice(&MAGIC);
+        w.buf.push(FORMAT_VERSION);
+        for s in [&meta.workload, &meta.engine] {
+            put_varint(&mut w.buf, s.len() as u64);
+            w.buf.extend_from_slice(s.as_bytes());
+        }
+        for v in [
+            u64::from(meta.scale),
+            meta.instructions,
+            meta.cycles,
+            meta.context_switches,
+        ] {
+            put_varint(&mut w.buf, v);
+        }
+        w.emit()?;
         Ok(w)
     }
 
-    fn put(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
-        for &b in bytes {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self.out.write_all(bytes)?;
+    /// Hashes and writes the encoded buffer, leaving it empty.
+    fn emit(&mut self) -> Result<(), TraceError> {
+        self.hash.update(&self.buf);
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
         Ok(())
-    }
-
-    fn put_varint(&mut self, v: u64) -> Result<(), TraceError> {
-        let mut buf = [0u8; 10];
-        let len = push_varint(&mut buf, 0, v);
-        self.put(&buf[..len])
-    }
-
-    fn put_str(&mut self, s: &str) -> Result<(), TraceError> {
-        self.put_varint(s.len() as u64)?;
-        self.put(s.as_bytes())
     }
 
     /// Appends one event observed at clock `cycle` (stamps must be
@@ -381,71 +201,34 @@ impl<W: Write> TraceWriter<W> {
     pub fn event(&mut self, cycle: u64, event: &RegEvent) -> Result<(), TraceError> {
         let delta = cycle.saturating_sub(self.last_cycle);
         self.last_cycle = self.last_cycle.max(cycle);
-        let mut buf = [0u8; 24];
-        let mut len = 0;
-        match *event {
-            RegEvent::Read { addr } => {
-                buf[len] = TAG_READ;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(addr.cid));
-                len = push_varint(&mut buf, len, u64::from(addr.offset));
-            }
-            RegEvent::Write { addr, value } => {
-                buf[len] = TAG_WRITE;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(addr.cid));
-                len = push_varint(&mut buf, len, u64::from(addr.offset));
-                len = push_varint(&mut buf, len, u64::from(value));
-            }
-            RegEvent::SwitchTo { cid } => {
-                buf[len] = TAG_SWITCH;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(cid));
-            }
-            RegEvent::CallPush { cid } => {
-                buf[len] = TAG_CALL_PUSH;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(cid));
-            }
-            RegEvent::ThreadSwitch { cid } => {
-                buf[len] = TAG_THREAD_SWITCH;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(cid));
-            }
-            RegEvent::FreeContext { cid } => {
-                buf[len] = TAG_FREE_CONTEXT;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(cid));
-            }
-            RegEvent::FreeReg { addr } => {
-                buf[len] = TAG_FREE_REG;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(addr.cid));
-                len = push_varint(&mut buf, len, u64::from(addr.offset));
-            }
-            RegEvent::MemRead { addr } => {
-                buf[len] = TAG_MEM_READ;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(addr));
-            }
-            RegEvent::MemWrite { addr } => {
-                buf[len] = TAG_MEM_WRITE;
-                len = push_varint(&mut buf, len + 1, delta);
-                len = push_varint(&mut buf, len, u64::from(addr));
-            }
+        let reg = |a: RegAddr, v: u64| [u64::from(a.cid), u64::from(a.offset), v];
+        let (tag, fields, n) = match *event {
+            RegEvent::Read { addr } => (TAG_READ, reg(addr, 0), 2),
+            RegEvent::Write { addr, value } => (TAG_WRITE, reg(addr, u64::from(value)), 3),
+            RegEvent::SwitchTo { cid } => (TAG_SWITCH, [u64::from(cid), 0, 0], 1),
+            RegEvent::CallPush { cid } => (TAG_CALL_PUSH, [u64::from(cid), 0, 0], 1),
+            RegEvent::ThreadSwitch { cid } => (TAG_THREAD_SWITCH, [u64::from(cid), 0, 0], 1),
+            RegEvent::FreeContext { cid } => (TAG_FREE_CONTEXT, [u64::from(cid), 0, 0], 1),
+            RegEvent::FreeReg { addr } => (TAG_FREE_REG, reg(addr, 0), 2),
+            RegEvent::MemRead { addr } => (TAG_MEM_READ, [u64::from(addr), 0, 0], 1),
+            RegEvent::MemWrite { addr } => (TAG_MEM_WRITE, [u64::from(addr), 0, 0], 1),
+        };
+        self.buf.push(tag);
+        put_varint(&mut self.buf, delta);
+        for &v in &fields[..n] {
+            put_varint(&mut self.buf, v);
         }
         self.count += 1;
-        self.put(&buf[..len])
+        self.emit()
     }
 
     /// Writes the trailer (event count + checksum) and returns the
     /// underlying writer.
     pub fn finish(mut self) -> Result<W, TraceError> {
-        self.put(&[TRAILER_TAG])?;
-        let count = self.count;
-        self.put_varint(count)?;
-        let checksum = self.hash;
-        self.out.write_all(&checksum.to_le_bytes())?;
+        self.buf.push(TRAILER_TAG);
+        put_varint(&mut self.buf, self.count);
+        self.emit()?;
+        self.out.write_all(&self.hash.finish().to_le_bytes())?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -455,11 +238,11 @@ impl<W: Write> TraceWriter<W> {
 ///
 /// Construction parses and validates the header; [`TraceReader::next_event`]
 /// yields events until the trailer, whose event count and checksum are
-/// verified before the final `None`.
+/// verified — and that nothing follows it — before the final `None`.
 pub struct TraceReader<R: Read> {
     src: R,
     meta: TraceMeta,
-    hash: u64,
+    hash: Fnv64,
     count: u64,
     last_cycle: u64,
     done: bool,
@@ -467,28 +250,24 @@ pub struct TraceReader<R: Read> {
 
 impl<R: Read> TraceReader<R> {
     /// Opens a stream: reads and validates magic, version and header.
-    pub fn new(src: R) -> Result<Self, TraceError> {
+    pub fn new(mut src: R) -> Result<Self, TraceError> {
+        let mut head = Vec::with_capacity(HEADER_LEN);
+        (&mut src).take(HEADER_LEN as u64).read_to_end(&mut head)?;
+        check_header(&head, MAGIC, FORMAT_VERSION)?;
+        let mut hash = Fnv64::new();
+        hash.update(&head);
         let mut r = TraceReader {
             src,
             meta: TraceMeta::default(),
-            hash: FNV_OFFSET,
+            hash,
             count: 0,
             last_cycle: 0,
             done: false,
         };
-        let mut magic = [0u8; 4];
-        r.get(&mut magic)?;
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic(magic));
-        }
-        let version = r.get_byte()?;
-        if version != FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
         r.meta = TraceMeta {
             workload: r.get_str()?,
             engine: r.get_str()?,
-            scale: u32::try_from(r.get_varint()?).map_err(|_| TraceError::BadVarint)?,
+            scale: r.get_int()?,
             instructions: r.get_varint()?,
             cycles: r.get_varint()?,
             context_switches: r.get_varint()?,
@@ -508,9 +287,7 @@ impl<R: Read> TraceReader<R> {
 
     fn get(&mut self, buf: &mut [u8]) -> Result<(), TraceError> {
         self.src.read_exact(buf)?;
-        for &b in buf.iter() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.hash.update(buf);
         Ok(())
     }
 
@@ -521,28 +298,13 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn get_varint(&mut self) -> Result<u64, TraceError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.get_byte()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                // See `VarReader::get_varint`: the tenth byte may carry
-                // only bit 0 and must terminate, else the value exceeds
-                // a u64 and would wrap.
-                return Err(TraceError::BadVarint);
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        read_varint(|| self.get_byte())
     }
 
     fn get_str(&mut self) -> Result<String, TraceError> {
-        let len = usize::try_from(self.get_varint()?).map_err(|_| TraceError::BadVarint)?;
+        let len: usize = self.get_int()?;
         if len > 1 << 20 {
-            return Err(TraceError::BadVarint); // absurd header length ⇒ corrupt
+            return Err(FrameError::BadVarint.into()); // absurd header length ⇒ corrupt
         }
         let mut bytes = vec![0u8; len];
         self.get(&mut bytes)?;
@@ -558,12 +320,12 @@ impl<R: Read> TraceReader<R> {
         let tag = self.get_byte()?;
         if tag == TRAILER_TAG {
             let stored_count = self.get_varint()?;
-            let computed = self.hash;
+            let computed = self.hash.finish();
             let mut sum = [0u8; 8];
             self.src.read_exact(&mut sum)?; // checksum hashes everything before itself
             let stored = u64::from_le_bytes(sum);
             if stored != computed {
-                return Err(TraceError::ChecksumMismatch { stored, computed });
+                return Err(FrameError::ChecksumMismatch { stored, computed }.into());
             }
             if stored_count != self.count {
                 return Err(TraceError::CountMismatch {
@@ -571,39 +333,46 @@ impl<R: Read> TraceReader<R> {
                     read: self.count,
                 });
             }
+            if self.src.read(&mut sum)? != 0 {
+                return Err(TraceError::TrailingBytes);
+            }
             self.done = true;
             return Ok(None);
         }
         let delta = self.get_varint()?;
-        self.last_cycle += delta;
+        // Corrupt deltas can sum past u64::MAX: a malformed stamp.
+        self.last_cycle = self
+            .last_cycle
+            .checked_add(delta)
+            .ok_or(FrameError::BadVarint)?;
         let event = match tag {
             TAG_READ => RegEvent::Read {
                 addr: self.get_reg_addr()?,
             },
             TAG_WRITE => RegEvent::Write {
                 addr: self.get_reg_addr()?,
-                value: self.get_u32()?,
+                value: self.get_int()?,
             },
             TAG_SWITCH => RegEvent::SwitchTo {
-                cid: self.get_cid()?,
+                cid: self.get_int()?,
             },
             TAG_CALL_PUSH => RegEvent::CallPush {
-                cid: self.get_cid()?,
+                cid: self.get_int()?,
             },
             TAG_THREAD_SWITCH => RegEvent::ThreadSwitch {
-                cid: self.get_cid()?,
+                cid: self.get_int()?,
             },
             TAG_FREE_CONTEXT => RegEvent::FreeContext {
-                cid: self.get_cid()?,
+                cid: self.get_int()?,
             },
             TAG_FREE_REG => RegEvent::FreeReg {
                 addr: self.get_reg_addr()?,
             },
             TAG_MEM_READ => RegEvent::MemRead {
-                addr: self.get_u32()?,
+                addr: self.get_int()?,
             },
             TAG_MEM_WRITE => RegEvent::MemWrite {
-                addr: self.get_u32()?,
+                addr: self.get_int()?,
             },
             other => return Err(TraceError::BadTag(other)),
         };
@@ -614,18 +383,12 @@ impl<R: Read> TraceReader<R> {
         }))
     }
 
-    fn get_cid(&mut self) -> Result<u16, TraceError> {
-        u16::try_from(self.get_varint()?).map_err(|_| TraceError::BadVarint)
-    }
-
-    fn get_u32(&mut self) -> Result<u32, TraceError> {
-        u32::try_from(self.get_varint()?).map_err(|_| TraceError::BadVarint)
+    fn get_int<T: TryFrom<u64>>(&mut self) -> Result<T, TraceError> {
+        Ok(T::try_from(self.get_varint()?).map_err(|_| FrameError::BadVarint)?)
     }
 
     fn get_reg_addr(&mut self) -> Result<RegAddr, TraceError> {
-        let cid = self.get_cid()?;
-        let offset = u8::try_from(self.get_varint()?).map_err(|_| TraceError::BadVarint)?;
-        Ok(RegAddr::new(cid, offset))
+        Ok(RegAddr::new(self.get_int()?, self.get_int()?))
     }
 }
 
@@ -668,15 +431,9 @@ impl Trace {
         })
     }
 
-    /// Writes the trace to `path` (buffered).
+    /// Writes the trace to `path` atomically ([`write_atomic`]).
     pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), TraceError> {
-        let f = BufWriter::new(File::create(path)?);
-        let mut w = TraceWriter::new(f, &self.meta)?;
-        for e in &self.events {
-            w.event(e.cycle, &e.event)?;
-        }
-        w.finish()?;
-        Ok(())
+        Ok(write_atomic(path.as_ref(), &self.to_bytes())?)
     }
 
     /// Reads a trace from `path` (buffered).
@@ -688,6 +445,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{fnv64, VarWriter};
 
     fn sample_meta() -> TraceMeta {
         TraceMeta {
@@ -740,36 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn varint_rejects_overflow_and_overlength() {
-        // Maximal valid width: nine continuation bytes then 0x01 places
-        // bit 63 — exactly u64::MAX, and it must round-trip.
-        let mut max = vec![0xFFu8; 9];
-        max.push(0x01);
-        assert_eq!(VarReader::new(&max).get_varint().unwrap(), u64::MAX);
-        // A tenth byte carrying payload above bit 0 exceeds a u64: the
-        // old decoder shifted those bits into oblivion.
-        let mut over = vec![0xFFu8; 9];
-        over.push(0x03);
-        assert!(matches!(
-            VarReader::new(&over).get_varint(),
-            Err(TraceError::BadVarint)
-        ));
-        // A tenth byte with its continuation bit set makes the varint
-        // over-long (11+ bytes) no matter what follows.
-        let mut eleven = vec![0xFFu8; 10];
-        eleven.push(0x00);
-        assert!(matches!(
-            VarReader::new(&eleven).get_varint(),
-            Err(TraceError::BadVarint)
-        ));
-        let long = vec![0xFFu8; 16];
-        assert!(matches!(
-            VarReader::new(&long).get_varint(),
-            Err(TraceError::BadVarint)
-        ));
-    }
-
-    #[test]
     fn streaming_reader_rejects_overflowing_header_varint() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
@@ -782,7 +510,7 @@ mod tests {
         let Err(err) = TraceReader::new(&bytes[..]) else {
             panic!("overflowing header varint accepted");
         };
-        assert!(matches!(err, TraceError::BadVarint));
+        assert!(matches!(err, TraceError::Frame(FrameError::BadVarint)));
     }
 
     #[test]
@@ -845,7 +573,7 @@ mod tests {
         bytes[0] = b'X';
         assert!(matches!(
             Trace::from_bytes(&bytes),
-            Err(TraceError::BadMagic(_))
+            Err(TraceError::Frame(FrameError::BadMagic(_)))
         ));
     }
 
@@ -859,7 +587,7 @@ mod tests {
         bytes[4] = 99;
         assert!(matches!(
             Trace::from_bytes(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
+            Err(TraceError::Frame(FrameError::UnsupportedVersion(99)))
         ));
     }
 
@@ -877,7 +605,9 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    TraceError::Truncated | TraceError::BadMagic(_) | TraceError::BadVarint
+                    TraceError::Frame(FrameError::Truncated)
+                        | TraceError::Frame(FrameError::BadMagic(_))
+                        | TraceError::Frame(FrameError::BadVarint)
                 ),
                 "prefix {cut}: unexpected {err}"
             );
@@ -899,10 +629,10 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    TraceError::ChecksumMismatch { .. }
+                    TraceError::Frame(FrameError::ChecksumMismatch { .. })
                         | TraceError::BadTag(_)
-                        | TraceError::BadVarint
-                        | TraceError::Truncated
+                        | TraceError::Frame(FrameError::BadVarint)
+                        | TraceError::Frame(FrameError::Truncated)
                         | TraceError::CountMismatch { .. }
                 ),
                 "flip at {flip}: unexpected {err}"
@@ -914,7 +644,21 @@ mod tests {
         corrupt[last] ^= 0x01;
         assert!(matches!(
             Trace::from_bytes(&corrupt),
-            Err(TraceError::ChecksumMismatch { .. })
+            Err(TraceError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
+    }
+
+    #[test]
+    fn bytes_after_the_trailer_are_typed() {
+        let mut bytes = Trace {
+            meta: sample_meta(),
+            events: sample_events(),
+        }
+        .to_bytes();
+        bytes.push(0);
+        assert!(matches!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::TrailingBytes)
         ));
     }
 
@@ -935,10 +679,7 @@ mod tests {
         // Recompute: easier via hashing all bytes then appending.
         let mut forged: Vec<u8> = good[..body_end].to_vec();
         forged.push(11);
-        let mut hash = FNV_OFFSET;
-        for &b in &forged {
-            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        let hash = fnv64(&forged);
         forged.extend_from_slice(&hash.to_le_bytes());
         assert!(matches!(
             Trace::from_bytes(&forged),
@@ -950,9 +691,30 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_cycle_deltas_are_typed_not_panic() {
+        // Two checksum-valid events whose deltas sum past u64::MAX.
+        let mut w = VarWriter::with_header(MAGIC, FORMAT_VERSION);
+        for v in [0, 0, 0, 0, 0, 0] {
+            w.put_varint(v); // empty strings, scale and counts
+        }
+        for delta in [u64::MAX, 1] {
+            w.put_u8(TAG_SWITCH);
+            w.put_varint(delta);
+            w.put_varint(0);
+        }
+        w.put_u8(TRAILER_TAG);
+        w.put_varint(2);
+        let forged = crate::frame::seal(w.into_bytes());
+        assert!(matches!(
+            Trace::from_bytes(&forged),
+            Err(TraceError::Frame(FrameError::BadVarint))
+        ));
+    }
+
+    #[test]
     fn errors_display_and_chain() {
         let e = TraceError::from(io::Error::new(io::ErrorKind::UnexpectedEof, "eof"));
-        assert!(matches!(e, TraceError::Truncated));
+        assert!(matches!(e, TraceError::Frame(FrameError::Truncated)));
         let e = TraceError::Replay {
             index: 5,
             source: RegFileError::ReadUndefined(RegAddr::new(1, 2)),

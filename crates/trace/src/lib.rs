@@ -9,8 +9,15 @@
 //! (Figs. 11–13) can be swept without re-executing compiler, runtime
 //! and scheduler for every configuration.
 //!
-//! Three layers:
+//! Four layers:
 //!
+//! - **Framing** ([`frame`]): the one record framing under every
+//!   on-disk format of the workspace — `.nsftrace`, `.nsfs` store
+//!   entries, and the explorer's `.nsfx` ledger and `.nsfm` memo. It
+//!   owns the FNV-1a-64 checksum, the LEB128 varint codec, the
+//!   `magic | version` header check, the sealed-blob and
+//!   checksummed-record-log layouts with their typed [`FrameError`]s,
+//!   and the atomic-save and torn-tail-truncation file helpers.
 //! - **Capture** ([`TraceRecorder`], [`capture`]): an
 //!   [`nsf_core::EventSink`] fed by the `RecordingFile` wrapper and the
 //!   simulator; any engine under any workload records without the
@@ -18,7 +25,9 @@
 //! - **Format** ([`Trace`], [`TraceWriter`], [`TraceReader`]): the
 //!   `.nsftrace` encoding — magic + version header, varint fields,
 //!   delta-encoded cycles, event-count + checksum trailer; corrupt
-//!   input yields typed [`TraceError`]s, never panics.
+//!   input yields typed [`TraceError`]s, never panics. The frontend
+//!   cache ([`fcache`]) and its persistent store ([`store`]) encode
+//!   through the same varint layer.
 //! - **Replay** ([`replay`], [`diff`]): drives a stored stream into a
 //!   fresh engine behind the simulator's own Ctable-over-data-cache
 //!   backing store. Same-engine replay reproduces the live run's
@@ -33,6 +42,7 @@
 pub mod event;
 pub mod fcache;
 pub mod format;
+pub mod frame;
 pub mod recorder;
 pub mod replay;
 pub mod store;
@@ -43,10 +53,8 @@ pub use nsf_sim::spec;
 
 pub use event::{RegEvent, TimedEvent};
 pub use fcache::{capture_frontend, replay_frontend, FrontendBuffer};
-pub use format::{
-    Trace, TraceError, TraceMeta, TraceReader, TraceWriter, VarReader, VarWriter, FORMAT_VERSION,
-    MAGIC,
-};
+pub use format::{Trace, TraceError, TraceMeta, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC};
+pub use frame::{FrameError, VarReader, VarWriter};
 pub use recorder::TraceRecorder;
 pub use replay::{diff, replay, replay_events, DiffReport, Divergence, ReplayReport, StatDelta};
 pub use spec::{default_engine_spec, parse_engine, SpecError};

@@ -23,19 +23,20 @@
 //!
 //! ## Trust: never
 //!
-//! A store entry is an optimization, never an authority. The file
-//! carries the `.nsftrace` discipline — magic, version byte, and a
-//! trailing FNV-1a-64 checksum over the whole body — and every failure
-//! mode (foreign magic, unknown version, truncation, bit corruption,
-//! fingerprint mismatch) is a typed [`StoreError`]; callers fall back
-//! to live capture. Even a loaded stream is still subject to the full
-//! equivalence wall: replay checks every value-bearing event against
-//! the recording ([`nsf_sim::SimError::LaneDivergence`]) and every lane
-//! against the workload's output check, so a corrupted-but-checksummed
-//! entry can never silently produce statistics.
+//! A store entry is an optimization, never an authority. The file is a
+//! sealed blob of [`crate::frame`] — magic, version byte, and a
+//! trailing FNV-1a-64 checksum over the whole body, checked before any
+//! field is parsed — and every failure mode (foreign magic, unknown
+//! version, truncation, bit corruption, fingerprint mismatch) is a
+//! typed [`StoreError`]; callers fall back to live capture. Even a
+//! loaded stream is still subject to the full equivalence wall: replay
+//! checks every value-bearing event against the recording
+//! ([`nsf_sim::SimError::LaneDivergence`]) and every lane against the
+//! workload's output check, so a corrupted-but-checksummed entry can
+//! never silently produce statistics.
 
 use crate::fcache::FrontendBuffer;
-use crate::format::{VarReader, VarWriter};
+use crate::frame::{seal, unseal, write_atomic, Fnv64, FrameError, VarReader, VarWriter};
 use nsf_core::RegFileStats;
 use nsf_mem::CacheStats;
 use nsf_sim::{OccupancySummary, RunReport, SimConfig};
@@ -47,16 +48,13 @@ use std::path::{Path, PathBuf};
 /// File magic for persisted stream entries ("Named-State File Stream").
 pub const STORE_MAGIC: [u8; 4] = *b"NSFS";
 
-/// Store format version. Bump on any change to the entry layout; old
-/// entries are then rejected as [`StoreError::UnsupportedVersion`] and
-/// recaptured live. The version also feeds [`stream_fingerprint`], so a
-/// bump changes every key as well.
+/// Store format version. Bump on any change to the entry layout —
+/// including the frontend cache's event encoding, which entries persist
+/// verbatim; old entries are then rejected as
+/// [`FrameError::UnsupportedVersion`] and recaptured live. The version
+/// also feeds [`stream_fingerprint`], so a bump changes every key as
+/// well.
 pub const STORE_VERSION: u8 = 1;
-
-/// Checksum width: one FNV-1a-64 sum, little-endian, at the very end of
-/// the file (the `.nsftrace` trailer discipline, fixed-width so it can
-/// be located from the tail).
-const CHECKSUM_BYTES: usize = 8;
 
 /// Everything that can go wrong loading or validating a store entry.
 /// Every variant is a *reject and recapture live* signal — none is
@@ -65,19 +63,10 @@ const CHECKSUM_BYTES: usize = 8;
 pub enum StoreError {
     /// Filesystem failure (not "file absent" — that is a plain miss).
     Io(io::Error),
-    /// The file does not start with [`STORE_MAGIC`].
-    BadMagic([u8; 4]),
-    /// The file's version byte is not [`STORE_VERSION`].
-    UnsupportedVersion(u8),
-    /// The file ends mid-field (torn write / truncation).
-    Truncated,
-    /// The trailing checksum does not match the body.
-    ChecksumMismatch {
-        /// Checksum stored in the trailer.
-        stored: u64,
-        /// Checksum recomputed over the body.
-        computed: u64,
-    },
+    /// The entry's framing is damaged: foreign magic, unknown version,
+    /// truncation (a torn write, or fields that do not add up to the
+    /// body), a malformed field, or a checksum mismatch.
+    Frame(FrameError),
     /// The entry's embedded fingerprint is not the requested one (a
     /// renamed or misfiled entry).
     FingerprintMismatch {
@@ -92,16 +81,7 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
-            StoreError::BadMagic(m) => write!(f, "not a stream-store entry (magic {m:02x?})"),
-            StoreError::UnsupportedVersion(v) => {
-                write!(f, "unsupported stream-store version {v}")
-            }
-            StoreError::Truncated => write!(f, "stream-store entry truncated"),
-            StoreError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "stream-store checksum mismatch: stored {stored:#018x}, \
-                 computed {computed:#018x}"
-            ),
+            StoreError::Frame(e) => write!(f, "corrupt stream-store entry: {e}"),
             StoreError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "stream-store fingerprint mismatch: expected {expected:#018x}, \
@@ -115,42 +95,21 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            _ => None,
+            StoreError::Frame(e) => Some(e),
+            StoreError::FingerprintMismatch { .. } => None,
         }
     }
 }
 
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
-        if e.kind() == ErrorKind::UnexpectedEof {
-            StoreError::Truncated
-        } else {
-            StoreError::Io(e)
-        }
+        StoreError::Io(e)
     }
 }
 
-/// Incremental FNV-1a-64 (the `.nsftrace`/`.nsfx` checksum function).
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
+impl From<FrameError> for StoreError {
+    fn from(e: FrameError) -> Self {
+        StoreError::Frame(e)
     }
 }
 
@@ -167,7 +126,7 @@ pub fn stream_fingerprint(workload: &Workload, cfg: &SimConfig) -> Option<u64> {
     let mut h = Fnv64::new();
     h.word(u64::from(STORE_VERSION));
     h.word(workload.name.len() as u64);
-    h.bytes(workload.name.as_bytes());
+    h.update(workload.name.as_bytes());
     h.word(words.len() as u64);
     for w in &words {
         h.word(u64::from(*w));
@@ -188,62 +147,33 @@ pub fn stream_fingerprint(workload: &Workload, cfg: &SimConfig) -> Option<u64> {
 /// Serializes `buf` into a self-checking store entry for `fingerprint`.
 pub fn encode_stream(fingerprint: u64, buf: &FrontendBuffer) -> Vec<u8> {
     let mut w = VarWriter::with_capacity(buf.bytes.len() + 256);
-    for b in STORE_MAGIC {
-        w.put_u8(b);
-    }
+    w.put_bytes(&STORE_MAGIC);
     w.put_u8(STORE_VERSION);
     w.put_varint(fingerprint);
     w.put_varint(buf.events);
     w.put_varint(buf.shared_cycles);
     encode_report(&mut w, &buf.report);
     w.put_varint(buf.bytes.len() as u64);
-    let mut out = w.into_bytes();
-    out.extend_from_slice(&buf.bytes);
-    let mut h = Fnv64::new();
-    h.bytes(&out);
-    let sum = h.finish();
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    w.put_bytes(&buf.bytes);
+    seal(w.into_bytes())
 }
 
 /// Checks magic, version, checksum, and embedded fingerprint of a raw
 /// entry without materializing the buffer (what `store_tool` runs over
 /// every file). [`decode_stream`] builds on the same checks.
 pub fn validate_stream_bytes(bytes: &[u8], expected: u64) -> Result<(), StoreError> {
-    let body = checked_body(bytes)?;
-    let mut r = VarReader::new(&body[STORE_MAGIC.len() + 1..]);
-    let found = r.get_varint().map_err(|_| StoreError::Truncated)?;
+    open_entry(bytes, expected).map(drop)
+}
+
+/// Unseals an entry and checks its fingerprint, returning a reader over
+/// the fields that follow it.
+fn open_entry(bytes: &[u8], expected: u64) -> Result<VarReader<'_>, StoreError> {
+    let mut r = VarReader::new(unseal(bytes, STORE_MAGIC, STORE_VERSION)?);
+    let found = r.get_varint()?;
     if found != expected {
         return Err(StoreError::FingerprintMismatch { expected, found });
     }
-    Ok(())
-}
-
-/// Verifies framing and checksum, returning the body (everything before
-/// the trailer) with magic and version already validated.
-fn checked_body(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    // Checksum first: nothing in a damaged file is worth parsing.
-    if bytes.len() < STORE_MAGIC.len() + 1 + CHECKSUM_BYTES {
-        return Err(StoreError::Truncated);
-    }
-    if bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
-        let mut m = [0u8; 4];
-        m.copy_from_slice(&bytes[..4]);
-        return Err(StoreError::BadMagic(m));
-    }
-    let version = bytes[STORE_MAGIC.len()];
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - CHECKSUM_BYTES);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
-    let mut h = Fnv64::new();
-    h.bytes(body);
-    let computed = h.finish();
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
-    Ok(body)
+    Ok(r)
 }
 
 /// Decodes a store entry back into a [`FrontendBuffer`]. `cfg` becomes
@@ -256,26 +186,17 @@ pub fn decode_stream(
     expected: u64,
     cfg: &SimConfig,
 ) -> Result<FrontendBuffer, StoreError> {
-    let body = checked_body(bytes)?;
-    let mut r = VarReader::new(&body[STORE_MAGIC.len() + 1..]);
-    let trunc = |_| StoreError::Truncated;
-    let found = r.get_varint().map_err(trunc)?;
-    if found != expected {
-        return Err(StoreError::FingerprintMismatch { expected, found });
-    }
-    let events = r.get_varint().map_err(trunc)?;
-    let shared_cycles = r.get_varint().map_err(trunc)?;
+    let mut r = open_entry(bytes, expected)?;
+    let events = r.get_varint()?;
+    let shared_cycles = r.get_varint()?;
     let report = decode_report(&mut r)?;
-    let stream_len = usize::try_from(r.get_varint().map_err(trunc)?).map_err(|_| {
-        StoreError::Truncated // longer than addressable memory: nonsense length
-    })?;
-    let start = STORE_MAGIC.len() + 1 + r.pos();
-    let stream = body
-        .get(start..start + stream_len)
-        .ok_or(StoreError::Truncated)?;
-    if start + stream_len != body.len() {
-        // Trailing garbage inside a checksummed body: writer bug, reject.
-        return Err(StoreError::Truncated);
+    // The stream runs to the end of the body: a length that disagrees
+    // (short, or trailing bytes inside a checksummed body) is a writer
+    // bug. Compared, not added, so no length can overflow.
+    let stream_len = r.get_varint()?;
+    let stream = r.rest();
+    if stream.len() as u64 != stream_len {
+        return Err(FrameError::Truncated.into());
     }
     Ok(FrontendBuffer {
         cfg: *cfg,
@@ -288,9 +209,7 @@ pub fn decode_stream(
 
 fn encode_report(w: &mut VarWriter, r: &RunReport) {
     w.put_varint(r.regfile_desc.len() as u64);
-    for b in r.regfile_desc.as_bytes() {
-        w.put_u8(*b);
-    }
+    w.put_bytes(r.regfile_desc.as_bytes());
     w.put_varint(u64::from(r.regfile_capacity));
     w.put_varint(r.instructions);
     w.put_varint(r.cycles);
@@ -353,33 +272,27 @@ fn regfile_fields(s: &RegFileStats) -> [u64; 15] {
     ]
 }
 
-fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, StoreError> {
-    let trunc = |_| StoreError::Truncated;
+fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
     let mut rep = RunReport::default();
-    let desc_len =
-        usize::try_from(r.get_varint().map_err(trunc)?).map_err(|_| StoreError::Truncated)?;
-    let mut desc = Vec::with_capacity(desc_len.min(1 << 10));
-    for _ in 0..desc_len {
-        desc.push(r.get_u8().map_err(trunc)?);
-    }
-    rep.regfile_desc = String::from_utf8(desc).map_err(|_| StoreError::Truncated)?;
-    rep.regfile_capacity = r.get_u32().map_err(trunc)?;
-    rep.instructions = r.get_varint().map_err(trunc)?;
-    rep.cycles = r.get_varint().map_err(trunc)?;
-    rep.idle_cycles = r.get_varint().map_err(trunc)?;
+    let desc_len: usize = r.get_int()?;
+    let desc = r.get_bytes(desc_len)?;
+    rep.regfile_desc = String::from_utf8(desc.to_vec()).map_err(|_| FrameError::BadVarint)?;
+    rep.regfile_capacity = r.get_int()?;
+    rep.instructions = r.get_varint()?;
+    rep.cycles = r.get_varint()?;
+    rep.idle_cycles = r.get_varint()?;
     for c in &mut rep.class_counts {
-        *c = r.get_varint().map_err(trunc)?;
+        *c = r.get_varint()?;
     }
-    rep.context_switches = r.get_varint().map_err(trunc)?;
-    rep.thread_switches = r.get_varint().map_err(trunc)?;
-    rep.calls = r.get_varint().map_err(trunc)?;
-    rep.returns = r.get_varint().map_err(trunc)?;
-    rep.spawns = r.get_varint().map_err(trunc)?;
-    rep.static_instructions =
-        usize::try_from(r.get_varint().map_err(trunc)?).map_err(|_| StoreError::Truncated)?;
+    rep.context_switches = r.get_varint()?;
+    rep.thread_switches = r.get_varint()?;
+    rep.calls = r.get_varint()?;
+    rep.returns = r.get_varint()?;
+    rep.spawns = r.get_varint()?;
+    rep.static_instructions = r.get_int()?;
     let mut rf = [0u64; 15];
     for v in &mut rf {
-        *v = r.get_varint().map_err(trunc)?;
+        *v = r.get_varint()?;
     }
     rep.regfile = RegFileStats {
         reads: rf[0],
@@ -400,33 +313,32 @@ fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, StoreError> {
     };
     rep.dcache = decode_cache(r)?;
     rep.occupancy = OccupancySummary {
-        samples: r.get_varint().map_err(trunc)?,
-        sum_valid_regs: r.get_varint().map_err(trunc)?,
-        sum_contexts: r.get_varint().map_err(trunc)?,
-        max_valid_regs: r.get_u32().map_err(trunc)?,
-        max_contexts: r.get_u32().map_err(trunc)?,
+        samples: r.get_varint()?,
+        sum_valid_regs: r.get_varint()?,
+        sum_contexts: r.get_varint()?,
+        max_valid_regs: r.get_int()?,
+        max_contexts: r.get_int()?,
     };
-    let threads =
-        usize::try_from(r.get_varint().map_err(trunc)?).map_err(|_| StoreError::Truncated)?;
+    let threads: usize = r.get_int()?;
     let mut ti = Vec::with_capacity(threads.min(1 << 16));
     for _ in 0..threads {
-        ti.push(r.get_varint().map_err(trunc)?);
+        ti.push(r.get_varint()?);
     }
     rep.thread_instructions = ti;
-    rep.icache = match r.get_u8().map_err(trunc)? {
+    rep.icache = match r.get_u8()? {
         0 => None,
-        _ => Some(decode_cache(r)?),
+        1 => Some(decode_cache(r)?),
+        _ => return Err(FrameError::BadVarint),
     };
     Ok(rep)
 }
 
-fn decode_cache(r: &mut VarReader<'_>) -> Result<CacheStats, StoreError> {
-    let trunc = |_| StoreError::Truncated;
+fn decode_cache(r: &mut VarReader<'_>) -> Result<CacheStats, FrameError> {
     Ok(CacheStats {
-        accesses: r.get_varint().map_err(trunc)?,
-        hits: r.get_varint().map_err(trunc)?,
-        misses: r.get_varint().map_err(trunc)?,
-        writebacks: r.get_varint().map_err(trunc)?,
+        accesses: r.get_varint()?,
+        hits: r.get_varint()?,
+        misses: r.get_varint()?,
+        writebacks: r.get_varint()?,
     })
 }
 
@@ -470,20 +382,13 @@ impl StreamStore {
         decode_stream(&bytes, fingerprint, cfg).map(Some)
     }
 
-    /// Persists `buf` as the entry for `fingerprint`: written to a
-    /// temporary sibling, then atomically renamed, so concurrent
-    /// readers and a crash mid-write can only ever observe a complete
-    /// entry or none.
+    /// Persists `buf` as the entry for `fingerprint` with
+    /// [`write_atomic`], so concurrent readers and a crash mid-write can
+    /// only ever observe a complete entry or none.
     pub fn save_stream(&self, fingerprint: u64, buf: &FrontendBuffer) -> Result<(), StoreError> {
         std::fs::create_dir_all(&self.dir)?;
-        let tmp = self
-            .dir
-            .join(format!("{fingerprint:016x}.tmp{}", std::process::id()));
-        std::fs::write(&tmp, encode_stream(fingerprint, buf))?;
-        std::fs::rename(&tmp, self.stream_path(fingerprint)).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
-        Ok(())
+        let path = self.stream_path(fingerprint);
+        Ok(write_atomic(&path, &encode_stream(fingerprint, buf))?)
     }
 
     /// Removes the entry for `fingerprint` (used when a loaded entry
@@ -497,6 +402,7 @@ impl StreamStore {
 mod tests {
     use super::*;
     use crate::fcache::capture_frontend;
+    use crate::frame::SEAL_LEN;
     use nsf_sim::RegFileSpec;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -563,6 +469,83 @@ mod tests {
     }
 
     #[test]
+    fn every_frontend_field_breaks_frontend_eq_and_the_fingerprint() {
+        let w = nsf_workloads::gatesim::build(0);
+        // Every option present, so each of its leaf fields can be moved.
+        let base = SimConfig {
+            quantum: Some(16),
+            channel_capacity: Some(4),
+            icache: Some(nsf_mem::CacheConfig::sparc2_dcache()),
+            ..SimConfig::default()
+        };
+        let fp = stream_fingerprint(&w, &base).unwrap();
+        type Mutation = (&'static str, fn(&mut SimConfig));
+        let mutations: [Mutation; 37] = [
+            ("dcache.capacity_words", |c| {
+                c.mem.dcache.capacity_words *= 2
+            }),
+            ("dcache.line_words", |c| c.mem.dcache.line_words *= 2),
+            ("dcache.ways", |c| c.mem.dcache.ways += 1),
+            ("dcache.hit_cycles", |c| c.mem.dcache.hit_cycles += 1),
+            ("dcache.miss_penalty", |c| c.mem.dcache.miss_penalty += 1),
+            ("mem.ctable_slots", |c| c.mem.ctable_slots += 1),
+            ("sched.max_threads", |c| c.sched.max_threads += 1),
+            ("sched.cid_capacity", |c| c.sched.cid_capacity += 1),
+            ("sched.stack_words", |c| c.sched.stack_words += 1),
+            ("sched.stack_base", |c| c.sched.stack_base += 1),
+            ("cycles.alu", |c| c.cycles.alu += 1),
+            ("cycles.control", |c| c.cycles.control += 1),
+            ("cycles.taken_extra", |c| c.cycles.taken_extra += 1),
+            ("cycles.mem_base", |c| c.cycles.mem_base += 1),
+            ("cycles.thread_op", |c| c.cycles.thread_op += 1),
+            ("cycles.proc_op", |c| c.cycles.proc_op += 1),
+            ("cycles.misc", |c| c.cycles.misc += 1),
+            ("cycles.switch_overhead", |c| c.cycles.switch_overhead += 1),
+            ("remote_latency", |c| c.remote_latency += 1),
+            ("msg_latency", |c| c.msg_latency += 1),
+            ("sample_interval", |c| c.sample_interval += 1),
+            ("max_instructions", |c| c.max_instructions += 1),
+            ("quantum value", |c| c.quantum = Some(17)),
+            ("quantum presence", |c| c.quantum = None),
+            ("backing_base", |c| c.backing_base += 64),
+            ("trace_depth", |c| c.trace_depth += 1),
+            ("channel_capacity value", |c| c.channel_capacity = Some(5)),
+            ("channel_capacity presence", |c| c.channel_capacity = None),
+            ("icache.capacity_words", |c| {
+                c.icache.as_mut().unwrap().capacity_words *= 2
+            }),
+            ("icache.line_words", |c| {
+                c.icache.as_mut().unwrap().line_words *= 2
+            }),
+            ("icache.ways", |c| c.icache.as_mut().unwrap().ways += 1),
+            ("icache.hit_cycles", |c| {
+                c.icache.as_mut().unwrap().hit_cycles += 1
+            }),
+            ("icache.miss_penalty", |c| {
+                c.icache.as_mut().unwrap().miss_penalty += 1
+            }),
+            ("icache presence", |c| c.icache = None),
+            ("issue_width", |c| c.issue_width += 1),
+            ("read_ports", |c| c.read_ports += 1),
+            ("write_ports", |c| c.write_ports += 1),
+        ];
+        for (name, mutate) in mutations {
+            let mut cfg = base;
+            mutate(&mut cfg);
+            assert!(!cfg.frontend_eq(&base), "{name}: still frontend_eq");
+            assert!(!base.frontend_eq(&cfg), "{name}: frontend_eq not symmetric");
+            assert_ne!(stream_fingerprint(&w, &cfg), Some(fp), "{name}");
+        }
+        // The register file is the one field outside the frontend.
+        let other_engine = SimConfig {
+            regfile: RegFileSpec::sparc_windows(16),
+            ..base
+        };
+        assert!(other_engine.frontend_eq(&base));
+        assert_eq!(stream_fingerprint(&w, &other_engine), Some(fp));
+    }
+
+    #[test]
     fn foreign_magic_and_version_are_typed() {
         let (_, cfg, buf, fp) = captured();
         let good = encode_stream(*fp, buf);
@@ -570,13 +553,13 @@ mod tests {
         magic[0] = b'X';
         assert!(matches!(
             decode_stream(&magic, *fp, cfg),
-            Err(StoreError::BadMagic(_))
+            Err(StoreError::Frame(FrameError::BadMagic(_)))
         ));
         let mut version = good.clone();
         version[4] = STORE_VERSION + 1;
         assert!(matches!(
             decode_stream(&version, *fp, cfg),
-            Err(StoreError::UnsupportedVersion(v)) if v == STORE_VERSION + 1
+            Err(StoreError::Frame(FrameError::UnsupportedVersion(v))) if v == STORE_VERSION + 1
         ));
         assert!(matches!(
             decode_stream(&good, fp.wrapping_add(1), cfg),
@@ -586,6 +569,28 @@ mod tests {
         assert!(matches!(
             validate_stream_bytes(&good, fp.wrapping_add(1)),
             Err(StoreError::FingerprintMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn huge_stream_length_is_typed_not_panic() {
+        // A checksum-valid entry whose stream-length field is near
+        // u64::MAX must be rejected, not overflow an offset.
+        let (_, cfg, _, fp) = captured();
+        let empty = FrontendBuffer {
+            cfg: *cfg,
+            bytes: Vec::new(),
+            events: 0,
+            shared_cycles: 0,
+            report: RunReport::default(),
+        };
+        let good = encode_stream(*fp, &empty);
+        // The body ends with the one-byte length 0; swap in a huge one.
+        let mut body = good[..good.len() - SEAL_LEN - 1].to_vec();
+        crate::frame::put_varint(&mut body, u64::MAX - 2);
+        assert!(matches!(
+            decode_stream(&seal(body), *fp, cfg),
+            Err(StoreError::Frame(FrameError::Truncated))
         ));
     }
 
@@ -602,10 +607,12 @@ mod tests {
             let err = decode_stream(torn, *fp, cfg).unwrap_err();
             prop_assert!(matches!(
                 err,
-                StoreError::Truncated
-                    | StoreError::ChecksumMismatch { .. }
-                    | StoreError::BadMagic(_)
-                    | StoreError::UnsupportedVersion(_)
+                StoreError::Frame(
+                    FrameError::Truncated
+                        | FrameError::ChecksumMismatch { .. }
+                        | FrameError::BadMagic(_)
+                        | FrameError::UnsupportedVersion(_)
+                )
             ));
             prop_assert!(validate_stream_bytes(torn, *fp).is_err());
         }
@@ -625,7 +632,7 @@ mod tests {
                 // checksum runs; everything else must be a checksum
                 // failure (the fingerprint field is inside the body).
                 prop_assert!(
-                    matches!(err, StoreError::ChecksumMismatch { .. }),
+                    matches!(err, StoreError::Frame(FrameError::ChecksumMismatch { .. })),
                     "byte {idx} bit {bit}: {err}"
                 );
             }
