@@ -21,8 +21,10 @@
 
 use crate::cli::{CliArgs, CliError, CliSpec};
 use crate::measure;
-use nsf_sim::{batchable_program, RunReport, SimConfig};
-use nsf_trace::{capture_frontend, replay_frontend, stream_fingerprint, StreamStore};
+use nsf_sim::{RunReport, SimConfig};
+use nsf_trace::{
+    capture_frontend, capture_rejection, replay_frontend, stream_fingerprint, StreamStore,
+};
 use nsf_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -111,19 +113,12 @@ impl Sweep {
     /// submission-order chunks of points that share a workload and a
     /// machine frontend ([`SimConfig::frontend_eq`]) — the unit of the
     /// frontend event-stream cache ([`Sweep::run_stored`]). Points that
-    /// cannot be captured stay singletons: unbatchable programs, traced
-    /// runs and frontends other than single-issue (the same rule
-    /// [`Sweep::run_stored_stats`] routes by).
+    /// cannot be captured ([`capture_rejection`]) stay singletons.
     pub fn frontend_groups(&self) -> Vec<Vec<usize>> {
-        let batchable: Vec<bool> = self
-            .workloads
-            .iter()
-            .map(|w| batchable_program(&w.program))
-            .collect();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut open: Vec<Option<usize>> = vec![None; self.workloads.len()];
         for (i, p) in self.points.iter().enumerate() {
-            if !batchable[p.workload] || p.cfg.trace_depth != 0 || p.cfg.issue_width != 1 {
+            if !self.capturable(i) {
                 groups.push(vec![i]);
                 continue;
             }
@@ -138,6 +133,13 @@ impl Sweep {
             groups.push(vec![i]);
         }
         groups
+    }
+
+    /// `true` when point `i` can be captured ([`capture_rejection`]).
+    /// A frontend group is capturable iff its head is.
+    fn capturable(&self, i: usize) -> bool {
+        let p = &self.points[i];
+        capture_rejection(&self.workloads[p.workload], &p.cfg).is_none()
     }
 
     /// Smallest frontend group [`Sweep::run_stored`] captures without a
@@ -188,20 +190,6 @@ impl Sweep {
         store: Option<&StreamStore>,
     ) -> (Vec<RunReport>, FrontendCacheStats) {
         let groups = self.frontend_groups();
-        let batchable: Vec<bool> = self
-            .workloads
-            .iter()
-            .map(|w| batchable_program(&w.program))
-            .collect();
-        // A group is capturable iff its stream is organization-
-        // independent and untraced — the rule [`Sweep::frontend_groups`]
-        // applies, re-derived here because its singletons are ambiguous
-        // (a group of one is either an excluded point or just a lonely
-        // frontend).
-        let capturable = |g: &[usize]| {
-            let p = &self.points[g[0]];
-            batchable[p.workload] && p.cfg.trace_depth == 0 && p.cfg.issue_width == 1
-        };
         let wide = |g: &[usize]| g.len() >= Self::MIN_CAPTURE_GROUP;
         let mut stats = FrontendCacheStats {
             points: self.points.len() as u64,
@@ -209,7 +197,7 @@ impl Sweep {
         };
         if !groups
             .iter()
-            .any(|g| capturable(g) && (store.is_some() || wide(g)))
+            .any(|g| self.capturable(g[0]) && (store.is_some() || wide(g)))
         {
             // Nothing could capture or hit the store: identical to the
             // plain sweep, and timed as pure frontend-paying work.
@@ -226,7 +214,9 @@ impl Sweep {
                 ix.iter().map(|&i| self.points[i].cfg).collect()
             };
             let keyed = match store {
-                Some(st) if capturable(g) => stream_fingerprint(w, &head_cfg).map(|fp| (st, fp)),
+                Some(st) if self.capturable(g[0]) => {
+                    stream_fingerprint(w, &head_cfg).map(|fp| (st, fp))
+                }
                 _ => None,
             };
             if let Some((st, fp)) = keyed {
@@ -258,7 +248,7 @@ impl Sweep {
                     // trusted — delete and recapture live.
                     Err(_) => st.remove_stream(fp),
                 }
-            } else if !(capturable(g) && wide(g)) {
+            } else if !(self.capturable(g[0]) && wide(g)) {
                 // Too narrow to amortize a capture and a stream decode
                 // (or not capturable at all): every point runs live.
                 let t0 = std::time::Instant::now();

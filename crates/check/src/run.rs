@@ -3,11 +3,15 @@
 //! Every lane of a family executes the same operation stream against a
 //! [`FaultyStore`] armed with one deterministic [`FaultPlan`], and each
 //! per-op outcome is compared against the architectural oracle
-//! ([`nsf_core::OracleFile`] over an unfaulted [`MapStore`]). Outcomes
-//! are *architectural*: read values and typed error kinds. Stall cycles,
-//! hit/miss flags and transfer counts differ between organizations by
-//! design and are never compared across lanes — except for *twin* lanes
-//! ([`Family::twins`]), which must agree on every traffic counter.
+//! ([`nsf_core::OracleFile`] over an unfaulted [`MapStore`]). Lanes and
+//! oracle alike are [`EngineDispatch`]es, the statically dispatched
+//! engine type the simulator and the frontend replay hold, driven one
+//! [`nsf_core::LaneOp`] at a time by [`EngineDispatch::apply_op`].
+//! Outcomes are *architectural*: read values and typed error kinds.
+//! Stall cycles, hit/miss flags and transfer counts differ between
+//! organizations by design and are never compared across lanes — except
+//! for *twin* lanes ([`Family::twins`]), which must agree on every
+//! traffic counter.
 //!
 //! When a lane's backing store injects a fault, the checker demands the
 //! contract the engines advertise: the error surfaces as
@@ -26,8 +30,8 @@
 use crate::lanes::{build_lane, traffic_counts, Family};
 use crate::stream::{generate, SplitMix64, StreamConfig};
 use nsf_core::{
-    BackingStore, Cid, FaultPlan, FaultyStore, MapStore, OracleFile, RegFileError, RegFileStats,
-    RegisterFile, Word,
+    BackingStore, Cid, EngineDispatch, FaultPlan, FaultyStore, MapStore, OracleFile, RegFileError,
+    RegFileStats, RegisterFile, Word,
 };
 use nsf_trace::RegEvent;
 use std::fmt;
@@ -59,35 +63,17 @@ fn err_outcome(e: &RegFileError) -> Outcome {
     }
 }
 
-/// Applies one event to a file, reducing the result to its
+/// Applies one event's [`nsf_core::LaneOp`] to a lane through
+/// [`EngineDispatch::apply_op`], reducing the result to its
 /// architectural [`Outcome`].
-pub fn apply(file: &mut dyn RegisterFile, ev: &RegEvent, store: &mut dyn BackingStore) -> Outcome {
-    let reduce = |r: Result<u32, RegFileError>| match r {
-        Ok(_) => Outcome::Done,
-        Err(e) => err_outcome(&e),
+pub fn apply(file: &mut EngineDispatch, ev: &RegEvent, store: &mut dyn BackingStore) -> Outcome {
+    // Streams never carry memory traffic (the validator rejects it).
+    let Some(op) = ev.lane_op() else {
+        return Outcome::Done;
     };
-    match *ev {
-        RegEvent::Read { addr } => match file.read(addr, store) {
-            Ok(a) => Outcome::Value(a.value),
-            Err(e) => err_outcome(&e),
-        },
-        RegEvent::Write { addr, value } => match file.write(addr, value, store) {
-            Ok(_) => Outcome::Done,
-            Err(e) => err_outcome(&e),
-        },
-        RegEvent::SwitchTo { cid } => reduce(file.switch_to(cid, store)),
-        RegEvent::CallPush { cid } => reduce(file.call_push(cid, store)),
-        RegEvent::ThreadSwitch { cid } => reduce(file.thread_switch(cid, store)),
-        RegEvent::FreeContext { cid } => {
-            file.free_context(cid, store);
-            Outcome::Done
-        }
-        RegEvent::FreeReg { addr } => {
-            file.free_reg(addr, store);
-            Outcome::Done
-        }
-        // Streams never carry memory traffic (the validator rejects it).
-        RegEvent::MemRead { .. } | RegEvent::MemWrite { .. } => Outcome::Done,
+    match file.apply_op(op, store) {
+        Ok(step) => step.value.map_or(Outcome::Done, Outcome::Value),
+        Err(e) => err_outcome(&e),
     }
 }
 
@@ -145,7 +131,7 @@ pub fn cids_of(ops: &[RegEvent]) -> Vec<Cid> {
 /// Panics if the oracle itself reports a store fault — its store is
 /// unfaulted, so that would be a checker bug.
 pub fn oracle_outcomes(ops: &[RegEvent]) -> Vec<Outcome> {
-    let mut oracle = OracleFile::new();
+    let mut oracle = EngineDispatch::Oracle(OracleFile::new());
     let mut store = MapStore::new();
     ops.iter()
         .map(|ev| {
@@ -167,7 +153,7 @@ pub struct LaneReport {
     pub faults_absorbed: u64,
 }
 
-fn invariant_or_capacity_violation(file: &dyn RegisterFile) -> Option<String> {
+fn invariant_or_capacity_violation(file: &EngineDispatch) -> Option<String> {
     if let Some(v) = file.stats().invariant_violation() {
         return Some(v);
     }
@@ -259,7 +245,7 @@ pub fn check_lane(
 /// actually freed.
 fn residue_divergence(
     spec: &str,
-    file: &dyn RegisterFile,
+    file: &EngineDispatch,
     store: &MapStore,
     ops: &[RegEvent],
 ) -> Option<Divergence> {

@@ -5,9 +5,11 @@
 //! vtable call on that path. [`EngineDispatch`] enumerates the concrete
 //! engine families instead, so a machine that owns one by value
 //! dispatches with a predictable `match` the compiler can inline
-//! through. The [`EngineDispatch::Boxed`] escape hatch keeps dynamic
-//! engines (event-recording wrappers, test doubles) usable behind the
-//! same type at their old cost.
+//! through. The hot loops (the simulator's scheduler loop and the
+//! frontend-stream replay) go one step further: they match on the
+//! family once per run or tile and run a loop monomorphized for that
+//! engine. There is no dynamic variant; observing a run is the job of
+//! the simulator's frontend probe, not of a wrapping engine.
 
 use crate::addr::{Cid, RegAddr};
 use crate::stats::{Occupancy, RegFileStats};
@@ -19,8 +21,7 @@ use crate::{ConventionalFile, NamedStateFile, OracleFile, SegmentedFile, Windowe
 ///
 /// One variant per concrete engine family (the segmented family covers
 /// both hardware- and software-spill engines — that choice is a
-/// [`crate::SpillEngine`] parameter, not a type), plus [`Self::Boxed`]
-/// for anything only known at run time, e.g. [`crate::RecordingFile`].
+/// [`crate::SpillEngine`] parameter, not a type) and the oracle.
 pub enum EngineDispatch {
     /// The Named-State Register File.
     Nsf(NamedStateFile),
@@ -32,16 +33,9 @@ pub enum EngineDispatch {
     Conventional(ConventionalFile),
     /// The infinite oracle (differential testing).
     Oracle(OracleFile),
-    /// Dynamic escape hatch: recording wrappers and custom engines.
-    Boxed(Box<dyn RegisterFile>),
 }
 
 impl EngineDispatch {
-    /// Wraps a dynamic engine (kept for recording wrappers and tests).
-    pub fn boxed(inner: Box<dyn RegisterFile>) -> Self {
-        EngineDispatch::Boxed(inner)
-    }
-
     /// Applies one architectural operation. Every [`RegisterFile`]
     /// method that the simulator or the differential checker issues per
     /// instruction is reachable through one [`LaneOp`], so a decoded
@@ -160,7 +154,7 @@ impl From<OracleFile> for EngineDispatch {
 
 /// Forwards one method call to whichever engine is inside. Concrete
 /// variants resolve statically (including each engine's own overrides
-/// of the trait's defaulted methods); `Boxed` pays the vtable as before.
+/// of the trait's defaulted methods).
 macro_rules! forward {
     ($self:expr, $method:ident ( $($arg:expr),* )) => {
         match $self {
@@ -169,7 +163,6 @@ macro_rules! forward {
             EngineDispatch::Windowed(e) => e.$method($($arg),*),
             EngineDispatch::Conventional(e) => e.$method($($arg),*),
             EngineDispatch::Oracle(e) => e.$method($($arg),*),
-            EngineDispatch::Boxed(e) => e.$method($($arg),*),
         }
     };
 }
@@ -321,16 +314,5 @@ mod tests {
             }
         }
         assert_eq!(direct.stats(), via.stats());
-    }
-
-    #[test]
-    fn boxed_escape_hatch_forwards() {
-        let mut store = MapStore::new();
-        let mut e = EngineDispatch::boxed(Box::new(OracleFile::new()));
-        assert!(e.describe().contains("Oracle"));
-        e.write(RegAddr::new(3, 0), 7, &mut store).unwrap();
-        assert_eq!(e.read(RegAddr::new(3, 0), &mut store).unwrap().value, 7);
-        e.free_context(3, &mut store);
-        assert_eq!(e.occupancy().valid_regs, 0);
     }
 }

@@ -43,7 +43,6 @@ pub mod dispatch;
 pub mod nsf;
 pub mod oracle;
 pub mod policy;
-pub mod record;
 pub mod replacement;
 pub mod segmented;
 pub mod stats;
@@ -58,7 +57,6 @@ pub use dispatch::{EngineDispatch, LaneOp, LaneStep};
 pub use nsf::{NamedStateFile, NsfConfig};
 pub use oracle::OracleFile;
 pub use policy::{ReloadPolicy, ReplacementPolicy, SpillEngine, WriteMissPolicy};
-pub use record::{EventSink, RecordingFile, SharedSink};
 pub use segmented::{SegmentedConfig, SegmentedFile};
 pub use stats::{Occupancy, RegFileStats};
 pub use store::{FaultPlan, FaultyStore, MapStore};

@@ -7,9 +7,7 @@ use crate::metrics::RunReport;
 use crate::pipeline::{reg_uses, Pipeline, RegUses};
 use crate::probe::{FrontendProbe, NoProbe};
 use crate::trace::{TraceBuffer, TraceEntry};
-use nsf_core::{
-    Cid, EngineDispatch, LaneOp, RecordingFile, RegAddr, RegFileError, RegisterFile, SharedSink,
-};
+use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegFileError, RegisterFile};
 use nsf_isa::{Inst, InstClass, Program, Reg, NUM_GLOBAL_REGS};
 use nsf_mem::{Addr, Cache, MemSystem, Word};
 use nsf_runtime::{BlockReason, SchedDecision, Scheduler, SchedulerError, ThreadId};
@@ -204,7 +202,6 @@ pub struct Machine {
     sample_countdown: u64,
     trace: TraceBuffer,
     icache: Option<Cache>,
-    sink: Option<SharedSink>,
     /// The scoreboarded multi-issue frontend; `None` at `issue_width
     /// == 1`, where the clock path is bit-identical to the pre-pipeline
     /// machine.
@@ -271,7 +268,6 @@ impl Machine {
             sample_countdown: cfg.sample_interval,
             trace: TraceBuffer::new(cfg.trace_depth),
             icache: cfg.icache.map(Cache::new),
-            sink: None,
             pipeline: (cfg.issue_width > 1).then(|| Pipeline::new(&cfg)),
             cfg,
         };
@@ -297,18 +293,6 @@ impl Machine {
         &self.trace
     }
 
-    /// Attaches an event sink that observes the register-file operation
-    /// stream (via a [`RecordingFile`] wrapper around the configured
-    /// organization), the program's data-cache traffic, and per
-    /// instruction clock stamps. Call before [`Machine::run_and_keep`];
-    /// recording is observational and never changes results or timing.
-    pub fn attach_sink(&mut self, sink: SharedSink) {
-        let inner = std::mem::replace(&mut self.regfile, placeholder_engine());
-        self.regfile =
-            EngineDispatch::boxed(Box::new(RecordingFile::new(Box::new(inner), sink.clone())));
-        self.sink = Some(sink);
-    }
-
     /// Runs to completion and returns the measurement report.
     pub fn run(mut self) -> Result<RunReport, SimError> {
         self.run_and_keep()
@@ -322,15 +306,14 @@ impl Machine {
 
     /// [`Machine::run_and_keep`] with a [`FrontendProbe`] observing the
     /// frontend: every register-file operation, program memory access,
-    /// organization-independent cycle charge and occupancy sample, in
-    /// execution order. Probing never perturbs the run: the report (and
-    /// memory) are identical to an unprobed run's.
+    /// organization-independent cycle charge, occupancy sample and clock
+    /// stamp, in execution order. Probing never perturbs the run: the
+    /// report (and memory) are identical to an unprobed run's.
     ///
     /// The run dispatches on the engine family once: the loop is
     /// monomorphized per concrete engine, so the register-file hit paths
-    /// inline into it (an [`EngineDispatch::Boxed`] engine runs the same
-    /// loop through its vtable). The engine is moved out of `self` for
-    /// the run and put back after it.
+    /// inline into it. The engine is moved out of `self` for the run and
+    /// put back after it.
     pub fn run_probed<P: FrontendProbe>(&mut self, probe: &mut P) -> Result<RunReport, SimError> {
         let mut regfile = std::mem::replace(&mut self.regfile, placeholder_engine());
         let result = match &mut regfile {
@@ -339,7 +322,6 @@ impl Machine {
             EngineDispatch::Windowed(rf) => self.run_on(rf, probe),
             EngineDispatch::Conventional(rf) => self.run_on(rf, probe),
             EngineDispatch::Oracle(rf) => self.run_on(rf, probe),
-            EngineDispatch::Boxed(rf) => self.run_on(rf.as_mut(), probe),
         };
         self.regfile = regfile;
         result?;
@@ -348,7 +330,7 @@ impl Machine {
     }
 
     /// The scheduler loop over engine `rf`.
-    fn run_on<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn run_on<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         probe: &mut P,
@@ -453,7 +435,7 @@ impl Machine {
     /// free) or a register free to the register file, charging its
     /// stall cycles. Register reads and writes go through
     /// [`Machine::read_reg`] and [`Machine::write_reg`].
-    fn context_op<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn context_op<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         op: LaneOp,
@@ -488,7 +470,7 @@ impl Machine {
     /// already is). Charges switch cycles. `op` routes the notification
     /// to the organization's plain / call-push / thread-switch handler.
     #[inline]
-    fn switch_context<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn switch_context<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         cid: Cid,
@@ -505,7 +487,7 @@ impl Machine {
     }
 
     #[inline(always)]
-    fn read_reg<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn read_reg<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         cid: Cid,
@@ -532,7 +514,7 @@ impl Machine {
     }
 
     #[inline(always)]
-    fn write_reg<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn write_reg<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         cid: Cid,
@@ -574,13 +556,13 @@ impl Machine {
 
     /// Issues from the running thread until it blocks, yields, finishes
     /// or is preempted at the quantum.
-    fn run_slice<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn run_slice<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         probe: &mut P,
     ) -> Result<(), SimError> {
         self.check_budget()?;
-        self.note_clock();
+        probe.clock(self.clock);
         // Deliver a pending remote-load value first. Only a blocking
         // remote load leaves one, so it can only be due as a slice starts.
         if let Some((r, v)) = self.sched.current_mut().pending_write.take() {
@@ -602,37 +584,13 @@ impl Machine {
                 }
             }
             self.check_budget()?;
-            self.note_clock();
-        }
-    }
-
-    /// Stamps the sink (if any) with the current clock.
-    #[inline]
-    fn note_clock(&self) {
-        if let Some(s) = &self.sink {
-            s.borrow_mut().clock(self.clock);
-        }
-    }
-
-    /// Reports a cached program load to the sink (if any).
-    #[inline]
-    fn note_mem_read(&self, addr: Addr) {
-        if let Some(s) = &self.sink {
-            s.borrow_mut().mem_read(addr);
-        }
-    }
-
-    /// Reports a cached program store to the sink (if any).
-    #[inline]
-    fn note_mem_write(&self, addr: Addr) {
-        if let Some(s) = &self.sink {
-            s.borrow_mut().mem_write(addr);
+            probe.clock(self.clock);
         }
     }
 
     /// Executes one instruction of the running thread.
     #[inline(always)]
-    fn step<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn step<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         probe: &mut P,
@@ -685,7 +643,7 @@ impl Machine {
 
     #[allow(clippy::too_many_lines)]
     #[inline(always)]
-    fn execute<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn execute<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         inst: Inst,
@@ -788,7 +746,6 @@ impl Machine {
 
             Lw { rd, base, imm } => {
                 let addr = read!(base).wrapping_add(imm as Word);
-                self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
                 probe.mem_load(addr, v);
@@ -798,7 +755,6 @@ impl Machine {
             Sw { base, src, imm } => {
                 let addr = read!(base).wrapping_add(imm as Word);
                 let v = read!(src);
-                self.note_mem_write(addr);
                 let cycles = self.mem.store(addr, v);
                 self.clock += u64::from(cycles);
                 probe.mem_store(addr, v);
@@ -914,7 +870,6 @@ impl Machine {
             }
             AmoAdd { rd, base, imm } => {
                 let addr = read!(base);
-                self.note_mem_write(addr);
                 let (old, cycles) = self.mem.fetch_add(addr, imm);
                 self.clock += u64::from(cycles);
                 probe.mem_amo(addr, imm, old);
@@ -923,7 +878,6 @@ impl Machine {
             }
             SyncWait { base, imm } => {
                 let addr = read!(base).wrapping_add(imm as Word);
-                self.note_mem_read(addr);
                 let (v, cycles) = self.mem.load(addr);
                 self.clock += u64::from(cycles);
                 probe.mem_load(addr, v);
@@ -952,7 +906,7 @@ impl Machine {
     }
 
     /// Frees a dead context everywhere: register file, Ctable, CID pool.
-    fn release_context<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn release_context<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         cid: Cid,
@@ -967,7 +921,7 @@ impl Machine {
         Ok(())
     }
 
-    fn halt_thread<E: RegisterFile + ?Sized, P: FrontendProbe>(
+    fn halt_thread<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
         probe: &mut P,
@@ -990,8 +944,7 @@ impl Machine {
 }
 
 /// The engine left in [`Machine::regfile`] while the real one is moved
-/// out (for a run, or to be wrapped by [`Machine::attach_sink`]); it
-/// never executes.
+/// out for a run; it never executes.
 fn placeholder_engine() -> EngineDispatch {
     EngineDispatch::Oracle(nsf_core::OracleFile::new())
 }

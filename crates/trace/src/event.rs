@@ -1,11 +1,11 @@
 //! The register-file event vocabulary: everything an engine (or the
 //! data cache its spills travel through) observes during a run.
 
-use nsf_core::{Cid, RegAddr, Word};
+use nsf_core::{Cid, LaneOp, RegAddr, Word};
 use nsf_mem::Addr;
 use std::fmt;
 
-/// One engine-facing operation, as captured by the recording wrapper.
+/// One engine-facing operation, as captured by [`crate::TraceRecorder`].
 ///
 /// The stream covers the full [`nsf_core::RegisterFile`] surface —
 /// accesses by `<Cid:offset>`, the three context-switch kinds, context
@@ -91,6 +91,21 @@ impl RegEvent {
         }
     }
 
+    /// The register-file operation this event names, or `None` for the
+    /// two program-memory events. Inverse of `RegEvent::from(LaneOp)`.
+    pub fn lane_op(&self) -> Option<LaneOp> {
+        Some(match *self {
+            RegEvent::Read { addr } => LaneOp::Read(addr),
+            RegEvent::Write { addr, value } => LaneOp::Write(addr, value),
+            RegEvent::SwitchTo { cid } => LaneOp::SwitchTo(cid),
+            RegEvent::CallPush { cid } => LaneOp::CallPush(cid),
+            RegEvent::ThreadSwitch { cid } => LaneOp::ThreadSwitch(cid),
+            RegEvent::FreeContext { cid } => LaneOp::FreeContext(cid),
+            RegEvent::FreeReg { addr } => LaneOp::FreeReg(addr),
+            RegEvent::MemRead { .. } | RegEvent::MemWrite { .. } => return None,
+        })
+    }
+
     /// A short stable label for histograms and diff output.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -103,6 +118,20 @@ impl RegEvent {
             RegEvent::FreeReg { .. } => "free_reg",
             RegEvent::MemRead { .. } => "mem_read",
             RegEvent::MemWrite { .. } => "mem_write",
+        }
+    }
+}
+
+impl From<LaneOp> for RegEvent {
+    fn from(op: LaneOp) -> Self {
+        match op {
+            LaneOp::Read(addr) => RegEvent::Read { addr },
+            LaneOp::Write(addr, value) => RegEvent::Write { addr, value },
+            LaneOp::SwitchTo(cid) => RegEvent::SwitchTo { cid },
+            LaneOp::CallPush(cid) => RegEvent::CallPush { cid },
+            LaneOp::ThreadSwitch(cid) => RegEvent::ThreadSwitch { cid },
+            LaneOp::FreeContext(cid) => RegEvent::FreeContext { cid },
+            LaneOp::FreeReg(addr) => RegEvent::FreeReg { addr },
         }
     }
 }
@@ -154,5 +183,25 @@ mod tests {
 
         assert_eq!(RegEvent::FreeContext { cid: 9 }.cid(), Some(9));
         assert_eq!(RegEvent::CallPush { cid: 2 }.kind(), "call_push");
+    }
+
+    #[test]
+    fn lane_ops_round_trip() {
+        let a = RegAddr::new(4, 2);
+        for op in [
+            LaneOp::Read(a),
+            LaneOp::Write(a, 0xdead),
+            LaneOp::SwitchTo(4),
+            LaneOp::CallPush(5),
+            LaneOp::ThreadSwitch(6),
+            LaneOp::FreeContext(7),
+            LaneOp::FreeReg(a),
+        ] {
+            let ev = RegEvent::from(op);
+            assert!(!ev.is_mem());
+            assert_eq!(ev.lane_op(), Some(op));
+        }
+        assert_eq!(RegEvent::MemRead { addr: 1 }.lane_op(), None);
+        assert_eq!(RegEvent::MemWrite { addr: 1 }.lane_op(), None);
     }
 }

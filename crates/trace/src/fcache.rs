@@ -181,28 +181,37 @@ impl FrontendBuffer {
     }
 }
 
+/// Why `workload` under `cfg` cannot be captured, or `None` when it
+/// can. Only organization-independent, untraced streams capture: a
+/// program with thread, channel or remote operations, execution tracing
+/// (`trace_depth != 0`) or a frontend other than single-issue
+/// (`issue_width != 1`) is rejected. The one capture rule:
+/// [`capture_frontend`] enforces it and the sweep runner routes by it.
+pub fn capture_rejection(workload: &Workload, cfg: &SimConfig) -> Option<&'static str> {
+    if !batchable_program(&workload.program) {
+        Some("the program uses thread, channel or remote operations")
+    } else if cfg.trace_depth != 0 {
+        Some("execution tracing is on")
+    } else if cfg.issue_width != 1 {
+        Some("the frontend is not single-issue")
+    } else {
+        None
+    }
+}
+
 /// Runs `workload` under `cfg` live — [`nsf_workloads::run_probed`],
 /// output validated by the workload's check — while recording the
 /// frontend event stream. Returns the buffer; its
 /// [`FrontendBuffer::report`] is the capture point's own result.
 ///
-/// Only organization-independent streams can be captured: a program
-/// with thread, channel or remote operations, execution tracing
-/// (`trace_depth != 0`) or a frontend other than single-issue
-/// (`issue_width != 1`) is rejected with [`SimError::BadConfig`].
+/// A point that [`capture_rejection`] rejects fails with
+/// [`SimError::BadConfig`].
 pub fn capture_frontend(
     workload: &Workload,
     cfg: SimConfig,
 ) -> Result<FrontendBuffer, WorkloadError> {
-    let reject = |why: &str| Err(SimError::BadConfig(format!("cannot capture: {why}")).into());
-    if !batchable_program(&workload.program) {
-        return reject("the program uses thread, channel or remote operations");
-    }
-    if cfg.trace_depth != 0 {
-        return reject("execution tracing is on");
-    }
-    if cfg.issue_width != 1 {
-        return reject("the frontend is not single-issue");
+    if let Some(why) = capture_rejection(workload, &cfg) {
+        return Err(SimError::BadConfig(format!("cannot capture: {why}")).into());
     }
     let mut rec = FrontendRecorder {
         // Scale-1 streams run to megabytes; reserving up front keeps the
@@ -619,7 +628,6 @@ impl ReplaySet {
             EngineDispatch::Windowed(rf) => state.run(rf, ops),
             EngineDispatch::Conventional(rf) => state.run(rf, ops),
             EngineDispatch::Oracle(rf) => state.run(rf, ops),
-            EngineDispatch::Boxed(rf) => state.run(rf.as_mut(), ops),
         }
     }
 
@@ -651,7 +659,7 @@ struct LaneState<'a> {
 impl LaneState<'_> {
     /// Applies `ops` in order to the lane's engine `rf` (monomorphized
     /// per engine family, so register hits inline into this loop).
-    fn run<E: RegisterFile + ?Sized>(
+    fn run<E: RegisterFile>(
         &mut self,
         rf: &mut E,
         ops: &[ReplayOp],
@@ -666,7 +674,7 @@ impl LaneState<'_> {
     }
 
     #[inline(always)]
-    fn step<E: RegisterFile + ?Sized>(
+    fn step<E: RegisterFile>(
         &mut self,
         rf: &mut E,
         op: &ReplayOp,

@@ -18,10 +18,11 @@
 //!   `magic | version` header check, the sealed-blob and
 //!   checksummed-record-log layouts with their typed [`FrameError`]s,
 //!   and the atomic-save and torn-tail-truncation file helpers.
-//! - **Capture** ([`TraceRecorder`], [`capture`]): an
-//!   [`nsf_core::EventSink`] fed by the `RecordingFile` wrapper and the
-//!   simulator; any engine under any workload records without the
-//!   workload knowing.
+//! - **Capture** ([`TraceRecorder`], [`capture`]): a
+//!   [`nsf_sim::FrontendProbe`] on the simulator's run, the same hook
+//!   the frontend cache ([`fcache`]) records through. Any engine under
+//!   any workload records without the workload knowing, and the run
+//!   keeps its engine-specialized loop.
 //! - **Format** ([`Trace`], [`TraceWriter`], [`TraceReader`]): the
 //!   `.nsftrace` encoding — magic + version header, varint fields,
 //!   delta-encoded cycles, event-count + checksum trailer; corrupt
@@ -52,7 +53,7 @@ pub mod store;
 pub use nsf_sim::spec;
 
 pub use event::{RegEvent, TimedEvent};
-pub use fcache::{capture_frontend, replay_frontend, FrontendBuffer};
+pub use fcache::{capture_frontend, capture_rejection, replay_frontend, FrontendBuffer};
 pub use format::{Trace, TraceError, TraceMeta, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC};
 pub use frame::{FrameError, VarReader, VarWriter};
 pub use recorder::TraceRecorder;
@@ -80,8 +81,8 @@ pub fn capture(
     engine_spec: &str,
     scale: u32,
 ) -> Result<(Trace, RunReport), WorkloadError> {
-    let rec = TraceRecorder::shared();
-    let report = nsf_workloads::run_recorded(workload, cfg, rec.clone())?;
+    let mut rec = TraceRecorder::new();
+    let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
     let trace = Trace {
         meta: TraceMeta {
             workload: workload.name.to_string(),
@@ -91,7 +92,7 @@ pub fn capture(
             cycles: report.cycles,
             context_switches: report.context_switches,
         },
-        events: rec.borrow_mut().take_events(),
+        events: rec.take_events(),
     };
     Ok((trace, report))
 }

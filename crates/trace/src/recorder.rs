@@ -1,26 +1,26 @@
-//! The [`TraceRecorder`]: an [`EventSink`] that accumulates the
-//! operation stream in memory, ready to be serialized as a
-//! [`crate::Trace`].
+//! The [`TraceRecorder`]: a [`FrontendProbe`] that accumulates the
+//! register-file operation stream in memory, ready to be serialized as
+//! a [`crate::Trace`].
 
 use crate::event::{RegEvent, TimedEvent};
-use nsf_core::{Cid, EventSink, RegAddr, Word};
+use nsf_core::{LaneOp, Word};
 use nsf_mem::Addr;
-use std::cell::RefCell;
-use std::rc::Rc;
+use nsf_sim::FrontendProbe;
 
 /// An in-memory event accumulator.
 ///
-/// Share one with the harness via [`TraceRecorder::shared`], hand a
-/// clone to [`nsf_workloads::run_recorded`], and take the events back
-/// with [`TraceRecorder::take_events`] when the run completes:
+/// Hand one to [`nsf_workloads::run_probed`] and take the events back
+/// with [`TraceRecorder::take_events`] when the run completes
+/// ([`crate::capture`] wraps exactly this):
 ///
-/// ```no_run
+/// ```
 /// use nsf_trace::TraceRecorder;
-/// # let workload = nsf_workloads::paper_suite(0).remove(0);
-/// # let cfg = nsf_sim::SimConfig::default();
-/// let rec = TraceRecorder::shared();
-/// let report = nsf_workloads::run_recorded(&workload, cfg, rec.clone()).unwrap();
-/// let events = rec.borrow_mut().take_events();
+/// let workload = nsf_workloads::gatesim::build(0);
+/// let cfg = nsf_sim::SimConfig::default();
+/// let mut rec = TraceRecorder::new();
+/// let report = nsf_workloads::run_probed(&workload, cfg, &mut rec).unwrap();
+/// let events = rec.take_events();
+/// assert!(events.len() as u64 > report.regfile.reads + report.regfile.writes);
 /// ```
 #[derive(Default)]
 pub struct TraceRecorder {
@@ -32,12 +32,6 @@ impl TraceRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty recorder behind the shared handle the harness
-    /// expects (the concrete `Rc` coerces to [`nsf_core::SharedSink`]).
-    pub fn shared() -> Rc<RefCell<TraceRecorder>> {
-        Rc::new(RefCell::new(TraceRecorder::new()))
     }
 
     /// Events recorded so far.
@@ -63,62 +57,48 @@ impl TraceRecorder {
     }
 }
 
-impl EventSink for TraceRecorder {
-    fn clock(&mut self, cycle: u64) {
-        self.cycle = cycle;
+/// Register operations become their [`RegEvent`]s; program loads become
+/// [`RegEvent::MemRead`], stores and atomics [`RegEvent::MemWrite`].
+/// Values are dropped (a write keeps its value inside the event), and
+/// each event is stamped with the latest [`FrontendProbe::clock`].
+impl FrontendProbe for TraceRecorder {
+    fn reg_op(&mut self, op: LaneOp, _value: Option<Word>) {
+        self.push(op.into());
     }
 
-    fn reg_read(&mut self, addr: RegAddr) {
-        self.push(RegEvent::Read { addr });
-    }
-
-    fn reg_write(&mut self, addr: RegAddr, value: Word) {
-        self.push(RegEvent::Write { addr, value });
-    }
-
-    fn switch_to(&mut self, cid: Cid) {
-        self.push(RegEvent::SwitchTo { cid });
-    }
-
-    fn call_push(&mut self, cid: Cid) {
-        self.push(RegEvent::CallPush { cid });
-    }
-
-    fn thread_switch(&mut self, cid: Cid) {
-        self.push(RegEvent::ThreadSwitch { cid });
-    }
-
-    fn free_context(&mut self, cid: Cid) {
-        self.push(RegEvent::FreeContext { cid });
-    }
-
-    fn free_reg(&mut self, addr: RegAddr) {
-        self.push(RegEvent::FreeReg { addr });
-    }
-
-    fn mem_read(&mut self, addr: Addr) {
+    fn mem_load(&mut self, addr: Addr, _value: Word) {
         self.push(RegEvent::MemRead { addr });
     }
 
-    fn mem_write(&mut self, addr: Addr) {
+    fn mem_store(&mut self, addr: Addr, _value: Word) {
         self.push(RegEvent::MemWrite { addr });
+    }
+
+    fn mem_amo(&mut self, addr: Addr, _delta: i32, _old: Word) {
+        self.push(RegEvent::MemWrite { addr });
+    }
+
+    fn clock(&mut self, cycle: u64) {
+        self.cycle = cycle;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsf_core::RegAddr;
 
     #[test]
     fn records_in_call_order_with_clock_stamps() {
         let mut r = TraceRecorder::new();
         r.clock(3);
-        r.reg_write(RegAddr::new(1, 0), 9);
-        r.reg_read(RegAddr::new(1, 0));
+        r.reg_op(LaneOp::Write(RegAddr::new(1, 0), 9), None);
+        r.reg_op(LaneOp::Read(RegAddr::new(1, 0)), Some(9));
         r.clock(7);
-        r.mem_read(0x100);
-        r.free_context(1);
-        assert_eq!(r.len(), 4);
+        r.mem_load(0x100, 5);
+        r.reg_op(LaneOp::FreeContext(1), None);
+        r.mem_amo(0x104, 1, 0);
+        assert_eq!(r.len(), 5);
         let events = r.take_events();
         assert!(r.is_empty());
         assert_eq!(events[0].cycle, 3);
@@ -129,6 +109,8 @@ mod tests {
                 addr: RegAddr::new(1, 0)
             }
         );
+        assert_eq!(events[2].event, RegEvent::MemRead { addr: 0x100 });
         assert_eq!(events[3].event, RegEvent::FreeContext { cid: 1 });
+        assert_eq!(events[4].event, RegEvent::MemWrite { addr: 0x104 });
     }
 }

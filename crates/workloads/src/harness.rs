@@ -89,45 +89,20 @@ impl From<SimError> for WorkloadError {
 /// Runs `workload` under `cfg`, validates its output, and returns the
 /// measurement report.
 pub fn run(workload: &Workload, cfg: SimConfig) -> Result<RunReport, WorkloadError> {
-    run_inner(workload, cfg, None, &mut NoProbe)
+    run_probed(workload, cfg, &mut NoProbe)
 }
 
 /// Runs `workload` under `cfg` exactly as [`run`] does — same
 /// validation, same report — with `probe` observing the frontend
-/// ([`Machine::run_probed`]).
+/// ([`Machine::run_probed`]). Probing is observational, so any engine
+/// under any workload can be recorded without the workload knowing
+/// (the `nsf-trace` crate's recorders are probes).
 pub fn run_probed<P: FrontendProbe>(
     workload: &Workload,
     cfg: SimConfig,
     probe: &mut P,
 ) -> Result<RunReport, WorkloadError> {
-    run_inner(workload, cfg, None, probe)
-}
-
-/// Runs `workload` under `cfg` exactly as [`run`] does — same
-/// validation, same report — while streaming the register-file
-/// operation stream (and the program's data-cache traffic) into `sink`.
-///
-/// Recording is observational: the report is identical to an unrecorded
-/// run's, so any engine under any workload can be captured without the
-/// workload knowing (see the `nsf-trace` crate).
-pub fn run_recorded(
-    workload: &Workload,
-    cfg: SimConfig,
-    sink: nsf_core::SharedSink,
-) -> Result<RunReport, WorkloadError> {
-    run_inner(workload, cfg, Some(sink), &mut NoProbe)
-}
-
-fn run_inner<P: FrontendProbe>(
-    workload: &Workload,
-    cfg: SimConfig,
-    sink: Option<nsf_core::SharedSink>,
-    probe: &mut P,
-) -> Result<RunReport, WorkloadError> {
     let mut machine = Machine::new(workload.program.clone(), cfg)?;
-    if let Some(sink) = sink {
-        machine.attach_sink(sink);
-    }
     for (addr, words) in &workload.mem_init {
         machine.mem.poke_block(*addr, words);
     }

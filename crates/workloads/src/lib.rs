@@ -42,7 +42,7 @@ pub mod util;
 pub mod wavefront;
 pub mod zipfile;
 
-pub use harness::{run, run_probed, run_recorded, Workload, WorkloadError};
+pub use harness::{run, run_probed, Workload, WorkloadError};
 
 /// All nine paper benchmarks at the given scale (0 = test-sized,
 /// 1 = evaluation-sized; larger values grow inputs further).
