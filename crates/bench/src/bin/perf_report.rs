@@ -31,12 +31,11 @@ use nsf_bench::figures::{
     ablations, depth_sweep, export_csv, fig09, fig10, fig11, fig12, fig13, fig14, fig_pipeline,
     related_work, summary, table1,
 };
-use nsf_bench::{CliArgs, CliError, CliSpec, FrontendCacheStats, HarnessArgs, Sweep};
+use nsf_bench::{pool_map, CliArgs, CliError, CliSpec, FrontendCacheStats, HarnessArgs, Sweep};
 use nsf_sim::SimConfig;
 use nsf_trace::{capture, parse_engine, replay_events, StreamStore, Trace};
 use std::fmt::Write as _;
 use std::fs;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Builds one figure's (workload, config) point set at a given scale.
@@ -241,29 +240,14 @@ fn explore_section(args: &HarnessArgs) -> Option<ExploreStats> {
 }
 
 /// Replays every point of the Figure 12 sweep from recorded traces,
-/// fanning across `threads` workers (same pool shape as `Sweep::run`).
+/// fanning across `threads` workers (the pool `Sweep::run` uses).
 fn replay_grid(sweep: &Sweep, traces: &[Trace], threads: usize) -> usize {
-    let replay_point = |p: &nsf_bench::SweepPoint| {
+    pool_map(sweep.points.len(), threads, |i| {
+        let p = &sweep.points[i];
         replay_events(&traces[p.workload].events, &p.cfg)
-            .unwrap_or_else(|e| panic!("grid replay failed: {e}"))
-    };
-    if threads <= 1 {
-        for p in &sweep.points {
-            replay_point(p);
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(sweep.points.len()) {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(p) = sweep.points.get(i) else { break };
-                    replay_point(p);
-                });
-            }
-        });
-    }
-    sweep.points.len()
+            .unwrap_or_else(|e| panic!("grid replay failed: {e}"));
+    })
+    .len()
 }
 
 /// Captures the Figure 12 workloads and measures the replay path:

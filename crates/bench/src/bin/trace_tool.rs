@@ -25,7 +25,7 @@
 //! statistics exactly; other engines answer "what would this op stream
 //! have cost on that file?".
 
-use nsf_bench::{CliArgs, CliSpec};
+use nsf_bench::{pool_map, CliArgs, CliSpec};
 use nsf_sim::SimConfig;
 use nsf_trace::{capture, diff, parse_engine, replay, ReplayReport, Trace, TraceReader};
 use nsf_workloads::Workload;
@@ -105,8 +105,8 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| format!("{}.nsftrace", workload.name.to_lowercase()));
     let cfg = engine_config(spec)?;
     let t = Instant::now();
-    let (trace, report) =
-        capture(&workload, cfg, spec, scale).map_err(|e| format!("capture failed: {e}"))?;
+    let (trace, report) = capture(&workload, cfg, spec, scale)
+        .map_err(|e| format!("capture under {spec} failed: {e}"))?;
     trace
         .write_file(&out)
         .map_err(|e| format!("writing {out}: {e}"))?;
@@ -219,38 +219,16 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         "Engine", "Reads", "Writes", "Reloads", "Spills", "SpillCyc", "Rld/inst", "Wall ms"
     );
     nsf_bench::rule(92);
-    let results: Vec<(ReplayReport, f64)> = if threads <= 1 || configs.len() <= 1 {
-        configs
-            .iter()
-            .map(|(spec, cfg)| {
-                let t = Instant::now();
-                let r = replay(&trace, cfg).map_err(|e| format!("{spec}: {e}"))?;
-                Ok((r, t.elapsed().as_secs_f64() * 1e3))
-            })
-            .collect::<Result<_, String>>()?
-    } else {
-        // Engines are independent; fan them across worker threads. The
-        // printed order stays the spec order regardless of completion.
-        let mut slots: Vec<Option<Result<(ReplayReport, f64), String>>> =
-            (0..configs.len()).map(|_| None).collect();
-        let trace_ref = &trace;
-        std::thread::scope(|s| {
-            for ((spec, cfg), slot) in configs.iter().zip(slots.iter_mut()) {
-                s.spawn(move || {
-                    let t = Instant::now();
-                    *slot = Some(
-                        replay(trace_ref, cfg)
-                            .map(|r| (r, t.elapsed().as_secs_f64() * 1e3))
-                            .map_err(|e| format!("{spec}: {e}")),
-                    );
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("worker filled its slot"))
-            .collect::<Result<_, String>>()?
-    };
+    // Engines are independent; fan them across worker threads. The
+    // printed order stays the spec order regardless of completion.
+    let results: Vec<(ReplayReport, f64)> = pool_map(configs.len(), threads, |i| {
+        let (spec, cfg) = &configs[i];
+        let t = Instant::now();
+        let r = replay(&trace, cfg).map_err(|e| format!("{spec}: {e}"))?;
+        Ok((r, t.elapsed().as_secs_f64() * 1e3))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
     for ((spec, _), (r, wall_ms)) in configs.iter().zip(&results) {
         print_replay(spec, trace.meta.instructions, r, *wall_ms);
     }
@@ -273,7 +251,7 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
     let spec_b = args.flag("b").ok_or("diff needs --b SPEC")?;
     let trace = Trace::read_file(path).map_err(|e| format!("reading {path}: {e}"))?;
     let d = diff(&trace, &engine_config(spec_a)?, &engine_config(spec_b)?)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("--a {spec_a} --b {spec_b}: {e}"))?;
     println!(
         "diffing {} ({} events) — A: {} | B: {}",
         path, d.a.events, d.a.regfile_desc, d.b.regfile_desc

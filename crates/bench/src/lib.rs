@@ -41,8 +41,8 @@ pub mod runner;
 
 pub use cli::{CliArgs, CliError, CliSpec};
 pub use runner::{
-    figure_main, run_with_args, workspace_results_dir, Cursor, FrontendCacheStats, HarnessArgs,
-    Sweep, SweepPoint, DEFAULT_LANES, HARNESS_USAGE,
+    figure_main, pool_map, run_with_args, workspace_results_dir, Cursor, FrontendCacheStats,
+    HarnessArgs, Sweep, SweepPoint, DEFAULT_LANES, HARNESS_USAGE,
 };
 
 /// Registers per sequential context (the paper allocates 20).

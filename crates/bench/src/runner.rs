@@ -79,34 +79,14 @@ impl Sweep {
     }
 
     /// Runs every point and returns the reports in submission order,
-    /// fanning across `threads` OS threads (`<= 1` runs serially on the
-    /// caller's thread). Output is identical for every thread count.
+    /// fanning across `threads` OS threads ([`pool_map`]; `<= 1` runs
+    /// serially on the caller's thread). Output is identical for every
+    /// thread count.
     pub fn run(&self, threads: usize) -> Vec<RunReport> {
-        if threads <= 1 || self.points.len() <= 1 {
-            return self
-                .points
-                .iter()
-                .map(|p| measure(&self.workloads[p.workload], p.cfg))
-                .collect();
-        }
-        let threads = threads.min(self.points.len());
-        let cursor = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, RunReport)>> =
-            Mutex::new(Vec::with_capacity(self.points.len()));
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(p) = self.points.get(i) else { break };
-                    let report = measure(&self.workloads[p.workload], p.cfg);
-                    done.lock().unwrap().push((i, report));
-                });
-            }
-        });
-        let mut done = done.into_inner().unwrap();
-        done.sort_by_key(|(i, _)| *i);
-        assert_eq!(done.len(), self.points.len(), "runner lost a point");
-        done.into_iter().map(|(_, r)| r).collect()
+        pool_map(self.points.len(), threads, |i| {
+            let p = &self.points[i];
+            measure(&self.workloads[p.workload], p.cfg)
+        })
     }
 
     /// Partitions point indices into *frontend groups*: unbounded
@@ -288,47 +268,48 @@ impl Sweep {
                 ..GroupOut::default()
             }
         };
-        if threads <= 1 || groups.len() <= 1 {
-            let mut out: Vec<Option<RunReport>> = vec![None; self.points.len()];
-            for g in &groups {
-                let go = run_group(g);
-                stats.absorb(&go);
-                for (&i, r) in g.iter().zip(go.reports) {
-                    out[i] = Some(r);
-                }
+        let outs = pool_map(groups.len(), threads, |gi| run_group(&groups[gi]));
+        let mut out: Vec<Option<RunReport>> = vec![None; self.points.len()];
+        for (g, go) in groups.iter().zip(outs) {
+            stats.absorb(&go);
+            for (&i, r) in g.iter().zip(go.reports) {
+                out[i] = Some(r);
             }
-            let reports = out
-                .into_iter()
-                .map(|r| r.expect("runner lost a point"))
-                .collect();
-            return (reports, stats);
         }
-        let threads = threads.min(groups.len());
-        let cursor = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, RunReport)>> =
-            Mutex::new(Vec::with_capacity(self.points.len()));
-        let shared: Mutex<FrontendCacheStats> = Mutex::new(stats);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let gi = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(g) = groups.get(gi) else { break };
-                    let go = run_group(g);
-                    shared.lock().unwrap().absorb(&go);
-                    let mut done = done.lock().unwrap();
-                    for (&i, r) in g.iter().zip(go.reports) {
-                        done.push((i, r));
-                    }
-                });
-            }
-        });
-        let stats = shared.into_inner().unwrap();
-        let mut done = done.into_inner().unwrap();
-        done.sort_by_key(|(i, _)| *i);
-        assert_eq!(done.len(), self.points.len(), "runner lost a point");
-        let reports = done.into_iter().map(|(_, r)| r).collect();
+        let reports = out
+            .into_iter()
+            .map(|r| r.expect("runner lost a point"))
+            .collect();
         (reports, stats)
     }
+}
+
+/// Maps `f` over `0..n` on `threads` worker threads and returns the
+/// results in index order, so the output is the same for every thread
+/// count. Workers claim the next index from a shared cursor, so uneven
+/// jobs balance; `threads <= 1` (or a single job) runs serially on the
+/// caller's thread. A panic in any job propagates to the caller.
+pub fn pool_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(n) {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = f(i);
+                done.lock().unwrap().push((i, out));
+            });
+        }
+    });
+    let mut done = done.into_inner().unwrap();
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// One frontend group's results and counters inside

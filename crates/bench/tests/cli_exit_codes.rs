@@ -214,6 +214,53 @@ fn repeatable_engine_flag_still_accumulates() {
     );
 }
 
+/// Engine specs that parse but name no buildable organization: an NSF
+/// line that does not divide the file or exceeds a context, zero frames
+/// or registers, and frames wider than the 64-word save area.
+const UNBUILDABLE_SPECS: &[&str] = &[
+    "nsf:80x3",
+    "nsf:80x40",
+    "segmented:0x8",
+    "windowed:0",
+    "conventional:0",
+    "segmented:2x100",
+];
+
+#[test]
+fn unbuildable_engine_specs_exit_2_naming_the_spec() {
+    let bin = env!("CARGO_BIN_EXE_trace_tool");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../trace/tests/golden/gatesim_s0_nsf80.nsftrace"
+    );
+    let out = std::env::temp_dir().join(format!("nsf-cli-unbuildable-{}", std::process::id()));
+    let out = out.to_str().expect("temp path is UTF-8");
+    for &spec in UNBUILDABLE_SPECS {
+        let record = [
+            "record",
+            "--workload",
+            "gatesim",
+            "--scale",
+            "0",
+            "--engine",
+            spec,
+            "--out",
+            out,
+        ];
+        let replay = ["replay", golden, "--engine", spec];
+        let diff = ["diff", golden, "--a", "nsf:80", "--b", spec];
+        for args in [&record[..], &replay, &diff] {
+            let (code, stderr) = run(bin, args);
+            assert_eq!(code, Some(2), "{args:?}: expected exit 2, stderr: {stderr}");
+            assert!(stderr.contains(spec), "{args:?}: spec not named: {stderr}");
+        }
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a failed record wrote a trace"
+    );
+}
+
 /// Runs a figure binary that must succeed and returns its stdout.
 fn stdout_of(bin: &str, args: &[&str]) -> Vec<u8> {
     let out = Command::new(bin)

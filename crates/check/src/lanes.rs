@@ -95,12 +95,13 @@ impl std::fmt::Display for Family {
 ///
 /// # Panics
 ///
-/// Panics on an unparseable spec — lane lists are compile-time constants,
-/// so that is a checker bug, not an input error.
+/// Panics on an unparseable or unbuildable spec — lane lists are
+/// compile-time constants, so that is a checker bug, not an input error.
 pub fn build_lane(spec: &str) -> EngineDispatch {
     parse_engine(spec)
         .unwrap_or_else(|e| panic!("lane spec must parse: {e}"))
         .build()
+        .expect("lane spec must build")
 }
 
 /// The traffic counters two twin lanes must agree on — every

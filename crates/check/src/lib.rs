@@ -17,7 +17,7 @@
 //!    oracle, under a seeded [`nsf_core::FaultPlan`], demanding value
 //!    agreement, statistics invariants, fault recovery, and a clean
 //!    drain.
-//! 4. [`shrink`] reduces a divergent stream to a minimal disciplined
+//! 4. [`shrink()`] reduces a divergent stream to a minimal disciplined
 //!    repro, and [`repro`] round-trips it through `.nsftrace` so it can
 //!    be checked in as a regression test and replayed by `check_tool`.
 //!

@@ -55,7 +55,7 @@ impl Page {
 
 /// An in-memory backing store with a fixed per-register latency.
 ///
-/// Registers live in per-context [`Page`]s, so context-granular queries
+/// Registers live in per-context pages, so context-granular queries
 /// (`any_present`) and teardown (`discard_context`) touch one map entry
 /// instead of walking every backed register in the machine — the seed's
 /// flat `(Cid, offset)` map made both O(total backed registers), which

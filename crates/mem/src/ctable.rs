@@ -53,23 +53,28 @@ impl Ctable {
         self.entries.len()
     }
 
-    /// Installs (or replaces) the mapping for `cid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cid` is beyond the table's capacity — CIDs are allocated
-    /// by the runtime from a range sized to this table, so an out-of-range
-    /// CID is a construction bug.
-    pub fn map(&mut self, cid: u16, base: Addr) {
-        self.entries[cid as usize] = Some(base);
+    /// Installs (or replaces) the mapping for `cid`; a `cid` beyond the
+    /// table's capacity has no entry to hold it and is an error.
+    pub fn map(&mut self, cid: u16, base: Addr) -> Result<(), CtableError> {
+        let entry = self
+            .entries
+            .get_mut(cid as usize)
+            .ok_or(CtableError { cid })?;
+        *entry = Some(base);
+        Ok(())
     }
 
-    /// Removes the mapping for `cid` (e.g. when a context is destroyed).
+    /// Removes the mapping for `cid` (e.g. when a context is destroyed);
+    /// a `cid` beyond the table has nothing to remove.
+    #[inline]
     pub fn unmap(&mut self, cid: u16) {
-        self.entries[cid as usize] = None;
+        if let Some(entry) = self.entries.get_mut(cid as usize) {
+            *entry = None;
+        }
     }
 
     /// Translates `cid` to its backing-store base address.
+    #[inline]
     pub fn lookup(&self, cid: u16) -> Result<Addr, CtableError> {
         self.entries
             .get(cid as usize)
@@ -79,6 +84,7 @@ impl Ctable {
     }
 
     /// The backing address of register `offset` of context `cid`.
+    #[inline]
     pub fn reg_addr(&self, cid: u16, offset: u8) -> Result<Addr, CtableError> {
         Ok(self.lookup(cid)? + Addr::from(offset))
     }
@@ -92,7 +98,7 @@ mod tests {
     fn map_lookup_unmap() {
         let mut t = Ctable::new(8);
         assert_eq!(t.lookup(3), Err(CtableError { cid: 3 }));
-        t.map(3, 0x1000);
+        t.map(3, 0x1000).unwrap();
         assert_eq!(t.lookup(3), Ok(0x1000));
         assert_eq!(t.reg_addr(3, 7), Ok(0x1007));
         t.unmap(3);
@@ -101,8 +107,10 @@ mod tests {
 
     #[test]
     fn out_of_capacity_lookup_is_error() {
-        let t = Ctable::new(2);
+        let mut t = Ctable::new(2);
         assert_eq!(t.lookup(9), Err(CtableError { cid: 9 }));
+        assert_eq!(t.map(9, 0x1000), Err(CtableError { cid: 9 }));
+        t.unmap(9);
     }
 
     #[test]

@@ -121,11 +121,13 @@ impl MemSystem {
     }
 
     /// The Ctable (shared with register-file spill engines).
+    #[inline]
     pub fn ctable(&self) -> &Ctable {
         &self.ctable
     }
 
     /// Mutable access to the Ctable.
+    #[inline]
     pub fn ctable_mut(&mut self) -> &mut Ctable {
         &mut self.ctable
     }
@@ -200,7 +202,7 @@ mod tests {
     #[test]
     fn ctable_reachable() {
         let mut m = MemSystem::default();
-        m.ctable_mut().map(1, 0x800);
+        m.ctable_mut().map(1, 0x800).unwrap();
         assert_eq!(m.ctable().lookup(1), Ok(0x800));
     }
 }

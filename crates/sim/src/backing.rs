@@ -8,9 +8,19 @@
 //! The hardware keeps one presence bit per backed register (the valid bits
 //! of the save frame); [`BackingMap`] holds them, since raw memory cannot
 //! distinguish "spilled zero" from "never spilled".
+//!
+//! [`CtableBacking`] is the simulator's one [`BackingStore`]: the live
+//! [`crate::Machine`] and both replays in `nsf-trace` (frontend streams
+//! and `.nsftrace` files) hand it to their engines, and all three apply
+//! every context operation through [`CtableBacking::context_op`], the one
+//! Ctable lifecycle: a context's save area
+//! (`backing_base + cid * BACKING_STRIDE_WORDS`) is mapped when the
+//! context is first switched in and unmapped when it is freed. Nothing
+//! spills a context before it has been current, so mapping at switch-in
+//! is as early as any transfer can need it.
 
 use crate::config::BACKING_STRIDE_WORDS;
-use nsf_core::{BackingStore, Cid, StoreFault, Word};
+use nsf_core::{BackingStore, Cid, LaneOp, RegFileError, RegisterFile, StoreFault, Word};
 use nsf_mem::{Addr, MemSystem};
 
 /// Per-context presence bits for backed registers (up to 64 per context).
@@ -32,11 +42,6 @@ impl BackingMap {
         Self::default()
     }
 
-    /// Number of contexts with any backed register (diagnostics).
-    pub fn contexts(&self) -> usize {
-        self.present.iter().filter(|&&bits| bits != 0).count()
-    }
-
     #[inline]
     fn bits(&self, cid: Cid) -> u64 {
         self.present.get(usize::from(cid)).copied().unwrap_or(0)
@@ -53,7 +58,8 @@ impl BackingMap {
 }
 
 /// A [`BackingStore`] view combining the memory system and presence bits.
-/// Construct one per register file operation; it borrows both halves.
+/// It borrows both halves: the live machine builds one per register-file
+/// operation, a replay lane one per tile or event.
 pub struct CtableBacking<'a> {
     /// The memory hierarchy (provides the Ctable and the data cache).
     pub mem: &'a mut MemSystem,
@@ -82,101 +88,59 @@ impl CtableBacking<'_> {
             .map_err(|_| StoreFault::Unmapped(cid))
     }
 
-    /// Reads a context's whole save area (the full backing stride) into
-    /// `buf` in one page-chunked pass — no per-word translation, no
-    /// hashing, no allocation. A bulk inspection path for diagnostics
-    /// and tests; it bypasses the cache timing model (engine-driven
-    /// transfers charge latencies through [`BackingStore`] instead).
-    pub fn frame_image(
+    /// Applies context operation `op` (switch, call-push, thread switch,
+    /// context free or register free) to engine `rf` over this store, and
+    /// returns its stall cycles. This is the one Ctable lifecycle: a
+    /// context switched in without a translation is mapped to
+    /// `backing_base + cid * BACKING_STRIDE_WORDS` first, and a freed
+    /// context is unmapped after the engine drops it. A context beyond
+    /// the Ctable cannot be mapped and faults with
+    /// [`StoreFault::Unmapped`].
+    ///
+    /// Always inlined: the replays pass a constant `op` at each call
+    /// site, so the match folds to one arm there.
+    ///
+    /// # Panics
+    ///
+    /// On a register read or write, which are not context operations.
+    #[inline(always)]
+    pub fn context_op<E: RegisterFile>(
         &mut self,
-        cid: Cid,
-        buf: &mut [Word; BACKING_STRIDE_WORDS as usize],
-    ) -> Result<(), StoreFault> {
-        let base = self
-            .mem
-            .ctable()
-            .reg_addr(cid, 0)
-            .map_err(|_| StoreFault::Unmapped(cid))?;
-        self.mem.read_into(base, buf);
-        Ok(())
-    }
-}
-
-/// The owning form of [`CtableBacking`]: one lane's memory system and
-/// presence bits held by value. Frontend-stream replay (`nsf-trace`)
-/// keeps a `LaneStore` per replayed configuration so register traffic,
-/// spill frames and program data stay private to the lane while the
-/// event stream is shared. Every operation delegates to the borrowed
-/// view, so the two are semantically identical by construction.
-pub struct LaneStore {
-    /// The lane's private memory hierarchy (Ctable + data cache).
-    pub mem: MemSystem,
-    /// The lane's presence bits.
-    pub map: BackingMap,
-}
-
-impl LaneStore {
-    /// Wraps a memory system with empty presence bits.
-    pub fn new(mem: MemSystem) -> Self {
-        LaneStore {
-            mem,
-            map: BackingMap::new(),
+        rf: &mut E,
+        op: LaneOp,
+        backing_base: Addr,
+    ) -> Result<u32, RegFileError> {
+        if let LaneOp::SwitchTo(cid) | LaneOp::CallPush(cid) | LaneOp::ThreadSwitch(cid) = op {
+            if self.mem.ctable().lookup(cid).is_err() {
+                self.map_context(cid, backing_base)?;
+            }
+        }
+        match op {
+            LaneOp::SwitchTo(cid) => rf.switch_to(cid, self),
+            LaneOp::CallPush(cid) => rf.call_push(cid, self),
+            LaneOp::ThreadSwitch(cid) => rf.thread_switch(cid, self),
+            LaneOp::FreeContext(cid) => {
+                rf.free_context(cid, self);
+                self.mem.ctable_mut().unmap(cid);
+                Ok(0)
+            }
+            LaneOp::FreeReg(addr) => {
+                rf.free_reg(addr, self);
+                Ok(0)
+            }
+            LaneOp::Read(_) | LaneOp::Write(..) => unreachable!("not a context operation"),
         }
     }
 
-    /// The borrowed [`CtableBacking`] view over this lane's halves.
-    pub fn view(&mut self) -> CtableBacking<'_> {
-        CtableBacking {
-            mem: &mut self.mem,
-            map: &mut self.map,
-        }
-    }
-}
-
-impl BackingStore for LaneStore {
-    fn spill(&mut self, cid: Cid, offset: u8, value: Word) -> Result<u32, StoreFault> {
-        self.view().spill(cid, offset, value)
-    }
-
-    fn reload(&mut self, cid: Cid, offset: u8) -> Result<(Option<Word>, u32), StoreFault> {
-        self.view().reload(cid, offset)
-    }
-
-    fn spill_run(
-        &mut self,
-        cid: Cid,
-        first: u8,
-        values: &[Word],
-        valid: u64,
-        cycles: &mut [u32],
-    ) -> Result<(), StoreFault> {
-        self.view().spill_run(cid, first, values, valid, cycles)
-    }
-
-    fn reload_run(
-        &mut self,
-        cid: Cid,
-        first: u8,
-        values: &mut [Word],
-        cycles: &mut [u32],
-    ) -> Result<u64, StoreFault> {
-        self.view().reload_run(cid, first, values, cycles)
-    }
-
-    fn is_present(&self, cid: Cid, offset: u8) -> bool {
-        self.map.bits(cid) & (1 << offset) != 0
-    }
-
-    fn any_present(&self, cid: Cid) -> bool {
-        self.map.bits(cid) != 0
-    }
-
-    fn discard_context(&mut self, cid: Cid) {
-        self.view().discard_context(cid);
-    }
-
-    fn discard_reg(&mut self, cid: Cid, offset: u8) {
-        self.view().discard_reg(cid, offset);
+    /// Installs `cid`'s save-area translation. Out of line: a context is
+    /// mapped once per lifetime, switched many times.
+    #[cold]
+    #[inline(never)]
+    fn map_context(&mut self, cid: Cid, backing_base: Addr) -> Result<(), RegFileError> {
+        self.mem
+            .ctable_mut()
+            .map(cid, backing_base + Addr::from(cid) * BACKING_STRIDE_WORDS)
+            .map_err(|_| RegFileError::Store(StoreFault::Unmapped(cid)))
     }
 }
 
@@ -278,11 +242,12 @@ impl BackingStore for CtableBacking<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsf_core::OracleFile;
     use nsf_mem::MemConfig;
 
     fn setup() -> (MemSystem, BackingMap) {
         let mut mem = MemSystem::new(MemConfig::default());
-        mem.ctable_mut().map(3, 0x9000);
+        mem.ctable_mut().map(3, 0x9000).unwrap();
         (mem, BackingMap::new())
     }
 
@@ -321,12 +286,37 @@ mod tests {
     #[test]
     fn unmapped_context_faults() {
         let (mut mem, mut map) = setup();
+        let mut rf = OracleFile::new();
         let mut b = CtableBacking {
             mem: &mut mem,
             map: &mut map,
         };
+        let base: Addr = 0x2_0000;
+        // Before its first switch-in, a context has no save area.
         assert_eq!(b.spill(9, 0, 1), Err(StoreFault::Unmapped(9)));
         assert!(matches!(b.reload(9, 0), Err(StoreFault::Unmapped(9))));
+        // Switching in maps exactly `backing_base + cid * 64`.
+        b.context_op(&mut rf, LaneOp::ThreadSwitch(9), base)
+            .unwrap();
+        assert_eq!(b.mem.ctable().lookup(9), Ok(base + 9 * 64));
+        b.spill(9, 0, 1).unwrap();
+        // Re-entry keeps the mapping, whatever base it names.
+        b.context_op(&mut rf, LaneOp::SwitchTo(9), base + 0x1000)
+            .unwrap();
+        b.context_op(&mut rf, LaneOp::CallPush(9), base).unwrap();
+        assert_eq!(b.mem.ctable().lookup(9), Ok(base + 9 * 64));
+        // Freeing unmaps: the next spill faults again.
+        b.context_op(&mut rf, LaneOp::FreeContext(9), base).unwrap();
+        assert_eq!(b.spill(9, 0, 1), Err(StoreFault::Unmapped(9)));
+        // A context beyond the Ctable cannot be mapped: a typed fault,
+        // and freeing it is harmless.
+        let beyond = b.mem.ctable().capacity() as Cid;
+        assert_eq!(
+            b.context_op(&mut rf, LaneOp::ThreadSwitch(beyond), base),
+            Err(RegFileError::Store(StoreFault::Unmapped(beyond)))
+        );
+        b.context_op(&mut rf, LaneOp::FreeContext(beyond), base)
+            .unwrap();
     }
 
     #[test]
@@ -343,26 +333,5 @@ mod tests {
         assert!(b.any_present(3));
         b.discard_context(3);
         assert!(!b.any_present(3));
-        assert_eq!(map.contexts(), 0);
-    }
-
-    #[test]
-    fn frame_image_reads_whole_save_area() {
-        let (mut mem, mut map) = setup();
-        let mut b = CtableBacking {
-            mem: &mut mem,
-            map: &mut map,
-        };
-        b.spill(3, 0, 11).unwrap();
-        b.spill(3, 2, 33).unwrap();
-        b.spill(3, 63, 99).unwrap();
-        let mut frame = [0; BACKING_STRIDE_WORDS as usize];
-        b.frame_image(3, &mut frame).unwrap();
-        assert_eq!(frame[0], 11);
-        assert_eq!(frame[1], 0);
-        assert_eq!(frame[2], 33);
-        assert_eq!(frame[63], 99);
-        let mut other = [0; BACKING_STRIDE_WORDS as usize];
-        assert_eq!(b.frame_image(9, &mut other), Err(StoreFault::Unmapped(9)));
     }
 }

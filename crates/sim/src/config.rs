@@ -1,5 +1,6 @@
 //! Simulator configuration.
 
+use crate::machine::SimError;
 use nsf_core::{
     segmented::FramePolicy, ConventionalFile, EngineDispatch, NamedStateFile, NsfConfig,
     OracleFile, SegmentedConfig, SpillEngine, WindowedConfig, WindowedFile,
@@ -10,7 +11,8 @@ use nsf_runtime::SchedulerConfig;
 /// Words of backing store reserved per context: context `c`'s save area
 /// is `[backing_base + c * STRIDE, backing_base + (c + 1) * STRIDE)`.
 /// 64 matches the register files' per-context valid bitmasks (`u64`);
-/// `Machine::new` rejects any organization that could spill past it.
+/// [`RegFileSpec::build`] rejects any organization that could spill
+/// past it.
 pub const BACKING_STRIDE_WORDS: Addr = 64;
 
 /// Which register file organization the processor uses.
@@ -38,8 +40,54 @@ impl RegFileSpec {
     /// Instantiates the organization, statically dispatched: the machine
     /// holds the engine by value so per-instruction register operations
     /// resolve through a `match` instead of a vtable.
-    pub fn build(&self) -> EngineDispatch {
-        match *self {
+    ///
+    /// The one buildability check, shared by the live machine and both
+    /// replays: a geometry the engine constructors reject (an NSF line
+    /// that is zero, does not divide the file or exceeds a context; zero
+    /// frames, windows or registers) or a context that could spill past
+    /// its [`BACKING_STRIDE_WORDS`]-word save area is a
+    /// [`SimError::BadConfig`], never a panic.
+    pub fn build(&self) -> Result<EngineDispatch, SimError> {
+        let geometry = match *self {
+            RegFileSpec::Nsf(c) if c.total_regs == 0 || c.regs_per_line == 0 => Some(format!(
+                "an NSF of {} registers in {}-register lines: sizes must be nonzero",
+                c.total_regs, c.regs_per_line
+            )),
+            RegFileSpec::Nsf(c) if !c.total_regs.is_multiple_of(u32::from(c.regs_per_line)) => {
+                Some(format!(
+                    "an NSF line of {} registers does not divide the {}-register file",
+                    c.regs_per_line, c.total_regs
+                ))
+            }
+            RegFileSpec::Nsf(c) if c.regs_per_line > c.ctx_regs => Some(format!(
+                "an NSF line of {} registers exceeds the {}-register context",
+                c.regs_per_line, c.ctx_regs
+            )),
+            RegFileSpec::Segmented(c) if c.frames == 0 || c.frame_regs == 0 => Some(format!(
+                "a segmented file of {} frames of {} registers: sizes must be nonzero",
+                c.frames, c.frame_regs
+            )),
+            RegFileSpec::Conventional { regs: 0, .. } => {
+                Some("a conventional file needs registers".to_string())
+            }
+            RegFileSpec::Windowed(c) if c.windows == 0 || c.window_regs == 0 => Some(format!(
+                "a windowed file of {} windows of {} registers: sizes must be nonzero",
+                c.windows, c.window_regs
+            )),
+            _ => None,
+        };
+        if let Some(why) = geometry {
+            return Err(SimError::BadConfig(why));
+        }
+        let spill_regs = self.max_spill_regs();
+        if spill_regs > BACKING_STRIDE_WORDS {
+            return Err(SimError::BadConfig(format!(
+                "organization can spill {spill_regs} words per context, \
+                 overflowing the {BACKING_STRIDE_WORDS}-word backing stride: \
+                 context save areas would overlap"
+            )));
+        }
+        Ok(match *self {
             RegFileSpec::Nsf(cfg) => NamedStateFile::new(cfg).into(),
             RegFileSpec::Segmented(cfg) => SegmentedFile::new(cfg).into(),
             RegFileSpec::Conventional { regs, engine } => {
@@ -47,7 +95,7 @@ impl RegFileSpec {
             }
             RegFileSpec::Windowed(cfg) => WindowedFile::new(cfg).into(),
             RegFileSpec::Oracle => OracleFile::new().into(),
-        }
+        })
     }
 
     /// The most backing-store words one context of this organization can
@@ -328,20 +376,47 @@ mod tests {
 
     #[test]
     fn specs_build_the_right_organization() {
-        assert!(RegFileSpec::paper_nsf(128)
-            .build()
-            .describe()
-            .contains("NSF"));
-        assert!(RegFileSpec::paper_segmented(4, 32)
-            .build()
-            .describe()
-            .contains("Segmented"));
+        let describe = |spec: RegFileSpec| spec.build().unwrap().describe();
+        assert!(describe(RegFileSpec::paper_nsf(128)).contains("NSF"));
+        assert!(describe(RegFileSpec::paper_segmented(4, 32)).contains("Segmented"));
         let conv = RegFileSpec::Conventional {
             regs: 32,
             engine: SpillEngine::hardware(),
         };
-        assert!(conv.build().describe().contains("Conventional"));
-        assert!(RegFileSpec::Oracle.build().describe().contains("Oracle"));
+        assert!(describe(conv).contains("Conventional"));
+        assert!(describe(RegFileSpec::Oracle).contains("Oracle"));
+    }
+
+    #[test]
+    fn unbuildable_geometries_are_typed_errors() {
+        let mut nsf_ctx = NsfConfig::paper_default(128);
+        nsf_ctx.ctx_regs = 65;
+        for spec in [
+            RegFileSpec::Nsf(NsfConfig::paper_default(0)),
+            RegFileSpec::Nsf(NsfConfig {
+                regs_per_line: 3,
+                ..NsfConfig::paper_default(80)
+            }),
+            RegFileSpec::Nsf(NsfConfig {
+                regs_per_line: 40,
+                ..NsfConfig::paper_default(80)
+            }),
+            RegFileSpec::Nsf(nsf_ctx),
+            RegFileSpec::paper_segmented(0, 8),
+            RegFileSpec::paper_segmented(2, 0),
+            RegFileSpec::paper_segmented(2, 100),
+            RegFileSpec::Conventional {
+                regs: 0,
+                engine: SpillEngine::hardware(),
+            },
+            RegFileSpec::sparc_windows(0),
+            RegFileSpec::sparc_windows(65),
+        ] {
+            assert!(
+                matches!(spec.build(), Err(SimError::BadConfig(_))),
+                "{spec:?} built"
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod probe;
 pub mod spec;
 pub mod trace;
 
-pub use backing::{BackingMap, CtableBacking, LaneStore};
+pub use backing::{BackingMap, CtableBacking};
 pub use config::{
     CycleTable, RegFileSpec, SimConfig, BACKING_STRIDE_WORDS, FRONTEND_FINGERPRINT_VERSION,
 };

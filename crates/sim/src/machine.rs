@@ -2,14 +2,14 @@
 //! the memory hierarchy and the thread scheduler.
 
 use crate::backing::{BackingMap, CtableBacking};
-use crate::config::{CycleTable, SimConfig, BACKING_STRIDE_WORDS};
+use crate::config::{CycleTable, SimConfig};
 use crate::metrics::RunReport;
 use crate::pipeline::{reg_uses, Pipeline, RegUses};
 use crate::probe::{FrontendProbe, NoProbe};
 use crate::trace::{TraceBuffer, TraceEntry};
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegFileError, RegisterFile};
 use nsf_isa::{Inst, InstClass, Program, Reg, NUM_GLOBAL_REGS};
-use nsf_mem::{Addr, Cache, MemSystem, Word};
+use nsf_mem::{Cache, MemSystem, Word};
 use nsf_runtime::{BlockReason, SchedDecision, Scheduler, SchedulerError, ThreadId};
 use std::fmt;
 
@@ -230,14 +230,7 @@ impl Machine {
                 cfg.sched.cid_capacity, cfg.mem.ctable_slots
             )));
         }
-        let spill_regs = cfg.regfile.max_spill_regs();
-        if spill_regs > BACKING_STRIDE_WORDS {
-            return Err(SimError::BadConfig(format!(
-                "organization can spill {spill_regs} words per context, \
-                 overflowing the {BACKING_STRIDE_WORDS}-word backing stride: \
-                 context save areas would overlap"
-            )));
-        }
+        let regfile = cfg.regfile.build()?;
         if cfg.issue_width == 0 {
             return Err(SimError::BadConfig(
                 "issue_width 0: the frontend must issue something".into(),
@@ -257,7 +250,7 @@ impl Machine {
                 .map(|&inst| Decoded::new(inst, &cfg.cycles))
                 .collect(),
             mem: MemSystem::new(cfg.mem),
-            regfile: cfg.regfile.build(),
+            regfile,
             sched: Scheduler::new(cfg.sched),
             backing: BackingMap::new(),
             clock: 0,
@@ -271,9 +264,7 @@ impl Machine {
             pipeline: (cfg.issue_width > 1).then(|| Pipeline::new(&cfg)),
             cfg,
         };
-        let tid = m.sched.spawn(program.entry(), 0)?;
-        let cid = m.sched.thread(tid).cid;
-        m.map_ctable(cid);
+        m.sched.spawn(program.entry(), 0)?;
         Ok(m)
     }
 
@@ -415,14 +406,6 @@ impl Machine {
         t.instructions = r.instructions;
     }
 
-    #[inline]
-    fn map_ctable(&mut self, cid: Cid) {
-        self.mem.ctable_mut().map(
-            cid,
-            self.cfg.backing_base + Addr::from(cid) * BACKING_STRIDE_WORDS,
-        );
-    }
-
     /// Advances the clock by an organization-independent charge (base,
     /// fetch penalty, taken branch, thread-switch overhead).
     #[inline]
@@ -432,7 +415,8 @@ impl Machine {
     }
 
     /// Applies a context operation (switch, call-push, thread switch,
-    /// free) or a register free to the register file, charging its
+    /// free) or a register free to the register file through the one
+    /// Ctable lifecycle ([`CtableBacking::context_op`]), charging its
     /// stall cycles. Register reads and writes go through
     /// [`Machine::read_reg`] and [`Machine::write_reg`].
     fn context_op<E: RegisterFile, P: FrontendProbe>(
@@ -442,24 +426,11 @@ impl Machine {
         pc: u32,
         probe: &mut P,
     ) -> Result<(), SimError> {
-        let mut store = CtableBacking {
+        let stall = CtableBacking {
             mem: &mut self.mem,
             map: &mut self.backing,
-        };
-        let stall = match op {
-            LaneOp::SwitchTo(cid) => rf.switch_to(cid, &mut store),
-            LaneOp::CallPush(cid) => rf.call_push(cid, &mut store),
-            LaneOp::ThreadSwitch(cid) => rf.thread_switch(cid, &mut store),
-            LaneOp::FreeContext(cid) => {
-                rf.free_context(cid, &mut store);
-                Ok(0)
-            }
-            LaneOp::FreeReg(addr) => {
-                rf.free_reg(addr, &mut store);
-                Ok(0)
-            }
-            LaneOp::Read(_) | LaneOp::Write(..) => unreachable!("not a context operation"),
         }
+        .context_op(rf, op, self.cfg.backing_base)
         .map_err(|source| SimError::RegFile { pc, source })?;
         self.clock += u64::from(stall);
         probe.reg_op(op, None);
@@ -795,7 +766,6 @@ impl Machine {
 
             Call { target } => {
                 let new_cid = self.sched.alloc_cid()?;
-                self.map_ctable(new_cid);
                 self.sched.current_mut().call_stack.push((pc + 1, cid));
                 self.running.cid = new_cid;
                 self.running.pc = target;
@@ -816,9 +786,7 @@ impl Machine {
 
             Spawn { target, arg } => {
                 let value = read!(arg);
-                let tid = self.sched.spawn(target, value)?;
-                let child_cid = self.sched.thread(tid).cid;
-                self.map_ctable(child_cid);
+                self.sched.spawn(target, value)?;
                 self.report.spawns += 1;
                 self.advance(1);
             }
@@ -905,7 +873,8 @@ impl Machine {
         self.running.pc += by;
     }
 
-    /// Frees a dead context everywhere: register file, Ctable, CID pool.
+    /// Frees a dead context everywhere: register file and Ctable (through
+    /// [`Machine::context_op`]), CID pool.
     fn release_context<E: RegisterFile, P: FrontendProbe>(
         &mut self,
         rf: &mut E,
@@ -913,7 +882,6 @@ impl Machine {
         probe: &mut P,
     ) -> Result<(), SimError> {
         self.context_op(rf, LaneOp::FreeContext(cid), 0, probe)?;
-        self.mem.ctable_mut().unmap(cid);
         self.sched.free_cid(cid);
         if self.active_cid == Some(cid) {
             self.active_cid = None;
@@ -973,6 +941,7 @@ fn rem_s(x: Word, y: Word) -> Word {
 mod tests {
     use super::*;
     use nsf_isa::asm::assemble;
+    use nsf_mem::Addr;
 
     fn run_asm(src: &str) -> RunReport {
         let p = assemble(src).expect("assembles");

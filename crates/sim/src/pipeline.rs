@@ -23,8 +23,7 @@
 //!   accesses; or
 //! * **opens a new cycle**, paying its base cycles. If ports were the
 //!   *only* reason it could not co-issue, that cycle is charged to
-//!   [`RegFileStats::port_conflict_cycles`]
-//!   (`nsf_core::RegFileStats`).
+//!   [`nsf_core::RegFileStats::port_conflict_cycles`].
 //!
 //! Any cycles charged outside issue — engine reload/spill stalls,
 //! cache latencies, taken branches, context switches, idle — break the

@@ -134,7 +134,10 @@ mod tests {
             "conventional:32",
             "oracle",
         ] {
-            let built = parse_engine(spec).unwrap_or_else(|e| panic!("{e}")).build();
+            let built = parse_engine(spec)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .build()
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert!(!built.describe().is_empty(), "{spec}");
         }
     }

@@ -1,5 +1,5 @@
 //! Register runs through the Ctable backing store equal the per-register
-//! loop they replace. [`LaneStore`] and [`CtableBacking`] override
+//! loop they replace. [`CtableBacking`] overrides
 //! `BackingStore::{spill_run, reload_run}` with one Ctable translation,
 //! one cache-line-granular pass and one block copy per run; the
 //! reference is the same store behind a wrapper that keeps the trait's
@@ -15,7 +15,7 @@ use nsf_core::{
     SpillEngine, StoreFault, WindowedConfig, WindowedFile,
 };
 use nsf_mem::{Addr, CacheConfig, CacheStats, MemConfig, MemSystem, Word};
-use nsf_sim::{BackingMap, CtableBacking, LaneStore};
+use nsf_sim::{BackingMap, CtableBacking};
 use proptest::prelude::*;
 
 /// Contexts `0..MAPPED` have save areas; `UNMAPPED` never does.
@@ -43,9 +43,18 @@ fn mem_system(line_words: u32, ways: u32) -> MemSystem {
         ctable_slots: 8,
     });
     for cid in 0..MAPPED {
-        mem.ctable_mut().map(cid, save_area(cid));
+        mem.ctable_mut().map(cid, save_area(cid)).unwrap();
     }
     mem
+}
+
+/// A store's two halves, to be borrowed by a [`CtableBacking`] view.
+fn halves(line_words: u32, ways: u32) -> (MemSystem, BackingMap) {
+    (mem_system(line_words, ways), BackingMap::new())
+}
+
+fn view((mem, map): &mut (MemSystem, BackingMap)) -> CtableBacking<'_> {
+    CtableBacking { mem, map }
 }
 
 /// The reference: a store that forwards only the per-register methods,
@@ -75,10 +84,8 @@ impl<S: BackingStore> BackingStore for PerWord<S> {
 
 /// Everything a transfer can change: each context's save-area words and
 /// presence bits, and the data-cache statistics.
-fn snapshot(
-    mem: &MemSystem,
-    store: &dyn BackingStore,
-) -> (Vec<Vec<Word>>, Vec<Vec<bool>>, CacheStats) {
+fn snapshot(store: &CtableBacking) -> (Vec<Vec<Word>>, Vec<Vec<bool>>, CacheStats) {
+    let mem = &*store.mem;
     let cids = 0..=UNMAPPED;
     let words = cids
         .clone()
@@ -211,8 +218,8 @@ fn engines(regs: u8) -> Vec<EngineDispatch> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Direct store calls: the run overrides of both store types equal
-    /// the per-register default, op by op and in the final state.
+    /// Direct store calls: the run overrides equal the per-register
+    /// default, op by op and in the final state.
     #[test]
     fn runs_match_the_per_register_loop(
         ops in proptest::collection::vec(arb_op(), 1..40),
@@ -220,22 +227,17 @@ proptest! {
         ways in 1u32..3,
     ) {
         let line_words = 1 << line_log;
-        let mut lane = LaneStore::new(mem_system(line_words, ways));
-        let (mut mem, mut map) = (mem_system(line_words, ways), BackingMap::new());
-        let mut reference = PerWord(LaneStore::new(mem_system(line_words, ways)));
+        let (mut fast, mut slow) = (halves(line_words, ways), halves(line_words, ways));
+        let mut store = view(&mut fast);
+        let mut reference = PerWord(view(&mut slow));
         for op in &ops {
             let want = apply(&mut reference, op);
-            prop_assert_eq!(&apply(&mut lane, op), &want, "LaneStore {:?}", op);
-            let mut view = CtableBacking { mem: &mut mem, map: &mut map };
-            prop_assert_eq!(&apply(&mut view, op), &want, "CtableBacking {:?}", op);
-            let want_state = snapshot(&reference.0.mem, &reference);
-            prop_assert_eq!(&snapshot(&lane.mem, &lane), &want_state, "after {:?}", op);
-            let view = CtableBacking { mem: &mut mem, map: &mut map };
-            prop_assert_eq!(&snapshot(view.mem, &view), &want_state, "after {:?}", op);
+            prop_assert_eq!(&apply(&mut store, op), &want, "{:?}", op);
+            prop_assert_eq!(snapshot(&store), snapshot(&reference.0), "after {:?}", op);
         }
     }
 
-    /// Engines over both stores: every step result, the final engine
+    /// Engines over the store: every step result, the final engine
     /// statistics (spill/reload cycles included) and the store state
     /// agree.
     #[test]
@@ -244,8 +246,9 @@ proptest! {
         ops in arb_engine_ops(20),
     ) {
         for (mut fast, mut slow) in engines(regs).into_iter().zip(engines(regs)) {
-            let mut lane = LaneStore::new(mem_system(4, 2));
-            let mut reference = PerWord(LaneStore::new(mem_system(4, 2)));
+            let (mut fast_halves, mut slow_halves) = (halves(4, 2), halves(4, 2));
+            let mut store = view(&mut fast_halves);
+            let mut reference = PerWord(view(&mut slow_halves));
             for op in &ops {
                 // Offsets past this file's width are rejected the same
                 // way by both; keep them in range to reach transfers.
@@ -254,7 +257,7 @@ proptest! {
                     LaneOp::Read(a) => LaneOp::Read(RegAddr::new(a.cid, a.offset % regs)),
                     other => other,
                 };
-                let got = fast.apply_op(op, &mut lane).map_err(|e| e.to_string());
+                let got = fast.apply_op(op, &mut store).map_err(|e| e.to_string());
                 let want = slow.apply_op(op, &mut reference).map_err(|e| e.to_string());
                 prop_assert_eq!(got, want, "{} {:?}", nsf_core::RegisterFile::describe(&fast), op);
             }
@@ -262,7 +265,7 @@ proptest! {
                 nsf_core::RegisterFile::stats(&fast),
                 nsf_core::RegisterFile::stats(&slow)
             );
-            prop_assert_eq!(snapshot(&lane.mem, &lane), snapshot(&reference.0.mem, &reference));
+            prop_assert_eq!(snapshot(&store), snapshot(&reference.0));
         }
     }
 }
@@ -271,48 +274,40 @@ proptest! {
 /// per-register loop's first transfer would.
 #[test]
 fn unmapped_runs_fault_before_any_state_changes() {
-    let mut lane = LaneStore::new(mem_system(4, 2));
-    lane.spill_run(0, 0, &[1, 2, 3], 0b101, &mut [0; 3])
+    let mut halves = halves(4, 2);
+    let mut store = view(&mut halves);
+    store
+        .spill_run(0, 0, &[1, 2, 3], 0b101, &mut [0; 3])
         .unwrap();
-    let before = snapshot(&lane.mem, &lane);
+    let before = snapshot(&store);
     assert_eq!(
-        lane.spill_run(UNMAPPED, 2, &[7; 9], !0, &mut [0; 9]),
+        store.spill_run(UNMAPPED, 2, &[7; 9], !0, &mut [0; 9]),
         Err(StoreFault::Unmapped(UNMAPPED))
     );
     let mut values = [0; 9];
     assert_eq!(
-        lane.reload_run(UNMAPPED, 0, &mut values, &mut [0; 9]),
+        store.reload_run(UNMAPPED, 0, &mut values, &mut [0; 9]),
         Err(StoreFault::Unmapped(UNMAPPED))
     );
     assert_eq!(values, [0; 9], "no value written");
-    assert_eq!(snapshot(&lane.mem, &lane), before, "no state changed");
-
-    let (mut mem, mut map) = (mem_system(4, 2), BackingMap::new());
-    let mut view = CtableBacking {
-        mem: &mut mem,
-        map: &mut map,
-    };
-    let before = snapshot(view.mem, &view);
-    assert_eq!(
-        view.spill_run(UNMAPPED, 0, &[5; 4], 0, &mut [0; 4]),
-        Err(StoreFault::Unmapped(UNMAPPED))
-    );
-    assert_eq!(snapshot(view.mem, &view), before);
+    assert_eq!(snapshot(&store), before, "no state changed");
 }
 
 /// A full frame with empty slots moves every slot but leaves only the
 /// live ones present; a reload hands back only those.
 #[test]
 fn full_frame_with_empty_slots_keeps_only_live_presence() {
-    let mut lane = LaneStore::new(mem_system(4, 2));
+    let mut halves = halves(4, 2);
+    let mut store = view(&mut halves);
     let mut cycles = [0; 6];
-    lane.spill_run(2, 0, &[10, 11, 12, 13, 14, 15], 0b010_010, &mut cycles)
+    store
+        .spill_run(2, 0, &[10, 11, 12, 13, 14, 15], 0b010_010, &mut cycles)
         .unwrap();
     assert!(cycles.iter().all(|&c| c > 0), "every slot costs a transfer");
-    let present: Vec<bool> = (0..6).map(|o| lane.is_present(2, o)).collect();
+    let present: Vec<bool> = (0..6).map(|o| store.is_present(2, o)).collect();
     assert_eq!(present, [false, true, false, false, true, false]);
     let mut values = [0; 6];
-    let mask = lane.reload_run(2, 0, &mut values, &mut cycles).unwrap();
+    let mask = store.reload_run(2, 0, &mut values, &mut cycles).unwrap();
     assert_eq!(mask, 0b010_010);
     assert_eq!(values, [0, 11, 0, 0, 14, 0]);
 }

@@ -46,8 +46,8 @@ use crate::frame::{read_varint, FrameError, VarWriter};
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegisterFile};
 use nsf_mem::{Addr, MemSystem, Word};
 use nsf_sim::{
-    batchable_program, FrontendProbe, LaneStore, OccupancySummary, RunReport, SimConfig, SimError,
-    BACKING_STRIDE_WORDS,
+    batchable_program, BackingMap, CtableBacking, FrontendProbe, OccupancySummary, RunReport,
+    SimConfig, SimError,
 };
 use nsf_workloads::{Workload, WorkloadError};
 
@@ -254,7 +254,7 @@ pub fn replay_frontend(
     }
     set.run(buf)?;
     for i in 0..cfgs.len() {
-        (workload.check)(&set.stores[i].mem).map_err(|detail| WorkloadError::CheckFailed {
+        (workload.check)(&set.mems[i]).map_err(|detail| WorkloadError::CheckFailed {
             name: workload.name,
             detail: format!("cached-replay lane {i}: {detail}"),
         })?;
@@ -268,31 +268,21 @@ pub fn replay_frontend(
 /// it, and long enough that the per-tile engine dispatch is negligible.
 const REPLAY_TILE_OPS: usize = 4096;
 
-/// Replay op kinds are the `FTAG_*` event tags plus two ops the decoder
-/// synthesizes for Ctable maintenance.
-const RTAG_MAP: u8 = 12;
-const RTAG_UNMAP: u8 = 13;
-
 /// One decoded frontend event in flat replay form (20 bytes): a kind
 /// byte that dispatches directly, the operand fields, and the event
-/// index for error reporting. Ctable maintenance is resolved at decode
-/// time into explicit [`RTAG_MAP`]/[`RTAG_UNMAP`] entries — the decision
-/// (first switch to a context since its last free) is lane-invariant, so
-/// it is made once per buffer instead of once per lane. Mapping at first
-/// switch is equivalent to the live machine's map-at-allocation because
-/// a mapping is unobservable until the engine spills, which can only
-/// happen after the context became current.
+/// index for error reporting. There is one op per recorded event and no
+/// Ctable op: a lane's context ops map and unmap save areas themselves,
+/// through the same [`CtableBacking::context_op`] the live machine uses.
 #[derive(Clone, Copy, Debug)]
 struct ReplayOp {
-    /// `FTAG_*` event tag, or `RTAG_MAP`/`RTAG_UNMAP`.
+    /// The `FTAG_*` event tag.
     kind: u8,
     /// Register offset within the context (register ops).
     off: u8,
-    /// Context ID (register and Ctable ops).
+    /// Context ID (register and context ops).
     cid: Cid,
     /// First payload word: the live run's value for reads, the written
-    /// value for writes, the memory address for loads/stores/atomics,
-    /// the context's backing base address for maps.
+    /// value for writes, the memory address for loads/stores/atomics.
     a: u32,
     /// Second payload word: the live run's value for loads, the stored
     /// value for stores, the delta (two's complement) for atomics.
@@ -362,10 +352,6 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
     };
     // ~4.5 encoded bytes per event.
     let mut ops = Vec::with_capacity(buf.bytes.len() / 4 + 16);
-    // `mapped[cid]`: Ctable entry built (lane-invariant — every lane
-    // maps the same contexts at the same events).
-    let mut mapped: Vec<bool> = Vec::new();
-    let backing_base = buf.cfg.backing_base;
     let ctable_slots = buf.cfg.mem.ctable_slots;
     let mut event: u64 = 0;
     macro_rules! field {
@@ -375,24 +361,6 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
                 None => return Err(corrupt_at(event)),
             }
         };
-    }
-    fn ensure_mapped(ops: &mut Vec<ReplayOp>, mapped: &mut Vec<bool>, base: Addr, cid: Cid) {
-        let i = usize::from(cid);
-        if i >= mapped.len() {
-            mapped.resize(i + 1, false);
-        }
-        if !mapped[i] {
-            ops.push(ReplayOp {
-                kind: RTAG_MAP,
-                off: 0,
-                cid,
-                a: base + Addr::from(cid) * BACKING_STRIDE_WORDS,
-                b: 0,
-                c: 0,
-                pc: 0,
-            });
-            mapped[i] = true;
-        }
     }
     // Every lane's Ctable has `ctable_slots` entries; a context beyond
     // them cannot come from a live run.
@@ -425,20 +393,7 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
                     pc,
                 });
             }
-            FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH => {
-                let cid = in_ctable(field!(cur.u16v()), event)?;
-                ensure_mapped(&mut ops, &mut mapped, backing_base, cid);
-                ops.push(ReplayOp {
-                    kind: tag,
-                    off: 0,
-                    cid,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    pc,
-                });
-            }
-            FTAG_FREE_CONTEXT => {
+            FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH | FTAG_FREE_CONTEXT => {
                 let cid = in_ctable(field!(cur.u16v()), event)?;
                 ops.push(ReplayOp {
                     kind: tag,
@@ -449,18 +404,6 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
                     c: 0,
                     pc,
                 });
-                ops.push(ReplayOp {
-                    kind: RTAG_UNMAP,
-                    off: 0,
-                    cid,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    pc,
-                });
-                if let Some(m) = mapped.get_mut(usize::from(cid)) {
-                    *m = false;
-                }
             }
             FTAG_FREE_REG => {
                 let cid = field!(cur.u16v());
@@ -532,10 +475,14 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
 
 /// N engine lanes driven by a decoded [`FrontendBuffer`] instead of a
 /// live frontend: register files, per-lane memory hierarchies and
+/// presence bits (the two halves of a lane's [`CtableBacking`]), and
 /// clocks.
 struct ReplaySet {
     regfiles: Vec<EngineDispatch>,
-    stores: Vec<LaneStore>,
+    mems: Vec<MemSystem>,
+    maps: Vec<BackingMap>,
+    /// The captured frontend's save-area base (lane-invariant).
+    backing_base: Addr,
     clocks: Vec<u64>,
     occupancy: Vec<OccupancySummary>,
 }
@@ -555,29 +502,23 @@ impl ReplaySet {
                         .into(),
                 ));
             }
-            let spill_regs = cfg.regfile.max_spill_regs();
-            if spill_regs > BACKING_STRIDE_WORDS {
-                return Err(SimError::BadConfig(format!(
-                    "organization can spill {spill_regs} words per context, \
-                     overflowing the {BACKING_STRIDE_WORDS}-word backing stride: \
-                     context save areas would overlap"
-                )));
-            }
         }
         Ok(ReplaySet {
-            regfiles: cfgs.iter().map(|c| c.regfile.build()).collect(),
-            stores: cfgs
+            regfiles: cfgs
                 .iter()
-                .map(|c| LaneStore::new(MemSystem::new(c.mem)))
-                .collect(),
+                .map(|c| c.regfile.build())
+                .collect::<Result<_, _>>()?,
+            mems: cfgs.iter().map(|c| MemSystem::new(c.mem)).collect(),
+            maps: cfgs.iter().map(|_| BackingMap::new()).collect(),
+            backing_base: buf.cfg.backing_base,
             clocks: vec![0; cfgs.len()],
             occupancy: vec![OccupancySummary::default(); cfgs.len()],
         })
     }
 
     fn poke_block(&mut self, addr: Addr, words: &[Word]) {
-        for s in &mut self.stores {
-            s.mem.poke_block(addr, words);
+        for mem in &mut self.mems {
+            mem.poke_block(addr, words);
         }
     }
 
@@ -618,7 +559,11 @@ impl ReplaySet {
     fn run_lane(&mut self, lane: usize, ops: &[ReplayOp]) -> Result<(), (usize, SimError)> {
         let mut state = LaneState {
             lane,
-            store: &mut self.stores[lane],
+            store: CtableBacking {
+                mem: &mut self.mems[lane],
+                map: &mut self.maps[lane],
+            },
+            backing_base: self.backing_base,
             clock: &mut self.clocks[lane],
             occupancy: &mut self.occupancy[lane],
         };
@@ -639,7 +584,7 @@ impl ReplaySet {
                 r.regfile = *self.regfiles[i].stats();
                 r.regfile_desc = self.regfiles[i].describe();
                 r.regfile_capacity = self.regfiles[i].capacity();
-                r.dcache = self.stores[i].mem.dcache_stats();
+                r.dcache = self.mems[i].dcache_stats();
                 r.occupancy = self.occupancy[i];
                 r
             })
@@ -651,7 +596,8 @@ impl ReplaySet {
 /// the length of a tile.
 struct LaneState<'a> {
     lane: usize,
-    store: &'a mut LaneStore,
+    store: CtableBacking<'a>,
+    backing_base: Addr,
     clock: &'a mut u64,
     occupancy: &'a mut OccupancySummary,
 }
@@ -681,7 +627,8 @@ impl LaneState<'_> {
         clock: &mut u64,
     ) -> Result<(), SimError> {
         let pc = op.pc;
-        let store: &mut LaneStore = self.store;
+        let base = self.backing_base;
+        let store = &mut self.store;
         let regfile = |source| SimError::RegFile { pc, source };
         match op.kind {
             FTAG_READ => {
@@ -704,13 +651,29 @@ impl LaneState<'_> {
                     .map_err(regfile)?;
                 *clock += u64::from(access.stall_cycles);
             }
-            FTAG_SWITCH => *clock += u64::from(rf.switch_to(op.cid, store).map_err(regfile)?),
-            FTAG_CALL_PUSH => *clock += u64::from(rf.call_push(op.cid, store).map_err(regfile)?),
-            FTAG_THREAD_SWITCH => {
-                *clock += u64::from(rf.thread_switch(op.cid, store).map_err(regfile)?);
+            // Switches and frees go through the live machine's own Ctable
+            // lifecycle. Each arm calls it directly: one closure shared
+            // by the arms made replay measurably slower.
+            FTAG_SWITCH => {
+                let stall = store.context_op(rf, LaneOp::SwitchTo(op.cid), base);
+                *clock += u64::from(stall.map_err(regfile)?);
             }
-            FTAG_FREE_CONTEXT => rf.free_context(op.cid, store),
-            FTAG_FREE_REG => rf.free_reg(RegAddr::new(op.cid, op.off), store),
+            FTAG_CALL_PUSH => {
+                let stall = store.context_op(rf, LaneOp::CallPush(op.cid), base);
+                *clock += u64::from(stall.map_err(regfile)?);
+            }
+            FTAG_THREAD_SWITCH => {
+                let stall = store.context_op(rf, LaneOp::ThreadSwitch(op.cid), base);
+                *clock += u64::from(stall.map_err(regfile)?);
+            }
+            FTAG_FREE_CONTEXT => {
+                let free = LaneOp::FreeContext(op.cid);
+                store.context_op(rf, free, base).map_err(regfile)?;
+            }
+            FTAG_FREE_REG => {
+                let free = LaneOp::FreeReg(RegAddr::new(op.cid, op.off));
+                store.context_op(rf, free, base).map_err(regfile)?;
+            }
             FTAG_LOAD => {
                 let (v, cycles) = store.mem.load(op.a);
                 *clock += u64::from(cycles);
@@ -727,8 +690,6 @@ impl LaneState<'_> {
                 }
             }
             FTAG_SAMPLE => self.occupancy.record(rf.occupancy()),
-            RTAG_MAP => store.mem.ctable_mut().map(op.cid, op.a),
-            RTAG_UNMAP => store.mem.ctable_mut().unmap(op.cid),
             other => unreachable!("decode_ops admits no tag {other}"),
         }
         Ok(())
@@ -779,7 +740,7 @@ mod tests {
     use super::*;
     use crate::frame::{fnv64 as fnv1a64, VarReader};
     use nsf_core::SpillEngine;
-    use nsf_sim::RegFileSpec;
+    use nsf_sim::{RegFileSpec, BACKING_STRIDE_WORDS};
     use nsf_workloads::Workload;
 
     fn five_specs() -> Vec<SimConfig> {

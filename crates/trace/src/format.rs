@@ -27,6 +27,7 @@ use crate::frame::{
     check_header, put_varint, read_varint, write_atomic, Fnv64, FrameError, HEADER_LEN,
 };
 use nsf_core::{RegAddr, RegFileError};
+use nsf_sim::SimError;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
@@ -88,6 +89,9 @@ pub enum TraceError {
         /// The engine's error.
         source: RegFileError,
     },
+    /// The replay's organization cannot be built
+    /// ([`nsf_sim::RegFileSpec::build`]).
+    BadEngine(SimError),
 }
 
 impl fmt::Display for TraceError {
@@ -105,6 +109,7 @@ impl fmt::Display for TraceError {
             TraceError::Replay { index, source } => {
                 write!(f, "replay failed at event {index}: {source}")
             }
+            TraceError::BadEngine(e) => write!(f, "cannot replay: {e}"),
         }
     }
 }
@@ -115,6 +120,7 @@ impl std::error::Error for TraceError {
             TraceError::Io(e) => Some(e),
             TraceError::Frame(e) => Some(e),
             TraceError::Replay { source, .. } => Some(source),
+            TraceError::BadEngine(e) => Some(e),
             _ => None,
         }
     }

@@ -29,7 +29,7 @@
 //!   input yields typed [`TraceError`]s, never panics. The frontend
 //!   cache ([`fcache`]) and its persistent store ([`store`]) encode
 //!   through the same varint layer.
-//! - **Replay** ([`replay`], [`diff`]): drives a stored stream into a
+//! - **Replay** ([`replay()`], [`diff`]): drives a stored stream into a
 //!   fresh engine behind the simulator's own Ctable-over-data-cache
 //!   backing store. Same-engine replay reproduces the live run's
 //!   [`nsf_core::RegFileStats`] bit for bit (pinned by the golden corpus
@@ -74,7 +74,7 @@ use nsf_workloads::{Workload, WorkloadError};
 /// should describe `cfg.regfile`, e.g. from [`parse_engine`]'s input).
 /// The report is identical to an unrecorded [`nsf_workloads::run`] —
 /// recording is observational — so `report.regfile` is the ground truth
-/// a same-engine [`replay`] must reproduce exactly.
+/// a same-engine [`replay()`] must reproduce exactly.
 pub fn capture(
     workload: &Workload,
     cfg: SimConfig,

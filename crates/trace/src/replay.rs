@@ -4,13 +4,17 @@
 //! workload.
 //!
 //! The replay driver mirrors the simulator's engine-facing environment
-//! exactly: a fresh [`MemSystem`] provides the Ctable and data cache,
-//! spills and reloads travel through [`CtableBacking`] (charging real
-//! cache latencies), and the trace's program memory events keep the
-//! cache state identical to the live run's. Context save areas use the
-//! simulator's deterministic layout (`backing_base + cid * 64`), mapped
-//! lazily on first touch and unmapped on `FreeContext` — the same
-//! lifecycle `Machine::release_context` performs.
+//! exactly: the engine comes from the same buildability check
+//! ([`nsf_sim::RegFileSpec::build`]), a fresh [`MemSystem`] provides the
+//! Ctable and data cache, spills and reloads travel through
+//! [`CtableBacking`] (charging real cache latencies), and the trace's
+//! program memory events keep the cache state identical to the live
+//! run's. Context operations go through the live machine's own Ctable
+//! lifecycle, [`CtableBacking::context_op`]: a save area
+//! (`backing_base + cid * 64`) is mapped when its context is switched in
+//! and unmapped when it is freed. A stream that uses a register before
+//! switching to its context gets the live machine's answer at its first
+//! transfer: a typed [`nsf_core::StoreFault::Unmapped`] fault.
 //!
 //! Replaying a trace through the *same* organization that recorded it
 //! yields bit-identical [`RegFileStats`] (the golden and property tests
@@ -20,9 +24,9 @@
 
 use crate::event::{RegEvent, TimedEvent};
 use crate::format::{Trace, TraceError};
-use nsf_core::{Access, EngineDispatch, RegFileStats, RegisterFile};
+use nsf_core::{Access, EngineDispatch, LaneOp, RegFileStats, RegisterFile};
 use nsf_mem::{Addr, MemSystem};
-use nsf_sim::{BackingMap, CtableBacking, SimConfig, BACKING_STRIDE_WORDS};
+use nsf_sim::{BackingMap, CtableBacking, SimConfig};
 
 /// Outcome of replaying one trace through one organization.
 #[derive(Clone, Debug)]
@@ -77,60 +81,56 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(cfg: &SimConfig) -> Self {
-        Lane {
-            regfile: cfg.regfile.build(),
+    fn new(cfg: &SimConfig) -> Result<Self, TraceError> {
+        Ok(Lane {
+            regfile: cfg.regfile.build().map_err(TraceError::BadEngine)?,
             mem: MemSystem::new(cfg.mem),
             map: BackingMap::new(),
             backing_base: cfg.backing_base,
-        }
+        })
     }
 
     /// Applies one event, returning its outcome (or the engine's error).
     fn apply(&mut self, index: u64, event: &RegEvent) -> Result<Outcome, TraceError> {
-        // Install the context's save-area translation on first touch —
-        // the simulator's deterministic layout, so spill addresses (and
-        // therefore cache behavior) match the live run.
-        if let Some(cid) = event.cid() {
-            if self.mem.ctable().lookup(cid).is_err() {
-                self.mem.ctable_mut().map(
-                    cid,
-                    self.backing_base + Addr::from(cid) * BACKING_STRIDE_WORDS,
-                );
-            }
-        }
         let fail = |source| TraceError::Replay { index, source };
         let mut store = CtableBacking {
             mem: &mut self.mem,
             map: &mut self.map,
         };
+        let (rf, base) = (&mut self.regfile, self.backing_base);
+        // Switches and frees go through the live machine's own Ctable
+        // lifecycle.
         Ok(match *event {
             RegEvent::Read { addr } => {
-                Outcome::from_access(self.regfile.read(addr, &mut store).map_err(fail)?)
+                Outcome::from_access(rf.read(addr, &mut store).map_err(fail)?)
             }
             RegEvent::Write { addr, value } => {
-                Outcome::from_access(self.regfile.write(addr, value, &mut store).map_err(fail)?)
+                Outcome::from_access(rf.write(addr, value, &mut store).map_err(fail)?)
             }
             RegEvent::SwitchTo { cid } => {
-                Outcome::Switch(self.regfile.switch_to(cid, &mut store).map_err(fail)?)
+                let stall = store.context_op(rf, LaneOp::SwitchTo(cid), base);
+                Outcome::Switch(stall.map_err(fail)?)
             }
             RegEvent::CallPush { cid } => {
-                Outcome::Switch(self.regfile.call_push(cid, &mut store).map_err(fail)?)
+                let stall = store.context_op(rf, LaneOp::CallPush(cid), base);
+                Outcome::Switch(stall.map_err(fail)?)
             }
             RegEvent::ThreadSwitch { cid } => {
-                Outcome::Switch(self.regfile.thread_switch(cid, &mut store).map_err(fail)?)
+                let stall = store.context_op(rf, LaneOp::ThreadSwitch(cid), base);
+                Outcome::Switch(stall.map_err(fail)?)
             }
             RegEvent::FreeContext { cid } => {
-                self.regfile.free_context(cid, &mut store);
-                self.mem.ctable_mut().unmap(cid); // mirror Machine::release_context
+                let free = LaneOp::FreeContext(cid);
+                store.context_op(rf, free, base).map_err(fail)?;
                 Outcome::Unit
             }
             RegEvent::FreeReg { addr } => {
-                self.regfile.free_reg(addr, &mut store);
+                let free = LaneOp::FreeReg(addr);
+                store.context_op(rf, free, base).map_err(fail)?;
                 Outcome::Unit
             }
             RegEvent::MemRead { addr } => {
-                self.mem.load(addr);
+                store.mem.load(addr);
                 Outcome::Unit
             }
             RegEvent::MemWrite { addr } => {
@@ -140,7 +140,7 @@ impl Lane {
                 // above `backing_base`, disjoint from program addresses).
                 // Only the cache-state transition matters, so store a
                 // placeholder.
-                self.mem.store(addr, 0);
+                store.mem.store(addr, 0);
                 Outcome::Unit
             }
         })
@@ -157,7 +157,7 @@ pub fn replay(trace: &Trace, cfg: &SimConfig) -> Result<ReplayReport, TraceError
 /// of the simulator configuration does not affect engine-facing
 /// behavior).
 pub fn replay_events(events: &[TimedEvent], cfg: &SimConfig) -> Result<ReplayReport, TraceError> {
-    let mut lane = Lane::new(cfg);
+    let mut lane = Lane::new(cfg)?;
     let mut reg_ops = 0u64;
     let mut mem_ops = 0u64;
     for (i, te) in events.iter().enumerate() {
@@ -234,8 +234,8 @@ impl DiffReport {
 /// hit/miss) differs, plus every aggregate statistic that ends up
 /// different.
 pub fn diff(trace: &Trace, cfg_a: &SimConfig, cfg_b: &SimConfig) -> Result<DiffReport, TraceError> {
-    let mut a = Lane::new(cfg_a);
-    let mut b = Lane::new(cfg_b);
+    let mut a = Lane::new(cfg_a)?;
+    let mut b = Lane::new(cfg_b)?;
     let mut first_divergence = None;
     let mut reg_ops = 0u64;
     let mut mem_ops = 0u64;
@@ -309,7 +309,7 @@ pub fn stat_deltas(a: &RegFileStats, b: &RegFileStats) -> Vec<StatDelta> {
 mod tests {
     use super::*;
     use crate::format::TraceMeta;
-    use nsf_core::RegAddr;
+    use nsf_core::{RegAddr, RegFileError, StoreFault};
     use nsf_sim::RegFileSpec;
 
     /// A tiny hand-written stream: two contexts ping-ponging with more
@@ -405,29 +405,72 @@ mod tests {
 
     #[test]
     fn replay_error_is_typed_with_index() {
-        // Reading a register that was never written: the conventional
-        // file treats unknown offsets within range as resident zero, but
-        // the NSF faults on a read of a never-allocated register.
-        let t = Trace {
+        let trace = |events: Vec<RegEvent>| Trace {
             meta: TraceMeta::default(),
-            events: vec![
-                TimedEvent {
-                    cycle: 0,
-                    event: RegEvent::ThreadSwitch { cid: 0 },
-                },
-                TimedEvent {
-                    cycle: 1,
-                    event: RegEvent::Read {
+            events: events
+                .into_iter()
+                .enumerate()
+                .map(|(i, event)| TimedEvent {
+                    cycle: i as u64,
+                    event,
+                })
+                .collect(),
+        };
+        let cases = [
+            // Reading a register that was never written: the
+            // conventional file treats unknown offsets within range as
+            // resident zero, but the NSF faults on a read of a
+            // never-allocated register.
+            (
+                trace(vec![
+                    RegEvent::ThreadSwitch { cid: 0 },
+                    RegEvent::Read {
                         addr: RegAddr::new(0, 3),
                     },
-                },
-            ],
-        };
-        let err = replay(&t, &cfg(RegFileSpec::paper_nsf(16))).unwrap_err();
-        match err {
-            TraceError::Replay { index, .. } => assert_eq!(index, 1),
-            other => panic!("expected Replay error, got {other}"),
+                ]),
+                1,
+                RegFileError::ReadUndefined(RegAddr::new(0, 3)),
+            ),
+            // A context beyond the 4096-entry Ctable has no save area
+            // to map at its switch-in.
+            (
+                trace(vec![
+                    RegEvent::ThreadSwitch { cid: 5000 },
+                    RegEvent::FreeContext { cid: 5000 },
+                ]),
+                0,
+                RegFileError::Store(StoreFault::Unmapped(5000)),
+            ),
+        ];
+        for (t, want_index, want_source) in cases {
+            for err in [
+                replay(&t, &cfg(RegFileSpec::paper_nsf(16))).unwrap_err(),
+                diff(
+                    &t,
+                    &cfg(RegFileSpec::paper_nsf(16)),
+                    &cfg(RegFileSpec::Oracle),
+                )
+                .unwrap_err(),
+            ] {
+                match err {
+                    TraceError::Replay { index, source } => {
+                        assert_eq!((index, source), (want_index, want_source.clone()));
+                    }
+                    other => panic!("expected Replay error, got {other}"),
+                }
+            }
         }
+    }
+
+    #[test]
+    fn unbuildable_engine_is_a_typed_error() {
+        let t = tiny_trace();
+        let bad = cfg(RegFileSpec::paper_segmented(2, 100));
+        assert!(matches!(replay(&t, &bad), Err(TraceError::BadEngine(_))));
+        assert!(matches!(
+            diff(&t, &bad, &bad),
+            Err(TraceError::BadEngine(_))
+        ));
     }
 
     #[test]
