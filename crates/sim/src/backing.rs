@@ -14,7 +14,7 @@
 //! and `.nsftrace` files) hand it to their engines, and all three apply
 //! every context operation through [`CtableBacking::context_op`], the one
 //! Ctable lifecycle: a context's save area
-//! (`backing_base + cid * BACKING_STRIDE_WORDS`) is mapped when the
+//! (`base + cid * BACKING_STRIDE_WORDS`) is mapped when the
 //! context is first switched in and unmapped when it is freed. Nothing
 //! spills a context before it has been current, so mapping at switch-in
 //! is as early as any transfer can need it.
@@ -65,6 +65,9 @@ pub struct CtableBacking<'a> {
     pub mem: &'a mut MemSystem,
     /// Presence bits.
     pub map: &'a mut BackingMap,
+    /// Where the save areas start: [`CtableBacking::context_op`] maps
+    /// context `cid` to `base + cid * BACKING_STRIDE_WORDS`.
+    pub base: Addr,
 }
 
 /// The low `len` bits set: the registers of a nonempty run (`len` in
@@ -88,31 +91,28 @@ impl CtableBacking<'_> {
             .map_err(|_| StoreFault::Unmapped(cid))
     }
 
-    /// Applies context operation `op` (switch, call-push, thread switch,
-    /// context free or register free) to engine `rf` over this store, and
-    /// returns its stall cycles. This is the one Ctable lifecycle: a
-    /// context switched in without a translation is mapped to
-    /// `backing_base + cid * BACKING_STRIDE_WORDS` first, and a freed
+    /// Applies `op` to engine `rf` over this store and returns its stall
+    /// cycles. This is the one Ctable lifecycle: a context switched in
+    /// (switch, call-push or thread switch) without a translation is
+    /// mapped to `base + cid * BACKING_STRIDE_WORDS` first, and a freed
     /// context is unmapped after the engine drops it. A context beyond
     /// the Ctable cannot be mapped and faults with
     /// [`StoreFault::Unmapped`].
     ///
-    /// Always inlined: the replays pass a constant `op` at each call
-    /// site, so the match folds to one arm there.
-    ///
-    /// # Panics
-    ///
-    /// On a register read or write, which are not context operations.
-    #[inline(always)]
+    /// It takes a [`LaneOp`], the form in which the live machine reports
+    /// its engine operations and both replays decode theirs, so every
+    /// path hands over the op it already holds. Reads and writes touch no
+    /// translation and go straight to the engine; a read's value is not
+    /// returned, so callers that need it call [`RegisterFile::read`].
+    #[inline]
     pub fn context_op<E: RegisterFile>(
         &mut self,
         rf: &mut E,
         op: LaneOp,
-        backing_base: Addr,
     ) -> Result<u32, RegFileError> {
         if let LaneOp::SwitchTo(cid) | LaneOp::CallPush(cid) | LaneOp::ThreadSwitch(cid) = op {
             if self.mem.ctable().lookup(cid).is_err() {
-                self.map_context(cid, backing_base)?;
+                self.map_context(cid)?;
             }
         }
         match op {
@@ -128,7 +128,8 @@ impl CtableBacking<'_> {
                 rf.free_reg(addr, self);
                 Ok(0)
             }
-            LaneOp::Read(_) | LaneOp::Write(..) => unreachable!("not a context operation"),
+            LaneOp::Read(addr) => rf.read(addr, self).map(|a| a.stall_cycles),
+            LaneOp::Write(addr, value) => rf.write(addr, value, self).map(|a| a.stall_cycles),
         }
     }
 
@@ -136,10 +137,11 @@ impl CtableBacking<'_> {
     /// mapped once per lifetime, switched many times.
     #[cold]
     #[inline(never)]
-    fn map_context(&mut self, cid: Cid, backing_base: Addr) -> Result<(), RegFileError> {
+    fn map_context(&mut self, cid: Cid) -> Result<(), RegFileError> {
+        let area = self.base + Addr::from(cid) * BACKING_STRIDE_WORDS;
         self.mem
             .ctable_mut()
-            .map(cid, backing_base + Addr::from(cid) * BACKING_STRIDE_WORDS)
+            .map(cid, area)
             .map_err(|_| RegFileError::Store(StoreFault::Unmapped(cid)))
     }
 }
@@ -242,7 +244,7 @@ impl BackingStore for CtableBacking<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsf_core::OracleFile;
+    use nsf_core::{OracleFile, RegAddr};
     use nsf_mem::MemConfig;
 
     fn setup() -> (MemSystem, BackingMap) {
@@ -257,6 +259,7 @@ mod tests {
         let mut b = CtableBacking {
             mem: &mut mem,
             map: &mut map,
+            base: 0,
         };
         let c1 = b.spill(3, 2, 77).unwrap();
         assert!(c1 >= 1);
@@ -277,6 +280,7 @@ mod tests {
         let mut b = CtableBacking {
             mem: &mut mem,
             map: &mut map,
+            base: 0,
         };
         let (v, cycles) = b.reload(3, 5).unwrap();
         assert_eq!(v, None);
@@ -287,36 +291,40 @@ mod tests {
     fn unmapped_context_faults() {
         let (mut mem, mut map) = setup();
         let mut rf = OracleFile::new();
+        let base: Addr = 0x2_0000;
         let mut b = CtableBacking {
             mem: &mut mem,
             map: &mut map,
+            base,
         };
-        let base: Addr = 0x2_0000;
         // Before its first switch-in, a context has no save area.
         assert_eq!(b.spill(9, 0, 1), Err(StoreFault::Unmapped(9)));
         assert!(matches!(b.reload(9, 0), Err(StoreFault::Unmapped(9))));
-        // Switching in maps exactly `backing_base + cid * 64`.
-        b.context_op(&mut rf, LaneOp::ThreadSwitch(9), base)
-            .unwrap();
+        // Switching in maps exactly `base + cid * 64`.
+        b.context_op(&mut rf, LaneOp::ThreadSwitch(9)).unwrap();
         assert_eq!(b.mem.ctable().lookup(9), Ok(base + 9 * 64));
         b.spill(9, 0, 1).unwrap();
-        // Re-entry keeps the mapping, whatever base it names.
-        b.context_op(&mut rf, LaneOp::SwitchTo(9), base + 0x1000)
-            .unwrap();
-        b.context_op(&mut rf, LaneOp::CallPush(9), base).unwrap();
+        // Re-entry keeps the mapping, whatever base the view names.
+        b.base = base + 0x1000;
+        b.context_op(&mut rf, LaneOp::SwitchTo(9)).unwrap();
+        b.context_op(&mut rf, LaneOp::CallPush(9)).unwrap();
         assert_eq!(b.mem.ctable().lookup(9), Ok(base + 9 * 64));
+        // Reads and writes pass straight to the engine.
+        let addr = RegAddr::new(9, 1);
+        b.context_op(&mut rf, LaneOp::Write(addr, 5)).unwrap();
+        b.context_op(&mut rf, LaneOp::Read(addr)).unwrap();
+        assert_eq!(rf.read(addr, &mut b).unwrap().value, 5);
         // Freeing unmaps: the next spill faults again.
-        b.context_op(&mut rf, LaneOp::FreeContext(9), base).unwrap();
+        b.context_op(&mut rf, LaneOp::FreeContext(9)).unwrap();
         assert_eq!(b.spill(9, 0, 1), Err(StoreFault::Unmapped(9)));
         // A context beyond the Ctable cannot be mapped: a typed fault,
         // and freeing it is harmless.
         let beyond = b.mem.ctable().capacity() as Cid;
         assert_eq!(
-            b.context_op(&mut rf, LaneOp::ThreadSwitch(beyond), base),
+            b.context_op(&mut rf, LaneOp::ThreadSwitch(beyond)),
             Err(RegFileError::Store(StoreFault::Unmapped(beyond)))
         );
-        b.context_op(&mut rf, LaneOp::FreeContext(beyond), base)
-            .unwrap();
+        b.context_op(&mut rf, LaneOp::FreeContext(beyond)).unwrap();
     }
 
     #[test]
@@ -325,6 +333,7 @@ mod tests {
         let mut b = CtableBacking {
             mem: &mut mem,
             map: &mut map,
+            base: 0,
         };
         b.spill(3, 0, 1).unwrap();
         b.spill(3, 1, 2).unwrap();

@@ -414,6 +414,16 @@ impl Machine {
         probe.shared_charge(cycles);
     }
 
+    /// The register backing store over this machine's memory.
+    #[inline(always)]
+    fn store(&mut self) -> CtableBacking<'_> {
+        CtableBacking {
+            mem: &mut self.mem,
+            map: &mut self.backing,
+            base: self.cfg.backing_base,
+        }
+    }
+
     /// Applies a context operation (switch, call-push, thread switch,
     /// free) or a register free to the register file through the one
     /// Ctable lifecycle ([`CtableBacking::context_op`]), charging its
@@ -426,12 +436,10 @@ impl Machine {
         pc: u32,
         probe: &mut P,
     ) -> Result<(), SimError> {
-        let stall = CtableBacking {
-            mem: &mut self.mem,
-            map: &mut self.backing,
-        }
-        .context_op(rf, op, self.cfg.backing_base)
-        .map_err(|source| SimError::RegFile { pc, source })?;
+        let stall = self
+            .store()
+            .context_op(rf, op)
+            .map_err(|source| SimError::RegFile { pc, source })?;
         self.clock += u64::from(stall);
         probe.reg_op(op, None);
         Ok(())
@@ -470,12 +478,8 @@ impl Machine {
             Reg::G(i) => Ok(self.running.globals[usize::from(i)]),
             Reg::R(off) => {
                 let addr = RegAddr::new(cid, off);
-                let mut store = CtableBacking {
-                    mem: &mut self.mem,
-                    map: &mut self.backing,
-                };
                 let acc = rf
-                    .read(addr, &mut store)
+                    .read(addr, &mut self.store())
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
                 probe.reg_op(LaneOp::Read(addr), Some(acc.value));
@@ -501,12 +505,8 @@ impl Machine {
             }
             Reg::R(off) => {
                 let addr = RegAddr::new(cid, off);
-                let mut store = CtableBacking {
-                    mem: &mut self.mem,
-                    map: &mut self.backing,
-                };
                 let acc = rf
-                    .write(addr, value, &mut store)
+                    .write(addr, value, &mut self.store())
                     .map_err(|source| SimError::RegFile { pc, source })?;
                 self.clock += u64::from(acc.stall_cycles);
                 probe.reg_op(LaneOp::Write(addr, value), None);

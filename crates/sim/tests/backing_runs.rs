@@ -54,7 +54,8 @@ fn halves(line_words: u32, ways: u32) -> (MemSystem, BackingMap) {
 }
 
 fn view((mem, map): &mut (MemSystem, BackingMap)) -> CtableBacking<'_> {
-    CtableBacking { mem, map }
+    // Every test context is mapped up front, so the base is unused.
+    CtableBacking { mem, map, base: 0 }
 }
 
 /// The reference: a store that forwards only the per-register methods,
@@ -274,8 +275,8 @@ proptest! {
 /// per-register loop's first transfer would.
 #[test]
 fn unmapped_runs_fault_before_any_state_changes() {
-    let mut halves = halves(4, 2);
-    let mut store = view(&mut halves);
+    let mut used = halves(4, 2);
+    let mut store = view(&mut used);
     store
         .spill_run(0, 0, &[1, 2, 3], 0b101, &mut [0; 3])
         .unwrap();
@@ -291,6 +292,16 @@ fn unmapped_runs_fault_before_any_state_changes() {
     );
     assert_eq!(values, [0; 9], "no value written");
     assert_eq!(snapshot(&store), before, "no state changed");
+
+    // The same on a fresh store, with nothing to make present.
+    let mut fresh = halves(4, 2);
+    let mut store = view(&mut fresh);
+    let before = snapshot(&store);
+    assert_eq!(
+        store.spill_run(UNMAPPED, 0, &[5; 4], 0, &mut [0; 4]),
+        Err(StoreFault::Unmapped(UNMAPPED))
+    );
+    assert_eq!(snapshot(&store), before);
 }
 
 /// A full frame with empty slots moves every slot but leaves only the

@@ -562,8 +562,8 @@ impl ReplaySet {
             store: CtableBacking {
                 mem: &mut self.mems[lane],
                 map: &mut self.maps[lane],
+                base: self.backing_base,
             },
-            backing_base: self.backing_base,
             clock: &mut self.clocks[lane],
             occupancy: &mut self.occupancy[lane],
         };
@@ -597,7 +597,6 @@ impl ReplaySet {
 struct LaneState<'a> {
     lane: usize,
     store: CtableBacking<'a>,
-    backing_base: Addr,
     clock: &'a mut u64,
     occupancy: &'a mut OccupancySummary,
 }
@@ -627,7 +626,6 @@ impl LaneState<'_> {
         clock: &mut u64,
     ) -> Result<(), SimError> {
         let pc = op.pc;
-        let base = self.backing_base;
         let store = &mut self.store;
         let regfile = |source| SimError::RegFile { pc, source };
         match op.kind {
@@ -652,27 +650,17 @@ impl LaneState<'_> {
                 *clock += u64::from(access.stall_cycles);
             }
             // Switches and frees go through the live machine's own Ctable
-            // lifecycle. Each arm calls it directly: one closure shared
-            // by the arms made replay measurably slower.
-            FTAG_SWITCH => {
-                let stall = store.context_op(rf, LaneOp::SwitchTo(op.cid), base);
-                *clock += u64::from(stall.map_err(regfile)?);
-            }
-            FTAG_CALL_PUSH => {
-                let stall = store.context_op(rf, LaneOp::CallPush(op.cid), base);
-                *clock += u64::from(stall.map_err(regfile)?);
-            }
-            FTAG_THREAD_SWITCH => {
-                let stall = store.context_op(rf, LaneOp::ThreadSwitch(op.cid), base);
-                *clock += u64::from(stall.map_err(regfile)?);
-            }
-            FTAG_FREE_CONTEXT => {
-                let free = LaneOp::FreeContext(op.cid);
-                store.context_op(rf, free, base).map_err(regfile)?;
-            }
-            FTAG_FREE_REG => {
-                let free = LaneOp::FreeReg(RegAddr::new(op.cid, op.off));
-                store.context_op(rf, free, base).map_err(regfile)?;
+            // lifecycle.
+            FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH | FTAG_FREE_CONTEXT
+            | FTAG_FREE_REG => {
+                let context = match op.kind {
+                    FTAG_SWITCH => LaneOp::SwitchTo(op.cid),
+                    FTAG_CALL_PUSH => LaneOp::CallPush(op.cid),
+                    FTAG_THREAD_SWITCH => LaneOp::ThreadSwitch(op.cid),
+                    FTAG_FREE_CONTEXT => LaneOp::FreeContext(op.cid),
+                    _ => LaneOp::FreeReg(RegAddr::new(op.cid, op.off)),
+                };
+                *clock += u64::from(store.context_op(rf, context).map_err(regfile)?);
             }
             FTAG_LOAD => {
                 let (v, cycles) = store.mem.load(op.a);

@@ -96,8 +96,9 @@ impl Lane {
         let mut store = CtableBacking {
             mem: &mut self.mem,
             map: &mut self.map,
+            base: self.backing_base,
         };
-        let (rf, base) = (&mut self.regfile, self.backing_base);
+        let rf = &mut self.regfile;
         // Switches and frees go through the live machine's own Ctable
         // lifecycle.
         Ok(match *event {
@@ -108,25 +109,24 @@ impl Lane {
                 Outcome::from_access(rf.write(addr, value, &mut store).map_err(fail)?)
             }
             RegEvent::SwitchTo { cid } => {
-                let stall = store.context_op(rf, LaneOp::SwitchTo(cid), base);
-                Outcome::Switch(stall.map_err(fail)?)
+                Outcome::Switch(store.context_op(rf, LaneOp::SwitchTo(cid)).map_err(fail)?)
             }
             RegEvent::CallPush { cid } => {
-                let stall = store.context_op(rf, LaneOp::CallPush(cid), base);
-                Outcome::Switch(stall.map_err(fail)?)
+                Outcome::Switch(store.context_op(rf, LaneOp::CallPush(cid)).map_err(fail)?)
             }
-            RegEvent::ThreadSwitch { cid } => {
-                let stall = store.context_op(rf, LaneOp::ThreadSwitch(cid), base);
-                Outcome::Switch(stall.map_err(fail)?)
-            }
+            RegEvent::ThreadSwitch { cid } => Outcome::Switch(
+                store
+                    .context_op(rf, LaneOp::ThreadSwitch(cid))
+                    .map_err(fail)?,
+            ),
             RegEvent::FreeContext { cid } => {
-                let free = LaneOp::FreeContext(cid);
-                store.context_op(rf, free, base).map_err(fail)?;
+                store
+                    .context_op(rf, LaneOp::FreeContext(cid))
+                    .map_err(fail)?;
                 Outcome::Unit
             }
             RegEvent::FreeReg { addr } => {
-                let free = LaneOp::FreeReg(addr);
-                store.context_op(rf, free, base).map_err(fail)?;
+                store.context_op(rf, LaneOp::FreeReg(addr)).map_err(fail)?;
                 Outcome::Unit
             }
             RegEvent::MemRead { addr } => {
