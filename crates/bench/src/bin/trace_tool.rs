@@ -27,11 +27,9 @@
 
 use nsf_bench::{pool_map, CliArgs, CliSpec};
 use nsf_sim::SimConfig;
-use nsf_trace::{capture, diff, parse_engine, replay, ReplayReport, Trace, TraceReader};
+use nsf_trace::{capture, diff, parse_engine, replay, ReplayReport, Trace};
 use nsf_workloads::Workload;
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::BufReader;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -124,27 +122,18 @@ fn cmd_record(args: &Args) -> Result<(), String> {
 
 fn cmd_info(args: &Args) -> Result<(), String> {
     let path = args.positional().first().ok_or("info needs a trace file")?;
-    let file = File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    let bytes = file
-        .metadata()
-        .map_err(|e| format!("stat {path}: {e}"))?
-        .len();
-    // Stream rather than slurp: info must work on traces larger than RAM
-    // would comfortably hold, and it doubles as a full integrity check
-    // (count + checksum are verified at the trailer).
-    let mut reader =
-        TraceReader::new(BufReader::new(file)).map_err(|e| format!("reading {path}: {e}"))?;
-    let meta = reader.meta().clone();
+    let image = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let bytes = image.len();
+    // Decoding doubles as a full integrity check: the checksum, the
+    // trailer count and every field are verified.
+    let trace = Trace::from_bytes(&image).map_err(|e| format!("reading {path}: {e}"))?;
+    let meta = &trace.meta;
     let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut last_cycle = 0;
-    while let Some(te) = reader
-        .next_event()
-        .map_err(|e| format!("reading {path}: {e}"))?
-    {
+    for te in &trace.events {
         *kinds.entry(te.event.kind()).or_insert(0) += 1;
-        last_cycle = te.cycle;
     }
-    let events = reader.events_read();
+    let last_cycle = trace.events.last().map_or(0, |te| te.cycle);
+    let events = trace.events.len();
     println!("{path}: nsftrace v{}", nsf_trace::FORMAT_VERSION);
     println!("  workload          {}", meta.workload);
     println!("  engine            {}", meta.engine);

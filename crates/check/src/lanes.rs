@@ -109,23 +109,10 @@ pub fn build_lane(spec: &str) -> EngineDispatch {
 /// axis twins legitimately differ in. (`port_conflict_cycles` is charged
 /// by the pipeline frontend, never by an engine, so twins trivially
 /// agree on 0 — keeping it here pins that contract.)
-pub fn traffic_counts(s: &RegFileStats) -> [(&'static str, u64); 14] {
-    [
-        ("reads", s.reads),
-        ("writes", s.writes),
-        ("read_hits", s.read_hits),
-        ("read_misses", s.read_misses),
-        ("write_hits", s.write_hits),
-        ("write_misses", s.write_misses),
-        ("lines_reloaded", s.lines_reloaded),
-        ("regs_reloaded", s.regs_reloaded),
-        ("live_regs_reloaded", s.live_regs_reloaded),
-        ("regs_spilled", s.regs_spilled),
-        ("regs_dribbled", s.regs_dribbled),
-        ("context_switches", s.context_switches),
-        ("switch_hits", s.switch_hits),
-        ("port_conflict_cycles", s.port_conflict_cycles),
-    ]
+pub fn traffic_counts(s: &RegFileStats) -> impl Iterator<Item = (&'static str, u64)> {
+    s.fields()
+        .into_iter()
+        .filter(|&(name, _)| name != "spill_reload_cycles")
 }
 
 #[cfg(test)]

@@ -318,7 +318,7 @@ fn twin_divergence(family: Family, reports: &[LaneReport]) -> Result<(), Diverge
                 .stats
         };
         let (sa, sb) = (find(a), find(b));
-        for ((name, va), (_, vb)) in traffic_counts(sa).into_iter().zip(traffic_counts(sb)) {
+        for ((name, va), (_, vb)) in traffic_counts(sa).zip(traffic_counts(sb)) {
             if va != vb {
                 return Err(Divergence {
                     lane: format!("{a} vs {b}"),

@@ -7,13 +7,21 @@
 //! conventional files drifting their read counters on undefined reads.
 //! Replaying them through `check_family` must stay clean forever; a
 //! regression flips the exact divergence the file was captured from.
+//! Every checked-in `.nsftrace` (these and the trace crate's goldens)
+//! must also decode and re-encode to its own bytes.
 
 use nsf_check::run::check_family;
 use nsf_check::Repro;
+use nsf_trace::Trace;
 use std::path::PathBuf;
 
 fn corpus() -> Vec<PathBuf> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
+    traces_in("tests/repros")
+}
+
+/// The `.nsftrace` files under `dir` (relative to this crate), sorted.
+fn traces_in(dir: &str) -> Vec<PathBuf> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(dir);
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|entry| entry.expect("readable dir entry").path())
@@ -59,5 +67,23 @@ fn corpus_covers_every_fixed_engine_family() {
         Family::Conventional,
     ] {
         assert!(families.contains(&family), "no repro pins family {family}");
+    }
+}
+
+#[test]
+fn every_checked_in_trace_reencodes_to_its_own_bytes() {
+    let files: Vec<PathBuf> = corpus()
+        .into_iter()
+        .chain(traces_in("../trace/tests/golden"))
+        .collect();
+    assert!(files.len() >= 10, "8 repros and 2 goldens at least");
+    for path in files {
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            trace.to_bytes() == bytes,
+            "{} re-encodes differently",
+            path.display()
+        );
     }
 }

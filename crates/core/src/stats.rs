@@ -111,23 +111,54 @@ impl RegFileStats {
     /// Merges another stats block into this one (used when aggregating
     /// across benchmark runs).
     pub fn merge(&mut self, other: &RegFileStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_hits += other.read_hits;
-        self.read_misses += other.read_misses;
-        self.write_hits += other.write_hits;
-        self.write_misses += other.write_misses;
-        self.lines_reloaded += other.lines_reloaded;
-        self.regs_reloaded += other.regs_reloaded;
-        self.live_regs_reloaded += other.live_regs_reloaded;
-        self.regs_spilled += other.regs_spilled;
-        self.regs_dribbled += other.regs_dribbled;
-        self.context_switches += other.context_switches;
-        self.switch_hits += other.switch_hits;
-        self.spill_reload_cycles += other.spill_reload_cycles;
-        self.port_conflict_cycles += other.port_conflict_cycles;
+        for ((_, v), (_, o)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *v += o;
+        }
     }
 }
+
+/// Defines [`RegFileStats::fields`] and [`RegFileStats::fields_mut`]
+/// from one list of the counters. The destructuring patterns have no
+/// `..`, so a counter added to the struct but not to the list is a
+/// compile error.
+macro_rules! counter_table {
+    ($($name:ident),+ $(,)?) => {
+        impl RegFileStats {
+            /// Every counter with its field name, in declaration order:
+            /// the one table that merging, the stream store's encoding,
+            /// trace diffs and the checker's twin comparison walk.
+            pub fn fields(&self) -> [(&'static str, u64); 15] {
+                let RegFileStats { $($name),+ } = *self;
+                [$((stringify!($name), $name)),+]
+            }
+
+            /// [`RegFileStats::fields`] with each counter writable, in
+            /// the same order: its inverse.
+            pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 15] {
+                let RegFileStats { $($name),+ } = self;
+                [$((stringify!($name), $name)),+]
+            }
+        }
+    };
+}
+
+counter_table!(
+    reads,
+    writes,
+    read_hits,
+    read_misses,
+    write_hits,
+    write_misses,
+    lines_reloaded,
+    regs_reloaded,
+    live_regs_reloaded,
+    regs_spilled,
+    regs_dribbled,
+    context_switches,
+    switch_hits,
+    spill_reload_cycles,
+    port_conflict_cycles,
+);
 
 /// A point-in-time occupancy snapshot, sampled by the simulator once per
 /// instruction to produce the paper's utilization (Fig. 9) and resident
@@ -167,6 +198,25 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.reads, 3);
         assert_eq!(a.regs_reloaded, 12);
+    }
+
+    #[test]
+    fn counter_table_lists_every_field_in_declaration_order() {
+        let mut s = RegFileStats::default();
+        for (i, (_, v)) in s.fields_mut().into_iter().enumerate() {
+            *v = i as u64 + 1;
+        }
+        assert_eq!((s.reads, s.port_conflict_cycles), (1, 15));
+        // The derived Debug prints every field in declaration order.
+        let listed: Vec<String> = s
+            .fields()
+            .iter()
+            .map(|(n, v)| format!("{n}: {v}"))
+            .collect();
+        assert_eq!(
+            format!("{s:?}"),
+            format!("RegFileStats {{ {} }}", listed.join(", "))
+        );
     }
 
     #[test]

@@ -155,8 +155,9 @@ pub enum InstClass {
 }
 
 impl Inst {
-    /// The registers this instruction reads, in operand order.
-    pub fn reads(&self) -> Vec<Reg> {
+    /// The registers this instruction reads, in operand order; unused
+    /// slots are `None` and follow the used ones.
+    pub fn reads(&self) -> [Option<Reg>; 2] {
         use Inst::*;
         match *self {
             Add { rs1, rs2, .. }
@@ -172,7 +173,13 @@ impl Inst {
             | Sra { rs1, rs2, .. }
             | Slt { rs1, rs2, .. }
             | Sltu { rs1, rs2, .. }
-            | Seq { rs1, rs2, .. } => vec![rs1, rs2],
+            | Seq { rs1, rs2, .. }
+            | Beq { rs1, rs2, .. }
+            | Bne { rs1, rs2, .. }
+            | Blt { rs1, rs2, .. }
+            | Bge { rs1, rs2, .. } => [Some(rs1), Some(rs2)],
+            Sw { base, src, .. } | SwRemote { base, src, .. } => [Some(base), Some(src)],
+            ChSend { chan, src } => [Some(chan), Some(src)],
             Addi { rs1, .. }
             | Andi { rs1, .. }
             | Ori { rs1, .. }
@@ -181,22 +188,22 @@ impl Inst {
             | Srli { rs1, .. }
             | Srai { rs1, .. }
             | Slti { rs1, .. }
-            | Mv { rs1, .. } => vec![rs1],
-            Li { .. } => vec![],
-            Lw { base, .. } | LwRemote { base, .. } => vec![base],
-            Sw { base, src, .. } | SwRemote { base, src, .. } => vec![base, src],
-            Beq { rs1, rs2, .. }
-            | Bne { rs1, rs2, .. }
-            | Blt { rs1, rs2, .. }
-            | Bge { rs1, rs2, .. } => vec![rs1, rs2],
-            Jmp { .. } | Call { .. } | Ret | Halt | Yield | Nop => vec![],
-            Spawn { arg, .. } => vec![arg],
-            ChNew { .. } => vec![],
-            ChSend { chan, src } => vec![chan, src],
-            ChRecv { chan, .. } => vec![chan],
-            AmoAdd { base, .. } => vec![base],
-            SyncWait { base, .. } => vec![base],
-            RFree { .. } => vec![],
+            | Mv { rs1, .. } => [Some(rs1), None],
+            Lw { base, .. }
+            | LwRemote { base, .. }
+            | AmoAdd { base, .. }
+            | SyncWait { base, .. } => [Some(base), None],
+            Spawn { arg, .. } => [Some(arg), None],
+            ChRecv { chan, .. } => [Some(chan), None],
+            Li { .. }
+            | ChNew { .. }
+            | RFree { .. }
+            | Jmp { .. }
+            | Call { .. }
+            | Ret
+            | Halt
+            | Yield
+            | Nop => [None, None],
         }
     }
 
@@ -367,7 +374,8 @@ mod tests {
 
     #[test]
     fn reads_writes_ports() {
-        // No instruction exceeds 2 reads + 1 write (3-ported file).
+        // The types cap an instruction at 2 reads + 1 write (a
+        // 3-ported file); reads come in operand order.
         let samples = [
             Inst::Add {
                 rd: Reg::R(1),
@@ -389,9 +397,11 @@ mod tests {
                 target: 7,
             },
         ];
-        for i in &samples {
-            assert!(i.reads().len() <= 2, "{i}");
-        }
+        let reads = samples.map(|i| i.reads());
+        assert_eq!(reads[0], [Some(Reg::R(2)), Some(Reg::R(3))]);
+        assert_eq!(reads[1], [Some(Reg::G(0)), Some(Reg::R(4))]);
+        assert_eq!(reads[2], [Some(Reg::R(0)), Some(Reg::R(1))]);
+        assert_eq!(reads[3], [Some(Reg::R(0)), Some(Reg::R(1))]);
         assert_eq!(samples[0].writes(), Some(Reg::R(1)));
         assert_eq!(samples[1].writes(), None);
     }

@@ -141,7 +141,8 @@ impl Program {
             let regs_ok = inst
                 .reads()
                 .into_iter()
-                .chain(inst.writes())
+                .chain([inst.writes()])
+                .flatten()
                 .all(|r| r.is_valid());
             if !regs_ok {
                 return Err(ProgramError::InvalidRegister { at: i as u32 });

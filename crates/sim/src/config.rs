@@ -206,6 +206,13 @@ pub struct SimConfig {
     /// when another thread is ready, approximating the interleaved
     /// multithreading of HEP/Tera-class machines (paper §3: "processors
     /// may interleave successive instructions from different threads").
+    ///
+    /// Workloads written for block multithreading may assume a thread
+    /// is never preempted between blocking points. AS folds its partial
+    /// sum with a plain load/add/store, so under a small quantum it can
+    /// lose an update and fail its own output check (it does at quantum
+    /// 4 at scale 0, and at quanta 4 and 8 at scale 1). No figure,
+    /// explorer spec or benchmark runs AS under a quantum.
     pub quantum: Option<u64>,
     /// Base virtual address of the register backing-store arena; context
     /// `c`'s save area starts at `backing_base + c * 64`.

@@ -74,10 +74,6 @@ pub struct RegUses {
 }
 
 impl RegUses {
-    fn new(reads: [Option<Reg>; 2], write: Option<Reg>) -> Self {
-        RegUses { reads, write }
-    }
-
     /// Register-*file* port demand: `(read ports, write ports)` — `R`
     /// registers only.
     #[inline]
@@ -93,50 +89,20 @@ impl RegUses {
 }
 
 /// The architectural registers instruction `inst` reads and writes, as
-/// decoded by the serial machine's execute loop. `rfree` counts as a
-/// write (it mutates file state through a write port); remote loads
-/// count only their address read (the value arrives via the pending-
-/// write path after the thread blocks).
+/// decoded by the serial machine's execute loop: [`Inst::reads`] and
+/// [`Inst::writes`], with two exceptions. `rfree` counts as a write (it
+/// mutates file state through a write port); remote loads count only
+/// their address read (the value arrives via the pending-write path
+/// after the thread blocks).
 pub fn reg_uses(inst: &Inst) -> RegUses {
-    use Inst::*;
-    let r = |reg: Reg| Some(reg);
-    match *inst {
-        Add { rd, rs1, rs2 }
-        | Sub { rd, rs1, rs2 }
-        | Mul { rd, rs1, rs2 }
-        | Div { rd, rs1, rs2 }
-        | Rem { rd, rs1, rs2 }
-        | And { rd, rs1, rs2 }
-        | Or { rd, rs1, rs2 }
-        | Xor { rd, rs1, rs2 }
-        | Sll { rd, rs1, rs2 }
-        | Srl { rd, rs1, rs2 }
-        | Sra { rd, rs1, rs2 }
-        | Slt { rd, rs1, rs2 }
-        | Sltu { rd, rs1, rs2 }
-        | Seq { rd, rs1, rs2 } => RegUses::new([r(rs1), r(rs2)], r(rd)),
-        Addi { rd, rs1, .. }
-        | Andi { rd, rs1, .. }
-        | Ori { rd, rs1, .. }
-        | Xori { rd, rs1, .. }
-        | Slli { rd, rs1, .. }
-        | Srli { rd, rs1, .. }
-        | Srai { rd, rs1, .. }
-        | Slti { rd, rs1, .. }
-        | Mv { rd, rs1 } => RegUses::new([r(rs1), None], r(rd)),
-        Li { rd, .. } | ChNew { rd } => RegUses::new([None, None], r(rd)),
-        Lw { rd, base, .. } | AmoAdd { rd, base, .. } => RegUses::new([r(base), None], r(rd)),
-        Sw { base, src, .. } | SwRemote { base, src, .. } => RegUses::new([r(base), r(src)], None),
-        LwRemote { base, .. } | SyncWait { base, .. } => RegUses::new([r(base), None], None),
-        Beq { rs1, rs2, .. }
-        | Bne { rs1, rs2, .. }
-        | Blt { rs1, rs2, .. }
-        | Bge { rs1, rs2, .. } => RegUses::new([r(rs1), r(rs2)], None),
-        Spawn { arg, .. } => RegUses::new([r(arg), None], None),
-        ChSend { chan, src } => RegUses::new([r(chan), r(src)], None),
-        ChRecv { rd, chan } => RegUses::new([r(chan), None], r(rd)),
-        RFree { reg } => RegUses::new([None, None], r(reg)),
-        Jmp { .. } | Call { .. } | Ret | Halt | Yield | Nop => RegUses::default(),
+    let write = match *inst {
+        Inst::RFree { reg } => Some(reg),
+        Inst::LwRemote { .. } => None,
+        _ => inst.writes(),
+    };
+    RegUses {
+        reads: inst.reads(),
+        write,
     }
 }
 
@@ -397,6 +363,30 @@ mod tests {
         };
         assert_eq!(reg_uses(&gadd).port_demand(), (1, 0));
         assert_eq!(reg_uses(&Inst::Halt), RegUses::default());
+    }
+
+    #[test]
+    fn reg_uses_are_the_operand_table_but_for_two_exceptions() {
+        // Every opcode decodes to one variant, and encoding gives every
+        // variant an opcode: this walks each `Inst` variant once.
+        let word = |op: u32| op << 26 | 1 << 20 | 2 << 14 | 3 << 8;
+        let insts: Vec<Inst> = (0..64)
+            .filter_map(|op| nsf_isa::encode::decode(word(op)).ok())
+            .collect();
+        assert_eq!(insts.len(), 45, "one instance per variant");
+        for inst in &insts {
+            let uses = reg_uses(inst);
+            assert_eq!(uses.reads, inst.reads(), "{inst}");
+            match *inst {
+                // The loaded value arrives after the thread blocks.
+                Inst::LwRemote { rd, .. } => {
+                    assert_eq!((inst.writes(), uses.write), (Some(rd), None))
+                }
+                // A deallocation hint takes a write port.
+                Inst::RFree { reg } => assert_eq!((inst.writes(), uses.write), (None, Some(reg))),
+                _ => assert_eq!(uses.write, inst.writes(), "{inst}"),
+            }
+        }
     }
 
     #[test]

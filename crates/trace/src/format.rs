@@ -1,6 +1,5 @@
-//! The `.nsftrace` on-disk format: a versioned, length-delimited
-//! compact binary encoding with a streaming writer and reader, framed
-//! by [`crate::frame`].
+//! The `.nsftrace` on-disk format: a versioned compact binary encoding,
+//! stored as one sealed blob of [`crate::frame`].
 //!
 //! ```text
 //! magic    b"NSFT"                        4 bytes
@@ -17,27 +16,25 @@
 //! and addresses usually short), cycle stamps are delta-encoded against
 //! the previous event, and the checksum is FNV-1a-64 over every byte
 //! from the magic through the event-count varint — the sealed-blob
-//! layout of [`crate::frame`], written and verified as a stream. So
+//! layout of [`crate::frame`]: [`Trace::to_bytes`] builds the image in
+//! one [`VarWriter`] and [`seal`]s it, and [`Trace::from_bytes`]
+//! checks length, header and checksum before it parses any field. So
 //! truncation, bit rot and miscounted streams all surface as typed
-//! [`TraceError`]s, never as garbage events. The write path encodes
-//! each event into one reused buffer: no allocation per event.
+//! [`TraceError`]s, never as garbage events.
 
 use crate::event::{RegEvent, TimedEvent};
-use crate::frame::{
-    check_header, put_varint, read_varint, write_atomic, Fnv64, FrameError, HEADER_LEN,
-};
+use crate::frame::{seal, unseal, write_atomic, FrameError, VarReader, VarWriter};
 use nsf_core::{RegAddr, RegFileError};
 use nsf_sim::SimError;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io;
 use std::path::Path;
 
-/// Leading magic of every `.nsftrace` stream.
+/// Leading magic of every `.nsftrace` image.
 pub const MAGIC: [u8; 4] = *b"NSFT";
 /// Current format version.
 pub const FORMAT_VERSION: u8 = 1;
-/// Trailer tag terminating the event stream.
+/// Trailer tag terminating the event list.
 const TRAILER_TAG: u8 = 0xFF;
 
 /// Stream-level description stored in the header.
@@ -65,15 +62,15 @@ pub struct TraceMeta {
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream's framing is damaged: truncated, foreign magic,
-    /// unsupported version, malformed varint (including cycle stamps
-    /// that overflow a `u64`) or a trailer checksum mismatch.
+    /// The image's framing is damaged: truncated, foreign magic,
+    /// unsupported version, checksum mismatch, or a malformed varint
+    /// (including cycle stamps that overflow a `u64`).
     Frame(FrameError),
     /// An event record carries an unknown tag.
     BadTag(u8),
     /// A header string is not valid UTF-8.
     BadString,
-    /// Bytes follow the trailer, which must end the stream.
+    /// Bytes follow the trailer's event count inside the sealed body.
     TrailingBytes,
     /// The trailer event count does not match the events decoded.
     CountMismatch {
@@ -128,11 +125,7 @@ impl std::error::Error for TraceError {
 
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceError::Frame(FrameError::Truncated)
-        } else {
-            TraceError::Io(e)
-        }
+        TraceError::Io(e)
     }
 }
 
@@ -153,251 +146,6 @@ const TAG_FREE_REG: u8 = 7;
 const TAG_MEM_READ: u8 = 8;
 const TAG_MEM_WRITE: u8 = 9;
 
-/// Streaming `.nsftrace` encoder over any [`Write`] target.
-///
-/// Events are appended with [`TraceWriter::event`]; [`TraceWriter::finish`]
-/// writes the trailer and returns the target. Each event is encoded into
-/// one reused buffer, so the write path does not allocate per event.
-pub struct TraceWriter<W: Write> {
-    out: W,
-    hash: Fnv64,
-    buf: Vec<u8>,
-    count: u64,
-    last_cycle: u64,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Starts a stream: writes magic, version and `meta` to `out`.
-    pub fn new(out: W, meta: &TraceMeta) -> Result<Self, TraceError> {
-        let mut w = TraceWriter {
-            out,
-            hash: Fnv64::new(),
-            buf: Vec::with_capacity(64),
-            count: 0,
-            last_cycle: 0,
-        };
-        w.buf.extend_from_slice(&MAGIC);
-        w.buf.push(FORMAT_VERSION);
-        for s in [&meta.workload, &meta.engine] {
-            put_varint(&mut w.buf, s.len() as u64);
-            w.buf.extend_from_slice(s.as_bytes());
-        }
-        for v in [
-            u64::from(meta.scale),
-            meta.instructions,
-            meta.cycles,
-            meta.context_switches,
-        ] {
-            put_varint(&mut w.buf, v);
-        }
-        w.emit()?;
-        Ok(w)
-    }
-
-    /// Hashes and writes the encoded buffer, leaving it empty.
-    fn emit(&mut self) -> Result<(), TraceError> {
-        self.hash.update(&self.buf);
-        self.out.write_all(&self.buf)?;
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Appends one event observed at clock `cycle` (stamps must be
-    /// nondecreasing — the recorder's clock only moves forward).
-    pub fn event(&mut self, cycle: u64, event: &RegEvent) -> Result<(), TraceError> {
-        let delta = cycle.saturating_sub(self.last_cycle);
-        self.last_cycle = self.last_cycle.max(cycle);
-        let reg = |a: RegAddr, v: u64| [u64::from(a.cid), u64::from(a.offset), v];
-        let (tag, fields, n) = match *event {
-            RegEvent::Read { addr } => (TAG_READ, reg(addr, 0), 2),
-            RegEvent::Write { addr, value } => (TAG_WRITE, reg(addr, u64::from(value)), 3),
-            RegEvent::SwitchTo { cid } => (TAG_SWITCH, [u64::from(cid), 0, 0], 1),
-            RegEvent::CallPush { cid } => (TAG_CALL_PUSH, [u64::from(cid), 0, 0], 1),
-            RegEvent::ThreadSwitch { cid } => (TAG_THREAD_SWITCH, [u64::from(cid), 0, 0], 1),
-            RegEvent::FreeContext { cid } => (TAG_FREE_CONTEXT, [u64::from(cid), 0, 0], 1),
-            RegEvent::FreeReg { addr } => (TAG_FREE_REG, reg(addr, 0), 2),
-            RegEvent::MemRead { addr } => (TAG_MEM_READ, [u64::from(addr), 0, 0], 1),
-            RegEvent::MemWrite { addr } => (TAG_MEM_WRITE, [u64::from(addr), 0, 0], 1),
-        };
-        self.buf.push(tag);
-        put_varint(&mut self.buf, delta);
-        for &v in &fields[..n] {
-            put_varint(&mut self.buf, v);
-        }
-        self.count += 1;
-        self.emit()
-    }
-
-    /// Writes the trailer (event count + checksum) and returns the
-    /// underlying writer.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        self.buf.push(TRAILER_TAG);
-        put_varint(&mut self.buf, self.count);
-        self.emit()?;
-        self.out.write_all(&self.hash.finish().to_le_bytes())?;
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-/// Streaming `.nsftrace` decoder over any [`Read`] source.
-///
-/// Construction parses and validates the header; [`TraceReader::next_event`]
-/// yields events until the trailer, whose event count and checksum are
-/// verified — and that nothing follows it — before the final `None`.
-pub struct TraceReader<R: Read> {
-    src: R,
-    meta: TraceMeta,
-    hash: Fnv64,
-    count: u64,
-    last_cycle: u64,
-    done: bool,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Opens a stream: reads and validates magic, version and header.
-    pub fn new(mut src: R) -> Result<Self, TraceError> {
-        let mut head = Vec::with_capacity(HEADER_LEN);
-        (&mut src).take(HEADER_LEN as u64).read_to_end(&mut head)?;
-        check_header(&head, MAGIC, FORMAT_VERSION)?;
-        let mut hash = Fnv64::new();
-        hash.update(&head);
-        let mut r = TraceReader {
-            src,
-            meta: TraceMeta::default(),
-            hash,
-            count: 0,
-            last_cycle: 0,
-            done: false,
-        };
-        r.meta = TraceMeta {
-            workload: r.get_str()?,
-            engine: r.get_str()?,
-            scale: r.get_int()?,
-            instructions: r.get_varint()?,
-            cycles: r.get_varint()?,
-            context_switches: r.get_varint()?,
-        };
-        Ok(r)
-    }
-
-    /// The stream's header.
-    pub fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    /// Events decoded so far.
-    pub fn events_read(&self) -> u64 {
-        self.count
-    }
-
-    fn get(&mut self, buf: &mut [u8]) -> Result<(), TraceError> {
-        self.src.read_exact(buf)?;
-        self.hash.update(buf);
-        Ok(())
-    }
-
-    fn get_byte(&mut self) -> Result<u8, TraceError> {
-        let mut b = [0u8; 1];
-        self.get(&mut b)?;
-        Ok(b[0])
-    }
-
-    fn get_varint(&mut self) -> Result<u64, TraceError> {
-        read_varint(|| self.get_byte())
-    }
-
-    fn get_str(&mut self) -> Result<String, TraceError> {
-        let len: usize = self.get_int()?;
-        if len > 1 << 20 {
-            return Err(FrameError::BadVarint.into()); // absurd header length ⇒ corrupt
-        }
-        let mut bytes = vec![0u8; len];
-        self.get(&mut bytes)?;
-        String::from_utf8(bytes).map_err(|_| TraceError::BadString)
-    }
-
-    /// Decodes the next event, or `Ok(None)` once the (verified) trailer
-    /// is reached.
-    pub fn next_event(&mut self) -> Result<Option<TimedEvent>, TraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        let tag = self.get_byte()?;
-        if tag == TRAILER_TAG {
-            let stored_count = self.get_varint()?;
-            let computed = self.hash.finish();
-            let mut sum = [0u8; 8];
-            self.src.read_exact(&mut sum)?; // checksum hashes everything before itself
-            let stored = u64::from_le_bytes(sum);
-            if stored != computed {
-                return Err(FrameError::ChecksumMismatch { stored, computed }.into());
-            }
-            if stored_count != self.count {
-                return Err(TraceError::CountMismatch {
-                    stored: stored_count,
-                    read: self.count,
-                });
-            }
-            if self.src.read(&mut sum)? != 0 {
-                return Err(TraceError::TrailingBytes);
-            }
-            self.done = true;
-            return Ok(None);
-        }
-        let delta = self.get_varint()?;
-        // Corrupt deltas can sum past u64::MAX: a malformed stamp.
-        self.last_cycle = self
-            .last_cycle
-            .checked_add(delta)
-            .ok_or(FrameError::BadVarint)?;
-        let event = match tag {
-            TAG_READ => RegEvent::Read {
-                addr: self.get_reg_addr()?,
-            },
-            TAG_WRITE => RegEvent::Write {
-                addr: self.get_reg_addr()?,
-                value: self.get_int()?,
-            },
-            TAG_SWITCH => RegEvent::SwitchTo {
-                cid: self.get_int()?,
-            },
-            TAG_CALL_PUSH => RegEvent::CallPush {
-                cid: self.get_int()?,
-            },
-            TAG_THREAD_SWITCH => RegEvent::ThreadSwitch {
-                cid: self.get_int()?,
-            },
-            TAG_FREE_CONTEXT => RegEvent::FreeContext {
-                cid: self.get_int()?,
-            },
-            TAG_FREE_REG => RegEvent::FreeReg {
-                addr: self.get_reg_addr()?,
-            },
-            TAG_MEM_READ => RegEvent::MemRead {
-                addr: self.get_int()?,
-            },
-            TAG_MEM_WRITE => RegEvent::MemWrite {
-                addr: self.get_int()?,
-            },
-            other => return Err(TraceError::BadTag(other)),
-        };
-        self.count += 1;
-        Ok(Some(TimedEvent {
-            cycle: self.last_cycle,
-            event,
-        }))
-    }
-
-    fn get_int<T: TryFrom<u64>>(&mut self) -> Result<T, TraceError> {
-        Ok(T::try_from(self.get_varint()?).map_err(|_| FrameError::BadVarint)?)
-    }
-
-    fn get_reg_addr(&mut self) -> Result<RegAddr, TraceError> {
-        Ok(RegAddr::new(self.get_int()?, self.get_int()?))
-    }
-}
-
 /// A fully decoded trace: header plus the complete event list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
@@ -410,31 +158,101 @@ pub struct Trace {
 impl Trace {
     /// Serializes to an in-memory `.nsftrace` image.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w =
-            TraceWriter::new(Vec::new(), &self.meta).expect("Vec<u8> writes are infallible");
+        let m = &self.meta;
+        let mut w = VarWriter::with_header(MAGIC, FORMAT_VERSION);
+        for s in [&m.workload, &m.engine] {
+            w.put_varint(s.len() as u64);
+            w.put_bytes(s.as_bytes());
+        }
+        for v in [
+            u64::from(m.scale),
+            m.instructions,
+            m.cycles,
+            m.context_switches,
+        ] {
+            w.put_varint(v);
+        }
+        // Stamps are nondecreasing (the recorder's clock only moves
+        // forward); a stamp behind its predecessor encodes as delta 0.
+        let reg = |a: RegAddr, v: u64| [u64::from(a.cid), u64::from(a.offset), v];
+        let mut last_cycle = 0;
         for e in &self.events {
-            w.event(e.cycle, &e.event)
-                .expect("Vec<u8> writes are infallible");
+            let (tag, fields, n) = match e.event {
+                RegEvent::Read { addr } => (TAG_READ, reg(addr, 0), 2),
+                RegEvent::Write { addr, value } => (TAG_WRITE, reg(addr, u64::from(value)), 3),
+                RegEvent::SwitchTo { cid } => (TAG_SWITCH, [u64::from(cid), 0, 0], 1),
+                RegEvent::CallPush { cid } => (TAG_CALL_PUSH, [u64::from(cid), 0, 0], 1),
+                RegEvent::ThreadSwitch { cid } => (TAG_THREAD_SWITCH, [u64::from(cid), 0, 0], 1),
+                RegEvent::FreeContext { cid } => (TAG_FREE_CONTEXT, [u64::from(cid), 0, 0], 1),
+                RegEvent::FreeReg { addr } => (TAG_FREE_REG, reg(addr, 0), 2),
+                RegEvent::MemRead { addr } => (TAG_MEM_READ, [u64::from(addr), 0, 0], 1),
+                RegEvent::MemWrite { addr } => (TAG_MEM_WRITE, [u64::from(addr), 0, 0], 1),
+            };
+            w.put_u8(tag);
+            w.put_varint(e.cycle.saturating_sub(last_cycle));
+            last_cycle = last_cycle.max(e.cycle);
+            for &v in &fields[..n] {
+                w.put_varint(v);
+            }
         }
-        w.finish().expect("Vec<u8> writes are infallible")
+        w.put_u8(TRAILER_TAG);
+        w.put_varint(self.events.len() as u64);
+        seal(w.into_bytes())
     }
 
-    /// Decodes a complete in-memory `.nsftrace` image.
+    /// Decodes a complete in-memory `.nsftrace` image. Length, header
+    /// and checksum are checked before any field is parsed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        Self::read_from(bytes)
-    }
-
-    /// Decodes a complete stream from any reader.
-    pub fn read_from<R: Read>(src: R) -> Result<Self, TraceError> {
-        let mut r = TraceReader::new(src)?;
+        let mut r = VarReader::new(unseal(bytes, MAGIC, FORMAT_VERSION)?);
+        let meta = TraceMeta {
+            workload: get_str(&mut r)?,
+            engine: get_str(&mut r)?,
+            scale: r.get_int()?,
+            instructions: r.get_varint()?,
+            cycles: r.get_varint()?,
+            context_switches: r.get_varint()?,
+        };
         let mut events = Vec::new();
-        while let Some(e) = r.next_event()? {
-            events.push(e);
+        let mut cycle = 0u64;
+        loop {
+            let tag = r.get_u8()?;
+            if tag == TRAILER_TAG {
+                break;
+            }
+            // Corrupt deltas can sum past u64::MAX: a malformed stamp.
+            cycle = cycle
+                .checked_add(r.get_varint()?)
+                .ok_or(FrameError::BadVarint)?;
+            let event = match tag {
+                TAG_READ => RegEvent::Read {
+                    addr: get_reg_addr(&mut r)?,
+                },
+                TAG_WRITE => RegEvent::Write {
+                    addr: get_reg_addr(&mut r)?,
+                    value: r.get_int()?,
+                },
+                TAG_SWITCH => RegEvent::SwitchTo { cid: r.get_int()? },
+                TAG_CALL_PUSH => RegEvent::CallPush { cid: r.get_int()? },
+                TAG_THREAD_SWITCH => RegEvent::ThreadSwitch { cid: r.get_int()? },
+                TAG_FREE_CONTEXT => RegEvent::FreeContext { cid: r.get_int()? },
+                TAG_FREE_REG => RegEvent::FreeReg {
+                    addr: get_reg_addr(&mut r)?,
+                },
+                TAG_MEM_READ => RegEvent::MemRead { addr: r.get_int()? },
+                TAG_MEM_WRITE => RegEvent::MemWrite { addr: r.get_int()? },
+                other => return Err(TraceError::BadTag(other)),
+            };
+            events.push(TimedEvent { cycle, event });
         }
-        Ok(Trace {
-            meta: r.meta().clone(),
-            events,
-        })
+        let stored = r.get_varint()?;
+        let read = events.len() as u64;
+        if stored != read {
+            return Err(TraceError::CountMismatch { stored, read });
+        }
+        if !r.done() {
+            return Err(TraceError::TrailingBytes);
+        }
+        Ok(Trace { meta, events })
     }
 
     /// Writes the trace to `path` atomically ([`write_atomic`]).
@@ -442,16 +260,28 @@ impl Trace {
         Ok(write_atomic(path.as_ref(), &self.to_bytes())?)
     }
 
-    /// Reads a trace from `path` (buffered).
+    /// Reads and decodes the trace at `path`.
     pub fn read_file(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::read_from(BufReader::new(File::open(path)?))
+        Self::from_bytes(&std::fs::read(path)?)
     }
+}
+
+fn get_str(r: &mut VarReader<'_>) -> Result<String, TraceError> {
+    let len: usize = r.get_int()?;
+    if len > 1 << 20 {
+        return Err(FrameError::BadVarint.into()); // absurd header length ⇒ corrupt
+    }
+    String::from_utf8(r.get_bytes(len)?.to_vec()).map_err(|_| TraceError::BadString)
+}
+
+fn get_reg_addr(r: &mut VarReader<'_>) -> Result<RegAddr, FrameError> {
+    Ok(RegAddr::new(r.get_int()?, r.get_int()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{fnv64, VarWriter};
+    use crate::frame::{HEADER_LEN, SEAL_LEN};
 
     fn sample_meta() -> TraceMeta {
         TraceMeta {
@@ -503,20 +333,30 @@ mod tests {
         ]
     }
 
+    /// The sample trace's image with its seal stripped, so a test can
+    /// forge the body and re-seal it.
+    fn sample_body() -> Vec<u8> {
+        let mut body = Trace {
+            meta: sample_meta(),
+            events: sample_events(),
+        }
+        .to_bytes();
+        body.truncate(body.len() - SEAL_LEN);
+        body
+    }
+
     #[test]
-    fn streaming_reader_rejects_overflowing_header_varint() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(FORMAT_VERSION);
-        bytes.push(0); // empty workload string
-        bytes.push(0); // empty engine string
-                       // Scale varint whose tenth byte overflows a u64.
-        bytes.extend_from_slice(&[0xFF; 9]);
-        bytes.push(0x7F);
-        let Err(err) = TraceReader::new(&bytes[..]) else {
-            panic!("overflowing header varint accepted");
-        };
-        assert!(matches!(err, TraceError::Frame(FrameError::BadVarint)));
+    fn overflowing_header_varint_is_typed() {
+        let mut w = VarWriter::with_header(MAGIC, FORMAT_VERSION);
+        w.put_varint(0); // empty workload string
+        w.put_varint(0); // empty engine string
+        w.put_bytes(&[0xFF; 9]); // scale varint whose tenth byte
+        w.put_u8(0x7F); // overflows a u64
+        let forged = seal(w.into_bytes());
+        assert!(matches!(
+            Trace::from_bytes(&forged),
+            Err(TraceError::Frame(FrameError::BadVarint))
+        ));
     }
 
     #[test]
@@ -539,25 +379,6 @@ mod tests {
         assert_eq!(t.to_bytes(), t.to_bytes());
         // 10 events in well under 10 bytes/event plus the small header.
         assert!(t.to_bytes().len() < 64 + 10 * 10, "{}", t.to_bytes().len());
-    }
-
-    #[test]
-    fn streaming_reader_reports_meta_before_events() {
-        let t = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        };
-        let bytes = t.to_bytes();
-        let mut r = TraceReader::new(&bytes[..]).unwrap();
-        assert_eq!(r.meta().workload, "GateSim");
-        let mut n = 0;
-        while r.next_event().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 10);
-        assert_eq!(r.events_read(), 10);
-        // After the trailer, the reader stays exhausted.
-        assert!(r.next_event().unwrap().is_none());
     }
 
     #[test]
@@ -604,19 +425,16 @@ mod tests {
             events: sample_events(),
         }
         .to_bytes();
-        // Every proper prefix must fail cleanly (truncated or, for very
-        // short prefixes that cut the magic itself, still typed).
+        // A prefix too short to hold header and seal is truncated; any
+        // longer proper prefix fails its checksum before a field is read.
         for cut in 0..bytes.len() {
             let err = Trace::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    TraceError::Frame(FrameError::Truncated)
-                        | TraceError::Frame(FrameError::BadMagic(_))
-                        | TraceError::Frame(FrameError::BadVarint)
-                ),
-                "prefix {cut}: unexpected {err}"
-            );
+            let expected = if cut < HEADER_LEN + SEAL_LEN {
+                matches!(err, TraceError::Frame(FrameError::Truncated))
+            } else {
+                matches!(err, TraceError::Frame(FrameError::ChecksumMismatch { .. }))
+            };
+            assert!(expected, "prefix {cut}: unexpected {err}");
         }
     }
 
@@ -627,20 +445,13 @@ mod tests {
             events: sample_events(),
         };
         let bytes = t.to_bytes();
-        // Flip one bit in an event body (not the length-bearing header).
-        for flip in [bytes.len() / 2, bytes.len() - 12] {
+        // Any flipped bit past the magic and version fails the checksum.
+        for flip in HEADER_LEN..bytes.len() - SEAL_LEN {
             let mut corrupt = bytes.clone();
             corrupt[flip] ^= 0x40;
             let err = Trace::from_bytes(&corrupt).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    TraceError::Frame(FrameError::ChecksumMismatch { .. })
-                        | TraceError::BadTag(_)
-                        | TraceError::Frame(FrameError::BadVarint)
-                        | TraceError::Frame(FrameError::Truncated)
-                        | TraceError::CountMismatch { .. }
-                ),
+                matches!(err, TraceError::Frame(FrameError::ChecksumMismatch { .. })),
                 "flip at {flip}: unexpected {err}"
             );
         }
@@ -656,37 +467,67 @@ mod tests {
 
     #[test]
     fn bytes_after_the_trailer_are_typed() {
-        let mut bytes = Trace {
+        // A byte appended after the seal shifts the checksum window.
+        let mut appended = Trace {
             meta: sample_meta(),
             events: sample_events(),
         }
         .to_bytes();
-        bytes.push(0);
+        appended.push(0);
         assert!(matches!(
-            Trace::from_bytes(&bytes),
+            Trace::from_bytes(&appended),
+            Err(TraceError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
+        // A tail forged inside the seal passes the checksum and is
+        // caught after the trailer's count.
+        let mut body = sample_body();
+        body.push(0);
+        assert!(matches!(
+            Trace::from_bytes(&seal(body)),
             Err(TraceError::TrailingBytes)
         ));
     }
 
     #[test]
-    fn count_mismatch_is_typed() {
-        // Hand-build a stream whose trailer claims one extra event, with
-        // a checksum recomputed to match (so only the count is wrong).
-        let t = Trace {
+    fn unknown_tag_under_the_original_seal_is_a_checksum_mismatch() {
+        // The first event's tag follows the header and metadata, which
+        // an event-free trace encodes as everything before its 2-byte
+        // trailer.
+        let first_tag = Trace {
+            meta: sample_meta(),
+            events: vec![],
+        }
+        .to_bytes()
+        .len()
+            - SEAL_LEN
+            - 2;
+        let mut bytes = Trace {
             meta: sample_meta(),
             events: sample_events(),
-        };
-        let good = t.to_bytes();
-        let body_end = good.len() - 9; // trailer tag at -10: [0xFF, count, sum*8]
-        let mut forged: Vec<u8> = good[..body_end].to_vec();
-        assert_eq!(forged[body_end - 1], 0xFF, "trailer tag located");
-        forged.push(11); // count varint: says 11, stream holds 10
-        forged.pop();
-        // Recompute: easier via hashing all bytes then appending.
-        let mut forged: Vec<u8> = good[..body_end].to_vec();
-        forged.push(11);
-        let hash = fnv64(&forged);
-        forged.extend_from_slice(&hash.to_le_bytes());
+        }
+        .to_bytes();
+        assert_eq!(bytes[first_tag], TAG_THREAD_SWITCH, "first event located");
+        bytes[first_tag] = 0x7E;
+        assert!(matches!(
+            Trace::from_bytes(&bytes),
+            Err(TraceError::Frame(FrameError::ChecksumMismatch { .. }))
+        ));
+        // Re-sealed, the same tag reaches the event decoder.
+        let resealed = seal(bytes[..bytes.len() - SEAL_LEN].to_vec());
+        assert!(matches!(
+            Trace::from_bytes(&resealed),
+            Err(TraceError::BadTag(0x7E))
+        ));
+    }
+
+    #[test]
+    fn count_mismatch_is_typed() {
+        // A trailer claiming one extra event under a recomputed seal (so
+        // only the count is wrong).
+        let mut forged = sample_body();
+        assert_eq!(forged[forged.len() - 2], TRAILER_TAG, "trailer located");
+        *forged.last_mut().unwrap() = 11; // says 11, the trace holds 10
+        let forged = seal(forged);
         assert!(matches!(
             Trace::from_bytes(&forged),
             Err(TraceError::CountMismatch {
@@ -710,7 +551,7 @@ mod tests {
         }
         w.put_u8(TRAILER_TAG);
         w.put_varint(2);
-        let forged = crate::frame::seal(w.into_bytes());
+        let forged = seal(w.into_bytes());
         assert!(matches!(
             Trace::from_bytes(&forged),
             Err(TraceError::Frame(FrameError::BadVarint))
@@ -719,8 +560,9 @@ mod tests {
 
     #[test]
     fn errors_display_and_chain() {
-        let e = TraceError::from(io::Error::new(io::ErrorKind::UnexpectedEof, "eof"));
-        assert!(matches!(e, TraceError::Frame(FrameError::Truncated)));
+        let e = TraceError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
+        assert!(matches!(e, TraceError::Io(_)));
+        assert!(std::error::Error::source(&e).is_some());
         let e = TraceError::Replay {
             index: 5,
             source: RegFileError::ReadUndefined(RegAddr::new(1, 2)),

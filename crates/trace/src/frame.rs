@@ -7,16 +7,16 @@
 //!
 //! - **Checksum:** FNV-1a-64 ([`fnv64`], incremental [`Fnv64`]).
 //! - **Varints:** LEB128 — `put_varint` under [`VarWriter`] to encode,
-//!   one decode step (`read_varint`) under [`VarReader`], the streaming
-//!   trace reader and the replay cursor. Decoding is strict:
+//!   one decode step (`read_varint`) under [`VarReader`] and the replay
+//!   cursor. Decoding is strict:
 //!   a varint wider than a `u64` or not in its shortest form is
 //!   [`FrameError::BadVarint`], so every image that decodes re-encodes
 //!   to the same bytes.
 //! - **Header:** `magic[4] | version u8`, checked by `check_header`.
 //! - **Two checksum layouts:**
 //!   - a *sealed blob* ([`seal`] / `unseal`): header, body, then an
-//!     8-byte little-endian FNV of everything before it (`.nsfs`; the
-//!     `.nsftrace` trailer is the streaming form of the same thing);
+//!     8-byte little-endian FNV of everything before it (`.nsftrace`,
+//!     `.nsfs`);
 //!   - a *checksummed record log* ([`checked_record`] / [`parse_log`]):
 //!     a header block and then records, each followed by the varint FNV
 //!     of its own bytes. Parsing keeps the longest intact prefix and
@@ -27,7 +27,7 @@
 //!
 //! | format      | magic  | version | checksum layout          | torn tail               |
 //! |-------------|--------|---------|--------------------------|-------------------------|
-//! | `.nsftrace` | `NSFT` | 1       | sealed (streamed)        | typed error             |
+//! | `.nsftrace` | `NSFT` | 1       | sealed                   | typed error             |
 //! | `.nsfs`     | `NSFS` | 1       | sealed                   | typed error, recapture  |
 //! | `.nsfx`     | `NSFX` | 1       | record log               | truncated to valid_len  |
 //! | `.nsfm`     | `NSFM` | 1       | record log               | truncated to valid_len  |

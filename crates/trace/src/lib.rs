@@ -23,9 +23,9 @@
 //!   the frontend cache ([`fcache`]) records through. Any engine under
 //!   any workload records without the workload knowing, and the run
 //!   keeps its engine-specialized loop.
-//! - **Format** ([`Trace`], [`TraceWriter`], [`TraceReader`]): the
-//!   `.nsftrace` encoding — magic + version header, varint fields,
-//!   delta-encoded cycles, event-count + checksum trailer; corrupt
+//! - **Format** ([`Trace`]): the `.nsftrace` encoding, one sealed
+//!   blob of [`frame`] — magic + version header, varint fields,
+//!   delta-encoded cycles, event-count trailer and checksum; corrupt
 //!   input yields typed [`TraceError`]s, never panics. The frontend
 //!   cache ([`fcache`]) and its persistent store ([`store`]) encode
 //!   through the same varint layer.
@@ -54,7 +54,7 @@ pub use nsf_sim::spec;
 
 pub use event::{RegEvent, TimedEvent};
 pub use fcache::{capture_frontend, capture_rejection, replay_frontend, FrontendBuffer};
-pub use format::{Trace, TraceError, TraceMeta, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC};
+pub use format::{Trace, TraceError, TraceMeta, FORMAT_VERSION, MAGIC};
 pub use frame::{FrameError, VarReader, VarWriter};
 pub use recorder::TraceRecorder;
 pub use replay::{diff, replay, replay_events, DiffReport, Divergence, ReplayReport, StatDelta};

@@ -272,36 +272,14 @@ pub fn diff(trace: &Trace, cfg_a: &SimConfig, cfg_b: &SimConfig) -> Result<DiffR
     })
 }
 
-/// All [`RegFileStats`] fields whose values differ between `a` and `b`.
+/// All [`RegFileStats`] fields whose values differ between `a` and `b`,
+/// in declaration order.
 pub fn stat_deltas(a: &RegFileStats, b: &RegFileStats) -> Vec<StatDelta> {
-    let fields: [(&'static str, u64, u64); 14] = [
-        ("reads", a.reads, b.reads),
-        ("writes", a.writes, b.writes),
-        ("read_hits", a.read_hits, b.read_hits),
-        ("read_misses", a.read_misses, b.read_misses),
-        ("write_hits", a.write_hits, b.write_hits),
-        ("write_misses", a.write_misses, b.write_misses),
-        ("lines_reloaded", a.lines_reloaded, b.lines_reloaded),
-        ("regs_reloaded", a.regs_reloaded, b.regs_reloaded),
-        (
-            "live_regs_reloaded",
-            a.live_regs_reloaded,
-            b.live_regs_reloaded,
-        ),
-        ("regs_spilled", a.regs_spilled, b.regs_spilled),
-        ("regs_dribbled", a.regs_dribbled, b.regs_dribbled),
-        ("context_switches", a.context_switches, b.context_switches),
-        ("switch_hits", a.switch_hits, b.switch_hits),
-        (
-            "spill_reload_cycles",
-            a.spill_reload_cycles,
-            b.spill_reload_cycles,
-        ),
-    ];
-    fields
+    a.fields()
         .into_iter()
-        .filter(|&(_, va, vb)| va != vb)
-        .map(|(name, a, b)| StatDelta { name, a, b })
+        .zip(b.fields())
+        .filter(|&((_, va), (_, vb))| va != vb)
+        .map(|((name, a), (_, b))| StatDelta { name, a, b })
         .collect()
 }
 

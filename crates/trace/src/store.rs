@@ -37,7 +37,6 @@
 
 use crate::fcache::FrontendBuffer;
 use crate::frame::{seal, unseal, write_atomic, Fnv64, FrameError, VarReader, VarWriter};
-use nsf_core::RegFileStats;
 use nsf_mem::CacheStats;
 use nsf_sim::{OccupancySummary, RunReport, SimConfig};
 use nsf_workloads::Workload;
@@ -223,7 +222,7 @@ fn encode_report(w: &mut VarWriter, r: &RunReport) {
     w.put_varint(r.returns);
     w.put_varint(r.spawns);
     w.put_varint(r.static_instructions as u64);
-    for v in regfile_fields(&r.regfile) {
+    for (_, v) in r.regfile.fields() {
         w.put_varint(v);
     }
     encode_cache(w, &r.dcache);
@@ -252,26 +251,6 @@ fn encode_cache(w: &mut VarWriter, c: &CacheStats) {
     w.put_varint(c.writebacks);
 }
 
-fn regfile_fields(s: &RegFileStats) -> [u64; 15] {
-    [
-        s.reads,
-        s.writes,
-        s.read_hits,
-        s.read_misses,
-        s.write_hits,
-        s.write_misses,
-        s.lines_reloaded,
-        s.regs_reloaded,
-        s.live_regs_reloaded,
-        s.regs_spilled,
-        s.regs_dribbled,
-        s.context_switches,
-        s.switch_hits,
-        s.spill_reload_cycles,
-        s.port_conflict_cycles,
-    ]
-}
-
 fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
     let mut rep = RunReport::default();
     let desc_len: usize = r.get_int()?;
@@ -290,27 +269,9 @@ fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
     rep.returns = r.get_varint()?;
     rep.spawns = r.get_varint()?;
     rep.static_instructions = r.get_int()?;
-    let mut rf = [0u64; 15];
-    for v in &mut rf {
+    for (_, v) in rep.regfile.fields_mut() {
         *v = r.get_varint()?;
     }
-    rep.regfile = RegFileStats {
-        reads: rf[0],
-        writes: rf[1],
-        read_hits: rf[2],
-        read_misses: rf[3],
-        write_hits: rf[4],
-        write_misses: rf[5],
-        lines_reloaded: rf[6],
-        regs_reloaded: rf[7],
-        live_regs_reloaded: rf[8],
-        regs_spilled: rf[9],
-        regs_dribbled: rf[10],
-        context_switches: rf[11],
-        switch_hits: rf[12],
-        spill_reload_cycles: rf[13],
-        port_conflict_cycles: rf[14],
-    };
     rep.dcache = decode_cache(r)?;
     rep.occupancy = OccupancySummary {
         samples: r.get_varint()?,

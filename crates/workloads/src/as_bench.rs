@@ -215,7 +215,7 @@ pub fn build(scale: u32) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run;
+    use crate::harness::{run, WorkloadError};
     use nsf_sim::SimConfig;
 
     #[test]
@@ -228,6 +228,23 @@ mod tests {
             r.instrs_per_switch() > 100.0,
             "AS must be coarse-grained, got {}",
             r.instrs_per_switch()
+        );
+    }
+
+    #[test]
+    fn preemption_breaks_the_plain_fold() {
+        // The fold into the shared sum is a plain load/add/store, atomic
+        // only under block multithreading: a quantum can preempt a thread
+        // between its load and its store and lose another's partial sum.
+        // The output check must catch that, never report the run.
+        let cfg = SimConfig {
+            quantum: Some(4),
+            ..SimConfig::default()
+        };
+        let err = run(&build(0), cfg).expect_err("a lost update must not validate");
+        assert!(
+            matches!(err, WorkloadError::CheckFailed { name: "AS", .. }),
+            "{err}"
         );
     }
 }
