@@ -4,9 +4,13 @@
 //! `fingerprint` is the per-group lookup key; `save_load_roundtrip`
 //! is the full filesystem path (tmp write + atomic rename + checksummed
 //! read-back). `capture_live` is the work a warm hit avoids.
+//! `seal`/`unseal` time the sealed-blob checksum alone over a 4 MB
+//! image (scale-1 entries run to a few megabytes); every save pays the
+//! first and every load the second.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nsf_bench::nsf_config;
+use nsf_trace::frame::{seal, unseal, VarWriter, SEAL_LEN};
 use nsf_trace::{capture_frontend, decode_stream, encode_stream, stream_fingerprint, StreamStore};
 use nsf_workloads::gatesim;
 
@@ -28,6 +32,31 @@ fn bench_stream_store(c: &mut Criterion) {
     g.bench_function("encode", |b| b.iter(|| encode_stream(fp, &buf)));
     g.bench_function("decode", |b| {
         b.iter(|| decode_stream(&bytes, fp, &cfg).expect("decodes"))
+    });
+
+    // A 4 MB image: header, then a deterministic pseudo-random body.
+    let mut image = VarWriter::with_header(*b"NSFB", 1);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..(4 << 20) / 8 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        image.put_bytes(&x.to_le_bytes());
+    }
+    let image = image.into_bytes();
+    let sealed = seal(image.clone());
+    // Room for the trailer, as `encode_stream` reserves: `seal` then
+    // times the checksum, not a reallocation.
+    let unsealed = || {
+        let mut blob = Vec::with_capacity(image.len() + SEAL_LEN);
+        blob.extend_from_slice(&image);
+        blob
+    };
+    g.bench_function("seal", |b| {
+        b.iter_batched(unsealed, seal, BatchSize::LargeInput)
+    });
+    g.bench_function("unseal", |b| {
+        b.iter(|| unseal(&sealed, *b"NSFB", 1).expect("intact").len())
     });
 
     let dir = std::env::temp_dir().join(format!("nsf-store-bench-{}", std::process::id()));

@@ -17,7 +17,9 @@
 //!
 //! A panic in any worker (a failed validation in [`crate::measure`])
 //! propagates out of [`Sweep::run`] — a harness bug must never
-//! masquerade as a data point.
+//! masquerade as a data point. A capture or a replay that fails is not
+//! such a bug: the points it would have served run live instead, where
+//! a real failure panics in [`crate::measure`].
 
 use crate::cli::{CliArgs, CliError, CliSpec};
 use crate::measure;
@@ -150,7 +152,10 @@ impl Sweep {
     ///   run that shares the fingerprint. A present-but-unusable entry
     ///   (truncated, corrupted, foreign version, failed replay) is
     ///   deleted and the group captures live. Without a store, only
-    ///   groups at least [`Sweep::MIN_CAPTURE_GROUP`] wide capture.
+    ///   groups at least [`Sweep::MIN_CAPTURE_GROUP`] wide capture. A
+    ///   capture that fails runs the whole group live; a replay after a
+    ///   capture that fails runs the rest of the group live and saves
+    ///   nothing ([`FrontendCacheStats::live_fallback_points`]).
     /// - **Live.** Every other point runs on its own [`nsf_sim::Machine`].
     ///
     /// Replay is checked against the recorded live values and every
@@ -193,6 +198,9 @@ impl Sweep {
             let cfgs = |ix: &[usize]| -> Vec<SimConfig> {
                 ix.iter().map(|&i| self.points[i].cfg).collect()
             };
+            let live = |ix: &[usize]| -> Vec<RunReport> {
+                ix.iter().map(|&i| measure(w, self.points[i].cfg)).collect()
+            };
             let keyed = match store {
                 Some(st) if self.capturable(g[0]) => {
                     stream_fingerprint(w, &head_cfg).map(|fp| (st, fp))
@@ -213,8 +221,8 @@ impl Sweep {
                                     engine_ns: t1.elapsed().as_nanos() as u64,
                                     replayed: g.len() as u64,
                                     store_hits: 1,
-                                    store_misses: 0,
                                     store_served: g.len() as u64,
+                                    ..GroupOut::default()
                                 }
                             }
                             // A checksummed entry that still fails the
@@ -233,38 +241,67 @@ impl Sweep {
                 // (or not capturable at all): every point runs live.
                 let t0 = std::time::Instant::now();
                 return GroupOut {
-                    reports: g.iter().map(|&i| measure(w, self.points[i].cfg)).collect(),
+                    reports: live(g),
                     frontend_ns: t0.elapsed().as_nanos() as u64,
                     ..GroupOut::default()
                 };
             }
-            // Capture the head live, persist the stream on a store miss
-            // (even a singleton's stream is worth keeping — the next run
-            // serves it for free), and replay the rest of the group.
+            // Capture the head live, replay the rest of the group, and
+            // persist the stream on a store miss (even a singleton's
+            // stream is worth keeping — the next run serves it for free).
+            let store_misses = u64::from(keyed.is_some());
             let t0 = std::time::Instant::now();
-            let buf =
-                capture_frontend(w, head_cfg).unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
+            let Ok(buf) = capture_frontend(w, head_cfg) else {
+                // The capture run failed (its output check, say): run the
+                // whole group live, where a real failure panics.
+                return GroupOut {
+                    reports: live(g),
+                    frontend_ns: t0.elapsed().as_nanos() as u64,
+                    store_misses,
+                    live_fallback: g.len() as u64,
+                    ..GroupOut::default()
+                };
+            };
             let frontend_ns = t0.elapsed().as_nanos() as u64;
+            let t1 = std::time::Instant::now();
+            let replayed = match &g[1..] {
+                [] => Ok(Vec::new()),
+                rest => replay_frontend(&buf, w, &cfgs(rest)),
+            };
+            let rest = match replayed {
+                Ok(reports) => reports,
+                Err(_) => {
+                    // The stream failed the replay wall for the rest of
+                    // the group: run those points live, and keep the
+                    // stream out of the store, where it would fail again.
+                    let t2 = std::time::Instant::now();
+                    let mut reports = vec![buf.report];
+                    reports.extend(live(&g[1..]));
+                    return GroupOut {
+                        reports,
+                        frontend_ns: frontend_ns + t2.elapsed().as_nanos() as u64,
+                        engine_ns: (t2 - t1).as_nanos() as u64,
+                        store_misses,
+                        live_fallback: (g.len() - 1) as u64,
+                        ..GroupOut::default()
+                    };
+                }
+            };
+            let engine_ns = t1.elapsed().as_nanos() as u64;
             if let Some((st, fp)) = keyed {
                 // A failed save (read-only store, full disk) only costs
                 // future warm hits; this run's results don't depend on it.
                 let _ = st.save_stream(fp, &buf);
             }
-            let t1 = std::time::Instant::now();
-            let mut out = Vec::with_capacity(g.len());
-            out.push(buf.report.clone());
-            if g.len() > 1 {
-                out.extend(
-                    replay_frontend(&buf, w, &cfgs(&g[1..]))
-                        .unwrap_or_else(|e| panic!("{} failed: {e}", w.name)),
-                );
-            }
+            let mut reports = Vec::with_capacity(g.len());
+            reports.push(buf.report);
+            reports.extend(rest);
             GroupOut {
-                reports: out,
+                reports,
                 frontend_ns,
-                engine_ns: t1.elapsed().as_nanos() as u64,
+                engine_ns,
                 replayed: (g.len() - 1) as u64,
-                store_misses: u64::from(keyed.is_some()),
+                store_misses,
                 ..GroupOut::default()
             }
         };
@@ -323,6 +360,7 @@ struct GroupOut {
     store_hits: u64,
     store_misses: u64,
     store_served: u64,
+    live_fallback: u64,
 }
 
 /// Observability counters for one [`Sweep::run_stored_stats`] pass: how
@@ -349,6 +387,10 @@ pub struct FrontendCacheStats {
     /// Capturable frontend groups that missed the store (and captured
     /// live, persisting their stream for the next run).
     pub store_misses: u64,
+    /// Points that ran live because their group's capture failed (the
+    /// whole group) or its replay after a capture failed (the rest of
+    /// the group). Zero on a healthy run.
+    pub live_fallback_points: u64,
 }
 
 impl FrontendCacheStats {
@@ -377,6 +419,7 @@ impl FrontendCacheStats {
         self.store_hits += go.store_hits;
         self.store_misses += go.store_misses;
         self.store_served_points += go.store_served;
+        self.live_fallback_points += go.live_fallback;
     }
 }
 

@@ -321,3 +321,41 @@ fn store_switches_run_and_agree() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(outs[0], outs[1], "store on/off stdout differs");
 }
+
+#[test]
+fn store_tool_counts_and_removes_a_version_one_entry() {
+    // A store written before the seal checksum changed holds version-1
+    // entries under keys no current run asks for. `info` must count
+    // such an orphan as invalid and `gc` must remove it, leaving the
+    // current entry alone.
+    use nsf_trace::frame::{fnv64, SEAL_LEN};
+    let w = nsf_workloads::gatesim::build(0);
+    let cfg = nsf_bench::nsf_config(80);
+    let buf = nsf_trace::capture_frontend(&w, cfg).expect("captures");
+    let fp = nsf_trace::stream_fingerprint(&w, &cfg).expect("fingerprints");
+    let current = nsf_trace::encode_stream(fp, &buf);
+    let mut v1 = current[..current.len() - SEAL_LEN].to_vec();
+    v1[4] = 1;
+    let sum = fnv64(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    let orphan = fp ^ 1;
+
+    let dir = std::env::temp_dir().join(format!("nsf-cli-store-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let entry = |fp: u64| dir.join(format!("{fp:016x}.nsfs"));
+    std::fs::write(entry(fp), &current).unwrap();
+    std::fs::write(entry(orphan), &v1).unwrap();
+
+    let bin = env!("CARGO_BIN_EXE_store_tool");
+    let d = dir.display().to_string();
+    let info = String::from_utf8(stdout_of(bin, &["info", "--dir", &d])).unwrap();
+    assert!(info.contains("entries=2"), "{info}");
+    assert!(info.contains("invalid=1"), "{info}");
+    assert!(info.contains("unsupported format version 1"), "{info}");
+    let gc = String::from_utf8(stdout_of(bin, &["gc", "--dir", &d])).unwrap();
+    assert!(gc.contains("removed_invalid=1"), "{gc}");
+    assert!(!entry(orphan).exists(), "gc left the version-1 entry");
+    assert!(entry(fp).exists(), "gc removed the current entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -12,8 +12,9 @@
 
 use nsf_bench::{nsf_config, Sweep, SEQ_FILE_REGS};
 use nsf_trace::StreamStore;
-use nsf_workloads::gatesim;
+use nsf_workloads::{gatesim, Workload};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One workload, `n` frontend-equal points over distinct file sizes
 /// (distinct engine configs keep the points from being trivially equal).
@@ -107,4 +108,48 @@ fn store_serves_narrow_groups_warm() {
         assert_eq!(warm_stats.replayed_points, n as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `w` with an output check whose `n`-th call (counting from 1) fails
+/// and every other call passes through to the real check.
+fn check_fails_on_call(mut w: Workload, n: usize) -> Workload {
+    let calls = AtomicUsize::new(0);
+    let check = std::mem::replace(&mut w.check, Box::new(|_| Ok(())));
+    w.check = Box::new(move |mem| {
+        if calls.fetch_add(1, Ordering::Relaxed) + 1 == n {
+            Err("injected check failure".into())
+        } else {
+            check(mem)
+        }
+    });
+    w
+}
+
+/// A capture whose run fails runs the whole group live; a replay that
+/// fails after a good capture runs the rest of the group live. Neither
+/// panics, both are counted, the reports stay bit-identical to serial,
+/// and neither leaves a stream in the store.
+#[test]
+fn failed_capture_or_replay_falls_back_to_live() {
+    let m = Sweep::MIN_CAPTURE_GROUP;
+    let serial = sweep_of_width(m).run(1);
+    // The capture's check is the first call; the first replayed lane's
+    // is the second.
+    for (fail_on, live) in [(1, m), (2, m - 1)] {
+        for with_store in [false, true] {
+            let (dir, store) = scratch_store(&format!("fallback{fail_on}{with_store}"));
+            let mut s = sweep_of_width(m);
+            s.workloads[0] = check_fails_on_call(gatesim::build(0), fail_on);
+            let (reports, stats) = s.run_stored_stats(1, 0, with_store.then_some(&store));
+            let case = format!("check fails on call {fail_on}, store {with_store}");
+            assert_eq!(serial, reports, "{case}: diverged from serial");
+            assert_eq!(stats.live_fallback_points, live as u64, "{case}");
+            assert_eq!(stats.replayed_points, 0, "{case}");
+            assert_eq!(stats.store_misses, u64::from(with_store), "{case}");
+            assert!(!dir.exists(), "{case}: a failed group saved its stream");
+        }
+    }
+    // A healthy run falls back nowhere.
+    let (_, stats) = sweep_of_width(m).run_stored_stats(1, 0, None);
+    assert_eq!(stats.live_fallback_points, 0);
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! magic    b"NSFT"                        4 bytes
-//! version  u8 (= 1)
+//! version  u8 (= 2)
 //! meta     workload  varint len + UTF-8
 //!          engine    varint len + UTF-8   (trace_tool engine spec)
 //!          scale     varint
@@ -14,9 +14,10 @@
 //!
 //! All integers are LEB128 varints (cids and offsets are tiny, values
 //! and addresses usually short), cycle stamps are delta-encoded against
-//! the previous event, and the checksum is FNV-1a-64 over every byte
-//! from the magic through the event-count varint — the sealed-blob
-//! layout of [`crate::frame`]: [`Trace::to_bytes`] builds the image in
+//! the previous event, and the checksum is
+//! [`crate::frame::seal_checksum`] over every byte from the magic
+//! through the event-count varint — the sealed-blob layout of
+//! [`crate::frame`]: [`Trace::to_bytes`] builds the image in
 //! one [`VarWriter`] and [`seal`]s it, and [`Trace::from_bytes`]
 //! checks length, header and checksum before it parses any field. So
 //! truncation, bit rot and miscounted streams all surface as typed
@@ -32,8 +33,11 @@ use std::path::Path;
 
 /// Leading magic of every `.nsftrace` image.
 pub const MAGIC: [u8; 4] = *b"NSFT";
-/// Current format version.
-pub const FORMAT_VERSION: u8 = 1;
+/// Current format version. Version 2 seals with
+/// [`crate::frame::seal_checksum`] instead of FNV-1a-64; its payload is
+/// byte-identical to version 1's. A version-1 image is
+/// [`FrameError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u8 = 2;
 /// Trailer tag terminating the event list.
 const TRAILER_TAG: u8 = 0xFF;
 
@@ -401,6 +405,21 @@ mod tests {
         assert!(matches!(
             Trace::from_bytes(&bytes),
             Err(TraceError::Frame(FrameError::BadMagic(_)))
+        ));
+    }
+
+    #[test]
+    fn version_one_image_is_unsupported_not_a_checksum_mismatch() {
+        // A version-1 image: the same payload under version byte 1 and
+        // an FNV-1a-64 trailer. The version is checked before the
+        // checksum, so it is reported as such, never as damage.
+        let mut v1 = sample_body();
+        v1[4] = 1;
+        let sum = crate::frame::fnv64(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Trace::from_bytes(&v1),
+            Err(TraceError::Frame(FrameError::UnsupportedVersion(1)))
         ));
     }
 

@@ -14,7 +14,8 @@
 //! - **Framing** ([`frame`]): the one record framing under every
 //!   on-disk format of the workspace — `.nsftrace`, `.nsfs` store
 //!   entries, and the explorer's `.nsfx` ledger and `.nsfm` memo. It
-//!   owns the FNV-1a-64 checksum, the LEB128 varint codec, the
+//!   owns the checksums (a word-parallel one for sealed blobs,
+//!   FNV-1a-64 for records and keys), the LEB128 varint codec, the
 //!   `magic | version` header check, the sealed-blob and
 //!   checksummed-record-log layouts with their typed [`FrameError`]s,
 //!   and the atomic-save and torn-tail-truncation file helpers.

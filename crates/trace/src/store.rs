@@ -25,10 +25,11 @@
 //!
 //! A store entry is an optimization, never an authority. The file is a
 //! sealed blob of [`crate::frame`] — magic, version byte, and a
-//! trailing FNV-1a-64 checksum over the whole body, checked before any
-//! field is parsed — and every failure mode (foreign magic, unknown
-//! version, truncation, bit corruption, fingerprint mismatch) is a
-//! typed [`StoreError`]; callers fall back to live capture. Even a
+//! trailing word-parallel checksum ([`crate::frame::seal_checksum`])
+//! over the whole body, checked before any field is parsed — and
+//! every failure mode (foreign magic, unknown version, truncation, bit
+//! corruption, fingerprint mismatch) is a typed [`StoreError`];
+//! callers fall back to live capture. Even a
 //! loaded stream is still subject to the full equivalence wall: replay
 //! checks every value-bearing event against the recording
 //! ([`nsf_sim::SimError::LaneDivergence`]) and every lane against the
@@ -52,8 +53,10 @@ pub const STORE_MAGIC: [u8; 4] = *b"NSFS";
 /// verbatim; old entries are then rejected as
 /// [`FrameError::UnsupportedVersion`] and recaptured live. The version
 /// also feeds [`stream_fingerprint`], so a bump changes every key as
-/// well.
-pub const STORE_VERSION: u8 = 1;
+/// well. Version 2 seals with [`crate::frame::seal_checksum`] instead of
+/// FNV-1a-64; the body after the fingerprint is byte-identical to
+/// version 1's.
+pub const STORE_VERSION: u8 = 2;
 
 /// Everything that can go wrong loading or validating a store entry.
 /// Every variant is a *reject and recapture live* signal — none is
@@ -530,6 +533,27 @@ mod tests {
         assert!(matches!(
             validate_stream_bytes(&good, fp.wrapping_add(1)),
             Err(StoreError::FingerprintMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn version_one_entry_is_unsupported_not_a_checksum_mismatch() {
+        // A version-1 entry: the same body under version byte 1 and an
+        // FNV-1a-64 trailer. It is rejected for its version before any
+        // checksum runs, so it is recaptured like any foreign entry.
+        let (_, cfg, buf, fp) = captured();
+        let mut v1 = encode_stream(*fp, buf);
+        v1.truncate(v1.len() - SEAL_LEN);
+        v1[4] = 1;
+        let sum = crate::frame::fnv64(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            decode_stream(&v1, *fp, cfg),
+            Err(StoreError::Frame(FrameError::UnsupportedVersion(1)))
+        ));
+        assert!(matches!(
+            validate_stream_bytes(&v1, *fp),
+            Err(StoreError::Frame(FrameError::UnsupportedVersion(1)))
         ));
     }
 
