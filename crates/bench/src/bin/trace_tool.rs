@@ -71,12 +71,15 @@ type Args = CliArgs;
 
 /// Builds the named paper benchmark (case-insensitive) at `scale`.
 fn workload_by_name(name: &str, scale: u32) -> Result<Workload, String> {
-    let suite = nsf_workloads::paper_suite(scale);
-    let names: Vec<&str> = suite.iter().map(|w| w.name).collect();
-    suite
-        .into_iter()
-        .find(|w| w.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown workload {name:?}; known: {}", names.join(", ")))
+    let known = &nsf_workloads::BENCHMARKS;
+    let b = known
+        .iter()
+        .find(|b| b.cli.eq_ignore_ascii_case(name))
+        .ok_or_else(|| {
+            let names: Vec<&str> = known.iter().map(|b| b.cli).collect();
+            format!("unknown workload {name:?}; known: {}", names.join(", "))
+        })?;
+    Ok((b.build)(scale))
 }
 
 fn engine_config(spec: &str) -> Result<SimConfig, String> {

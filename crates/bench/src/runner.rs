@@ -185,11 +185,8 @@ impl Sweep {
             .any(|g| self.capturable(g[0]) && (store.is_some() || wide(g)))
         {
             // Nothing could capture or hit the store: identical to the
-            // plain sweep, and timed as pure frontend-paying work.
-            let t0 = std::time::Instant::now();
-            let reports = self.run(threads);
-            stats.frontend_ns = t0.elapsed().as_nanos() as u64;
-            return (reports, stats);
+            // plain sweep, which keeps per-point parallelism.
+            return (self.run(threads), stats);
         }
         // Per group: submission-order reports plus counters.
         let run_group = |g: &[usize]| -> GroupOut {
@@ -212,13 +209,10 @@ impl Sweep {
                     Ok(Some(buf)) => {
                         // Warm hit: every point of the group — head
                         // included — replays from the persisted stream.
-                        let t1 = std::time::Instant::now();
                         match replay_frontend(&buf, w, &cfgs(g)) {
                             Ok(reports) => {
                                 return GroupOut {
                                     reports,
-                                    frontend_ns: 0,
-                                    engine_ns: t1.elapsed().as_nanos() as u64,
                                     replayed: g.len() as u64,
                                     store_hits: 1,
                                     store_served: g.len() as u64,
@@ -239,10 +233,8 @@ impl Sweep {
             } else if !(self.capturable(g[0]) && wide(g)) {
                 // Too narrow to amortize a capture and a stream decode
                 // (or not capturable at all): every point runs live.
-                let t0 = std::time::Instant::now();
                 return GroupOut {
                     reports: live(g),
-                    frontend_ns: t0.elapsed().as_nanos() as u64,
                     ..GroupOut::default()
                 };
             }
@@ -250,20 +242,16 @@ impl Sweep {
             // persist the stream on a store miss (even a singleton's
             // stream is worth keeping — the next run serves it for free).
             let store_misses = u64::from(keyed.is_some());
-            let t0 = std::time::Instant::now();
             let Ok(buf) = capture_frontend(w, head_cfg) else {
                 // The capture run failed (its output check, say): run the
                 // whole group live, where a real failure panics.
                 return GroupOut {
                     reports: live(g),
-                    frontend_ns: t0.elapsed().as_nanos() as u64,
                     store_misses,
                     live_fallback: g.len() as u64,
                     ..GroupOut::default()
                 };
             };
-            let frontend_ns = t0.elapsed().as_nanos() as u64;
-            let t1 = std::time::Instant::now();
             let replayed = match &g[1..] {
                 [] => Ok(Vec::new()),
                 rest => replay_frontend(&buf, w, &cfgs(rest)),
@@ -274,20 +262,16 @@ impl Sweep {
                     // The stream failed the replay wall for the rest of
                     // the group: run those points live, and keep the
                     // stream out of the store, where it would fail again.
-                    let t2 = std::time::Instant::now();
                     let mut reports = vec![buf.report];
                     reports.extend(live(&g[1..]));
                     return GroupOut {
                         reports,
-                        frontend_ns: frontend_ns + t2.elapsed().as_nanos() as u64,
-                        engine_ns: (t2 - t1).as_nanos() as u64,
                         store_misses,
                         live_fallback: (g.len() - 1) as u64,
                         ..GroupOut::default()
                     };
                 }
             };
-            let engine_ns = t1.elapsed().as_nanos() as u64;
             if let Some((st, fp)) = keyed {
                 // A failed save (read-only store, full disk) only costs
                 // future warm hits; this run's results don't depend on it.
@@ -298,8 +282,6 @@ impl Sweep {
             reports.extend(rest);
             GroupOut {
                 reports,
-                frontend_ns,
-                engine_ns,
                 replayed: (g.len() - 1) as u64,
                 store_misses,
                 ..GroupOut::default()
@@ -354,8 +336,6 @@ pub fn pool_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync
 #[derive(Default)]
 struct GroupOut {
     reports: Vec<RunReport>,
-    frontend_ns: u64,
-    engine_ns: u64,
     replayed: u64,
     store_hits: u64,
     store_misses: u64,
@@ -364,8 +344,8 @@ struct GroupOut {
 }
 
 /// Observability counters for one [`Sweep::run_stored_stats`] pass: how
-/// much of the grid was served from captured event streams, and where
-/// the time went.
+/// much of the grid was served from captured event streams, how much of
+/// that came from the persistent store, and how much fell back to live.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontendCacheStats {
     /// Grid points in the sweep.
@@ -373,12 +353,6 @@ pub struct FrontendCacheStats {
     /// Points driven by buffer replay instead of a live frontend
     /// (in-process captures and persistent-store hits alike).
     pub replayed_points: u64,
-    /// Nanoseconds spent paying the frontend: captures plus points that
-    /// ran live (uncapturable points, and store-less groups narrower
-    /// than [`Sweep::MIN_CAPTURE_GROUP`]).
-    pub frontend_ns: u64,
-    /// Nanoseconds spent in engine-only replay.
-    pub engine_ns: u64,
     /// Points served from a persistent [`StreamStore`] entry — no live
     /// frontend ran for them at all, in this process or any other.
     pub store_served_points: u64,
@@ -413,8 +387,6 @@ impl FrontendCacheStats {
     }
 
     fn absorb(&mut self, go: &GroupOut) {
-        self.frontend_ns += go.frontend_ns;
-        self.engine_ns += go.engine_ns;
         self.replayed_points += go.replayed;
         self.store_hits += go.store_hits;
         self.store_misses += go.store_misses;

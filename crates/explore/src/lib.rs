@@ -48,4 +48,4 @@ pub use driver::{
 pub use ledger::{LedgerError, LedgerHeader, LedgerRecord, ParsedLedger};
 pub use memo::{memo_key, parse_memo, MemoRecord, ParsedMemo, MEMO_MAGIC, MEMO_VERSION};
 pub use pareto::{CostPoint, ParetoFront, PointCost};
-pub use spec::{shard_of, workload_builder, CacheGeom, ExploreSpec, Family, Point, WORKLOADS};
+pub use spec::{shard_of, workload_builder, CacheGeom, ExploreSpec, Family, Point};

@@ -15,6 +15,7 @@ use nsf_bench::{CliArgs, CliError, CliSpec};
 use nsf_explore::{
     merge_ledgers, CacheGeom, ExploreError, ExploreSpec, Explorer, Family, DEFAULT_CHUNK,
 };
+use nsf_workloads::{Benchmark, BENCHMARKS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -25,9 +26,16 @@ const USAGE: &str = "usage: nsf-explore [--scale N] [--shard I/N] [--out DIR]
                    [--store | --no-store] [--quiet] [--merge LEDGER,LEDGER,...]
   lists are comma-separated; families use the engine-spec kinds
   (nsf, segmented, segmented-sw, segmented-valid, windowed, conventional);
-  caches are sparc2 or <capacity>x<line>x<ways> in words; workloads are
-  gatesim rtlsim zipfile as dtw gamteb paraffins quicksort wavefront,
-  or the aliases seq / par / all";
+  caches are sparc2 or <capacity>x<line>x<ways> in words; workloads are";
+
+/// The paper benchmarks' CLI names that pass `keep`, in paper order.
+fn workload_names(keep: fn(&Benchmark) -> bool) -> Vec<&'static str> {
+    BENCHMARKS
+        .iter()
+        .filter(|b| keep(b))
+        .map(|b| b.cli)
+        .collect()
+}
 
 const SPEC: CliSpec = CliSpec {
     value_flags: &[
@@ -81,26 +89,13 @@ fn workload_list(args: &CliArgs) -> Result<Vec<String>, CliError> {
     };
     let mut out: Vec<String> = Vec::new();
     for item in names.split(',') {
-        let expanded: &[&str] = match item.trim() {
-            "seq" => &["gatesim", "rtlsim", "zipfile"],
-            "par" => &["as", "dtw", "gamteb", "paraffins", "quicksort", "wavefront"],
-            "all" => &[
-                "gatesim",
-                "rtlsim",
-                "zipfile",
-                "as",
-                "dtw",
-                "gamteb",
-                "paraffins",
-                "quicksort",
-                "wavefront",
-            ],
+        let expanded = match item.trim() {
+            "seq" => workload_names(|b| !b.parallel),
+            "par" => workload_names(|b| b.parallel),
+            "all" => workload_names(|_| true),
             one => {
                 nsf_explore::workload_builder(one).map_err(|_| bad("workloads", one))?;
-                if !out.iter().any(|w| w == one) {
-                    out.push(one.to_string());
-                }
-                continue;
+                vec![one]
             }
         };
         for w in expanded {
@@ -219,7 +214,10 @@ const EXIT_USAGE: u8 = 64;
 
 fn usage(e: impl std::fmt::Display) -> ExitCode {
     eprintln!("error: {e}");
-    eprintln!("{USAGE}");
+    eprintln!(
+        "{USAGE}\n  {},\n  or the aliases seq / par / all",
+        workload_names(|_| true).join(" ")
+    );
     ExitCode::from(EXIT_USAGE)
 }
 

@@ -17,7 +17,7 @@
 
 use nsf_mem::CacheConfig;
 use nsf_sim::{parse_engine, RegFileSpec, SimConfig, SpecError, BACKING_STRIDE_WORDS};
-use nsf_workloads::Workload;
+use nsf_workloads::{Benchmark, Workload, BENCHMARKS};
 use std::fmt;
 
 /// Engine families the explorer can sweep (the spec-grammar kinds,
@@ -160,41 +160,11 @@ impl fmt::Display for CacheGeom {
     }
 }
 
-/// One nameable workload: `(cli_name, paper_name, parallel, builder)`.
-pub type WorkloadEntry = (&'static str, &'static str, bool, fn(u32) -> Workload);
-
-/// The workloads the explorer can name on an axis.
-pub const WORKLOADS: [WorkloadEntry; 9] = [
-    ("gatesim", "GateSim", false, nsf_workloads::gatesim::build),
-    ("rtlsim", "RTLSim", false, nsf_workloads::rtlsim::build),
-    ("zipfile", "ZipFile", false, nsf_workloads::zipfile::build),
-    ("as", "AS", true, nsf_workloads::as_bench::build),
-    ("dtw", "DTW", true, nsf_workloads::dtw::build),
-    ("gamteb", "Gamteb", true, nsf_workloads::gamteb::build),
-    (
-        "paraffins",
-        "Paraffins",
-        true,
-        nsf_workloads::paraffins::build,
-    ),
-    (
-        "quicksort",
-        "Quicksort",
-        true,
-        nsf_workloads::quicksort::build,
-    ),
-    (
-        "wavefront",
-        "Wavefront",
-        true,
-        nsf_workloads::wavefront::build,
-    ),
-];
-
-fn workload_entry(name: &str) -> Result<&'static WorkloadEntry, SpecError> {
-    WORKLOADS
+/// The paper benchmark an axis names (exact CLI spelling).
+fn workload_entry(name: &str) -> Result<&'static Benchmark, SpecError> {
+    BENCHMARKS
         .iter()
-        .find(|(cli, _, _, _)| *cli == name)
+        .find(|b| b.cli == name)
         .ok_or_else(|| SpecError {
             spec: name.to_string(),
             reason: "unknown workload",
@@ -203,7 +173,7 @@ fn workload_entry(name: &str) -> Result<&'static WorkloadEntry, SpecError> {
 
 /// Resolves an axis workload name (CLI spelling) to its builder.
 pub fn workload_builder(name: &str) -> Result<fn(u32) -> Workload, SpecError> {
-    workload_entry(name).map(|(_, _, _, b)| *b)
+    workload_entry(name).map(|b| b.build)
 }
 
 /// Registers one context of `name`'s programs must address: the
@@ -211,8 +181,8 @@ pub fn workload_builder(name: &str) -> Result<fn(u32) -> Workload, SpecError> {
 /// organization whose frame/window cannot hold a full context cannot
 /// run the workload and is skipped during enumeration.
 pub fn workload_ctx_regs(name: &str) -> Result<u32, SpecError> {
-    workload_entry(name).map(|(_, _, parallel, _)| {
-        if *parallel {
+    workload_entry(name).map(|b| {
+        if b.parallel {
             u32::from(nsf_bench::PAR_CTX_REGS)
         } else {
             u32::from(nsf_bench::SEQ_CTX_REGS)
@@ -235,7 +205,7 @@ pub struct ExploreSpec {
     pub contexts: Vec<u32>,
     /// Data-cache geometries.
     pub caches: Vec<CacheGeom>,
-    /// Workload mix, by CLI name (see [`WORKLOADS`]).
+    /// Workload mix, by CLI name (see [`nsf_workloads::BENCHMARKS`]).
     pub workloads: Vec<String>,
     /// Problem size (0 = smoke, 1 = the evaluation size).
     pub scale: u32,

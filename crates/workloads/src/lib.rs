@@ -44,39 +44,76 @@ pub mod zipfile;
 
 pub use harness::{run, run_probed, Workload, WorkloadError};
 
+/// One paper benchmark as the command-line tools name it.
+#[derive(Clone, Copy, Debug)]
+pub struct Benchmark {
+    /// Command-line name: the workload's name in lowercase.
+    pub cli: &'static str,
+    /// Builds the workload at a scale (0 = test-sized, 1 =
+    /// evaluation-sized; larger values grow inputs further).
+    pub build: fn(u32) -> Workload,
+    /// `true` for the TAM-style parallel benchmarks.
+    pub parallel: bool,
+}
+
+const fn bench(cli: &'static str, build: fn(u32) -> Workload, parallel: bool) -> Benchmark {
+    Benchmark {
+        cli,
+        build,
+        parallel,
+    }
+}
+
+/// The nine paper benchmarks in Table 1's order: the three sequential
+/// ones, then the six parallel ones. Every suite and every tool's list
+/// of workload names derives from this table.
+pub const BENCHMARKS: [Benchmark; 9] = [
+    bench("gatesim", gatesim::build, false),
+    bench("rtlsim", rtlsim::build, false),
+    bench("zipfile", zipfile::build, false),
+    bench("as", as_bench::build, true),
+    bench("dtw", dtw::build, true),
+    bench("gamteb", gamteb::build, true),
+    bench("paraffins", paraffins::build, true),
+    bench("quicksort", quicksort::build, true),
+    bench("wavefront", wavefront::build, true),
+];
+
+/// The benchmarks that pass `keep`, built at `scale`, in table order.
+fn suite(scale: u32, keep: fn(&Benchmark) -> bool) -> Vec<Workload> {
+    BENCHMARKS
+        .iter()
+        .filter(|b| keep(b))
+        .map(|b| (b.build)(scale))
+        .collect()
+}
+
 /// All nine paper benchmarks at the given scale (0 = test-sized,
 /// 1 = evaluation-sized; larger values grow inputs further).
 pub fn paper_suite(scale: u32) -> Vec<Workload> {
-    vec![
-        gatesim::build(scale),
-        rtlsim::build(scale),
-        zipfile::build(scale),
-        as_bench::build(scale),
-        dtw::build(scale),
-        gamteb::build(scale),
-        paraffins::build(scale),
-        quicksort::build(scale),
-        wavefront::build(scale),
-    ]
+    suite(scale, |_| true)
 }
 
 /// The three sequential benchmarks.
 pub fn sequential_suite(scale: u32) -> Vec<Workload> {
-    vec![
-        gatesim::build(scale),
-        rtlsim::build(scale),
-        zipfile::build(scale),
-    ]
+    suite(scale, |b| !b.parallel)
 }
 
 /// The six parallel benchmarks.
 pub fn parallel_suite(scale: u32) -> Vec<Workload> {
-    vec![
-        as_bench::build(scale),
-        dtw::build(scale),
-        gamteb::build(scale),
-        paraffins::build(scale),
-        quicksort::build(scale),
-        wavefront::build(scale),
-    ]
+    suite(scale, |b| b.parallel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn benchmark_table_matches_the_built_workloads() {
+        for b in &BENCHMARKS {
+            let w = (b.build)(0);
+            assert_eq!(b.cli, w.name.to_lowercase(), "CLI name of {}", w.name);
+            assert_eq!(b.parallel, w.parallel, "parallel flag of {}", w.name);
+        }
+    }
 }
