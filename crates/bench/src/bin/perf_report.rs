@@ -13,7 +13,8 @@
 //! scratch store (every capturable group captures and saves) and warm
 //! (every stored group replays). Both stored passes must equal live.
 //! Every wall time is reported as the median, min and max over the
-//! rounds, so passes compared within a row share each round's host
+//! rounds. The speedups are medians of per-round ratios (cold ÷ warm,
+//! live ÷ warm), so the two passes of each ratio share one round's host
 //! load. A second section captures the Figure 12 workloads as
 //! `.nsftrace` streams and re-sweeps the figure's whole configuration
 //! grid by *replay* — the design-space shortcut `trace_tool` offers —
@@ -23,10 +24,13 @@
 //! and records explorer throughput in configurations/sec plus the
 //! online Pareto prune rate; it is marked unavailable when that binary
 //! is not built. The numbers land in `results/BENCH_regfile.json`
-//! (override the directory with `--out`) and a table on stdout;
-//! EXPERIMENTS.md records the `--scale 1` history. Wall-clock timing is
-//! inherently machine-dependent — these numbers never feed a figure, so
-//! the determinism rule for results paths does not apply here.
+//! (override the directory with `--out`) and a table on stdout, with
+//! the process's peak RSS (`VmHWM`; `null` where it cannot be read) on
+//! the closing `store-summary` line and in the JSON — reported, never
+//! gated. EXPERIMENTS.md records the `--scale 1` history. Wall-clock
+//! timing is inherently machine-dependent — these numbers never feed a
+//! figure, so the determinism rule for results paths does not apply
+//! here.
 
 use nsf_bench::figures::{
     ablations, depth_sweep, export_csv, fig09, fig10, fig11, fig12, fig13, fig14, fig_pipeline,
@@ -152,6 +156,38 @@ fn ratio(num: u128, den: u128) -> f64 {
     }
 }
 
+/// The median of per-round ratios `num / den`, the lower middle value
+/// with an even count (as in [`Spread`]). Both times of a pair come from
+/// one round and share its host load, which a ratio of two medians over
+/// all rounds does not cancel.
+fn paired_ratio(pairs: impl IntoIterator<Item = (u128, u128)>) -> f64 {
+    let mut r: Vec<f64> = pairs.into_iter().map(|(n, d)| ratio(n, d)).collect();
+    assert!(!r.is_empty(), "a paired ratio needs at least one round");
+    r.sort_by(f64::total_cmp);
+    r[(r.len() - 1) / 2]
+}
+
+/// Each pair's ratio `num / den`, as a one-line JSON array.
+fn ratios_json(pairs: impl Iterator<Item = (u128, u128)>) -> String {
+    let r: Vec<String> = pairs.map(|(n, d)| format!("{:.3}", ratio(n, d))).collect();
+    format!("[{}]", r.join(", "))
+}
+
+/// The process's resident high-water mark in MB (`VmHWM` in
+/// `/proc/self/status`), or `None` where it cannot be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb as f64 / 1024.0)
+}
+
 /// One `[` … `]` JSON array, an item per line, closed at `indent`.
 fn json_array(items: impl IntoIterator<Item = String>, indent: &str) -> String {
     let lines: Vec<String> = items
@@ -175,6 +211,8 @@ struct Row {
     warm: Spread,
     /// Counters of the warm pass (the same in every round).
     warm_stats: FrontendCacheStats,
+    /// Live, cold and warm wall times of each round, in round order.
+    round_ns: Vec<(u128, u128, u128)>,
 }
 
 impl Row {
@@ -182,6 +220,7 @@ impl Row {
     /// scratch store at `store_dir` for each cold pass.
     fn measure(name: &'static str, grid: GridFn, args: &HarnessArgs, store_dir: &Path) -> Row {
         let (mut points, mut instructions, mut warm_stats) = (0, 0, None);
+        let mut round_ns = Vec::new();
         let [build, live, cold, warm] = rounds(|| {
             let (sweep, build_ns) = timed(|| grid(args.scale));
             let (reports, live_ns) = timed(|| sweep.run(args.threads));
@@ -199,6 +238,7 @@ impl Row {
             );
             points = reports.len();
             instructions = reports.iter().map(|r| r.instructions).sum();
+            round_ns.push((live_ns, cold_ns, warm_ns));
             [build_ns, live_ns, cold_ns, warm_ns]
         });
         let _ = fs::remove_dir_all(store_dir);
@@ -211,6 +251,7 @@ impl Row {
             cold,
             warm,
             warm_stats: warm_stats.expect("at least one round"),
+            round_ns,
         }
     }
 
@@ -219,9 +260,24 @@ impl Row {
         rate(self.instructions, self.live.median)
     }
 
-    /// Cold median over warm median.
+    /// Cold ÷ warm within each round.
+    fn cold_warm(&self) -> impl Iterator<Item = (u128, u128)> + '_ {
+        self.round_ns.iter().map(|&(_, cold, warm)| (cold, warm))
+    }
+
+    /// Live ÷ warm within each round.
+    fn live_warm(&self) -> impl Iterator<Item = (u128, u128)> + '_ {
+        self.round_ns.iter().map(|&(live, _, warm)| (live, warm))
+    }
+
+    /// The median over rounds of cold ÷ warm.
     fn store_speedup(&self) -> f64 {
-        ratio(self.cold.median, self.warm.median)
+        paired_ratio(self.cold_warm())
+    }
+
+    /// The median over rounds of live ÷ warm.
+    fn live_speedup(&self) -> f64 {
+        paired_ratio(self.live_warm())
     }
 
     fn json(&self) -> String {
@@ -229,6 +285,7 @@ impl Row {
             "{{\"grid\": \"{}\", \"points\": {}, \"instructions\": {}, \
              \"build_ns\": {}, \"live_ns\": {}, \"cold_ns\": {}, \"warm_ns\": {}, \
              \"live_minstr_per_sec\": {:.2}, \"store_speedup\": {:.2}, \
+             \"cold_warm_rounds\": {}, \"live_speedup\": {:.2}, \"live_warm_rounds\": {}, \
              \"warm_hits\": {}, \"warm_misses\": {}, \"warm_hit_rate\": {:.3}}}",
             self.name,
             self.points,
@@ -239,6 +296,9 @@ impl Row {
             self.warm.json(),
             self.live_rate() / 1e6,
             self.store_speedup(),
+            ratios_json(self.cold_warm()),
+            self.live_speedup(),
+            ratios_json(self.live_warm()),
             self.warm_stats.store_hits,
             self.warm_stats.store_misses,
             self.warm_stats.store_hit_rate(),
@@ -535,9 +595,12 @@ fn main() {
          store cold -> store warm)",
         args.scale, args.threads
     );
-    println!("Wall ms: median [min-max] over the rounds. Store spd: cold / warm medians.");
     println!(
-        "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8} {:>5} {:>6} {:>5} {:>6}",
+        "Wall ms: median [min-max] over the rounds. Spd: median over rounds of cold / warm; \
+         Live/W: of live / warm."
+    );
+    println!(
+        "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8} {:>5} {:>6} {:>5} {:>6} {:>6}",
         "Grid",
         "Points",
         "Instrs",
@@ -549,14 +612,16 @@ fn main() {
         "Hits",
         "Misses",
         "Hit%",
-        "Spd"
+        "Spd",
+        "Live/W"
     );
-    nsf_bench::rule(154);
+    nsf_bench::rule(161);
     let mut rows = Vec::new();
     for &(name, grid) in GRIDS {
         let row = Row::measure(name, grid, &args, &store_root.join(name));
         println!(
-            "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>5.2}x",
+            "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>5.2}x \
+             {:>5.2}x",
             row.name,
             row.points,
             row.instructions,
@@ -569,17 +634,12 @@ fn main() {
             row.warm_stats.store_misses,
             row.warm_stats.store_hit_rate() * 100.0,
             row.store_speedup(),
+            row.live_speedup(),
         );
         rows.push(row);
     }
     let _ = fs::remove_dir_all(&store_root);
-    nsf_bench::rule(154);
-    println!(
-        "store-summary grids={} grids_with_warm_hits={} max_speedup={:.2}",
-        rows.len(),
-        rows.iter().filter(|r| r.warm_stats.store_hits > 0).count(),
-        rows.iter().map(Row::store_speedup).fold(0.0, f64::max),
-    );
+    nsf_bench::rule(161);
 
     let live_fig12 = rows
         .iter()
@@ -635,9 +695,19 @@ fn main() {
         None => println!("unavailable (nsf-explore binary not built alongside perf_report)"),
     }
 
+    // Read last, so the high-water mark covers every section run in this
+    // process (the explorer runs in its own).
+    let peak_rss = peak_rss_mb().map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"));
+    println!(
+        "\nstore-summary grids={} grids_with_warm_hits={} max_speedup={:.2} peak_rss_mb={peak_rss}",
+        rows.len(),
+        rows.iter().filter(|r| r.warm_stats.store_hits > 0).count(),
+        rows.iter().map(Row::store_speedup).fold(0.0, f64::max),
+    );
+
     let json = format!(
-        "{{\n  \"scale\": {},\n  \"threads\": {},\n  \"rounds\": {ROUNDS},\n  \"grids\": {},\n  \
-         \"replay\": {},\n  \"explore\": {}\n}}\n",
+        "{{\n  \"scale\": {},\n  \"threads\": {},\n  \"rounds\": {ROUNDS},\n  \
+         \"peak_rss_mb\": {peak_rss},\n  \"grids\": {},\n  \"replay\": {},\n  \"explore\": {}\n}}\n",
         args.scale,
         args.threads,
         json_array(rows.iter().map(Row::json), "  "),
@@ -653,7 +723,26 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::Spread;
+    use super::{paired_ratio, Spread};
+
+    #[test]
+    fn paired_ratio_is_the_median_of_per_round_ratios() {
+        // Cold 100/200/300 against warm 100/300/150: the per-round ratios
+        // are 1.0, 0.67 and 2.0, so the paired median is 1.0, while the
+        // ratio of the medians (200 / 150) would read 1.33.
+        let rounds = [(100, 100), (200, 300), (300, 150)];
+        assert_eq!(paired_ratio(rounds), 1.0);
+        let median = |k: usize| Spread::of(rounds.iter().map(|r| [r.0, r.1][k])).median;
+        assert_eq!(median(0) as f64 / median(1) as f64, 200.0 / 150.0);
+        // An even count takes the lower middle ratio, as a spread does.
+        assert_eq!(paired_ratio([(3, 1), (1, 1), (2, 1), (4, 1)]), 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn paired_ratio_of_no_rounds_is_an_error() {
+        paired_ratio([]);
+    }
 
     fn spread(median: u128, min: u128, max: u128) -> Spread {
         Spread { median, min, max }

@@ -32,7 +32,8 @@ pub struct NsfConfig {
     /// and 128 for parallel experiments).
     pub total_regs: u32,
     /// Registers per associative line (1, 2 or 4 in the paper's designs;
-    /// up to 32 supported for the Figure 13 sweep).
+    /// up to [`NsfConfig::MAX_LINE_REGS`] supported for the Figure 13
+    /// sweep).
     pub regs_per_line: u8,
     /// Architectural registers per context (offset field width; 32 in the
     /// paper).
@@ -48,6 +49,10 @@ pub struct NsfConfig {
 }
 
 impl NsfConfig {
+    /// The widest line: a line's valid and dirty bits are one `u32` mask
+    /// each.
+    pub const MAX_LINE_REGS: u8 = u32::BITS as u8;
+
     /// The paper's headline configuration: single-register lines, LRU,
     /// write-allocate, demand reload of single registers.
     pub fn paper_default(total_regs: u32) -> Self {
@@ -154,8 +159,9 @@ impl NamedStateFile {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (zero sizes, line width not
-    /// dividing the total, line wider than a context) — configuration
-    /// bugs, not runtime conditions.
+    /// dividing the total, line wider than a context or than
+    /// [`NsfConfig::MAX_LINE_REGS`]) — configuration bugs, not runtime
+    /// conditions.
     pub fn new(cfg: NsfConfig) -> Self {
         assert!(cfg.total_regs > 0, "file must have registers");
         assert!(cfg.regs_per_line > 0, "line width must be positive");
@@ -166,6 +172,11 @@ impl NamedStateFile {
         assert!(
             cfg.regs_per_line <= cfg.ctx_regs,
             "a line cannot exceed a context"
+        );
+        assert!(
+            cfg.regs_per_line <= NsfConfig::MAX_LINE_REGS,
+            "a line's valid and dirty masks hold {} registers",
+            NsfConfig::MAX_LINE_REGS
         );
         let n = cfg.lines();
         NamedStateFile {
@@ -543,6 +554,15 @@ mod tests {
         let mut cfg = NsfConfig::paper_default(total);
         cfg.regs_per_line = rpl;
         NamedStateFile::new(cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "masks hold 32 registers")]
+    fn line_wider_than_its_masks_is_rejected() {
+        let mut cfg = NsfConfig::paper_default(128);
+        cfg.ctx_regs = 64;
+        cfg.regs_per_line = 64;
+        NamedStateFile::new(cfg);
     }
 
     #[test]

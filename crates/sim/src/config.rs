@@ -43,7 +43,8 @@ impl RegFileSpec {
     ///
     /// The one buildability check, shared by the live machine and both
     /// replays: a geometry the engine constructors reject (an NSF line
-    /// that is zero, does not divide the file or exceeds a context; zero
+    /// that is zero, does not divide the file, or exceeds a context or
+    /// [`NsfConfig::MAX_LINE_REGS`]; zero
     /// frames, windows or registers) or a context that could spill past
     /// its [`BACKING_STRIDE_WORDS`]-word save area is a
     /// [`SimError::BadConfig`], never a panic.
@@ -62,6 +63,11 @@ impl RegFileSpec {
             RegFileSpec::Nsf(c) if c.regs_per_line > c.ctx_regs => Some(format!(
                 "an NSF line of {} registers exceeds the {}-register context",
                 c.regs_per_line, c.ctx_regs
+            )),
+            RegFileSpec::Nsf(c) if c.regs_per_line > NsfConfig::MAX_LINE_REGS => Some(format!(
+                "an NSF line of {} registers exceeds the {}-register line masks",
+                c.regs_per_line,
+                NsfConfig::MAX_LINE_REGS
             )),
             RegFileSpec::Segmented(c) if c.frames == 0 || c.frame_regs == 0 => Some(format!(
                 "a segmented file of {} frames of {} registers: sizes must be nonzero",
@@ -424,6 +430,29 @@ mod tests {
                 "{spec:?} built"
             );
         }
+    }
+
+    #[test]
+    fn nsf_line_wider_than_its_masks_is_a_typed_error() {
+        // Each fits a 64-register context, but not the 32-bit line masks.
+        for (total_regs, regs_per_line) in [(128, 64), (132, 33)] {
+            let spec = RegFileSpec::Nsf(NsfConfig {
+                ctx_regs: 64,
+                regs_per_line,
+                ..NsfConfig::paper_default(total_regs)
+            });
+            match spec.build() {
+                Err(SimError::BadConfig(why)) => assert!(why.contains("line masks"), "{why}"),
+                Err(e) => panic!("{spec:?}: expected BadConfig, got {e:?}"),
+                Ok(_) => panic!("{spec:?} built"),
+            }
+        }
+        let widest = RegFileSpec::Nsf(NsfConfig {
+            ctx_regs: 64,
+            regs_per_line: NsfConfig::MAX_LINE_REGS,
+            ..NsfConfig::paper_default(128)
+        });
+        assert!(widest.build().is_ok());
     }
 
     #[test]

@@ -234,9 +234,9 @@ pub fn capture_frontend(
 /// report per configuration — bit-identical to what
 /// [`nsf_workloads::run`] would return for each, with every lane's
 /// final memory validated against the workload's check. The buffer is
-/// decoded **once** into a flat replay program, which the lanes then run
-/// a tile of a few thousand ops at a time: every lane runs a tile, in a
-/// loop specialized to its engine family, before the next tile starts
+/// decoded a tile at a time into one reused buffer, a few thousand ops
+/// per tile: every lane runs a tile, in a loop specialized to its engine
+/// family, before the next tile is decoded
 /// (lanes are independent, so this gives the same results as running
 /// the lanes one after another or event by event in lockstep). Any
 /// divergence from the recorded live values aborts with
@@ -263,7 +263,7 @@ pub fn replay_frontend(
 }
 
 /// Decoded ops per replay tile: every lane runs one tile before the next
-/// tile starts. At 20 bytes per op a tile is 80 KiB, small enough to
+/// tile is decoded. At 20 bytes per op a tile is 80 KiB, small enough to
 /// stay in a core's second-level cache while all of a group's lanes run
 /// it, and long enough that the per-tile engine dispatch is negligible.
 const REPLAY_TILE_OPS: usize = 4096;
@@ -342,26 +342,21 @@ fn corrupt_at(event: u64) -> SimError {
     ))
 }
 
-/// Decodes the whole event stream into a flat replay program — paid
-/// once per replay set, not once per lane. Truncation, over-long
-/// varints and unknown tags surface as [`SimError::BadConfig`].
-fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
-    let mut cur = Cursor {
-        bytes: &buf.bytes,
-        pos: 0,
-    };
-    // ~4.5 encoded bytes per event.
-    let mut ops = Vec::with_capacity(buf.bytes.len() / 4 + 16);
-    let ctable_slots = buf.cfg.mem.ctable_slots;
-    let mut event: u64 = 0;
-    macro_rules! field {
-        ($read:expr) => {
-            match $read {
-                Some(v) => v,
-                None => return Err(corrupt_at(event)),
-            }
-        };
-    }
+/// Decodes the next tile of the event stream into `tile`: up to
+/// [`REPLAY_TILE_OPS`] ops from `cur`, the first of them event
+/// `first_event`. `tile` is cleared first and reused across tiles, so a
+/// replay holds one tile of decoded ops at a time, never the whole
+/// stream. Truncation, over-long varints, unknown tags and contexts
+/// beyond the Ctable surface as [`SimError::BadConfig`]; `tile` then
+/// holds every op decoded before the failing event, so the lanes can run
+/// them first.
+fn decode_ops(
+    cur: &mut Cursor<'_>,
+    first_event: u64,
+    ctable_slots: usize,
+    tile: &mut Vec<ReplayOp>,
+) -> Result<(), SimError> {
+    tile.clear();
     // Every lane's Ctable has `ctable_slots` entries; a context beyond
     // them cannot come from a live run.
     let in_ctable = |cid: Cid, event: u64| {
@@ -374,109 +369,66 @@ fn decode_ops(buf: &FrontendBuffer) -> Result<Vec<ReplayOp>, SimError> {
             )))
         }
     };
-    while cur.pos < cur.bytes.len() {
+    while tile.len() < REPLAY_TILE_OPS && cur.pos < cur.bytes.len() {
+        let event = first_event + tile.len() as u64;
+        macro_rules! field {
+            ($read:expr) => {
+                match $read {
+                    Some(v) => v,
+                    None => return Err(corrupt_at(event)),
+                }
+            };
+        }
         let tag = cur.bytes[cur.pos];
         cur.pos += 1;
         let pc = u32::try_from(event).unwrap_or(u32::MAX);
-        match tag {
+        let op = |off, cid, a, b, c| ReplayOp {
+            kind: tag,
+            off,
+            cid,
+            a,
+            b,
+            c,
+            pc,
+        };
+        tile.push(match tag {
             FTAG_READ | FTAG_WRITE => {
                 let cid = field!(cur.u16v());
                 let off = field!(cur.u8());
-                let a = field!(cur.u32v());
-                ops.push(ReplayOp {
-                    kind: tag,
-                    off,
-                    cid,
-                    a,
-                    b: 0,
-                    c: 0,
-                    pc,
-                });
+                op(off, cid, field!(cur.u32v()), 0, 0)
             }
             FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH | FTAG_FREE_CONTEXT => {
-                let cid = in_ctable(field!(cur.u16v()), event)?;
-                ops.push(ReplayOp {
-                    kind: tag,
-                    off: 0,
-                    cid,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    pc,
-                });
+                op(0, in_ctable(field!(cur.u16v()), event)?, 0, 0, 0)
             }
             FTAG_FREE_REG => {
                 let cid = field!(cur.u16v());
-                let off = field!(cur.u8());
-                ops.push(ReplayOp {
-                    kind: tag,
-                    off,
-                    cid,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    pc,
-                });
+                op(field!(cur.u8()), cid, 0, 0, 0)
             }
             FTAG_LOAD | FTAG_STORE => {
                 let a = field!(cur.u32v());
-                let b = field!(cur.u32v());
-                ops.push(ReplayOp {
-                    kind: tag,
-                    off: 0,
-                    cid: 0,
-                    a,
-                    b,
-                    c: 0,
-                    pc,
-                });
+                op(0, 0, a, field!(cur.u32v()), 0)
             }
             FTAG_AMO => {
                 let a = field!(cur.u32v());
                 let delta = field!(cur.i32v());
-                let c = field!(cur.u32v());
-                ops.push(ReplayOp {
-                    kind: tag,
-                    off: 0,
-                    cid: 0,
-                    a,
-                    b: delta as u32,
-                    c,
-                    pc,
-                });
+                op(0, 0, a, delta as u32, field!(cur.u32v()))
             }
-            FTAG_SAMPLE => ops.push(ReplayOp {
-                kind: tag,
-                off: 0,
-                cid: 0,
-                a: 0,
-                b: 0,
-                c: 0,
-                pc,
-            }),
+            FTAG_SAMPLE => op(0, 0, 0, 0, 0),
             other => {
                 return Err(SimError::BadConfig(format!(
                     "frontend cache buffer corrupt: unknown event tag {other} \
                      at event {event}"
                 )))
             }
-        }
-        event += 1;
+        });
     }
-    if event != buf.events {
-        return Err(SimError::BadConfig(format!(
-            "frontend cache buffer corrupt: decoded {event} events, \
-             capture recorded {}",
-            buf.events
-        )));
-    }
-    Ok(ops)
+    Ok(())
 }
 
-/// N engine lanes driven by a decoded [`FrontendBuffer`] instead of a
-/// live frontend: register files, per-lane memory hierarchies and
-/// presence bits (the two halves of a lane's [`CtableBacking`]), and
-/// clocks.
+/// N engine lanes driven by a [`FrontendBuffer`]'s decoded tiles
+/// instead of a live frontend: register files, per-lane memory
+/// hierarchies and presence bits (the two halves of a lane's
+/// [`CtableBacking`]), and clocks.
 struct ReplaySet {
     regfiles: Vec<EngineDispatch>,
     mems: Vec<MemSystem>,
@@ -522,23 +474,34 @@ impl ReplaySet {
         }
     }
 
-    /// Decodes the event stream once, then drives every lane through it
-    /// a tile at a time: each lane runs a whole tile of
-    /// [`REPLAY_TILE_OPS`] ops in a loop specialized to its engine
-    /// family, before the next lane runs the same tile. The tile stays
-    /// cache-resident across lanes, so the op stream is read from memory
-    /// once per group, while each lane keeps its engine hot and its
-    /// register-file hit paths inlined. Lanes are independent, so any
-    /// interleaving gives identical results.
+    /// Decodes the event stream a tile at a time into one reused buffer
+    /// and drives every lane through each tile before decoding the next:
+    /// each lane runs a whole tile of [`REPLAY_TILE_OPS`] ops in a loop
+    /// specialized to its engine family, before the next lane runs the
+    /// same tile. The tile stays cache-resident across lanes, so the op
+    /// stream is decoded and read from memory once per group, while each
+    /// lane keeps its engine hot and its register-file hit paths inlined.
+    /// Lanes are independent, so any interleaving gives identical
+    /// results.
     ///
     /// Every value-bearing event is checked against the recording. A
     /// failure reports what event-by-event lockstep over all lanes would
     /// report first: the earliest event, and on a tie the lowest lane.
     /// Within a tile, a lane after a failing one only runs the ops before
-    /// the failure, since it could only fail later or tie and lose.
+    /// the failure, since it could only fail later or tie and lose. A
+    /// malformed field at event k ends the tile just before k: the lanes
+    /// run the ops before it, and a divergence among them wins over the
+    /// decode error. The event count is checked after the last tile.
     fn run(&mut self, buf: &FrontendBuffer) -> Result<(), SimError> {
-        let ops = decode_ops(buf)?;
-        for tile in ops.chunks(REPLAY_TILE_OPS) {
+        let mut cur = Cursor {
+            bytes: &buf.bytes,
+            pos: 0,
+        };
+        let mut event: u64 = 0;
+        let mut tile = Vec::with_capacity(REPLAY_TILE_OPS);
+        while cur.pos < cur.bytes.len() {
+            let decoded = decode_ops(&mut cur, event, buf.cfg.mem.ctable_slots, &mut tile);
+            event += tile.len() as u64;
             let mut first: Option<(usize, SimError)> = None;
             for lane in 0..self.regfiles.len() {
                 let end = first.as_ref().map_or(tile.len(), |(at, _)| *at);
@@ -549,6 +512,14 @@ impl ReplaySet {
             if let Some((_, err)) = first {
                 return Err(err);
             }
+            decoded?;
+        }
+        if event != buf.events {
+            return Err(SimError::BadConfig(format!(
+                "frontend cache buffer corrupt: decoded {event} events, \
+                 capture recorded {}",
+                buf.events
+            )));
         }
         Ok(())
     }
@@ -1025,6 +996,146 @@ mod tests {
         assert_eq!(lockstep_first(&buf, &w, &[nsf, conv]), (3, 1));
     }
 
+    /// Bytes that fail to decode as the last event of a stream, each
+    /// with the text its error names: a context varint too wide for a
+    /// `u16`, an unknown tag, a context beyond the Ctable, and a load
+    /// cut off mid-field.
+    fn malformed_events(cfg: &SimConfig) -> Vec<(Vec<u8>, &'static str)> {
+        let beyond = encode(&[(FTAG_SWITCH, cfg.mem.ctable_slots as u32, 0)]).0;
+        vec![
+            (vec![FTAG_SWITCH, 0x80, 0x80, 0x04], "malformed field"),
+            (vec![0xEE], "unknown event tag 238"),
+            (beyond, "beyond"),
+            (vec![FTAG_LOAD, 0x80], "malformed field"),
+        ]
+    }
+
+    #[test]
+    fn divergence_in_an_early_tile_wins_over_a_later_malformed_field() {
+        let nsf = SimConfig::with_regfile(RegFileSpec::paper_nsf(64));
+        let conv = SimConfig::with_regfile(RegFileSpec::Conventional {
+            regs: 32,
+            engine: SpillEngine::hardware(),
+        });
+        let mut buf = capture_frontend(&nsf_workloads::gatesim::build(0), nsf).unwrap();
+        let w = Workload {
+            mem_init: Vec::new(),
+            ..nsf_workloads::gatesim::build(0)
+        };
+        // The divergences sit in the first tile, the malformed field in
+        // the third; event-by-event lockstep never reaches the latter.
+        let mut ev = split_divergence(&nsf, 0);
+        ev.resize(2 * REPLAY_TILE_OPS + 5, (FTAG_SAMPLE, 0, 0));
+        let (clean, events) = encode(&ev);
+        for (bad, _) in malformed_events(&nsf) {
+            (buf.bytes, buf.events) = ([clean.as_slice(), &bad].concat(), events + 1);
+            for cfgs in [[nsf, conv, nsf], [conv, nsf, conv]] {
+                let want = lockstep_first(&buf, &w, &cfgs);
+                match replay_frontend(&buf, &w, &cfgs) {
+                    Err(WorkloadError::Sim(SimError::LaneDivergence { pc, lane, .. })) => {
+                        assert_eq!((pc, lane), want);
+                    }
+                    other => panic!("expected a divergence, got {other:?}"),
+                }
+            }
+            assert_eq!(lockstep_first(&buf, &w, &[nsf, conv]), (3, 1));
+        }
+    }
+
+    #[test]
+    fn malformed_field_in_a_later_tile_names_its_event_after_the_ops_before_it() {
+        let nsf = SimConfig::with_regfile(RegFileSpec::paper_nsf(64));
+        let conv = SimConfig::with_regfile(RegFileSpec::paper_segmented(4, 32));
+        let mut buf = capture_frontend(&nsf_workloads::gatesim::build(0), nsf).unwrap();
+        // Event `bad_at` is in the second tile; every event before it is
+        // an occupancy sample, so each lane's sample count shows how far
+        // it ran.
+        let bad_at = REPLAY_TILE_OPS + 5;
+        let (clean, _) = encode(&vec![(FTAG_SAMPLE, 0, 0); bad_at]);
+        for (bad, names) in malformed_events(&nsf) {
+            buf.bytes = [clean.as_slice(), &bad].concat();
+            buf.events = bad_at as u64 + 1;
+            let mut set = ReplaySet::new(&buf, &[nsf, conv]).unwrap();
+            match set.run(&buf) {
+                Err(SimError::BadConfig(msg)) => {
+                    assert!(msg.contains(names), "{msg}");
+                    assert!(msg.contains(&format!("at event {bad_at}")), "{msg}");
+                }
+                other => panic!("expected BadConfig, got {other:?}"),
+            }
+            for occupancy in &set.occupancy {
+                assert_eq!(occupancy.samples, bad_at as u64);
+            }
+        }
+        // The count check still runs, after the last tile.
+        buf.bytes = clean;
+        buf.events = bad_at as u64 + 1;
+        let mut set = ReplaySet::new(&buf, &[nsf]).unwrap();
+        match set.run(&buf) {
+            Err(SimError::BadConfig(msg)) => assert!(
+                msg.contains(&format!(
+                    "decoded {bad_at} events, capture recorded {}",
+                    bad_at + 1
+                )),
+                "{msg}"
+            ),
+            other => panic!("expected BadConfig, got {other:?}"),
+        }
+        assert_eq!(set.occupancy[0].samples, bad_at as u64);
+    }
+
+    /// A loop of register, memory and context ops that records exactly
+    /// `events` frontend events under `cfg`, which samples occupancy
+    /// after every instruction: `pad` trailing `nop`s each add one
+    /// sample event and nothing else.
+    fn counted_capture(cfg: SimConfig, events: u64) -> (Workload, FrontendBuffer) {
+        let workload = |iters: u64, pad: u64| {
+            let src = format!(
+                "main:\n li r1, {iters}\n li r2, 4096\n li r5, 0\n\
+                 loop:\n sw r1, 0(r2)\n lw r3, 0(r2)\n call leaf\n addi r1, r1, -1\n \
+                 bne r1, r5, loop\n{}halt\n\
+                 leaf:\n li r6, 7\n mv r7, r6\n ret",
+                " nop\n".repeat(pad as usize)
+            );
+            Workload {
+                name: "tile_edges",
+                parallel: false,
+                program: nsf_isa::asm::assemble(&src).unwrap(),
+                source_lines: 0,
+                mem_init: Vec::new(),
+                check: Box::new(|_| Ok(())),
+            }
+        };
+        let count = |iters, pad| capture_frontend(&workload(iters, pad), cfg).unwrap().events;
+        let per_iter = count(2, 0) - count(1, 0);
+        let fixed = count(1, 0) - per_iter;
+        let iters = (events - fixed) / per_iter;
+        let w = workload(iters, (events - fixed) % per_iter);
+        let buf = capture_frontend(&w, cfg).unwrap();
+        assert_eq!(buf.events, events, "the padded loop misses its count");
+        (w, buf)
+    }
+
+    #[test]
+    fn streams_at_tile_edges_replay_like_live() {
+        let cfgs: Vec<SimConfig> = five_specs()
+            .into_iter()
+            .map(|cfg| SimConfig {
+                sample_interval: 1,
+                ..cfg
+            })
+            .collect();
+        let edge = 2 * REPLAY_TILE_OPS as u64;
+        for events in [edge - 1, edge, edge + 1] {
+            let (w, buf) = counted_capture(cfgs[0], events);
+            let replayed = replay_frontend(&buf, &w, &cfgs).unwrap();
+            for (cfg, got) in cfgs.iter().zip(&replayed) {
+                let live = nsf_workloads::run(&w, *cfg).unwrap();
+                assert_eq!(*got, live, "{events} events: {}", live.regfile_desc);
+            }
+        }
+    }
+
     #[test]
     fn context_beyond_the_ctable_is_a_typed_error() {
         // Stored buffers are read back from disk: a context no Ctable
@@ -1034,7 +1145,13 @@ mod tests {
         let beyond = cfg.mem.ctable_slots as u32;
         for tag in [FTAG_SWITCH, FTAG_FREE_CONTEXT] {
             (buf.bytes, buf.events) = encode(&[(tag, beyond, 0)]);
-            let err = decode_ops(&buf).unwrap_err();
+            let mut cur = Cursor {
+                bytes: &buf.bytes,
+                pos: 0,
+            };
+            let mut tile = Vec::new();
+            let err = decode_ops(&mut cur, 0, cfg.mem.ctable_slots, &mut tile).unwrap_err();
+            assert!(tile.is_empty());
             assert!(
                 matches!(&err, SimError::BadConfig(m) if m.contains("beyond")),
                 "{err:?}"

@@ -37,12 +37,13 @@
 //! never silently produce statistics.
 
 use crate::fcache::FrontendBuffer;
-use crate::frame::{seal, unseal, write_atomic, Fnv64, FrameError, VarReader, VarWriter};
+use crate::frame::{seal, unseal, write_atomic, Fnv64, FrameError, VarReader, VarWriter, SEAL_LEN};
 use nsf_mem::CacheStats;
 use nsf_sim::{OccupancySummary, RunReport, SimConfig};
 use nsf_workloads::Workload;
 use std::fmt;
 use std::io::{self, ErrorKind};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magic for persisted stream entries ("Named-State File Stream").
@@ -188,6 +189,18 @@ pub fn decode_stream(
     expected: u64,
     cfg: &SimConfig,
 ) -> Result<FrontendBuffer, StoreError> {
+    let (mut buf, stream) = decode_entry(bytes, expected, cfg)?;
+    buf.bytes = bytes[stream].to_vec();
+    Ok(buf)
+}
+
+/// Decodes every field of a store entry but the stream: the buffer comes
+/// back with no stream bytes, beside the stream's byte range in `bytes`.
+fn decode_entry(
+    bytes: &[u8],
+    expected: u64,
+    cfg: &SimConfig,
+) -> Result<(FrontendBuffer, Range<usize>), StoreError> {
     let mut r = open_entry(bytes, expected)?;
     let events = r.get_varint()?;
     let shared_cycles = r.get_varint()?;
@@ -200,13 +213,16 @@ pub fn decode_stream(
     if stream.len() as u64 != stream_len {
         return Err(FrameError::Truncated.into());
     }
-    Ok(FrontendBuffer {
+    // The body, and so the stream, ends where the seal trailer starts.
+    let end = bytes.len() - SEAL_LEN;
+    let buf = FrontendBuffer {
         cfg: *cfg,
-        bytes: stream.to_vec(),
+        bytes: Vec::new(),
         events,
         shared_cycles,
         report,
-    })
+    };
+    Ok((buf, end - stream.len()..end))
 }
 
 fn encode_report(w: &mut VarWriter, r: &RunReport) {
@@ -338,12 +354,18 @@ impl StreamStore {
         fingerprint: u64,
         cfg: &SimConfig,
     ) -> Result<Option<FrontendBuffer>, StoreError> {
-        let bytes = match std::fs::read(self.stream_path(fingerprint)) {
+        let mut bytes = match std::fs::read(self.stream_path(fingerprint)) {
             Ok(b) => b,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        decode_stream(&bytes, fingerprint, cfg).map(Some)
+        // The file's own allocation becomes the stream: header and seal
+        // trailer are trimmed in place, so a hit holds one copy of it.
+        let (mut buf, stream) = decode_entry(&bytes, fingerprint, cfg)?;
+        bytes.truncate(stream.end);
+        bytes.drain(..stream.start);
+        buf.bytes = bytes;
+        Ok(Some(buf))
     }
 
     /// Persists `buf` as the entry for `fingerprint` with
@@ -366,7 +388,6 @@ impl StreamStore {
 mod tests {
     use super::*;
     use crate::fcache::capture_frontend;
-    use crate::frame::SEAL_LEN;
     use nsf_sim::RegFileSpec;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -409,6 +430,49 @@ mod tests {
         assert_eq!(back.report, buf.report);
         store.remove_stream(*fp);
         assert!(store.load_stream(*fp, cfg).unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_trims_the_file_in_place_like_decode_stream() {
+        let (_, cfg, buf, fp) = captured();
+        let dir = std::env::temp_dir().join(format!("nsfs-trim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StreamStore::open(&dir);
+        store.save_stream(*fp, buf).unwrap();
+        let path = store.stream_path(*fp);
+        let good = std::fs::read(&path).unwrap();
+        let loaded = store.load_stream(*fp, cfg).unwrap().expect("hit");
+        let decoded = decode_stream(&good, *fp, cfg).unwrap();
+        assert_eq!(loaded.bytes, decoded.bytes);
+        assert_eq!(loaded.bytes, buf.bytes);
+        assert_eq!(
+            (loaded.events, loaded.shared_cycles, &loaded.report),
+            (decoded.events, decoded.shared_cycles, &decoded.report)
+        );
+        assert!(loaded.cfg.frontend_eq(&decoded.cfg));
+        // Damaged entries fail through both paths with the same typed
+        // error: foreign magic, a torn write, a flipped bit, a stream
+        // length that disagrees with the body, and a misfiled entry.
+        let mut magic = good.clone();
+        magic[0] ^= 0xFF;
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x10;
+        let mut body = good[..good.len() - SEAL_LEN].to_vec();
+        body.push(0);
+        let misfiled = encode_stream(fp.wrapping_add(1), buf);
+        for bad in [
+            magic,
+            good[..good.len() - 3].to_vec(),
+            flipped,
+            seal(body),
+            misfiled,
+        ] {
+            std::fs::write(&path, &bad).unwrap();
+            let via_load = store.load_stream(*fp, cfg).unwrap_err();
+            let via_decode = decode_stream(&bad, *fp, cfg).unwrap_err();
+            assert_eq!(format!("{via_load:?}"), format!("{via_decode:?}"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
