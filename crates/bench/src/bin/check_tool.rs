@@ -29,7 +29,7 @@ use nsf_check::run::check_family;
 use nsf_check::{
     check_seed, fault_plan_for_seed, generate, shrink, Divergence, Family, Repro, StreamConfig,
 };
-use nsf_trace::RegEvent;
+use nsf_core::LaneOp;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -89,11 +89,11 @@ fn stream_config(args: &CliArgs) -> Result<StreamConfig, CliError> {
 /// from the minimal stream.
 fn shrink_divergence(
     family: Family,
-    ops: &[RegEvent],
+    ops: &[LaneOp],
     plan: nsf_core::FaultPlan,
     original: &Divergence,
-) -> (Vec<RegEvent>, Divergence) {
-    let same_failure = |cand: &[RegEvent]| {
+) -> (Vec<LaneOp>, Divergence) {
+    let same_failure = |cand: &[LaneOp]| {
         matches!(check_family(family, cand, plan),
             Err(d) if d.lane == original.lane && d.kind == original.kind)
     };
@@ -105,7 +105,7 @@ fn shrink_divergence(
 fn report_divergence(
     family: Family,
     seed: Option<u64>,
-    ops: &[RegEvent],
+    ops: &[LaneOp],
     plan: nsf_core::FaultPlan,
     d: &Divergence,
     repro_dir: Option<&str>,

@@ -1,6 +1,6 @@
 //! Simulator throughput report: wall-clock time of every figure grid on
 //! the three passes the figure binaries and tests run, plus the
-//! trace-replay path's throughput and the design-space explorer's rate.
+//! design-space explorer's rate.
 //!
 //! ```sh
 //! cargo run --release -p nsf-bench --bin perf_report -- --scale 1
@@ -14,20 +14,20 @@
 //! (every stored group replays). Both stored passes must equal live.
 //! Every wall time is reported as the median, min and max over the
 //! rounds. The speedups are medians of per-round ratios (cold ÷ warm,
-//! live ÷ warm), so the two passes of each ratio share one round's host
-//! load. A second section captures the Figure 12 workloads as
-//! `.nsftrace` streams and re-sweeps the figure's whole configuration
-//! grid by *replay* — the design-space shortcut `trace_tool` offers —
-//! reporting events/sec through each engine family and the speedup over
-//! the grid's live pass. A third section runs the sibling `nsf-explore`
-//! binary over its default design-space spec (fresh ledger each time)
-//! and records explorer throughput in configurations/sec plus the
-//! online Pareto prune rate; it is marked unavailable when that binary
-//! is not built. The numbers land in `results/BENCH_regfile.json`
-//! (override the directory with `--out`) and a table on stdout, with
-//! the process's peak RSS (`VmHWM`; `null` where it cannot be read) on
-//! the closing `store-summary` line and in the JSON — reported, never
-//! gated. EXPERIMENTS.md records the `--scale 1` history. Wall-clock
+//! live ÷ cold, live ÷ warm), so the two passes of each ratio share one
+//! round's host load; each grid's JSON row also lists every round's
+//! ratios. (The store-warm pass replays through the same tile loop
+//! `trace_tool replay` runs, so it times that kernel on every grid.) A
+//! second section runs the sibling `nsf-explore` binary over its default
+//! design-space spec (fresh ledger each time) and records explorer
+//! throughput in configurations/sec plus the online Pareto prune rate;
+//! it is marked unavailable when that binary is not built. The numbers
+//! land in `results/BENCH_regfile.json` (override the directory with
+//! `--out`) and a table on stdout, with a host line (CPU count, CPU
+//! model, the `rustc` on `PATH`) and the process's peak RSS (`VmHWM`;
+//! `null` where it cannot be read) on the closing `store-summary` line
+//! and in the JSON — reported, never gated. EXPERIMENTS.md records the
+//! `--scale 1` history. Wall-clock
 //! timing is inherently machine-dependent — these numbers never feed a
 //! figure, so the determinism rule for results paths does not apply
 //! here.
@@ -36,9 +36,8 @@ use nsf_bench::figures::{
     ablations, depth_sweep, export_csv, fig09, fig10, fig11, fig12, fig13, fig14, fig_pipeline,
     related_work, summary, table1,
 };
-use nsf_bench::{pool_map, CliArgs, CliError, CliSpec, FrontendCacheStats, HarnessArgs, Sweep};
-use nsf_sim::SimConfig;
-use nsf_trace::{capture, parse_engine, replay_events, StreamStore, Trace};
+use nsf_bench::{CliArgs, CliError, CliSpec, FrontendCacheStats, HarnessArgs, Sweep};
+use nsf_trace::StreamStore;
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
@@ -63,24 +62,7 @@ const GRIDS: &[(&str, GridFn)] = &[
     ("table1", table1::grid),
 ];
 
-/// Engine families the captured traces are replayed through, per
-/// workload class (specs for `nsf_trace::parse_engine`).
-const SEQ_ENGINES: &[&str] = &[
-    "nsf:80",
-    "segmented:8x20",
-    "segmented-sw:8x20",
-    "windowed:20",
-    "conventional:32",
-];
-const PAR_ENGINES: &[&str] = &[
-    "nsf:128",
-    "segmented:4x32",
-    "segmented-sw:4x32",
-    "windowed:32",
-    "conventional:32",
-];
-
-/// Measurement rounds per grid, replay and explorer run. Every reported
+/// Measurement rounds per grid and explorer run. Every reported
 /// wall time is summarized over this many samples.
 const ROUNDS: usize = 5;
 
@@ -265,6 +247,11 @@ impl Row {
         self.round_ns.iter().map(|&(_, cold, warm)| (cold, warm))
     }
 
+    /// Live ÷ cold within each round.
+    fn live_cold(&self) -> impl Iterator<Item = (u128, u128)> + '_ {
+        self.round_ns.iter().map(|&(live, cold, _)| (live, cold))
+    }
+
     /// Live ÷ warm within each round.
     fn live_warm(&self) -> impl Iterator<Item = (u128, u128)> + '_ {
         self.round_ns.iter().map(|&(live, _, warm)| (live, warm))
@@ -273,6 +260,11 @@ impl Row {
     /// The median over rounds of cold ÷ warm.
     fn store_speedup(&self) -> f64 {
         paired_ratio(self.cold_warm())
+    }
+
+    /// The median over rounds of live ÷ cold.
+    fn cold_speedup(&self) -> f64 {
+        paired_ratio(self.live_cold())
     }
 
     /// The median over rounds of live ÷ warm.
@@ -285,7 +277,8 @@ impl Row {
             "{{\"grid\": \"{}\", \"points\": {}, \"instructions\": {}, \
              \"build_ns\": {}, \"live_ns\": {}, \"cold_ns\": {}, \"warm_ns\": {}, \
              \"live_minstr_per_sec\": {:.2}, \"store_speedup\": {:.2}, \
-             \"cold_warm_rounds\": {}, \"live_speedup\": {:.2}, \"live_warm_rounds\": {}, \
+             \"cold_warm_rounds\": {}, \"live_cold_speedup\": {:.2}, \"live_cold_rounds\": {}, \
+             \"live_speedup\": {:.2}, \"live_warm_rounds\": {}, \
              \"warm_hits\": {}, \"warm_misses\": {}, \"warm_hit_rate\": {:.3}}}",
             self.name,
             self.points,
@@ -297,60 +290,13 @@ impl Row {
             self.live_rate() / 1e6,
             self.store_speedup(),
             ratios_json(self.cold_warm()),
+            self.cold_speedup(),
+            ratios_json(self.live_cold()),
             self.live_speedup(),
             ratios_json(self.live_warm()),
             self.warm_stats.store_hits,
             self.warm_stats.store_misses,
             self.warm_stats.store_hit_rate(),
-        )
-    }
-}
-
-/// One engine-family replay measurement.
-struct EngineRow {
-    workload: &'static str,
-    engine: &'static str,
-    events: u64,
-    wall: Spread,
-}
-
-/// The replay-vs-live measurement over the Figure 12 grid.
-struct ReplaySection {
-    /// The grid's live pass (`Sweep::run`, build excluded).
-    live: Spread,
-    capture: Spread,
-    replay: Spread,
-    points: usize,
-    engines: Vec<EngineRow>,
-}
-
-impl ReplaySection {
-    fn speedup(&self) -> f64 {
-        ratio(self.live.median, self.replay.median)
-    }
-
-    fn json(&self) -> String {
-        let engines = self.engines.iter().map(|e| {
-            format!(
-                "{{\"workload\": \"{}\", \"engine\": \"{}\", \"events\": {}, \
-                 \"wall_ns\": {}, \"events_per_sec\": {:.0}}}",
-                e.workload,
-                e.engine,
-                e.events,
-                e.wall.json(),
-                rate(e.events, e.wall.median),
-            )
-        });
-        format!(
-            "{{\n    \"grid\": \"fig12_reload_vs_size\",\n    \"points\": {},\n    \
-             \"live_ns\": {},\n    \"capture_ns\": {},\n    \"replay_ns\": {},\n    \
-             \"speedup\": {:.2},\n    \"engines\": {}\n  }}",
-            self.points,
-            self.live.json(),
-            self.capture.json(),
-            self.replay.json(),
-            self.speedup(),
-            json_array(engines, "    "),
         )
     }
 }
@@ -471,77 +417,51 @@ fn explore_section(args: &HarnessArgs) -> Option<ExploreSection> {
     })
 }
 
-/// Replays every point of the Figure 12 sweep from recorded traces,
-/// fanning across `threads` workers (the pool `Sweep::run` uses).
-fn replay_grid(sweep: &Sweep, traces: &[Trace], threads: usize) -> usize {
-    pool_map(sweep.points.len(), threads, |i| {
-        let p = &sweep.points[i];
-        replay_events(&traces[p.workload].events, &p.cfg)
-            .unwrap_or_else(|e| panic!("grid replay failed: {e}"));
-    })
-    .len()
+/// The host the report ran on: CPU count, CPU model (from
+/// `/proc/cpuinfo`) and the version of the `rustc` on `PATH`, each
+/// `"unknown"` where it cannot be read. Reported, never gated.
+struct Host {
+    nproc: usize,
+    cpu: String,
+    rustc: String,
 }
 
-/// Captures the Figure 12 workloads and measures the replay path over
-/// [`ROUNDS`] rounds of capture → grid replay: per-engine throughput
-/// and the grid-sweep speedup over `live` (the grid's live pass).
-fn replay_section(args: &HarnessArgs, live: Spread) -> ReplaySection {
-    let workloads = [
-        nsf_workloads::gatesim::build(args.scale),
-        nsf_workloads::gamteb::build(args.scale),
-    ];
-    // The Figure 12 sweep again, but replayed from the traces instead of
-    // re-running compiler + runtime + scheduler per configuration.
-    let sweep = fig12::grid(args.scale);
-    let mut traces = Vec::new();
-    let mut points = 0;
-    let [capture_wall, replay_wall] = rounds(|| {
-        let capture_ns;
-        (traces, capture_ns) = timed(|| {
-            workloads
-                .iter()
-                .map(|w| {
-                    let spec = nsf_trace::default_engine_spec(w.parallel);
-                    let cfg = SimConfig::with_regfile(parse_engine(spec).expect("default spec"));
-                    capture(w, cfg, spec, args.scale)
-                        .unwrap_or_else(|e| panic!("{} capture failed: {e}", w.name))
-                        .0
-                })
-                .collect()
+impl Host {
+    fn probe() -> Host {
+        let unknown = || "unknown".to_string();
+        let cpu = fs::read_to_string("/proc/cpuinfo").ok().and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
         });
-        let replay_ns;
-        (points, replay_ns) = timed(|| replay_grid(&sweep, &traces, args.threads));
-        [capture_ns, replay_ns]
-    });
-
-    // Per-engine-family throughput, measured serially.
-    let mut engines = Vec::new();
-    for (w, trace) in workloads.iter().zip(&traces) {
-        let specs = if w.parallel { PAR_ENGINES } else { SEQ_ENGINES };
-        for &spec in specs {
-            let cfg = SimConfig::with_regfile(parse_engine(spec).expect("engine spec"));
-            let mut events = 0;
-            let [wall] = rounds(|| {
-                let (r, ns) = timed(|| replay_events(&trace.events, &cfg));
-                events = r
-                    .unwrap_or_else(|e| panic!("{spec} replay failed: {e}"))
-                    .events;
-                [ns]
-            });
-            engines.push(EngineRow {
-                workload: w.name,
-                engine: spec,
-                events,
-                wall,
-            });
+        let rustc = std::process::Command::new("rustc")
+            .arg("--version")
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string());
+        Host {
+            nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            cpu: cpu.unwrap_or_else(unknown),
+            rustc: rustc.unwrap_or_else(unknown),
         }
     }
-    ReplaySection {
-        live,
-        capture: capture_wall,
-        replay: replay_wall,
-        points,
-        engines,
+
+    fn line(&self) -> String {
+        format!(
+            "host nproc={} cpu=\"{}\" rustc=\"{}\"",
+            self.nproc, self.cpu, self.rustc
+        )
+    }
+
+    fn json(&self) -> String {
+        let quoted = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+        format!(
+            "{{\"nproc\": {}, \"cpu\": {}, \"rustc\": {}}}",
+            self.nproc,
+            quoted(&self.cpu),
+            quoted(&self.rustc)
+        )
     }
 }
 
@@ -590,17 +510,20 @@ fn main() {
     // reports or into the figure binaries' store.
     let store_root = std::env::temp_dir().join(format!("nsf-store-perf-{}", std::process::id()));
 
+    let host = Host::probe();
     println!(
         "Simulator throughput (scale {}, {} threads, {ROUNDS} rounds of build -> live -> \
          store cold -> store warm)",
         args.scale, args.threads
     );
+    println!("{}", host.line());
     println!(
         "Wall ms: median [min-max] over the rounds. Spd: median over rounds of cold / warm; \
-         Live/W: of live / warm."
+         Live/C: of live / cold; Live/W: of live / warm."
     );
     println!(
-        "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8} {:>5} {:>6} {:>5} {:>6} {:>6}",
+        "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8} {:>5} {:>6} {:>5} {:>6} {:>6} \
+         {:>6}",
         "Grid",
         "Points",
         "Instrs",
@@ -613,15 +536,16 @@ fn main() {
         "Misses",
         "Hit%",
         "Spd",
+        "Live/C",
         "Live/W"
     );
-    nsf_bench::rule(161);
+    nsf_bench::rule(168);
     let mut rows = Vec::new();
     for &(name, grid) in GRIDS {
         let row = Row::measure(name, grid, &args, &store_root.join(name));
         println!(
             "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>5.2}x \
-             {:>5.2}x",
+             {:>5.2}x {:>5.2}x",
             row.name,
             row.points,
             row.instructions,
@@ -634,46 +558,13 @@ fn main() {
             row.warm_stats.store_misses,
             row.warm_stats.store_hit_rate() * 100.0,
             row.store_speedup(),
+            row.cold_speedup(),
             row.live_speedup(),
         );
         rows.push(row);
     }
     let _ = fs::remove_dir_all(&store_root);
-    nsf_bench::rule(161);
-
-    let live_fig12 = rows
-        .iter()
-        .find(|r| r.name == "fig12_reload_vs_size")
-        .expect("fig12 is in GRIDS")
-        .live;
-    let replay = replay_section(&args, live_fig12);
-
-    println!("\nTrace replay throughput (events/sec through each engine, median of {ROUNDS})");
-    println!(
-        "{:<10} {:<18} {:>12} {:>22} {:>14}",
-        "Trace", "Engine", "Events", "Wall ms", "Events/sec"
-    );
-    nsf_bench::rule(80);
-    for e in &replay.engines {
-        println!(
-            "{:<10} {:<18} {:>12} {:>22} {:>14.0}",
-            e.workload,
-            e.engine,
-            e.events,
-            e.wall.cell(),
-            rate(e.events, e.wall.median),
-        );
-    }
-    nsf_bench::rule(80);
-    println!(
-        "Fig. 12 grid ({} points, medians): live {:.1} ms, capture {:.1} ms, replay {:.1} ms \
-         -> replay speedup {:.1}x",
-        replay.points,
-        replay.live.ms(),
-        replay.capture.ms(),
-        replay.replay.ms(),
-        replay.speedup(),
-    );
+    nsf_bench::rule(168);
 
     let explore = explore_section(&args);
     println!(
@@ -707,11 +598,11 @@ fn main() {
 
     let json = format!(
         "{{\n  \"scale\": {},\n  \"threads\": {},\n  \"rounds\": {ROUNDS},\n  \
-         \"peak_rss_mb\": {peak_rss},\n  \"grids\": {},\n  \"replay\": {},\n  \"explore\": {}\n}}\n",
+         \"host\": {},\n  \"peak_rss_mb\": {peak_rss},\n  \"grids\": {},\n  \"explore\": {}\n}}\n",
         args.scale,
         args.threads,
+        host.json(),
         json_array(rows.iter().map(Row::json), "  "),
-        replay.json(),
         explore.map_or_else(|| "{\"available\": false}".to_string(), |e| e.json()),
     );
     let dir = args.results_dir();

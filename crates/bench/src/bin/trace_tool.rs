@@ -1,11 +1,11 @@
-//! Record, inspect, replay and diff `.nsftrace` register-event traces.
+//! Record, inspect, replay and diff `.nsftrace` frontend-stream traces.
 //!
 //! ```sh
-//! # Capture a benchmark's operation stream (validated live run):
+//! # Capture any benchmark's operation stream (validated live run):
 //! cargo run --release -p nsf-bench --bin trace_tool -- \
 //!     record --workload gatesim --scale 1 --out gatesim.nsftrace
 //!
-//! # Header, event histogram and sizes:
+//! # Header, staged memory, event histogram and sizes:
 //! cargo run --release -p nsf-bench --bin trace_tool -- info gatesim.nsftrace
 //!
 //! # Re-sweep the design space from the trace (no workload re-execution);
@@ -20,16 +20,17 @@
 //!
 //! Engine specs follow `nsf_trace::spec` (`nsf:80`, `nsf:128x4`,
 //! `segmented:4x32`, `segmented-sw:...`, `segmented-valid:...`,
-//! `windowed:20`, `conventional:32`, `oracle`). Replaying a trace
-//! through the engine that recorded it reproduces the live run's
-//! statistics exactly; other engines answer "what would this op stream
-//! have cost on that file?".
+//! `windowed:20`, `conventional:32`, `oracle`). A trace is the sweep's
+//! frontend stream plus the workload's staged memory, and replay checks
+//! every recorded value on the way. Replaying it through the engine that
+//! recorded it reproduces the live run's statistics exactly; other
+//! engines answer "what would this op stream have cost on that file?"
+//! (for a parallel program: this recorded interleaving of its threads).
 
 use nsf_bench::{pool_map, CliArgs, CliSpec};
 use nsf_sim::SimConfig;
 use nsf_trace::{capture, diff, parse_engine, replay, ReplayReport, Trace};
 use nsf_workloads::Workload;
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -112,10 +113,10 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         .write_file(&out)
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
-        "recorded {}: {} events ({} register ops) from {} instructions under {} in {:.1} ms",
+        "recorded {}: {} events ({} stream bytes) from {} instructions under {} in {:.1} ms",
         out,
         trace.events.len(),
-        trace.events.iter().filter(|e| !e.event.is_mem()).count(),
+        trace.events.encoded_len(),
         report.instructions,
         spec,
         t.elapsed().as_secs_f64() * 1e3,
@@ -127,15 +128,16 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let path = args.positional().first().ok_or("info needs a trace file")?;
     let image = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let bytes = image.len();
-    // Decoding doubles as a full integrity check: the checksum, the
-    // trailer count and every field are verified.
-    let trace = Trace::from_bytes(&image).map_err(|e| format!("reading {path}: {e}"))?;
+    // Decoding checks the checksum and every header field; the histogram
+    // walks the stream a tile at a time, so it checks every event and
+    // the event count without holding the decoded stream.
+    let trace = Trace::from_vec(image).map_err(|e| format!("reading {path}: {e}"))?;
+    let kinds = trace
+        .events
+        .kind_counts()
+        .map_err(|e| format!("reading {path}: {e}"))?;
     let meta = &trace.meta;
-    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for te in &trace.events {
-        *kinds.entry(te.event.kind()).or_insert(0) += 1;
-    }
-    let last_cycle = trace.events.last().map_or(0, |te| te.cycle);
+    let staged = &trace.events.mem_init;
     let events = trace.events.len();
     println!("{path}: nsftrace v{}", nsf_trace::FORMAT_VERSION);
     println!("  workload          {}", meta.workload);
@@ -144,7 +146,15 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     println!("  instructions      {}", meta.instructions);
     println!("  cycles            {}", meta.cycles);
     println!("  context switches  {}", meta.context_switches);
-    println!("  events            {events} (last stamped cycle {last_cycle})");
+    println!(
+        "  staged memory     {} blocks, {} words",
+        staged.len(),
+        staged.iter().map(|(_, words)| words.len()).sum::<usize>()
+    );
+    println!(
+        "  events            {events} ({} shared cycles)",
+        trace.events.shared_cycles
+    );
     println!(
         "  size              {bytes} bytes ({:.2} bytes/event)",
         if events == 0 {
@@ -156,7 +166,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     for (kind, n) in kinds {
         println!("    {kind:<15} {n}");
     }
-    println!("  integrity         ok (count + checksum verified)");
+    println!("  integrity         ok (checksum, every event and the count verified)");
     Ok(())
 }
 
@@ -250,8 +260,8 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
     );
     match &d.first_divergence {
         Some(div) => println!(
-            "first divergence at event {} (cycle {}): {}\n  {}",
-            div.index, div.event.cycle, div.event.event, div.detail
+            "first divergence at event {}: {}\n  {}",
+            div.index, div.op, div.detail
         ),
         None => println!("no per-operation divergence"),
     }

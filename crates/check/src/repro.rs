@@ -2,21 +2,24 @@
 //!
 //! A shrunk divergent stream is exported as an ordinary `.nsftrace`
 //! file, so the existing tooling (`trace_tool info`, the replay engine)
-//! can open it. The checker-specific context rides in the header:
+//! can open it. The stream holds the register operations only, with no
+//! staged memory, and each read carries the oracle's value (0 where the
+//! oracle's read is undefined). The checker-specific context rides in
+//! the header:
 //!
 //! * `meta.workload` is `check:<family>` — which lane set to replay;
 //! * `meta.engine` encodes the armed [`FaultPlan`] (`none`,
-//!   `nth-spill:N`, `nth-reload:N`, `ctx:CID:N`);
-//! * each event's `cycle` is its op index (cycles are informational in
-//!   the trace format, and a checker stream has no clock).
+//!   `nth-spill:N`, `nth-reload:N`, `ctx:CID:N`).
 //!
-//! Replay re-runs [`crate::run::check_family`] on the decoded stream: a
+//! Reading a repro decodes its ops back through the stream's tile
+//! decoder, and replay re-runs [`crate::run::check_family`] on them: a
 //! repro "passes" when the family no longer diverges, which is exactly
 //! the regression contract `crates/check/tests` pins.
 
 use crate::lanes::Family;
-use nsf_core::FaultPlan;
-use nsf_trace::{RegEvent, TimedEvent, Trace, TraceMeta};
+use crate::run::{oracle_outcomes, Outcome};
+use nsf_core::{FaultPlan, LaneOp};
+use nsf_trace::{Trace, TraceMeta, TraceStream};
 use std::path::Path;
 
 /// Encodes a fault plan into the compact header string.
@@ -59,7 +62,7 @@ pub struct Repro {
     /// The armed fault plan.
     pub plan: FaultPlan,
     /// The (usually shrunk) operation stream.
-    pub ops: Vec<RegEvent>,
+    pub ops: Vec<LaneOp>,
 }
 
 impl Repro {
@@ -68,8 +71,23 @@ impl Repro {
         let switches = self
             .ops
             .iter()
-            .filter(|e| matches!(e.kind(), "switch" | "call_push" | "thread_switch"))
+            .filter(|op| {
+                matches!(
+                    op,
+                    LaneOp::SwitchTo(_) | LaneOp::CallPush(_) | LaneOp::ThreadSwitch(_)
+                )
+            })
             .count() as u64;
+        let values = oracle_outcomes(&self.ops).into_iter().map(|out| match out {
+            Outcome::Value(v) => v,
+            _ => 0,
+        });
+        let events = TraceStream::from_reg_ops(
+            self.ops
+                .iter()
+                .zip(values)
+                .map(|(&op, v)| (op, matches!(op, LaneOp::Read(_)).then_some(v))),
+        );
         Trace {
             meta: TraceMeta {
                 workload: format!("check:{}", self.family),
@@ -79,28 +97,19 @@ impl Repro {
                 cycles: 0,
                 context_switches: switches,
             },
-            events: self
-                .ops
-                .iter()
-                .enumerate()
-                .map(|(i, &event)| TimedEvent {
-                    cycle: i as u64,
-                    event,
-                })
-                .collect(),
+            events,
+            report: Default::default(),
         }
     }
 
     /// Unpacks a trace written by [`Repro::to_trace`]. `None` when the
-    /// header is not a checker repro (wrong workload tag or plan spec).
+    /// header is not a checker repro (wrong workload tag or plan spec) or
+    /// the stream holds anything but decodable register operations.
     pub fn from_trace(trace: &Trace) -> Option<Repro> {
         let family = Family::from_name(trace.meta.workload.strip_prefix("check:")?)?;
         let plan = decode_plan(&trace.meta.engine)?;
-        Some(Repro {
-            family,
-            plan,
-            ops: trace.events.iter().map(|e| e.event).collect(),
-        })
+        let ops = trace.events.lane_ops().ok()?;
+        (ops.len() == trace.events.len()).then_some(Repro { family, plan, ops })
     }
 
     /// Writes the repro to `path` as a `.nsftrace` file.
@@ -169,7 +178,7 @@ mod tests {
                 cycles: 0,
                 context_switches: 0,
             },
-            events: Vec::new(),
+            ..Trace::default()
         };
         assert!(Repro::from_trace(&trace).is_none());
     }

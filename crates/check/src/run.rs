@@ -30,10 +30,9 @@
 use crate::lanes::{build_lane, traffic_counts, Family};
 use crate::stream::{generate, SplitMix64, StreamConfig};
 use nsf_core::{
-    BackingStore, Cid, EngineDispatch, FaultPlan, FaultyStore, MapStore, OracleFile, RegFileError,
-    RegFileStats, RegisterFile, Word,
+    BackingStore, Cid, EngineDispatch, FaultPlan, FaultyStore, LaneOp, MapStore, OracleFile,
+    RegFileError, RegFileStats, RegisterFile, Word,
 };
-use nsf_trace::RegEvent;
 use std::fmt;
 
 /// The architectural outcome of one operation — everything lanes must
@@ -63,15 +62,11 @@ fn err_outcome(e: &RegFileError) -> Outcome {
     }
 }
 
-/// Applies one event's [`nsf_core::LaneOp`] to a lane through
+/// Applies one [`LaneOp`] to a lane through
 /// [`EngineDispatch::apply_op`], reducing the result to its
 /// architectural [`Outcome`].
-pub fn apply(file: &mut EngineDispatch, ev: &RegEvent, store: &mut dyn BackingStore) -> Outcome {
-    // Streams never carry memory traffic (the validator rejects it).
-    let Some(op) = ev.lane_op() else {
-        return Outcome::Done;
-    };
-    match file.apply_op(op, store) {
+pub fn apply(file: &mut EngineDispatch, op: &LaneOp, store: &mut dyn BackingStore) -> Outcome {
+    match file.apply_op(*op, store) {
         Ok(step) => step.value.map_or(Outcome::Done, Outcome::Value),
         Err(e) => err_outcome(&e),
     }
@@ -117,8 +112,8 @@ impl fmt::Display for Divergence {
 }
 
 /// Every context a stream introduces (for backing-residue checks).
-pub fn cids_of(ops: &[RegEvent]) -> Vec<Cid> {
-    let mut cids: Vec<Cid> = ops.iter().filter_map(RegEvent::cid).collect();
+pub fn cids_of(ops: &[LaneOp]) -> Vec<Cid> {
+    let mut cids: Vec<Cid> = ops.iter().map(LaneOp::cid).collect();
     cids.sort_unstable();
     cids.dedup();
     cids
@@ -130,7 +125,7 @@ pub fn cids_of(ops: &[RegEvent]) -> Vec<Cid> {
 ///
 /// Panics if the oracle itself reports a store fault — its store is
 /// unfaulted, so that would be a checker bug.
-pub fn oracle_outcomes(ops: &[RegEvent]) -> Vec<Outcome> {
+pub fn oracle_outcomes(ops: &[LaneOp]) -> Vec<Outcome> {
     let mut oracle = EngineDispatch::Oracle(OracleFile::new());
     let mut store = MapStore::new();
     ops.iter()
@@ -171,7 +166,7 @@ fn invariant_or_capacity_violation(file: &EngineDispatch) -> Option<String> {
 /// comparing each outcome against `expected` (from [`oracle_outcomes`]).
 pub fn check_lane(
     spec: &str,
-    ops: &[RegEvent],
+    ops: &[LaneOp],
     expected: &[Outcome],
     plan: FaultPlan,
 ) -> Result<LaneReport, Divergence> {
@@ -247,7 +242,7 @@ fn residue_divergence(
     spec: &str,
     file: &EngineDispatch,
     store: &MapStore,
-    ops: &[RegEvent],
+    ops: &[LaneOp],
 ) -> Option<Divergence> {
     let diverge = |kind, detail| {
         Some(Divergence {
@@ -260,7 +255,7 @@ fn residue_divergence(
     let freed: Vec<Cid> = ops
         .iter()
         .filter_map(|ev| match *ev {
-            RegEvent::FreeContext { cid } => Some(cid),
+            LaneOp::FreeContext(cid) => Some(cid),
             _ => None,
         })
         .collect();
@@ -293,7 +288,7 @@ fn residue_divergence(
 /// clean run, or the first divergence.
 pub fn check_family(
     family: Family,
-    ops: &[RegEvent],
+    ops: &[LaneOp],
     plan: FaultPlan,
 ) -> Result<Vec<LaneReport>, Divergence> {
     let expected = oracle_outcomes(ops);
@@ -354,11 +349,7 @@ pub fn check_seed(
     family: Family,
     cfg: &StreamConfig,
     seed: u64,
-) -> (
-    Vec<RegEvent>,
-    FaultPlan,
-    Result<Vec<LaneReport>, Divergence>,
-) {
+) -> (Vec<LaneOp>, FaultPlan, Result<Vec<LaneReport>, Divergence>) {
     let ops = generate(cfg, seed);
     let plan = fault_plan_for_seed(seed);
     let verdict = check_family(family, &ops, plan);
@@ -372,26 +363,15 @@ mod tests {
 
     #[test]
     fn oracle_outcomes_expose_values_and_undefined_reads() {
-        use RegEvent::*;
+        use LaneOp::*;
         let ops = [
-            ThreadSwitch { cid: 0 },
-            Write {
-                addr: RegAddr::new(0, 3),
-                value: 77,
-            },
-            Read {
-                addr: RegAddr::new(0, 3),
-            },
-            Read {
-                addr: RegAddr::new(0, 4),
-            },
-            FreeReg {
-                addr: RegAddr::new(0, 3),
-            },
-            Read {
-                addr: RegAddr::new(0, 3),
-            },
-            FreeContext { cid: 0 },
+            ThreadSwitch(0),
+            Write(RegAddr::new(0, 3), 77),
+            Read(RegAddr::new(0, 3)),
+            Read(RegAddr::new(0, 4)),
+            FreeReg(RegAddr::new(0, 3)),
+            Read(RegAddr::new(0, 3)),
+            FreeContext(0),
         ];
         assert_eq!(
             oracle_outcomes(&ops),
@@ -457,20 +437,15 @@ mod tests {
 
     #[test]
     fn a_wrong_value_is_reported_as_an_outcome_divergence() {
-        use RegEvent::*;
+        use LaneOp::*;
         // The oracle sees the write; a lane checked against outcomes for
         // a *different* stream must diverge. (Drive check_lane directly
         // with mismatched expectations to exercise the reporting path.)
         let ops = [
-            ThreadSwitch { cid: 0 },
-            Write {
-                addr: RegAddr::new(0, 0),
-                value: 5,
-            },
-            Read {
-                addr: RegAddr::new(0, 0),
-            },
-            FreeContext { cid: 0 },
+            ThreadSwitch(0),
+            Write(RegAddr::new(0, 0), 5),
+            Read(RegAddr::new(0, 0)),
+            FreeContext(0),
         ];
         let mut expected = oracle_outcomes(&ops);
         expected[2] = Outcome::Value(6);

@@ -12,12 +12,12 @@
 //! pin the failure (same lane, same kind), not accept any divergence.
 
 use crate::stream::is_valid_stream;
-use nsf_trace::RegEvent;
+use nsf_core::LaneOp;
 
 /// Minimizes `ops` under `reproduces`, which must hold for `ops` itself.
 /// Runs the predicate O(n log n)-ish times; streams here are hundreds of
 /// events, so exhaustive single-event passes are affordable.
-pub fn shrink(ops: &[RegEvent], mut reproduces: impl FnMut(&[RegEvent]) -> bool) -> Vec<RegEvent> {
+pub fn shrink(ops: &[LaneOp], mut reproduces: impl FnMut(&[LaneOp]) -> bool) -> Vec<LaneOp> {
     let mut cur = ops.to_vec();
     let mut chunk = (cur.len() / 2).max(1);
     loop {
@@ -50,40 +50,24 @@ pub fn shrink(ops: &[RegEvent], mut reproduces: impl FnMut(&[RegEvent]) -> bool)
 mod tests {
     use super::*;
     use nsf_core::RegAddr;
-    use RegEvent::*;
+    use LaneOp::*;
 
     /// A predicate sensitive to one write surviving: the shape a real
     /// engine-bug predicate ("this lane still returns the wrong value")
     /// takes.
-    fn contains_magic(ops: &[RegEvent]) -> bool {
-        ops.iter().any(|e| {
-            matches!(
-                e,
-                Write {
-                    value: 0xdead_beef,
-                    ..
-                }
-            )
-        })
+    fn contains_magic(ops: &[LaneOp]) -> bool {
+        ops.iter().any(|e| matches!(e, Write(_, 0xdead_beef)))
     }
 
     #[test]
     fn shrinks_to_the_essential_core() {
-        let mut ops = vec![ThreadSwitch { cid: 0 }];
+        let mut ops = vec![ThreadSwitch(0)];
         for i in 0..40 {
-            ops.push(Write {
-                addr: RegAddr::new(0, (i % 8) as u8),
-                value: i,
-            });
+            ops.push(Write(RegAddr::new(0, (i % 8) as u8), i));
         }
-        ops.push(Write {
-            addr: RegAddr::new(0, 9),
-            value: 0xdead_beef,
-        });
+        ops.push(Write(RegAddr::new(0, 9), 0xdead_beef));
         for i in 0..40 {
-            ops.push(Read {
-                addr: RegAddr::new(0, (i % 8) as u8),
-            });
+            ops.push(Read(RegAddr::new(0, (i % 8) as u8)));
         }
         assert!(is_valid_stream(&ops));
         let small = shrink(&ops, contains_magic);
@@ -97,31 +81,22 @@ mod tests {
     #[test]
     fn never_returns_an_undisciplined_stream() {
         let ops = vec![
-            ThreadSwitch { cid: 0 },
-            CallPush { cid: 1 },
-            Write {
-                addr: RegAddr::new(1, 0),
-                value: 0xdead_beef,
-            },
-            FreeContext { cid: 1 },
-            SwitchTo { cid: 0 },
-            FreeContext { cid: 0 },
+            ThreadSwitch(0),
+            CallPush(1),
+            Write(RegAddr::new(1, 0), 0xdead_beef),
+            FreeContext(1),
+            SwitchTo(0),
+            FreeContext(0),
         ];
         let small = shrink(&ops, contains_magic);
-        // The write cannot survive without `CallPush { 1 }` before it.
+        // The write cannot survive without `CallPush(1)` before it.
         assert!(is_valid_stream(&small));
-        assert!(small.contains(&CallPush { cid: 1 }));
+        assert!(small.contains(&CallPush(1)));
     }
 
     #[test]
     fn irreducible_streams_come_back_unchanged() {
-        let ops = vec![
-            ThreadSwitch { cid: 0 },
-            Write {
-                addr: RegAddr::new(0, 0),
-                value: 0xdead_beef,
-            },
-        ];
+        let ops = vec![ThreadSwitch(0), Write(RegAddr::new(0, 0), 0xdead_beef)];
         assert_eq!(shrink(&ops, contains_magic), ops);
     }
 }

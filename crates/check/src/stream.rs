@@ -1,6 +1,6 @@
 //! Seeded operation-stream generation over the full
 //! [`nsf_core::RegisterFile`] surface, plus the *discipline validator*
-//! that decides whether an arbitrary event list is a program every
+//! that decides whether an arbitrary op list is a program every
 //! organization can legally execute.
 //!
 //! The generator models a program the way the simulator does: a set of
@@ -20,8 +20,7 @@
 //! Streams are pure functions of `(StreamConfig, seed)`; no wall-clock
 //! or process state enters generation.
 
-use nsf_core::{Cid, RegAddr};
-use nsf_trace::RegEvent;
+use nsf_core::{Cid, LaneOp, RegAddr};
 use std::collections::HashMap;
 
 /// xorshift*-style deterministic generator (SplitMix64). Self-contained
@@ -103,12 +102,12 @@ impl Shape {
     }
 
     /// Applies one event, returning `false` if it violates discipline.
-    fn step(&mut self, ev: &RegEvent) -> bool {
+    fn step(&mut self, ev: &LaneOp) -> bool {
         match *ev {
-            RegEvent::Read { addr } | RegEvent::Write { addr, .. } | RegEvent::FreeReg { addr } => {
+            LaneOp::Read(addr) | LaneOp::Write(addr, _) | LaneOp::FreeReg(addr) => {
                 self.armed && self.top() == Some(addr.cid)
             }
-            RegEvent::SwitchTo { cid } => {
+            LaneOp::SwitchTo(cid) => {
                 // Re-entering the current thread's top (redundant switch
                 // or post-return re-entry); not a cross-thread jump.
                 if self.top() == Some(cid) {
@@ -118,7 +117,7 @@ impl Shape {
                     false
                 }
             }
-            RegEvent::CallPush { cid } => {
+            LaneOp::CallPush(cid) => {
                 if self.seen.contains(&cid) {
                     return false; // cids are never reused
                 }
@@ -134,7 +133,7 @@ impl Shape {
                 self.armed = true;
                 true
             }
-            RegEvent::ThreadSwitch { cid } => {
+            LaneOp::ThreadSwitch(cid) => {
                 if let Some(t) = self.threads.iter().position(|s| s.last() == Some(&cid)) {
                     self.current = Some(t);
                     self.armed = true;
@@ -149,7 +148,7 @@ impl Shape {
                     true
                 }
             }
-            RegEvent::FreeContext { cid } => {
+            LaneOp::FreeContext(cid) => {
                 // Only the top of the running thread may be freed (the
                 // return path); the parent needs a SwitchTo before use.
                 let Some(t) = self.current else { return false };
@@ -164,7 +163,6 @@ impl Shape {
                 self.armed = false;
                 true
             }
-            RegEvent::MemRead { .. } | RegEvent::MemWrite { .. } => false,
         }
     }
 }
@@ -173,7 +171,7 @@ impl Shape {
 /// module docs for the discipline). Used by the shrinker to reject
 /// deletion candidates that would turn an engine bug into a mere
 /// discipline violation.
-pub fn is_valid_stream(ops: &[RegEvent]) -> bool {
+pub fn is_valid_stream(ops: &[LaneOp]) -> bool {
     let mut shape = Shape::default();
     ops.iter().all(|ev| shape.step(ev))
 }
@@ -182,7 +180,7 @@ pub fn is_valid_stream(ops: &[RegEvent]) -> bool {
 /// ends with a full drain: every live context is freed (innermost
 /// first, switching threads as needed), so a checker can assert that
 /// occupancy and backing state return to zero.
-pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
+pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<LaneOp> {
     let mut rng = SplitMix64::new(seed);
     let mut shape = Shape::default();
     let mut next_cid: Cid = 0;
@@ -192,7 +190,7 @@ pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
     let mut defined: HashMap<Cid, Vec<u8>> = HashMap::new();
     let mut out = Vec::with_capacity(cfg.ops + 16);
 
-    let emit = |shape: &mut Shape, out: &mut Vec<RegEvent>, ev: RegEvent| {
+    let emit = |shape: &mut Shape, out: &mut Vec<LaneOp>, ev: LaneOp| {
         let ok = shape.step(&ev);
         debug_assert!(ok, "generator emitted an illegal event: {ev}");
         out.push(ev);
@@ -205,11 +203,11 @@ pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
             if !shape.threads.is_empty() && rng.below(2) == 0 {
                 let t = rng.below(shape.threads.len() as u64) as usize;
                 let cid = *shape.threads[t].last().expect("threads are non-empty");
-                emit(&mut shape, &mut out, RegEvent::ThreadSwitch { cid });
+                emit(&mut shape, &mut out, LaneOp::ThreadSwitch(cid));
             } else {
                 let cid = next_cid;
                 next_cid += 1;
-                emit(&mut shape, &mut out, RegEvent::ThreadSwitch { cid });
+                emit(&mut shape, &mut out, LaneOp::ThreadSwitch(cid));
             }
             continue;
         };
@@ -223,10 +221,7 @@ pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
                 emit(
                     &mut shape,
                     &mut out,
-                    RegEvent::Write {
-                        addr: RegAddr::new(top, offset),
-                        value,
-                    },
+                    LaneOp::Write(RegAddr::new(top, offset), value),
                 );
                 let d = defined.entry(top).or_default();
                 if !d.contains(&offset) {
@@ -245,41 +240,39 @@ pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
                 emit(
                     &mut shape,
                     &mut out,
-                    RegEvent::Read {
-                        addr: RegAddr::new(top, offset),
-                    },
+                    LaneOp::Read(RegAddr::new(top, offset)),
                 );
             }
             // Procedure call: fresh context on this thread.
             55..=64 if depth < cfg.max_depth => {
                 let cid = next_cid;
                 next_cid += 1;
-                emit(&mut shape, &mut out, RegEvent::CallPush { cid });
+                emit(&mut shape, &mut out, LaneOp::CallPush(cid));
             }
             // Return: free the top, re-enter the parent.
             65..=74 if depth > 1 => {
-                emit(&mut shape, &mut out, RegEvent::FreeContext { cid: top });
+                emit(&mut shape, &mut out, LaneOp::FreeContext(top));
                 defined.remove(&top);
                 let parent = shape.top().expect("depth > 1 leaves a parent");
-                emit(&mut shape, &mut out, RegEvent::SwitchTo { cid: parent });
+                emit(&mut shape, &mut out, LaneOp::SwitchTo(parent));
             }
             // Thread death: free the only frame; the next iteration
             // dispatches another thread.
             65..=74 => {
-                emit(&mut shape, &mut out, RegEvent::FreeContext { cid: top });
+                emit(&mut shape, &mut out, LaneOp::FreeContext(top));
                 defined.remove(&top);
             }
             // Dispatch a different thread.
             75..=82 if shape.threads.len() > 1 => {
                 let t = rng.below(shape.threads.len() as u64) as usize;
                 let cid = *shape.threads[t].last().expect("threads are non-empty");
-                emit(&mut shape, &mut out, RegEvent::ThreadSwitch { cid });
+                emit(&mut shape, &mut out, LaneOp::ThreadSwitch(cid));
             }
             // Spawn a new thread.
             75..=89 if shape.threads.len() < cfg.max_threads => {
                 let cid = next_cid;
                 next_cid += 1;
-                emit(&mut shape, &mut out, RegEvent::ThreadSwitch { cid });
+                emit(&mut shape, &mut out, LaneOp::ThreadSwitch(cid));
             }
             // Explicit register deallocation hint (paper §4.2).
             90..=94 => {
@@ -294,14 +287,12 @@ pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
                 emit(
                     &mut shape,
                     &mut out,
-                    RegEvent::FreeReg {
-                        addr: RegAddr::new(top, offset),
-                    },
+                    LaneOp::FreeReg(RegAddr::new(top, offset)),
                 );
             }
             // Redundant switch to the current top (switch-hit paths).
             _ => {
-                emit(&mut shape, &mut out, RegEvent::SwitchTo { cid: top });
+                emit(&mut shape, &mut out, LaneOp::SwitchTo(top));
             }
         }
     }
@@ -314,13 +305,13 @@ pub fn generate(cfg: &StreamConfig, seed: u64) -> Vec<RegEvent> {
     {
         let cid = *shape.threads[t].last().expect("threads are non-empty");
         if shape.current != Some(t) || !shape.armed {
-            emit(&mut shape, &mut out, RegEvent::ThreadSwitch { cid });
+            emit(&mut shape, &mut out, LaneOp::ThreadSwitch(cid));
         }
         let top = shape.top().expect("just dispatched");
-        emit(&mut shape, &mut out, RegEvent::FreeContext { cid: top });
+        emit(&mut shape, &mut out, LaneOp::FreeContext(top));
         if shape.current.is_some() {
             let parent = shape.top().expect("current survives a non-final pop");
-            emit(&mut shape, &mut out, RegEvent::SwitchTo { cid: parent });
+            emit(&mut shape, &mut out, LaneOp::SwitchTo(parent));
         }
     }
     out
@@ -356,9 +347,9 @@ mod tests {
             let mut live: Vec<Cid> = Vec::new();
             for ev in &ops {
                 match *ev {
-                    RegEvent::CallPush { cid } => live.push(cid),
-                    RegEvent::ThreadSwitch { cid } if !live.contains(&cid) => live.push(cid),
-                    RegEvent::FreeContext { cid } => live.retain(|&c| c != cid),
+                    LaneOp::CallPush(cid) => live.push(cid),
+                    LaneOp::ThreadSwitch(cid) if !live.contains(&cid) => live.push(cid),
+                    LaneOp::FreeContext(cid) => live.retain(|&c| c != cid),
                     _ => {}
                 }
             }
@@ -368,49 +359,40 @@ mod tests {
 
     #[test]
     fn validator_rejects_indiscipline() {
-        use RegEvent::*;
+        use LaneOp::*;
         // Access before any switch.
-        assert!(!is_valid_stream(&[Read {
-            addr: RegAddr::new(0, 0)
-        }]));
+        assert!(!is_valid_stream(&[Read(RegAddr::new(0, 0))]));
         // Access to a non-current context.
         assert!(!is_valid_stream(&[
-            ThreadSwitch { cid: 0 },
-            Write {
-                addr: RegAddr::new(1, 0),
-                value: 9
-            },
+            ThreadSwitch(0),
+            Write(RegAddr::new(1, 0), 9),
         ]));
         // Access after a return without re-entering the parent.
         assert!(!is_valid_stream(&[
-            ThreadSwitch { cid: 0 },
-            CallPush { cid: 1 },
-            FreeContext { cid: 1 },
-            Read {
-                addr: RegAddr::new(0, 0)
-            },
+            ThreadSwitch(0),
+            CallPush(1),
+            FreeContext(1),
+            Read(RegAddr::new(0, 0)),
         ]));
         // Cid reuse.
         assert!(!is_valid_stream(&[
-            ThreadSwitch { cid: 0 },
-            FreeContext { cid: 0 },
-            ThreadSwitch { cid: 0 },
+            ThreadSwitch(0),
+            FreeContext(0),
+            ThreadSwitch(0),
         ]));
         // Freeing a non-top context.
         assert!(!is_valid_stream(&[
-            ThreadSwitch { cid: 0 },
-            CallPush { cid: 1 },
-            FreeContext { cid: 0 },
+            ThreadSwitch(0),
+            CallPush(1),
+            FreeContext(0),
         ]));
         // The legal version of the return sequence passes.
         assert!(is_valid_stream(&[
-            ThreadSwitch { cid: 0 },
-            CallPush { cid: 1 },
-            FreeContext { cid: 1 },
-            SwitchTo { cid: 0 },
-            Read {
-                addr: RegAddr::new(0, 0)
-            },
+            ThreadSwitch(0),
+            CallPush(1),
+            FreeContext(1),
+            SwitchTo(0),
+            Read(RegAddr::new(0, 0)),
         ]));
     }
 

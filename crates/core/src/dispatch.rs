@@ -16,6 +16,7 @@ use crate::stats::{Occupancy, RegFileStats};
 use crate::traits::{Access, BackingStore, RegFileError, RegisterFile};
 use crate::Word;
 use crate::{ConventionalFile, NamedStateFile, OracleFile, SegmentedFile, WindowedFile};
+use std::fmt;
 
 /// A register file organization, dispatched statically.
 ///
@@ -92,6 +93,33 @@ pub enum LaneOp {
     FreeContext(Cid),
     /// Deallocate one register.
     FreeReg(RegAddr),
+}
+
+impl LaneOp {
+    /// The context the operation names.
+    pub fn cid(&self) -> Cid {
+        match *self {
+            LaneOp::Read(addr) | LaneOp::Write(addr, _) | LaneOp::FreeReg(addr) => addr.cid,
+            LaneOp::SwitchTo(cid)
+            | LaneOp::CallPush(cid)
+            | LaneOp::ThreadSwitch(cid)
+            | LaneOp::FreeContext(cid) => cid,
+        }
+    }
+}
+
+impl fmt::Display for LaneOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LaneOp::Read(addr) => write!(f, "read {addr}"),
+            LaneOp::Write(addr, value) => write!(f, "write {addr} = {value:#x}"),
+            LaneOp::SwitchTo(cid) => write!(f, "switch -> {cid}"),
+            LaneOp::CallPush(cid) => write!(f, "call_push -> {cid}"),
+            LaneOp::ThreadSwitch(cid) => write!(f, "thread_switch -> {cid}"),
+            LaneOp::FreeContext(cid) => write!(f, "free_context {cid}"),
+            LaneOp::FreeReg(addr) => write!(f, "free_reg {addr}"),
+        }
+    }
 }
 
 /// What one lane reported for one [`LaneOp`]: the architectural value
@@ -314,5 +342,16 @@ mod tests {
             }
         }
         assert_eq!(direct.stats(), via.stats());
+    }
+
+    #[test]
+    fn lane_ops_name_their_context_and_print_stably() {
+        let a = RegAddr::new(3, 7);
+        assert_eq!(LaneOp::Read(a).cid(), 3);
+        assert_eq!(LaneOp::FreeContext(9).cid(), 9);
+        assert_eq!(LaneOp::Read(a).to_string(), "read <3:7>");
+        assert_eq!(LaneOp::Write(a, 0x100).to_string(), "write <3:7> = 0x100");
+        assert_eq!(LaneOp::CallPush(2).to_string(), "call_push -> 2");
+        assert_eq!(LaneOp::FreeReg(a).to_string(), "free_reg <3:7>");
     }
 }

@@ -8,21 +8,26 @@
 //! checksum see the damage too. Whatever the bytes, a decode must either
 //! return a typed error or a value that re-encodes to exactly the bytes
 //! it came from — for the ledger and the memo, the valid prefix
-//! `bytes[..valid_len]`. It must never panic.
+//! `bytes[..valid_len]`. It must never panic. A decoded `.nsftrace`
+//! stream is also walked by the tile decoder and replayed, since its
+//! events are decoded lazily.
 
-use nsf_core::RegAddr;
+use nsf_core::{LaneOp, RegAddr};
 use nsf_explore::ledger::{encode_header, encode_record, parse, LedgerHeader, LedgerRecord};
 use nsf_explore::memo::{encode_memo_header, encode_memo_record, memo_key, parse_memo, MemoRecord};
 use nsf_explore::PointCost;
+use nsf_sim::RunReport;
 use nsf_sim::{RegFileSpec, SimConfig};
-use nsf_trace::frame::{checked_record, fnv64, seal, VarReader, VarWriter, SEAL_LEN};
+use nsf_trace::frame::{checked_record, fnv64, seal, FrameError, VarReader, VarWriter, SEAL_LEN};
 use nsf_trace::{
-    capture_frontend, decode_stream, encode_stream, stream_fingerprint, validate_stream_bytes,
-    RegEvent, TimedEvent, Trace, TraceMeta,
+    capture_frontend, decode_stream, encode_stream, replay_events, stream_fingerprint,
+    validate_stream_bytes, Trace, TraceError, TraceMeta, TraceStream,
 };
 use nsf_workloads::synth::{self, SeqParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::cell::Cell;
 
 /// Where a format keeps its checksums, so a mutation can recompute them.
 #[derive(Clone, Copy)]
@@ -89,35 +94,49 @@ fn cost(i: u64) -> PointCost {
     }
 }
 
-fn trace_format() -> Format {
-    let events = (0..40u32)
-        .map(|i| {
-            let addr = RegAddr::new((i % 5) as u16, (i % 20) as u8);
-            let event = match i % 9 {
-                0 => RegEvent::Read { addr },
-                1 => RegEvent::Write {
-                    addr,
-                    value: i.wrapping_mul(0x9E37_79B9),
-                },
-                2 => RegEvent::SwitchTo { cid: i as u16 },
-                3 => RegEvent::CallPush {
-                    cid: 300 + i as u16,
-                },
-                4 => RegEvent::ThreadSwitch { cid: 1 },
-                5 => RegEvent::FreeContext { cid: 2 },
-                6 => RegEvent::FreeReg { addr },
-                7 => RegEvent::MemRead {
-                    addr: 0x0010_0000 + i,
-                },
-                _ => RegEvent::MemWrite { addr: u32::MAX - i },
-            };
-            TimedEvent {
-                cycle: u64::from(i * i) << (i % 40),
-                event,
-            }
-        })
-        .collect();
-    let trace = Trace {
+/// The system allocator, recording the largest single request each
+/// thread makes, so a test can show a decoder allocated nothing sized
+/// from a corrupt length.
+struct PeakRequest;
+
+thread_local! {
+    static PEAK_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for PeakRequest {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        let _ = PEAK_REQUEST.try_with(|p| p.set(p.get().max(layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakRequest = PeakRequest;
+
+/// A staged block whose address varint is easy to find in the image.
+const STAGED_AT: u32 = 0x0BAD_F00D;
+
+fn sample_trace() -> Trace {
+    let ops = (0..40u32).map(|i| {
+        let addr = RegAddr::new((i % 5) as u16, (i % 20) as u8);
+        match i % 7 {
+            0 => (LaneOp::Read(addr), Some(i.wrapping_mul(0x9E37_79B9))),
+            1 => (LaneOp::Write(addr, i.wrapping_mul(0x9E37_79B9)), None),
+            2 => (LaneOp::SwitchTo(i as u16), None),
+            3 => (LaneOp::CallPush(300 + i as u16), None),
+            4 => (LaneOp::ThreadSwitch(1), None),
+            5 => (LaneOp::FreeContext(2), None),
+            _ => (LaneOp::FreeReg(addr), None),
+        }
+    });
+    let mut events = TraceStream::from_reg_ops(ops);
+    events.mem_init = vec![(STAGED_AT, vec![7, u32::MAX, 0]), (0x100, vec![])];
+    events.shared_cycles = 1 << 40;
+    Trace {
         meta: TraceMeta {
             workload: "FuzzSim".into(),
             engine: "nsf:80".into(),
@@ -127,14 +146,64 @@ fn trace_format() -> Format {
             context_switches: 7,
         },
         events,
-    };
-    let image = trace.to_bytes();
+        report: RunReport {
+            regfile_desc: "NSF 80".into(),
+            cycles: 1 << 40,
+            thread_instructions: vec![1, 2, 3],
+            ..RunReport::default()
+        },
+    }
+}
+
+fn trace_format() -> Format {
+    let image = sample_trace().to_bytes();
+    let cfg = SimConfig::with_regfile(RegFileSpec::paper_nsf(80));
     Format {
         name: "nsftrace",
         layout: Layout::Sealed,
         bodies: vec![image[..image.len() - SEAL_LEN].to_vec()],
-        decode: Box::new(|b| Trace::from_bytes(b).ok().map(|t| (b.len(), t.to_bytes()))),
+        decode: Box::new(move |b| {
+            let t = Trace::from_bytes(b).ok()?;
+            // The events decode lazily: walking and replaying them must
+            // give a typed error or a result, whatever the bytes.
+            let _ = t.events.kind_counts();
+            let _ = t.events.lane_ops();
+            let _ = replay_events(&t.events, &cfg);
+            Some((b.len(), t.to_bytes()))
+        }),
     }
+}
+
+#[test]
+fn corrupt_staged_block_length_is_typed_and_allocates_nothing_for_it() {
+    let image = sample_trace().to_bytes();
+    let mut body = image[..image.len() - SEAL_LEN].to_vec();
+    // The block's address varint, then its one-byte word count (3).
+    let mut addr = VarWriter::new();
+    addr.put_varint(u64::from(STAGED_AT));
+    let addr = addr.into_bytes();
+    let at = body
+        .windows(addr.len())
+        .position(|w| w == addr.as_slice())
+        .expect("staged block located")
+        + addr.len();
+    assert_eq!(body[at], 3, "word count located");
+    let mut huge = VarWriter::new();
+    huge.put_varint(u64::from(u32::MAX));
+    body.splice(at..=at, huge.into_bytes());
+    let forged = seal(body);
+    PEAK_REQUEST.with(|p| p.set(0));
+    let err = Trace::from_bytes(&forged).unwrap_err();
+    let peak = PEAK_REQUEST.with(Cell::get);
+    assert!(
+        matches!(err, TraceError::Frame(FrameError::Truncated)),
+        "{err}"
+    );
+    assert!(
+        peak <= 2 * forged.len(),
+        "decode asked for {peak} bytes at once from a {}-byte image",
+        forged.len()
+    );
 }
 
 fn store_format() -> Format {

@@ -533,7 +533,6 @@ impl Machine {
         probe: &mut P,
     ) -> Result<(), SimError> {
         self.check_budget()?;
-        probe.clock(self.clock);
         // Deliver a pending remote-load value first. Only a blocking
         // remote load leaves one, so it can only be due as a slice starts.
         if let Some((r, v)) = self.sched.current_mut().pending_write.take() {
@@ -555,7 +554,6 @@ impl Machine {
                 }
             }
             self.check_budget()?;
-            probe.clock(self.clock);
         }
     }
 

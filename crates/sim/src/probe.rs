@@ -91,12 +91,6 @@ pub trait FrontendProbe {
     /// The occupancy sampling interval elapsed (the run recorded a
     /// sample at this point).
     fn occupancy_sample(&mut self) {}
-    /// The clock reads `cycle` as a slice starts and after each
-    /// instruction that does not end its slice: a stamp for the events
-    /// that follow (the `.nsftrace` recorder's cycle field).
-    fn clock(&mut self, cycle: u64) {
-        let _ = cycle;
-    }
 }
 
 /// The do-nothing probe behind [`Machine::run_and_keep`](crate::Machine::run_and_keep).
@@ -155,8 +149,6 @@ mod tests {
         amos: u64,
         shared: u64,
         samples: u64,
-        stamps: u64,
-        last_stamp: u64,
     }
 
     impl FrontendProbe for Tally {
@@ -187,11 +179,6 @@ mod tests {
         fn occupancy_sample(&mut self) {
             self.samples += 1;
         }
-        fn clock(&mut self, cycle: u64) {
-            assert!(cycle >= self.last_stamp, "stamps never go back");
-            self.stamps += 1;
-            self.last_stamp = cycle;
-        }
     }
 
     #[test]
@@ -213,10 +200,6 @@ mod tests {
         assert_eq!(tally.free_regs, 12, "one rfree per iteration");
         assert_eq!((tally.loads, tally.stores, tally.amos), (24, 24, 12));
         assert_eq!(tally.samples, probed.instructions / 7);
-        assert_eq!(
-            tally.stamps, probed.instructions,
-            "one stamp per instruction"
-        );
         assert!(tally.shared >= probed.instructions && tally.shared <= probed.cycles);
     }
 

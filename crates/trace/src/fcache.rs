@@ -12,6 +12,10 @@
 //! its [`EngineDispatch`] lane — no workload generation, no fetch, no
 //! decode, no scheduling.
 //!
+//! The same encoding, with the workload's staged memory beside it, is
+//! what a `.nsftrace` file holds ([`TraceStream`]); [`crate::replay()`]
+//! runs it through the same tile loop in a stats-only mode.
+//!
 //! ## The equivalence wall
 //!
 //! Replay is exact, and that claim is enforced three ways:
@@ -43,6 +47,7 @@
 //! lane-invariant and copied from the capture's report.
 
 use crate::frame::{read_varint, FrameError, VarWriter};
+use crate::TraceError;
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegisterFile};
 use nsf_mem::{Addr, MemSystem, Word};
 use nsf_sim::{
@@ -68,12 +73,35 @@ const FTAG_SAMPLE: u8 = 11;
 
 /// A [`FrontendProbe`] that encodes the frontend's event stream into a
 /// [`VarWriter`] as it happens. Attached to the live run
-/// [`capture_frontend`] makes.
+/// [`capture_frontend`] makes, and to the one [`crate::capture`] records
+/// a trace from.
 #[derive(Debug, Default)]
-struct FrontendRecorder {
+pub(crate) struct FrontendRecorder {
     w: VarWriter,
     events: u64,
     shared_cycles: u64,
+}
+
+impl FrontendRecorder {
+    /// A recorder sized for a run's stream: scale-1 streams run to
+    /// megabytes, and reserving up front keeps the encoder out of the
+    /// vector's doubling copies.
+    pub(crate) fn for_run() -> Self {
+        FrontendRecorder {
+            w: VarWriter::with_capacity(1 << 20),
+            ..Self::default()
+        }
+    }
+
+    /// The recorded stream over the staged memory `mem_init`.
+    pub(crate) fn into_stream(self, mem_init: Vec<(Addr, Vec<Word>)>) -> TraceStream {
+        TraceStream {
+            mem_init,
+            events: self.events,
+            shared_cycles: self.shared_cycles,
+            bytes: self.w.into_bytes(),
+        }
+    }
 }
 
 impl FrontendProbe for FrontendRecorder {
@@ -175,9 +203,86 @@ pub struct FrontendBuffer {
 }
 
 impl FrontendBuffer {
-    /// Encoded size in bytes (diagnostics; ~4 B/event like `.nsftrace`).
+    /// Encoded size in bytes (diagnostics; the paper programs measure
+    /// 4.4–6.1 B/event at scale 1).
     pub fn encoded_len(&self) -> usize {
         self.bytes.len()
+    }
+}
+
+/// A recorded frontend stream with the staged memory it ran over: the
+/// replayable part of a [`crate::Trace`], and all a stats-only replay
+/// ([`crate::replay_events`]) reads. The bytes are the [`FrontendBuffer`]
+/// encoding, so one tile decoder and one replay loop serve both.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceStream {
+    /// The workload's staged memory blocks: replay pokes them into every
+    /// lane before the first op, so recorded loads of inputs check.
+    pub mem_init: Vec<(Addr, Vec<Word>)>,
+    /// Number of events encoded.
+    pub events: u64,
+    /// Sum of the lane-invariant frontend cycle charges.
+    pub shared_cycles: u64,
+    /// The encoded event stream.
+    pub(crate) bytes: Vec<u8>,
+}
+
+impl TraceStream {
+    /// A stream of register-file operations only, no staged memory: each
+    /// read carries the value it must return. What the differential
+    /// checker writes its repros as.
+    pub fn from_reg_ops(ops: impl IntoIterator<Item = (LaneOp, Option<Word>)>) -> Self {
+        let mut rec = FrontendRecorder::default();
+        for (op, value) in ops {
+            rec.reg_op(op, value);
+        }
+        rec.into_stream(Vec::new())
+    }
+
+    /// Number of events in the stream.
+    pub fn len(&self) -> usize {
+        self.events as usize
+    }
+
+    /// `true` for a stream of no events.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
+
+    /// Encoded size of the event stream in bytes.
+    pub fn encoded_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// How many events of each kind the stream holds, in tag order, kinds
+    /// that occur only. Decodes one tile at a time, so it checks every
+    /// field and the event count without holding the decoded stream.
+    pub fn kind_counts(&self) -> Result<Vec<(&'static str, u64)>, TraceError> {
+        let mut counts = [0u64; FTAG_NAMES.len()];
+        for_each_tile(&self.bytes, self.events, usize::MAX, |tile| {
+            for op in tile {
+                counts[usize::from(op.kind - 1)] += 1;
+            }
+            Ok(())
+        })
+        .map_err(TraceError::Stream)?;
+        Ok(FTAG_NAMES
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .collect())
+    }
+
+    /// The stream's register-file operations in order, decoded through
+    /// the tile decoder; memory events and samples are skipped.
+    pub fn lane_ops(&self) -> Result<Vec<LaneOp>, TraceError> {
+        let mut ops = Vec::new();
+        for_each_tile(&self.bytes, self.events, usize::MAX, |tile| {
+            ops.extend(tile.iter().filter_map(ReplayOp::lane_op));
+            Ok(())
+        })
+        .map_err(TraceError::Stream)?;
+        Ok(ops)
     }
 }
 
@@ -213,13 +318,7 @@ pub fn capture_frontend(
     if let Some(why) = capture_rejection(workload, &cfg) {
         return Err(SimError::BadConfig(format!("cannot capture: {why}")).into());
     }
-    let mut rec = FrontendRecorder {
-        // Scale-1 streams run to megabytes; reserving up front keeps the
-        // encoder out of the vector's doubling copies.
-        w: VarWriter::with_capacity(1 << 20),
-        events: 0,
-        shared_cycles: 0,
-    };
+    let mut rec = FrontendRecorder::for_run();
     let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
     Ok(FrontendBuffer {
         cfg,
@@ -248,11 +347,17 @@ pub fn replay_frontend(
     workload: &Workload,
     cfgs: &[SimConfig],
 ) -> Result<Vec<RunReport>, WorkloadError> {
-    let mut set = ReplaySet::new(buf, cfgs)?;
-    for (addr, words) in &workload.mem_init {
-        set.poke_block(*addr, words);
+    if cfgs.iter().any(|cfg| !cfg.frontend_eq(&buf.cfg)) {
+        return Err(SimError::BadConfig(
+            "replay configuration's frontend differs from the captured \
+             one; the cached event stream would not be valid for it"
+                .into(),
+        )
+        .into());
     }
-    set.run(buf)?;
+    let mut set = ReplaySet::new(cfgs)?;
+    set.poke_blocks(&workload.mem_init);
+    set.run(&buf.bytes, buf.events)?;
     for i in 0..cfgs.len() {
         (workload.check)(&set.mems[i]).map_err(|detail| WorkloadError::CheckFailed {
             name: workload.name,
@@ -268,13 +373,28 @@ pub fn replay_frontend(
 /// it, and long enough that the per-tile engine dispatch is negligible.
 const REPLAY_TILE_OPS: usize = 4096;
 
+/// Histogram labels of the event tags, indexed by tag − 1.
+const FTAG_NAMES: [&str; 11] = [
+    "read",
+    "write",
+    "switch",
+    "call_push",
+    "thread_switch",
+    "free_context",
+    "free_reg",
+    "load",
+    "store",
+    "amo",
+    "sample",
+];
+
 /// One decoded frontend event in flat replay form (20 bytes): a kind
 /// byte that dispatches directly, the operand fields, and the event
 /// index for error reporting. There is one op per recorded event and no
 /// Ctable op: a lane's context ops map and unmap save areas themselves,
 /// through the same [`CtableBacking::context_op`] the live machine uses.
 #[derive(Clone, Copy, Debug)]
-struct ReplayOp {
+pub(crate) struct ReplayOp {
     /// The `FTAG_*` event tag.
     kind: u8,
     /// Register offset within the context (register ops).
@@ -291,6 +411,24 @@ struct ReplayOp {
     c: u32,
     /// Event index in the capture stream (error reporting only).
     pc: u32,
+}
+
+impl ReplayOp {
+    /// The register-file operation this op replays, or `None` for a
+    /// memory event or an occupancy sample.
+    pub(crate) fn lane_op(&self) -> Option<LaneOp> {
+        let addr = RegAddr::new(self.cid, self.off);
+        Some(match self.kind {
+            FTAG_READ => LaneOp::Read(addr),
+            FTAG_WRITE => LaneOp::Write(addr, self.a),
+            FTAG_SWITCH => LaneOp::SwitchTo(self.cid),
+            FTAG_CALL_PUSH => LaneOp::CallPush(self.cid),
+            FTAG_THREAD_SWITCH => LaneOp::ThreadSwitch(self.cid),
+            FTAG_FREE_CONTEXT => LaneOp::FreeContext(self.cid),
+            FTAG_FREE_REG => LaneOp::FreeReg(addr),
+            _ => return None,
+        })
+    }
 }
 
 /// Decode-time cursor. [`crate::frame::VarReader`] reads the same
@@ -425,36 +563,61 @@ fn decode_ops(
     Ok(())
 }
 
-/// N engine lanes driven by a [`FrontendBuffer`]'s decoded tiles
-/// instead of a live frontend: register files, per-lane memory
-/// hierarchies and presence bits (the two halves of a lane's
-/// [`CtableBacking`]), and clocks.
-struct ReplaySet {
-    regfiles: Vec<EngineDispatch>,
+/// Decodes `bytes`, a stream of `events` events, a tile at a time into
+/// one reused buffer and hands each tile to `run`, which sees every op
+/// decoded before a malformed field ends the tile; an error `run` returns
+/// wins over that decode error. Contexts at or beyond `ctable_slots` are
+/// malformed. The event count is checked after the last tile.
+pub(crate) fn for_each_tile(
+    bytes: &[u8],
+    events: u64,
+    ctable_slots: usize,
+    mut run: impl FnMut(&[ReplayOp]) -> Result<(), SimError>,
+) -> Result<(), SimError> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    let mut event: u64 = 0;
+    let mut tile = Vec::with_capacity(REPLAY_TILE_OPS);
+    while cur.pos < cur.bytes.len() {
+        let decoded = decode_ops(&mut cur, event, ctable_slots, &mut tile);
+        event += tile.len() as u64;
+        run(&tile)?;
+        decoded?;
+    }
+    if event != events {
+        return Err(SimError::BadConfig(format!(
+            "frontend cache buffer corrupt: decoded {event} events, \
+             capture recorded {events}"
+        )));
+    }
+    Ok(())
+}
+
+/// N engine lanes driven by a frontend stream's decoded tiles instead of
+/// a live frontend: register files, per-lane memory hierarchies and
+/// presence bits (the two halves of a lane's [`CtableBacking`]), and
+/// clocks.
+pub(crate) struct ReplaySet {
+    pub(crate) regfiles: Vec<EngineDispatch>,
     mems: Vec<MemSystem>,
     maps: Vec<BackingMap>,
-    /// The captured frontend's save-area base (lane-invariant).
+    /// The frontend's save-area base (lane-invariant).
     backing_base: Addr,
-    clocks: Vec<u64>,
+    /// Every lane's Ctable size (lane-invariant).
+    pub(crate) ctable_slots: usize,
+    pub(crate) clocks: Vec<u64>,
     occupancy: Vec<OccupancySummary>,
 }
 
 impl ReplaySet {
-    fn new(buf: &FrontendBuffer, cfgs: &[SimConfig]) -> Result<Self, SimError> {
-        if cfgs.is_empty() {
+    /// One lane per configuration. The configurations must share a
+    /// frontend ([`SimConfig::frontend_eq`]); the first one's save-area
+    /// base and Ctable size serve every lane.
+    pub(crate) fn new(cfgs: &[SimConfig]) -> Result<Self, SimError> {
+        let Some(first) = cfgs.first() else {
             return Err(SimError::BadConfig(
                 "a replay set needs at least one configuration".into(),
             ));
-        }
-        for cfg in cfgs {
-            if !cfg.frontend_eq(&buf.cfg) {
-                return Err(SimError::BadConfig(
-                    "replay configuration's frontend differs from the captured \
-                     one; the cached event stream would not be valid for it"
-                        .into(),
-                ));
-            }
-        }
+        };
         Ok(ReplaySet {
             regfiles: cfgs
                 .iter()
@@ -462,15 +625,19 @@ impl ReplaySet {
                 .collect::<Result<_, _>>()?,
             mems: cfgs.iter().map(|c| MemSystem::new(c.mem)).collect(),
             maps: cfgs.iter().map(|_| BackingMap::new()).collect(),
-            backing_base: buf.cfg.backing_base,
+            backing_base: first.backing_base,
+            ctable_slots: first.mem.ctable_slots,
             clocks: vec![0; cfgs.len()],
             occupancy: vec![OccupancySummary::default(); cfgs.len()],
         })
     }
 
-    fn poke_block(&mut self, addr: Addr, words: &[Word]) {
+    /// Stages `blocks` in every lane's memory.
+    pub(crate) fn poke_blocks(&mut self, blocks: &[(Addr, Vec<Word>)]) {
         for mem in &mut self.mems {
-            mem.poke_block(addr, words);
+            for (addr, words) in blocks {
+                mem.poke_block(*addr, words);
+            }
         }
     }
 
@@ -492,16 +659,8 @@ impl ReplaySet {
     /// malformed field at event k ends the tile just before k: the lanes
     /// run the ops before it, and a divergence among them wins over the
     /// decode error. The event count is checked after the last tile.
-    fn run(&mut self, buf: &FrontendBuffer) -> Result<(), SimError> {
-        let mut cur = Cursor {
-            bytes: &buf.bytes,
-            pos: 0,
-        };
-        let mut event: u64 = 0;
-        let mut tile = Vec::with_capacity(REPLAY_TILE_OPS);
-        while cur.pos < cur.bytes.len() {
-            let decoded = decode_ops(&mut cur, event, buf.cfg.mem.ctable_slots, &mut tile);
-            event += tile.len() as u64;
+    pub(crate) fn run(&mut self, bytes: &[u8], events: u64) -> Result<(), SimError> {
+        for_each_tile(bytes, events, self.ctable_slots, |tile| {
             let mut first: Option<(usize, SimError)> = None;
             for lane in 0..self.regfiles.len() {
                 let end = first.as_ref().map_or(tile.len(), |(at, _)| *at);
@@ -509,25 +668,18 @@ impl ReplaySet {
                     first = Some(failure);
                 }
             }
-            if let Some((_, err)) = first {
-                return Err(err);
-            }
-            decoded?;
-        }
-        if event != buf.events {
-            return Err(SimError::BadConfig(format!(
-                "frontend cache buffer corrupt: decoded {event} events, \
-                 capture recorded {}",
-                buf.events
-            )));
-        }
-        Ok(())
+            first.map_or(Ok(()), |(_, err)| Err(err))
+        })
     }
 
     /// Runs `ops` on one lane, dispatching on its engine family once per
     /// tile rather than once per op. On failure, returns the index in
     /// `ops` of the failing op with its error.
-    fn run_lane(&mut self, lane: usize, ops: &[ReplayOp]) -> Result<(), (usize, SimError)> {
+    pub(crate) fn run_lane(
+        &mut self,
+        lane: usize,
+        ops: &[ReplayOp],
+    ) -> Result<(), (usize, SimError)> {
         let mut state = LaneState {
             lane,
             store: CtableBacking {
@@ -1055,8 +1207,8 @@ mod tests {
         for (bad, names) in malformed_events(&nsf) {
             buf.bytes = [clean.as_slice(), &bad].concat();
             buf.events = bad_at as u64 + 1;
-            let mut set = ReplaySet::new(&buf, &[nsf, conv]).unwrap();
-            match set.run(&buf) {
+            let mut set = ReplaySet::new(&[nsf, conv]).unwrap();
+            match set.run(&buf.bytes, buf.events) {
                 Err(SimError::BadConfig(msg)) => {
                     assert!(msg.contains(names), "{msg}");
                     assert!(msg.contains(&format!("at event {bad_at}")), "{msg}");
@@ -1070,8 +1222,8 @@ mod tests {
         // The count check still runs, after the last tile.
         buf.bytes = clean;
         buf.events = bad_at as u64 + 1;
-        let mut set = ReplaySet::new(&buf, &[nsf]).unwrap();
-        match set.run(&buf) {
+        let mut set = ReplaySet::new(&[nsf]).unwrap();
+        match set.run(&buf.bytes, buf.events) {
             Err(SimError::BadConfig(msg)) => assert!(
                 msg.contains(&format!(
                     "decoded {bad_at} events, capture recorded {}",

@@ -1,45 +1,49 @@
-//! The `.nsftrace` on-disk format: a versioned compact binary encoding,
-//! stored as one sealed blob of [`crate::frame`].
+//! The `.nsftrace` on-disk format: one sealed blob of [`crate::frame`]
+//! holding a recorded frontend stream.
 //!
 //! ```text
 //! magic    b"NSFT"                        4 bytes
-//! version  u8 (= 2)
+//! version  u8 (= 3)
 //! meta     workload  varint len + UTF-8
 //!          engine    varint len + UTF-8   (trace_tool engine spec)
 //!          scale     varint
 //!          instructions / cycles / context_switches   varints
-//! events   repeated:  tag u8 | cycle-delta varint | fields varints
-//! trailer  tag 0xFF | event-count varint | checksum u64 LE
+//! staged   block count varint
+//!          per block: address varint | word count varint | words varints
+//! stream   events varint | shared cycles varint
+//! report   the recording run's RunReport (the `.nsfs` report codec)
+//! bytes    stream length varint | the frontend stream (fcache encoding)
+//! seal     checksum u64 LE
 //! ```
 //!
-//! All integers are LEB128 varints (cids and offsets are tiny, values
-//! and addresses usually short), cycle stamps are delta-encoded against
-//! the previous event, and the checksum is
-//! [`crate::frame::seal_checksum`] over every byte from the magic
-//! through the event-count varint — the sealed-blob layout of
-//! [`crate::frame`]: [`Trace::to_bytes`] builds the image in
-//! one [`VarWriter`] and [`seal`]s it, and [`Trace::from_bytes`]
-//! checks length, header and checksum before it parses any field. So
-//! truncation, bit rot and miscounted streams all surface as typed
-//! [`TraceError`]s, never as garbage events.
+//! All integers are LEB128 varints. The stream bytes are the encoding
+//! the sweep's frontend cache records and the [`crate::store`] persists,
+//! so one tile decoder and one replay loop read all three. The checksum
+//! is [`crate::frame::seal_checksum`] over every byte from the magic
+//! through the stream: [`Trace::to_bytes`] builds the image in one
+//! [`VarWriter`] and [`seal`]s it, and [`Trace::from_vec`] checks
+//! length, header and checksum before it parses any field. So
+//! truncation and bit rot surface as typed [`TraceError`]s. The stream's
+//! events are decoded lazily, a tile at a time, by whatever reads them
+//! ([`crate::replay_events`], [`TraceStream::kind_counts`]); a malformed
+//! event is a typed error there.
 
-use crate::event::{RegEvent, TimedEvent};
-use crate::frame::{seal, unseal, write_atomic, FrameError, VarReader, VarWriter};
-use nsf_core::{RegAddr, RegFileError};
-use nsf_sim::SimError;
+use crate::fcache::TraceStream;
+use crate::frame::{seal, unseal, write_atomic, FrameError, VarReader, VarWriter, SEAL_LEN};
+use crate::store::{decode_report, encode_report};
+use nsf_mem::{Addr, Word};
+use nsf_sim::{RunReport, SimError};
 use std::fmt;
 use std::io;
 use std::path::Path;
 
 /// Leading magic of every `.nsftrace` image.
 pub const MAGIC: [u8; 4] = *b"NSFT";
-/// Current format version. Version 2 seals with
-/// [`crate::frame::seal_checksum`] instead of FNV-1a-64; its payload is
-/// byte-identical to version 1's. A version-1 image is
+/// Current format version. Version 3 holds the frontend stream, the
+/// staged memory and the recording run's report; versions 1 and 2 held
+/// the retired per-event register codec. An older image is
 /// [`FrameError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u8 = 2;
-/// Trailer tag terminating the event list.
-const TRAILER_TAG: u8 = 0xFF;
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Stream-level description stored in the header.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -60,39 +64,23 @@ pub struct TraceMeta {
 }
 
 /// Typed failure of trace encoding, decoding or replay. Corrupt input
-/// (truncation, bad magic, version skew, checksum mismatch) is always
-/// an error, never a panic.
+/// (truncation, bad magic, version skew, checksum mismatch, malformed
+/// events) is always an error, never a panic.
 #[derive(Debug)]
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// The image's framing is damaged: truncated, foreign magic,
-    /// unsupported version, checksum mismatch, or a malformed varint
-    /// (including cycle stamps that overflow a `u64`).
+    /// unsupported version, checksum mismatch, a malformed varint, or a
+    /// length that disagrees with the body.
     Frame(FrameError),
-    /// An event record carries an unknown tag.
-    BadTag(u8),
     /// A header string is not valid UTF-8.
     BadString,
-    /// Bytes follow the trailer's event count inside the sealed body.
-    TrailingBytes,
-    /// The trailer event count does not match the events decoded.
-    CountMismatch {
-        /// Count stored in the trailer.
-        stored: u64,
-        /// Events actually decoded.
-        read: u64,
-    },
-    /// Replay failed at event `index` with a register-file error.
-    Replay {
-        /// Index of the failing event in the stream.
-        index: u64,
-        /// The engine's error.
-        source: RegFileError,
-    },
-    /// The replay's organization cannot be built
-    /// ([`nsf_sim::RegFileSpec::build`]).
-    BadEngine(SimError),
+    /// The stream failed to decode or replay: a malformed event or event
+    /// count ([`SimError::BadConfig`]), an unbuildable organization, a
+    /// register-file error, or a value that differs from the recording
+    /// ([`SimError::LaneDivergence`]).
+    Stream(SimError),
 }
 
 impl fmt::Display for TraceError {
@@ -100,17 +88,8 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
             TraceError::Frame(e) => write!(f, "corrupt nsftrace stream: {e}"),
-            TraceError::BadTag(t) => write!(f, "unknown event tag {t:#04x}"),
             TraceError::BadString => write!(f, "header string is not valid UTF-8"),
-            TraceError::TrailingBytes => write!(f, "bytes follow the trailer"),
-            TraceError::CountMismatch { stored, read } => write!(
-                f,
-                "event count mismatch: trailer says {stored}, stream held {read}"
-            ),
-            TraceError::Replay { index, source } => {
-                write!(f, "replay failed at event {index}: {source}")
-            }
-            TraceError::BadEngine(e) => write!(f, "cannot replay: {e}"),
+            TraceError::Stream(e) => write!(f, "trace stream: {e}"),
         }
     }
 }
@@ -120,9 +99,8 @@ impl std::error::Error for TraceError {
         match self {
             TraceError::Io(e) => Some(e),
             TraceError::Frame(e) => Some(e),
-            TraceError::Replay { source, .. } => Some(source),
-            TraceError::BadEngine(e) => Some(e),
-            _ => None,
+            TraceError::Stream(e) => Some(e),
+            TraceError::BadString => None,
         }
     }
 }
@@ -139,34 +117,35 @@ impl From<FrameError> for TraceError {
     }
 }
 
-/// Event tags (kept dense so `info` can histogram by tag).
-const TAG_READ: u8 = 1;
-const TAG_WRITE: u8 = 2;
-const TAG_SWITCH: u8 = 3;
-const TAG_CALL_PUSH: u8 = 4;
-const TAG_THREAD_SWITCH: u8 = 5;
-const TAG_FREE_CONTEXT: u8 = 6;
-const TAG_FREE_REG: u8 = 7;
-const TAG_MEM_READ: u8 = 8;
-const TAG_MEM_WRITE: u8 = 9;
+impl From<SimError> for TraceError {
+    fn from(e: SimError) -> Self {
+        TraceError::Stream(e)
+    }
+}
 
-/// A fully decoded trace: header plus the complete event list.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A recorded run: header, the frontend stream with its staged memory,
+/// and the run's report.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Stream header.
     pub meta: TraceMeta,
-    /// The recorded operation stream, in capture order.
-    pub events: Vec<TimedEvent>,
+    /// The recorded operation stream and the staged memory it ran over.
+    pub events: TraceStream,
+    /// The recording run's report ([`RunReport::default`] for a stream
+    /// no run produced, such as a checker repro).
+    pub report: RunReport,
 }
 
 impl Trace {
     /// Serializes to an in-memory `.nsftrace` image.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let m = &self.meta;
-        let mut w = VarWriter::with_header(MAGIC, FORMAT_VERSION);
-        for s in [&m.workload, &m.engine] {
-            w.put_varint(s.len() as u64);
-            w.put_bytes(s.as_bytes());
+        let (m, s) = (&self.meta, &self.events);
+        let mut w = VarWriter::with_capacity(s.bytes.len() + 256);
+        w.put_bytes(&MAGIC);
+        w.put_u8(FORMAT_VERSION);
+        for text in [&m.workload, &m.engine] {
+            w.put_varint(text.len() as u64);
+            w.put_bytes(text.as_bytes());
         }
         for v in [
             u64::from(m.scale),
@@ -176,38 +155,29 @@ impl Trace {
         ] {
             w.put_varint(v);
         }
-        // Stamps are nondecreasing (the recorder's clock only moves
-        // forward); a stamp behind its predecessor encodes as delta 0.
-        let reg = |a: RegAddr, v: u64| [u64::from(a.cid), u64::from(a.offset), v];
-        let mut last_cycle = 0;
-        for e in &self.events {
-            let (tag, fields, n) = match e.event {
-                RegEvent::Read { addr } => (TAG_READ, reg(addr, 0), 2),
-                RegEvent::Write { addr, value } => (TAG_WRITE, reg(addr, u64::from(value)), 3),
-                RegEvent::SwitchTo { cid } => (TAG_SWITCH, [u64::from(cid), 0, 0], 1),
-                RegEvent::CallPush { cid } => (TAG_CALL_PUSH, [u64::from(cid), 0, 0], 1),
-                RegEvent::ThreadSwitch { cid } => (TAG_THREAD_SWITCH, [u64::from(cid), 0, 0], 1),
-                RegEvent::FreeContext { cid } => (TAG_FREE_CONTEXT, [u64::from(cid), 0, 0], 1),
-                RegEvent::FreeReg { addr } => (TAG_FREE_REG, reg(addr, 0), 2),
-                RegEvent::MemRead { addr } => (TAG_MEM_READ, [u64::from(addr), 0, 0], 1),
-                RegEvent::MemWrite { addr } => (TAG_MEM_WRITE, [u64::from(addr), 0, 0], 1),
-            };
-            w.put_u8(tag);
-            w.put_varint(e.cycle.saturating_sub(last_cycle));
-            last_cycle = last_cycle.max(e.cycle);
-            for &v in &fields[..n] {
-                w.put_varint(v);
+        w.put_varint(s.mem_init.len() as u64);
+        for (addr, words) in &s.mem_init {
+            w.put_varint(u64::from(*addr));
+            w.put_varint(words.len() as u64);
+            for &word in words {
+                w.put_varint(u64::from(word));
             }
         }
-        w.put_u8(TRAILER_TAG);
-        w.put_varint(self.events.len() as u64);
+        w.put_varint(s.events);
+        w.put_varint(s.shared_cycles);
+        encode_report(&mut w, &self.report);
+        w.put_varint(s.bytes.len() as u64);
+        w.put_bytes(&s.bytes);
         seal(w.into_bytes())
     }
 
-    /// Decodes a complete in-memory `.nsftrace` image. Length, header
-    /// and checksum are checked before any field is parsed.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = VarReader::new(unseal(bytes, MAGIC, FORMAT_VERSION)?);
+    /// Decodes a complete `.nsftrace` image, taking ownership of it:
+    /// the image's own allocation becomes the stream (header, fields and
+    /// seal are trimmed in place), so a decoded trace holds one copy of
+    /// it. Length, header and checksum are checked before any field is
+    /// parsed.
+    pub fn from_vec(mut image: Vec<u8>) -> Result<Self, TraceError> {
+        let mut r = VarReader::new(unseal(&image, MAGIC, FORMAT_VERSION)?);
         let meta = TraceMeta {
             workload: get_str(&mut r)?,
             engine: get_str(&mut r)?,
@@ -216,47 +186,35 @@ impl Trace {
             cycles: r.get_varint()?,
             context_switches: r.get_varint()?,
         };
-        let mut events = Vec::new();
-        let mut cycle = 0u64;
-        loop {
-            let tag = r.get_u8()?;
-            if tag == TRAILER_TAG {
-                break;
-            }
-            // Corrupt deltas can sum past u64::MAX: a malformed stamp.
-            cycle = cycle
-                .checked_add(r.get_varint()?)
-                .ok_or(FrameError::BadVarint)?;
-            let event = match tag {
-                TAG_READ => RegEvent::Read {
-                    addr: get_reg_addr(&mut r)?,
-                },
-                TAG_WRITE => RegEvent::Write {
-                    addr: get_reg_addr(&mut r)?,
-                    value: r.get_int()?,
-                },
-                TAG_SWITCH => RegEvent::SwitchTo { cid: r.get_int()? },
-                TAG_CALL_PUSH => RegEvent::CallPush { cid: r.get_int()? },
-                TAG_THREAD_SWITCH => RegEvent::ThreadSwitch { cid: r.get_int()? },
-                TAG_FREE_CONTEXT => RegEvent::FreeContext { cid: r.get_int()? },
-                TAG_FREE_REG => RegEvent::FreeReg {
-                    addr: get_reg_addr(&mut r)?,
-                },
-                TAG_MEM_READ => RegEvent::MemRead { addr: r.get_int()? },
-                TAG_MEM_WRITE => RegEvent::MemWrite { addr: r.get_int()? },
-                other => return Err(TraceError::BadTag(other)),
-            };
-            events.push(TimedEvent { cycle, event });
+        let mem_init = get_blocks(&mut r)?;
+        let events = r.get_varint()?;
+        let shared_cycles = r.get_varint()?;
+        let report = decode_report(&mut r)?;
+        // The stream runs to the end of the body: compared, not added, so
+        // no length can overflow.
+        let stream_len = r.get_varint()?;
+        if r.rest().len() as u64 != stream_len {
+            return Err(FrameError::Truncated.into());
         }
-        let stored = r.get_varint()?;
-        let read = events.len() as u64;
-        if stored != read {
-            return Err(TraceError::CountMismatch { stored, read });
-        }
-        if !r.done() {
-            return Err(TraceError::TrailingBytes);
-        }
-        Ok(Trace { meta, events })
+        let end = image.len() - SEAL_LEN;
+        let start = end - r.rest().len();
+        image.truncate(end);
+        image.drain(..start);
+        Ok(Trace {
+            meta,
+            events: TraceStream {
+                mem_init,
+                events,
+                shared_cycles,
+                bytes: image,
+            },
+            report,
+        })
+    }
+
+    /// Decodes a complete in-memory `.nsftrace` image (a copy of it).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
+        Self::from_vec(bytes.to_vec())
     }
 
     /// Writes the trace to `path` atomically ([`write_atomic`]).
@@ -266,87 +224,97 @@ impl Trace {
 
     /// Reads and decodes the trace at `path`.
     pub fn read_file(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::from_bytes(&std::fs::read(path)?)
+        Self::from_vec(std::fs::read(path)?)
     }
 }
 
 fn get_str(r: &mut VarReader<'_>) -> Result<String, TraceError> {
     let len: usize = r.get_int()?;
-    if len > 1 << 20 {
-        return Err(FrameError::BadVarint.into()); // absurd header length ⇒ corrupt
-    }
     String::from_utf8(r.get_bytes(len)?.to_vec()).map_err(|_| TraceError::BadString)
 }
 
-fn get_reg_addr(r: &mut VarReader<'_>) -> Result<RegAddr, FrameError> {
-    Ok(RegAddr::new(r.get_int()?, r.get_int()?))
+/// The staged memory blocks. Every word is at least one byte, so a word
+/// count beyond the bytes left is rejected before anything is allocated
+/// for it.
+fn get_blocks(r: &mut VarReader<'_>) -> Result<Vec<(Addr, Vec<Word>)>, FrameError> {
+    let count: u64 = r.get_varint()?;
+    let mut blocks = Vec::new();
+    for _ in 0..count {
+        let addr: Addr = r.get_int()?;
+        let len: usize = r.get_int()?;
+        if len > r.rest().len() {
+            return Err(FrameError::Truncated);
+        }
+        let mut words = Vec::with_capacity(len);
+        for _ in 0..len {
+            words.push(r.get_int()?);
+        }
+        blocks.push((addr, words));
+    }
+    Ok(blocks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{HEADER_LEN, SEAL_LEN};
+    use crate::frame::HEADER_LEN;
+    use nsf_core::{LaneOp, RegAddr};
 
-    fn sample_meta() -> TraceMeta {
-        TraceMeta {
-            workload: "GateSim".into(),
-            engine: "nsf:80".into(),
-            scale: 1,
-            instructions: 12_345,
-            cycles: 23_456,
-            context_switches: 78,
+    fn sample() -> Trace {
+        let a = RegAddr::new(0, 3);
+        let mut events = TraceStream::from_reg_ops([
+            (LaneOp::ThreadSwitch(0), None),
+            (LaneOp::Write(a, 0xDEAD_BEEF), None),
+            (LaneOp::Read(a), Some(0xDEAD_BEEF)),
+            (LaneOp::CallPush(1), None),
+            (LaneOp::FreeContext(1), None),
+            (LaneOp::SwitchTo(0), None),
+        ]);
+        events.mem_init = vec![(0x0010_0000, vec![1, 2, 0xFFFF_FFFF]), (0x200, vec![])];
+        events.shared_cycles = 77;
+        Trace {
+            meta: TraceMeta {
+                workload: "GateSim".into(),
+                engine: "nsf:80".into(),
+                scale: 1,
+                instructions: 12_345,
+                cycles: 23_456,
+                context_switches: 78,
+            },
+            events,
+            report: RunReport {
+                regfile_desc: "NSF".into(),
+                instructions: 12_345,
+                thread_instructions: vec![12_345],
+                ..RunReport::default()
+            },
         }
     }
 
-    fn sample_events() -> Vec<TimedEvent> {
-        use RegEvent::*;
-        let ev = |cycle, event| TimedEvent { cycle, event };
-        vec![
-            ev(0, ThreadSwitch { cid: 0 }),
-            ev(
-                1,
-                Write {
-                    addr: RegAddr::new(0, 3),
-                    value: 0xDEAD_BEEF,
-                },
-            ),
-            ev(
-                1,
-                Read {
-                    addr: RegAddr::new(0, 3),
-                },
-            ),
-            ev(4, MemWrite { addr: 0x0020_0000 }),
-            ev(9, CallPush { cid: 1 }),
-            ev(
-                9,
-                Write {
-                    addr: RegAddr::new(1, 0),
-                    value: 7,
-                },
-            ),
-            ev(12, MemRead { addr: 0x0010_0004 }),
-            ev(
-                12,
-                FreeReg {
-                    addr: RegAddr::new(1, 0),
-                },
-            ),
-            ev(13, SwitchTo { cid: 0 }),
-            ev(13, FreeContext { cid: 1 }),
-        ]
-    }
-
-    /// The sample trace's image with its seal stripped, so a test can
-    /// forge the body and re-seal it.
+    /// The sample's image with its seal stripped, so a test can forge
+    /// the body and re-seal it.
     fn sample_body() -> Vec<u8> {
-        let mut body = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        }
-        .to_bytes();
+        let mut body = sample().to_bytes();
         body.truncate(body.len() - SEAL_LEN);
         body
+    }
+
+    #[test]
+    fn roundtrip_preserves_everything() {
+        let t = sample();
+        let bytes = t.to_bytes();
+        assert_eq!(t.to_bytes(), bytes, "encoding is deterministic");
+        let back = Trace::from_bytes(&bytes).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(back.events.len(), 6);
+        assert_eq!(Trace::from_vec(bytes).unwrap(), t);
+    }
+
+    #[test]
+    fn empty_trace_roundtrips() {
+        let t = Trace::default();
+        assert!(t.events.is_empty());
+        assert_eq!(Trace::from_bytes(&t.to_bytes()).unwrap(), t);
     }
 
     #[test]
@@ -364,86 +332,28 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_everything() {
-        let t = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        };
-        let bytes = t.to_bytes();
-        let back = Trace::from_bytes(&bytes).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn encoding_is_deterministic_and_compact() {
-        let t = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        };
-        assert_eq!(t.to_bytes(), t.to_bytes());
-        // 10 events in well under 10 bytes/event plus the small header.
-        assert!(t.to_bytes().len() < 64 + 10 * 10, "{}", t.to_bytes().len());
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let t = Trace {
-            meta: TraceMeta::default(),
-            events: vec![],
-        };
-        assert_eq!(Trace::from_bytes(&t.to_bytes()).unwrap(), t);
-    }
-
-    #[test]
-    fn bad_magic_is_typed() {
-        let mut bytes = Trace {
-            meta: sample_meta(),
-            events: vec![],
-        }
-        .to_bytes();
+    fn bad_magic_and_older_versions_are_typed() {
+        let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
         assert!(matches!(
             Trace::from_bytes(&bytes),
             Err(TraceError::Frame(FrameError::BadMagic(_)))
         ));
-    }
-
-    #[test]
-    fn version_one_image_is_unsupported_not_a_checksum_mismatch() {
-        // A version-1 image: the same payload under version byte 1 and
-        // an FNV-1a-64 trailer. The version is checked before the
-        // checksum, so it is reported as such, never as damage.
-        let mut v1 = sample_body();
-        v1[4] = 1;
-        let sum = crate::frame::fnv64(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Trace::from_bytes(&v1),
-            Err(TraceError::Frame(FrameError::UnsupportedVersion(1)))
-        ));
-    }
-
-    #[test]
-    fn wrong_version_is_typed() {
-        let mut bytes = Trace {
-            meta: sample_meta(),
-            events: vec![],
+        // Version 2 used this seal too; its image is rejected for its
+        // version before the checksum runs, never read as damage.
+        for version in [1, 2, 99] {
+            let mut body = sample_body();
+            body[4] = version;
+            assert!(matches!(
+                Trace::from_bytes(&seal(body)),
+                Err(TraceError::Frame(FrameError::UnsupportedVersion(v))) if v == version
+            ));
         }
-        .to_bytes();
-        bytes[4] = 99;
-        assert!(matches!(
-            Trace::from_bytes(&bytes),
-            Err(TraceError::Frame(FrameError::UnsupportedVersion(99)))
-        ));
     }
 
     #[test]
     fn truncation_is_typed_not_panic() {
-        let bytes = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        }
-        .to_bytes();
+        let bytes = sample().to_bytes();
         // A prefix too short to hold header and seal is truncated; any
         // longer proper prefix fails its checksum before a field is read.
         for cut in 0..bytes.len() {
@@ -459,13 +369,8 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_is_typed() {
-        let t = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        };
-        let bytes = t.to_bytes();
-        // Any flipped bit past the magic and version fails the checksum.
-        for flip in HEADER_LEN..bytes.len() - SEAL_LEN {
+        let bytes = sample().to_bytes();
+        for flip in HEADER_LEN..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[flip] ^= 0x40;
             let err = Trace::from_bytes(&corrupt).unwrap_err();
@@ -474,107 +379,84 @@ mod tests {
                 "flip at {flip}: unexpected {err}"
             );
         }
-        // A flipped checksum byte itself is always a checksum mismatch.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x01;
-        assert!(matches!(
-            Trace::from_bytes(&corrupt),
-            Err(TraceError::Frame(FrameError::ChecksumMismatch { .. }))
-        ));
     }
 
     #[test]
-    fn bytes_after_the_trailer_are_typed() {
-        // A byte appended after the seal shifts the checksum window.
-        let mut appended = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
+    fn stream_length_disagreeing_with_the_body_is_typed() {
+        // A byte forged after the stream inside the seal, and a body cut
+        // short of its stream, both under a recomputed seal.
+        let mut long = sample_body();
+        long.push(0);
+        let mut short = sample_body();
+        short.pop();
+        for forged in [long, short] {
+            assert!(matches!(
+                Trace::from_bytes(&seal(forged)),
+                Err(TraceError::Frame(FrameError::Truncated))
+            ));
         }
-        .to_bytes();
-        appended.push(0);
-        assert!(matches!(
-            Trace::from_bytes(&appended),
-            Err(TraceError::Frame(FrameError::ChecksumMismatch { .. }))
-        ));
-        // A tail forged inside the seal passes the checksum and is
-        // caught after the trailer's count.
-        let mut body = sample_body();
-        body.push(0);
-        assert!(matches!(
-            Trace::from_bytes(&seal(body)),
-            Err(TraceError::TrailingBytes)
-        ));
     }
 
     #[test]
-    fn unknown_tag_under_the_original_seal_is_a_checksum_mismatch() {
-        // The first event's tag follows the header and metadata, which
-        // an event-free trace encodes as everything before its 2-byte
-        // trailer.
-        let first_tag = Trace {
-            meta: sample_meta(),
-            events: vec![],
-        }
-        .to_bytes()
-        .len()
-            - SEAL_LEN
-            - 2;
-        let mut bytes = Trace {
-            meta: sample_meta(),
-            events: sample_events(),
-        }
-        .to_bytes();
-        assert_eq!(bytes[first_tag], TAG_THREAD_SWITCH, "first event located");
-        bytes[first_tag] = 0x7E;
-        assert!(matches!(
-            Trace::from_bytes(&bytes),
-            Err(TraceError::Frame(FrameError::ChecksumMismatch { .. }))
-        ));
-        // Re-sealed, the same tag reaches the event decoder.
-        let resealed = seal(bytes[..bytes.len() - SEAL_LEN].to_vec());
-        assert!(matches!(
-            Trace::from_bytes(&resealed),
-            Err(TraceError::BadTag(0x7E))
-        ));
-    }
-
-    #[test]
-    fn count_mismatch_is_typed() {
-        // A trailer claiming one extra event under a recomputed seal (so
-        // only the count is wrong).
-        let mut forged = sample_body();
-        assert_eq!(forged[forged.len() - 2], TRAILER_TAG, "trailer located");
-        *forged.last_mut().unwrap() = 11; // says 11, the trace holds 10
-        let forged = seal(forged);
-        assert!(matches!(
-            Trace::from_bytes(&forged),
-            Err(TraceError::CountMismatch {
-                stored: 11,
-                read: 10
-            })
-        ));
-    }
-
-    #[test]
-    fn overflowing_cycle_deltas_are_typed_not_panic() {
-        // Two checksum-valid events whose deltas sum past u64::MAX.
+    fn staged_block_length_beyond_the_body_is_typed_before_allocating() {
+        // An empty header, one block at 0 claiming u32::MAX words, and
+        // nothing after: rejected from the length alone.
         let mut w = VarWriter::with_header(MAGIC, FORMAT_VERSION);
-        for v in [0, 0, 0, 0, 0, 0] {
-            w.put_varint(v); // empty strings, scale and counts
+        for v in [0, 0, 0, 0, 0, 0, 1, 0, u64::from(u32::MAX)] {
+            w.put_varint(v);
         }
-        for delta in [u64::MAX, 1] {
-            w.put_u8(TAG_SWITCH);
-            w.put_varint(delta);
-            w.put_varint(0);
-        }
-        w.put_u8(TRAILER_TAG);
-        w.put_varint(2);
-        let forged = seal(w.into_bytes());
         assert!(matches!(
-            Trace::from_bytes(&forged),
-            Err(TraceError::Frame(FrameError::BadVarint))
+            Trace::from_bytes(&seal(w.into_bytes())),
+            Err(TraceError::Frame(FrameError::Truncated))
         ));
+    }
+
+    #[test]
+    fn malformed_events_surface_when_the_stream_is_read() {
+        // Framing is checked at decode; events are checked by the tile
+        // decoder when something reads them.
+        let mut t = sample();
+        t.events.bytes.push(0xEE);
+        t.events.events += 1;
+        let back = Trace::from_bytes(&t.to_bytes()).unwrap();
+        let err = back.events.kind_counts().unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Stream(SimError::BadConfig(m)) if m.contains("tag 238")),
+            "{err}"
+        );
+        t.events.bytes.pop();
+        assert!(matches!(
+            t.events.lane_ops(),
+            Err(TraceError::Stream(SimError::BadConfig(_)))
+        ));
+    }
+
+    #[test]
+    fn kinds_and_lane_ops_read_back_through_the_tile_decoder() {
+        let t = sample();
+        assert_eq!(
+            t.events.kind_counts().unwrap(),
+            [
+                ("read", 1),
+                ("write", 1),
+                ("switch", 1),
+                ("call_push", 1),
+                ("thread_switch", 1),
+                ("free_context", 1)
+            ]
+        );
+        let a = RegAddr::new(0, 3);
+        assert_eq!(
+            t.events.lane_ops().unwrap(),
+            [
+                LaneOp::ThreadSwitch(0),
+                LaneOp::Write(a, 0xDEAD_BEEF),
+                LaneOp::Read(a),
+                LaneOp::CallPush(1),
+                LaneOp::FreeContext(1),
+                LaneOp::SwitchTo(0),
+            ]
+        );
     }
 
     #[test]
@@ -582,38 +464,8 @@ mod tests {
         let e = TraceError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert!(matches!(e, TraceError::Io(_)));
         assert!(std::error::Error::source(&e).is_some());
-        let e = TraceError::Replay {
-            index: 5,
-            source: RegFileError::ReadUndefined(RegAddr::new(1, 2)),
-        };
-        assert!(e.to_string().contains("event 5"));
+        let e = TraceError::from(SimError::BadConfig("bad".into()));
+        assert!(e.to_string().contains("bad"), "{e}");
         assert!(std::error::Error::source(&e).is_some());
-        assert!(TraceError::BadTag(0x7E).to_string().contains("0x7e"));
-    }
-
-    #[test]
-    fn cycle_deltas_reconstruct_monotone_stamps() {
-        let t = Trace {
-            meta: TraceMeta::default(),
-            events: vec![
-                TimedEvent {
-                    cycle: 100,
-                    event: RegEvent::SwitchTo { cid: 1 },
-                },
-                TimedEvent {
-                    cycle: 100,
-                    event: RegEvent::Read {
-                        addr: RegAddr::new(1, 0),
-                    },
-                },
-                TimedEvent {
-                    cycle: 250,
-                    event: RegEvent::SwitchTo { cid: 2 },
-                },
-            ],
-        };
-        let back = Trace::from_bytes(&t.to_bytes()).unwrap();
-        let cycles: Vec<u64> = back.events.iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![100, 100, 250]);
     }
 }

@@ -1,32 +1,31 @@
-//! Trace replay: feed a recorded operation stream into any register
-//! file organization, reproducing the statistics a live run under that
-//! organization would report — without rebuilding or re-executing the
-//! workload.
+//! Stats-only replay of a recorded `.nsftrace` stream: the sweep's tile
+//! loop ([`crate::fcache`]) driven from a [`TraceStream`] instead of a
+//! workload, so a recorded stream can be re-swept over other register
+//! file organizations.
 //!
-//! The replay driver mirrors the simulator's engine-facing environment
-//! exactly: the engine comes from the same buildability check
-//! ([`nsf_sim::RegFileSpec::build`]), a fresh [`MemSystem`] provides the
-//! Ctable and data cache, spills and reloads travel through
-//! [`CtableBacking`] (charging real cache latencies), and the trace's
-//! program memory events keep the cache state identical to the live
-//! run's. Context operations go through the live machine's own Ctable
-//! lifecycle, [`CtableBacking::context_op`]: a save area
-//! (`backing_base + cid * 64`) is mapped when its context is switched in
-//! and unmapped when it is freed. A stream that uses a register before
-//! switching to its context gets the live machine's answer at its first
-//! transfer: a typed [`nsf_core::StoreFault::Unmapped`] fault.
+//! A trace carries no workload, so this mode runs no output check. It
+//! stages the trace's recorded memory in every lane and keeps every
+//! value check: each read, load and atomic must return what the
+//! recording saw, or the replay stops with [`SimError::LaneDivergence`].
+//! Engines come from the one buildability check
+//! ([`nsf_sim::RegFileSpec::build`]), and spills, reloads and context
+//! operations go through the live machine's own Ctable-over-data-cache
+//! backing store.
 //!
-//! Replaying a trace through the *same* organization that recorded it
-//! yields bit-identical [`RegFileStats`] (the golden and property tests
-//! pin this). Replaying through a *different* organization answers the
-//! design-space question — "what would this op stream have cost on that
-//! file?" — and [`diff`] reports where and how the two disagree.
+//! Replaying a trace through the organization that recorded it yields
+//! the live run's [`RegFileStats`] bit for bit. Through another
+//! organization it answers "what would this op stream have cost on that
+//! file?". For a parallel program that is the recorded interleaving's
+//! cost: a live run under another engine could schedule its threads
+//! differently. [`diff`] runs two organizations in lockstep and reports
+//! where they first disagree.
+//!
+//! [`SimError::LaneDivergence`]: nsf_sim::SimError::LaneDivergence
 
-use crate::event::{RegEvent, TimedEvent};
+use crate::fcache::{for_each_tile, ReplaySet, TraceStream};
 use crate::format::{Trace, TraceError};
-use nsf_core::{Access, EngineDispatch, LaneOp, RegFileStats, RegisterFile};
-use nsf_mem::{Addr, MemSystem};
-use nsf_sim::{BackingMap, CtableBacking, SimConfig};
+use nsf_core::{LaneOp, RegFileStats, RegisterFile};
+use nsf_sim::SimConfig;
 
 /// Outcome of replaying one trace through one organization.
 #[derive(Clone, Debug)]
@@ -36,114 +35,23 @@ pub struct ReplayReport {
     /// Statistics the organization accumulated — for a same-engine
     /// replay, bit-identical to the live run's.
     pub stats: RegFileStats,
-    /// Total events replayed.
+    /// Events replayed.
     pub events: u64,
-    /// Of those, register-file operations.
-    pub reg_ops: u64,
-    /// Of those, program memory accesses (cache conditioning).
-    pub mem_ops: u64,
 }
 
-/// Per-operation outcome, compared during [`diff`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Outcome {
-    /// A read/write access: `(value, stall_cycles, missed)`.
-    Access(u32, u32, bool),
-    /// A context switch: stall cycles charged.
-    Switch(u32),
-    /// A free or memory event (no observable result).
-    Unit,
+/// A replay set with one lane per configuration and the stream's staged
+/// memory in every lane.
+fn staged(stream: &TraceStream, cfgs: &[SimConfig]) -> Result<ReplaySet, TraceError> {
+    let mut set = ReplaySet::new(cfgs)?;
+    set.poke_blocks(&stream.mem_init);
+    Ok(set)
 }
 
-impl Outcome {
-    fn from_access(a: Access) -> Self {
-        Outcome::Access(a.value, a.stall_cycles, a.missed)
-    }
-
-    fn describe(&self) -> String {
-        match *self {
-            Outcome::Access(value, stalls, missed) => format!(
-                "{} (value {value:#x}, {stalls} stall cycles)",
-                if missed { "miss" } else { "hit" }
-            ),
-            Outcome::Switch(stalls) => format!("switch costing {stalls} stall cycles"),
-            Outcome::Unit => "no observable result".into(),
-        }
-    }
-}
-
-/// One organization mid-replay: the engine plus its memory environment.
-struct Lane {
-    regfile: EngineDispatch,
-    mem: MemSystem,
-    map: BackingMap,
-    backing_base: Addr,
-}
-
-impl Lane {
-    fn new(cfg: &SimConfig) -> Result<Self, TraceError> {
-        Ok(Lane {
-            regfile: cfg.regfile.build().map_err(TraceError::BadEngine)?,
-            mem: MemSystem::new(cfg.mem),
-            map: BackingMap::new(),
-            backing_base: cfg.backing_base,
-        })
-    }
-
-    /// Applies one event, returning its outcome (or the engine's error).
-    fn apply(&mut self, index: u64, event: &RegEvent) -> Result<Outcome, TraceError> {
-        let fail = |source| TraceError::Replay { index, source };
-        let mut store = CtableBacking {
-            mem: &mut self.mem,
-            map: &mut self.map,
-            base: self.backing_base,
-        };
-        let rf = &mut self.regfile;
-        // Switches and frees go through the live machine's own Ctable
-        // lifecycle.
-        Ok(match *event {
-            RegEvent::Read { addr } => {
-                Outcome::from_access(rf.read(addr, &mut store).map_err(fail)?)
-            }
-            RegEvent::Write { addr, value } => {
-                Outcome::from_access(rf.write(addr, value, &mut store).map_err(fail)?)
-            }
-            RegEvent::SwitchTo { cid } => {
-                Outcome::Switch(store.context_op(rf, LaneOp::SwitchTo(cid)).map_err(fail)?)
-            }
-            RegEvent::CallPush { cid } => {
-                Outcome::Switch(store.context_op(rf, LaneOp::CallPush(cid)).map_err(fail)?)
-            }
-            RegEvent::ThreadSwitch { cid } => Outcome::Switch(
-                store
-                    .context_op(rf, LaneOp::ThreadSwitch(cid))
-                    .map_err(fail)?,
-            ),
-            RegEvent::FreeContext { cid } => {
-                store
-                    .context_op(rf, LaneOp::FreeContext(cid))
-                    .map_err(fail)?;
-                Outcome::Unit
-            }
-            RegEvent::FreeReg { addr } => {
-                store.context_op(rf, LaneOp::FreeReg(addr)).map_err(fail)?;
-                Outcome::Unit
-            }
-            RegEvent::MemRead { addr } => {
-                store.mem.load(addr);
-                Outcome::Unit
-            }
-            RegEvent::MemWrite { addr } => {
-                // The written value was not recorded: nothing in a replay
-                // ever observes program-memory *contents* (register state
-                // flows through the engine and its save areas, which live
-                // above `backing_base`, disjoint from program addresses).
-                // Only the cache-state transition matters, so store a
-                // placeholder.
-                store.mem.store(addr, 0);
-                Outcome::Unit
-            }
-        })
+fn lane_report(set: &ReplaySet, lane: usize, events: u64) -> ReplayReport {
+    ReplayReport {
+        regfile_desc: set.regfiles[lane].describe(),
+        stats: *set.regfiles[lane].stats(),
+        events,
     }
 }
 
@@ -152,38 +60,24 @@ pub fn replay(trace: &Trace, cfg: &SimConfig) -> Result<ReplayReport, TraceError
     replay_events(&trace.events, cfg)
 }
 
-/// Replays a raw event stream through the organization in `cfg`
+/// Replays a recorded stream through the organization in `cfg`
 /// (`cfg.regfile`, `cfg.mem` and `cfg.backing_base` are used; the rest
 /// of the simulator configuration does not affect engine-facing
-/// behavior).
-pub fn replay_events(events: &[TimedEvent], cfg: &SimConfig) -> Result<ReplayReport, TraceError> {
-    let mut lane = Lane::new(cfg)?;
-    let mut reg_ops = 0u64;
-    let mut mem_ops = 0u64;
-    for (i, te) in events.iter().enumerate() {
-        lane.apply(i as u64, &te.event)?;
-        if te.event.is_mem() {
-            mem_ops += 1;
-        } else {
-            reg_ops += 1;
-        }
-    }
-    Ok(ReplayReport {
-        regfile_desc: lane.regfile.describe(),
-        stats: *lane.regfile.stats(),
-        events: events.len() as u64,
-        reg_ops,
-        mem_ops,
-    })
+/// behavior), one tile at a time.
+pub fn replay_events(stream: &TraceStream, cfg: &SimConfig) -> Result<ReplayReport, TraceError> {
+    let mut set = staged(stream, std::slice::from_ref(cfg))?;
+    set.run(&stream.bytes, stream.events)?;
+    Ok(lane_report(&set, 0, stream.events))
 }
 
-/// The first operation on which two organizations disagreed.
+/// The first register-file operation on which two organizations
+/// disagreed.
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// Index of the operation in the trace.
+    /// Index of the event in the stream.
     pub index: u64,
     /// The operation itself.
-    pub event: TimedEvent,
+    pub op: LaneOp,
     /// Human-readable "A did X, B did Y".
     pub detail: String,
 }
@@ -229,46 +123,51 @@ impl DiffReport {
     }
 }
 
-/// Replays `trace` through two organizations in lockstep, reporting the
-/// first operation whose observable outcome (value, stall cycles,
-/// hit/miss) differs, plus every aggregate statistic that ends up
-/// different.
+/// Replays `trace` through two organizations in lockstep, one event at
+/// a time, reporting the first register-file operation whose stall
+/// cycles differ, plus every aggregate statistic that ends up different.
+/// Values need no comparison between the two: each lane's reads, loads
+/// and atomics are checked against the recording itself, and a mismatch
+/// is an error.
 pub fn diff(trace: &Trace, cfg_a: &SimConfig, cfg_b: &SimConfig) -> Result<DiffReport, TraceError> {
-    let mut a = Lane::new(cfg_a)?;
-    let mut b = Lane::new(cfg_b)?;
+    let stream = &trace.events;
+    let mut set = staged(stream, &[*cfg_a, *cfg_b])?;
+    let ctable_slots = set.ctable_slots;
     let mut first_divergence = None;
-    let mut reg_ops = 0u64;
-    let mut mem_ops = 0u64;
-    for (i, te) in trace.events.iter().enumerate() {
-        let oa = a.apply(i as u64, &te.event)?;
-        let ob = b.apply(i as u64, &te.event)?;
-        if te.event.is_mem() {
-            mem_ops += 1;
-        } else {
-            reg_ops += 1;
+    let mut index = 0u64;
+    for_each_tile(&stream.bytes, stream.events, ctable_slots, |tile| {
+        for op in tile {
+            let mut stalls = [0u64; 2];
+            for (lane, stall) in stalls.iter_mut().enumerate() {
+                let before = set.clocks[lane];
+                set.run_lane(lane, std::slice::from_ref(op))
+                    .map_err(|(_, e)| e)?;
+                *stall = set.clocks[lane] - before;
+            }
+            if first_divergence.is_none() && stalls[0] != stalls[1] {
+                first_divergence = op.lane_op().map(|op| Divergence {
+                    index,
+                    op,
+                    detail: format!(
+                        "A: {} stall cycles; B: {} stall cycles",
+                        stalls[0], stalls[1]
+                    ),
+                });
+            }
+            index += 1;
         }
-        if first_divergence.is_none() && oa != ob {
-            first_divergence = Some(Divergence {
-                index: i as u64,
-                event: *te,
-                detail: format!("A: {}; B: {}", oa.describe(), ob.describe()),
-            });
-        }
-    }
-    let sa = *a.regfile.stats();
-    let sb = *b.regfile.stats();
-    let report = |lane: &Lane, stats| ReplayReport {
-        regfile_desc: lane.regfile.describe(),
-        stats,
-        events: trace.events.len() as u64,
-        reg_ops,
-        mem_ops,
-    };
+        Ok(())
+    })?;
+    let (a, b) = (
+        lane_report(&set, 0, stream.events),
+        lane_report(&set, 1, stream.events),
+    );
+    let deltas = stat_deltas(&a.stats, &b.stats);
     Ok(DiffReport {
-        a: report(&a, sa),
-        b: report(&b, sb),
+        a,
+        b,
         first_divergence,
-        deltas: stat_deltas(&sa, &sb),
+        deltas,
     })
 }
 
@@ -286,49 +185,29 @@ pub fn stat_deltas(a: &RegFileStats, b: &RegFileStats) -> Vec<StatDelta> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::TraceMeta;
-    use nsf_core::{RegAddr, RegFileError, StoreFault};
-    use nsf_sim::RegFileSpec;
+    use nsf_core::{RegAddr, RegFileError, Word};
+    use nsf_sim::{RegFileSpec, SimError};
+
+    fn trace(ops: Vec<(LaneOp, Option<Word>)>) -> Trace {
+        Trace {
+            events: TraceStream::from_reg_ops(ops),
+            ..Trace::default()
+        }
+    }
 
     /// A tiny hand-written stream: two contexts ping-ponging with more
     /// live registers than a small NSF can hold, forcing spill traffic.
     fn tiny_trace() -> Trace {
-        let mut events = Vec::new();
-        let mut push = |event| {
-            events.push(TimedEvent {
-                cycle: events.len() as u64,
-                event,
-            })
-        };
-        push(RegEvent::ThreadSwitch { cid: 0 });
-        for off in 0..6 {
-            push(RegEvent::Write {
-                addr: RegAddr::new(0, off),
-                value: u32::from(off) + 100,
-            });
-        }
-        push(RegEvent::CallPush { cid: 1 });
-        for off in 0..6 {
-            push(RegEvent::Write {
-                addr: RegAddr::new(1, off),
-                value: u32::from(off) + 200,
-            });
-        }
-        push(RegEvent::MemRead { addr: 0x0010_0000 });
-        push(RegEvent::SwitchTo { cid: 0 });
-        for off in 0..6 {
-            push(RegEvent::Read {
-                addr: RegAddr::new(0, off),
-            });
-        }
-        push(RegEvent::FreeContext { cid: 1 });
-        push(RegEvent::FreeReg {
-            addr: RegAddr::new(0, 5),
-        });
-        Trace {
-            meta: TraceMeta::default(),
-            events,
-        }
+        let reg = RegAddr::new;
+        let mut ops = vec![(LaneOp::ThreadSwitch(0), None)];
+        ops.extend((0..6).map(|off| (LaneOp::Write(reg(0, off), u32::from(off) + 100), None)));
+        ops.push((LaneOp::CallPush(1), None));
+        ops.extend((0..6).map(|off| (LaneOp::Write(reg(1, off), u32::from(off) + 200), None)));
+        ops.push((LaneOp::SwitchTo(0), None));
+        ops.extend((0..6).map(|off| (LaneOp::Read(reg(0, off)), Some(u32::from(off) + 100))));
+        ops.push((LaneOp::FreeContext(1), None));
+        ops.push((LaneOp::FreeReg(reg(0, 5)), None));
+        trace(ops)
     }
 
     fn cfg(spec: RegFileSpec) -> SimConfig {
@@ -336,21 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_deterministic() {
+    fn replay_is_deterministic_and_counts_every_operation() {
         let t = tiny_trace();
         let c = cfg(RegFileSpec::paper_nsf(8));
         let r1 = replay(&t, &c).unwrap();
         let r2 = replay(&t, &c).unwrap();
         assert_eq!(r1.stats, r2.stats);
-        assert_eq!(r1.events, t.events.len() as u64);
-        assert_eq!(r1.reg_ops + r1.mem_ops, r1.events);
-        assert_eq!(r1.mem_ops, 1);
+        assert_eq!(r1.events, t.events.events);
         assert!(r1.stats.regs_spilled > 0, "8-reg NSF must spill 12 lives");
-    }
-
-    #[test]
-    fn replay_counts_every_operation() {
-        let t = tiny_trace();
         let r = replay(&t, &cfg(RegFileSpec::paper_nsf(128))).unwrap();
         assert_eq!(r.stats.reads, 6);
         assert_eq!(r.stats.writes, 12);
@@ -374,69 +246,53 @@ mod tests {
         let small = cfg(RegFileSpec::paper_nsf(8));
         let d = diff(&t, &big, &small).unwrap();
         assert!(!d.identical());
-        let div = d.first_divergence.expect("8 regs must miss where 128 hit");
-        assert!(div.detail.contains("A: "), "{}", div.detail);
-        assert!(d.deltas.iter().any(|s| s.name == "regs_spilled"));
+        let div = d.first_divergence.expect("8 regs must stall where 128 hit");
+        assert!(
+            div.detail.starts_with("A: 0 stall cycles"),
+            "{}",
+            div.detail
+        );
         let spilled = d.deltas.iter().find(|s| s.name == "regs_spilled").unwrap();
         assert!(spilled.delta() > 0, "small file spills more");
     }
 
     #[test]
-    fn replay_error_is_typed_with_index() {
-        let trace = |events: Vec<RegEvent>| Trace {
-            meta: TraceMeta::default(),
-            events: events
-                .into_iter()
-                .enumerate()
-                .map(|(i, event)| TimedEvent {
-                    cycle: i as u64,
-                    event,
-                })
-                .collect(),
-        };
-        let cases = [
-            // Reading a register that was never written: the
-            // conventional file treats unknown offsets within range as
-            // resident zero, but the NSF faults on a read of a
-            // never-allocated register.
-            (
-                trace(vec![
-                    RegEvent::ThreadSwitch { cid: 0 },
-                    RegEvent::Read {
-                        addr: RegAddr::new(0, 3),
-                    },
-                ]),
-                1,
-                RegFileError::ReadUndefined(RegAddr::new(0, 3)),
-            ),
-            // A context beyond the 4096-entry Ctable has no save area
-            // to map at its switch-in.
-            (
-                trace(vec![
-                    RegEvent::ThreadSwitch { cid: 5000 },
-                    RegEvent::FreeContext { cid: 5000 },
-                ]),
-                0,
-                RegFileError::Store(StoreFault::Unmapped(5000)),
-            ),
-        ];
-        for (t, want_index, want_source) in cases {
-            for err in [
-                replay(&t, &cfg(RegFileSpec::paper_nsf(16))).unwrap_err(),
-                diff(
-                    &t,
-                    &cfg(RegFileSpec::paper_nsf(16)),
-                    &cfg(RegFileSpec::Oracle),
-                )
-                .unwrap_err(),
-            ] {
-                match err {
-                    TraceError::Replay { index, source } => {
-                        assert_eq!((index, source), (want_index, want_source.clone()));
-                    }
-                    other => panic!("expected Replay error, got {other}"),
-                }
-            }
+    fn replay_errors_are_typed() {
+        let nsf = cfg(RegFileSpec::paper_nsf(16));
+        let read_unwritten = trace(vec![
+            (LaneOp::ThreadSwitch(0), None),
+            (LaneOp::Read(RegAddr::new(0, 3)), Some(0)),
+        ]);
+        let wrong_value = trace(vec![
+            (LaneOp::ThreadSwitch(0), None),
+            (LaneOp::Write(RegAddr::new(0, 3), 5), None),
+            (LaneOp::Read(RegAddr::new(0, 3)), Some(6)),
+        ]);
+        // A context beyond the 4096-entry Ctable cannot come from a run.
+        let beyond = trace(vec![(LaneOp::ThreadSwitch(5000), None)]);
+        for run in [&|t: &Trace| replay(t, &nsf).map(drop), &|t: &Trace| {
+            diff(t, &nsf, &cfg(RegFileSpec::Oracle)).map(drop)
+        }] as [&dyn Fn(&Trace) -> Result<(), TraceError>; 2]
+        {
+            assert!(matches!(
+                run(&read_unwritten),
+                Err(TraceError::Stream(SimError::RegFile {
+                    pc: 1,
+                    source: RegFileError::ReadUndefined(_)
+                }))
+            ));
+            assert!(matches!(
+                run(&wrong_value),
+                Err(TraceError::Stream(SimError::LaneDivergence {
+                    pc: 2,
+                    lane: 0,
+                    ..
+                }))
+            ));
+            assert!(matches!(
+                run(&beyond),
+                Err(TraceError::Stream(SimError::BadConfig(m))) if m.contains("beyond")
+            ));
         }
     }
 
@@ -444,11 +300,8 @@ mod tests {
     fn unbuildable_engine_is_a_typed_error() {
         let t = tiny_trace();
         let bad = cfg(RegFileSpec::paper_segmented(2, 100));
-        assert!(matches!(replay(&t, &bad), Err(TraceError::BadEngine(_))));
-        assert!(matches!(
-            diff(&t, &bad, &bad),
-            Err(TraceError::BadEngine(_))
-        ));
+        assert!(matches!(replay(&t, &bad), Err(TraceError::Stream(_))));
+        assert!(matches!(diff(&t, &bad, &bad), Err(TraceError::Stream(_))));
     }
 
     #[test]

@@ -225,7 +225,7 @@ fn decode_entry(
     Ok((buf, end - stream.len()..end))
 }
 
-fn encode_report(w: &mut VarWriter, r: &RunReport) {
+pub(crate) fn encode_report(w: &mut VarWriter, r: &RunReport) {
     w.put_varint(r.regfile_desc.len() as u64);
     w.put_bytes(r.regfile_desc.as_bytes());
     w.put_varint(u64::from(r.regfile_capacity));
@@ -270,7 +270,7 @@ fn encode_cache(w: &mut VarWriter, c: &CacheStats) {
     w.put_varint(c.writebacks);
 }
 
-fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
+pub(crate) fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
     let mut rep = RunReport::default();
     let desc_len: usize = r.get_int()?;
     let desc = r.get_bytes(desc_len)?;

@@ -4,8 +4,9 @@
 //! 16-instruction scheduling quantum on the parallel programs.
 //!
 //! Each point pins the FNV-1a-64 of the trace's sealed payload — the
-//! bytes between the `magic | version` header and the checksum trailer
-//! — and its event count. The pins therefore survive a change of the
+//! bytes between the `magic | version` header and the checksum trailer:
+//! since format version 3, the frontend stream, the staged memory and
+//! the run's report — and its event count. The pins therefore survive a change of the
 //! seal's checksum or a version bump, but any change to workload
 //! generation, simulator op order, the recording hook or the payload
 //! encoding moves one; if the change is deliberate, print the new table
@@ -66,66 +67,66 @@ fn observed() -> Vec<(String, u64, usize)> {
 }
 
 const PINS: &[(&str, u64, usize)] = &[
-    ("GateSim nsf:80", 0xe1f8708f024c857d, 15437),
-    ("GateSim segmented:4x32", 0x8e7970ca74406f5f, 15437),
-    ("GateSim segmented-sw:4x32", 0xa1c83b61c314bcff, 15437),
-    ("GateSim windowed:32", 0xbcf07f37c32d399b, 15437),
-    ("GateSim conventional:32", 0xaccb54e6b273f8b9, 15437),
-    ("GateSim nsf:80 w2", 0x14bddbe6e72ba399, 15437),
-    ("RTLSim nsf:80", 0xacdfabb039bab75f, 15873),
-    ("RTLSim segmented:4x32", 0x5b455ebe85adcb63, 15873),
-    ("RTLSim segmented-sw:4x32", 0x3b6ff7c211b7e4ac, 15873),
-    ("RTLSim windowed:32", 0xf60dfc2a41e2c83d, 15873),
-    ("RTLSim conventional:32", 0x812db8097cff986c, 15873),
-    ("RTLSim nsf:80 w2", 0x9dcad522dd421fe2, 15873),
-    ("ZipFile nsf:80", 0x667329ca1dbb7a68, 143726),
-    ("ZipFile segmented:4x32", 0x996e3e94b7892290, 143726),
-    ("ZipFile segmented-sw:4x32", 0x4924b2a57a30dd5f, 143726),
-    ("ZipFile windowed:32", 0xa625ab8906a49d78, 143726),
-    ("ZipFile conventional:32", 0x80cdcc9755822d96, 143726),
-    ("ZipFile nsf:80 w2", 0x546b4283ceb99a50, 143726),
-    ("AS nsf:128", 0x6eb930d25ac8c21c, 6942),
-    ("AS segmented:4x32", 0x45da785dbac6bfb0, 6942),
-    ("AS segmented-sw:4x32", 0x0484521510803ffe, 6942),
-    ("AS windowed:32", 0x9f54f4bc9c189da7, 6942),
-    ("AS conventional:32", 0x49439f919fcc4221, 6942),
-    ("AS nsf:128 w2", 0xf95af8cceb173e10, 6942),
-    ("AS nsf:128 q16", 0x8fa362b5fe183f61, 7138),
-    ("DTW nsf:128", 0xfd0ac518b76f3cf2, 10892),
-    ("DTW segmented:4x32", 0xbb7a62a076918e68, 10892),
-    ("DTW segmented-sw:4x32", 0xa8ab53ec89739281, 10892),
-    ("DTW windowed:32", 0x0cab7416934008bc, 10887),
-    ("DTW conventional:32", 0xc9f63d2ef41b3181, 10887),
-    ("DTW nsf:128 w2", 0xdde0f03ed1690df6, 10892),
-    ("DTW nsf:128 q16", 0x31240f29bd219ff4, 11132),
-    ("Gamteb nsf:128", 0x2e0e51b2715f8d78, 1525),
-    ("Gamteb segmented:4x32", 0xdc79786284fbc3bf, 1525),
-    ("Gamteb segmented-sw:4x32", 0xedcb5900610f993f, 1525),
-    ("Gamteb windowed:32", 0x340f40613e8f9a88, 1525),
-    ("Gamteb conventional:32", 0xd9e7a0226bd5d5d6, 1525),
-    ("Gamteb nsf:128 w2", 0xdd5c4775471bc1e6, 1525),
-    ("Gamteb nsf:128 q16", 0x7fbebdb7d2a66b6d, 1546),
-    ("Paraffins nsf:128", 0x98e017101ef9cfbd, 2220),
-    ("Paraffins segmented:4x32", 0x415c6df02dc7a4be, 2220),
-    ("Paraffins segmented-sw:4x32", 0xc05613dce16b8f0d, 2220),
-    ("Paraffins windowed:32", 0xa8642a9e3b023355, 2220),
-    ("Paraffins conventional:32", 0x3700af3c95857a8d, 2220),
-    ("Paraffins nsf:128 w2", 0x98e017101ef9cfbd, 2220),
-    ("Paraffins nsf:128 q16", 0x3d371776f0165dea, 2226),
-    ("Quicksort nsf:128", 0x235f9efc6ceb22ea, 20495),
-    ("Quicksort segmented:4x32", 0x9cde85662868cbbe, 20495),
-    ("Quicksort segmented-sw:4x32", 0x00192bf589ce6926, 20495),
-    ("Quicksort windowed:32", 0x12920ef3f4caf6a6, 20495),
-    ("Quicksort conventional:32", 0xfc28e7d520dc12c1, 20495),
-    ("Quicksort nsf:128 w2", 0x23e83ba61cebda06, 20495),
-    ("Quicksort nsf:128 q16", 0x9a23702739b3bffb, 20914),
-    ("Wavefront nsf:128", 0x84279c87290f733a, 5759),
-    ("Wavefront segmented:4x32", 0x76a123b8877355c0, 5759),
-    ("Wavefront segmented-sw:4x32", 0x7edf66f5abc98cc0, 5759),
-    ("Wavefront windowed:32", 0x27ace8d840444a65, 5759),
-    ("Wavefront conventional:32", 0x1bc118ea3cfacc39, 5759),
-    ("Wavefront nsf:128 w2", 0x5502393e2640b215, 5759),
-    ("Wavefront nsf:128 q16", 0x4820c83343930f4b, 5769),
+    ("GateSim nsf:80", 0x8e7ecf78a504e70c, 15993),
+    ("GateSim segmented:4x32", 0x01480a5ffbf4421b, 15993),
+    ("GateSim segmented-sw:4x32", 0xc3752ee843ac8805, 15993),
+    ("GateSim windowed:32", 0x2e5e381ab49ced2c, 15993),
+    ("GateSim conventional:32", 0x888c3ae300dc6ee3, 15993),
+    ("GateSim nsf:80 w2", 0xfc841920605fff47, 15993),
+    ("RTLSim nsf:80", 0x2140a45078230a90, 16485),
+    ("RTLSim segmented:4x32", 0xceeac15c01790026, 16485),
+    ("RTLSim segmented-sw:4x32", 0xebeee090fc80ef39, 16485),
+    ("RTLSim windowed:32", 0x8208e3f121784a30, 16485),
+    ("RTLSim conventional:32", 0xfaa4ee17a23089a9, 16485),
+    ("RTLSim nsf:80 w2", 0x90626b927dd6c4d7, 16485),
+    ("ZipFile nsf:80", 0xf5d8aaae5709316c, 149504),
+    ("ZipFile segmented:4x32", 0x82dcf17fb1eb7bbf, 149504),
+    ("ZipFile segmented-sw:4x32", 0x11b49cdd049ba5cf, 149504),
+    ("ZipFile windowed:32", 0x257f5033fba0770e, 149504),
+    ("ZipFile conventional:32", 0x9e316346cfade262, 149504),
+    ("ZipFile nsf:80 w2", 0x13109ee4a189d1c7, 149504),
+    ("AS nsf:128", 0x4b01f465295a12ba, 7143),
+    ("AS segmented:4x32", 0x024c743687ca7745, 7143),
+    ("AS segmented-sw:4x32", 0xe8ef868086a7d149, 7143),
+    ("AS windowed:32", 0x379428bc98ae051d, 7143),
+    ("AS conventional:32", 0x88e4c43eca91ec20, 7143),
+    ("AS nsf:128 w2", 0x577c439a07caa2ba, 7143),
+    ("AS nsf:128 q16", 0x6062afc24e625502, 7339),
+    ("DTW nsf:128", 0x2719f4d694010348, 11186),
+    ("DTW segmented:4x32", 0xd7d6c90768430a3e, 11186),
+    ("DTW segmented-sw:4x32", 0x6b5ae55da08c9369, 11186),
+    ("DTW windowed:32", 0xaea262e327f45ec5, 11181),
+    ("DTW conventional:32", 0xbafede39b40fbd74, 11181),
+    ("DTW nsf:128 w2", 0x1343b318495731ad, 11186),
+    ("DTW nsf:128 q16", 0x8d6b843cd86eef8d, 11426),
+    ("Gamteb nsf:128", 0xdeb65a25a2e3b3da, 1570),
+    ("Gamteb segmented:4x32", 0x68a13ebc3e8025d9, 1570),
+    ("Gamteb segmented-sw:4x32", 0x8286e7cd965e4a1a, 1570),
+    ("Gamteb windowed:32", 0x86dc3a21e5693e15, 1570),
+    ("Gamteb conventional:32", 0xaa5fd17502c1991c, 1570),
+    ("Gamteb nsf:128 w2", 0xbf5236e3944b4a3b, 1570),
+    ("Gamteb nsf:128 q16", 0x731d01851dcad85c, 1591),
+    ("Paraffins nsf:128", 0x58cb3836a2cd0168, 2285),
+    ("Paraffins segmented:4x32", 0x289c757a99ce1bd8, 2285),
+    ("Paraffins segmented-sw:4x32", 0x607ebe135077d5a6, 2285),
+    ("Paraffins windowed:32", 0x694f79de656817ac, 2285),
+    ("Paraffins conventional:32", 0x89dd7440782dcb29, 2285),
+    ("Paraffins nsf:128 w2", 0x021be5767540fd14, 2285),
+    ("Paraffins nsf:128 q16", 0x198994b8ef1c43e3, 2291),
+    ("Quicksort nsf:128", 0xf339c0aa246ba8bd, 21081),
+    ("Quicksort segmented:4x32", 0x15c8f3dedfc1440b, 21081),
+    ("Quicksort segmented-sw:4x32", 0xabb41762d9a4c1be, 21081),
+    ("Quicksort windowed:32", 0x8096417c4ca1f986, 21081),
+    ("Quicksort conventional:32", 0xb4a41c3abc1d1347, 21081),
+    ("Quicksort nsf:128 w2", 0xe195b1c72fd3cb58, 21081),
+    ("Quicksort nsf:128 q16", 0xc691f1d80a8e2002, 21500),
+    ("Wavefront nsf:128", 0x85b95b92c5deee26, 5914),
+    ("Wavefront segmented:4x32", 0x158511ae4903a142, 5914),
+    ("Wavefront segmented-sw:4x32", 0x5c4f543058584668, 5914),
+    ("Wavefront windowed:32", 0xcdc06f6b953f8b2f, 5914),
+    ("Wavefront conventional:32", 0xaf9bc256d250c00e, 5914),
+    ("Wavefront nsf:128 w2", 0x0d270b85bd0d843f, 5914),
+    ("Wavefront nsf:128 q16", 0xb3689219121b9917, 5924),
 ];
 
 #[test]

@@ -13,14 +13,20 @@
 //!    through its recording engine reproduces the live run's
 //!    [`nsf_core::RegFileStats`] exactly.
 //!
-//! If a deliberate change shifts either (a new event kind, an encoding
-//! revision with a version bump, a workload fix), regenerate with:
+//! The files are `.nsftrace` version 3: the frontend stream the sweep
+//! records, the workload's staged memory and the run's report, sealed
+//! as one blob. If a deliberate change shifts either invariant (a new
+//! event kind, a format revision with a version bump, a workload fix),
+//! regenerate both files with `trace_tool record` (CI re-records them
+//! the same way and `cmp`s the results):
 //!
 //! ```sh
 //! cargo run --release -p nsf-bench --bin trace_tool -- \
 //!     record --workload gatesim --scale 0 --engine nsf:80 \
 //!     --out crates/trace/tests/golden/gatesim_s0_nsf80.nsftrace
-//! # likewise gamteb with --engine nsf:128
+//! cargo run --release -p nsf-bench --bin trace_tool -- \
+//!     record --workload gamteb --scale 0 --engine nsf:128 \
+//!     --out crates/trace/tests/golden/gamteb_s0_nsf128.nsftrace
 //! ```
 
 use nsf_sim::SimConfig;
@@ -100,5 +106,6 @@ fn golden_replay_matches_live_stats_exactly() {
         );
         assert_eq!(trace.meta.instructions, live.instructions, "{}", g.file);
         assert_eq!(trace.meta.cycles, live.cycles, "{}", g.file);
+        assert_eq!(trace.report, live, "{}", g.file);
     }
 }
