@@ -11,10 +11,15 @@
 //! generation, simulator op order, the recording hook or the payload
 //! encoding moves one; if the change is deliberate, print the new table
 //! from `observed()` and paste it.
+//!
+//! A second table pins whole `.nsfs` store entries, seal included, for
+//! three single-threaded programs.
 
 use nsf_sim::SimConfig;
 use nsf_trace::frame::{fnv64, HEADER_LEN, SEAL_LEN};
-use nsf_trace::{capture, default_engine_spec, parse_engine};
+use nsf_trace::{
+    capture, capture_frontend, default_engine_spec, encode_stream, parse_engine, stream_fingerprint,
+};
 
 /// One engine per family; the NSF uses the program's default size.
 const FAMILIES: [&str; 4] = [
@@ -140,4 +145,35 @@ fn capture_bytes_are_pinned() {
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "capture drifted");
     }
+}
+
+/// `(workload, fnv64 of the whole `.nsfs` image, image length)` for the
+/// store entry `encode_stream` writes for a scale-0 capture under the
+/// NSF of 80 registers. Unlike the table above, these pins cover the
+/// header, fingerprint, report and seal too, so they move with the seal
+/// checksum and the store version: a change to either is a deliberate
+/// format change that re-keys every entry.
+const STORE_PINS: &[(&str, u64, usize)] = &[
+    ("GateSim", 0xb1a3c6854dc7e605, 71644),
+    ("RTLSim", 0x089ca68f3ed11fbc, 76041),
+    ("ZipFile", 0x568bc72f91c38a2a, 661059),
+];
+
+#[test]
+fn store_entry_bytes_are_pinned() {
+    let cfg = SimConfig::with_regfile(parse_engine("nsf:80").unwrap());
+    let got: Vec<(&str, u64, usize)> = [
+        nsf_workloads::gatesim::build(0),
+        nsf_workloads::rtlsim::build(0),
+        nsf_workloads::zipfile::build(0),
+    ]
+    .iter()
+    .map(|w| {
+        let buf = capture_frontend(w, cfg).expect("captures");
+        let fp = stream_fingerprint(w, &cfg).expect("fingerprints");
+        let image = encode_stream(fp, &buf);
+        (w.name, fnv64(&image), image.len())
+    })
+    .collect();
+    assert_eq!(got, STORE_PINS, "store entry bytes drifted");
 }
