@@ -5,12 +5,14 @@
 //! is the full filesystem path (tmp write + atomic rename + checksummed
 //! read-back). `capture_live` is the work a warm hit avoids.
 //! `seal`/`unseal` time the sealed-blob checksum alone over a 4 MB
-//! image (scale-1 entries run to a few megabytes); every save pays the
-//! first and every load the second.
+//! image (scale-1 entries run to a few megabytes); every load pays the
+//! second. `seal_parts` takes the same checksum over a short head and
+//! the body as two slices, the form every save pays: the stream is
+//! sealed where it lies, never copied.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use nsf_bench::nsf_config;
-use nsf_trace::frame::{seal, unseal, VarWriter, SEAL_LEN};
+use nsf_trace::frame::{seal, unseal, SealHasher, VarWriter, SEAL_LEN};
 use nsf_trace::{capture_frontend, decode_stream, encode_stream, stream_fingerprint, StreamStore};
 use nsf_workloads::gatesim;
 
@@ -45,8 +47,8 @@ fn bench_stream_store(c: &mut Criterion) {
     }
     let image = image.into_bytes();
     let sealed = seal(image.clone());
-    // Room for the trailer, as `encode_stream` reserves: `seal` then
-    // times the checksum, not a reallocation.
+    // Room for the trailer: `seal` then times the checksum, not a
+    // reallocation.
     let unsealed = || {
         let mut blob = Vec::with_capacity(image.len() + SEAL_LEN);
         blob.extend_from_slice(&image);
@@ -54,6 +56,15 @@ fn bench_stream_store(c: &mut Criterion) {
     };
     g.bench_function("seal", |b| {
         b.iter_batched(unsealed, seal, BatchSize::LargeInput)
+    });
+    let (head, body) = image.split_at(64);
+    g.bench_function("seal_parts", |b| {
+        b.iter(|| {
+            let mut h = SealHasher::default();
+            h.update(head);
+            h.update(body);
+            h.finish()
+        })
     });
     g.bench_function("unseal", |b| {
         b.iter(|| unseal(&sealed, *b"NSFB", 1).expect("intact").len())

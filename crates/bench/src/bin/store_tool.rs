@@ -11,8 +11,13 @@
 //!     gc --max-bytes 50000000
 //! ```
 //!
+//! An entry is invalid exactly when `StreamStore::load_stream` would
+//! reject it: the census runs the loader's decoder
+//! (`validate_stream_bytes`) without keeping the stream.
+//!
 //! `gc` is deterministic: invalid entries (bad checksum, foreign magic
-//! or version, name/fingerprint mismatch, stray temp files) go first,
+//! or version, name/fingerprint mismatch, a report or stream length
+//! that does not decode, stray temp files) go first,
 //! then intact entries are evicted **largest first** (ties broken by
 //! filename) until the store fits the budget. Without `--max-bytes` it
 //! only removes the invalid entries. The explorer's result memo

@@ -359,3 +359,45 @@ fn store_tool_counts_and_removes_a_version_one_entry() {
     assert!(entry(fp).exists(), "gc removed the current entry");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn store_tool_counts_and_removes_an_entry_the_loader_rejects() {
+    // A sealed entry with one byte after its stream: magic, version,
+    // checksum and fingerprint all hold, but the stream length disagrees
+    // with the body, so every load rejects it. `info` must count it as
+    // invalid and `gc` must remove it, leaving the intact entry alone.
+    use nsf_trace::frame::{seal, SEAL_LEN};
+    let w = nsf_workloads::gatesim::build(0);
+    let cfg = nsf_bench::nsf_config(80);
+    let buf = nsf_trace::capture_frontend(&w, cfg).expect("captures");
+    let fp = nsf_trace::stream_fingerprint(&w, &cfg).expect("fingerprints");
+    let other = fp ^ 1;
+    let current = nsf_trace::encode_stream(fp, &buf);
+    let mut long = nsf_trace::encode_stream(other, &buf);
+    long.truncate(long.len() - SEAL_LEN);
+    long.push(0);
+    let long = seal(long);
+
+    let dir = std::env::temp_dir().join(format!("nsf-cli-store-long-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let entry = |fp: u64| dir.join(format!("{fp:016x}.nsfs"));
+    std::fs::write(entry(fp), &current).unwrap();
+    std::fs::write(entry(other), &long).unwrap();
+    let store = nsf_trace::StreamStore::open(&dir);
+    assert!(
+        store.load_stream(other, &cfg).is_err(),
+        "the loader rejects it"
+    );
+
+    let bin = env!("CARGO_BIN_EXE_store_tool");
+    let d = dir.display().to_string();
+    let info = String::from_utf8(stdout_of(bin, &["info", "--dir", &d])).unwrap();
+    assert!(info.contains("entries=2"), "{info}");
+    assert!(info.contains("invalid=1"), "{info}");
+    let gc = String::from_utf8(stdout_of(bin, &["gc", "--dir", &d])).unwrap();
+    assert!(gc.contains("removed_invalid=1"), "{gc}");
+    assert!(!entry(other).exists(), "gc left the rejected entry");
+    assert!(entry(fp).exists(), "gc removed the intact entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}

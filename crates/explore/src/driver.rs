@@ -181,7 +181,7 @@ impl Explorer {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                write_atomic(&path, &encode_header(&expected))?;
+                write_atomic(&path, &[&encode_header(&expected)])?;
                 return Ok(Vec::new());
             }
             Err(e) => return Err(e.into()),
@@ -411,9 +411,9 @@ impl StoreCtx {
                 truncate_to(&path, parsed.valid_len)?;
                 memo.extend(parsed.records.into_iter().map(|r| (r.key, r)));
             }
-            Ok(Err(_)) => write_atomic(&path, &encode_memo_header())?,
+            Ok(Err(_)) => write_atomic(&path, &[&encode_memo_header()])?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                write_atomic(&path, &encode_memo_header())?;
+                write_atomic(&path, &[&encode_memo_header()])?;
             }
             Err(e) => return Err(e.into()),
         }

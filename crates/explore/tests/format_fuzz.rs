@@ -222,9 +222,8 @@ fn store_format() -> Format {
         bodies: vec![image[..image.len() - SEAL_LEN].to_vec()],
         decode: Box::new(move |b| {
             let decoded = decode_stream(b, fp, &cfg).ok();
-            if decoded.is_some() {
-                assert!(validate_stream_bytes(b, fp).is_ok());
-            }
+            // The store's census and its loader agree on every image.
+            assert_eq!(validate_stream_bytes(b, fp).is_ok(), decoded.is_some());
             decoded.map(|buf| (b.len(), encode_stream(fp, &buf)))
         }),
     }

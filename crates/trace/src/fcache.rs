@@ -83,14 +83,19 @@ pub(crate) struct FrontendRecorder {
 }
 
 impl FrontendRecorder {
-    /// A recorder sized for a run's stream: scale-1 streams run to
-    /// megabytes, and reserving up front keeps the encoder out of the
-    /// vector's doubling copies.
-    pub(crate) fn for_run() -> Self {
-        FrontendRecorder {
+    /// Runs `workload` under `cfg` live, recording: the one record step
+    /// of [`capture_frontend`] and [`crate::capture`]. Scale-1 streams run
+    /// to megabytes, so the buffer is reserved up front.
+    pub(crate) fn record(
+        workload: &Workload,
+        cfg: SimConfig,
+    ) -> Result<(Self, RunReport), WorkloadError> {
+        let mut rec = FrontendRecorder {
             w: VarWriter::with_capacity(1 << 20),
             ..Self::default()
-        }
+        };
+        let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
+        Ok((rec, report))
     }
 
     /// The recorded stream over the staged memory `mem_init`.
@@ -318,8 +323,7 @@ pub fn capture_frontend(
     if let Some(why) = capture_rejection(workload, &cfg) {
         return Err(SimError::BadConfig(format!("cannot capture: {why}")).into());
     }
-    let mut rec = FrontendRecorder::for_run();
-    let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
+    let (rec, report) = FrontendRecorder::record(workload, cfg)?;
     Ok(FrontendBuffer {
         cfg,
         bytes: rec.w.into_bytes(),
@@ -355,9 +359,7 @@ pub fn replay_frontend(
         )
         .into());
     }
-    let mut set = ReplaySet::new(cfgs)?;
-    set.poke_blocks(&workload.mem_init);
-    set.run(&buf.bytes, buf.events)?;
+    let set = ReplaySet::replay(cfgs, &workload.mem_init, &buf.bytes, buf.events)?;
     for i in 0..cfgs.len() {
         (workload.check)(&set.mems[i]).map_err(|detail| WorkloadError::CheckFailed {
             name: workload.name,
@@ -609,21 +611,29 @@ pub(crate) struct ReplaySet {
 }
 
 impl ReplaySet {
-    /// One lane per configuration. The configurations must share a
-    /// frontend ([`SimConfig::frontend_eq`]); the first one's save-area
-    /// base and Ctable size serve every lane.
-    pub(crate) fn new(cfgs: &[SimConfig]) -> Result<Self, SimError> {
+    /// One lane per configuration, with `staged` poked into every lane's
+    /// memory. The configurations must share a frontend
+    /// ([`SimConfig::frontend_eq`]); the first one's save-area base and
+    /// Ctable size serve every lane.
+    pub(crate) fn new(cfgs: &[SimConfig], staged: &[(Addr, Vec<Word>)]) -> Result<Self, SimError> {
         let Some(first) = cfgs.first() else {
             return Err(SimError::BadConfig(
                 "a replay set needs at least one configuration".into(),
             ));
+        };
+        let mem = |cfg: &SimConfig| {
+            let mut mem = MemSystem::new(cfg.mem);
+            for (addr, words) in staged {
+                mem.poke_block(*addr, words);
+            }
+            mem
         };
         Ok(ReplaySet {
             regfiles: cfgs
                 .iter()
                 .map(|c| c.regfile.build())
                 .collect::<Result<_, _>>()?,
-            mems: cfgs.iter().map(|c| MemSystem::new(c.mem)).collect(),
+            mems: cfgs.iter().map(mem).collect(),
             maps: cfgs.iter().map(|_| BackingMap::new()).collect(),
             backing_base: first.backing_base,
             ctable_slots: first.mem.ctable_slots,
@@ -632,13 +642,17 @@ impl ReplaySet {
         })
     }
 
-    /// Stages `blocks` in every lane's memory.
-    pub(crate) fn poke_blocks(&mut self, blocks: &[(Addr, Vec<Word>)]) {
-        for mem in &mut self.mems {
-            for (addr, words) in blocks {
-                mem.poke_block(*addr, words);
-            }
-        }
+    /// [`ReplaySet::new`], then [`ReplaySet::run`]: the one replay step of
+    /// [`replay_frontend`] and [`crate::replay_events`].
+    pub(crate) fn replay(
+        cfgs: &[SimConfig],
+        staged: &[(Addr, Vec<Word>)],
+        bytes: &[u8],
+        events: u64,
+    ) -> Result<Self, SimError> {
+        let mut set = ReplaySet::new(cfgs, staged)?;
+        set.run(bytes, events)?;
+        Ok(set)
     }
 
     /// Decodes the event stream a tile at a time into one reused buffer
@@ -1207,7 +1221,7 @@ mod tests {
         for (bad, names) in malformed_events(&nsf) {
             buf.bytes = [clean.as_slice(), &bad].concat();
             buf.events = bad_at as u64 + 1;
-            let mut set = ReplaySet::new(&[nsf, conv]).unwrap();
+            let mut set = ReplaySet::new(&[nsf, conv], &[]).unwrap();
             match set.run(&buf.bytes, buf.events) {
                 Err(SimError::BadConfig(msg)) => {
                     assert!(msg.contains(names), "{msg}");
@@ -1222,7 +1236,7 @@ mod tests {
         // The count check still runs, after the last tile.
         buf.bytes = clean;
         buf.events = bad_at as u64 + 1;
-        let mut set = ReplaySet::new(&[nsf]).unwrap();
+        let mut set = ReplaySet::new(&[nsf], &[]).unwrap();
         match set.run(&buf.bytes, buf.events) {
             Err(SimError::BadConfig(msg)) => assert!(
                 msg.contains(&format!(

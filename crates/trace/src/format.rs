@@ -18,19 +18,22 @@
 //!
 //! All integers are LEB128 varints. The stream bytes are the encoding
 //! the sweep's frontend cache records and the [`crate::store`] persists,
-//! so one tile decoder and one replay loop read all three. The checksum
-//! is [`crate::frame::seal_checksum`] over every byte from the magic
-//! through the stream: [`Trace::to_bytes`] builds the image in one
-//! [`VarWriter`] and [`seal`]s it, and [`Trace::from_vec`] checks
-//! length, header and checksum before it parses any field. So
-//! truncation and bit rot surface as typed [`TraceError`]s. The stream's
-//! events are decoded lazily, a tile at a time, by whatever reads them
+//! so one tile decoder and one replay loop read all three. The image is
+//! the store's sealed stream container with the metadata and staged
+//! memory as its identity block, so one encoder and one decoder serve
+//! both formats. The checksum is [`crate::frame::seal_checksum`] over
+//! every byte from the magic through the stream, taken over head and
+//! stream as two slices: [`Trace::write_file`] writes the three parts in
+//! turn and never copies the stream. [`Trace::from_vec`] checks length,
+//! header and checksum before it parses any field. So truncation and bit
+//! rot surface as typed [`TraceError`]s. The stream's events are decoded
+//! lazily, a tile at a time, by whatever reads them
 //! ([`crate::replay_events`], [`TraceStream::kind_counts`]); a malformed
 //! event is a typed error there.
 
 use crate::fcache::TraceStream;
-use crate::frame::{seal, unseal, write_atomic, FrameError, VarReader, VarWriter, SEAL_LEN};
-use crate::store::{decode_report, encode_report};
+use crate::frame::{write_atomic, FrameError, VarReader, VarWriter};
+use crate::store::{decode_sealed_stream, SealedStream};
 use nsf_mem::{Addr, Word};
 use nsf_sim::{RunReport, SimError};
 use std::fmt;
@@ -137,38 +140,45 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// The trace as a sealed stream image: its identity block is the
+    /// metadata and the staged memory.
+    fn sealed(&self) -> SealedStream<'_> {
+        let (m, s) = (&self.meta, &self.events);
+        let identity = |w: &mut VarWriter| {
+            for text in [&m.workload, &m.engine] {
+                w.put_varint(text.len() as u64);
+                w.put_bytes(text.as_bytes());
+            }
+            for v in [
+                u64::from(m.scale),
+                m.instructions,
+                m.cycles,
+                m.context_switches,
+            ] {
+                w.put_varint(v);
+            }
+            w.put_varint(s.mem_init.len() as u64);
+            for (addr, words) in &s.mem_init {
+                w.put_varint(u64::from(*addr));
+                w.put_varint(words.len() as u64);
+                for &word in words {
+                    w.put_varint(u64::from(word));
+                }
+            }
+        };
+        SealedStream::new(
+            (MAGIC, FORMAT_VERSION),
+            identity,
+            s.events,
+            s.shared_cycles,
+            &self.report,
+            &s.bytes,
+        )
+    }
+
     /// Serializes to an in-memory `.nsftrace` image.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (m, s) = (&self.meta, &self.events);
-        let mut w = VarWriter::with_capacity(s.bytes.len() + 256);
-        w.put_bytes(&MAGIC);
-        w.put_u8(FORMAT_VERSION);
-        for text in [&m.workload, &m.engine] {
-            w.put_varint(text.len() as u64);
-            w.put_bytes(text.as_bytes());
-        }
-        for v in [
-            u64::from(m.scale),
-            m.instructions,
-            m.cycles,
-            m.context_switches,
-        ] {
-            w.put_varint(v);
-        }
-        w.put_varint(s.mem_init.len() as u64);
-        for (addr, words) in &s.mem_init {
-            w.put_varint(u64::from(*addr));
-            w.put_varint(words.len() as u64);
-            for &word in words {
-                w.put_varint(u64::from(word));
-            }
-        }
-        w.put_varint(s.events);
-        w.put_varint(s.shared_cycles);
-        encode_report(&mut w, &self.report);
-        w.put_varint(s.bytes.len() as u64);
-        w.put_bytes(&s.bytes);
-        seal(w.into_bytes())
+        self.sealed().parts().concat()
     }
 
     /// Decodes a complete `.nsftrace` image, taking ownership of it:
@@ -176,39 +186,28 @@ impl Trace {
     /// seal are trimmed in place), so a decoded trace holds one copy of
     /// it. Length, header and checksum are checked before any field is
     /// parsed.
-    pub fn from_vec(mut image: Vec<u8>) -> Result<Self, TraceError> {
-        let mut r = VarReader::new(unseal(&image, MAGIC, FORMAT_VERSION)?);
-        let meta = TraceMeta {
-            workload: get_str(&mut r)?,
-            engine: get_str(&mut r)?,
-            scale: r.get_int()?,
-            instructions: r.get_varint()?,
-            cycles: r.get_varint()?,
-            context_switches: r.get_varint()?,
-        };
-        let mem_init = get_blocks(&mut r)?;
-        let events = r.get_varint()?;
-        let shared_cycles = r.get_varint()?;
-        let report = decode_report(&mut r)?;
-        // The stream runs to the end of the body: compared, not added, so
-        // no length can overflow.
-        let stream_len = r.get_varint()?;
-        if r.rest().len() as u64 != stream_len {
-            return Err(FrameError::Truncated.into());
-        }
-        let end = image.len() - SEAL_LEN;
-        let start = end - r.rest().len();
-        image.truncate(end);
-        image.drain(..start);
+    pub fn from_vec(image: Vec<u8>) -> Result<Self, TraceError> {
+        let ((meta, mem_init), tail, bytes) =
+            decode_sealed_stream(image, (MAGIC, FORMAT_VERSION), |r| {
+                let meta = TraceMeta {
+                    workload: get_str(r)?,
+                    engine: get_str(r)?,
+                    scale: r.get_int()?,
+                    instructions: r.get_varint()?,
+                    cycles: r.get_varint()?,
+                    context_switches: r.get_varint()?,
+                };
+                Ok::<_, TraceError>((meta, get_blocks(r)?))
+            })?;
         Ok(Trace {
             meta,
             events: TraceStream {
                 mem_init,
-                events,
-                shared_cycles,
-                bytes: image,
+                events: tail.events,
+                shared_cycles: tail.shared_cycles,
+                bytes,
             },
-            report,
+            report: tail.report,
         })
     }
 
@@ -217,9 +216,10 @@ impl Trace {
         Self::from_vec(bytes.to_vec())
     }
 
-    /// Writes the trace to `path` atomically ([`write_atomic`]).
+    /// Writes the trace to `path` atomically ([`write_atomic`]), without
+    /// copying the stream.
     pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), TraceError> {
-        Ok(write_atomic(path.as_ref(), &self.to_bytes())?)
+        Ok(write_atomic(path.as_ref(), &self.sealed().parts())?)
     }
 
     /// Reads and decodes the trace at `path`.
@@ -257,7 +257,7 @@ fn get_blocks(r: &mut VarReader<'_>) -> Result<Vec<(Addr, Vec<Word>)>, FrameErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::HEADER_LEN;
+    use crate::frame::{seal, HEADER_LEN, SEAL_LEN};
     use nsf_core::{LaneOp, RegAddr};
 
     fn sample() -> Trace {

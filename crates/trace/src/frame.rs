@@ -11,7 +11,8 @@
 //!     chains of neighbouring words overlap. A final avalanche folds
 //!     together the lanes, the length and the tail bytes. Each lane's
 //!     per-word round and each step of the fold is a bijection, so
-//!     damage confined to one word is always detected. Sealed blobs run to megabytes (a
+//!     damage confined to one word is always detected ([`SealHasher`]
+//!     takes it over several slices). Sealed blobs run to megabytes (a
 //!     scale-1 `.nsfs` entry) and every store save and load checks a
 //!     whole one, so this is the checksum whose speed shows: about
 //!     16 times FNV-1a's bytes per second (`stream_store/seal`).
@@ -35,12 +36,13 @@
 //!     of its own bytes. Parsing keeps the longest intact prefix and
 //!     reports its length ([`RecordLog::valid_len`]), so a torn append
 //!     costs only the torn record (`.nsfx`, `.nsfm`).
-//! - **Files:** [`write_atomic`] (temporary sibling plus rename) and
-//!   [`truncate_to`] (cut a log back to its valid prefix).
+//! - **Files:** [`write_atomic`] (temporary sibling plus rename, the
+//!   image's parts written in turn) and [`truncate_to`] (cut a log back
+//!   to its valid prefix).
 //!
 //! | format      | magic  | version | checksum layout          | checksum | torn tail               |
 //! |-------------|--------|---------|--------------------------|----------|-------------------------|
-//! | `.nsftrace` | `NSFT` | 2       | sealed                   | seal     | typed error             |
+//! | `.nsftrace` | `NSFT` | 3       | sealed                   | seal     | typed error             |
 //! | `.nsfs`     | `NSFS` | 2       | sealed                   | seal     | typed error, recapture  |
 //! | `.nsfx`     | `NSFX` | 1       | record log               | FNV-1a   | truncated to valid_len  |
 //! | `.nsfm`     | `NSFM` | 1       | record log               | FNV-1a   | truncated to valid_len  |
@@ -50,7 +52,7 @@
 //! known-answer tests below pin both.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Width of the `magic | version` header.
@@ -133,7 +135,77 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
-/// The sealed-blob checksum: a word-parallel 64-bit hash.
+/// [`seal_checksum`] taken incrementally: [`finish`](Self::finish) is
+/// the checksum of every slice passed to [`update`](Self::update),
+/// joined, so a head and a stream held apart seal without a copy.
+#[derive(Clone, Debug)]
+pub struct SealHasher {
+    lanes: [u64; 4],
+    /// Bytes taken in; the last `len % 32` of them wait in `stripe`.
+    len: u64,
+    stripe: [u8; 32],
+}
+
+impl Default for SealHasher {
+    fn default() -> Self {
+        let lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        SealHasher {
+            lanes,
+            len: 0,
+            stripe: [0; 32],
+        }
+    }
+}
+
+impl SealHasher {
+    /// Takes in `bytes` after everything before them.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        let fill = self.len as usize % 32;
+        self.len += bytes.len() as u64;
+        if fill > 0 {
+            let take = bytes.len().min(32 - fill);
+            self.stripe[fill..fill + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if fill + take < 32 {
+                return;
+            }
+            self.lanes = stripes(self.lanes, &self.stripe);
+        }
+        let whole = bytes.len() / 32 * 32;
+        self.lanes = stripes(self.lanes, &bytes[..whole]);
+        self.stripe[..bytes.len() - whole].copy_from_slice(&bytes[whole..]);
+    }
+
+    /// The checksum of every byte taken in.
+    pub fn finish(&self) -> u64 {
+        let mut h = avalanche(self.len);
+        for lane in self.lanes {
+            h = avalanche(h ^ lane);
+        }
+        let mut words = self.stripe[..self.len as usize % 32].chunks_exact(8);
+        for word in &mut words {
+            h = avalanche(h ^ le_word(word));
+        }
+        let mut last = [0u8; 8];
+        last[..words.remainder().len()].copy_from_slice(words.remainder());
+        avalanche(h ^ u64::from_le_bytes(last))
+    }
+}
+
+/// Runs each whole 32-byte stripe of `bytes` through the four lanes, one
+/// word per lane. The lanes are a local array, so they stay in registers.
+#[inline(always)]
+fn stripes(mut lanes: [u64; 4], bytes: &[u8]) -> [u64; 4] {
+    for stripe in bytes.chunks_exact(32) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = lane_round(*lane, le_word(&stripe[8 * i..]));
+        }
+    }
+    lanes
+}
+
+/// The sealed-blob checksum: a word-parallel 64-bit hash, [`SealHasher`]
+/// over one slice.
 ///
 /// Each 32-byte stripe feeds one 8-byte little-endian word to each of
 /// four independent lanes, so the lanes' multiply chains overlap. The
@@ -149,26 +221,9 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// The lane round is XXH64's, but the fold is not: XXH64 merges each
 /// lane in two places at once, which is not a bijection of that lane.
 pub fn seal_checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-    let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        let stripe: &[u8; 32] = stripe.try_into().expect("32-byte stripe");
-        lanes[0] = lane_round(lanes[0], le_word(&stripe[0..]));
-        lanes[1] = lane_round(lanes[1], le_word(&stripe[8..]));
-        lanes[2] = lane_round(lanes[2], le_word(&stripe[16..]));
-        lanes[3] = lane_round(lanes[3], le_word(&stripe[24..]));
-    }
-    let mut h = avalanche(bytes.len() as u64);
-    for lane in lanes {
-        h = avalanche(h ^ lane);
-    }
-    let mut words = stripes.remainder().chunks_exact(8);
-    for word in &mut words {
-        h = avalanche(h ^ le_word(word));
-    }
-    let mut last = [0u8; 8];
-    last[..words.remainder().len()].copy_from_slice(words.remainder());
-    avalanche(h ^ u64::from_le_bytes(last))
+    let mut h = SealHasher::default();
+    h.update(bytes);
+    h.finish()
 }
 
 /// A framing failure: the bytes are not an intact image of the format.
@@ -494,19 +549,21 @@ pub fn parse_log<H, T>(
     })
 }
 
-/// Writes `bytes` to `path` through a temporary sibling and an atomic
-/// rename, so concurrent readers and a writer killed mid-write only
-/// ever leave the old file or the complete new one. The temporary name
-/// carries `.tmp` and the process id (stray ones are what
-/// `store_tool gc` sweeps). It does not fsync: every file written this
-/// way is checksummed, so one torn by a power loss is rejected on load,
-/// never trusted.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes `parts` in turn (an image need not be joined in memory) to
+/// `path` through a temporary sibling and an atomic rename, so
+/// concurrent readers and a writer killed mid-write only ever leave the
+/// old file or the complete new one. The temporary name carries `.tmp`
+/// and the process id (stray ones are what `store_tool gc` sweeps). It
+/// does not fsync: every file written this way is checksummed, so one
+/// torn by a power loss is rejected on load, never trusted.
+pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+    std::fs::File::create(&tmp)
+        .and_then(|mut f| parts.iter().try_for_each(|part| f.write_all(part)))
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 /// Cuts the file at `path` back to `valid_len` bytes when it is longer:
@@ -523,6 +580,7 @@ pub fn truncate_to(path: &Path, valid_len: usize) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn decode(bytes: &[u8]) -> Result<u64, FrameError> {
         VarReader::new(bytes).get_varint()
@@ -582,6 +640,47 @@ mod tests {
             0x5e3a_5aeb_70be_a473
         );
         assert_eq!(seal_checksum(&[0x5A; 56]), 0x872a_cba5_7586_4dd9);
+    }
+
+    proptest! {
+
+        /// The incremental hasher over any split of an image is the
+        /// one-shot checksum of the whole: every single split point
+        /// (inside a stripe, on a stripe boundary, inside the unfinished
+        /// tail), and a second split after it.
+        #[test]
+        fn hasher_over_any_split_is_the_one_shot_checksum(
+            bytes in proptest::collection::vec(any::<u8>(), 0..301),
+            second in 0usize..301,
+        ) {
+            let whole = seal_checksum(&bytes);
+            for cut in 0..=bytes.len() {
+                let (a, rest) = bytes.split_at(cut);
+                let (b, c) = rest.split_at(second.min(rest.len()));
+                let mut two = SealHasher::default();
+                two.update(a);
+                two.update(rest);
+                prop_assert_eq!(two.finish(), whole, "cut {}", cut);
+                let mut three = SealHasher::default();
+                for part in [a, b, c] {
+                    three.update(part);
+                }
+                prop_assert_eq!(three.finish(), whole, "cuts {} {}", cut, b.len());
+            }
+        }
+    }
+
+    #[test]
+    fn hasher_takes_bytes_one_at_a_time() {
+        // 300 bytes: nine whole stripes, then a tail of one whole word and
+        // a half word, so single-byte updates fill and flush the pending
+        // stripe 9 times and leave 12 bytes in it.
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 131 % 251) as u8).collect();
+        let mut h = SealHasher::default();
+        for b in &bytes {
+            h.update(std::slice::from_ref(b));
+        }
+        assert_eq!(h.finish(), seal_checksum(&bytes));
     }
 
     const MAGIC: [u8; 4] = *b"NSFQ";
@@ -736,8 +835,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nsf-frame-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.nsfq");
-        write_atomic(&path, b"0123456789").unwrap();
-        write_atomic(&path, b"abcdef").unwrap();
+        write_atomic(&path, &[b"0123456789"]).unwrap();
+        write_atomic(&path, &[b"abc", b"", b"def"]).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"abcdef");
         truncate_to(&path, 4).unwrap();
         truncate_to(&path, 9).unwrap(); // never grows

@@ -24,9 +24,10 @@
 //!   register, memory and context operation with the live values it
 //!   produced. The sweep keeps the stream in memory
 //!   ([`capture_frontend`]) or persists it as a `.nsfs` entry
-//!   ([`store`]); [`capture`] seals it with the workload's staged memory
+//!   ([`store`]); [`capture`] keeps it with the workload's staged memory
 //!   and the run's report as a `.nsftrace` file ([`mod@format`]), for any
-//!   program.
+//!   program. Both files are one sealed stream container with one
+//!   encoder, which never copies the stream, and one decoder.
 //! - **Replay** ([`replay_frontend`], [`replay()`], [`diff`]): the
 //!   stream is decoded one tile at a time and every lane runs a tile
 //!   behind the simulator's own Ctable-over-data-cache backing store,
@@ -84,8 +85,7 @@ pub fn capture(
     engine_spec: &str,
     scale: u32,
 ) -> Result<(Trace, RunReport), WorkloadError> {
-    let mut rec = FrontendRecorder::for_run();
-    let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
+    let (rec, report) = FrontendRecorder::record(workload, cfg)?;
     let trace = Trace {
         meta: TraceMeta {
             workload: workload.name.to_string(),

@@ -39,14 +39,6 @@ pub struct ReplayReport {
     pub events: u64,
 }
 
-/// A replay set with one lane per configuration and the stream's staged
-/// memory in every lane.
-fn staged(stream: &TraceStream, cfgs: &[SimConfig]) -> Result<ReplaySet, TraceError> {
-    let mut set = ReplaySet::new(cfgs)?;
-    set.poke_blocks(&stream.mem_init);
-    Ok(set)
-}
-
 fn lane_report(set: &ReplaySet, lane: usize, events: u64) -> ReplayReport {
     ReplayReport {
         regfile_desc: set.regfiles[lane].describe(),
@@ -65,8 +57,12 @@ pub fn replay(trace: &Trace, cfg: &SimConfig) -> Result<ReplayReport, TraceError
 /// of the simulator configuration does not affect engine-facing
 /// behavior), one tile at a time.
 pub fn replay_events(stream: &TraceStream, cfg: &SimConfig) -> Result<ReplayReport, TraceError> {
-    let mut set = staged(stream, std::slice::from_ref(cfg))?;
-    set.run(&stream.bytes, stream.events)?;
+    let set = ReplaySet::replay(
+        std::slice::from_ref(cfg),
+        &stream.mem_init,
+        &stream.bytes,
+        stream.events,
+    )?;
     Ok(lane_report(&set, 0, stream.events))
 }
 
@@ -131,7 +127,7 @@ impl DiffReport {
 /// is an error.
 pub fn diff(trace: &Trace, cfg_a: &SimConfig, cfg_b: &SimConfig) -> Result<DiffReport, TraceError> {
     let stream = &trace.events;
-    let mut set = staged(stream, &[*cfg_a, *cfg_b])?;
+    let mut set = ReplaySet::new(&[*cfg_a, *cfg_b], &stream.mem_init)?;
     let ctable_slots = set.ctable_slots;
     let mut first_divergence = None;
     let mut index = 0u64;

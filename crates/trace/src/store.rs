@@ -23,13 +23,16 @@
 //!
 //! ## Trust: never
 //!
-//! A store entry is an optimization, never an authority. The file is a
-//! sealed blob of [`crate::frame`] — magic, version byte, and a
-//! trailing word-parallel checksum ([`crate::frame::seal_checksum`])
-//! over the whole body, checked before any field is parsed — and
-//! every failure mode (foreign magic, unknown version, truncation, bit
-//! corruption, fingerprint mismatch) is a typed [`StoreError`];
-//! callers fall back to live capture. Even a
+//! A store entry is an optimization, never an authority. The file is the
+//! sealed stream container `.nsftrace` files use too, with the
+//! fingerprint as its identity block; its seal
+//! ([`crate::frame::seal_checksum`]) is checked before any field is
+//! parsed, and every failure mode (foreign magic, unknown version,
+//! truncation, bit corruption, a field or stream length that does not
+//! decode, fingerprint mismatch) is a typed [`StoreError`]; callers fall
+//! back to live capture. [`validate_stream_bytes`] runs the loader's
+//! decoder without keeping the stream, so `store_tool` counts an entry
+//! as intact exactly when it loads. Even a
 //! loaded stream is still subject to the full equivalence wall: replay
 //! checks every value-bearing event against the recording
 //! ([`nsf_sim::SimError::LaneDivergence`]) and every lane against the
@@ -37,7 +40,9 @@
 //! never silently produce statistics.
 
 use crate::fcache::FrontendBuffer;
-use crate::frame::{seal, unseal, write_atomic, Fnv64, FrameError, VarReader, VarWriter, SEAL_LEN};
+use crate::frame::{
+    unseal, write_atomic, Fnv64, FrameError, SealHasher, VarReader, VarWriter, SEAL_LEN,
+};
 use nsf_mem::CacheStats;
 use nsf_sim::{OccupancySummary, RunReport, SimConfig};
 use nsf_workloads::Workload;
@@ -147,39 +152,141 @@ pub fn stream_fingerprint(workload: &Workload, cfg: &SimConfig) -> Option<u64> {
     Some(h.finish())
 }
 
+/// A sealed stream image, the one container of `.nsfs` entries and
+/// `.nsftrace` files: a head of `magic | version | identity | events |
+/// shared cycles | report | stream length`, the stream, and the seal
+/// over both. Only the identity block is the format's own. The stream
+/// is borrowed: the seal is taken over head and stream as two slices,
+/// and a file gets the three [`parts`](Self::parts) in turn.
+pub(crate) struct SealedStream<'a> {
+    head: Vec<u8>,
+    stream: &'a [u8],
+    seal: [u8; SEAL_LEN],
+}
+
+impl<'a> SealedStream<'a> {
+    /// Encodes the container; `identity` writes the identity block.
+    pub(crate) fn new(
+        (magic, version): ([u8; 4], u8),
+        identity: impl FnOnce(&mut VarWriter),
+        events: u64,
+        shared_cycles: u64,
+        report: &RunReport,
+        stream: &'a [u8],
+    ) -> Self {
+        let mut w = VarWriter::with_header(magic, version);
+        identity(&mut w);
+        w.put_varint(events);
+        w.put_varint(shared_cycles);
+        encode_report(&mut w, report);
+        w.put_varint(stream.len() as u64);
+        let head = w.into_bytes();
+        let mut seal = SealHasher::default();
+        seal.update(&head);
+        seal.update(stream);
+        let seal = seal.finish().to_le_bytes();
+        SealedStream { head, stream, seal }
+    }
+
+    /// The image as the slices it is made of, in order.
+    pub(crate) fn parts(&self) -> [&[u8]; 3] {
+        [&self.head, self.stream, &self.seal]
+    }
+}
+
+/// The fields of a sealed stream image between identity and stream.
+pub(crate) struct StreamTail {
+    pub(crate) events: u64,
+    pub(crate) shared_cycles: u64,
+    pub(crate) report: RunReport,
+}
+
+/// The one decoder, in place: checks length, header and seal before any
+/// field is parsed, decodes the identity block with `identity`, then the
+/// tail, and checks that the stream runs exactly to the end of the body.
+/// Returns the stream's byte range in `image` beside the fields.
+pub(crate) fn open_sealed_stream<I, E: From<FrameError>>(
+    image: &[u8],
+    (magic, version): ([u8; 4], u8),
+    identity: impl FnOnce(&mut VarReader<'_>) -> Result<I, E>,
+) -> Result<(I, StreamTail, Range<usize>), E> {
+    let mut r = VarReader::new(unseal(image, magic, version)?);
+    let id = identity(&mut r)?;
+    let tail = StreamTail {
+        events: r.get_varint()?,
+        shared_cycles: r.get_varint()?,
+        report: decode_report(&mut r)?,
+    };
+    // Compared, not added, so no length can overflow.
+    let stream_len = r.get_varint()?;
+    if stream_len != r.rest().len() as u64 {
+        return Err(FrameError::Truncated.into());
+    }
+    let end = image.len() - SEAL_LEN;
+    Ok((id, tail, end - r.rest().len()..end))
+}
+
+/// [`open_sealed_stream`] on an image it owns, which it then trims in
+/// place into the stream: a decoded stream holds one copy of it.
+pub(crate) fn decode_sealed_stream<I, E: From<FrameError>>(
+    mut image: Vec<u8>,
+    format: ([u8; 4], u8),
+    identity: impl FnOnce(&mut VarReader<'_>) -> Result<I, E>,
+) -> Result<(I, StreamTail, Vec<u8>), E> {
+    let (id, tail, stream) = open_sealed_stream(&image, format, identity)?;
+    image.truncate(stream.end);
+    image.drain(..stream.start);
+    Ok((id, tail, image))
+}
+
+/// The `.nsfs` magic and version.
+const STORE_FORMAT: ([u8; 4], u8) = (STORE_MAGIC, STORE_VERSION);
+
+/// The `.nsfs` identity block: the fingerprint, which must be `expected`.
+fn fingerprint_is(expected: u64) -> impl FnOnce(&mut VarReader<'_>) -> Result<(), StoreError> {
+    move |r| match r.get_varint()? {
+        found if found == expected => Ok(()),
+        found => Err(StoreError::FingerprintMismatch { expected, found }),
+    }
+}
+
+/// `buf` as the store entry for `fingerprint`.
+fn sealed_entry(fingerprint: u64, buf: &FrontendBuffer) -> SealedStream<'_> {
+    SealedStream::new(
+        STORE_FORMAT,
+        |w| w.put_varint(fingerprint),
+        buf.events,
+        buf.shared_cycles,
+        &buf.report,
+        &buf.bytes,
+    )
+}
+
+/// The buffer a decoded entry holds, under the caller's `cfg`.
+fn buffer(cfg: &SimConfig, tail: StreamTail, bytes: Vec<u8>) -> FrontendBuffer {
+    FrontendBuffer {
+        cfg: *cfg,
+        bytes,
+        events: tail.events,
+        shared_cycles: tail.shared_cycles,
+        report: tail.report,
+    }
+}
+
 /// Serializes `buf` into a self-checking store entry for `fingerprint`.
 pub fn encode_stream(fingerprint: u64, buf: &FrontendBuffer) -> Vec<u8> {
-    let mut w = VarWriter::with_capacity(buf.bytes.len() + 256);
-    w.put_bytes(&STORE_MAGIC);
-    w.put_u8(STORE_VERSION);
-    w.put_varint(fingerprint);
-    w.put_varint(buf.events);
-    w.put_varint(buf.shared_cycles);
-    encode_report(&mut w, &buf.report);
-    w.put_varint(buf.bytes.len() as u64);
-    w.put_bytes(&buf.bytes);
-    seal(w.into_bytes())
+    sealed_entry(fingerprint, buf).parts().concat()
 }
 
-/// Checks magic, version, checksum, and embedded fingerprint of a raw
-/// entry without materializing the buffer (what `store_tool` runs over
-/// every file). [`decode_stream`] builds on the same checks.
+/// Runs the checks [`StreamStore::load_stream`] runs on a raw entry,
+/// without keeping the stream (what `store_tool` runs over every file):
+/// an entry passes here exactly when it loads.
 pub fn validate_stream_bytes(bytes: &[u8], expected: u64) -> Result<(), StoreError> {
-    open_entry(bytes, expected).map(drop)
+    open_sealed_stream(bytes, STORE_FORMAT, fingerprint_is(expected)).map(drop)
 }
 
-/// Unseals an entry and checks its fingerprint, returning a reader over
-/// the fields that follow it.
-fn open_entry(bytes: &[u8], expected: u64) -> Result<VarReader<'_>, StoreError> {
-    let mut r = VarReader::new(unseal(bytes, STORE_MAGIC, STORE_VERSION)?);
-    let found = r.get_varint()?;
-    if found != expected {
-        return Err(StoreError::FingerprintMismatch { expected, found });
-    }
-    Ok(r)
-}
-
-/// Decodes a store entry back into a [`FrontendBuffer`]. `cfg` becomes
+/// Decodes a store entry back into a [`FrontendBuffer`], copying the
+/// stream out of `bytes`. `cfg` becomes
 /// the buffer's configuration: the fingerprint covers exactly the
 /// [`SimConfig::frontend_eq`] field set, so a fingerprint match proves
 /// the entry was captured under a frontend-equal configuration and the
@@ -189,43 +296,11 @@ pub fn decode_stream(
     expected: u64,
     cfg: &SimConfig,
 ) -> Result<FrontendBuffer, StoreError> {
-    let (mut buf, stream) = decode_entry(bytes, expected, cfg)?;
-    buf.bytes = bytes[stream].to_vec();
-    Ok(buf)
+    let ((), tail, stream) = open_sealed_stream(bytes, STORE_FORMAT, fingerprint_is(expected))?;
+    Ok(buffer(cfg, tail, bytes[stream].to_vec()))
 }
 
-/// Decodes every field of a store entry but the stream: the buffer comes
-/// back with no stream bytes, beside the stream's byte range in `bytes`.
-fn decode_entry(
-    bytes: &[u8],
-    expected: u64,
-    cfg: &SimConfig,
-) -> Result<(FrontendBuffer, Range<usize>), StoreError> {
-    let mut r = open_entry(bytes, expected)?;
-    let events = r.get_varint()?;
-    let shared_cycles = r.get_varint()?;
-    let report = decode_report(&mut r)?;
-    // The stream runs to the end of the body: a length that disagrees
-    // (short, or trailing bytes inside a checksummed body) is a writer
-    // bug. Compared, not added, so no length can overflow.
-    let stream_len = r.get_varint()?;
-    let stream = r.rest();
-    if stream.len() as u64 != stream_len {
-        return Err(FrameError::Truncated.into());
-    }
-    // The body, and so the stream, ends where the seal trailer starts.
-    let end = bytes.len() - SEAL_LEN;
-    let buf = FrontendBuffer {
-        cfg: *cfg,
-        bytes: Vec::new(),
-        events,
-        shared_cycles,
-        report,
-    };
-    Ok((buf, end - stream.len()..end))
-}
-
-pub(crate) fn encode_report(w: &mut VarWriter, r: &RunReport) {
+fn encode_report(w: &mut VarWriter, r: &RunReport) {
     w.put_varint(r.regfile_desc.len() as u64);
     w.put_bytes(r.regfile_desc.as_bytes());
     w.put_varint(u64::from(r.regfile_capacity));
@@ -270,7 +345,7 @@ fn encode_cache(w: &mut VarWriter, c: &CacheStats) {
     w.put_varint(c.writebacks);
 }
 
-pub(crate) fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
+fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
     let mut rep = RunReport::default();
     let desc_len: usize = r.get_int()?;
     let desc = r.get_bytes(desc_len)?;
@@ -354,18 +429,14 @@ impl StreamStore {
         fingerprint: u64,
         cfg: &SimConfig,
     ) -> Result<Option<FrontendBuffer>, StoreError> {
-        let mut bytes = match std::fs::read(self.stream_path(fingerprint)) {
+        let bytes = match std::fs::read(self.stream_path(fingerprint)) {
             Ok(b) => b,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        // The file's own allocation becomes the stream: header and seal
-        // trailer are trimmed in place, so a hit holds one copy of it.
-        let (mut buf, stream) = decode_entry(&bytes, fingerprint, cfg)?;
-        bytes.truncate(stream.end);
-        bytes.drain(..stream.start);
-        buf.bytes = bytes;
-        Ok(Some(buf))
+        let ((), tail, stream) =
+            decode_sealed_stream(bytes, STORE_FORMAT, fingerprint_is(fingerprint))?;
+        Ok(Some(buffer(cfg, tail, stream)))
     }
 
     /// Persists `buf` as the entry for `fingerprint` with
@@ -373,8 +444,11 @@ impl StreamStore {
     /// only ever observe a complete entry or none.
     pub fn save_stream(&self, fingerprint: u64, buf: &FrontendBuffer) -> Result<(), StoreError> {
         std::fs::create_dir_all(&self.dir)?;
-        let path = self.stream_path(fingerprint);
-        Ok(write_atomic(&path, &encode_stream(fingerprint, buf))?)
+        let entry = sealed_entry(fingerprint, buf);
+        Ok(write_atomic(
+            &self.stream_path(fingerprint),
+            &entry.parts(),
+        )?)
     }
 
     /// Removes the entry for `fingerprint` (used when a loaded entry
@@ -388,6 +462,7 @@ impl StreamStore {
 mod tests {
     use super::*;
     use crate::fcache::capture_frontend;
+    use crate::frame::seal;
     use nsf_sim::RegFileSpec;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -451,8 +526,8 @@ mod tests {
             (decoded.events, decoded.shared_cycles, &decoded.report)
         );
         assert!(loaded.cfg.frontend_eq(&decoded.cfg));
-        // Damaged entries fail through both paths with the same typed
-        // error: foreign magic, a torn write, a flipped bit, a stream
+        // Damaged entries fail through all three paths with the same
+        // typed error: foreign magic, a torn write, a flipped bit, a stream
         // length that disagrees with the body, and a misfiled entry.
         let mut magic = good.clone();
         magic[0] ^= 0xFF;
@@ -471,7 +546,9 @@ mod tests {
             std::fs::write(&path, &bad).unwrap();
             let via_load = store.load_stream(*fp, cfg).unwrap_err();
             let via_decode = decode_stream(&bad, *fp, cfg).unwrap_err();
+            let via_validate = validate_stream_bytes(&bad, *fp).unwrap_err();
             assert_eq!(format!("{via_load:?}"), format!("{via_decode:?}"));
+            assert_eq!(format!("{via_load:?}"), format!("{via_validate:?}"));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
