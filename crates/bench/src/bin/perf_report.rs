@@ -36,7 +36,7 @@ use nsf_bench::figures::{
     ablations, depth_sweep, export_csv, fig09, fig10, fig11, fig12, fig13, fig14, fig_pipeline,
     related_work, summary, table1,
 };
-use nsf_bench::{CliArgs, CliError, CliSpec, FrontendCacheStats, HarnessArgs, Sweep};
+use nsf_bench::{CliArgs, CliError, FrontendCacheStats, HarnessArgs, Sweep, HARNESS_SPEC};
 use nsf_trace::StreamStore;
 use std::fs;
 use std::path::Path;
@@ -468,31 +468,13 @@ impl Host {
 /// Strict argument parsing: unlike the figure binaries (which share a
 /// flag set through [`HarnessArgs`] and ignore strays by design), a typo
 /// here silently times the wrong experiment — reject it with usage.
+///
+/// Both store passes are always *measured* here (they are the point of
+/// the report); the store switches are accepted so one wrapper flag set
+/// drives every binary, and conflicts still error.
 fn parse_args() -> Result<HarnessArgs, CliError> {
-    const SPEC: CliSpec = CliSpec {
-        value_flags: &["scale", "threads", "out"],
-        switches: &["quiet", "store", "no-store"],
-        repeatable: &[],
-    };
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = CliArgs::parse(&raw, &SPEC)?;
-    // Both store passes are always *measured* here (they are the point
-    // of the report); the switches are accepted so one wrapper flag set
-    // drives every binary, and conflicts still error.
-    if args.switch("store") && args.switch("no-store") {
-        return Err(CliError::Conflict {
-            a: "store".into(),
-            b: "no-store".into(),
-        });
-    }
-    let defaults = HarnessArgs::default();
-    Ok(HarnessArgs {
-        scale: args.parsed_or("scale", 1u32)?,
-        threads: args.parsed_or("threads", defaults.threads)?.max(1),
-        store: !args.switch("no-store"),
-        quiet: args.switch("quiet"),
-        out: args.flag("out").map(str::to_string),
-    })
+    HarnessArgs::from_cli(&CliArgs::parse(&raw, &HARNESS_SPEC)?)
 }
 
 fn main() {

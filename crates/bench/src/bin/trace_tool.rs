@@ -18,7 +18,7 @@
 //!     diff gatesim.nsftrace --a nsf:80 --b nsf:40
 //! ```
 //!
-//! Engine specs follow `nsf_trace::spec` (`nsf:80`, `nsf:128x4`,
+//! Engine specs follow `nsf_sim::spec` (`nsf:80`, `nsf:128x4`,
 //! `segmented:4x32`, `segmented-sw:...`, `segmented-valid:...`,
 //! `windowed:20`, `conventional:32`, `oracle`). A trace is the sweep's
 //! frontend stream plus the workload's staged memory, and replay checks

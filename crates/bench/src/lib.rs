@@ -42,7 +42,7 @@ pub mod runner;
 pub use cli::{CliArgs, CliError, CliSpec};
 pub use runner::{
     figure_main, pool_map, run_with_args, workspace_results_dir, Cursor, FrontendCacheStats,
-    HarnessArgs, Sweep, SweepPoint, DEFAULT_LANES, HARNESS_USAGE,
+    HarnessArgs, Sweep, SweepPoint, DEFAULT_LANES, HARNESS_SPEC, HARNESS_USAGE,
 };
 
 /// Registers per sequential context (the paper allocates 20).

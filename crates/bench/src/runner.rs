@@ -400,9 +400,11 @@ impl FrontendCacheStats {
 /// with the benchmark's next revision.
 pub const DEFAULT_LANES: usize = 8;
 
-/// The figure binaries' flag set (strict values, tolerated unknowns —
-/// see [`HarnessArgs::try_from_args`]).
-const HARNESS_SPEC: CliSpec = CliSpec {
+/// The harness flag set. Figure binaries tolerate unknown flags (see
+/// [`HarnessArgs::try_from_args`]); `perf_report` parses the same set
+/// strictly. Both build their [`HarnessArgs`] through
+/// [`HarnessArgs::from_cli`].
+pub const HARNESS_SPEC: CliSpec = CliSpec {
     value_flags: &["scale", "threads", "out"],
     switches: &["quiet", "store", "no-store"],
     repeatable: &[],
@@ -454,10 +456,14 @@ impl HarnessArgs {
     /// [`CliError`], never a silent default.
     pub fn try_from_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let raw: Vec<String> = args.into_iter().collect();
-        let parsed = CliArgs::parse(&Self::known_tokens(&raw), &HARNESS_SPEC)?;
-        let store_on = parsed.switch("store");
-        let store_off = parsed.switch("no-store");
-        if store_on && store_off {
+        Self::from_cli(&CliArgs::parse(&Self::known_tokens(&raw), &HARNESS_SPEC)?)
+    }
+
+    /// Builds the arguments from a command line parsed against
+    /// [`HARNESS_SPEC`]: malformed values and `--store --no-store` are
+    /// [`CliError`]s, `--threads 0` clamps to 1.
+    pub fn from_cli(parsed: &CliArgs) -> Result<Self, CliError> {
+        if parsed.switch("store") && parsed.switch("no-store") {
             return Err(CliError::Conflict {
                 a: "store".into(),
                 b: "no-store".into(),
@@ -466,7 +472,7 @@ impl HarnessArgs {
         Ok(HarnessArgs {
             scale: parsed.parsed_or("scale", 1u32)?,
             threads: parsed.parsed_or("threads", default_threads())?.max(1),
-            store: !store_off,
+            store: !parsed.switch("no-store"),
             quiet: parsed.switch("quiet"),
             out: parsed.flag("out").map(String::from),
         })

@@ -200,15 +200,6 @@ impl AssocDecoder {
     pub fn resident_contexts(&self) -> u32 {
         self.resident
     }
-
-    /// Iterates over `(slot, tag)` for all bound lines (diagnostics and
-    /// tests; not on any simulation hot path).
-    pub fn bound_lines(&self) -> impl Iterator<Item = (usize, LineTag)> + '_ {
-        self.tags
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|tag| (i, tag)))
-    }
 }
 
 #[cfg(test)]

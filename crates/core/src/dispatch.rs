@@ -15,23 +15,25 @@ use crate::addr::{Cid, RegAddr};
 use crate::stats::{Occupancy, RegFileStats};
 use crate::traits::{Access, BackingStore, RegFileError, RegisterFile};
 use crate::Word;
-use crate::{ConventionalFile, NamedStateFile, OracleFile, SegmentedFile, WindowedFile};
+use crate::{NamedStateFile, OracleFile, SegmentedFile, WindowedFile};
 use std::fmt;
 
 /// A register file organization, dispatched statically.
 ///
-/// One variant per concrete engine family (the segmented family covers
-/// both hardware- and software-spill engines — that choice is a
-/// [`crate::SpillEngine`] parameter, not a type) and the oracle.
+/// One variant per concrete engine family and the oracle. A choice
+/// within a family is a parameter, not a type: the segmented family
+/// covers hardware- and software-spill engines (a [`crate::SpillEngine`])
+/// and the conventional single-context file, which is its one-frame
+/// case.
 pub enum EngineDispatch {
     /// The Named-State Register File.
     Nsf(NamedStateFile),
-    /// A segmented multithreaded file (hardware or software spill).
+    /// A segmented multithreaded file (hardware or software spill). Its
+    /// one-frame, whole-frame case is the conventional single-context
+    /// file.
     Segmented(SegmentedFile),
     /// SPARC-style overlapping register windows.
     Windowed(WindowedFile),
-    /// A conventional single-context file.
-    Conventional(ConventionalFile),
     /// The infinite oracle (differential testing).
     Oracle(OracleFile),
 }
@@ -168,12 +170,6 @@ impl From<WindowedFile> for EngineDispatch {
     }
 }
 
-impl From<ConventionalFile> for EngineDispatch {
-    fn from(e: ConventionalFile) -> Self {
-        EngineDispatch::Conventional(e)
-    }
-}
-
 impl From<OracleFile> for EngineDispatch {
     fn from(e: OracleFile) -> Self {
         EngineDispatch::Oracle(e)
@@ -189,7 +185,6 @@ macro_rules! forward {
             EngineDispatch::Nsf(e) => e.$method($($arg),*),
             EngineDispatch::Segmented(e) => e.$method($($arg),*),
             EngineDispatch::Windowed(e) => e.$method($($arg),*),
-            EngineDispatch::Conventional(e) => e.$method($($arg),*),
             EngineDispatch::Oracle(e) => e.$method($($arg),*),
         }
     };

@@ -25,8 +25,11 @@
 //! into frames, one thread per frame; switching to a non-resident thread
 //! spills a whole victim frame and reloads the incoming one, using either a
 //! hardware spill engine or Sparcle-style software trap handlers
-//! ([`SpillEngine`]). [`ConventionalFile`] is the single-context degenerate
-//! case. [`WindowedFile`] models the SPARC register windows that the
+//! ([`SpillEngine`]). The paper's "conventional processor", whose every
+//! context switch moves the whole register set through memory, is the
+//! degenerate one-frame case: a [`SegmentedFile`] with one frame and
+//! full-frame transfers, which names itself `Conventional`.
+//! [`WindowedFile`] models the SPARC register windows that the
 //! paper's related work (Keppel, Hidaka) tried to multithread — strict
 //! stack-ordered windows with trap-driven overflow/underflow and a full
 //! flush on thread switches. [`OracleFile`] is an infinite, never-spilling
@@ -38,7 +41,6 @@
 
 pub mod addr;
 pub mod cam;
-pub mod conventional;
 pub mod dispatch;
 pub mod nsf;
 pub mod oracle;
@@ -52,7 +54,6 @@ pub mod traits;
 pub mod windowed;
 
 pub use addr::{Cid, RegAddr};
-pub use conventional::ConventionalFile;
 pub use dispatch::{EngineDispatch, LaneOp, LaneStep};
 pub use nsf::{NamedStateFile, NsfConfig};
 pub use oracle::OracleFile;

@@ -67,25 +67,6 @@ impl NsfConfig {
         }
     }
 
-    /// A swept point of the Figure 13 design space: the paper default
-    /// with `regs_per_line`-register lines. The line width must be
-    /// nonzero, divide `total_regs`, and fit inside one 32-register
-    /// context — exactly the organizations the CAM decoder can tag.
-    pub fn paper_lines(total_regs: u32, regs_per_line: u8) -> Self {
-        let mut cfg = NsfConfig::paper_default(total_regs);
-        assert!(
-            regs_per_line > 0 && regs_per_line <= cfg.ctx_regs,
-            "line must fit a context"
-        );
-        assert_eq!(
-            total_regs % u32::from(regs_per_line),
-            0,
-            "line width must divide the file"
-        );
-        cfg.regs_per_line = regs_per_line;
-        cfg
-    }
-
     /// The proof-of-concept prototype chip's organization (paper Fig. 5):
     /// 32 single-register lines behind a 10-bit CAM, two read ports and
     /// one write port.

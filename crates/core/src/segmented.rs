@@ -18,6 +18,11 @@
 //! The spill machinery is either a hardware engine or Sparcle-style
 //! software trap handlers ([`crate::SpillEngine`]), which drives the
 //! Figure 14 overhead comparison.
+//!
+//! One frame with full-frame transfers and no dribble engine is the
+//! paper's conventional single-context processor: every switch spills and
+//! reloads the whole register set, a cost that "may take hundreds of
+//! cycles". Such a file names itself `Conventional N regs`.
 
 use crate::addr::{Cid, RegAddr};
 use crate::policy::{ReplacementPolicy, SpillEngine};
@@ -83,20 +88,6 @@ impl SegmentedConfig {
             engine: SpillEngine::hardware(),
             dribble: None,
         }
-    }
-
-    /// A swept point of the design space: `total_regs` registers divided
-    /// evenly into `frames` frames. `frames` must divide `total_regs`
-    /// and each frame must fit an eight-bit register count.
-    pub fn evenly_divided(total_regs: u32, frames: u32) -> Self {
-        assert!(frames > 0, "need at least one frame");
-        assert_eq!(total_regs % frames, 0, "frames must divide the file");
-        let frame_regs = total_regs / frames;
-        assert!(
-            frame_regs > 0 && frame_regs <= 255,
-            "frame size out of range"
-        );
-        SegmentedConfig::paper_default(frames, frame_regs as u8)
     }
 }
 
@@ -535,9 +526,13 @@ impl RegisterFile for SegmentedFile {
     }
 
     fn describe(&self) -> String {
+        let cfg = &self.cfg;
+        if cfg.frames == 1 && cfg.policy == FramePolicy::Full && cfg.dribble.is_none() {
+            return format!("Conventional {} regs", self.capacity());
+        }
         format!(
             "Segmented {}x{} ({:?}, {:?})",
-            self.cfg.frames, self.cfg.frame_regs, self.cfg.policy, self.cfg.engine
+            cfg.frames, cfg.frame_regs, cfg.policy, cfg.engine
         )
     }
 }
@@ -590,6 +585,23 @@ mod tests {
         assert_eq!(f.stats().regs_reloaded, 4);
         assert_eq!(f.stats().live_regs_reloaded, 1);
         assert_eq!(f.read(RegAddr::new(1, 0), &mut s).unwrap().value, 10);
+    }
+
+    /// The one-frame case: the conventional single-context file.
+    #[test]
+    fn every_switch_moves_the_whole_file() {
+        let mut f = file(1, 8, FramePolicy::Full);
+        let mut s = MapStore::new();
+        f.switch_to(1, &mut s).unwrap();
+        f.write(RegAddr::new(1, 0), 1, &mut s).unwrap();
+        f.switch_to(2, &mut s).unwrap();
+        assert_eq!(f.stats().regs_spilled, 8);
+        f.write(RegAddr::new(2, 0), 2, &mut s).unwrap();
+        f.switch_to(1, &mut s).unwrap();
+        assert_eq!(f.stats().regs_spilled, 16);
+        assert_eq!(f.stats().regs_reloaded, 8);
+        assert_eq!(f.read(RegAddr::new(1, 0), &mut s).unwrap().value, 1);
+        assert_eq!(f.describe(), "Conventional 8 regs");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! must still hold every architecturally visible value.
 
 use nsf_core::{
-    segmented::FramePolicy, BackingStore, ConventionalFile, FaultPlan, FaultyStore, MapStore,
-    NamedStateFile, NsfConfig, RegAddr, RegFileError, RegisterFile, SegmentedConfig, SegmentedFile,
-    SpillEngine, WindowedConfig, WindowedFile,
+    segmented::FramePolicy, BackingStore, FaultPlan, FaultyStore, MapStore, NamedStateFile,
+    NsfConfig, RegAddr, RegFileError, RegisterFile, SegmentedConfig, SegmentedFile, SpillEngine,
+    WindowedConfig, WindowedFile,
 };
 
 type Store = FaultyStore<MapStore>;
@@ -286,7 +286,7 @@ fn windowed_underflow_reload_fault_is_retryable() {
 
 #[test]
 fn conventional_fault_paths_surface_errors_and_recover() {
-    let mut f = ConventionalFile::new(4);
+    let mut f = SegmentedFile::new(SegmentedConfig::paper_default(1, 4));
     let mut s = store();
     f.switch_to(1, &mut s).unwrap();
     for i in 0..4u8 {

@@ -2,8 +2,8 @@
 
 use crate::machine::SimError;
 use nsf_core::{
-    segmented::FramePolicy, ConventionalFile, EngineDispatch, NamedStateFile, NsfConfig,
-    OracleFile, SegmentedConfig, SpillEngine, WindowedConfig, WindowedFile,
+    segmented::FramePolicy, EngineDispatch, NamedStateFile, NsfConfig, OracleFile, SegmentedConfig,
+    SegmentedFile, SpillEngine, WindowedConfig, WindowedFile,
 };
 use nsf_mem::{Addr, MemConfig};
 use nsf_runtime::SchedulerConfig;
@@ -22,7 +22,8 @@ pub enum RegFileSpec {
     Nsf(NsfConfig),
     /// A segmented (multithreaded baseline) file.
     Segmented(SegmentedConfig),
-    /// A conventional single-context file.
+    /// A conventional single-context file: built as the one-frame,
+    /// whole-frame [`SegmentedFile`].
     Conventional {
         /// Registers in the file.
         regs: u8,
@@ -96,9 +97,11 @@ impl RegFileSpec {
         Ok(match *self {
             RegFileSpec::Nsf(cfg) => NamedStateFile::new(cfg).into(),
             RegFileSpec::Segmented(cfg) => SegmentedFile::new(cfg).into(),
-            RegFileSpec::Conventional { regs, engine } => {
-                ConventionalFile::with_engine(regs, engine).into()
-            }
+            RegFileSpec::Conventional { regs, engine } => SegmentedFile::new(SegmentedConfig {
+                engine,
+                ..SegmentedConfig::paper_default(1, regs)
+            })
+            .into(),
             RegFileSpec::Windowed(cfg) => WindowedFile::new(cfg).into(),
             RegFileSpec::Oracle => OracleFile::new().into(),
         })
@@ -143,8 +146,6 @@ impl RegFileSpec {
         RegFileSpec::Segmented(cfg)
     }
 }
-
-use nsf_core::SegmentedFile;
 
 /// Per-class instruction latencies, in cycles. Calibrated to the Sparc-2
 /// class timings the paper used ("The instruction and memory access times
@@ -397,6 +398,14 @@ mod tests {
             engine: SpillEngine::hardware(),
         };
         assert!(describe(conv).contains("Conventional"));
+        // The conventional file is the one-frame, whole-frame segmented
+        // file, under either name; other one-frame files stay segmented.
+        let parsed = |spec: &str| describe(crate::spec::parse_engine(spec).unwrap());
+        assert_eq!(parsed("segmented:1x20"), "Conventional 20 regs");
+        assert!(parsed("segmented-valid:1x20").contains("Segmented"));
+        let mut dribble = SegmentedConfig::paper_default(1, 20);
+        dribble.dribble = Some(nsf_core::segmented::DribbleConfig { ops_per_reg: 4 });
+        assert!(describe(RegFileSpec::Segmented(dribble)).contains("Segmented"));
         assert!(describe(RegFileSpec::Oracle).contains("Oracle"));
     }
 

@@ -311,7 +311,6 @@ impl Machine {
             EngineDispatch::Nsf(rf) => self.run_on(rf, probe),
             EngineDispatch::Segmented(rf) => self.run_on(rf, probe),
             EngineDispatch::Windowed(rf) => self.run_on(rf, probe),
-            EngineDispatch::Conventional(rf) => self.run_on(rf, probe),
             EngineDispatch::Oracle(rf) => self.run_on(rf, probe),
         };
         self.regfile = regfile;

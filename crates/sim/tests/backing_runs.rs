@@ -206,7 +206,11 @@ fn engines(regs: u8) -> Vec<EngineDispatch> {
         SegmentedFile::new(SegmentedConfig::paper_default(2, regs)).into(),
         SegmentedFile::new(full_dribble).into(),
         SegmentedFile::new(valid_only).into(),
-        nsf_core::ConventionalFile::with_engine(regs, SpillEngine::software()).into(),
+        SegmentedFile::new(SegmentedConfig {
+            engine: SpillEngine::software(),
+            ..SegmentedConfig::paper_default(1, regs)
+        })
+        .into(),
         WindowedFile::new(WindowedConfig {
             windows: 2,
             window_regs: regs,

@@ -708,7 +708,6 @@ impl ReplaySet {
             EngineDispatch::Nsf(rf) => state.run(rf, ops),
             EngineDispatch::Segmented(rf) => state.run(rf, ops),
             EngineDispatch::Windowed(rf) => state.run(rf, ops),
-            EngineDispatch::Conventional(rf) => state.run(rf, ops),
             EngineDispatch::Oracle(rf) => state.run(rf, ops),
         }
     }

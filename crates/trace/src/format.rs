@@ -54,7 +54,7 @@ pub struct TraceMeta {
     /// Benchmark name (Table 1 naming, or a synthetic generator's).
     pub workload: String,
     /// Engine spec string the trace was recorded under (parseable by
-    /// [`crate::spec::parse_engine`], e.g. `nsf:80`).
+    /// [`nsf_sim::spec::parse_engine`], e.g. `nsf:80`).
     pub engine: String,
     /// Workload scale the trace was recorded at.
     pub scale: u32,

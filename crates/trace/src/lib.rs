@@ -47,18 +47,14 @@ pub mod format;
 pub mod frame;
 pub mod replay;
 pub mod store;
-/// The engine-spec grammar, re-exported from its shared home in
-/// `nsf-sim` (`nsf_sim::spec`) — trace headers store these strings, so
-/// the historical `nsf_trace::spec` path keeps working.
-pub use nsf_sim::spec;
 
 pub use fcache::{
     capture_frontend, capture_rejection, replay_frontend, FrontendBuffer, TraceStream,
 };
 pub use format::{Trace, TraceError, TraceMeta, FORMAT_VERSION, MAGIC};
 pub use frame::{FrameError, VarReader, VarWriter};
+pub use nsf_sim::spec::{default_engine_spec, parse_engine, SpecError};
 pub use replay::{diff, replay, replay_events, DiffReport, Divergence, ReplayReport, StatDelta};
-pub use spec::{default_engine_spec, parse_engine, SpecError};
 pub use store::{
     decode_stream, encode_stream, stream_fingerprint, validate_stream_bytes, StoreError,
     StreamStore, STORE_MAGIC, STORE_VERSION,

@@ -1,8 +1,6 @@
 //! Shared construction helpers for the benchmark programs.
 
 use nsf_compiler::{BinOp, Cond, FuncBuilder, Operand, VReg};
-use nsf_isa::builder::ProgramBuilder;
-use nsf_isa::{Inst, Reg};
 
 /// Emits `for i in start..limit { body }` into an IR function and leaves
 /// the builder positioned after the loop. The body closure receives the
@@ -28,52 +26,10 @@ pub fn counted_loop(
     b.switch_to(exit);
 }
 
-/// Assembly-level counted loop for the hand-written parallel benchmarks:
-/// `for ctr in 0..limit { body }`. `ctr` and `limit_reg` must be distinct
-/// registers the body does not clobber; `limit_reg` must already hold the
-/// bound.
-pub fn asm_loop(
-    b: &mut ProgramBuilder,
-    ctr: Reg,
-    limit_reg: Reg,
-    body: impl FnOnce(&mut ProgramBuilder),
-) {
-    b.emit(Inst::Li { rd: ctr, imm: 0 });
-    let hdr = b.new_label();
-    let exit = b.new_label();
-    b.bind(hdr);
-    b.bge(ctr, limit_reg, exit);
-    body(b);
-    b.emit(Inst::Addi {
-        rd: ctr,
-        rs1: ctr,
-        imm: 1,
-    });
-    b.jmp(hdr);
-    b.bind(exit);
-}
-
 /// A deterministic 32-bit LCG matching the in-program generators
 /// (`x' = x * 1664525 + 1013904223`).
 pub fn lcg(x: u32) -> u32 {
     x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223)
-}
-
-/// Emits the same LCG step in assembly: `x = x * 1664525 + 1013904223`,
-/// using `tmp` as scratch.
-pub fn asm_lcg_step(b: &mut ProgramBuilder, x: Reg, tmp: Reg) {
-    b.load_const(tmp, 1_664_525);
-    b.emit(Inst::Mul {
-        rd: x,
-        rs1: x,
-        rs2: tmp,
-    });
-    b.load_const(tmp, 1_013_904_223);
-    b.emit(Inst::Add {
-        rd: x,
-        rs1: x,
-        rs2: tmp,
-    });
 }
 
 /// The `Label` re-export used by benchmark builders.
