@@ -15,7 +15,8 @@
 //! Every wall time is reported as the median, min and max over the
 //! rounds. The speedups are medians of per-round ratios (cold ÷ warm,
 //! live ÷ cold, live ÷ warm), so the two passes of each ratio share one
-//! round's host load; each grid's JSON row also lists every round's
+//! round's host load; each stands beside the interquartile spread of
+//! its ratios, and each grid's JSON row also lists every round's
 //! ratios. (The store-warm pass replays through the same tile loop
 //! `trace_tool replay` runs, so it times that kernel on every grid.) A
 //! second section runs the sibling `nsf-explore` binary over its default
@@ -138,15 +139,37 @@ fn ratio(num: u128, den: u128) -> f64 {
     }
 }
 
-/// The median of per-round ratios `num / den`, the lower middle value
-/// with an even count (as in [`Spread`]). Both times of a pair come from
-/// one round and share its host load, which a ratio of two medians over
-/// all rounds does not cancel.
-fn paired_ratio(pairs: impl IntoIterator<Item = (u128, u128)>) -> f64 {
+/// The median of per-round ratios with their interquartile spread.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PairedRatio {
+    median: f64,
+    /// Upper quartile minus lower quartile.
+    iqr: f64,
+}
+
+impl PairedRatio {
+    /// `median (iqr)`, the median as a speedup.
+    fn cell(&self) -> String {
+        format!("{:.2}x ({:.2})", self.median, self.iqr)
+    }
+}
+
+/// The median and interquartile spread of per-round ratios `num / den`.
+/// Over the `n` sorted ratios the median is the value at `(n - 1) / 2`,
+/// the lower middle value with an even count (as in [`Spread`]); the
+/// quartiles sit `q = (n - 1) / 4` in from either end, so every figure
+/// is a ratio that was measured and one round reads a spread of zero.
+/// Both times of a pair come from one round and share its host load,
+/// which a ratio of two medians over all rounds does not cancel.
+fn paired_ratio(pairs: impl IntoIterator<Item = (u128, u128)>) -> PairedRatio {
     let mut r: Vec<f64> = pairs.into_iter().map(|(n, d)| ratio(n, d)).collect();
     assert!(!r.is_empty(), "a paired ratio needs at least one round");
     r.sort_by(f64::total_cmp);
-    r[(r.len() - 1) / 2]
+    let (last, q) = (r.len() - 1, (r.len() - 1) / 4);
+    PairedRatio {
+        median: r[last / 2],
+        iqr: r[last - q] - r[q],
+    }
 }
 
 /// Each pair's ratio `num / den`, as a one-line JSON array.
@@ -257,28 +280,35 @@ impl Row {
         self.round_ns.iter().map(|&(live, _, warm)| (live, warm))
     }
 
-    /// The median over rounds of cold ÷ warm.
-    fn store_speedup(&self) -> f64 {
+    /// Cold ÷ warm over the rounds.
+    fn store_speedup(&self) -> PairedRatio {
         paired_ratio(self.cold_warm())
     }
 
-    /// The median over rounds of live ÷ cold.
-    fn cold_speedup(&self) -> f64 {
+    /// Live ÷ cold over the rounds.
+    fn cold_speedup(&self) -> PairedRatio {
         paired_ratio(self.live_cold())
     }
 
-    /// The median over rounds of live ÷ warm.
-    fn live_speedup(&self) -> f64 {
+    /// Live ÷ warm over the rounds.
+    fn live_speedup(&self) -> PairedRatio {
         paired_ratio(self.live_warm())
     }
 
     fn json(&self) -> String {
+        let (store, cold, live) = (
+            self.store_speedup(),
+            self.cold_speedup(),
+            self.live_speedup(),
+        );
         format!(
             "{{\"grid\": \"{}\", \"points\": {}, \"instructions\": {}, \
              \"build_ns\": {}, \"live_ns\": {}, \"cold_ns\": {}, \"warm_ns\": {}, \
              \"live_minstr_per_sec\": {:.2}, \"store_speedup\": {:.2}, \
-             \"cold_warm_rounds\": {}, \"live_cold_speedup\": {:.2}, \"live_cold_rounds\": {}, \
-             \"live_speedup\": {:.2}, \"live_warm_rounds\": {}, \
+             \"store_speedup_iqr\": {:.3}, \"cold_warm_rounds\": {}, \
+             \"live_cold_speedup\": {:.2}, \"live_cold_speedup_iqr\": {:.3}, \
+             \"live_cold_rounds\": {}, \"live_speedup\": {:.2}, \"live_speedup_iqr\": {:.3}, \
+             \"live_warm_rounds\": {}, \
              \"warm_hits\": {}, \"warm_misses\": {}, \"warm_hit_rate\": {:.3}}}",
             self.name,
             self.points,
@@ -288,11 +318,14 @@ impl Row {
             self.cold.json(),
             self.warm.json(),
             self.live_rate() / 1e6,
-            self.store_speedup(),
+            store.median,
+            store.iqr,
             ratios_json(self.cold_warm()),
-            self.cold_speedup(),
+            cold.median,
+            cold.iqr,
             ratios_json(self.live_cold()),
-            self.live_speedup(),
+            live.median,
+            live.iqr,
             ratios_json(self.live_warm()),
             self.warm_stats.store_hits,
             self.warm_stats.store_misses,
@@ -500,12 +533,12 @@ fn main() {
     );
     println!("{}", host.line());
     println!(
-        "Wall ms: median [min-max] over the rounds. Spd: median over rounds of cold / warm; \
-         Live/C: of live / cold; Live/W: of live / warm."
+        "Wall ms: median [min-max] over the rounds. Spd: median (interquartile spread) over \
+         rounds of cold / warm; Live/C: of live / cold; Live/W: of live / warm."
     );
     println!(
-        "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8} {:>5} {:>6} {:>5} {:>6} {:>6} \
-         {:>6}",
+        "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8} {:>5} {:>6} {:>5} {:>13} {:>13} \
+         {:>13}",
         "Grid",
         "Points",
         "Instrs",
@@ -521,13 +554,13 @@ fn main() {
         "Live/C",
         "Live/W"
     );
-    nsf_bench::rule(168);
+    nsf_bench::rule(189);
     let mut rows = Vec::new();
     for &(name, grid) in GRIDS {
         let row = Row::measure(name, grid, &args, &store_root.join(name));
         println!(
-            "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>5.2}x \
-             {:>5.2}x {:>5.2}x",
+            "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>13} \
+             {:>13} {:>13}",
             row.name,
             row.points,
             row.instructions,
@@ -539,14 +572,14 @@ fn main() {
             row.warm_stats.store_hits,
             row.warm_stats.store_misses,
             row.warm_stats.store_hit_rate() * 100.0,
-            row.store_speedup(),
-            row.cold_speedup(),
-            row.live_speedup(),
+            row.store_speedup().cell(),
+            row.cold_speedup().cell(),
+            row.live_speedup().cell(),
         );
         rows.push(row);
     }
     let _ = fs::remove_dir_all(&store_root);
-    nsf_bench::rule(168);
+    nsf_bench::rule(189);
 
     let explore = explore_section(&args);
     println!(
@@ -575,7 +608,9 @@ fn main() {
         "\nstore-summary grids={} grids_with_warm_hits={} max_speedup={:.2} peak_rss_mb={peak_rss}",
         rows.len(),
         rows.iter().filter(|r| r.warm_stats.store_hits > 0).count(),
-        rows.iter().map(Row::store_speedup).fold(0.0, f64::max),
+        rows.iter()
+            .map(|r| r.store_speedup().median)
+            .fold(0.0, f64::max),
     );
 
     let json = format!(
@@ -596,7 +631,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{paired_ratio, Spread};
+    use super::{paired_ratio, PairedRatio, Spread};
 
     #[test]
     fn paired_ratio_is_the_median_of_per_round_ratios() {
@@ -604,11 +639,26 @@ mod tests {
         // are 1.0, 0.67 and 2.0, so the paired median is 1.0, while the
         // ratio of the medians (200 / 150) would read 1.33.
         let rounds = [(100, 100), (200, 300), (300, 150)];
-        assert_eq!(paired_ratio(rounds), 1.0);
+        assert_eq!(paired_ratio(rounds).median, 1.0);
         let median = |k: usize| Spread::of(rounds.iter().map(|r| [r.0, r.1][k])).median;
         assert_eq!(median(0) as f64 / median(1) as f64, 200.0 / 150.0);
         // An even count takes the lower middle ratio, as a spread does.
-        assert_eq!(paired_ratio([(3, 1), (1, 1), (2, 1), (4, 1)]), 2.0);
+        assert_eq!(paired_ratio([(3, 1), (1, 1), (2, 1), (4, 1)]).median, 2.0);
+    }
+
+    #[test]
+    fn quartiles_sit_a_quarter_in_from_either_end() {
+        let of = |ratios: &[u128]| paired_ratio(ratios.iter().map(|&r| (r, 1)));
+        let paired = |median: f64, iqr: f64| PairedRatio { median, iqr };
+        // One round: every quartile is that round.
+        assert_eq!(of(&[3]), paired(3.0, 0.0));
+        // Two to four rounds: q = 0, so the spread is the full range.
+        assert_eq!(of(&[9, 1]), paired(1.0, 8.0));
+        assert_eq!(of(&[4, 1, 3, 2]), paired(2.0, 3.0));
+        // Five rounds (perf_report's count): the second and fourth.
+        assert_eq!(of(&[50, 10, 40, 30, 20]), paired(30.0, 20.0));
+        // Nine rounds: the third and seventh, whatever the tails hold.
+        assert_eq!(of(&[1, 900, 3, 4, 5, 6, 7, 2, 1000]), paired(5.0, 4.0));
     }
 
     #[test]

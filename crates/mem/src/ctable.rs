@@ -35,32 +35,40 @@ impl std::error::Error for CtableError {}
 
 /// The translation table. Indexed by CID; each entry is the virtual base
 /// address of the context's register save area.
+///
+/// The entries grow to the highest context mapped so far, so a memory
+/// system that runs a few contexts holds a few entries, not `capacity`.
 #[derive(Clone, Debug)]
 pub struct Ctable {
     entries: Vec<Option<Addr>>,
+    capacity: usize,
 }
 
 impl Ctable {
     /// Creates a table with room for `capacity` Context IDs.
     pub fn new(capacity: usize) -> Self {
         Ctable {
-            entries: vec![None; capacity],
+            entries: Vec::new(),
+            capacity,
         }
     }
 
     /// Number of CID slots.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.capacity
     }
 
     /// Installs (or replaces) the mapping for `cid`; a `cid` beyond the
     /// table's capacity has no entry to hold it and is an error.
     pub fn map(&mut self, cid: u16, base: Addr) -> Result<(), CtableError> {
-        let entry = self
-            .entries
-            .get_mut(cid as usize)
-            .ok_or(CtableError { cid })?;
-        *entry = Some(base);
+        let index = cid as usize;
+        if index >= self.capacity {
+            return Err(CtableError { cid });
+        }
+        if index >= self.entries.len() {
+            self.entries.resize(index + 1, None);
+        }
+        self.entries[index] = Some(base);
         Ok(())
     }
 
@@ -111,6 +119,21 @@ mod tests {
         assert_eq!(t.lookup(9), Err(CtableError { cid: 9 }));
         assert_eq!(t.map(9, 0x1000), Err(CtableError { cid: 9 }));
         t.unmap(9);
+    }
+
+    #[test]
+    fn mapping_past_the_current_length_grows_within_capacity() {
+        let mut t = Ctable::new(16);
+        t.map(2, 0x100).unwrap();
+        assert_eq!(t.entries.len(), 3);
+        t.map(11, 0x200).unwrap();
+        assert_eq!(t.entries.len(), 12);
+        assert_eq!((t.lookup(2), t.lookup(11)), (Ok(0x100), Ok(0x200)));
+        assert_eq!(t.lookup(7), Err(CtableError { cid: 7 }));
+        assert_eq!(t.lookup(14), Err(CtableError { cid: 14 }));
+        t.map(15, 0x300).unwrap();
+        assert_eq!(t.map(16, 0x400), Err(CtableError { cid: 16 }));
+        assert_eq!((t.capacity(), t.entries.len()), (16, 16));
     }
 
     #[test]

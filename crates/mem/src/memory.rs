@@ -3,33 +3,29 @@
 use crate::{Addr, Word};
 use std::cell::Cell;
 
-/// Words per page. Large pages keep the directory small even for the
-/// backing-store arena high in the address space (`0x4000_0000`): the
-/// directory tops out at 64 Ki entries (512 KiB) for the full 32-bit
-/// space and ~16 Ki entries for a simulator that spills.
+/// Words per page: 1 Ki words, 4 KiB.
 const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
-const PAGE_SHIFT: u32 = 16;
+const PAGE_SHIFT: u32 = 10;
 
-/// Directory-cache sentinel: no page touched yet. Page numbers occupy
-/// at most `32 - PAGE_SHIFT` bits, so `u32::MAX` can never collide.
-const NO_PAGE: u32 = u32::MAX;
+/// Pages per second-level table: 1 Ki page indices, 4 KiB. The top
+/// level is indexed by `addr >> (PAGE_SHIFT + TABLE_SHIFT)`, so it holds
+/// at most 4 Ki entries (16 KiB) for the full 32-bit space and 1 Ki
+/// (4 KiB) for a simulator whose backing arena starts at `0x4000_0000`.
+const TABLE_PAGES: usize = 1 << TABLE_SHIFT;
+const TABLE_SHIFT: u32 = 10;
+
+/// Index sentinel: no table or page here. Arena indices stay below
+/// `2^(32 - PAGE_SHIFT)`, and so do page numbers, so `u32::MAX` is never
+/// a real index and never a real page number (it marks the empty
+/// last-page cache too).
+const NONE: u32 = u32::MAX;
 
 type Page = [Word; PAGE_WORDS];
-
-/// Allocates a zeroed page on the heap without staging it on the stack.
-fn new_page() -> Box<Page> {
-    vec![0 as Word; PAGE_WORDS]
-        .into_boxed_slice()
-        .try_into()
-        .expect("length matches PAGE_WORDS")
-}
+type Table = [u32; TABLE_PAGES];
 
 #[inline]
-fn split(addr: Addr) -> (usize, usize) {
-    (
-        (addr >> PAGE_SHIFT) as usize,
-        (addr as usize) & (PAGE_WORDS - 1),
-    )
+fn split(addr: Addr) -> (u32, usize) {
+    (addr >> PAGE_SHIFT, (addr as usize) & (PAGE_WORDS - 1))
 }
 
 /// A sparse, word-addressed main memory.
@@ -38,21 +34,31 @@ fn split(addr: Addr) -> (usize, usize) {
 /// zero, like freshly mapped pages. This is the *functional* home of all
 /// data — the [`crate::Cache`] in front of it models timing only.
 ///
-/// Storage is a flat two-level page table: a dense directory (`Vec`
-/// indexed by `addr >> PAGE_SHIFT`, grown on demand by writes) of
-/// optional boxed pages. Every access is a bounds check plus two
-/// dependent loads — no hashing anywhere on the simulator's
-/// per-instruction path. A single-entry last-page cache, shared by
-/// [`read`](Self::read) / [`write`](Self::write) / [`peek`](Self::peek),
-/// remembers the most recently touched resident page so the common
-/// same-page access skips the directory probe. The cache only ever
-/// names a resident page and the directory never shrinks, so the cached
-/// index stays valid for the life of the memory.
+/// Storage is a two-level page table over two arenas, so the memory
+/// held is the memory written: one 4 KiB page per page touched, one
+/// 4 KiB second-level table per 4 MiB region touched, and a top level
+/// of one `u32` per 4 MiB up to the highest region written. The top
+/// level (indexed by `addr >> 20`, grown on demand by writes) holds
+/// indices into the table arena; a table holds indices into the page
+/// arena. Every access is a bounds check plus three dependent loads —
+/// no hashing anywhere on the simulator's per-instruction path. A
+/// single-entry last-page cache, shared by [`read`](Self::read) /
+/// [`write`](Self::write) / [`peek`](Self::peek) and the bulk paths,
+/// keeps the most recently touched resident page with its arena index,
+/// so the common same-page access is one compare and one indexed load.
+/// The cache only ever names a resident page and pages are never
+/// unmapped, so the cached index stays valid for the life of the
+/// memory. Reads never map anything and never grow the directory.
 pub struct MainMemory {
-    dir: Vec<Option<Box<Page>>>,
-    /// Most recently touched *resident* page, or [`NO_PAGE`].
-    last_page: Cell<u32>,
-    resident: usize,
+    /// Table-arena index per 4 MiB region, or [`NONE`].
+    top: Vec<u32>,
+    /// Second-level tables: page-arena index per page, or [`NONE`].
+    tables: Vec<Table>,
+    /// Every resident page, in the order first written.
+    pages: Vec<Page>,
+    /// `(page number, page-arena index)` of the most recently touched
+    /// resident page, or `(NONE, NONE)`.
+    last: Cell<(u32, u32)>,
     reads: u64,
     writes: u64,
 }
@@ -60,9 +66,10 @@ pub struct MainMemory {
 impl Default for MainMemory {
     fn default() -> Self {
         MainMemory {
-            dir: Vec::new(),
-            last_page: Cell::new(NO_PAGE),
-            resident: 0,
+            top: Vec::new(),
+            tables: Vec::new(),
+            pages: Vec::new(),
+            last: Cell::new((NONE, NONE)),
             reads: 0,
             writes: 0,
         }
@@ -75,22 +82,31 @@ impl MainMemory {
         Self::default()
     }
 
+    /// The page-arena index of `page` if it is resident, updating the
+    /// last-page cache.
+    #[inline]
+    fn resident(&self, page: u32) -> Option<usize> {
+        let (last, index) = self.last.get();
+        if page == last {
+            return Some(index as usize);
+        }
+        let table = *self.top.get((page >> TABLE_SHIFT) as usize)?;
+        if table == NONE {
+            return None;
+        }
+        let index = self.tables[table as usize][page as usize & (TABLE_PAGES - 1)];
+        if index == NONE {
+            return None;
+        }
+        self.last.set((page, index));
+        Some(index as usize)
+    }
+
     #[inline]
     fn lookup(&self, addr: Addr) -> Word {
         let (page, off) = split(addr);
-        if page as u32 == self.last_page.get() {
-            // Cache invariant: a cached page is resident, so the
-            // directory slot exists and is `Some`.
-            return match self.dir[page].as_deref() {
-                Some(p) => p[off],
-                None => unreachable!("last-page cache names a resident page"),
-            };
-        }
-        match self.dir.get(page).and_then(|slot| slot.as_deref()) {
-            Some(p) => {
-                self.last_page.set(page as u32);
-                p[off]
-            }
+        match self.resident(page) {
+            Some(index) => self.pages[index][off],
             None => 0,
         }
     }
@@ -113,29 +129,37 @@ impl MainMemory {
     pub fn write(&mut self, addr: Addr, value: Word) {
         self.writes += 1;
         let (page, off) = split(addr);
-        if page as u32 == self.last_page.get() {
-            match self.dir[page].as_deref_mut() {
-                Some(p) => p[off] = value,
-                None => unreachable!("last-page cache names a resident page"),
-            }
-            return;
-        }
         self.page_mut(page)[off] = value;
     }
 
-    /// The page's storage, growing the directory and allocating the page
-    /// as needed (writes only — reads of unmapped words must not map them).
-    fn page_mut(&mut self, page: usize) -> &mut Page {
-        if page >= self.dir.len() {
-            self.dir.resize_with(page + 1, || None);
+    /// The page's storage, mapping it as needed (writes only — reads of
+    /// unmapped words must not map them).
+    #[inline]
+    fn page_mut(&mut self, page: u32) -> &mut Page {
+        let index = match self.resident(page) {
+            Some(index) => index,
+            None => self.map(page),
+        };
+        &mut self.pages[index]
+    }
+
+    /// Maps a non-resident `page`: grows the top level and adds a
+    /// second-level table as needed, then appends a zeroed page.
+    fn map(&mut self, page: u32) -> usize {
+        let region = (page >> TABLE_SHIFT) as usize;
+        if region >= self.top.len() {
+            self.top.resize(region + 1, NONE);
         }
-        let slot = &mut self.dir[page];
-        if slot.is_none() {
-            *slot = Some(new_page());
-            self.resident += 1;
+        if self.top[region] == NONE {
+            self.top[region] = self.tables.len() as u32;
+            self.tables.push([NONE; TABLE_PAGES]);
         }
-        self.last_page.set(page as u32);
-        slot.as_deref_mut().expect("just filled")
+        let slot = &mut self.tables[self.top[region] as usize][page as usize & (TABLE_PAGES - 1)];
+        debug_assert_eq!(*slot, NONE, "map is only called for a non-resident page");
+        *slot = self.pages.len() as u32;
+        self.pages.push([0; PAGE_WORDS]);
+        self.last.set((page, *slot));
+        *slot as usize
     }
 
     /// Writes a slice of words starting at `addr`, one directory probe
@@ -164,8 +188,8 @@ impl MainMemory {
             let (page, off) = split(addr);
             let n = (PAGE_WORDS - off).min(out.len());
             let (head, rest) = out.split_at_mut(n);
-            match self.dir.get(page).and_then(|slot| slot.as_deref()) {
-                Some(p) => head.copy_from_slice(&p[off..off + n]),
+            match self.resident(page) {
+                Some(index) => head.copy_from_slice(&self.pages[index][off..off + n]),
                 None => head.fill(0),
             }
             addr = addr.wrapping_add(n as Addr);
@@ -190,9 +214,9 @@ impl MainMemory {
         self.writes
     }
 
-    /// Number of resident (touched) pages.
+    /// Number of resident (written) 4 KiB pages.
     pub fn resident_pages(&self) -> usize {
-        self.resident
+        self.pages.len()
     }
 }
 
@@ -200,12 +224,16 @@ impl MainMemory {
 mod tests {
     use super::*;
 
+    /// Words per second-level table's span.
+    const TABLE_WORDS: Addr = 1 << (PAGE_SHIFT + TABLE_SHIFT);
+
     #[test]
     fn unwritten_reads_zero() {
         let mut m = MainMemory::new();
         assert_eq!(m.read(0), 0);
         assert_eq!(m.read(u32::MAX), 0);
         assert_eq!(m.resident_pages(), 0, "reads must not map pages");
+        assert!(m.top.is_empty(), "reads must not grow the directory");
     }
 
     #[test]
@@ -224,6 +252,15 @@ mod tests {
         m.write_block(base, &[1, 2, 3, 4]);
         assert_eq!(m.read_block(base, 4), vec![1, 2, 3, 4]);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn blocks_roundtrip_across_table_boundary() {
+        let mut m = MainMemory::new();
+        let base = TABLE_WORDS - 2; // straddles the first two tables
+        m.write_block(base, &[1, 2, 3, 4]);
+        assert_eq!(m.read_block(base, 4), vec![1, 2, 3, 4]);
+        assert_eq!((m.resident_pages(), m.tables.len()), (2, 2));
     }
 
     #[test]
@@ -256,5 +293,16 @@ mod tests {
         assert_eq!(m.peek(0x4000_0000), 40);
         assert_eq!(m.peek(5), 50);
         assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.top.len(), (0x4000_0000 / TABLE_WORDS) as usize + 1);
+    }
+
+    #[test]
+    fn last_word_of_the_address_space() {
+        let mut m = MainMemory::new();
+        m.write(u32::MAX, 9);
+        assert_eq!(m.peek(u32::MAX), 9);
+        assert_eq!(m.peek(u32::MAX - 1), 0);
+        assert_eq!(m.top.len(), 1 << (32 - PAGE_SHIFT - TABLE_SHIFT));
+        assert_eq!(m.resident_pages(), 1);
     }
 }

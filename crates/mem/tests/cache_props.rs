@@ -124,7 +124,7 @@ proptest! {
     /// dirty state afterwards — checked by sweeping both caches with a
     /// conflict-heavy probe whose latencies expose the eviction order
     /// and pending writebacks. Runs start anywhere, so they cross line
-    /// and set boundaries, and the bases put some across a 64 Ki-word
+    /// and set boundaries, and the bases put some across a
     /// memory page and across the top of the address space.
     #[test]
     fn access_run_matches_word_accesses(

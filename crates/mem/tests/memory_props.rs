@@ -1,10 +1,10 @@
-//! Differential property tests of [`MainMemory`]'s flat two-level page
+//! Differential property tests of [`MainMemory`]'s two-level page
 //! table against the original hashed implementation.
 //!
 //! The production memory replaced a `HashMap<page, Box<[Word]>>` with a
-//! dense directory plus a last-page cache; this file keeps the hashed
-//! form alive as a reference model and drives random operation streams
-//! through both, demanding word-for-word equality and identical
+//! page-table directory plus a last-page cache; this file keeps the
+//! hashed form alive as a reference model and drives random operation
+//! streams through both, demanding word-for-word equality and identical
 //! `reads()` / `writes()` / `resident_pages()` accounting.
 
 use nsf_mem::{Addr, MainMemory, Word};
@@ -15,7 +15,11 @@ use std::collections::HashMap;
 /// `resident_pages()` equality only holds if both models page the
 /// address space identically, so a drift here fails the tests loudly.
 const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
-const PAGE_SHIFT: u32 = 16;
+const PAGE_SHIFT: u32 = 10;
+
+/// Words spanned by one second-level table of the directory: the edges
+/// where a walk moves from one table to the next.
+const TABLE_WORDS: Addr = 1 << 20;
 
 /// The pre-flattening `MainMemory`: a hashed page map with per-word
 /// block transfers, preserved as the reference model.
@@ -76,17 +80,36 @@ enum Op {
     ReadInto(Addr, usize),
 }
 
-/// Addresses cluster around page boundaries in a few regions (including
-/// the simulator's backing arena) so streams revisit pages, straddle
-/// page edges, and still hit the sparse far corners; capped below
-/// `u32::MAX` so block transfers never wrap the address space.
+/// Addresses cluster around page and directory edges in a few regions
+/// so streams revisit pages, straddle page edges, and still hit the
+/// sparse far corners: words on both sides of a second-level table
+/// boundary, the simulator's save-area arena at `0x4000_0000` (itself a
+/// table boundary), and the last page of the address space, where block
+/// transfers wrap to address 0 in both models alike.
 fn arb_addr() -> impl Strategy<Value = Addr> {
     let near = |base: Addr| (0u32..2 * PAGE_WORDS as u32).prop_map(move |d| base + d);
+    let around = |edge: Addr| near(edge - PAGE_WORDS as Addr);
     prop_oneof![
         near(0),
         near((PAGE_WORDS - 8) as Addr),
+        around(TABLE_WORDS),
+        around(7 * TABLE_WORDS),
         near(0x4000_0000),
-        0u32..0xFFFF_0000,
+        around(0x4000_0000),
+        u32::MAX - 2 * PAGE_WORDS as u32..=u32::MAX,
+        any::<Addr>(),
+    ]
+}
+
+/// Block starts: any address above, or one a few words before a
+/// second-level table boundary, so runs of up to 96 words straddle it.
+fn arb_block_addr() -> impl Strategy<Value = Addr> {
+    let straddle = |edge: Addr| (1u32..64).prop_map(move |d| edge.wrapping_sub(d));
+    prop_oneof![
+        arb_addr(),
+        straddle(TABLE_WORDS),
+        straddle(0x4000_0000),
+        straddle(0),
     ]
 }
 
@@ -95,10 +118,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_addr().prop_map(Op::Read),
         arb_addr().prop_map(Op::Peek),
         (arb_addr(), any::<Word>()).prop_map(|(a, v)| Op::Write(a, v)),
-        (arb_addr(), proptest::collection::vec(any::<Word>(), 0..96))
+        (
+            arb_block_addr(),
+            proptest::collection::vec(any::<Word>(), 0..96)
+        )
             .prop_map(|(a, v)| Op::WriteBlock(a, v)),
-        (arb_addr(), 0usize..96).prop_map(|(a, n)| Op::ReadBlock(a, n)),
-        (arb_addr(), 0usize..96).prop_map(|(a, n)| Op::ReadInto(a, n)),
+        (arb_block_addr(), 0usize..96).prop_map(|(a, n)| Op::ReadBlock(a, n)),
+        (arb_block_addr(), 0usize..96).prop_map(|(a, n)| Op::ReadInto(a, n)),
     ]
 }
 
@@ -136,9 +162,30 @@ proptest! {
         }
     }
 
+    /// Reads of unmapped pages return zero and map nothing, however the
+    /// directory around them was grown by earlier writes.
+    #[test]
+    fn reads_never_map(
+        writes in proptest::collection::vec(arb_addr(), 0..8),
+        reads in proptest::collection::vec((arb_block_addr(), 0usize..200), 1..16),
+    ) {
+        let mut m = MainMemory::new();
+        let mut hashed = HashedMemory::default();
+        for &a in &writes {
+            m.write(a, 1);
+            hashed.write(a, 1);
+        }
+        let resident = m.resident_pages();
+        for &(a, n) in &reads {
+            prop_assert_eq!(m.peek(a), hashed.peek(a));
+            prop_assert_eq!(m.read_block(a, n), hashed.read_block(a, n));
+            prop_assert_eq!(m.resident_pages(), resident, "reads must not map pages");
+        }
+    }
+
     /// `read_into` counts one read per word, like the loop it replaced.
     #[test]
-    fn read_into_counts_per_word(addr in arb_addr(), len in 0usize..200) {
+    fn read_into_counts_per_word(addr in arb_block_addr(), len in 0usize..200) {
         let mut m = MainMemory::new();
         let mut buf = vec![0; len];
         m.read_into(addr, &mut buf);

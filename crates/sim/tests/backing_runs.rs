@@ -22,7 +22,7 @@ use proptest::prelude::*;
 const MAPPED: Cid = 4;
 const UNMAPPED: Cid = 6;
 
-/// Context `cid`'s save area. Context 1's straddles a 64 Ki-word memory
+/// Context `cid`'s save area. Context 1's straddles a memory
 /// page boundary.
 fn save_area(cid: Cid) -> Addr {
     match cid {
