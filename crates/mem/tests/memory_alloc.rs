@@ -34,11 +34,6 @@ unsafe impl GlobalAlloc for Held {
         unsafe { System.alloc(layout) }
     }
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Counted as a fresh block beside the old one, as a moving
         // realloc holds both for a moment.
