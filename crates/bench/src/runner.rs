@@ -127,12 +127,14 @@ impl Sweep {
     /// Smallest frontend group [`Sweep::run_stored`] captures without a
     /// stream store. A capture costs a live run plus event encoding, and
     /// a group pays one stream decode on top; replaying each further
-    /// point costs only its engine work. On gatesim at the evaluation
-    /// scale (`frontend_cache` Criterion group, EXPERIMENTS.md "Capture
-    /// break-even") a pair still runs faster live (capture and replay
-    /// take ~1.06-1.37x the two live runs), while three points already
-    /// run faster captured (~0.91x) and sixteen at ~0.54x. Narrower
-    /// store-less groups run every point live on [`nsf_sim::Machine`].
+    /// point costs only its engine work. The evidence is the break-even
+    /// table in EXPERIMENTS.md ("Simulator throughput", seventh history
+    /// row) and its 15-pair interleaved cross-check, on gatesim at the
+    /// evaluation scale: a pair still runs faster live (capture and
+    /// replay take 1.06x the two live runs, 1.37x interleaved), while
+    /// three points already run faster captured (0.94x, 0.91x
+    /// interleaved). Narrower store-less groups run every point live on
+    /// [`nsf_sim::Machine`].
     pub const MIN_CAPTURE_GROUP: usize = 3;
 
     /// Runs every point through the frontend event-stream cache and

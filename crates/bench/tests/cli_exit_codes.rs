@@ -216,7 +216,8 @@ fn repeatable_engine_flag_still_accumulates() {
 
 /// Engine specs that parse but name no buildable organization: an NSF
 /// line that does not divide the file or exceeds a context, zero frames
-/// or registers, and frames wider than the 64-word save area.
+/// or registers, frames wider than the 64-word save area, and files
+/// past the register-slot bound.
 const UNBUILDABLE_SPECS: &[&str] = &[
     "nsf:80x3",
     "nsf:80x40",
@@ -224,6 +225,11 @@ const UNBUILDABLE_SPECS: &[&str] = &[
     "windowed:0",
     "conventional:0",
     "segmented:2x100",
+    "nsf:4294967295",
+    "segmented:4294967295x1",
+    "segmented-sw:4294967295x64",
+    // 2^26 frames x 64 registers: 2^32 slots, a product past `u32`.
+    "segmented:67108864x64",
 ];
 
 #[test]

@@ -248,8 +248,10 @@ impl ExploreSpec {
         )
     }
 
-    /// Validates the axes: every workload must resolve and no axis may
-    /// be empty.
+    /// Validates the axes: every workload must resolve, no axis may be
+    /// empty, and every enumerated engine must pass
+    /// [`RegFileSpec::check`] (a `--regs` value past
+    /// [`RegFileSpec::MAX_REGS`] fails here, before anything runs).
     pub fn validate(&self) -> Result<(), SpecError> {
         let axis = |name: &'static str, empty: bool| {
             if empty {
@@ -269,6 +271,14 @@ impl ExploreSpec {
         axis("workloads", self.workloads.is_empty())?;
         for w in &self.workloads {
             workload_builder(w)?;
+        }
+        for p in self.enumerate() {
+            if p.regfile()?.check().is_err() {
+                return Err(SpecError {
+                    spec: p.engine,
+                    reason: "register file cannot be built",
+                });
+            }
         }
         Ok(())
     }

@@ -46,3 +46,13 @@ fn malformed_shard_still_exits_64() {
     assert_usage_error(&["--shard", "2/2"]);
     assert_usage_error(&["--shard", "x"]);
 }
+
+#[test]
+fn oversized_register_range_exits_64() {
+    // A register count past the size bound is refused while the spec is
+    // validated, before any capture could allocate the file.
+    let args = ["--scale", "0", "--regs", "4294967295"];
+    assert_usage_error(&args);
+    let (_, stderr) = run(&args);
+    assert!(stderr.contains("4294967295"), "value not named: {stderr}");
+}

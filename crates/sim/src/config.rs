@@ -38,18 +38,41 @@ pub enum RegFileSpec {
 }
 
 impl RegFileSpec {
+    /// The most register slots one organization may hold. Every frame,
+    /// window and NSF line holds at least one register, so this bounds
+    /// their counts too. 2^16 is sixteen times the largest file any
+    /// figure, explorer default, benchmark workload or test builds
+    /// (4096 registers).
+    pub const MAX_REGS: u64 = 1 << 16;
+
     /// Instantiates the organization, statically dispatched: the machine
     /// holds the engine by value so per-instruction register operations
-    /// resolve through a `match` instead of a vtable.
-    ///
-    /// The one buildability check, shared by the live machine and both
-    /// replays: a geometry the engine constructors reject (an NSF line
-    /// that is zero, does not divide the file, or exceeds a context or
-    /// [`NsfConfig::MAX_LINE_REGS`]; zero
-    /// frames, windows or registers) or a context that could spill past
-    /// its [`BACKING_STRIDE_WORDS`]-word save area is a
-    /// [`SimError::BadConfig`], never a panic.
+    /// resolve through a `match` instead of a vtable. Fails exactly when
+    /// [`RegFileSpec::check`] does, before anything is allocated.
     pub fn build(&self) -> Result<EngineDispatch, SimError> {
+        self.check()?;
+        Ok(match *self {
+            RegFileSpec::Nsf(cfg) => NamedStateFile::new(cfg).into(),
+            RegFileSpec::Segmented(cfg) => SegmentedFile::new(cfg).into(),
+            RegFileSpec::Conventional { regs, engine } => SegmentedFile::new(SegmentedConfig {
+                engine,
+                ..SegmentedConfig::paper_default(1, regs)
+            })
+            .into(),
+            RegFileSpec::Windowed(cfg) => WindowedFile::new(cfg).into(),
+            RegFileSpec::Oracle => OracleFile::new().into(),
+        })
+    }
+
+    /// The one buildability check, shared by the live machine, both
+    /// replays and the explorer's enumeration: a geometry the engine
+    /// constructors reject (an NSF line that is zero, does not divide the
+    /// file, or exceeds a context or [`NsfConfig::MAX_LINE_REGS`]; zero
+    /// frames, windows or registers), more than [`RegFileSpec::MAX_REGS`]
+    /// register slots, or a context that could spill past its
+    /// [`BACKING_STRIDE_WORDS`]-word save area is a
+    /// [`SimError::BadConfig`], never a panic or an abort.
+    pub fn check(&self) -> Result<(), SimError> {
         let geometry = match *self {
             RegFileSpec::Nsf(c) if c.total_regs == 0 || c.regs_per_line == 0 => Some(format!(
                 "an NSF of {} registers in {}-register lines: sizes must be nonzero",
@@ -86,6 +109,13 @@ impl RegFileSpec {
         if let Some(why) = geometry {
             return Err(SimError::BadConfig(why));
         }
+        let slots = self.register_slots();
+        if slots > Self::MAX_REGS {
+            return Err(SimError::BadConfig(format!(
+                "organization holds {slots} register slots, over the bound of {}",
+                Self::MAX_REGS
+            )));
+        }
         let spill_regs = self.max_spill_regs();
         if spill_regs > BACKING_STRIDE_WORDS {
             return Err(SimError::BadConfig(format!(
@@ -94,17 +124,21 @@ impl RegFileSpec {
                  context save areas would overlap"
             )));
         }
-        Ok(match *self {
-            RegFileSpec::Nsf(cfg) => NamedStateFile::new(cfg).into(),
-            RegFileSpec::Segmented(cfg) => SegmentedFile::new(cfg).into(),
-            RegFileSpec::Conventional { regs, engine } => SegmentedFile::new(SegmentedConfig {
-                engine,
-                ..SegmentedConfig::paper_default(1, regs)
-            })
-            .into(),
-            RegFileSpec::Windowed(cfg) => WindowedFile::new(cfg).into(),
-            RegFileSpec::Oracle => OracleFile::new().into(),
-        })
+        Ok(())
+    }
+
+    /// Register slots the organization holds, widened so the product of
+    /// a `u32` count and a `u8` size cannot overflow. The oracle has no
+    /// size (it allocates a context on its first write), so it counts
+    /// none.
+    fn register_slots(&self) -> u64 {
+        match *self {
+            RegFileSpec::Nsf(cfg) => u64::from(cfg.total_regs),
+            RegFileSpec::Segmented(cfg) => u64::from(cfg.frames) * u64::from(cfg.frame_regs),
+            RegFileSpec::Conventional { regs, .. } => u64::from(regs),
+            RegFileSpec::Windowed(cfg) => u64::from(cfg.windows) * u64::from(cfg.window_regs),
+            RegFileSpec::Oracle => 0,
+        }
     }
 
     /// The most backing-store words one context of this organization can
@@ -433,12 +467,19 @@ mod tests {
             },
             RegFileSpec::sparc_windows(0),
             RegFileSpec::sparc_windows(65),
+            RegFileSpec::paper_nsf(u32::MAX),
+            RegFileSpec::paper_segmented(u32::MAX, 1),
+            // 2^26 frames of 64 registers: 2^32 slots, past `u32`.
+            RegFileSpec::paper_segmented(1 << 26, 64),
         ] {
             assert!(
                 matches!(spec.build(), Err(SimError::BadConfig(_))),
                 "{spec:?} built"
             );
         }
+        let largest = RegFileSpec::MAX_REGS as u32;
+        assert!(RegFileSpec::paper_nsf(largest).check().is_ok());
+        assert!(RegFileSpec::paper_nsf(largest + 1).check().is_err());
     }
 
     #[test]

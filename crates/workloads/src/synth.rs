@@ -1,8 +1,9 @@
 //! Synthetic workload generators for sweeps and ablations.
 //!
 //! Real benchmarks fix their call depth and register pressure; these
-//! generators expose them as parameters, which the design-space benches
-//! (and property tests) sweep:
+//! generators expose them as parameters, which the depth sweep, the
+//! ablations, simbench's generated workloads and the property tests
+//! sweep:
 //!
 //! * [`sequential`] — a recursive call tree of configurable depth and
 //!   fan-out, with a configurable number of live locals per activation;
