@@ -1,70 +1,44 @@
 //! Simulator throughput report: wall-clock time of every figure grid on
-//! the three passes the figure binaries and tests run, plus the
-//! design-space explorer's rate.
+//! the three passes the figure binaries and tests run.
 //!
 //! ```sh
 //! cargo run --release -p nsf-bench --bin perf_report -- --scale 1
 //! ```
 //!
-//! This measures the *simulator*, not the modeled machine. Each grid runs
-//! [`ROUNDS`] interleaved rounds; a round builds the grid as its binary
-//! would (render excluded), runs it live (`Sweep::run`, the equality
-//! baseline), then through the stream store twice: cold into a fresh
-//! scratch store (every capturable group captures and saves) and warm
-//! (every stored group replays). Both stored passes must equal live.
-//! Every wall time is reported as the median, min and max over the
-//! rounds. The speedups are medians of per-round ratios (cold ÷ warm,
-//! live ÷ cold, live ÷ warm), so the two passes of each ratio share one
-//! round's host load; each stands beside the interquartile spread of
-//! its ratios, and each grid's JSON row also lists every round's
-//! ratios. (The store-warm pass replays through the same tile loop
-//! `trace_tool replay` runs, so it times that kernel on every grid.) A
-//! second section runs the sibling `nsf-explore` binary over its default
-//! design-space spec (fresh ledger each time) and records explorer
-//! throughput in configurations/sec plus the online Pareto prune rate;
-//! it is marked unavailable when that binary is not built. The numbers
-//! land in `results/BENCH_regfile.json` (override the directory with
-//! `--out`) and a table on stdout, with a host line (CPU count, CPU
-//! model, the `rustc` on `PATH`) and the process's peak RSS (`VmHWM`;
-//! `null` where it cannot be read) on the closing `store-summary` line
-//! and in the JSON — reported, never gated. EXPERIMENTS.md records the
-//! `--scale 1` history. Wall-clock
-//! timing is inherently machine-dependent — these numbers never feed a
-//! figure, so the determinism rule for results paths does not apply
-//! here.
+//! This measures the *simulator*, not the modeled machine. Each grid of
+//! [`FIGURES`] runs [`ROUNDS`] interleaved rounds; a round builds the
+//! grid as its binary would (render excluded), runs it live
+//! (`Sweep::run`, the equality baseline), then through the stream store
+//! twice: cold into a fresh scratch store (every capturable group
+//! captures and saves) and warm (every stored group replays). Both
+//! stored passes must equal live. Every wall time is reported as the
+//! median, min and max over the rounds. The speedups are medians of
+//! per-round ratios (cold ÷ warm, live ÷ cold, live ÷ warm), so the two
+//! passes of each ratio share one round's host load; each stands beside
+//! the interquartile spread of its ratios, and each grid's JSON row also
+//! lists every round's ratios. (The store-warm pass replays through the
+//! same tile loop `trace_tool replay` runs, so it times that kernel on
+//! every grid.) Explorer throughput is simbench's `explore-fan`
+//! workload, measured in process there. The numbers land in
+//! `results/BENCH_regfile.json` (override the directory with `--out`)
+//! and a table on stdout, with a host line (CPU count, CPU model, the
+//! `rustc` on `PATH`) and the process's peak RSS (`VmHWM`; `null` where
+//! it cannot be read) on the closing `store-summary` line and in the
+//! JSON — reported, never gated. EXPERIMENTS.md records the `--scale 1`
+//! history. The flags are the figure binaries' ([`HarnessArgs::parse`]);
+//! both store passes are always measured, so `--store`/`--no-store` only
+//! parse. Wall-clock timing is inherently machine-dependent — these
+//! numbers never feed a figure, so the determinism rule for results
+//! paths does not apply here.
 
-use nsf_bench::figures::{
-    ablations, depth_sweep, export_csv, fig09, fig10, fig11, fig12, fig13, fig14, fig_pipeline,
-    related_work, summary, table1,
-};
-use nsf_bench::{CliArgs, CliError, FrontendCacheStats, HarnessArgs, Sweep, HARNESS_SPEC};
+use nsf_bench::figures::{Figure, FIGURES};
+use nsf_bench::{FrontendCacheStats, HarnessArgs};
 use nsf_trace::StreamStore;
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
-/// Builds one figure's (workload, config) point set at a given scale.
-type GridFn = fn(u32) -> Sweep;
-
-/// Every data-driven figure grid, in binary name order.
-const GRIDS: &[(&str, GridFn)] = &[
-    ("ablations", ablations::grid),
-    ("depth_sweep", depth_sweep::grid),
-    ("export_csv", export_csv::grid),
-    ("fig09_utilization", fig09::grid),
-    ("fig10_reload_traffic", fig10::grid),
-    ("fig11_resident_contexts", fig11::grid),
-    ("fig12_reload_vs_size", fig12::grid),
-    ("fig13_line_size", fig13::grid),
-    ("fig14_overhead", fig14::grid),
-    ("fig_pipeline", fig_pipeline::grid),
-    ("related_work", related_work::grid),
-    ("summary", summary::grid),
-    ("table1", table1::grid),
-];
-
-/// Measurement rounds per grid and explorer run. Every reported
-/// wall time is summarized over this many samples.
+/// Measurement rounds per grid. Every reported wall time is summarized over this many samples.
 const ROUNDS: usize = 5;
 
 /// Median, min and max of one wall time over the rounds.
@@ -223,11 +197,12 @@ struct Row {
 impl Row {
     /// Runs [`ROUNDS`] rounds of build → live → cold → warm, with a fresh
     /// scratch store at `store_dir` for each cold pass.
-    fn measure(name: &'static str, grid: GridFn, args: &HarnessArgs, store_dir: &Path) -> Row {
+    fn measure(figure: &Figure, args: &HarnessArgs, store_dir: &Path) -> Row {
+        let name = figure.bin;
         let (mut points, mut instructions, mut warm_stats) = (0, 0, None);
         let mut round_ns = Vec::new();
         let [build, live, cold, warm] = rounds(|| {
-            let (sweep, build_ns) = timed(|| grid(args.scale));
+            let (sweep, build_ns) = timed(|| (figure.grid)(args.scale));
             let (reports, live_ns) = timed(|| sweep.run(args.threads));
             let _ = fs::remove_dir_all(store_dir);
             let store = StreamStore::open(store_dir);
@@ -334,122 +309,6 @@ impl Row {
     }
 }
 
-/// One completed `nsf-explore` run, parsed from its `explore-summary`
-/// stdout line (the stable key=value summary the explorer prints).
-struct ExploreRun {
-    points: u64,
-    evaluated: u64,
-    checkpoints: u64,
-    pruned: u64,
-    front: u64,
-    elapsed_ms: u64,
-}
-
-impl ExploreRun {
-    fn parse(line: &str) -> Option<ExploreRun> {
-        let field = |key: &str| {
-            line.split_whitespace()
-                .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-        };
-        Some(ExploreRun {
-            points: field("points")?,
-            evaluated: field("evaluated")?,
-            checkpoints: field("checkpoints")?,
-            pruned: field("pruned")?,
-            front: field("front")?,
-            elapsed_ms: field("elapsed_ms")?,
-        })
-    }
-}
-
-/// The explorer's rounds: counts from the last run (every run evaluates
-/// the same spec from a fresh ledger) and its own elapsed time, in ms.
-struct ExploreSection {
-    run: ExploreRun,
-    elapsed_ms: Spread,
-}
-
-impl ExploreSection {
-    /// Configurations evaluated per second, from the median elapsed time.
-    fn configs_per_sec(&self) -> f64 {
-        ratio(
-            u128::from(self.run.evaluated) * 1000,
-            self.elapsed_ms.median,
-        )
-    }
-
-    /// Fraction of evaluated configurations the online Pareto prune
-    /// discarded as dominated.
-    fn prune_rate(&self) -> f64 {
-        ratio(self.run.pruned.into(), self.run.points.into())
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"available\": true, \"points\": {}, \"evaluated\": {}, \"checkpoints\": {}, \
-             \"pruned\": {}, \"front\": {}, \"elapsed_ms\": {}, \"configs_per_sec\": {:.1}, \
-             \"prune_rate\": {:.3}}}",
-            self.run.points,
-            self.run.evaluated,
-            self.run.checkpoints,
-            self.run.pruned,
-            self.run.front,
-            self.elapsed_ms.json(),
-            self.configs_per_sec(),
-            self.prune_rate(),
-        )
-    }
-}
-
-/// Runs the sibling `nsf-explore` binary over its default spec
-/// [`ROUNDS`] times. `nsf-explore` depends on this crate, so the report
-/// cannot link it as a library — it drives the built binary next to its
-/// own executable instead, and degrades to `None` (section marked
-/// unavailable) when that binary has not been built or a run fails.
-fn explore_section(args: &HarnessArgs) -> Option<ExploreSection> {
-    let exe = std::env::current_exe().ok()?;
-    let bin = exe
-        .parent()?
-        .join(format!("nsf-explore{}", std::env::consts::EXE_SUFFIX));
-    if !bin.exists() {
-        return None;
-    }
-    // A scratch ledger directory, wiped before each run so the explorer
-    // never resumes a previous run's ledger (resume would evaluate zero
-    // points and time nothing).
-    let out = std::env::temp_dir().join(format!("nsf-explore-perf-{}", std::process::id()));
-    let explore_once = || {
-        let _ = fs::remove_dir_all(&out);
-        let output = std::process::Command::new(&bin)
-            .args(["--scale", &args.scale.to_string()])
-            .args(["--threads", &args.threads.to_string()])
-            .arg("--quiet")
-            .arg("--out")
-            .arg(&out)
-            .output()
-            .ok()?;
-        if !output.status.success() {
-            return None;
-        }
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        let line = stdout.lines().find(|l| l.starts_with("explore-summary "))?;
-        ExploreRun::parse(line)
-    };
-    let mut runs = Vec::new();
-    let [elapsed_ms] = rounds(|| {
-        let run = explore_once();
-        let ms = run.as_ref().map_or(0, |r| r.elapsed_ms.into());
-        runs.push(run);
-        [ms]
-    });
-    let _ = fs::remove_dir_all(&out);
-    let runs: Vec<ExploreRun> = runs.into_iter().collect::<Option<_>>()?;
-    Some(ExploreSection {
-        run: runs.into_iter().last()?,
-        elapsed_ms,
-    })
-}
-
 /// The host the report ran on: CPU count, CPU model (from
 /// `/proc/cpuinfo`) and the version of the `rustc` on `PATH`, each
 /// `"unknown"` where it cannot be read. Reported, never gated.
@@ -498,29 +357,8 @@ impl Host {
     }
 }
 
-/// Strict argument parsing: unlike the figure binaries (which share a
-/// flag set through [`HarnessArgs`] and ignore strays by design), a typo
-/// here silently times the wrong experiment — reject it with usage.
-///
-/// Both store passes are always *measured* here (they are the point of
-/// the report); the store switches are accepted so one wrapper flag set
-/// drives every binary, and conflicts still error.
-fn parse_args() -> Result<HarnessArgs, CliError> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    HarnessArgs::from_cli(&CliArgs::parse(&raw, &HARNESS_SPEC)?)
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!(
-                "perf_report: {e}\nusage: perf_report [--scale N] [--threads N] \
-                 [--store | --no-store] [--out DIR] [--quiet]"
-            );
-            std::process::exit(64);
-        }
-    };
+    let args = HarnessArgs::parse();
     // Scratch stream stores, one per grid, so nothing leaks across
     // reports or into the figure binaries' store.
     let store_root = std::env::temp_dir().join(format!("nsf-store-perf-{}", std::process::id()));
@@ -556,8 +394,8 @@ fn main() {
     );
     nsf_bench::rule(189);
     let mut rows = Vec::new();
-    for &(name, grid) in GRIDS {
-        let row = Row::measure(name, grid, &args, &store_root.join(name));
+    for figure in FIGURES {
+        let row = Row::measure(figure, &args, &store_root.join(figure.bin));
         println!(
             "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>13} \
              {:>13} {:>13}",
@@ -581,28 +419,7 @@ fn main() {
     let _ = fs::remove_dir_all(&store_root);
     nsf_bench::rule(189);
 
-    let explore = explore_section(&args);
-    println!(
-        "\nDesign-space explorer (nsf-explore default spec, fresh ledger, median of {ROUNDS})"
-    );
-    match &explore {
-        Some(e) => println!(
-            "{} points, {} evaluated, {} checkpoints: {:.1} configs/sec, \
-             pruned {} ({:.0}%) -> front {} ({} ms)",
-            e.run.points,
-            e.run.evaluated,
-            e.run.checkpoints,
-            e.configs_per_sec(),
-            e.run.pruned,
-            e.prune_rate() * 100.0,
-            e.run.front,
-            e.elapsed_ms.median,
-        ),
-        None => println!("unavailable (nsf-explore binary not built alongside perf_report)"),
-    }
-
-    // Read last, so the high-water mark covers every section run in this
-    // process (the explorer runs in its own).
+    // Read last, so the high-water mark covers every grid.
     let peak_rss = peak_rss_mb().map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"));
     println!(
         "\nstore-summary grids={} grids_with_warm_hits={} max_speedup={:.2} peak_rss_mb={peak_rss}",
@@ -615,12 +432,11 @@ fn main() {
 
     let json = format!(
         "{{\n  \"scale\": {},\n  \"threads\": {},\n  \"rounds\": {ROUNDS},\n  \
-         \"host\": {},\n  \"peak_rss_mb\": {peak_rss},\n  \"grids\": {},\n  \"explore\": {}\n}}\n",
+         \"host\": {},\n  \"peak_rss_mb\": {peak_rss},\n  \"grids\": {}\n}}\n",
         args.scale,
         args.threads,
         host.json(),
         json_array(rows.iter().map(Row::json), "  "),
-        explore.map_or_else(|| "{\"available\": false}".to_string(), |e| e.json()),
     );
     let dir = args.results_dir();
     fs::create_dir_all(&dir).expect("create results dir");

@@ -94,7 +94,11 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         .flag("workload")
         .ok_or("record needs --workload NAME")?;
     let scale: u32 = match args.flag("scale") {
-        Some(s) => s.parse().map_err(|_| format!("bad --scale {s:?}"))?,
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n <= nsf_workloads::MAX_SCALE)
+            .ok_or_else(|| format!("bad --scale {s:?} (0-{})", nsf_workloads::MAX_SCALE))?,
         None => 1,
     };
     let workload = workload_by_name(name, scale)?;

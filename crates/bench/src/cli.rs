@@ -1,16 +1,14 @@
-//! Strict command-line parsing for the tool binaries (`trace_tool`,
-//! `check_tool`).
+//! Strict command-line parsing for every binary: the figure binaries and
+//! `perf_report` (through [`crate::HarnessArgs`]) and the tools
+//! (`trace_tool`, `check_tool`, `store_tool`, `nsf-explore`).
 //!
-//! The figure binaries deliberately ignore unknown arguments
-//! ([`crate::HarnessArgs`]) so a shared wrapper script can pass one flag
-//! set to all of them. The *tool* binaries are different: they take
-//! subcommands with meaningful flags, and silently mis-parsing one is how
-//! `--engine` (no value) once recorded a trace under an empty engine
-//! spec, and `--a --b nsf:40` once swallowed `--b` as the value of `--a`.
-//! This parser rejects both: every declared flag must receive a value,
-//! and a value is never allowed to look like a flag. Unknown flags are
-//! errors too, so typos fail loudly with usage (exit 64) instead of
-//! being ignored.
+//! Silently mis-parsing a flag is how `--engine` (no value) once
+//! recorded a trace under an empty engine spec, `--a --b nsf:40` once
+//! swallowed `--b` as the value of `--a`, and `table1 --scael 0` once ran
+//! at scale 1. This parser rejects all three: every declared flag must
+//! receive a value, a value is never allowed to look like a flag, and
+//! unknown flags are errors, so typos fail loudly with usage (exit 64)
+//! instead of being ignored.
 
 use std::fmt;
 
@@ -39,6 +37,8 @@ pub enum CliError {
     MissingValue(String),
     /// A `--flag` the subcommand does not declare.
     UnknownFlag(String),
+    /// A positional operand where the command takes none.
+    Unexpected(String),
     /// A flag value that failed to parse (`--scale x`).
     BadValue {
         /// The flag whose value was rejected.
@@ -64,6 +64,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::MissingValue(flag) => write!(f, "--{flag} needs a value"),
             CliError::UnknownFlag(flag) => write!(f, "unknown flag --{flag}"),
+            CliError::Unexpected(arg) => write!(f, "unexpected argument {arg:?}"),
             CliError::BadValue { flag, value } => write!(f, "bad --{flag} value {value:?}"),
             CliError::Conflict { a, b } => {
                 write!(f, "--{a} and --{b} contradict each other")

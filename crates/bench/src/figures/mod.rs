@@ -8,9 +8,10 @@
 //!   table, a pure function of the sweep results (so it is identical
 //!   for every `--threads` value).
 //!
-//! Binaries are thin wrappers over [`crate::figure_main`]; tests drive
-//! the same functions directly (`tests/figures_smoke.rs` in this crate,
-//! `tests/harness_determinism.rs` at the workspace root).
+//! Binaries are thin wrappers over [`crate::figure_main`]. [`FIGURES`]
+//! lists every pair once, by binary name; `perf_report` times its grids
+//! and the determinism tests (`tests/harness_determinism.rs` at the
+//! workspace root) check every entry.
 
 pub mod ablations;
 pub mod depth_sweep;
@@ -29,6 +30,49 @@ pub mod table1;
 use crate::runner::Sweep;
 use crate::{nsf_config, nsf_lines_config, segmented_config, PAR_CTX_REGS, SEQ_CTX_REGS};
 use nsf_core::ReloadPolicy;
+use nsf_sim::RunReport;
+
+/// A figure's printed table: `(scale, sweep, reports, quiet)`.
+pub type Render = fn(u32, &Sweep, &[RunReport], bool) -> String;
+
+/// One data-driven experiment binary.
+pub struct Figure {
+    /// The binary's name.
+    pub bin: &'static str,
+    /// Its (workload, config) points at a scale.
+    pub grid: fn(u32) -> Sweep,
+    /// Its printed table; `None` for `export_csv`, which writes files.
+    pub render: Option<Render>,
+}
+
+const fn figure(bin: &'static str, grid: fn(u32) -> Sweep, render: Option<Render>) -> Figure {
+    Figure { bin, grid, render }
+}
+
+/// Every data-driven experiment binary, in binary-name order.
+pub const FIGURES: &[Figure] = &[
+    figure("ablations", ablations::grid, Some(ablations::render)),
+    figure("depth_sweep", depth_sweep::grid, Some(depth_sweep::render)),
+    figure("export_csv", export_csv::grid, None),
+    figure("fig09_utilization", fig09::grid, Some(fig09::render)),
+    figure("fig10_reload_traffic", fig10::grid, Some(fig10::render)),
+    figure("fig11_resident_contexts", fig11::grid, Some(fig11::render)),
+    figure("fig12_reload_vs_size", fig12::grid, Some(fig12::render)),
+    figure("fig13_line_size", fig13::grid, Some(fig13::render)),
+    figure("fig14_overhead", fig14::grid, Some(fig14::render)),
+    figure(
+        "fig_pipeline",
+        fig_pipeline::grid,
+        Some(fig_pipeline::render),
+    ),
+    figure(
+        "related_work",
+        related_work::grid,
+        Some(related_work::render),
+    ),
+    figure("summary", summary::grid, Some(summary::render)),
+    figure("table1", table1::grid, Some(table1::render)),
+];
 
 /// Appends a horizontal rule (string-building form of [`crate::rule`]).
 pub(crate) fn rule(out: &mut String, width: usize) {
@@ -78,6 +122,27 @@ pub(crate) fn line_size_points(s: &mut Sweep, suite: &[usize], regs: u32, widths
             for &w in suite {
                 s.point(w, nsf_lines_config(regs, width, policy));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FIGURES;
+
+    #[test]
+    fn figures_are_unique_sorted_binaries() {
+        assert!(
+            FIGURES.windows(2).all(|w| w[0].bin < w[1].bin),
+            "FIGURES must be in strict binary-name order"
+        );
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for f in FIGURES {
+            assert!(
+                bins.join(format!("{}.rs", f.bin)).exists(),
+                "{} is not a binary of this crate",
+                f.bin
+            );
         }
     }
 }

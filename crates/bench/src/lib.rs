@@ -1,26 +1,9 @@
 //! # nsf-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` §4 for the
-//! full index):
-//!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `table1` | Table 1 — benchmark characteristics |
-//! | `fig06_access_time` | Fig. 6 — register file access times |
-//! | `fig07_area` | Fig. 7 — 3-ported area breakdown |
-//! | `fig08_area_6port` | Fig. 8 — 6-ported area breakdown |
-//! | `fig09_utilization` | Fig. 9 — % registers holding active data |
-//! | `fig10_reload_traffic` | Fig. 10 — registers reloaded / instruction |
-//! | `fig11_resident_contexts` | Fig. 11 — resident contexts vs file size |
-//! | `fig12_reload_vs_size` | Fig. 12 — reload traffic vs file size |
-//! | `fig13_line_size` | Fig. 13 — reload traffic vs line size |
-//! | `fig14_overhead` | Fig. 14 — spill/reload overhead vs engine |
-//! | `fig_pipeline` | extension: CPI vs issue width with port-pressure accounting |
-//! | `ablations` | extra design-space studies (replacement, write-miss, quantum, rfree hints) |
-//! | `related_work` | NSF vs SPARC windows vs dribble-back (paper §5) |
-//! | `summary` | the paper's §9 conclusion bullets, measured |
-//! | `depth_sweep` | mechanism study: resident contexts vs call depth |
-//! | `export_csv` | sweep data as CSV under `results/` |
+//! One binary per table/figure of the paper (`DESIGN.md` §4 is the
+//! index): the data-driven ones are the entries of
+//! [`figures::FIGURES`], and `fig06_access_time`, `fig07_area` and
+//! `fig08_area_6port` print the VLSI models.
 //!
 //! Every binary accepts `--scale N` (default 1): 0 is a smoke-test size,
 //! 1 approximates the paper's behaviour at tractable instruction counts.
@@ -42,7 +25,7 @@ pub mod runner;
 pub use cli::{CliArgs, CliError, CliSpec};
 pub use runner::{
     figure_main, pool_map, run_with_args, workspace_results_dir, Cursor, FrontendCacheStats,
-    HarnessArgs, Sweep, SweepPoint, DEFAULT_LANES, HARNESS_SPEC, HARNESS_USAGE,
+    HarnessArgs, Sweep, SweepPoint, DEFAULT_LANES,
 };
 
 /// Registers per sequential context (the paper allocates 20).

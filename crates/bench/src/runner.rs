@@ -402,25 +402,24 @@ impl FrontendCacheStats {
 /// with the benchmark's next revision.
 pub const DEFAULT_LANES: usize = 8;
 
-/// The harness flag set. Figure binaries tolerate unknown flags (see
-/// [`HarnessArgs::try_from_args`]); `perf_report` parses the same set
-/// strictly. Both build their [`HarnessArgs`] through
-/// [`HarnessArgs::from_cli`].
-pub const HARNESS_SPEC: CliSpec = CliSpec {
+/// The harness flag set, shared by every figure binary and
+/// `perf_report` and parsed strictly by [`HarnessArgs::parse`].
+const HARNESS_SPEC: CliSpec = CliSpec {
     value_flags: &["scale", "threads", "out"],
     switches: &["quiet", "store", "no-store"],
     repeatable: &[],
 };
 
-/// Usage line printed (with exit 64) when a figure binary rejects its
-/// arguments.
-pub const HARNESS_USAGE: &str =
-    "usage: [--scale N] [--threads N] [--store | --no-store] [--quiet] [--out DIR]";
+/// Usage line printed (with exit 64) when a harness binary rejects its
+/// arguments. The `--scale` range is [`nsf_workloads::MAX_SCALE`].
+const HARNESS_USAGE: &str =
+    "usage: [--scale 0-64] [--threads N] [--store | --no-store] [--quiet] [--out DIR]";
 
 /// Command-line arguments shared by every experiment binary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HarnessArgs {
-    /// Problem size: 0 = smoke, 1 = the evaluation size in EXPERIMENTS.md.
+    /// Problem size: 0 = smoke, 1 = the evaluation size in EXPERIMENTS.md,
+    /// at most [`nsf_workloads::MAX_SCALE`].
     pub scale: u32,
     /// Worker threads for the sweep (default: available parallelism).
     pub threads: usize,
@@ -438,10 +437,10 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses `--scale N`, `--threads N`, `--store`/`--no-store`,
-    /// `--quiet` and `--out DIR` from the process arguments. A malformed value for a
-    /// known flag prints the error and [`HARNESS_USAGE`], then exits
-    /// with status 64 — a mistyped `--scale` must not silently run the
-    /// wrong experiment.
+    /// `--quiet` and `--out DIR` from the process arguments. Any
+    /// rejected command line prints the error and a usage line, then
+    /// exits with status 64 — a mistyped flag must not silently
+    /// run the wrong experiment.
     pub fn parse() -> Self {
         Self::try_from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -451,60 +450,39 @@ impl HarnessArgs {
     }
 
     /// Parses from an explicit argument list (testable form of
-    /// [`HarnessArgs::parse`]). Unknown arguments are still ignored —
-    /// one wrapper script can pass a shared flag set to every binary —
-    /// but the *values* of known flags go through the strict
-    /// [`crate::cli`] layer: `--threads x` or a trailing `--scale` is a
-    /// [`CliError`], never a silent default.
+    /// [`HarnessArgs::parse`]) against the harness flag set: an unknown flag,
+    /// a stray positional, a malformed value, a `--scale` past
+    /// [`nsf_workloads::MAX_SCALE`] and `--store --no-store` are each a
+    /// [`CliError`]; `--threads 0` clamps to 1.
     pub fn try_from_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let raw: Vec<String> = args.into_iter().collect();
-        Self::from_cli(&CliArgs::parse(&Self::known_tokens(&raw), &HARNESS_SPEC)?)
+        Self::from_cli(&CliArgs::parse(&raw, &HARNESS_SPEC)?)
     }
 
-    /// Builds the arguments from a command line parsed against
-    /// [`HARNESS_SPEC`]: malformed values and `--store --no-store` are
-    /// [`CliError`]s, `--threads 0` clamps to 1.
-    pub fn from_cli(parsed: &CliArgs) -> Result<Self, CliError> {
+    fn from_cli(parsed: &CliArgs) -> Result<Self, CliError> {
+        if let Some(stray) = parsed.positional().first() {
+            return Err(CliError::Unexpected(stray.clone()));
+        }
         if parsed.switch("store") && parsed.switch("no-store") {
             return Err(CliError::Conflict {
                 a: "store".into(),
                 b: "no-store".into(),
             });
         }
+        let scale = parsed.parsed_or("scale", 1u32)?;
+        if scale > nsf_workloads::MAX_SCALE {
+            return Err(CliError::BadValue {
+                flag: "scale".into(),
+                value: scale.to_string(),
+            });
+        }
         Ok(HarnessArgs {
-            scale: parsed.parsed_or("scale", 1u32)?,
+            scale,
             threads: parsed.parsed_or("threads", default_threads())?.max(1),
             store: !parsed.switch("no-store"),
             quiet: parsed.switch("quiet"),
             out: parsed.flag("out").map(String::from),
         })
-    }
-
-    /// Keeps only the tokens belonging to declared flags: a known value
-    /// flag and (when present) its value, or a known switch. Everything
-    /// else — unknown flags, their values, stray positionals — is
-    /// dropped before strict parsing.
-    fn known_tokens(raw: &[String]) -> Vec<String> {
-        let mut kept = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                if HARNESS_SPEC.value_flags.contains(&name) {
-                    kept.push(raw[i].clone());
-                    if let Some(v) = raw.get(i + 1) {
-                        if !v.starts_with("--") {
-                            kept.push(v.clone());
-                            i += 2;
-                            continue;
-                        }
-                    }
-                } else if HARNESS_SPEC.switches.contains(&name) {
-                    kept.push(raw[i].clone());
-                }
-            }
-            i += 1;
-        }
-        kept
     }
 
     /// The directory artifact-writing binaries should use: `--out` if
@@ -545,7 +523,7 @@ fn default_threads() -> usize {
 /// harness arguments, build the figure's grid, run it through the
 /// frontend cache, print the render. Every route is bit-exact, so the
 /// output is byte-identical for every `--threads` and store setting.
-pub fn figure_main(grid: fn(u32) -> Sweep, render: fn(u32, &Sweep, &[RunReport], bool) -> String) {
+pub fn figure_main(grid: fn(u32) -> Sweep, render: crate::figures::Render) {
     let args = HarnessArgs::parse();
     let sweep = grid(args.scale);
     let reports = run_with_args(&sweep, &args);
@@ -820,20 +798,34 @@ mod tests {
         // --threads 0 clamps to 1 rather than deadlocking.
         let z = HarnessArgs::try_from_args(["--threads", "0"].map(String::from)).unwrap();
         assert_eq!(z.threads, 1);
-        // Unknown flags (and their values) are still tolerated, so one
-        // wrapper script can drive every binary.
-        let u = HarnessArgs::try_from_args(
-            ["--mystery", "7", "positional", "--scale", "0"].map(String::from),
-        )
-        .unwrap();
-        assert_eq!(u.scale, 0);
+        // Unknown flags and stray positionals are errors (exit 64 in the
+        // binaries): `--scael 0` must not run at scale 1.
+        for stray in [
+            &["--mystery", "7", "--scale", "0"][..],
+            &["--scael", "0"],
+            &["--no-stroe"],
+            &["positional", "--scale", "0"],
+        ] {
+            let err = HarnessArgs::try_from_args(stray.iter().map(|s| s.to_string()));
+            assert!(
+                matches!(err, Err(CliError::UnknownFlag(_) | CliError::Unexpected(_))),
+                "{stray:?} must be rejected, got {err:?}"
+            );
+        }
+        // The largest accepted scale still parses.
+        let max = nsf_workloads::MAX_SCALE.to_string();
+        let m = HarnessArgs::try_from_args(["--scale", max.as_str()].map(String::from)).unwrap();
+        assert_eq!(m.scale, nsf_workloads::MAX_SCALE);
+        assert!(HARNESS_USAGE.contains(&format!("--scale 0-{max}")));
     }
 
     #[test]
     fn malformed_known_flag_values_are_errors() {
         // Pinned, not incidental: a mistyped value for a *known* flag
         // must fail parsing (the binaries turn this into exit 64), never
-        // silently fall back to a default.
+        // silently fall back to a default. A scale past MAX_SCALE is
+        // malformed too: the builders multiply it into input sizes.
+        let past_max = (nsf_workloads::MAX_SCALE + 1).to_string();
         for bad in [
             vec!["--threads", "x"],
             vec!["--threads", "-3"],
@@ -841,6 +833,8 @@ mod tests {
             vec!["--scale", "1.5"],
             vec!["--scale"],
             vec!["--threads", "--quiet"],
+            vec!["--scale", &past_max],
+            vec!["--scale", "3067834"],
         ] {
             let args = bad.iter().map(|s| s.to_string());
             assert!(

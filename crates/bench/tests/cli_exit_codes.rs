@@ -1,9 +1,8 @@
 //! Exit-code contract of the strict CLI layer: a malformed value for a
-//! *known* flag (`--threads x`, `--threads -3`, …) must terminate the
-//! process with the conventional usage-error status 64 and print the
-//! usage line — never fall back to a default and silently run the wrong
-//! experiment. Unknown strays stay tolerated (the figure binaries share
-//! one flag vocabulary by design).
+//! known flag (`--threads x`, `--threads -3`, …), an unknown flag and a
+//! stray positional must each terminate the process with the
+//! conventional usage-error status 64 and print the usage line — never
+//! fall back to a default and silently run the wrong experiment.
 
 use std::process::Command;
 
@@ -34,10 +33,21 @@ fn assert_usage_error(bin: &str, args: &[&str]) {
 
 #[test]
 fn malformed_scale_value_exits_64() {
-    let bin = env!("CARGO_BIN_EXE_table1");
-    assert_usage_error(bin, &["--scale", "x"]);
-    assert_usage_error(bin, &["--scale", "-3"]);
-    assert_usage_error(bin, &["--threads", "1", "--scale", "1.5"]);
+    // A scale past MAX_SCALE is malformed too: builders multiply it into
+    // input sizes, so a release build would wrap (ZipFile at 3067834
+    // built 304 words) and a debug build would panic.
+    let past_max = (nsf_workloads::MAX_SCALE + 1).to_string();
+    for bin in [
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_fig07_area"),
+        env!("CARGO_BIN_EXE_perf_report"),
+    ] {
+        assert_usage_error(bin, &["--scale", "x"]);
+        assert_usage_error(bin, &["--scale", "-3"]);
+        assert_usage_error(bin, &["--threads", "1", "--scale", "1.5"]);
+        assert_usage_error(bin, &["--scale", &past_max]);
+        assert_usage_error(bin, &["--scale", "3067834"]);
+    }
 }
 
 #[test]
@@ -53,17 +63,6 @@ fn missing_value_for_known_flag_exits_64() {
     // Trailing flag with no value, and a value swallowed by a switch.
     assert_usage_error(bin, &["--scale"]);
     assert_usage_error(bin, &["--threads", "--quiet"]);
-}
-
-#[test]
-fn perf_report_rejects_unknown_flags_too() {
-    // perf_report is stricter than the figure binaries: a typo would
-    // silently time the wrong experiment, so strays are errors there.
-    let bin = env!("CARGO_BIN_EXE_perf_report");
-    assert_usage_error(bin, &["--thraeds", "4"]);
-    // The retired lane and cache flags are unknown here now.
-    assert_usage_error(bin, &["--lanes", "4"]);
-    assert_usage_error(bin, &["--no-frontend-cache"]);
 }
 
 #[test]
@@ -290,25 +289,94 @@ fn well_formed_flags_still_run() {
     );
 }
 
+/// A sibling binary of this crate, by name.
+fn sibling(bin: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_BIN_EXE_table1")).with_file_name(bin)
+}
+
 #[test]
-fn retired_lane_flags_are_ignored_by_figure_binaries() {
-    // `--lanes` and the frontend-cache switches no longer exist; like any
-    // unknown flag, the figure binaries ignore them (values included,
-    // malformed or not) and print the same figure.
-    let bin = env!("CARGO_BIN_EXE_table1");
-    let plain = stdout_of(bin, &["--scale", "0", "--quiet"]);
-    for stray in [
-        &["--lanes", "4"][..],
-        &["--lanes", "x"],
-        &["--frontend-cache", "--no-frontend-cache"],
-    ] {
-        let args: Vec<&str> = ["--scale", "0", "--quiet"]
-            .iter()
-            .chain(stray)
-            .copied()
-            .collect();
-        assert_eq!(plain, stdout_of(bin, &args), "{stray:?} changed the figure");
+fn unknown_flags_and_strays_exit_64_in_every_harness_binary() {
+    // A typo (`--scael 0` once ran at scale 1), the retired lane and
+    // frontend-cache flags, and a stray positional are usage errors in
+    // every binary that parses the harness flags.
+    let harness = nsf_bench::figures::FIGURES.iter().map(|f| f.bin).chain([
+        "fig06_access_time",
+        "fig07_area",
+        "fig08_area_6port",
+        "perf_report",
+    ]);
+    for bin in harness {
+        let bin = sibling(bin);
+        let bin = bin.to_str().expect("UTF-8 path");
+        for stray in [
+            &["--scael", "0"][..],
+            &["--scale", "0", "--no-stroe"],
+            &["--lanes", "4"],
+            &["--lanes", "x"],
+            &["--frontend-cache", "--no-frontend-cache"],
+            &["--scale", "0", "stray"],
+        ] {
+            assert_usage_error(bin, stray);
+        }
     }
+}
+
+#[test]
+fn trace_tool_record_refuses_a_scale_past_the_bound() {
+    // `record` fails a scale past MAX_SCALE exactly as it fails a
+    // malformed one: exit 2, naming the value, writing nothing.
+    let bin = env!("CARGO_BIN_EXE_trace_tool");
+    let out = std::env::temp_dir().join(format!("nsf-cli-scale-{}", std::process::id()));
+    let out = out.to_str().expect("temp path is UTF-8");
+    for scale in ["x", "3067834"] {
+        let args = [
+            "record",
+            "--workload",
+            "zipfile",
+            "--scale",
+            scale,
+            "--out",
+            out,
+        ];
+        let (code, stderr) = run(bin, &args);
+        assert_eq!(code, Some(2), "--scale {scale}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad --scale {scale:?}")),
+            "{stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a failed record wrote a trace"
+    );
+}
+
+#[test]
+fn forged_trace_engine_exits_2_naming_the_spec() {
+    // A valid trace re-sealed with an oversized recorded engine: replay
+    // with no --engine builds that engine, and must refuse it as a
+    // typed error before allocating; info never builds it.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../trace/tests/golden/gatesim_s0_nsf80.nsftrace"
+    );
+    let bin = env!("CARGO_BIN_EXE_trace_tool");
+    let path = std::env::temp_dir().join(format!("nsf-cli-forged-{}.nsftrace", std::process::id()));
+    let file = path.to_str().expect("temp path is UTF-8");
+    for engine in ["nsf:4294967295", "segmented:67108864x64"] {
+        let mut trace = nsf_trace::Trace::read_file(golden).expect("golden trace reads");
+        trace.meta.engine = engine.to_string();
+        trace.write_file(&path).expect("forged trace writes");
+        let (code, stderr) = run(bin, &["replay", file]);
+        assert_eq!(code, Some(2), "replay {engine}: stderr: {stderr}");
+        assert!(
+            stderr.contains(engine),
+            "replay {engine}: spec not named: {stderr}"
+        );
+        let (code, stderr) = run(bin, &["info", file]);
+        assert_eq!(code, Some(0), "info {engine}: stderr: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

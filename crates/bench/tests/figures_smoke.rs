@@ -252,65 +252,6 @@ fn summary_renders_all_six_claims() {
     }
 }
 
-/// The frontend cache (`Sweep::run_stored`, what every figure binary
-/// runs) must render every figure byte-identically to the plain live
-/// sweep (`Sweep::run(1)`), at one thread and at eight, with and without
-/// a persistent stream store (cold, then warm): replaying a captured
-/// event stream is a simulator-throughput shortcut and must never shift
-/// a figure.
-#[test]
-fn cached_routes_render_identically_for_every_figure() {
-    type Grid = fn(u32) -> Sweep;
-    type Render = fn(u32, &Sweep, &[nsf_sim::RunReport], bool) -> String;
-    let grids: &[(&str, Grid, Render)] = &[
-        ("table1", figures::table1::grid, figures::table1::render),
-        ("fig09", figures::fig09::grid, figures::fig09::render),
-        ("fig10", figures::fig10::grid, figures::fig10::render),
-        ("fig11", figures::fig11::grid, figures::fig11::render),
-        ("fig12", figures::fig12::grid, figures::fig12::render),
-        ("fig13", figures::fig13::grid, figures::fig13::render),
-        ("fig14", figures::fig14::grid, figures::fig14::render),
-        (
-            "fig_pipeline",
-            figures::fig_pipeline::grid,
-            figures::fig_pipeline::render,
-        ),
-        (
-            "ablations",
-            figures::ablations::grid,
-            figures::ablations::render,
-        ),
-        (
-            "related_work",
-            figures::related_work::grid,
-            figures::related_work::render,
-        ),
-        (
-            "depth_sweep",
-            figures::depth_sweep::grid,
-            figures::depth_sweep::render,
-        ),
-        ("summary", figures::summary::grid, figures::summary::render),
-    ];
-    let dir = std::env::temp_dir().join(format!("nsf-smoke-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = nsf_trace::StreamStore::open(&dir);
-    for &(name, grid, render) in grids {
-        let sweep = grid(0);
-        let live = render(0, &sweep, &sweep.run(1), true);
-        for threads in [1, 8] {
-            for (route, store) in [("no store", None), ("store", Some(&store))] {
-                let cached = render(0, &sweep, &sweep.run_stored(threads, store), true);
-                assert_eq!(
-                    live, cached,
-                    "{name}: threads {threads} with {route} shifts the figure"
-                );
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn export_csv_shapes_match_documented_sweeps() {
     let (sweep, reports) = run0(figures::export_csv::grid);

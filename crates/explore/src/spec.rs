@@ -248,11 +248,18 @@ impl ExploreSpec {
         )
     }
 
-    /// Validates the axes: every workload must resolve, no axis may be
-    /// empty, and every enumerated engine must pass
+    /// Validates the axes: the scale must not pass
+    /// [`nsf_workloads::MAX_SCALE`], every workload must resolve, no axis
+    /// may be empty, and every enumerated engine must pass
     /// [`RegFileSpec::check`] (a `--regs` value past
     /// [`RegFileSpec::MAX_REGS`] fails here, before anything runs).
     pub fn validate(&self) -> Result<(), SpecError> {
+        if self.scale > nsf_workloads::MAX_SCALE {
+            return Err(SpecError {
+                spec: format!("scale={}", self.scale),
+                reason: "scale is past nsf_workloads::MAX_SCALE",
+            });
+        }
         let axis = |name: &'static str, empty: bool| {
             if empty {
                 Err(SpecError {
@@ -418,6 +425,16 @@ mod tests {
         // 2 workloads x 1 cache x (4 regs x 3 lines NSF + 6 segmented
         // — 48/4 and 64/4 frames leave less than one 20-reg context).
         assert_eq!(pts.len(), 2 * (12 + 6));
+    }
+
+    #[test]
+    fn scale_past_the_bound_is_a_typed_error() {
+        let max = nsf_workloads::MAX_SCALE;
+        ExploreSpec::default_spec(max).validate().unwrap();
+        for scale in [max + 1, 3_067_834, u32::MAX] {
+            let e = ExploreSpec::default_spec(scale).validate().unwrap_err();
+            assert_eq!(e.spec, format!("scale={scale}"));
+        }
     }
 
     #[test]

@@ -48,11 +48,19 @@ fn malformed_shard_still_exits_64() {
 }
 
 #[test]
-fn oversized_register_range_exits_64() {
-    // A register count past the size bound is refused while the spec is
-    // validated, before any capture could allocate the file.
-    let args = ["--scale", "0", "--regs", "4294967295"];
-    assert_usage_error(&args);
-    let (_, stderr) = run(&args);
-    assert!(stderr.contains("4294967295"), "value not named: {stderr}");
+fn oversized_regs_or_scale_exit_64() {
+    // A register count past the size bound, or a scale past
+    // `MAX_SCALE`, is refused while the spec is validated, before any
+    // builder or capture could size an allocation from it.
+    let past_max = (nsf_workloads::MAX_SCALE + 1).to_string();
+    for args in [
+        &["--scale", "0", "--regs", "4294967295"][..],
+        &["--scale", &past_max],
+        &["--scale", "3067834"],
+    ] {
+        let value = args[args.len() - 1];
+        assert_usage_error(args);
+        let (_, stderr) = run(args);
+        assert!(stderr.contains(value), "value not named: {stderr}");
+    }
 }

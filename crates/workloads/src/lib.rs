@@ -44,6 +44,12 @@ pub mod zipfile;
 
 pub use harness::{run, run_probed, Workload, WorkloadError};
 
+/// The largest problem scale any builder accepts from a command line or
+/// an explorer spec. Every builder's input size is linear in the scale
+/// and stays below the 2^20-word data region at this bound (DESIGN.md
+/// §6), far from `u32` overflow.
+pub const MAX_SCALE: u32 = 64;
+
 /// One paper benchmark as the command-line tools name it.
 #[derive(Clone, Copy, Debug)]
 pub struct Benchmark {
@@ -114,6 +120,26 @@ mod tests {
             let w = (b.build)(0);
             assert_eq!(b.cli, w.name.to_lowercase(), "CLI name of {}", w.name);
             assert_eq!(b.parallel, w.parallel, "parallel flag of {}", w.name);
+        }
+    }
+
+    #[test]
+    fn max_scale_inputs_fit_the_data_region() {
+        // Staged input at the largest accepted scale still ends below
+        // the result area, so no size product came near wrapping.
+        for b in &BENCHMARKS {
+            let w = (b.build)(MAX_SCALE);
+            for (addr, words) in &w.mem_init {
+                if *addr < harness::RESULT_BASE {
+                    let end = u64::from(*addr) + words.len() as u64;
+                    assert!(
+                        end <= u64::from(harness::RESULT_BASE),
+                        "{}: block at {addr:#x} of {} words",
+                        w.name,
+                        words.len()
+                    );
+                }
+            }
         }
     }
 }

@@ -1,31 +1,45 @@
 //! Thread-count and route independence of the sweep harness.
 //!
-//! Every migrated experiment grid must produce field-for-field identical
-//! reports — and byte-identical rendered tables — whether the sweep ran
-//! on one worker thread or eight, and whether it ran as the plain live
-//! sweep (`Sweep::run`) or through the frontend cache the figure
-//! binaries use (`Sweep::run_stored`), with and without a persistent
-//! stream store. The simulations themselves are deterministic (see
-//! `tests/determinism.rs`); these tests pin the two channels the harness
-//! could open: result ordering and the capture/replay route.
+//! Every entry of [`FIGURES`] must produce field-for-field identical
+//! reports whether the sweep ran on one worker thread or eight, and
+//! whether it ran as the plain live sweep (`Sweep::run`) or through the
+//! frontend cache the figure binaries use (`Sweep::run_stored`), with no
+//! store, a cold store and a warm one. Equal reports render equal
+//! tables and CSVs, since every render is a pure function of them. The
+//! simulations themselves are deterministic (see `tests/determinism.rs`);
+//! these tests pin the two channels the harness could open: result
+//! ordering and the capture/replay route.
 
-use nsf_bench::figures;
-use nsf_bench::{run_with_args, HarnessArgs, Sweep};
-use nsf_sim::RunReport;
+use nsf_bench::figures::{Figure, FIGURES};
+use nsf_bench::{run_with_args, HarnessArgs};
 
-type Render = fn(u32, &Sweep, &[RunReport], bool) -> String;
+fn figure(bin: &str) -> &'static Figure {
+    FIGURES
+        .iter()
+        .find(|f| f.bin == bin)
+        .unwrap_or_else(|| panic!("{bin} is not in FIGURES"))
+}
 
-/// Asserts the figure binaries' route — `Sweep::run_stored` at 1 and 8
-/// threads, without a store and with a process-private one (cold, then
-/// warm) — reproduces `serial` exactly.
-fn assert_cached_routes_match(name: &str, sweep: &Sweep, serial: &[RunReport]) {
+/// Runs one figure's scale-0 grid with 1 and 8 workers, and through the
+/// figure binaries' route at each count — no store, then a fresh
+/// process-private store cold, then warm — asserting every report
+/// stream equals `Sweep::run(1)`.
+fn assert_thread_and_route_independent(f: &Figure) {
+    let name = f.bin;
+    let sweep = (f.grid)(0);
+    let serial = sweep.run(1);
+    assert_eq!(
+        serial,
+        sweep.run(8),
+        "{name}: reports differ across thread counts"
+    );
     let dir = std::env::temp_dir().join(format!(
         "nsf-determinism-store-{}-{name}",
         std::process::id()
     ));
-    let _ = std::fs::remove_dir_all(&dir);
     for threads in [1, 8] {
-        for store in [false, true] {
+        let _ = std::fs::remove_dir_all(&dir);
+        for (route, store) in [("no store", false), ("cold", true), ("warm", true)] {
             let args = HarnessArgs {
                 threads,
                 store,
@@ -34,84 +48,53 @@ fn assert_cached_routes_match(name: &str, sweep: &Sweep, serial: &[RunReport]) {
             };
             assert_eq!(
                 serial,
-                run_with_args(sweep, &args),
-                "{name}: reports differ on the cached route ({threads} threads, store {store})"
+                run_with_args(&sweep, &args),
+                "{name}: reports differ on the cached route ({threads} threads, {route})"
             );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Runs one grid serially, with 8 workers, and through the cached
-/// route, asserting every report stream and every rendered table
-/// matches exactly.
-fn assert_thread_independent(name: &str, grid: fn(u32) -> Sweep, render: Render) {
-    let sweep = grid(0);
-    let serial = sweep.run(1);
-    let threaded = sweep.run(8);
-    assert_eq!(
-        serial, threaded,
-        "{name}: reports differ across thread counts"
-    );
-    assert_cached_routes_match(name, &sweep, &serial);
-    for quiet in [false, true] {
-        let a = render(0, &sweep, &serial, quiet);
-        let b = render(0, &sweep, &threaded, quiet);
-        assert_eq!(a, b, "{name}: rendered output differs across thread counts");
-        assert!(!a.is_empty(), "{name}: empty render");
-    }
-}
-
-macro_rules! determinism_test {
-    ($($name:ident),+ $(,)?) => {$(
-        #[test]
-        fn $name() {
-            assert_thread_independent(
-                stringify!($name),
-                figures::$name::grid,
-                figures::$name::render,
+    if let Some(render) = f.render {
+        for quiet in [false, true] {
+            assert!(
+                !render(0, &sweep, &serial, quiet).is_empty(),
+                "{name}: empty render"
             );
         }
-    )+};
-}
-
-determinism_test!(
-    table1,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    ablations,
-    related_work,
-    depth_sweep,
-    summary,
-);
-
-/// `export_csv` renders to CSV files rather than a table; compare the
-/// full set of (name, header, rows) across thread counts.
-#[test]
-fn export_csv() {
-    let sweep = figures::export_csv::grid(0);
-    let serial = sweep.run(1);
-    let threaded = sweep.run(8);
-    assert_eq!(
-        serial, threaded,
-        "export_csv: reports differ across thread counts"
-    );
-    assert_cached_routes_match("export_csv", &sweep, &serial);
-    let a = figures::export_csv::csvs(&sweep, &serial);
-    let b = figures::export_csv::csvs(&sweep, &threaded);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.name, y.name);
-        assert_eq!(x.header, y.header);
-        assert_eq!(
-            x.rows, y.rows,
-            "{}: rows differ across thread counts",
-            x.name
-        );
     }
-    assert_eq!(a.len(), 3, "expected the three documented CSV files");
 }
+
+/// One test per [`FIGURES`] entry, in the table's order, plus a check
+/// that the list covers the table exactly.
+macro_rules! determinism_tests {
+    ($($name:ident => $bin:literal),+ $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                assert_thread_and_route_independent(figure($bin));
+            }
+        )+
+
+        #[test]
+        fn every_figure_has_a_determinism_test() {
+            let bins: Vec<&str> = FIGURES.iter().map(|f| f.bin).collect();
+            assert_eq!(bins, [$($bin),+]);
+        }
+    };
+}
+
+determinism_tests!(
+    ablations => "ablations",
+    depth_sweep => "depth_sweep",
+    export_csv => "export_csv",
+    fig09 => "fig09_utilization",
+    fig10 => "fig10_reload_traffic",
+    fig11 => "fig11_resident_contexts",
+    fig12 => "fig12_reload_vs_size",
+    fig13 => "fig13_line_size",
+    fig14 => "fig14_overhead",
+    fig_pipeline => "fig_pipeline",
+    related_work => "related_work",
+    summary => "summary",
+    table1 => "table1",
+);
