@@ -20,11 +20,12 @@
 //!     replay-repro crates/check/tests/repros/*.nsftrace
 //! ```
 //!
-//! Exit codes: 0 clean, 1 divergence found (or a repro still failing),
-//! 2 runtime error, 64 usage error. Everything is a pure function of
-//! `--seed`; reruns reproduce bit-for-bit.
+//! Exit codes (the tools' shared rule, `nsf_bench::cli`): 0 clean, 1
+//! divergence found (or a repro still failing), 2 runtime error, 64
+//! usage error. Everything is a pure function of `--seed`; reruns
+//! reproduce bit-for-bit.
 
-use nsf_bench::{CliArgs, CliError, CliSpec};
+use nsf_bench::{bad_value, CliArgs, CliError, CliSpec, Command, Operands, ToolError};
 use nsf_check::run::check_family;
 use nsf_check::{
     check_seed, fault_plan_for_seed, generate, shrink, Divergence, Family, Repro, StreamConfig,
@@ -32,50 +33,39 @@ use nsf_check::{
 use nsf_core::LaneOp;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: check_tool fuzz [--family NAME|all] [--seed N] [--iters N] [--ops N] [--repro-dir DIR] [--quiet]\n\
-         \x20      check_tool shrink --family NAME --seed N [--ops N] [--out FILE]\n\
-         \x20      check_tool replay-repro FILE...\n\
-         families: nsf, segmented, segmented-sw, windowed, conventional"
-    );
-    ExitCode::from(64)
-}
+const USAGE: &str = "usage: check_tool fuzz [--family NAME|all] [--seed N] [--iters N] [--ops N] [--repro-dir DIR] [--quiet]
+       check_tool shrink --family NAME --seed N [--ops N] [--out FILE]
+       check_tool replay-repro FILE...
+families: nsf, segmented, segmented-sw, windowed, conventional";
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("check_tool: {msg}");
-    ExitCode::from(2)
-}
-
-/// The flags each subcommand accepts (strict: anything else errors).
-fn spec_for(cmd: &str) -> Option<CliSpec> {
-    match cmd {
-        "fuzz" => Some(CliSpec {
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "fuzz",
+        spec: CliSpec {
             value_flags: &["family", "seed", "iters", "ops", "repro-dir"],
             switches: &["quiet"],
             repeatable: &[],
-        }),
-        "shrink" => Some(CliSpec {
-            value_flags: &["family", "seed", "ops", "out"],
-            switches: &[],
-            repeatable: &[],
-        }),
-        "replay-repro" => Some(CliSpec {
-            value_flags: &[],
-            switches: &[],
-            repeatable: &[],
-        }),
-        _ => None,
-    }
-}
+        },
+        operands: Operands::None,
+        run: cmd_fuzz,
+    },
+    Command {
+        name: "shrink",
+        spec: CliSpec::values(&["family", "seed", "ops", "out"]),
+        operands: Operands::None,
+        run: cmd_shrink,
+    },
+    Command {
+        name: "replay-repro",
+        spec: CliSpec::values(&[]),
+        operands: Operands::Files,
+        run: cmd_replay_repro,
+    },
+];
 
-fn families_arg(args: &CliArgs) -> Result<Vec<Family>, String> {
-    match args.flag("family") {
-        None | Some("all") => Ok(Family::ALL.to_vec()),
-        Some(name) => Family::from_name(name)
-            .map(|f| vec![f])
-            .ok_or_else(|| format!("unknown family {name:?}")),
-    }
+/// The family a `--family` value names.
+fn parse_family(name: &str) -> Result<Family, CliError> {
+    Family::from_name(name).ok_or_else(|| bad_value("family", name))
 }
 
 fn stream_config(args: &CliArgs) -> Result<StreamConfig, CliError> {
@@ -102,18 +92,32 @@ fn shrink_divergence(
     (small, d)
 }
 
+/// Prints a shrunk stream and, given a path, writes it there as a repro.
+fn emit_repro(
+    family: Family,
+    plan: nsf_core::FaultPlan,
+    ops: Vec<LaneOp>,
+    out: Option<&str>,
+) -> Result<(), String> {
+    for (i, ev) in ops.iter().enumerate() {
+        eprintln!("  {i:>3}: {ev}");
+    }
+    if let Some(out) = out {
+        Repro { family, plan, ops }.write_file(out)?;
+        eprintln!("repro written to {out}");
+    }
+    Ok(())
+}
+
 fn report_divergence(
     family: Family,
-    seed: Option<u64>,
+    seed: u64,
     ops: &[LaneOp],
     plan: nsf_core::FaultPlan,
     d: &Divergence,
     repro_dir: Option<&str>,
 ) -> Result<(), String> {
-    match seed {
-        Some(seed) => eprintln!("DIVERGENCE family {family} seed {seed}: {d}"),
-        None => eprintln!("DIVERGENCE family {family}: {d}"),
-    }
+    eprintln!("DIVERGENCE family {family} seed {seed}: {d}");
     let (small, small_d) = shrink_divergence(family, ops, plan, d);
     eprintln!(
         "shrunk {} ops -> {} (plan {:?}): {small_d}",
@@ -121,111 +125,85 @@ fn report_divergence(
         small.len(),
         plan
     );
-    for (i, ev) in small.iter().enumerate() {
-        eprintln!("  {i:>3}: {ev}");
-    }
     if let Some(dir) = repro_dir {
-        let name = match seed {
-            Some(seed) => format!("{dir}/{family}-seed{seed}.nsftrace"),
-            None => format!("{dir}/{family}.nsftrace"),
-        };
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        Repro {
-            family,
-            plan,
-            ops: small.clone(),
-        }
-        .write_file(&name)?;
-        eprintln!("repro written to {name}");
     }
-    Ok(())
+    let name = repro_dir.map(|dir| format!("{dir}/{family}-seed{seed}.nsftrace"));
+    emit_repro(family, plan, small, name.as_deref())
 }
 
 /// Runs `iters` seeds per family; stops a family at its first
-/// divergence. `Ok(true)` means everything was clean.
-fn cmd_fuzz(args: &CliArgs) -> Result<bool, String> {
-    let families = families_arg(args)?;
-    let start: u64 = args.parsed_or("seed", 0u64).map_err(|e| e.to_string())?;
-    let iters: u64 = args.parsed_or("iters", 500u64).map_err(|e| e.to_string())?;
-    let cfg = stream_config(args).map_err(|e| e.to_string())?;
+/// divergence, which makes the outcome [`ToolError::Findings`].
+fn cmd_fuzz(args: &CliArgs) -> Result<(), ToolError> {
+    let families = match args.flag("family") {
+        None | Some("all") => Family::ALL.to_vec(),
+        Some(name) => vec![parse_family(name)?],
+    };
+    let start: u64 = args.parsed_or("seed", 0u64)?;
+    let iters: u64 = args.parsed_or("iters", 500u64)?;
+    // The last seed, `start + iters - 1`, must exist: a range past
+    // `u64::MAX` would wrap and report seeds it never checked.
+    if iters > 0 && start.checked_add(iters - 1).is_none() {
+        return Err(bad_value("seed", &start.to_string()).into());
+    }
+    let cfg = stream_config(args)?;
     let quiet = args.switch("quiet");
     let repro_dir = args.flag("repro-dir");
     let mut clean = true;
 
-    for family in families {
+    'families: for family in families {
         let mut faults = 0u64;
-        let mut diverged = false;
-        for seed in start..start + iters {
+        for seed in (0..iters).map(|i| start + i) {
             let (ops, plan, verdict) = check_seed(family, &cfg, seed);
             match verdict {
                 Ok(reports) => faults += reports.iter().map(|r| r.faults_absorbed).sum::<u64>(),
                 Err(d) => {
-                    report_divergence(family, Some(seed), &ops, plan, &d, repro_dir)?;
+                    report_divergence(family, seed, &ops, plan, &d, repro_dir)?;
                     clean = false;
-                    diverged = true;
-                    break;
+                    continue 'families;
                 }
             }
         }
-        if !diverged && !quiet {
+        if !quiet {
             println!(
                 "{family:<13} {iters} seeds clean ({} lanes, {faults} injected faults absorbed)",
                 family.lanes().len()
             );
         }
     }
-    Ok(clean)
+    clean.then_some(()).ok_or(ToolError::Findings)
 }
 
-fn cmd_shrink(args: &CliArgs) -> Result<bool, String> {
-    let families = families_arg(args)?;
-    let [family] = families[..] else {
-        return Err("shrink needs one --family (not `all`)".into());
-    };
-    let seed: u64 = args.parsed_or("seed", 0u64).map_err(|e| e.to_string())?;
-    let cfg = stream_config(args).map_err(|e| e.to_string())?;
+fn cmd_shrink(args: &CliArgs) -> Result<(), ToolError> {
+    // One family: `all` has no single lane set to shrink against.
+    let family = parse_family(args.required("family")?)?;
+    let seed: u64 = args.parsed_or("seed", 0u64)?;
+    let cfg = stream_config(args)?;
     let ops = generate(&cfg, seed);
     let plan = fault_plan_for_seed(seed);
     match check_family(family, &ops, plan) {
         Ok(_) => {
             println!("family {family} seed {seed}: no divergence; nothing to shrink");
-            Ok(true)
+            Ok(())
         }
         Err(d) => {
-            let repro_dir = args.flag("out").map(|_| ());
             let (small, small_d) = shrink_divergence(family, &ops, plan, &d);
             eprintln!(
                 "family {family} seed {seed}: shrunk {} ops -> {}: {small_d}",
                 ops.len(),
                 small.len()
             );
-            for (i, ev) in small.iter().enumerate() {
-                eprintln!("  {i:>3}: {ev}");
-            }
-            if repro_dir.is_some() {
-                let out = args.flag("out").expect("just checked");
-                Repro {
-                    family,
-                    plan,
-                    ops: small,
-                }
-                .write_file(out)?;
-                eprintln!("repro written to {out}");
-            }
-            Ok(false)
+            emit_repro(family, plan, small, args.flag("out"))?;
+            Err(ToolError::Findings)
         }
     }
 }
 
 /// Replays checked-in repros; each must now run clean (the divergence
 /// it captured has been fixed).
-fn cmd_replay_repro(args: &CliArgs) -> Result<bool, String> {
-    let paths = args.positional();
-    if paths.is_empty() {
-        return Err("replay-repro needs at least one .nsftrace file".into());
-    }
+fn cmd_replay_repro(args: &CliArgs) -> Result<(), ToolError> {
     let mut clean = true;
-    for path in paths {
+    for path in args.positional() {
         let repro = Repro::read_file(path)?;
         match check_family(repro.family, &repro.ops, repro.plan) {
             Ok(_) => println!(
@@ -240,33 +218,9 @@ fn cmd_replay_repro(args: &CliArgs) -> Result<bool, String> {
             }
         }
     }
-    Ok(clean)
+    clean.then_some(()).ok_or(ToolError::Findings)
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().map(String::as_str) else {
-        return usage();
-    };
-    let Some(spec) = spec_for(cmd) else {
-        return usage();
-    };
-    let args = match CliArgs::parse(&raw[1..], &spec) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("check_tool {cmd}: {e}");
-            return usage();
-        }
-    };
-    let result = match cmd {
-        "fuzz" => cmd_fuzz(&args),
-        "shrink" => cmd_shrink(&args),
-        "replay-repro" => cmd_replay_repro(&args),
-        _ => unreachable!("spec_for gated the command"),
-    };
-    match result {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
-        Err(e) => fail(e),
-    }
+    nsf_bench::tool_main("check_tool", USAGE, COMMANDS)
 }

@@ -22,23 +22,39 @@
 //! filename) until the store fits the budget. Without `--max-bytes` it
 //! only removes the invalid entries. The explorer's result memo
 //! (`explore_memo.nsfm`) is not a stream entry and is left alone.
+//!
+//! Exit codes (the tools' shared rule, `nsf_bench::cli`): 0 success, 2
+//! runtime error, 64 usage error (`info --max-bytes` included).
 
-use nsf_bench::{CliArgs, CliSpec};
+use nsf_bench::{CliArgs, CliSpec, Command, Operands, ToolError};
 use nsf_trace::validate_stream_bytes;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: store_tool info [--dir DIR]\n\
-         \x20      store_tool gc [--dir DIR] [--max-bytes N]"
-    );
-    ExitCode::from(64)
-}
+const USAGE: &str = "usage: store_tool info [--dir DIR]
+       store_tool gc [--dir DIR] [--max-bytes N]";
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("store_tool: {msg}");
-    ExitCode::from(2)
+/// Only `gc` takes `--max-bytes`: `info --max-bytes` is a contradiction,
+/// not a no-op.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "info",
+        spec: CliSpec::values(&["dir"]),
+        operands: Operands::None,
+        run: info,
+    },
+    Command {
+        name: "gc",
+        spec: CliSpec::values(&["dir", "max-bytes"]),
+        operands: Operands::None,
+        run: gc,
+    },
+];
+
+/// `--dir DIR`, or the workspace store.
+fn store_dir(args: &CliArgs) -> PathBuf {
+    let default = || nsf_bench::workspace_results_dir().join("store");
+    args.flag("dir").map_or_else(default, PathBuf::from)
 }
 
 /// One file in the store directory that `store_tool` manages.
@@ -99,7 +115,8 @@ fn total(entries: &[Entry]) -> u64 {
     entries.iter().map(|e| e.bytes).sum()
 }
 
-fn info(dir: &Path) -> Result<(), String> {
+fn info(args: &CliArgs) -> Result<(), ToolError> {
+    let dir = &store_dir(args);
     let entries = scan(dir).map_err(|e| e.to_string())?;
     let invalid: Vec<&Entry> = entries.iter().filter(|e| e.invalid.is_some()).collect();
     for e in &entries {
@@ -118,7 +135,9 @@ fn info(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn gc(dir: &Path, max_bytes: Option<u64>) -> Result<(), String> {
+fn gc(args: &CliArgs) -> Result<(), ToolError> {
+    let dir = &store_dir(args);
+    let budget = args.parsed_or("max-bytes", u64::MAX)?;
     let entries = scan(dir).map_err(|e| e.to_string())?;
     let mut removed_invalid = 0u64;
     let mut keep: Vec<Entry> = Vec::new();
@@ -136,13 +155,11 @@ fn gc(dir: &Path, max_bytes: Option<u64>) -> Result<(), String> {
     // the eviction order is a pure function of the store's contents.
     keep.sort_by(|a, b| b.bytes.cmp(&a.bytes).then_with(|| a.name.cmp(&b.name)));
     let mut evicted = 0u64;
-    if let Some(budget) = max_bytes {
-        while total(&keep) > budget {
-            let e = keep.remove(0);
-            std::fs::remove_file(&e.path).map_err(|err| format!("{}: {err}", e.name))?;
-            println!("  evicted {} ({} bytes)", e.name, e.bytes);
-            evicted += 1;
-        }
+    while total(&keep) > budget {
+        let e = keep.remove(0);
+        std::fs::remove_file(&e.path).map_err(|err| format!("{}: {err}", e.name))?;
+        println!("  evicted {} ({} bytes)", e.name, e.bytes);
+        evicted += 1;
     }
     println!(
         "store-gc dir={} removed_invalid={} evicted={} entries={} bytes={}",
@@ -156,49 +173,5 @@ fn gc(dir: &Path, max_bytes: Option<u64>) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let spec = CliSpec {
-        value_flags: &["dir", "max-bytes"],
-        switches: &[],
-        repeatable: &[],
-    };
-    let args = match CliArgs::parse(&raw, &spec) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
-    };
-    let cmd = match args.positional() {
-        [one] => one.as_str(),
-        _ => return usage(),
-    };
-    let dir = match args.flag("dir") {
-        Some(d) => PathBuf::from(d),
-        None => nsf_bench::workspace_results_dir().join("store"),
-    };
-    let max_bytes = match (cmd, args.flag("max-bytes")) {
-        (_, None) => None,
-        ("gc", Some(v)) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: bad --max-bytes value {v:?}");
-                return usage();
-            }
-        },
-        // `info --max-bytes` is a contradiction, not a no-op.
-        _ => {
-            eprintln!("error: --max-bytes only applies to gc");
-            return usage();
-        }
-    };
-    let done = match cmd {
-        "info" => info(&dir),
-        "gc" => gc(&dir, max_bytes),
-        _ => return usage(),
-    };
-    match done {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(e),
-    }
+    nsf_bench::tool_main("store_tool", USAGE, COMMANDS)
 }

@@ -26,61 +26,68 @@
 //! recorded it reproduces the live run's statistics exactly; other
 //! engines answer "what would this op stream have cost on that file?"
 //! (for a parallel program: this recorded interleaving of its threads).
+//!
+//! Exit codes (the tools' shared rule, `nsf_bench::cli`): 0 success, 2
+//! runtime error (an unbuildable engine spec included), 64 usage error.
 
-use nsf_bench::{pool_map, CliArgs, CliSpec};
+use nsf_bench::{pool_map, CliArgs, CliSpec, Command, Operands, ToolError};
 use nsf_sim::SimConfig;
 use nsf_trace::{capture, diff, parse_engine, replay, ReplayReport, Trace};
 use nsf_workloads::Workload;
 use std::process::ExitCode;
 use std::time::Instant;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: trace_tool record --workload NAME [--engine SPEC] [--scale N] [--out FILE]\n\
-         \x20      trace_tool info FILE\n\
-         \x20      trace_tool replay FILE [--engine SPEC]... [--threads N]\n\
-         \x20      trace_tool diff FILE --a SPEC --b SPEC"
-    );
-    ExitCode::from(64)
-}
+const USAGE: &str =
+    "usage: trace_tool record --workload NAME [--engine SPEC] [--scale N] [--out FILE]
+       trace_tool info FILE
+       trace_tool replay FILE [--engine SPEC]... [--threads N]
+       trace_tool diff FILE --a SPEC --b SPEC";
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("trace_tool: {msg}");
-    ExitCode::from(2)
-}
+/// `replay` fans one trace across many engines, so only its `--engine`
+/// may repeat; everywhere else a duplicate flag is a usage error.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "record",
+        spec: CliSpec::values(&["workload", "engine", "scale", "out"]),
+        operands: Operands::None,
+        run: cmd_record,
+    },
+    Command {
+        name: "info",
+        spec: CliSpec::values(&[]),
+        operands: Operands::File,
+        run: cmd_info,
+    },
+    Command {
+        name: "replay",
+        spec: CliSpec {
+            value_flags: &["engine", "threads"],
+            switches: &[],
+            repeatable: &["engine"],
+        },
+        operands: Operands::File,
+        run: cmd_replay,
+    },
+    Command {
+        name: "diff",
+        spec: CliSpec::values(&["a", "b"]),
+        operands: Operands::File,
+        run: cmd_diff,
+    },
+];
 
-/// The flags each subcommand accepts (strict: anything else errors).
-fn spec_for(cmd: &str) -> Option<CliSpec> {
-    // `replay` fans one trace across many engines, so only its
-    // `--engine` may repeat; everywhere else a duplicate flag is a
-    // usage error (exit 64), like every other binary's CLI.
-    let (value_flags, repeatable): (&'static [&'static str], &'static [&'static str]) = match cmd {
-        "record" => (&["workload", "engine", "scale", "out"], &[]),
-        "info" => (&[], &[]),
-        "replay" => (&["engine", "threads"], &["engine"]),
-        "diff" => (&["a", "b"], &[]),
-        _ => return None,
-    };
-    Some(CliSpec {
-        value_flags,
-        switches: &[],
-        repeatable,
-    })
-}
-
-type Args = CliArgs;
-
-/// Builds the named paper benchmark (case-insensitive) at `scale`.
-fn workload_by_name(name: &str, scale: u32) -> Result<Workload, String> {
+/// Builds the named paper benchmark (case-insensitive) at `scale`; an
+/// unknown name is a usage error.
+fn workload_by_name(name: &str, scale: u32) -> Result<Workload, ToolError> {
     let known = &nsf_workloads::BENCHMARKS;
-    let b = known
-        .iter()
-        .find(|b| b.cli.eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            let names: Vec<&str> = known.iter().map(|b| b.cli).collect();
-            format!("unknown workload {name:?}; known: {}", names.join(", "))
-        })?;
-    Ok((b.build)(scale))
+    if let Some(b) = known.iter().find(|b| b.cli.eq_ignore_ascii_case(name)) {
+        return Ok((b.build)(scale));
+    }
+    let names: Vec<&str> = known.iter().map(|b| b.cli).collect();
+    let names = names.join(", ");
+    Err(ToolError::Usage(format!(
+        "unknown workload {name:?}; known: {names}"
+    )))
 }
 
 fn engine_config(spec: &str) -> Result<SimConfig, String> {
@@ -89,18 +96,9 @@ fn engine_config(spec: &str) -> Result<SimConfig, String> {
     ))
 }
 
-fn cmd_record(args: &Args) -> Result<(), String> {
-    let name = args
-        .flag("workload")
-        .ok_or("record needs --workload NAME")?;
-    let scale: u32 = match args.flag("scale") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n| n <= nsf_workloads::MAX_SCALE)
-            .ok_or_else(|| format!("bad --scale {s:?} (0-{})", nsf_workloads::MAX_SCALE))?,
-        None => 1,
-    };
+fn cmd_record(args: &CliArgs) -> Result<(), ToolError> {
+    let name = args.required("workload")?;
+    let scale = args.scale(1)?;
     let workload = workload_by_name(name, scale)?;
     let spec = args
         .flag("engine")
@@ -128,8 +126,8 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), String> {
-    let path = args.positional().first().ok_or("info needs a trace file")?;
+fn cmd_info(args: &CliArgs) -> Result<(), ToolError> {
+    let path = &args.positional()[0];
     let image = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let bytes = image.len();
     // Decoding checks the checksum and every header field; the histogram
@@ -189,11 +187,9 @@ fn print_replay(spec: &str, meta_instructions: u64, r: &ReplayReport, wall_ms: f
     );
 }
 
-fn cmd_replay(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional()
-        .first()
-        .ok_or("replay needs a trace file")?;
+fn cmd_replay(args: &CliArgs) -> Result<(), ToolError> {
+    let path = &args.positional()[0];
+    let threads = args.threads(1)?;
     let trace = Trace::read_file(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut specs: Vec<String> = args
         .flag_all("engine")
@@ -204,10 +200,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     if specs.is_empty() {
         specs.push(trace.meta.engine.clone());
     }
-    let threads: usize = match args.flag("threads") {
-        Some(t) => t.parse().map_err(|_| format!("bad --threads {t:?}"))?,
-        None => 1,
-    };
     let configs: Vec<(String, SimConfig)> = specs
         .iter()
         .map(|s| Ok((s.clone(), engine_config(s)?)))
@@ -251,10 +243,10 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_diff(args: &Args) -> Result<(), String> {
-    let path = args.positional().first().ok_or("diff needs a trace file")?;
-    let spec_a = args.flag("a").ok_or("diff needs --a SPEC")?;
-    let spec_b = args.flag("b").ok_or("diff needs --b SPEC")?;
+fn cmd_diff(args: &CliArgs) -> Result<(), ToolError> {
+    let path = &args.positional()[0];
+    let spec_a = args.required("a")?;
+    let spec_b = args.required("b")?;
     let trace = Trace::read_file(path).map_err(|e| format!("reading {path}: {e}"))?;
     let d = diff(&trace, &engine_config(spec_a)?, &engine_config(spec_b)?)
         .map_err(|e| format!("--a {spec_a} --b {spec_b}: {e}"))?;
@@ -282,29 +274,5 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().map(String::as_str) else {
-        return usage();
-    };
-    let Some(spec) = spec_for(cmd) else {
-        return usage();
-    };
-    let args = match Args::parse(&raw[1..], &spec) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("trace_tool {cmd}: {e}");
-            return usage();
-        }
-    };
-    let result = match cmd {
-        "record" => cmd_record(&args),
-        "info" => cmd_info(&args),
-        "replay" => cmd_replay(&args),
-        "diff" => cmd_diff(&args),
-        _ => unreachable!("spec_for gated the command"),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(e),
-    }
+    nsf_bench::tool_main("trace_tool", USAGE, COMMANDS)
 }

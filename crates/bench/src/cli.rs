@@ -1,6 +1,6 @@
-//! Strict command-line parsing for every binary: the figure binaries and
-//! `perf_report` (through [`crate::HarnessArgs`]) and the tools
-//! (`trace_tool`, `check_tool`, `store_tool`, `nsf-explore`).
+//! Strict command-line parsing and the one front door of every binary:
+//! the figure binaries and `perf_report` (through [`crate::HarnessArgs`])
+//! and the tools (`trace_tool`, `check_tool`, `store_tool`, `nsf-explore`).
 //!
 //! Silently mis-parsing a flag is how `--engine` (no value) once
 //! recorded a trace under an empty engine spec, `--a --b nsf:40` once
@@ -9,8 +9,14 @@
 //! receive a value, a value is never allowed to look like a flag, and
 //! unknown flags are errors, so typos fail loudly with usage (exit 64)
 //! instead of being ignored.
+//!
+//! A tool declares one [`Command`] table; [`tool_main`] does the lookup,
+//! the strict parse and the operand check, and one exit rule: 0
+//! success, 1 findings, 2 a runtime error, 64 a rejected command line
+//! (with usage).
 
 use std::fmt;
+use std::process::ExitCode;
 
 /// What a tool subcommand accepts: flags that take a value, and boolean
 /// switches.
@@ -28,6 +34,17 @@ pub struct CliSpec {
     /// meaningful (`--engine A --engine B` replays through both);
     /// `flag_all` sees every occurrence in order.
     pub repeatable: &'static [&'static str],
+}
+
+impl CliSpec {
+    /// Value flags only: no switches, none repeatable.
+    pub const fn values(value_flags: &'static [&'static str]) -> Self {
+        CliSpec {
+            value_flags,
+            switches: &[],
+            repeatable: &[],
+        }
+    }
 }
 
 /// A rejected command line, with the offending token.
@@ -57,6 +74,8 @@ pub enum CliError {
     /// A single-occurrence value flag was given more than once
     /// (`--scale 0 --scale 1`).
     Repeated(String),
+    /// A required flag or FILE operand was not given.
+    Missing(String),
 }
 
 impl fmt::Display for CliError {
@@ -66,12 +85,9 @@ impl fmt::Display for CliError {
             CliError::UnknownFlag(flag) => write!(f, "unknown flag --{flag}"),
             CliError::Unexpected(arg) => write!(f, "unexpected argument {arg:?}"),
             CliError::BadValue { flag, value } => write!(f, "bad --{flag} value {value:?}"),
-            CliError::Conflict { a, b } => {
-                write!(f, "--{a} and --{b} contradict each other")
-            }
-            CliError::Repeated(flag) => {
-                write!(f, "--{flag} given more than once")
-            }
+            CliError::Conflict { a, b } => write!(f, "--{a} and --{b} contradict each other"),
+            CliError::Repeated(flag) => write!(f, "--{flag} given more than once"),
+            CliError::Missing(what) => write!(f, "missing {what}"),
         }
     }
 }
@@ -153,14 +169,147 @@ impl CliArgs {
     /// Unparseable values are [`CliError::BadValue`], not defaults — a
     /// mistyped `--scale` must not silently run the wrong experiment.
     pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| CliError::BadValue {
-                flag: name.to_string(),
-                value: v.to_string(),
-            }),
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
+    /// The first `--name` value parsed as `T`, or `None` when absent;
+    /// unparseable values are [`CliError::BadValue`].
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.flag(name)
+            .map(|v| v.parse().map_err(|_| bad_value(name, v)))
+            .transpose()
+    }
+
+    /// The value of `--name`, which the command cannot run without.
+    pub fn required(&self, name: &str) -> Result<&str, CliError> {
+        self.flag(name)
+            .ok_or_else(|| CliError::Missing(format!("--{name}")))
+    }
+
+    /// `--scale N` (or `default`), at most [`nsf_workloads::MAX_SCALE`]:
+    /// the builders multiply it into input sizes.
+    pub fn scale(&self, default: u32) -> Result<u32, CliError> {
+        let scale = self.parsed_or("scale", default)?;
+        if scale > nsf_workloads::MAX_SCALE {
+            return Err(bad_value("scale", &scale.to_string()));
+        }
+        Ok(scale)
+    }
+
+    /// `--threads N`, or `default`; 0 clamps to 1.
+    pub fn threads(&self, default: usize) -> Result<usize, CliError> {
+        Ok(self.parsed_or("threads", default)?.max(1))
+    }
+
+    /// Whether the stream store is on: yes unless `--no-store`.
+    pub fn store(&self) -> Result<bool, CliError> {
+        if self.switch("store") && self.switch("no-store") {
+            return Err(CliError::Conflict {
+                a: "store".into(),
+                b: "no-store".into(),
+            });
+        }
+        Ok(!self.switch("no-store"))
+    }
+
+    /// Checks the positional operands against what the command takes.
+    pub fn check_operands(&self, operands: Operands) -> Result<(), CliError> {
+        match (operands, self.positional.as_slice()) {
+            (Operands::None, [stray, ..]) | (Operands::File, [_, stray, ..]) => {
+                Err(CliError::Unexpected(stray.clone()))
+            }
+            (Operands::File | Operands::Files, []) => Err(CliError::Missing("FILE operand".into())),
+            _ => Ok(()),
         }
     }
+}
+
+/// A [`CliError::BadValue`] for `--flag value`.
+pub fn bad_value(flag: &str, value: &str) -> CliError {
+    CliError::BadValue {
+        flag: flag.to_string(),
+        value: value.to_string(),
+    }
+}
+
+/// The positional operands a command takes: none, one FILE, or one or
+/// more FILEs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Operands {
+    None,
+    File,
+    Files,
+}
+
+/// Why a command failed, which fixes the exit status.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ToolError {
+    /// A rejected command line: exit 64, with usage.
+    Usage(String),
+    /// A failure while running (an unreadable file, an unbuildable
+    /// engine spec): exit 2.
+    Runtime(String),
+    /// Findings already reported (`check_tool`'s divergences): exit 1.
+    Findings,
+}
+
+impl From<CliError> for ToolError {
+    fn from(e: CliError) -> Self {
+        ToolError::Usage(e.to_string())
+    }
+}
+
+impl From<String> for ToolError {
+    fn from(msg: String) -> Self {
+        ToolError::Runtime(msg)
+    }
+}
+
+/// One subcommand of a tool binary: its name, flags, operands and
+/// handler.
+pub struct Command {
+    pub name: &'static str,
+    pub spec: CliSpec,
+    pub operands: Operands,
+    pub run: fn(&CliArgs) -> Result<(), ToolError>,
+}
+
+impl Command {
+    fn dispatch(&self, raw: &[String]) -> Result<(), ToolError> {
+        let args = CliArgs::parse(raw, &self.spec)?;
+        args.check_operands(self.operands)?;
+        (self.run)(&args)
+    }
+}
+
+/// The `main` of `tool COMMAND [ARGS]`.
+pub fn tool_main(tool: &str, usage: &str, commands: &[Command]) -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let result = match raw.split_first() {
+        None => Err(ToolError::Usage("missing command".into())),
+        Some((name, rest)) => match commands.iter().find(|c| c.name == name) {
+            Some(cmd) => cmd.dispatch(rest),
+            None => Err(ToolError::Usage(format!("unknown command {name:?}"))),
+        },
+    };
+    exit_status(tool, usage, result)
+}
+
+/// The `main` of a tool with no subcommands.
+pub fn command_main(tool: &str, usage: &str, command: &Command) -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    exit_status(tool, usage, command.dispatch(&raw))
+}
+
+fn exit_status(tool: &str, usage: &str, result: Result<(), ToolError>) -> ExitCode {
+    let (code, msg) = match result {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(ToolError::Findings) => return ExitCode::from(1),
+        Err(ToolError::Runtime(msg)) => (2, msg),
+        Err(ToolError::Usage(msg)) => (64, format!("{msg}\n{usage}")),
+    };
+    eprintln!("{tool}: {msg}");
+    ExitCode::from(code)
 }
 
 #[cfg(test)]
@@ -253,6 +402,70 @@ mod tests {
                 value: "x".into()
             })
         );
+    }
+
+    #[test]
+    fn operands_are_checked_against_the_command() {
+        let a = parse(&["f1", "f2"]).unwrap();
+        assert_eq!(
+            a.check_operands(Operands::None),
+            Err(CliError::Unexpected("f1".into()))
+        );
+        assert_eq!(
+            a.check_operands(Operands::File),
+            Err(CliError::Unexpected("f2".into()))
+        );
+        assert_eq!(a.check_operands(Operands::Files), Ok(()));
+        let none = parse(&["--quiet"]).unwrap();
+        assert_eq!(none.check_operands(Operands::None), Ok(()));
+        for needs_file in [Operands::File, Operands::Files] {
+            assert_eq!(
+                none.check_operands(needs_file),
+                Err(CliError::Missing("FILE operand".into()))
+            );
+        }
+        assert_eq!(
+            none.required("engine"),
+            Err(CliError::Missing("--engine".into()))
+        );
+    }
+
+    #[test]
+    fn shared_scale_threads_and_store_parsers() {
+        const SPEC: CliSpec = CliSpec {
+            value_flags: &["scale", "threads"],
+            switches: &["store", "no-store"],
+            repeatable: &[],
+        };
+        let parse = |tokens: &[&str]| {
+            let raw: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+            CliArgs::parse(&raw, &SPEC).unwrap()
+        };
+        let d = parse(&[]);
+        assert_eq!(
+            (d.scale(1), d.threads(3), d.store()),
+            (Ok(1), Ok(3), Ok(true))
+        );
+        let max = nsf_workloads::MAX_SCALE.to_string();
+        assert_eq!(
+            parse(&["--scale", &max]).scale(1),
+            Ok(nsf_workloads::MAX_SCALE)
+        );
+        let past = (nsf_workloads::MAX_SCALE + 1).to_string();
+        assert_eq!(
+            parse(&["--scale", &past]).scale(1),
+            Err(bad_value("scale", &past))
+        );
+        assert_eq!(parse(&["--threads", "0"]).threads(4), Ok(1));
+        assert_eq!(
+            parse(&["--threads", "-1"]).threads(4),
+            Err(bad_value("threads", "-1"))
+        );
+        assert_eq!(parse(&["--no-store"]).store(), Ok(false));
+        assert!(matches!(
+            parse(&["--store", "--no-store"]).store(),
+            Err(CliError::Conflict { .. })
+        ));
     }
 
     #[test]

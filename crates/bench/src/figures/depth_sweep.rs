@@ -3,10 +3,9 @@
 //! same at every `--scale` (the seed binary ignored scale too).
 
 use super::rule;
+use crate::pct;
 use crate::runner::{Cursor, Sweep};
-use crate::{nsf_config, pct, segmented_config, SEQ_CTX_REGS, SEQ_FILE_REGS};
 use nsf_sim::RunReport;
-use nsf_workloads::synth::{sequential, SeqParams};
 use std::fmt::Write;
 
 /// Call-chain depths swept.
@@ -15,15 +14,7 @@ pub const DEPTHS: [u32; 7] = [2, 4, 6, 8, 12, 16, 24];
 /// One synthetic recursion per depth, under NSF and segmented files.
 pub fn grid(_scale: u32) -> Sweep {
     let mut s = Sweep::new();
-    for depth in DEPTHS {
-        let idx = s.workload(sequential(SeqParams {
-            depth,
-            fanout: 1,
-            locals: 6,
-        }));
-        s.point(idx, nsf_config(SEQ_FILE_REGS));
-        s.point(idx, segmented_config(4, SEQ_CTX_REGS));
-    }
+    super::depth_points(&mut s);
     s
 }
 

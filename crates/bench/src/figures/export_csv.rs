@@ -3,11 +3,12 @@
 //! [`csvs`] function is what tests compare across thread counts.
 
 use super::depth_sweep::DEPTHS;
-use super::{line_size_points, size_sweep_points, PAR_WIDTHS, RELOAD_POLICIES, SEQ_WIDTHS};
+use super::{
+    depth_points, line_size_points, size_sweep_points, PAR_WIDTHS, RELOAD_POLICIES, SEQ_WIDTHS,
+};
+use crate::aggregate;
 use crate::runner::{Cursor, Sweep};
-use crate::{aggregate, nsf_config, segmented_config, SEQ_CTX_REGS};
 use nsf_sim::RunReport;
-use nsf_workloads::synth::{sequential, SeqParams};
 
 /// One CSV file: name under `results/`, header line, data rows.
 pub struct Csv {
@@ -34,15 +35,7 @@ pub fn grid(scale: u32) -> Sweep {
     line_size_points(&mut s, &seq, crate::SEQ_FILE_REGS, SEQ_WIDTHS);
     line_size_points(&mut s, &par, crate::PAR_FILE_REGS, PAR_WIDTHS);
     // Depth sweep (mechanism study).
-    for depth in DEPTHS {
-        let w = s.workload(sequential(SeqParams {
-            depth,
-            fanout: 1,
-            locals: 6,
-        }));
-        s.point(w, nsf_config(crate::SEQ_FILE_REGS));
-        s.point(w, segmented_config(4, SEQ_CTX_REGS));
-    }
+    depth_points(&mut s);
     s
 }
 

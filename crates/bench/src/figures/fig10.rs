@@ -1,27 +1,14 @@
 //! Figure 10 — registers reloaded as a percentage of instructions.
 
 use super::rule;
+use crate::pct;
 use crate::runner::{Cursor, Sweep};
-use crate::{
-    nsf_config, pct, segmented_config, PAR_CTX_REGS, PAR_FILE_REGS, SEQ_CTX_REGS, SEQ_FILE_REGS,
-};
 use nsf_sim::RunReport;
 use std::fmt::Write;
 
 /// Per paper benchmark: one NSF run and one 4-frame segmented run.
 pub fn grid(scale: u32) -> Sweep {
-    let mut s = Sweep::new();
-    for w in nsf_workloads::paper_suite(scale) {
-        let (regs, frames, frame_regs) = if w.parallel {
-            (PAR_FILE_REGS, 4, PAR_CTX_REGS)
-        } else {
-            (SEQ_FILE_REGS, 4, SEQ_CTX_REGS)
-        };
-        let idx = s.workload(w);
-        s.point(idx, nsf_config(regs));
-        s.point(idx, segmented_config(frames, frame_regs));
-    }
-    s
+    super::paper_pairs_grid(scale)
 }
 
 /// Reload traffic per benchmark: NSF, segmented, segmented live-only.

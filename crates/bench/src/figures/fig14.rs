@@ -3,16 +3,9 @@
 
 use super::rule;
 use crate::runner::{Cursor, Sweep};
-use crate::{
-    aggregate, nsf_config, pct, segmented_config, segmented_software_config, PAR_CTX_REGS,
-    SEQ_CTX_REGS,
-};
+use crate::{aggregate, pct};
 use nsf_sim::RunReport;
 use std::fmt::Write;
-
-/// Sequential frames: the nearest multiple of the 20-register context
-/// that reaches the paper's 128-register file (6 × 20 = 120).
-const SEQ_FRAMES: u32 = 6;
 
 /// Both suites under NSF, hardware-assisted segmented, and software-trap
 /// segmented files.
@@ -20,24 +13,7 @@ pub fn grid(scale: u32) -> Sweep {
     let mut s = Sweep::new();
     let seq = s.suite(nsf_workloads::sequential_suite(scale));
     let par = s.suite(nsf_workloads::parallel_suite(scale));
-    for &w in &seq {
-        s.point(w, nsf_config(SEQ_FRAMES * u32::from(SEQ_CTX_REGS)));
-    }
-    for &w in &seq {
-        s.point(w, segmented_config(SEQ_FRAMES, SEQ_CTX_REGS));
-    }
-    for &w in &seq {
-        s.point(w, segmented_software_config(SEQ_FRAMES, SEQ_CTX_REGS));
-    }
-    for &w in &par {
-        s.point(w, nsf_config(128));
-    }
-    for &w in &par {
-        s.point(w, segmented_config(4, PAR_CTX_REGS));
-    }
-    for &w in &par {
-        s.point(w, segmented_software_config(4, PAR_CTX_REGS));
-    }
+    super::overhead_points(&mut s, &seq, &par);
     s
 }
 

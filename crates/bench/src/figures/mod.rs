@@ -28,9 +28,13 @@ pub mod summary;
 pub mod table1;
 
 use crate::runner::Sweep;
-use crate::{nsf_config, nsf_lines_config, segmented_config, PAR_CTX_REGS, SEQ_CTX_REGS};
+use crate::{
+    nsf_config, nsf_lines_config, segmented_config, segmented_software_config, PAR_CTX_REGS,
+    PAR_FILE_REGS, SEQ_CTX_REGS, SEQ_FILE_REGS,
+};
 use nsf_core::ReloadPolicy;
 use nsf_sim::RunReport;
+use nsf_workloads::synth::{sequential, SeqParams};
 
 /// A figure's printed table: `(scale, sweep, reports, quiet)`.
 pub type Render = fn(u32, &Sweep, &[RunReport], bool) -> String;
@@ -90,6 +94,73 @@ pub(crate) const RELOAD_POLICIES: [ReloadPolicy; 3] = [
     ReloadPolicy::ValidOnly,
     ReloadPolicy::SingleRegister,
 ];
+
+/// Figure 14's sequential frame count: the nearest multiple of the
+/// 20-register context that reaches the paper's 128-register file
+/// (6 × 20 = 120).
+pub(crate) const SEQ_FRAMES: u32 = 6;
+
+/// The Figure 9/10 pair per workload: an NSF of the suite's file size,
+/// then a 4-frame segmented file of the suite's context size. Shared by
+/// `fig09`, `fig10` and `summary`.
+pub(crate) fn nsf_segmented_pairs(s: &mut Sweep, ws: &[usize]) {
+    for &w in ws {
+        let (regs, frame_regs) = if s.workloads[w].parallel {
+            (PAR_FILE_REGS, PAR_CTX_REGS)
+        } else {
+            (SEQ_FILE_REGS, SEQ_CTX_REGS)
+        };
+        s.point(w, nsf_config(regs));
+        s.point(w, segmented_config(4, frame_regs));
+    }
+}
+
+/// Figures 9 and 10: every paper benchmark's NSF/segmented pair.
+pub(crate) fn paper_pairs_grid(scale: u32) -> Sweep {
+    let mut s = Sweep::new();
+    let ws = s.suite(nsf_workloads::paper_suite(scale));
+    nsf_segmented_pairs(&mut s, &ws);
+    s
+}
+
+/// The Figure 14 overhead points: each suite under NSF,
+/// hardware-assisted segmented and software-trap segmented files, one
+/// contiguous run of the suite per file. Shared by `fig14` and
+/// `summary`.
+pub(crate) fn overhead_points(s: &mut Sweep, seq: &[usize], par: &[usize]) {
+    let seq_cfgs = [
+        nsf_config(SEQ_FRAMES * u32::from(SEQ_CTX_REGS)),
+        segmented_config(SEQ_FRAMES, SEQ_CTX_REGS),
+        segmented_software_config(SEQ_FRAMES, SEQ_CTX_REGS),
+    ];
+    let par_cfgs = [
+        nsf_config(128),
+        segmented_config(4, PAR_CTX_REGS),
+        segmented_software_config(4, PAR_CTX_REGS),
+    ];
+    for (suite, cfgs) in [(seq, seq_cfgs), (par, par_cfgs)] {
+        for cfg in cfgs {
+            for &w in suite {
+                s.point(w, cfg);
+            }
+        }
+    }
+}
+
+/// The depth sweep: one synthetic recursion per
+/// [`depth_sweep::DEPTHS`] entry, under an NSF and a segmented file.
+/// Shared by `depth_sweep` and `export_csv`.
+pub(crate) fn depth_points(s: &mut Sweep) {
+    for depth in depth_sweep::DEPTHS {
+        let w = s.workload(sequential(SeqParams {
+            depth,
+            fanout: 1,
+            locals: 6,
+        }));
+        s.point(w, nsf_config(SEQ_FILE_REGS));
+        s.point(w, segmented_config(4, SEQ_CTX_REGS));
+    }
+}
 
 /// The Figure 11/12 file-size sweep: GateSim and Gamteb, both register
 /// file kinds, at 2–10 context-sized frames. Shared by `fig11`, `fig12`

@@ -2,17 +2,11 @@
 //! in a single sweep (claims 5–6 are closed-form VLSI models and are
 //! evaluated at render time).
 
+use crate::aggregate;
 use crate::runner::{Cursor, Sweep};
-use crate::{
-    aggregate, nsf_config, segmented_config, segmented_software_config, PAR_CTX_REGS,
-    PAR_FILE_REGS, SEQ_CTX_REGS, SEQ_FILE_REGS,
-};
 use nsf_sim::RunReport;
 use nsf_vlsi::{AreaModel, Geometry, Ports, Tech, TimingModel};
 use std::fmt::Write;
-
-/// Figure 14's sequential frame count (6 × 20 = 120 registers).
-const SEQ_FRAMES: u32 = 6;
 
 /// Claims 1–3: per-benchmark NSF/segmented pairs (the GateSim pair
 /// doubles as the claim 2/3 measurement). Claim 4: the Figure 14 grid.
@@ -20,33 +14,8 @@ pub fn grid(scale: u32) -> Sweep {
     let mut s = Sweep::new();
     let seq = s.suite(nsf_workloads::sequential_suite(scale));
     let par = s.suite(nsf_workloads::parallel_suite(scale));
-    for &w in seq.iter().chain(&par) {
-        let (regs, frames, fr) = if s.workloads[w].parallel {
-            (PAR_FILE_REGS, 4, PAR_CTX_REGS)
-        } else {
-            (SEQ_FILE_REGS, 4, SEQ_CTX_REGS)
-        };
-        s.point(w, nsf_config(regs));
-        s.point(w, segmented_config(frames, fr));
-    }
-    for &w in &seq {
-        s.point(w, nsf_config(SEQ_FRAMES * u32::from(SEQ_CTX_REGS)));
-    }
-    for &w in &seq {
-        s.point(w, segmented_config(SEQ_FRAMES, SEQ_CTX_REGS));
-    }
-    for &w in &seq {
-        s.point(w, segmented_software_config(SEQ_FRAMES, SEQ_CTX_REGS));
-    }
-    for &w in &par {
-        s.point(w, nsf_config(128));
-    }
-    for &w in &par {
-        s.point(w, segmented_config(4, PAR_CTX_REGS));
-    }
-    for &w in &par {
-        s.point(w, segmented_software_config(4, PAR_CTX_REGS));
-    }
+    super::nsf_segmented_pairs(&mut s, &[&seq[..], &par[..]].concat());
+    super::overhead_points(&mut s, &seq, &par);
     s
 }
 

@@ -22,7 +22,9 @@ pub mod cli;
 pub mod figures;
 pub mod runner;
 
-pub use cli::{CliArgs, CliError, CliSpec};
+pub use cli::{
+    bad_value, command_main, tool_main, CliArgs, CliError, CliSpec, Command, Operands, ToolError,
+};
 pub use runner::{
     figure_main, pool_map, run_with_args, workspace_results_dir, Cursor, FrontendCacheStats,
     HarnessArgs, Sweep, SweepPoint, DEFAULT_LANES,

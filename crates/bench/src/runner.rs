@@ -21,7 +21,7 @@
 //! such a bug: the points it would have served run live instead, where
 //! a real failure panics in [`crate::measure`].
 
-use crate::cli::{CliArgs, CliError, CliSpec};
+use crate::cli::{CliArgs, CliError, CliSpec, Operands};
 use crate::measure;
 use nsf_sim::{RunReport, SimConfig};
 use nsf_trace::{
@@ -436,11 +436,9 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--scale N`, `--threads N`, `--store`/`--no-store`,
-    /// `--quiet` and `--out DIR` from the process arguments. Any
-    /// rejected command line prints the error and a usage line, then
-    /// exits with status 64 — a mistyped flag must not silently
-    /// run the wrong experiment.
+    /// Parses the process arguments. A rejected command line prints the
+    /// error and a usage line and exits 64: a mistyped flag must not
+    /// silently run the wrong experiment.
     pub fn parse() -> Self {
         Self::try_from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -449,37 +447,17 @@ impl HarnessArgs {
         })
     }
 
-    /// Parses from an explicit argument list (testable form of
-    /// [`HarnessArgs::parse`]) against the harness flag set: an unknown flag,
-    /// a stray positional, a malformed value, a `--scale` past
-    /// [`nsf_workloads::MAX_SCALE`] and `--store --no-store` are each a
-    /// [`CliError`]; `--threads 0` clamps to 1.
+    /// Parses an explicit argument list (testable form of
+    /// [`HarnessArgs::parse`]) with the shared `--scale`, `--threads` and
+    /// store parsers; a stray positional is [`CliError::Unexpected`].
     pub fn try_from_args(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let raw: Vec<String> = args.into_iter().collect();
-        Self::from_cli(&CliArgs::parse(&raw, &HARNESS_SPEC)?)
-    }
-
-    fn from_cli(parsed: &CliArgs) -> Result<Self, CliError> {
-        if let Some(stray) = parsed.positional().first() {
-            return Err(CliError::Unexpected(stray.clone()));
-        }
-        if parsed.switch("store") && parsed.switch("no-store") {
-            return Err(CliError::Conflict {
-                a: "store".into(),
-                b: "no-store".into(),
-            });
-        }
-        let scale = parsed.parsed_or("scale", 1u32)?;
-        if scale > nsf_workloads::MAX_SCALE {
-            return Err(CliError::BadValue {
-                flag: "scale".into(),
-                value: scale.to_string(),
-            });
-        }
+        let parsed = CliArgs::parse(&raw, &HARNESS_SPEC)?;
+        parsed.check_operands(Operands::None)?;
         Ok(HarnessArgs {
-            scale,
-            threads: parsed.parsed_or("threads", default_threads())?.max(1),
-            store: !parsed.switch("no-store"),
+            scale: parsed.scale(1)?,
+            threads: parsed.threads(default_threads())?,
+            store: parsed.store()?,
             quiet: parsed.switch("quiet"),
             out: parsed.flag("out").map(String::from),
         })
@@ -503,15 +481,10 @@ pub fn workspace_results_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
+/// The empty command line's arguments.
 impl Default for HarnessArgs {
     fn default() -> Self {
-        HarnessArgs {
-            scale: 1,
-            threads: default_threads(),
-            store: true,
-            quiet: false,
-            out: None,
-        }
+        Self::try_from_args(std::iter::empty()).expect("the empty command line parses")
     }
 }
 

@@ -324,7 +324,8 @@ fn unknown_flags_and_strays_exit_64_in_every_harness_binary() {
 #[test]
 fn trace_tool_record_refuses_a_scale_past_the_bound() {
     // `record` fails a scale past MAX_SCALE exactly as it fails a
-    // malformed one: exit 2, naming the value, writing nothing.
+    // malformed one: a usage error (exit 64) naming the value, writing
+    // nothing.
     let bin = env!("CARGO_BIN_EXE_trace_tool");
     let out = std::env::temp_dir().join(format!("nsf-cli-scale-{}", std::process::id()));
     let out = out.to_str().expect("temp path is UTF-8");
@@ -338,10 +339,10 @@ fn trace_tool_record_refuses_a_scale_past_the_bound() {
             "--out",
             out,
         ];
-        let (code, stderr) = run(bin, &args);
-        assert_eq!(code, Some(2), "--scale {scale}: stderr: {stderr}");
+        assert_usage_error(bin, &args);
+        let (_, stderr) = run(bin, &args);
         assert!(
-            stderr.contains(&format!("bad --scale {scale:?}")),
+            stderr.contains(&format!("bad --scale value {scale:?}")),
             "{stderr}"
         );
     }
@@ -349,6 +350,125 @@ fn trace_tool_record_refuses_a_scale_past_the_bound() {
         !std::path::Path::new(out).exists(),
         "a failed record wrote a trace"
     );
+}
+
+/// One tool subcommand's rejected command lines: a stray operand, a
+/// missing required operand (or required flag) and a malformed numeric
+/// value, each `None` where the subcommand has no such case (it takes
+/// any number of FILEs, needs nothing, or has no numeric flag).
+struct Rejects {
+    bin: &'static str,
+    stray: Option<&'static [&'static str]>,
+    missing: Option<&'static [&'static str]>,
+    malformed: Option<&'static [&'static str]>,
+}
+
+/// A trace path whose directory does not exist.
+const NO_FILE: &str = "/nonexistent/nsf-cli/record.nsftrace";
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../trace/tests/golden/gatesim_s0_nsf80.nsftrace"
+);
+
+/// Every `trace_tool`, `check_tool` and `store_tool` subcommand. The
+/// store directory and `record`'s `--out` directory never exist, so no
+/// case can touch a real store or leave a trace behind.
+const TOOL_REJECTS: &[Rejects] = &[
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_trace_tool"),
+        stray: Some(&["record", "--workload", "gatesim", "--out", NO_FILE, "stray"]),
+        missing: Some(&["record", "--scale", "0", "--out", NO_FILE]),
+        malformed: Some(&[
+            "record",
+            "--workload",
+            "gatesim",
+            "--scale",
+            "-1",
+            "--out",
+            NO_FILE,
+        ]),
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_trace_tool"),
+        stray: Some(&["info", GOLDEN, "extra"]),
+        missing: Some(&["info"]),
+        malformed: None,
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_trace_tool"),
+        stray: Some(&["replay", GOLDEN, "extra"]),
+        missing: Some(&["replay", "--engine", "nsf:80"]),
+        malformed: Some(&["replay", GOLDEN, "--threads", "many"]),
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_trace_tool"),
+        stray: Some(&["diff", GOLDEN, GOLDEN, "--a", "nsf:80", "--b", "nsf:40"]),
+        missing: Some(&["diff", "--a", "nsf:80", "--b", "nsf:40"]),
+        malformed: None,
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_check_tool"),
+        stray: Some(&["fuzz", "--family", "nsf", "--iters", "1", "stray"]),
+        missing: None,
+        malformed: Some(&["fuzz", "--family", "nsf", "--seed", "x"]),
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_check_tool"),
+        stray: Some(&["shrink", "--family", "nsf", "--seed", "0", "stray"]),
+        missing: Some(&["shrink", "--seed", "0"]),
+        malformed: Some(&["shrink", "--family", "nsf", "--ops", "-4"]),
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_check_tool"),
+        stray: None,
+        missing: Some(&["replay-repro"]),
+        malformed: None,
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_store_tool"),
+        stray: Some(&["info", "--dir", "/nonexistent/nsf-store", "extra"]),
+        missing: None,
+        malformed: None,
+    },
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_store_tool"),
+        stray: Some(&["gc", "--dir", "/nonexistent/nsf-store", "extra"]),
+        missing: None,
+        malformed: Some(&[
+            "gc",
+            "--dir",
+            "/nonexistent/nsf-store",
+            "--max-bytes",
+            "1e6",
+        ]),
+    },
+];
+
+#[test]
+fn every_tool_subcommand_rejects_strays_missing_operands_and_malformed_values() {
+    for r in TOOL_REJECTS {
+        for args in [r.stray, r.missing, r.malformed].into_iter().flatten() {
+            assert_usage_error(r.bin, args);
+        }
+    }
+}
+
+#[test]
+fn fuzz_seed_range_past_u64_max_exits_64() {
+    // `--seed u64::MAX --iters 3` would wrap and report three clean
+    // seeds it never checked; the last seed, u64::MAX itself, still runs.
+    let bin = env!("CARGO_BIN_EXE_check_tool");
+    let max = u64::MAX.to_string();
+    assert_usage_error(
+        bin,
+        &["fuzz", "--family", "nsf", "--seed", &max, "--iters", "3"],
+    );
+    let out = stdout_of(
+        bin,
+        &["fuzz", "--family", "nsf", "--seed", &max, "--iters", "1"],
+    );
+    assert!(String::from_utf8_lossy(&out).contains("1 seeds clean"));
 }
 
 #[test]

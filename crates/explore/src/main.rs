@@ -10,8 +10,11 @@
 //! killed and re-invoked at any time: it resumes after the last intact
 //! record. `--merge L1,L2,...` skips execution and merges completed
 //! shard ledgers into the combined front instead.
+//!
+//! Exit codes (the tools' shared rule, `nsf_bench::cli`): 0 success, 2
+//! runtime error, 64 usage error (a spec `validate` refuses included).
 
-use nsf_bench::{CliArgs, CliError, CliSpec};
+use nsf_bench::{bad_value, CliArgs, CliError, CliSpec, Command, Operands, ToolError};
 use nsf_explore::{
     merge_ledgers, CacheGeom, ExploreError, ExploreSpec, Explorer, Family, DEFAULT_CHUNK,
 };
@@ -37,32 +40,30 @@ fn workload_names(keep: fn(&Benchmark) -> bool) -> Vec<&'static str> {
         .collect()
 }
 
-const SPEC: CliSpec = CliSpec {
-    value_flags: &[
-        "scale",
-        "shard",
-        "out",
-        "families",
-        "regs",
-        "lines",
-        "contexts",
-        "caches",
-        "workloads",
-        "chunk",
-        "stop-after",
-        "threads",
-        "merge",
-    ],
-    switches: &["quiet", "store", "no-store"],
-    repeatable: &[],
+const EXPLORE: Command = Command {
+    name: "nsf-explore",
+    spec: CliSpec {
+        value_flags: &[
+            "scale",
+            "shard",
+            "out",
+            "families",
+            "regs",
+            "lines",
+            "contexts",
+            "caches",
+            "workloads",
+            "chunk",
+            "stop-after",
+            "threads",
+            "merge",
+        ],
+        switches: &["quiet", "store", "no-store"],
+        repeatable: &[],
+    },
+    operands: Operands::None,
+    run: explore,
 };
-
-fn bad(flag: &str, value: &str) -> CliError {
-    CliError::BadValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
-    }
-}
 
 /// Parses a comma-separated list flag through `one`, defaulting when
 /// the flag is absent.
@@ -76,7 +77,7 @@ fn list<T>(
         None => Ok(default),
         Some(v) => v
             .split(',')
-            .map(|item| one(item.trim()).ok_or_else(|| bad(flag, item)))
+            .map(|item| one(item.trim()).ok_or_else(|| bad_value(flag, item)))
             .collect(),
     }
 }
@@ -94,7 +95,7 @@ fn workload_list(args: &CliArgs) -> Result<Vec<String>, CliError> {
             "par" => workload_names(|b| b.parallel),
             "all" => workload_names(|_| true),
             one => {
-                nsf_explore::workload_builder(one).map_err(|_| bad("workloads", one))?;
+                nsf_explore::workload_builder(one).map_err(|_| bad_value("workloads", one))?;
                 vec![one]
             }
         };
@@ -107,8 +108,8 @@ fn workload_list(args: &CliArgs) -> Result<Vec<String>, CliError> {
     Ok(out)
 }
 
-fn build(args: &CliArgs) -> Result<Explorer, CliError> {
-    let scale: u32 = args.parsed_or("scale", 0)?;
+fn build(args: &CliArgs) -> Result<Explorer, ToolError> {
+    let scale = args.scale(0)?;
     let defaults = ExploreSpec::default_spec(scale);
     let spec = ExploreSpec {
         families: list(args, "families", defaults.families, |s| {
@@ -124,7 +125,7 @@ fn build(args: &CliArgs) -> Result<Explorer, CliError> {
         scale,
     };
     spec.validate()
-        .map_err(|e| bad("spec", &format!("{}: {}", e.spec, e.reason)))?;
+        .map_err(|e| ToolError::Usage(e.to_string()))?;
 
     let (shard_index, shard_count) = match args.flag("shard") {
         None => (0, 1),
@@ -134,7 +135,7 @@ fn build(args: &CliArgs) -> Result<Explorer, CliError> {
                 let n: u32 = n.parse().ok()?;
                 (n > 0 && i < n).then_some((i, n))
             });
-            parsed.ok_or_else(|| bad("shard", v))?
+            parsed.ok_or_else(|| bad_value("shard", v))?
         }
     };
 
@@ -145,26 +146,26 @@ fn build(args: &CliArgs) -> Result<Explorer, CliError> {
     let mut ex = Explorer::new(spec, out_dir);
     ex.shard_index = shard_index;
     ex.shard_count = shard_count;
-    ex.threads = args.parsed_or("threads", ex.threads)?;
+    ex.threads = args.threads(ex.threads)?;
     ex.chunk = args.parsed_or("chunk", DEFAULT_CHUNK)?;
-    ex.stop_after = match args.flag("stop-after") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| bad("stop-after", v))?),
-    };
+    ex.stop_after = args.parsed("stop-after")?;
     ex.quiet = args.switch("quiet");
-    if args.switch("store") && args.switch("no-store") {
-        return Err(CliError::Conflict {
-            a: "store".into(),
-            b: "no-store".into(),
-        });
-    }
     // The persistent store defaults ON and lives inside the output
     // directory, next to the ledger it accelerates.
-    ex.store_dir = (!args.switch("no-store")).then(|| ex.out_dir.join("store"));
+    ex.store_dir = args.store()?.then(|| ex.out_dir.join("store"));
     Ok(ex)
 }
 
-fn run(ex: &Explorer, args: &CliArgs) -> Result<ExitCode, ExploreError> {
+/// A spec the explorer refuses is a rejected command line; anything
+/// else (an unreadable ledger, a failed write) is a runtime error.
+fn explore(args: &CliArgs) -> Result<(), ToolError> {
+    run(&build(args)?, args).map_err(|e| match e {
+        ExploreError::Spec(e) => ToolError::Usage(e.to_string()),
+        e => ToolError::Runtime(e.to_string()),
+    })
+}
+
+fn run(ex: &Explorer, args: &CliArgs) -> Result<(), ExploreError> {
     if let Some(ledgers) = args.flag("merge") {
         let images: Result<Vec<Vec<u8>>, std::io::Error> =
             ledgers.split(',').map(std::fs::read).collect();
@@ -178,7 +179,7 @@ fn run(ex: &Explorer, args: &CliArgs) -> Result<ExitCode, ExploreError> {
             records.len(),
             path.display()
         );
-        return Ok(ExitCode::SUCCESS);
+        return Ok(());
     }
     let outcome = ex.run()?;
     let secs = outcome.elapsed.as_secs_f64();
@@ -205,38 +206,13 @@ fn run(ex: &Explorer, args: &CliArgs) -> Result<ExitCode, ExploreError> {
         outcome.elapsed.as_millis(),
         rate,
     );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Exit status for a rejected command line (BSD `EX_USAGE`, shared
-/// with the other tool binaries).
-const EXIT_USAGE: u8 = 64;
-
-fn usage(e: impl std::fmt::Display) -> ExitCode {
-    eprintln!("error: {e}");
-    eprintln!(
-        "{USAGE}\n  {},\n  or the aliases seq / par / all",
-        workload_names(|_| true).join(" ")
-    );
-    ExitCode::from(EXIT_USAGE)
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match CliArgs::parse(&raw, &SPEC) {
-        Ok(a) => a,
-        Err(e) => return usage(e),
-    };
-    let ex = match build(&args) {
-        Ok(ex) => ex,
-        Err(e) => return usage(e),
-    };
-    match run(&ex, &args) {
-        Ok(code) => code,
-        Err(ExploreError::Spec(e)) => usage(e),
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let usage = format!(
+        "{USAGE}\n  {},\n  or the aliases seq / par / all",
+        workload_names(|_| true).join(" ")
+    );
+    nsf_bench::command_main("nsf-explore", &usage, &EXPLORE)
 }

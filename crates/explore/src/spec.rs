@@ -67,6 +67,7 @@ impl Family {
             .into_iter()
             .find(|f| f.kind() == kind)
             .ok_or_else(|| SpecError {
+                what: "engine family",
                 spec: kind.to_string(),
                 reason: "unknown engine family",
             })
@@ -110,6 +111,7 @@ impl CacheGeom {
             return Ok(CacheGeom::sparc2());
         }
         let err = |reason| SpecError {
+            what: "cache geometry",
             spec: s.to_string(),
             reason,
         };
@@ -166,6 +168,7 @@ fn workload_entry(name: &str) -> Result<&'static Benchmark, SpecError> {
         .iter()
         .find(|b| b.cli == name)
         .ok_or_else(|| SpecError {
+            what: "workload",
             spec: name.to_string(),
             reason: "unknown workload",
         })
@@ -256,6 +259,7 @@ impl ExploreSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.scale > nsf_workloads::MAX_SCALE {
             return Err(SpecError {
+                what: "explore spec",
                 spec: format!("scale={}", self.scale),
                 reason: "scale is past nsf_workloads::MAX_SCALE",
             });
@@ -263,6 +267,7 @@ impl ExploreSpec {
         let axis = |name: &'static str, empty: bool| {
             if empty {
                 Err(SpecError {
+                    what: "axis",
                     spec: name.to_string(),
                     reason: "axis is empty",
                 })
@@ -282,6 +287,7 @@ impl ExploreSpec {
         for p in self.enumerate() {
             if p.regfile()?.check().is_err() {
                 return Err(SpecError {
+                    what: "engine spec",
                     spec: p.engine,
                     reason: "register file cannot be built",
                 });

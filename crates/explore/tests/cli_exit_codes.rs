@@ -64,3 +64,16 @@ fn oversized_regs_or_scale_exit_64() {
         assert!(stderr.contains(value), "value not named: {stderr}");
     }
 }
+
+#[test]
+fn stray_operand_exits_64() {
+    // The explorer takes no operands: a stray one is refused before any
+    // point runs or any file is written.
+    let out = std::env::temp_dir().join(format!("nsf-explore-stray-{}", std::process::id()));
+    let out = out.to_str().expect("temp path is UTF-8");
+    assert_usage_error(&["--scale", "0", "--out", out, "stray"]);
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a refused run wrote {out}"
+    );
+}

@@ -24,18 +24,22 @@ use crate::RegFileSpec;
 use nsf_core::{NsfConfig, SpillEngine};
 use std::fmt;
 
-/// Failure to parse an engine spec string.
+/// A rejected design-point description: an engine spec string, or one
+/// of the other inputs an exploration spec names (a family, a cache
+/// geometry, a workload, an axis, the scale).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecError {
-    /// The offending spec.
+    /// What was rejected (`engine spec`, `workload`, ...).
+    pub what: &'static str,
+    /// The offending text.
     pub spec: String,
-    /// Why it did not parse.
+    /// Why it was rejected.
     pub reason: &'static str,
 }
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad engine spec {:?}: {}", self.spec, self.reason)
+        write!(f, "bad {} {:?}: {}", self.what, self.spec, self.reason)
     }
 }
 
@@ -43,6 +47,7 @@ impl std::error::Error for SpecError {}
 
 fn err(spec: &str, reason: &'static str) -> SpecError {
     SpecError {
+        what: "engine spec",
         spec: spec.to_string(),
         reason,
     }
@@ -121,6 +126,23 @@ pub fn default_engine_spec(parallel: bool) -> &'static str {
 mod tests {
     use super::*;
     use nsf_core::RegisterFile;
+
+    #[test]
+    fn errors_name_what_was_rejected() {
+        assert_eq!(
+            parse_engine("nsf:0").unwrap_err().to_string(),
+            "bad engine spec \"nsf:0\": sizes must be nonzero"
+        );
+        let workload = SpecError {
+            what: "workload",
+            spec: "quicksrot".into(),
+            reason: "unknown workload",
+        };
+        assert_eq!(
+            workload.to_string(),
+            "bad workload \"quicksrot\": unknown workload"
+        );
+    }
 
     #[test]
     fn all_kinds_parse_and_build() {
