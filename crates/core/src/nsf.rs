@@ -653,6 +653,31 @@ mod tests {
     }
 
     #[test]
+    fn free_reg_past_the_context_leaves_the_next_context_alone() {
+        // 20-register contexts of 4-register lines: five lines each. An
+        // unchecked offset of context 1 names line 5 and beyond, which a
+        // context-major line table would place in context 2's lines.
+        let mut cfg = NsfConfig::paper_default(16);
+        cfg.ctx_regs = 20;
+        cfg.regs_per_line = 4;
+        let mut f = NamedStateFile::new(cfg);
+        let mut s = MapStore::new();
+        for offset in 0..8 {
+            f.write(RegAddr::new(2, offset), u32::from(offset) + 50, &mut s)
+                .unwrap();
+        }
+        for offset in 20..=u8::MAX {
+            f.free_reg(RegAddr::new(1, offset), &mut s);
+        }
+        assert_eq!(f.occupancy().valid_regs, 8);
+        assert_eq!(f.occupancy().resident_contexts, 1);
+        for offset in 0..8 {
+            let r = f.read(RegAddr::new(2, offset), &mut s).unwrap();
+            assert_eq!((r.value, r.missed), (u32::from(offset) + 50, false));
+        }
+    }
+
+    #[test]
     fn multi_register_lines_whole_line_reload() {
         let mut cfg = NsfConfig::paper_default(8);
         cfg.regs_per_line = 4;

@@ -7,12 +7,19 @@
 //! the NSF, segmented (hardware and software spill), windowed and
 //! conventional organizations, plus multi-issue frontends, a scheduling
 //! quantum, an instruction cache and three occupancy sampling intervals.
+//! NSF files with multi-register lines (Fig. 13's geometry) cover the
+//! decoder's line arithmetic: 8- and 16-register lines under each reload
+//! policy for the sequential programs, whose 20-register contexts end in
+//! a partial line, and 4-register lines for one parallel program.
 
-use nsf::core::SpillEngine;
+use nsf::core::{ReloadPolicy, SpillEngine};
 use nsf::mem::CacheConfig;
 use nsf::sim::{RegFileSpec, RunReport, SimConfig};
 use nsf::workloads::{self, run, Workload};
-use nsf_bench::{nsf_config, segmented_config, segmented_software_config};
+use nsf_bench::{
+    nsf_config, nsf_lines_config, segmented_config, segmented_software_config, PAR_FILE_REGS,
+    SEQ_FILE_REGS,
+};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -93,6 +100,21 @@ fn points(suite: &[Workload]) -> Vec<(String, &Workload, SimConfig)> {
             };
             out.push((format!("{}/nsf-s{interval}", w.name), w, cfg));
         }
+        let (regs, widths): (u32, &[u8]) = match (w.parallel, w.name) {
+            (false, _) => (SEQ_FILE_REGS, &[8, 16]),
+            (true, "Gamteb") => (PAR_FILE_REGS, &[4]),
+            (true, _) => (PAR_FILE_REGS, &[]),
+        };
+        for &width in widths {
+            for (tag, reload) in [
+                ("whole", ReloadPolicy::WholeLine),
+                ("valid", ReloadPolicy::ValidOnly),
+                ("single", ReloadPolicy::SingleRegister),
+            ] {
+                let cfg = nsf_lines_config(regs, width, reload);
+                out.push((format!("{}/nsf-l{width}-{tag}", w.name), w, cfg));
+            }
+        }
     }
     out
 }
@@ -112,6 +134,12 @@ const PINS: &[(&str, u64)] = &[
     ("GateSim/nsf-s0", 0xeeb6fc613475417f),
     ("GateSim/nsf-s1", 0xcd3a6a5c4caac14e),
     ("GateSim/nsf-s7", 0x203712c97d0f8e4d),
+    ("GateSim/nsf-l8-whole", 0x9a7caa11a660500f),
+    ("GateSim/nsf-l8-valid", 0x8320b940ff46dd6f),
+    ("GateSim/nsf-l8-single", 0x8b51ff6006f9a5d6),
+    ("GateSim/nsf-l16-whole", 0xad56596dc455018f),
+    ("GateSim/nsf-l16-valid", 0x568ca42affe2041b),
+    ("GateSim/nsf-l16-single", 0xc24a5654f5a32231),
     ("RTLSim/nsf", 0xefe9b1b68d69b137),
     ("RTLSim/seg-hw", 0x384dd823a2cc9d2f),
     ("RTLSim/seg-sw", 0xf50df0fc583692e5),
@@ -125,6 +153,12 @@ const PINS: &[(&str, u64)] = &[
     ("RTLSim/nsf-s0", 0x10a5f827d4fdf2ef),
     ("RTLSim/nsf-s1", 0x3818790089263f81),
     ("RTLSim/nsf-s7", 0xbc077ebca05f5ab5),
+    ("RTLSim/nsf-l8-whole", 0x78a1cefb80e6a144),
+    ("RTLSim/nsf-l8-valid", 0xa23325a250de6015),
+    ("RTLSim/nsf-l8-single", 0xb57eb69ed36c5eba),
+    ("RTLSim/nsf-l16-whole", 0xc8183219906e3e2c),
+    ("RTLSim/nsf-l16-valid", 0x52c857e9440ff2b7),
+    ("RTLSim/nsf-l16-single", 0xc40d61d473cb5bf8),
     ("ZipFile/nsf", 0x8c5dd2a91fc1335c),
     ("ZipFile/seg-hw", 0x8ec09b33c3c745b4),
     ("ZipFile/seg-sw", 0x563684137fcc7a08),
@@ -138,6 +172,12 @@ const PINS: &[(&str, u64)] = &[
     ("ZipFile/nsf-s0", 0x08c5c3fbb619e0e2),
     ("ZipFile/nsf-s1", 0xbbc7ae3c2ea7b6d6),
     ("ZipFile/nsf-s7", 0x46c89cf5ffa64af8),
+    ("ZipFile/nsf-l8-whole", 0x68eec179d9373cd3),
+    ("ZipFile/nsf-l8-valid", 0x5e48fe3ea00de6c9),
+    ("ZipFile/nsf-l8-single", 0x30d0abe55c856947),
+    ("ZipFile/nsf-l16-whole", 0xc2ab95aff1e5f48e),
+    ("ZipFile/nsf-l16-valid", 0x79d325d8282f7f59),
+    ("ZipFile/nsf-l16-single", 0x92bc26beb1fad46c),
     ("AS/nsf", 0x4e48e249f6304367),
     ("AS/seg-hw", 0xa20c5d014c1eb488),
     ("AS/seg-sw", 0x4b78b376125d57ee),
@@ -183,6 +223,9 @@ const PINS: &[(&str, u64)] = &[
     ("Gamteb/nsf-s0", 0x05133f45cd86f6f9),
     ("Gamteb/nsf-s1", 0x73441f009396a103),
     ("Gamteb/nsf-s7", 0x2278be17567fb28a),
+    ("Gamteb/nsf-l4-whole", 0xa417bf8bf1ff5551),
+    ("Gamteb/nsf-l4-valid", 0x5f3fb3468d632613),
+    ("Gamteb/nsf-l4-single", 0x0a7c1418523c8161),
     ("Paraffins/nsf", 0x10ace6075fbcd3c6),
     ("Paraffins/seg-hw", 0x3cecb85f13c4dc2e),
     ("Paraffins/seg-sw", 0x5046737d0a7a3391),
