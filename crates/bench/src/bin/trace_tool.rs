@@ -76,14 +76,13 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
-/// Builds the named paper benchmark (case-insensitive) at `scale`; an
+/// Builds the named paper benchmark (exact CLI name) at `scale`; an
 /// unknown name is a usage error.
 fn workload_by_name(name: &str, scale: u32) -> Result<Workload, ToolError> {
-    let known = &nsf_workloads::BENCHMARKS;
-    if let Some(b) = known.iter().find(|b| b.cli.eq_ignore_ascii_case(name)) {
+    if let Some(b) = nsf_workloads::benchmark(name) {
         return Ok((b.build)(scale));
     }
-    let names: Vec<&str> = known.iter().map(|b| b.cli).collect();
+    let names: Vec<&str> = nsf_workloads::BENCHMARKS.iter().map(|b| b.cli).collect();
     let names = names.join(", ");
     Err(ToolError::Usage(format!(
         "unknown workload {name:?}; known: {names}"

@@ -389,6 +389,13 @@ const TOOL_REJECTS: &[Rejects] = &[
             NO_FILE,
         ]),
     },
+    // Workload names match exactly, as in nsf-explore's --workloads.
+    Rejects {
+        bin: env!("CARGO_BIN_EXE_trace_tool"),
+        stray: None,
+        missing: None,
+        malformed: Some(&["record", "--workload", "GateSim", "--out", NO_FILE]),
+    },
     Rejects {
         bin: env!("CARGO_BIN_EXE_trace_tool"),
         stray: Some(&["info", GOLDEN, "extra"]),

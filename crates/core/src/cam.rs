@@ -7,27 +7,26 @@
 //! compare an operand address against the address programmed into each
 //! line of the decoder."
 //!
-//! Hardware performs the comparison in every line simultaneously; the model
-//! keeps a hash index alongside the tag array so simulation cost stays
-//! O(1) per access while the tag array remains the source of truth. The
-//! index is a [`TagIndex`] — an open-addressed table over packed
-//! `<cid, line>` keys — rather than a `std::collections::HashMap`, because
-//! the lookup runs once per simulated register access and SipHash alone
-//! costs more than the rest of the hit path. A **per-context residency
-//! index** (context → bound slots, with each slot's position stored
-//! inline) likewise makes `has_context`, `resident_contexts` and context
-//! teardown O(1) per line — `switch_to` consults it on every simulated
-//! context switch, so a tag scan there would dominate large sweeps. That
-//! index is a plain vector addressed by context ID (IDs are allocated
-//! densely and recycled by the runtime), so the switch path is an array
-//! load, not a hash.
+//! Hardware performs the comparison in every line simultaneously. The
+//! model keeps the tag array (slot → `<cid, line>`) and, beside it, one
+//! index in the other direction: a **line table** with a row of
+//! `ctx_lines` entries per context, so `<cid, line>` → slot is one array
+//! load at `cid * ctx_lines + line`. The table can be dense because the
+//! runtime hands out context IDs densely from 0 and recycles them: rows
+//! exist only up to the highest context ever bound (a few hundred in the
+//! paper's programs, at most the Ctable size in any run), and a row is
+//! a few dozen `u32`s. A per-context count of bound lines answers
+//! `has_context`, which `switch_to` asks on every simulated context
+//! switch, and `resident_contexts` without a scan; context teardown walks
+//! the context's row. Every query is O(1) per line, no access hashes, and
+//! steady-state churn never allocates: the table grows only when a
+//! context ID is bound for the first time.
 
 use crate::addr::Cid;
-use crate::tagindex::TagIndex;
 
 /// Tag programmed into one decoder line: which context and which
 /// architectural line of that context currently own the physical line.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LineTag {
     /// Owning context.
     pub cid: Cid,
@@ -36,45 +35,40 @@ pub struct LineTag {
     pub line: u8,
 }
 
-impl LineTag {
-    /// Packs the tag into the `TagIndex` key space (`cid` in the high
-    /// half, `line` low — at most `0x00FF_FFFF`, safely below the table's
-    /// empty-slot marker).
-    #[inline]
-    fn key(cid: Cid, line: u8) -> u32 {
-        (u32::from(cid) << 8) | u32::from(line)
-    }
-}
+/// A line-table entry with no slot bound.
+const UNBOUND: u32 = u32::MAX;
 
-/// A fully associative decoder over `lines` physical lines.
+/// A fully associative decoder over `lines` physical lines, for contexts
+/// of `ctx_lines` architectural lines each.
 #[derive(Debug)]
 pub struct AssocDecoder {
     tags: Vec<Option<LineTag>>,
-    index: TagIndex,
-    free: Vec<usize>,
-    /// Residency index, addressed by context ID: each context's bound
-    /// slots (unordered). An empty list means the context is absent; the
-    /// lists keep their capacity across binds, so steady-state churn
-    /// never allocates.
-    by_ctx: Vec<Vec<usize>>,
-    /// Number of contexts with at least one bound line (the count of
-    /// non-empty `by_ctx` lists).
+    /// Architectural lines per context: the line table's row length.
+    ctx_lines: usize,
+    /// The line table: `table[cid * ctx_lines + line]` is the slot bound
+    /// to `<cid, line>`, or [`UNBOUND`]. Rows reach the highest context
+    /// bound so far.
+    table: Vec<u32>,
+    /// Bound lines per context, addressed by context ID (as long as the
+    /// table has rows).
+    counts: Vec<u32>,
+    /// Number of contexts with at least one bound line (the non-zero
+    /// `counts`).
     resident: u32,
-    /// For each bound slot, its position within its context's slot list
-    /// (so unbinding is a swap-remove, not a search).
-    ctx_pos: Vec<usize>,
+    free: Vec<usize>,
 }
 
 impl AssocDecoder {
-    /// Creates a decoder with all lines unbound.
-    pub fn new(lines: usize) -> Self {
+    /// Creates a decoder with all `lines` physical lines unbound, for
+    /// contexts of `ctx_lines` architectural lines.
+    pub fn new(lines: usize, ctx_lines: usize) -> Self {
         AssocDecoder {
             tags: vec![None; lines],
-            index: TagIndex::with_capacity(lines),
-            free: (0..lines).rev().collect(),
-            by_ctx: Vec::new(),
+            ctx_lines,
+            table: Vec::new(),
+            counts: Vec::new(),
             resident: 0,
-            ctx_pos: vec![0; lines],
+            free: (0..lines).rev().collect(),
         }
     }
 
@@ -88,10 +82,18 @@ impl AssocDecoder {
         self.tags.len() - self.free.len()
     }
 
-    /// CAM match: the physical slot bound to `<cid, line>`, if any.
+    /// CAM match: the physical slot bound to `<cid, line>`, if any. A line
+    /// past the context's last matches nothing.
     #[inline]
     pub fn lookup(&self, cid: Cid, line: u8) -> Option<usize> {
-        self.index.get(LineTag::key(cid, line)).map(|s| s as usize)
+        let line = usize::from(line);
+        if line >= self.ctx_lines {
+            return None;
+        }
+        match self.table.get(usize::from(cid) * self.ctx_lines + line) {
+            Some(&slot) if slot != UNBOUND => Some(slot as usize),
+            _ => None,
+        }
     }
 
     /// The tag bound to a physical slot.
@@ -108,74 +110,70 @@ impl AssocDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if the slot is already bound or the tag already mapped —
-    /// the register file must invalidate first (an internal invariant).
+    /// Panics if the slot is already bound, the tag already mapped or the
+    /// line past the context's last — the register file must invalidate
+    /// first and split offsets itself (internal invariants).
     pub fn bind(&mut self, slot: usize, cid: Cid, line: u8) {
         let tag = LineTag { cid, line };
         assert!(self.tags[slot].is_none(), "slot {slot} already bound");
-        let prev = self.index.insert(LineTag::key(cid, line), slot as u32);
-        assert!(prev.is_none(), "tag {tag:?} bound twice");
-        self.tags[slot] = Some(tag);
-        if self.by_ctx.len() <= usize::from(cid) {
-            self.by_ctx.resize_with(usize::from(cid) + 1, Vec::new);
+        assert!(
+            usize::from(line) < self.ctx_lines,
+            "line {line} past a context"
+        );
+        let ctx = usize::from(cid);
+        if self.counts.len() <= ctx {
+            self.counts.resize(ctx + 1, 0);
+            self.table.resize((ctx + 1) * self.ctx_lines, UNBOUND);
         }
-        let slots = &mut self.by_ctx[usize::from(cid)];
-        if slots.is_empty() {
+        let entry = &mut self.table[ctx * self.ctx_lines + usize::from(line)];
+        assert!(*entry == UNBOUND, "tag {tag:?} bound twice");
+        *entry = slot as u32;
+        self.tags[slot] = Some(tag);
+        if self.counts[ctx] == 0 {
             self.resident += 1;
         }
-        self.ctx_pos[slot] = slots.len();
-        slots.push(slot);
-    }
-
-    /// Removes `slot` from its context's residency list (swap-remove,
-    /// updating the displaced slot's stored position). The caller has
-    /// already taken `slot`'s tag.
-    fn drop_from_ctx(&mut self, cid: Cid, slot: usize) {
-        let slots = &mut self.by_ctx[usize::from(cid)];
-        let pos = self.ctx_pos[slot];
-        debug_assert_eq!(slots[pos], slot);
-        slots.swap_remove(pos);
-        if let Some(&moved) = slots.get(pos) {
-            self.ctx_pos[moved] = pos;
-        }
-        if slots.is_empty() {
-            self.resident -= 1;
-        }
+        self.counts[ctx] += 1;
     }
 
     /// Clears `slot`, returning its previous tag (if it was bound).
     pub fn unbind(&mut self, slot: usize) -> Option<LineTag> {
         let tag = self.tags[slot].take()?;
-        self.index.remove(LineTag::key(tag.cid, tag.line));
-        self.drop_from_ctx(tag.cid, slot);
+        let ctx = usize::from(tag.cid);
+        self.table[ctx * self.ctx_lines + usize::from(tag.line)] = UNBOUND;
+        self.counts[ctx] -= 1;
+        if self.counts[ctx] == 0 {
+            self.resident -= 1;
+        }
         self.free.push(slot);
         Some(tag)
     }
 
     /// Unbinds every line of `cid`, invoking `f(slot)` per line in
-    /// ascending slot order (the order the historical tag scan released
-    /// slots in, which fixes the free-list pop order and therefore the
-    /// exact slot-assignment sequence downstream).
+    /// ascending slot order. The slots join the free list in that order
+    /// too (the order the historical tag scan released them in), which
+    /// fixes the free-list pop order and therefore the exact
+    /// slot-assignment sequence downstream.
     pub fn unbind_context(&mut self, cid: Cid, mut f: impl FnMut(usize)) {
-        let Some(slots) = self.by_ctx.get_mut(usize::from(cid)) else {
-            return;
-        };
-        if slots.is_empty() {
+        let ctx = usize::from(cid);
+        if !self.has_context(cid) {
             return;
         }
-        let mut slots = std::mem::take(slots);
-        slots.sort_unstable();
-        for &slot in &slots {
-            let tag = self.tags[slot].take().expect("indexed slot is bound");
-            debug_assert_eq!(tag.cid, cid);
-            self.index.remove(LineTag::key(tag.cid, tag.line));
-            self.free.push(slot);
+        let start = self.free.len();
+        let row = ctx * self.ctx_lines;
+        for entry in &mut self.table[row..row + self.ctx_lines] {
+            if *entry != UNBOUND {
+                let slot = *entry as usize;
+                self.tags[slot] = None;
+                self.free.push(slot);
+                *entry = UNBOUND;
+            }
+        }
+        // Sorted in place: the free list has room for every slot.
+        self.free[start..].sort_unstable();
+        for &slot in &self.free[start..] {
             f(slot);
         }
-        slots.clear();
-        // Hand the (empty, capacity-bearing) list back to its cell so the
-        // context's next bind doesn't reallocate.
-        self.by_ctx[usize::from(cid)] = slots;
+        self.counts[ctx] = 0;
         self.resident -= 1;
     }
 
@@ -183,17 +181,7 @@ impl AssocDecoder {
     /// behind every simulated context switch.
     #[inline]
     pub fn has_context(&self, cid: Cid) -> bool {
-        self.by_ctx
-            .get(usize::from(cid))
-            .is_some_and(|v| !v.is_empty())
-    }
-
-    /// The physical slots currently bound to context `cid`, in no
-    /// particular order.
-    pub fn slots_of(&self, cid: Cid) -> &[usize] {
-        self.by_ctx
-            .get(usize::from(cid))
-            .map_or(&[], |v| v.as_slice())
+        self.counts.get(usize::from(cid)).is_some_and(|&n| n > 0)
     }
 
     /// Number of distinct contexts with at least one bound line.
@@ -208,7 +196,7 @@ mod tests {
 
     #[test]
     fn bind_lookup_unbind() {
-        let mut d = AssocDecoder::new(4);
+        let mut d = AssocDecoder::new(4, 8);
         assert_eq!(d.lines(), 4);
         let s = d.take_free().unwrap();
         d.bind(s, 7, 3);
@@ -224,7 +212,7 @@ mod tests {
 
     #[test]
     fn exhausts_free_slots() {
-        let mut d = AssocDecoder::new(2);
+        let mut d = AssocDecoder::new(2, 1);
         let a = d.take_free().unwrap();
         let b = d.take_free().unwrap();
         assert_ne!(a, b);
@@ -232,24 +220,46 @@ mod tests {
     }
 
     #[test]
-    fn slots_of_and_residency() {
-        let mut d = AssocDecoder::new(4);
+    fn lookup_and_residency() {
+        let mut d = AssocDecoder::new(4, 2);
         for (cid, line) in [(1u16, 0u8), (1, 1), (2, 0)] {
             let s = d.take_free().unwrap();
             d.bind(s, cid, line);
         }
-        assert_eq!(d.slots_of(1).len(), 2);
-        assert_eq!(d.slots_of(2).len(), 1);
-        assert_eq!(d.slots_of(3).len(), 0);
+        assert_eq!((d.lookup(1, 0), d.lookup(1, 1)), (Some(0), Some(1)));
+        assert_eq!((d.lookup(2, 0), d.lookup(2, 1)), (Some(2), None));
+        assert!(d.has_context(1) && d.has_context(2));
+        assert!(!d.has_context(0) && !d.has_context(3));
+        assert_eq!(d.lookup(3, 0), None);
         assert_eq!(d.resident_contexts(), 2);
     }
 
     #[test]
+    fn a_line_past_the_context_matches_nothing() {
+        // Two lines per context: <1, 2> would be <2, 0>'s table entry.
+        let mut d = AssocDecoder::new(4, 2);
+        let s = d.take_free().unwrap();
+        d.bind(s, 2, 0);
+        assert_eq!(d.lookup(2, 0), Some(s));
+        assert_eq!(d.lookup(1, 2), None);
+        assert_eq!(d.lookup(1, u8::MAX), None);
+        assert_eq!(d.lookup(2, 2), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "past a context")]
+    fn binding_a_line_past_the_context_panics() {
+        let mut d = AssocDecoder::new(4, 2);
+        d.bind(0, 1, 2);
+    }
+
+    #[test]
     fn unbind_context_releases_in_ascending_slot_order() {
-        let mut d = AssocDecoder::new(8);
+        let mut d = AssocDecoder::new(8, 4);
         // Free slots pop in ascending order, so cid 5 lands in 0, 1, 2
         // and cid 9 in 3. Unbind 2 and 0, rebind them to cid 5 in the
-        // order 2, then 0, so the residency list is scrambled: [1, 2, 0].
+        // order 2, then 0, so the context's row no longer lists its slots
+        // in slot order: lines 0, 1, 2 hold slots 2, 1, 0.
         for line in 0..3u8 {
             let s = d.take_free().unwrap();
             d.bind(s, 5, line);
@@ -259,30 +269,34 @@ mod tests {
         d.unbind(2);
         d.unbind(0);
         let s = d.take_free().unwrap(); // 0 (last freed)
-        d.bind(s, 5, 0);
-        let s = d.take_free().unwrap(); // 2
         d.bind(s, 5, 2);
+        let s = d.take_free().unwrap(); // 2
+        d.bind(s, 5, 0);
         let mut released = Vec::new();
         d.unbind_context(5, |s| released.push(s));
         assert_eq!(released, vec![0, 1, 2], "ascending slot order");
         assert!(!d.has_context(5));
         assert!(d.has_context(9));
         assert_eq!(d.resident_contexts(), 1);
+        assert_eq!(
+            (d.lookup(5, 0), d.lookup(5, 1), d.lookup(5, 2)),
+            (None, None, None)
+        );
         // The freed slots pop back LIFO: 2 first (the seed's order).
         assert_eq!(d.take_free(), Some(2));
     }
 
     #[test]
     fn unbind_context_of_absent_context_is_noop() {
-        let mut d = AssocDecoder::new(2);
+        let mut d = AssocDecoder::new(2, 1);
         let mut called = false;
         d.unbind_context(3, |_| called = true);
         assert!(!called);
     }
 
     #[test]
-    fn residency_index_survives_swap_remove_churn() {
-        let mut d = AssocDecoder::new(6);
+    fn unbinding_from_the_middle_keeps_the_rest_bound() {
+        let mut d = AssocDecoder::new(6, 6);
         let slots: Vec<usize> = (0..6)
             .map(|i| {
                 let s = d.take_free().unwrap();
@@ -290,22 +304,21 @@ mod tests {
                 s
             })
             .collect();
-        // Unbind from the middle to force swap-remove position fixups.
         d.unbind(slots[2]);
         d.unbind(slots[0]);
         d.unbind(slots[4]);
-        let mut left: Vec<usize> = d.slots_of(1).to_vec();
-        left.sort_unstable();
-        let mut want = vec![slots[1], slots[3], slots[5]];
-        want.sort_unstable();
-        assert_eq!(left, want);
+        for (line, &slot) in slots.iter().enumerate() {
+            let want = (line % 2 == 1).then_some(slot);
+            assert_eq!(d.lookup(1, line as u8), want, "line {line}");
+        }
+        assert!(d.has_context(1));
         assert_eq!(d.resident_contexts(), 1);
     }
 
     #[test]
     #[should_panic(expected = "already bound")]
     fn double_bind_panics() {
-        let mut d = AssocDecoder::new(2);
+        let mut d = AssocDecoder::new(2, 2);
         let s = d.take_free().unwrap();
         d.bind(s, 1, 0);
         d.bind(s, 1, 1);
@@ -313,7 +326,7 @@ mod tests {
 
     #[test]
     fn unbound_slot_returns_none() {
-        let mut d = AssocDecoder::new(1);
+        let mut d = AssocDecoder::new(1, 1);
         assert_eq!(d.unbind(0), None);
     }
 }

@@ -49,7 +49,6 @@ pub mod replacement;
 pub mod segmented;
 pub mod stats;
 pub mod store;
-pub mod tagindex;
 pub mod traits;
 pub mod windowed;
 

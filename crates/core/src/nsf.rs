@@ -162,7 +162,7 @@ impl NamedStateFile {
         let n = cfg.lines();
         NamedStateFile {
             cfg,
-            decoder: AssocDecoder::new(n),
+            decoder: AssocDecoder::new(n, usize::from(cfg.ctx_regs.div_ceil(cfg.regs_per_line))),
             lines: vec![Line::default(); n],
             regs: vec![0; cfg.total_regs as usize],
             split: (0..cfg.ctx_regs)

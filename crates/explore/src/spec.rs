@@ -17,7 +17,7 @@
 
 use nsf_mem::CacheConfig;
 use nsf_sim::{parse_engine, RegFileSpec, SimConfig, SpecError, BACKING_STRIDE_WORDS};
-use nsf_workloads::{Benchmark, Workload, BENCHMARKS};
+use nsf_workloads::{Benchmark, Workload};
 use std::fmt;
 
 /// Engine families the explorer can sweep (the spec-grammar kinds,
@@ -164,14 +164,11 @@ impl fmt::Display for CacheGeom {
 
 /// The paper benchmark an axis names (exact CLI spelling).
 fn workload_entry(name: &str) -> Result<&'static Benchmark, SpecError> {
-    BENCHMARKS
-        .iter()
-        .find(|b| b.cli == name)
-        .ok_or_else(|| SpecError {
-            what: "workload",
-            spec: name.to_string(),
-            reason: "unknown workload",
-        })
+    nsf_workloads::benchmark(name).ok_or_else(|| SpecError {
+        what: "workload",
+        spec: name.to_string(),
+        reason: "unknown workload",
+    })
 }
 
 /// Resolves an axis workload name (CLI spelling) to its builder.

@@ -85,6 +85,12 @@ pub const BENCHMARKS: [Benchmark; 9] = [
     bench("wavefront", wavefront::build, true),
 ];
 
+/// The paper benchmark whose CLI name is exactly `name` (lowercase, as
+/// in [`BENCHMARKS`]). Every tool resolves workload names here.
+pub fn benchmark(name: &str) -> Option<&'static Benchmark> {
+    BENCHMARKS.iter().find(|b| b.cli == name)
+}
+
 /// The benchmarks that pass `keep`, built at `scale`, in table order.
 fn suite(scale: u32, keep: fn(&Benchmark) -> bool) -> Vec<Workload> {
     BENCHMARKS
