@@ -20,7 +20,7 @@
 //! switch, and `resident_contexts` without a scan; context teardown walks
 //! the context's row. Every query is O(1) per line, no access hashes, and
 //! steady-state churn never allocates: the table grows only when a
-//! context ID is bound for the first time.
+//! context ID above every one bound before is bound.
 
 use crate::addr::Cid;
 

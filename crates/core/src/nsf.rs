@@ -655,8 +655,9 @@ mod tests {
     #[test]
     fn free_reg_past_the_context_leaves_the_next_context_alone() {
         // 20-register contexts of 4-register lines: five lines each. An
-        // unchecked offset of context 1 names line 5 and beyond, which a
-        // context-major line table would place in context 2's lines.
+        // unchecked offset of context 1 names line 5 and beyond, which
+        // index context 2's row of the decoder's line table unless the
+        // lookup bounds the line.
         let mut cfg = NsfConfig::paper_default(16);
         cfg.ctx_regs = 20;
         cfg.regs_per_line = 4;
