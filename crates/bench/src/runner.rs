@@ -25,7 +25,8 @@ use crate::cli::{CliArgs, CliError, CliSpec, Operands};
 use crate::measure;
 use nsf_sim::{RunReport, SimConfig};
 use nsf_trace::{
-    capture_frontend, capture_rejection, replay_frontend, stream_fingerprint, StreamStore,
+    capture_group, capture_rejection, replay_frontend, stream_fingerprint, GroupCapture,
+    StreamStore,
 };
 use nsf_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,16 +126,18 @@ impl Sweep {
     }
 
     /// Smallest frontend group [`Sweep::run_stored`] captures without a
-    /// stream store. A capture costs a live run plus event encoding, and
-    /// a group pays one stream decode on top; replaying each further
-    /// point costs only its engine work. The evidence is the break-even
-    /// table in EXPERIMENTS.md ("Simulator throughput", seventh history
-    /// row) and its 15-pair interleaved cross-check, on gatesim at the
-    /// evaluation scale: a pair still runs faster live (capture and
-    /// replay take 1.06x the two live runs, 1.37x interleaved), while
-    /// three points already run faster captured (0.94x, 0.91x
-    /// interleaved). Narrower store-less groups run every point live on
-    /// [`nsf_sim::Machine`].
+    /// stream store. A capture costs a live run plus event encoding;
+    /// each point it feeds costs only its engine work. The evidence is
+    /// the break-even table in EXPERIMENTS.md ("Simulator throughput",
+    /// seventh history row) and its 15-pair interleaved cross-check, on
+    /// gatesim at the evaluation scale: a pair still runs faster live
+    /// (capture and replay take 1.06x the two live runs, 1.37x
+    /// interleaved), while three points already run faster captured
+    /// (0.94x, 0.91x interleaved). Re-measured with fed lanes
+    /// (fourteenth history row), a pair still loses (1.28x) and three
+    /// points are about even (1.02x); the route rule belongs to the
+    /// cost-based plan (ROADMAP item 1). Narrower store-less groups run
+    /// every point live on [`nsf_sim::Machine`].
     pub const MIN_CAPTURE_GROUP: usize = 3;
 
     /// Runs every point through the frontend event-stream cache and
@@ -143,21 +146,24 @@ impl Sweep {
     /// takes one of two routes:
     ///
     /// - **Capture and replay.** The head runs live and captures its
-    ///   event stream ([`capture_frontend`]); every other point replays
-    ///   the buffer straight into its engine, the whole group in one
-    ///   [`replay_frontend`] call, skipping workload generation, fetch,
-    ///   decode and scheduling. With a persistent [`StreamStore`], each
+    ///   event stream, and that same run feeds every other point's
+    ///   replay lane as it goes, the whole group in one
+    ///   [`capture_group`] call: the other points skip workload
+    ///   generation, fetch, decode and scheduling, and nothing decodes
+    ///   the stream just captured. With a persistent [`StreamStore`], each
     ///   capturable group first looks its stream up by content
     ///   fingerprint ([`stream_fingerprint`]): a hit replays **every**
-    ///   point, head included; a miss captures live whatever the group's
-    ///   width and persists the stream for every later group, binary or
+    ///   point, head included, through [`replay_frontend`]; a miss
+    ///   captures live whatever the group's width and persists the
+    ///   stream for every later group, binary or
     ///   run that shares the fingerprint. A present-but-unusable entry
     ///   (truncated, corrupted, foreign version, failed replay) is
     ///   deleted and the group captures live. Without a store, only
     ///   groups at least [`Sweep::MIN_CAPTURE_GROUP`] wide capture. A
-    ///   capture that fails runs the whole group live; a replay after a
-    ///   capture that fails runs the rest of the group live and saves
-    ///   nothing ([`FrontendCacheStats::live_fallback_points`]).
+    ///   capture that fails runs the whole group live; a fed lane that
+    ///   fails (a divergence, its output check) stops the feed, the
+    ///   head's run still finishes, the rest of the group runs live and
+    ///   nothing is saved ([`FrontendCacheStats::live_fallback_points`]).
     /// - **Live.** Every other point runs on its own [`nsf_sim::Machine`].
     ///
     /// Replay is checked against the recorded live values and every
@@ -167,9 +173,11 @@ impl Sweep {
         self.run_stored_stats(threads, 0, store).0
     }
 
-    /// [`Sweep::run_stored`] plus the cache/store counters. `_lanes` is
-    /// ignored; it keeps the signature the benchmark crate calls and
-    /// goes away with the benchmark's next revision.
+    /// [`Sweep::run_stored`] plus the cache/store counters: a cold group
+    /// makes one [`capture_group`] call that feeds its replayed points,
+    /// a warm one replays its stored stream. `_lanes` is ignored; it
+    /// keeps the signature the benchmark crate calls and goes away with
+    /// the benchmark's next revision.
     pub fn run_stored_stats(
         &self,
         threads: usize,
@@ -240,11 +248,12 @@ impl Sweep {
                     ..GroupOut::default()
                 };
             }
-            // Capture the head live, replay the rest of the group, and
-            // persist the stream on a store miss (even a singleton's
-            // stream is worth keeping — the next run serves it for free).
+            // Capture the head live while its run feeds the rest of the
+            // group's replay lanes, and persist the stream on a store
+            // miss (even a singleton's stream is worth keeping — the
+            // next run serves it for free).
             let store_misses = u64::from(keyed.is_some());
-            let Ok(buf) = capture_frontend(w, head_cfg) else {
+            let Ok(GroupCapture { buf, rest }) = capture_group(w, head_cfg, &cfgs(&g[1..])) else {
                 // The capture run failed (its output check, say): run the
                 // whole group live, where a real failure panics.
                 return GroupOut {
@@ -254,16 +263,12 @@ impl Sweep {
                     ..GroupOut::default()
                 };
             };
-            let replayed = match &g[1..] {
-                [] => Ok(Vec::new()),
-                rest => replay_frontend(&buf, w, &cfgs(rest)),
-            };
-            let rest = match replayed {
+            let rest = match rest {
                 Ok(reports) => reports,
                 Err(_) => {
-                    // The stream failed the replay wall for the rest of
-                    // the group: run those points live, and keep the
-                    // stream out of the store, where it would fail again.
+                    // A fed lane failed the replay wall: run the rest of
+                    // the group live, and keep the stream out of the
+                    // store, where it would fail again.
                     let mut reports = vec![buf.report];
                     reports.extend(live(&g[1..]));
                     return GroupOut {
@@ -464,10 +469,8 @@ impl HarnessArgs {
     }
 
     /// The directory artifact-writing binaries should use: `--out` if
-    /// given, else the workspace `results/` directory — resolved against
-    /// this crate's manifest, so the path is correct from any working
-    /// directory (the seed resolved `results/` relative to the *current*
-    /// directory, scattering artifacts when invoked from a subcrate).
+    /// given, else the `results/` directory of the workspace the
+    /// process runs in ([`workspace_results_dir`]).
     pub fn results_dir(&self) -> std::path::PathBuf {
         match &self.out {
             Some(dir) => std::path::PathBuf::from(dir),
@@ -476,9 +479,23 @@ impl HarnessArgs {
     }
 }
 
-/// The checked-in `results/` directory at the workspace root.
+/// The `results/` directory of the workspace the process runs in,
+/// resolved at run time: the nearest ancestor of the current directory
+/// (itself included) whose `Cargo.toml` declares a `[workspace]`, so a
+/// run from any subcrate lands in the same place; `./results` outside
+/// any workspace. A binary therefore writes into the tree it runs in,
+/// never into the one it was built in.
 pub fn workspace_results_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    results_dir_from(&std::env::current_dir().unwrap_or_default())
+}
+
+/// [`workspace_results_dir`] for a process running in `dir`.
+fn results_dir_from(dir: &std::path::Path) -> std::path::PathBuf {
+    let is_root = |d: &&std::path::Path| {
+        std::fs::read_to_string(d.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+    };
+    dir.ancestors().find(is_root).unwrap_or(dir).join("results")
 }
 
 /// The empty command line's arguments.
@@ -822,8 +839,9 @@ mod tests {
         let a = HarnessArgs::try_from_args(["--out", "/tmp/elsewhere"].map(String::from)).unwrap();
         assert_eq!(a.out.as_deref(), Some("/tmp/elsewhere"));
         assert_eq!(a.results_dir(), std::path::Path::new("/tmp/elsewhere"));
-        // Without --out, artifacts land in the workspace results/
-        // directory regardless of the invoking working directory.
+        // Without --out, artifacts land in the results/ directory of
+        // the workspace around the working directory (a test runs in
+        // its crate's directory, below the workspace root).
         let d = HarnessArgs::default();
         assert!(d.results_dir().ends_with("results"));
         assert!(d
@@ -832,6 +850,22 @@ mod tests {
             .unwrap()
             .join("Cargo.toml")
             .exists());
+    }
+
+    #[test]
+    fn results_dir_resolves_to_the_enclosing_workspace() {
+        let root = std::env::temp_dir().join(format!("nsf-results-from-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (ws, member) = (root.join("ws"), root.join("ws/crates/member"));
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(ws.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"member\"\n").unwrap();
+        // From the root or any directory below it: the root's results/.
+        assert_eq!(results_dir_from(&ws), ws.join("results"));
+        assert_eq!(results_dir_from(&member), ws.join("results"));
+        // Outside every workspace: the directory's own results/.
+        assert_eq!(results_dir_from(&root), root.join("results"));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

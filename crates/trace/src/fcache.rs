@@ -8,9 +8,13 @@
 //! a [`FrontendProbe`] that records the frontend's architectural event
 //! stream into a compact in-memory buffer (the varint layer of
 //! [`crate::frame`], no file I/O — [`VarWriter`]), and
-//! every later frontend-equal point replays that buffer straight into
+//! every later frontend-equal point replays that stream straight into
 //! its [`EngineDispatch`] lane — no workload generation, no fetch, no
-//! decode, no scheduling.
+//! decode, no scheduling. In the capturing run itself the recorder
+//! feeds the group's other lanes directly ([`capture_group`]), a tile of
+//! ops at a time, so a cold group never decodes the bytes it just
+//! encoded; a stored stream ([`replay_frontend`]) is decoded a tile at
+//! a time into the same tile runner.
 //!
 //! The same encoding, with the workload's staged memory beside it, is
 //! what a `.nsftrace` file holds ([`TraceStream`]); [`crate::replay()`]
@@ -30,9 +34,10 @@
 //!   spill frames), so [`replay_frontend`] validates every lane against
 //!   the workload's own output check, exactly like
 //!   [`nsf_workloads::run`].
-//! - Decode errors (truncation, malformed varints, unknown tags) are
-//!   typed errors surfaced as [`SimError::BadConfig`] — a
-//!   corrupt buffer can never silently produce statistics.
+//! - Decode errors (truncation, malformed varints, unknown tags, a
+//!   context beyond the Ctable) are typed errors surfaced as
+//!   [`SimError::BadConfig`] — a corrupt buffer can never silently
+//!   produce statistics. Fed lanes get the same Ctable check.
 //!
 //! ## Why replayed reports are exact
 //!
@@ -73,25 +78,70 @@ const FTAG_SAMPLE: u8 = 11;
 
 /// A [`FrontendProbe`] that encodes the frontend's event stream into a
 /// [`VarWriter`] as it happens. Attached to the live run
-/// [`capture_frontend`] makes, and to the one [`crate::capture`] records
-/// a trace from.
-#[derive(Debug, Default)]
+/// [`capture_group`] makes, and to the one [`crate::capture`] records
+/// a trace from. When the capture feeds lanes, the recorder also hands
+/// each event to them as the [`ReplayOp`] the tile decoder would make
+/// of its bytes, a tile at a time: the capture's group replays during
+/// the capture, and nothing decodes the stream the capture just encoded.
+#[derive(Default)]
 pub(crate) struct FrontendRecorder {
     w: VarWriter,
     events: u64,
     shared_cycles: u64,
+    /// The lanes this capture feeds: `None` when it feeds none, and
+    /// `Some(Err)` once feeding them failed (the lanes are dropped then;
+    /// the recording goes on).
+    feed: Option<Result<Feed, SimError>>,
+}
+
+/// The lanes a capture feeds and the one reused tile of ops they run
+/// next.
+struct Feed {
+    set: ReplaySet,
+    tile: Vec<ReplayOp>,
+    /// Every tile the lanes ran, for the round-trip tests.
+    #[cfg(test)]
+    ran: Vec<Vec<ReplayOp>>,
+}
+
+impl Feed {
+    fn new(set: ReplaySet) -> Self {
+        Feed {
+            set,
+            tile: Vec::with_capacity(REPLAY_TILE_OPS),
+            #[cfg(test)]
+            ran: Vec::new(),
+        }
+    }
+
+    /// Runs the tile on every lane ([`ReplaySet::run_tile`]) and empties
+    /// it.
+    fn run_tile(&mut self) -> Result<(), SimError> {
+        #[cfg(test)]
+        self.ran.push(self.tile.clone());
+        let ran = self.set.run_tile(&self.tile);
+        self.tile.clear();
+        ran
+    }
 }
 
 impl FrontendRecorder {
-    /// Runs `workload` under `cfg` live, recording: the one record step
-    /// of [`capture_frontend`] and [`crate::capture`]. Scale-1 streams run
-    /// to megabytes, so the buffer is reserved up front.
+    /// Runs `workload` under `cfg` live, recording and feeding one lane
+    /// per configuration in `rest`: the one record step of
+    /// [`capture_group`] and [`crate::capture`]. Scale-1 streams run to
+    /// megabytes, so the buffer is reserved up front.
     pub(crate) fn record(
         workload: &Workload,
         cfg: SimConfig,
+        rest: &[SimConfig],
     ) -> Result<(Self, RunReport), WorkloadError> {
+        let feed = (!rest.is_empty()).then(|| {
+            same_frontend(rest, &cfg)?;
+            ReplaySet::new(rest, &workload.mem_init).map(Feed::new)
+        });
         let mut rec = FrontendRecorder {
             w: VarWriter::with_capacity(1 << 20),
+            feed,
             ..Self::default()
         };
         let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
@@ -107,81 +157,145 @@ impl FrontendRecorder {
             bytes: self.w.into_bytes(),
         }
     }
+
+    /// Hands the event just encoded to the fed lanes as the op the tile
+    /// decoder makes of it; a full tile runs on every lane.
+    #[inline(always)]
+    fn feed(&mut self, kind: u8, off: u8, cid: Cid, a: u32, b: u32, c: u32) {
+        if let Some(Ok(feed)) = &mut self.feed {
+            let event = self.events - 1;
+            feed.tile
+                .push(ReplayOp::new(kind, off, cid, a, b, c, event));
+            if feed.tile.len() == REPLAY_TILE_OPS {
+                self.run_fed_tile();
+            }
+        }
+    }
+
+    /// Records the context op [`FrontendProbe::reg_op`] just counted (its
+    /// tag and context ID) and feeds it, with the tile decoder's Ctable
+    /// check.
+    #[inline(always)]
+    fn context_op(&mut self, tag: u8, cid: Cid) {
+        self.w.put_u8(tag);
+        self.w.put_varint(u64::from(cid));
+        if let Some(Ok(feed)) = &self.feed {
+            if usize::from(cid) >= feed.set.ctable_slots {
+                return self.reject_context(cid);
+            }
+        }
+        self.feed(tag, 0, cid, 0, 0, 0);
+    }
+
+    /// A context beyond the lanes' Ctable stops the feed as it stops the
+    /// tile decoder: the lanes run the ops before it, and a divergence
+    /// among them wins over the Ctable error.
+    #[cold]
+    #[inline(never)]
+    fn reject_context(&mut self, cid: Cid) {
+        self.run_fed_tile();
+        if let Some(Ok(feed)) = &self.feed {
+            let beyond = beyond_ctable(cid, self.events - 1, feed.set.ctable_slots);
+            self.feed = Some(Err(beyond));
+        }
+    }
+
+    /// Runs the pending tile on the fed lanes; the first failure stops
+    /// the feed.
+    #[cold]
+    #[inline(never)]
+    fn run_fed_tile(&mut self) {
+        if let Some(Ok(feed)) = &mut self.feed {
+            if let Err(failure) = feed.run_tile() {
+                self.feed = Some(Err(failure));
+            }
+        }
+    }
+
+    /// The fed lanes after their last, partial tile, or why feeding them
+    /// failed; `None` when the capture fed no lanes.
+    fn finish_feed(&mut self) -> Option<Result<Feed, SimError>> {
+        if matches!(&self.feed, Some(Ok(feed)) if !feed.tile.is_empty()) {
+            self.run_fed_tile();
+        }
+        self.feed.take()
+    }
 }
 
 impl FrontendProbe for FrontendRecorder {
+    #[inline(always)]
     fn reg_op(&mut self, op: LaneOp, value: Option<Word>) {
         self.events += 1;
         match op {
             LaneOp::Read(a) => {
+                // The live value: replay lanes must reproduce it.
+                let value = value.expect("reads return a value");
                 self.w.put_u8(FTAG_READ);
                 self.w.put_varint(u64::from(a.cid));
                 self.w.put_u8(a.offset);
-                // The live value: replay lanes must reproduce it.
-                self.w
-                    .put_varint(u64::from(value.expect("reads return a value")));
+                self.w.put_varint(u64::from(value));
+                self.feed(FTAG_READ, a.offset, a.cid, value, 0, 0);
             }
             LaneOp::Write(a, v) => {
                 self.w.put_u8(FTAG_WRITE);
                 self.w.put_varint(u64::from(a.cid));
                 self.w.put_u8(a.offset);
                 self.w.put_varint(u64::from(v));
+                self.feed(FTAG_WRITE, a.offset, a.cid, v, 0, 0);
             }
-            LaneOp::SwitchTo(cid) => {
-                self.w.put_u8(FTAG_SWITCH);
-                self.w.put_varint(u64::from(cid));
-            }
-            LaneOp::CallPush(cid) => {
-                self.w.put_u8(FTAG_CALL_PUSH);
-                self.w.put_varint(u64::from(cid));
-            }
-            LaneOp::ThreadSwitch(cid) => {
-                self.w.put_u8(FTAG_THREAD_SWITCH);
-                self.w.put_varint(u64::from(cid));
-            }
-            LaneOp::FreeContext(cid) => {
-                self.w.put_u8(FTAG_FREE_CONTEXT);
-                self.w.put_varint(u64::from(cid));
-            }
+            LaneOp::SwitchTo(cid) => self.context_op(FTAG_SWITCH, cid),
+            LaneOp::CallPush(cid) => self.context_op(FTAG_CALL_PUSH, cid),
+            LaneOp::ThreadSwitch(cid) => self.context_op(FTAG_THREAD_SWITCH, cid),
+            LaneOp::FreeContext(cid) => self.context_op(FTAG_FREE_CONTEXT, cid),
             LaneOp::FreeReg(a) => {
                 self.w.put_u8(FTAG_FREE_REG);
                 self.w.put_varint(u64::from(a.cid));
                 self.w.put_u8(a.offset);
+                self.feed(FTAG_FREE_REG, a.offset, a.cid, 0, 0, 0);
             }
         }
     }
 
+    #[inline(always)]
     fn mem_load(&mut self, addr: Addr, value: Word) {
         self.events += 1;
         self.w.put_u8(FTAG_LOAD);
         self.w.put_varint(u64::from(addr));
         self.w.put_varint(u64::from(value));
+        self.feed(FTAG_LOAD, 0, 0, addr, value, 0);
     }
 
+    #[inline(always)]
     fn mem_store(&mut self, addr: Addr, value: Word) {
         self.events += 1;
         self.w.put_u8(FTAG_STORE);
         self.w.put_varint(u64::from(addr));
         self.w.put_varint(u64::from(value));
+        self.feed(FTAG_STORE, 0, 0, addr, value, 0);
     }
 
+    #[inline(always)]
     fn mem_amo(&mut self, addr: Addr, delta: i32, old: Word) {
         self.events += 1;
         self.w.put_u8(FTAG_AMO);
         self.w.put_varint(u64::from(addr));
         self.w.put_varint_signed(i64::from(delta));
         self.w.put_varint(u64::from(old));
+        self.feed(FTAG_AMO, 0, 0, addr, delta as u32, old);
     }
 
+    #[inline(always)]
     fn shared_charge(&mut self, cycles: u32) {
         // Cycle accumulation is commutative, so the lane-invariant part
         // of the clock needs no per-event entries — one sum suffices.
         self.shared_cycles += u64::from(cycles);
     }
 
+    #[inline(always)]
     fn occupancy_sample(&mut self) {
         self.events += 1;
         self.w.put_u8(FTAG_SAMPLE);
+        self.feed(FTAG_SAMPLE, 0, 0, 0, 0, 0);
     }
 }
 
@@ -313,6 +427,7 @@ pub fn capture_rejection(workload: &Workload, cfg: &SimConfig) -> Option<&'stati
 /// output validated by the workload's check — while recording the
 /// frontend event stream. Returns the buffer; its
 /// [`FrontendBuffer::report`] is the capture point's own result.
+/// [`capture_group`] with no other configurations.
 ///
 /// A point that [`capture_rejection`] rejects fails with
 /// [`SimError::BadConfig`].
@@ -320,17 +435,61 @@ pub fn capture_frontend(
     workload: &Workload,
     cfg: SimConfig,
 ) -> Result<FrontendBuffer, WorkloadError> {
+    capture_group(workload, cfg, &[]).map(|group| group.buf)
+}
+
+/// A frontend group captured by [`capture_group`]: the head's buffer,
+/// and the reports of the configurations its capture fed.
+#[derive(Debug)]
+pub struct GroupCapture {
+    /// The head's captured stream and report, exactly what
+    /// [`capture_frontend`] returns.
+    pub buf: FrontendBuffer,
+    /// One report per fed configuration, in order, each what
+    /// [`replay_frontend`] on `buf` returns for it; or the first
+    /// failure among them (a divergence, a failed output check, a
+    /// configuration that cannot replay this stream). The capture
+    /// itself still succeeded then.
+    pub rest: Result<Vec<RunReport>, WorkloadError>,
+}
+
+/// Captures `workload` under `cfg` as [`capture_frontend`] does, while
+/// the same live run feeds one replay lane per configuration in `rest`.
+/// The recorder encodes the stream byte for byte as without lanes, and
+/// hands each event to the lanes as the op the tile decoder would make
+/// of those bytes, so the lanes run the capture's stream a tile at a
+/// time as it is recorded, with no encode-then-decode round trip. The
+/// lanes keep every replay check: recorded values, the decoder's Ctable
+/// range, the earliest-event-then-lowest-lane failure order, and each
+/// lane's final memory against the workload's check, after the
+/// capture's own check. A lane failure stops the feed and only fails
+/// [`GroupCapture::rest`]; the capture run goes on to the end.
+///
+/// A point that [`capture_rejection`] rejects, or a capture run that
+/// fails, fails the whole call.
+pub fn capture_group(
+    workload: &Workload,
+    cfg: SimConfig,
+    rest: &[SimConfig],
+) -> Result<GroupCapture, WorkloadError> {
     if let Some(why) = capture_rejection(workload, &cfg) {
         return Err(SimError::BadConfig(format!("cannot capture: {why}")).into());
     }
-    let (rec, report) = FrontendRecorder::record(workload, cfg)?;
-    Ok(FrontendBuffer {
+    let (mut rec, report) = FrontendRecorder::record(workload, cfg, rest)?;
+    let fed = rec.finish_feed();
+    let buf = FrontendBuffer {
         cfg,
         bytes: rec.w.into_bytes(),
         events: rec.events,
         shared_cycles: rec.shared_cycles,
         report,
-    })
+    };
+    let rest = match fed {
+        None => Ok(Vec::new()),
+        Some(Err(failure)) => Err(failure.into()),
+        Some(Ok(feed)) => check_lanes(&feed.set, workload).map(|()| feed.set.reports(&buf)),
+    };
+    Ok(GroupCapture { buf, rest })
 }
 
 /// Replays `buf` into every configuration in `cfgs` and returns one
@@ -351,22 +510,35 @@ pub fn replay_frontend(
     workload: &Workload,
     cfgs: &[SimConfig],
 ) -> Result<Vec<RunReport>, WorkloadError> {
-    if cfgs.iter().any(|cfg| !cfg.frontend_eq(&buf.cfg)) {
+    same_frontend(cfgs, &buf.cfg)?;
+    let set = ReplaySet::replay(cfgs, &workload.mem_init, &buf.bytes, buf.events)?;
+    check_lanes(&set, workload)?;
+    Ok(set.reports(buf))
+}
+
+/// Fails when a configuration in `cfgs` has another frontend than the
+/// captured `cfg`: the stream is not valid for it.
+fn same_frontend(cfgs: &[SimConfig], cfg: &SimConfig) -> Result<(), SimError> {
+    if cfgs.iter().any(|c| !c.frontend_eq(cfg)) {
         return Err(SimError::BadConfig(
             "replay configuration's frontend differs from the captured \
              one; the cached event stream would not be valid for it"
                 .into(),
-        )
-        .into());
+        ));
     }
-    let set = ReplaySet::replay(cfgs, &workload.mem_init, &buf.bytes, buf.events)?;
-    for i in 0..cfgs.len() {
-        (workload.check)(&set.mems[i]).map_err(|detail| WorkloadError::CheckFailed {
+    Ok(())
+}
+
+/// Validates every lane's final memory against the workload's own
+/// check, lane by lane in order.
+fn check_lanes(set: &ReplaySet, workload: &Workload) -> Result<(), WorkloadError> {
+    for (i, mem) in set.mems.iter().enumerate() {
+        (workload.check)(mem).map_err(|detail| WorkloadError::CheckFailed {
             name: workload.name,
             detail: format!("cached-replay lane {i}: {detail}"),
         })?;
     }
-    Ok(set.reports(buf))
+    Ok(())
 }
 
 /// Decoded ops per replay tile: every lane runs one tile before the next
@@ -395,7 +567,7 @@ const FTAG_NAMES: [&str; 11] = [
 /// index for error reporting. There is one op per recorded event and no
 /// Ctable op: a lane's context ops map and unmap save areas themselves,
 /// through the same [`CtableBacking::context_op`] the live machine uses.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ReplayOp {
     /// The `FTAG_*` event tag.
     kind: u8,
@@ -416,6 +588,20 @@ pub(crate) struct ReplayOp {
 }
 
 impl ReplayOp {
+    /// Event `event`'s op; its `pc` saturates at `u32::MAX`.
+    #[inline(always)]
+    fn new(kind: u8, off: u8, cid: Cid, a: u32, b: u32, c: u32, event: u64) -> Self {
+        ReplayOp {
+            kind,
+            off,
+            cid,
+            a,
+            b,
+            c,
+            pc: u32::try_from(event).unwrap_or(u32::MAX),
+        }
+    }
+
     /// The register-file operation this op replays, or `None` for a
     /// memory event or an occupancy sample.
     pub(crate) fn lane_op(&self) -> Option<LaneOp> {
@@ -482,6 +668,27 @@ fn corrupt_at(event: u64) -> SimError {
     ))
 }
 
+/// `cid`, when a `ctable_slots`-entry Ctable maps it: every lane's
+/// Ctable has that many entries, and a context beyond them cannot come
+/// from a live run.
+#[inline(always)]
+fn in_ctable(cid: Cid, event: u64, ctable_slots: usize) -> Result<Cid, SimError> {
+    if usize::from(cid) < ctable_slots {
+        Ok(cid)
+    } else {
+        Err(beyond_ctable(cid, event, ctable_slots))
+    }
+}
+
+/// Context `cid` at event `event` is beyond the Ctable.
+#[cold]
+fn beyond_ctable(cid: Cid, event: u64, ctable_slots: usize) -> SimError {
+    SimError::BadConfig(format!(
+        "frontend cache buffer corrupt: context {cid} at event {event} \
+         is beyond the {ctable_slots}-entry Ctable"
+    ))
+}
+
 /// Decodes the next tile of the event stream into `tile`: up to
 /// [`REPLAY_TILE_OPS`] ops from `cur`, the first of them event
 /// `first_event`. `tile` is cleared first and reused across tiles, so a
@@ -497,18 +704,6 @@ fn decode_ops(
     tile: &mut Vec<ReplayOp>,
 ) -> Result<(), SimError> {
     tile.clear();
-    // Every lane's Ctable has `ctable_slots` entries; a context beyond
-    // them cannot come from a live run.
-    let in_ctable = |cid: Cid, event: u64| {
-        if usize::from(cid) < ctable_slots {
-            Ok(cid)
-        } else {
-            Err(SimError::BadConfig(format!(
-                "frontend cache buffer corrupt: context {cid} at event {event} \
-                 is beyond the {ctable_slots}-entry Ctable"
-            )))
-        }
-    };
     while tile.len() < REPLAY_TILE_OPS && cur.pos < cur.bytes.len() {
         let event = first_event + tile.len() as u64;
         macro_rules! field {
@@ -521,16 +716,7 @@ fn decode_ops(
         }
         let tag = cur.bytes[cur.pos];
         cur.pos += 1;
-        let pc = u32::try_from(event).unwrap_or(u32::MAX);
-        let op = |off, cid, a, b, c| ReplayOp {
-            kind: tag,
-            off,
-            cid,
-            a,
-            b,
-            c,
-            pc,
-        };
+        let op = |off, cid, a, b, c| ReplayOp::new(tag, off, cid, a, b, c, event);
         tile.push(match tag {
             FTAG_READ | FTAG_WRITE => {
                 let cid = field!(cur.u16v());
@@ -538,7 +724,8 @@ fn decode_ops(
                 op(off, cid, field!(cur.u32v()), 0, 0)
             }
             FTAG_SWITCH | FTAG_CALL_PUSH | FTAG_THREAD_SWITCH | FTAG_FREE_CONTEXT => {
-                op(0, in_ctable(field!(cur.u16v()), event)?, 0, 0, 0)
+                let cid = field!(cur.u16v());
+                op(0, in_ctable(cid, event, ctable_slots)?, 0, 0, 0)
             }
             FTAG_FREE_REG => {
                 let cid = field!(cur.u16v());
@@ -656,34 +843,38 @@ impl ReplaySet {
     }
 
     /// Decodes the event stream a tile at a time into one reused buffer
-    /// and drives every lane through each tile before decoding the next:
-    /// each lane runs a whole tile of [`REPLAY_TILE_OPS`] ops in a loop
-    /// specialized to its engine family, before the next lane runs the
-    /// same tile. The tile stays cache-resident across lanes, so the op
-    /// stream is decoded and read from memory once per group, while each
-    /// lane keeps its engine hot and its register-file hit paths inlined.
-    /// Lanes are independent, so any interleaving gives identical
-    /// results.
+    /// and drives every lane through each tile ([`ReplaySet::run_tile`])
+    /// before decoding the next. The tile stays cache-resident across
+    /// lanes, so the op stream is decoded and read from memory once per
+    /// group. A malformed field at event k ends the tile just before k:
+    /// the lanes run the ops before it, and a divergence among them wins
+    /// over the decode error. The event count is checked after the last
+    /// tile.
+    pub(crate) fn run(&mut self, bytes: &[u8], events: u64) -> Result<(), SimError> {
+        for_each_tile(bytes, events, self.ctable_slots, |tile| self.run_tile(tile))
+    }
+
+    /// Runs one tile of ops on every lane: each lane runs the whole tile
+    /// in a loop specialized to its engine family before the next lane
+    /// runs it, so each lane keeps its engine hot and its register-file
+    /// hit paths inlined. Lanes are independent, so any interleaving
+    /// gives identical results. The one tile step of decoded and fed
+    /// replay alike.
     ///
     /// Every value-bearing event is checked against the recording. A
     /// failure reports what event-by-event lockstep over all lanes would
     /// report first: the earliest event, and on a tie the lowest lane.
     /// Within a tile, a lane after a failing one only runs the ops before
-    /// the failure, since it could only fail later or tie and lose. A
-    /// malformed field at event k ends the tile just before k: the lanes
-    /// run the ops before it, and a divergence among them wins over the
-    /// decode error. The event count is checked after the last tile.
-    pub(crate) fn run(&mut self, bytes: &[u8], events: u64) -> Result<(), SimError> {
-        for_each_tile(bytes, events, self.ctable_slots, |tile| {
-            let mut first: Option<(usize, SimError)> = None;
-            for lane in 0..self.regfiles.len() {
-                let end = first.as_ref().map_or(tile.len(), |(at, _)| *at);
-                if let Err(failure) = self.run_lane(lane, &tile[..end]) {
-                    first = Some(failure);
-                }
+    /// the failure, since it could only fail later or tie and lose.
+    pub(crate) fn run_tile(&mut self, tile: &[ReplayOp]) -> Result<(), SimError> {
+        let mut first: Option<(usize, SimError)> = None;
+        for lane in 0..self.regfiles.len() {
+            let end = first.as_ref().map_or(tile.len(), |(at, _)| *at);
+            if let Err(failure) = self.run_lane(lane, &tile[..end]) {
+                first = Some(failure);
             }
-            first.map_or(Ok(()), |(_, err)| Err(err))
-        })
+        }
+        first.map_or(Ok(()), |(_, err)| Err(err))
     }
 
     /// Runs `ops` on one lane, dispatching on its engine family once per
@@ -1297,6 +1488,115 @@ mod tests {
             for (cfg, got) in cfgs.iter().zip(&replayed) {
                 let live = nsf_workloads::run(&w, *cfg).unwrap();
                 assert_eq!(*got, live, "{events} events: {}", live.regfile_desc);
+            }
+        }
+    }
+
+    /// The fed path against the decoded one, on every capturable scale-0
+    /// paper workload with one fed lane per engine family: the capture
+    /// encodes the bytes it encodes without lanes, the lanes run exactly
+    /// the tiles the decoder makes of those bytes, and their reports
+    /// equal [`replay_frontend`]'s on the bytes and the live runs'.
+    #[test]
+    fn fed_lanes_match_the_decoded_stream() {
+        let head = SimConfig::with_regfile(RegFileSpec::paper_nsf(80));
+        let rest = five_specs();
+        let mut captured = 0;
+        for b in &nsf_workloads::BENCHMARKS {
+            let w = (b.build)(0);
+            if capture_rejection(&w, &head).is_some() {
+                continue;
+            }
+            captured += 1;
+            let alone = capture_frontend(&w, head).unwrap();
+            let group = capture_group(&w, head, &rest).unwrap();
+            let buf = &group.buf;
+            assert_eq!(buf.bytes, alone.bytes, "{}", w.name);
+            assert_eq!(
+                (buf.events, buf.shared_cycles, &buf.report),
+                (alone.events, alone.shared_cycles, &alone.report),
+                "{}",
+                w.name
+            );
+
+            let (mut rec, _) = FrontendRecorder::record(&w, head, &rest).unwrap();
+            let fed = rec.finish_feed().expect("lanes were fed").unwrap();
+            let mut decoded = Vec::new();
+            for_each_tile(&buf.bytes, buf.events, head.mem.ctable_slots, |tile| {
+                decoded.push(tile.to_vec());
+                Ok(())
+            })
+            .unwrap();
+            assert!(decoded.len() > 1, "{}: one tile proves little", w.name);
+            assert_eq!(fed.ran, decoded, "{}", w.name);
+
+            let reports = group.rest.unwrap();
+            assert_eq!(
+                reports,
+                replay_frontend(buf, &w, &rest).unwrap(),
+                "{}",
+                w.name
+            );
+            for (cfg, got) in rest.iter().zip(&reports) {
+                let live = nsf_workloads::run(&w, *cfg).unwrap();
+                assert_eq!(*got, live, "{}: {}", w.name, live.regfile_desc);
+            }
+        }
+        assert!(captured >= 3, "only {captured} capturable workloads");
+    }
+
+    /// Feeds a hand-built event stream to lanes under `cfgs` through the
+    /// recorder's probe hooks, as a capture would: the encoded bytes and
+    /// the feed's outcome.
+    fn feed(cfgs: &[SimConfig], events: &[(u8, u32, u32)]) -> (Vec<u8>, Result<(), SimError>) {
+        let mut rec = FrontendRecorder {
+            feed: Some(ReplaySet::new(cfgs, &[]).map(Feed::new)),
+            ..FrontendRecorder::default()
+        };
+        let reg = |x: u32| RegAddr::new((x >> 8) as Cid, x as u8);
+        for &(tag, x, y) in events {
+            match tag {
+                FTAG_SWITCH => rec.reg_op(LaneOp::SwitchTo(x as Cid), None),
+                FTAG_FREE_CONTEXT => rec.reg_op(LaneOp::FreeContext(x as Cid), None),
+                FTAG_WRITE => rec.reg_op(LaneOp::Write(reg(x), y), None),
+                FTAG_READ => rec.reg_op(LaneOp::Read(reg(x)), Some(y)),
+                FTAG_LOAD => rec.mem_load(x, y),
+                FTAG_STORE => rec.mem_store(x, y),
+                FTAG_SAMPLE => rec.occupancy_sample(),
+                other => panic!("test feeder has no tag {other}"),
+            }
+        }
+        let outcome = rec.finish_feed().expect("lanes were fed").map(|_| ());
+        (rec.w.into_bytes(), outcome)
+    }
+
+    #[test]
+    fn fed_lanes_fail_where_decoded_replay_fails() {
+        let nsf = SimConfig::with_regfile(RegFileSpec::paper_nsf(64));
+        let conv = SimConfig::with_regfile(RegFileSpec::Conventional {
+            regs: 32,
+            engine: SpillEngine::hardware(),
+        });
+        let beyond = (FTAG_SWITCH, nsf.mem.ctable_slots as u32, 0);
+        for gap in [0, REPLAY_TILE_OPS + 3, 2 * REPLAY_TILE_OPS] {
+            let diverging = split_divergence(&nsf, gap);
+            // A context beyond the Ctable after `gap` clean events.
+            let mut out_of_range = vec![(FTAG_SAMPLE, 0, 0); gap];
+            out_of_range.push(beyond);
+            for events in [diverging, out_of_range] {
+                let (bytes, count) = encode(&events);
+                for cfgs in [[nsf, conv, nsf], [conv, nsf, conv]] {
+                    let (fed_bytes, fed) = feed(&cfgs, &events);
+                    assert_eq!(fed_bytes, bytes, "gap {gap}");
+                    let mut set = ReplaySet::new(&cfgs, &[]).unwrap();
+                    let decoded = set.run(&bytes, count);
+                    assert_eq!(
+                        format!("{fed:?}"),
+                        format!("{decoded:?}"),
+                        "gap {gap}: the feed must fail as the decoder does"
+                    );
+                    assert!(fed.is_err(), "gap {gap}");
+                }
             }
         }
     }

@@ -22,8 +22,9 @@
 //! - **Stream** ([`fcache`], [`store`], [`Trace`]): a
 //!   [`nsf_sim::FrontendProbe`] on the simulator's run encodes every
 //!   register, memory and context operation with the live values it
-//!   produced. The sweep keeps the stream in memory
-//!   ([`capture_frontend`]) or persists it as a `.nsfs` entry
+//!   produced. The sweep keeps the stream in memory, feeding the
+//!   rest of its group as it records ([`capture_group`]), or persists
+//!   it as a `.nsfs` entry
 //!   ([`store`]); [`capture`] keeps it with the workload's staged memory
 //!   and the run's report as a `.nsftrace` file ([`mod@format`]), for any
 //!   program. Both files are one sealed stream container with one
@@ -49,7 +50,8 @@ pub mod replay;
 pub mod store;
 
 pub use fcache::{
-    capture_frontend, capture_rejection, replay_frontend, FrontendBuffer, TraceStream,
+    capture_frontend, capture_group, capture_rejection, replay_frontend, FrontendBuffer,
+    GroupCapture, TraceStream,
 };
 pub use format::{Trace, TraceError, TraceMeta, FORMAT_VERSION, MAGIC};
 pub use frame::{FrameError, VarReader, VarWriter};
@@ -81,7 +83,7 @@ pub fn capture(
     engine_spec: &str,
     scale: u32,
 ) -> Result<(Trace, RunReport), WorkloadError> {
-    let (rec, report) = FrontendRecorder::record(workload, cfg)?;
+    let (rec, report) = FrontendRecorder::record(workload, cfg, &[])?;
     let trace = Trace {
         meta: TraceMeta {
             workload: workload.name.to_string(),
