@@ -6,7 +6,10 @@
 //! ```
 //!
 //! This measures the *simulator*, not the modeled machine. Each grid of
-//! [`FIGURES`] runs [`ROUNDS`] interleaved rounds; a round builds the
+//! [`FIGURES`] runs [`ROUNDS`] rounds, interleaved across the grids:
+//! round r of every grid runs before round r + 1 of any grid, so a
+//! stretch of host load lands on every grid alike rather than on one
+//! grid's rounds. A round builds the
 //! grid as its binary would (render excluded), runs it live
 //! (`Sweep::run`, the equality baseline), then through the stream store
 //! twice: cold into a fresh scratch store (every capturable group
@@ -85,13 +88,6 @@ impl Spread {
             self.median, self.min, self.max
         )
     }
-}
-
-/// Runs `round` [`ROUNDS`] times and summarizes each of the `N` wall
-/// times it returns per round.
-fn rounds<const N: usize>(mut round: impl FnMut() -> [u128; N]) -> [Spread; N] {
-    let samples: Vec<[u128; N]> = (0..ROUNDS).map(|_| round()).collect();
-    std::array::from_fn(|k| Spread::of(samples.iter().map(|s| s[k])))
 }
 
 /// Runs `f` once, returning its result and its wall time in ns.
@@ -176,6 +172,45 @@ fn json_array(items: impl IntoIterator<Item = String>, indent: &str) -> String {
     format!("[\n{}\n{indent}]", lines.join(",\n"))
 }
 
+/// One round of one grid.
+struct Round {
+    points: usize,
+    instructions: u64,
+    build_ns: u128,
+    live_ns: u128,
+    cold_ns: u128,
+    warm_ns: u128,
+    /// Counters of the warm pass.
+    warm_stats: FrontendCacheStats,
+}
+
+impl Round {
+    /// Builds the grid, then runs it live, cold into a fresh scratch
+    /// store at `store_dir`, and warm; both stored passes must equal live.
+    fn measure(figure: &Figure, args: &HarnessArgs, store_dir: &Path) -> Round {
+        let name = figure.bin;
+        let (sweep, build_ns) = timed(|| (figure.grid)(args.scale));
+        let (reports, live_ns) = timed(|| sweep.run(args.threads));
+        let _ = fs::remove_dir_all(store_dir);
+        let store = StreamStore::open(store_dir);
+        let stored = || sweep.run_stored_stats(args.threads, 0, Some(&store));
+        let ((cold, _), cold_ns) = timed(stored);
+        assert_eq!(reports, cold, "{name}: store-cold must equal live");
+        let ((warm, warm_stats), warm_ns) = timed(stored);
+        assert_eq!(reports, warm, "{name}: store-warm must equal live");
+        let _ = fs::remove_dir_all(store_dir);
+        Round {
+            points: reports.len(),
+            instructions: reports.iter().map(|r| r.instructions).sum(),
+            build_ns,
+            live_ns,
+            cold_ns,
+            warm_ns,
+            warm_stats,
+        }
+    }
+}
+
 /// One grid's rounds.
 struct Row {
     name: &'static str,
@@ -195,43 +230,27 @@ struct Row {
 }
 
 impl Row {
-    /// Runs [`ROUNDS`] rounds of build → live → cold → warm, with a fresh
-    /// scratch store at `store_dir` for each cold pass.
-    fn measure(figure: &Figure, args: &HarnessArgs, store_dir: &Path) -> Row {
-        let name = figure.bin;
-        let (mut points, mut instructions, mut warm_stats) = (0, 0, None);
-        let mut round_ns = Vec::new();
-        let [build, live, cold, warm] = rounds(|| {
-            let (sweep, build_ns) = timed(|| (figure.grid)(args.scale));
-            let (reports, live_ns) = timed(|| sweep.run(args.threads));
-            let _ = fs::remove_dir_all(store_dir);
-            let store = StreamStore::open(store_dir);
-            let stored = || sweep.run_stored_stats(args.threads, 0, Some(&store));
-            let ((cold, _), cold_ns) = timed(stored);
-            assert_eq!(reports, cold, "{name}: store-cold must equal live");
-            let ((warm, stats), warm_ns) = timed(stored);
-            assert_eq!(reports, warm, "{name}: store-warm must equal live");
-            let prev = warm_stats.replace(stats);
-            assert!(
-                prev.is_none_or(|p| p == stats),
-                "{name}: warm counters moved between rounds"
-            );
-            points = reports.len();
-            instructions = reports.iter().map(|r| r.instructions).sum();
-            round_ns.push((live_ns, cold_ns, warm_ns));
-            [build_ns, live_ns, cold_ns, warm_ns]
-        });
-        let _ = fs::remove_dir_all(store_dir);
+    /// Summarizes the rounds of the grid `name`, in round order.
+    fn of(name: &'static str, rounds: &[Round]) -> Row {
+        let first = rounds.first().expect("at least one round");
+        assert!(
+            rounds.iter().all(|r| r.warm_stats == first.warm_stats),
+            "{name}: warm counters moved between rounds"
+        );
+        let spread = |ns: fn(&Round) -> u128| Spread::of(rounds.iter().map(ns));
         Row {
             name,
-            points,
-            instructions,
-            build,
-            live,
-            cold,
-            warm,
-            warm_stats: warm_stats.expect("at least one round"),
-            round_ns,
+            points: first.points,
+            instructions: first.instructions,
+            build: spread(|r| r.build_ns),
+            live: spread(|r| r.live_ns),
+            cold: spread(|r| r.cold_ns),
+            warm: spread(|r| r.warm_ns),
+            warm_stats: first.warm_stats,
+            round_ns: rounds
+                .iter()
+                .map(|r| (r.live_ns, r.cold_ns, r.warm_ns))
+                .collect(),
         }
     }
 
@@ -393,9 +412,15 @@ fn main() {
         "Live/W"
     );
     nsf_bench::rule(189);
+    let mut rounds: Vec<Vec<Round>> = FIGURES.iter().map(|_| Vec::new()).collect();
+    for _ in 0..ROUNDS {
+        for (figure, grid) in FIGURES.iter().zip(&mut rounds) {
+            grid.push(Round::measure(figure, &args, &store_root.join(figure.bin)));
+        }
+    }
     let mut rows = Vec::new();
-    for figure in FIGURES {
-        let row = Row::measure(figure, &args, &store_root.join(figure.bin));
+    for (figure, grid) in FIGURES.iter().zip(&rounds) {
+        let row = Row::of(figure.bin, grid);
         println!(
             "{:<24} {:>6} {:>11} {:>22} {:>22} {:>22} {:>22} {:>8.1} {:>5} {:>6} {:>4.0}% {:>13} \
              {:>13} {:>13}",

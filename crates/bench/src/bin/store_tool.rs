@@ -12,8 +12,8 @@
 //! ```
 //!
 //! An entry is invalid exactly when `StreamStore::load_stream` would
-//! reject it: the census runs the loader's decoder
-//! (`validate_stream_bytes`) without keeping the stream.
+//! reject it: the census runs the loader's chunked read and decoder
+//! (`validate_stream_file`) without keeping the stream.
 //!
 //! `gc` is deterministic: invalid entries (bad checksum, foreign magic
 //! or version, name/fingerprint mismatch, a report or stream length
@@ -27,7 +27,7 @@
 //! runtime error, 64 usage error (`info --max-bytes` included).
 
 use nsf_bench::{CliArgs, CliSpec, Command, Operands, ToolError};
-use nsf_trace::validate_stream_bytes;
+use nsf_trace::{validate_stream_file, StoreError};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -88,11 +88,10 @@ fn scan(dir: &Path) -> std::io::Result<Vec<Entry>> {
         let invalid = if let Some(hex) = name.strip_suffix(".nsfs") {
             match u64::from_str_radix(hex, 16) {
                 Err(_) => Some("unparseable fingerprint name".to_string()),
-                Ok(fp) => match std::fs::read(item.path()) {
-                    Err(e) => Some(format!("unreadable: {e}")),
-                    Ok(bytes) => validate_stream_bytes(&bytes, fp)
-                        .err()
-                        .map(|e| e.to_string()),
+                Ok(fp) => match validate_stream_file(&item.path(), fp) {
+                    Ok(()) => None,
+                    Err(StoreError::Io(e)) => Some(format!("unreadable: {e}")),
+                    Err(e) => Some(e.to_string()),
                 },
             }
         } else if name.contains(".tmp") {

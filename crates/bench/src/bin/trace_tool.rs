@@ -127,12 +127,14 @@ fn cmd_record(args: &CliArgs) -> Result<(), ToolError> {
 
 fn cmd_info(args: &CliArgs) -> Result<(), ToolError> {
     let path = &args.positional()[0];
-    let image = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let bytes = image.len();
-    // Decoding checks the checksum and every header field; the histogram
-    // walks the stream a tile at a time, so it checks every event and
-    // the event count without holding the decoded stream.
-    let trace = Trace::from_vec(image).map_err(|e| format!("reading {path}: {e}"))?;
+    let bytes = std::fs::metadata(path)
+        .map_err(|e| format!("reading {path}: {e}"))?
+        .len();
+    // Decoding reads the file a chunk at a time and checks the checksum
+    // and every header field; the histogram walks the stream a tile at a
+    // time, so it checks every event and the event count without holding
+    // the decoded stream.
+    let trace = Trace::read_file(path).map_err(|e| format!("reading {path}: {e}"))?;
     let kinds = trace
         .events
         .kind_counts()

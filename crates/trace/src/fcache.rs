@@ -7,14 +7,15 @@
 //! distinct workload/frontend runs live on a [`nsf_sim::Machine`] under
 //! a [`FrontendProbe`] that records the frontend's architectural event
 //! stream into a compact in-memory buffer (the varint layer of
-//! [`crate::frame`], no file I/O — [`VarWriter`]), and
+//! [`crate::frame`], no file I/O — a `ChunkedBytes` of 64 KiB chunks,
+//! so no allocation is sized by the stream), and
 //! every later frontend-equal point replays that stream straight into
 //! its [`EngineDispatch`] lane — no workload generation, no fetch, no
 //! decode, no scheduling. In the capturing run itself the recorder
 //! feeds the group's other lanes directly ([`capture_group`]), a tile of
 //! ops at a time, so a cold group never decodes the bytes it just
 //! encoded; a stored stream ([`replay_frontend`]) is decoded a tile at
-//! a time into the same tile runner.
+//! a time into the same tile runner, reading across chunk edges.
 //!
 //! The same encoding, with the workload's staged memory beside it, is
 //! what a `.nsftrace` file holds ([`TraceStream`]); [`crate::replay()`]
@@ -51,7 +52,7 @@
 //! frontend counters (instructions, class mix, calls, switches) are
 //! lane-invariant and copied from the capture's report.
 
-use crate::frame::{read_varint, FrameError, VarWriter};
+use crate::frame::{put_varint, read_varint, zigzag, ChunkedBytes, Chunks, FrameError};
 use crate::TraceError;
 use nsf_core::{Cid, EngineDispatch, LaneOp, RegAddr, RegisterFile};
 use nsf_mem::{Addr, MemSystem, Word};
@@ -77,7 +78,7 @@ const FTAG_AMO: u8 = 10;
 const FTAG_SAMPLE: u8 = 11;
 
 /// A [`FrontendProbe`] that encodes the frontend's event stream into a
-/// [`VarWriter`] as it happens. Attached to the live run
+/// [`ChunkedBytes`] as it happens. Attached to the live run
 /// [`capture_group`] makes, and to the one [`crate::capture`] records
 /// a trace from. When the capture feeds lanes, the recorder also hands
 /// each event to them as the [`ReplayOp`] the tile decoder would make
@@ -85,7 +86,7 @@ const FTAG_SAMPLE: u8 = 11;
 /// the capture, and nothing decodes the stream the capture just encoded.
 #[derive(Default)]
 pub(crate) struct FrontendRecorder {
-    w: VarWriter,
+    w: ChunkedBytes,
     events: u64,
     shared_cycles: u64,
     /// The lanes this capture feeds: `None` when it feeds none, and
@@ -129,7 +130,7 @@ impl FrontendRecorder {
     /// Runs `workload` under `cfg` live, recording and feeding one lane
     /// per configuration in `rest`: the one record step of
     /// [`capture_group`] and [`crate::capture`]. Scale-1 streams run to
-    /// megabytes, so the buffer is reserved up front.
+    /// megabytes; the buffer takes them a chunk at a time.
     pub(crate) fn record(
         workload: &Workload,
         cfg: SimConfig,
@@ -140,12 +141,17 @@ impl FrontendRecorder {
             ReplaySet::new(rest, &workload.mem_init).map(Feed::new)
         });
         let mut rec = FrontendRecorder {
-            w: VarWriter::with_capacity(1 << 20),
             feed,
             ..Self::default()
         };
         let report = nsf_workloads::run_probed(workload, cfg, &mut rec)?;
         Ok((rec, report))
+    }
+
+    /// Bytes recorded so far.
+    #[cfg(test)]
+    pub(crate) fn stream_len(&self) -> usize {
+        self.w.len()
     }
 
     /// The recorded stream over the staged memory `mem_init`.
@@ -154,7 +160,7 @@ impl FrontendRecorder {
             mem_init,
             events: self.events,
             shared_cycles: self.shared_cycles,
-            bytes: self.w.into_bytes(),
+            bytes: self.w,
         }
     }
 
@@ -177,8 +183,9 @@ impl FrontendRecorder {
     /// check.
     #[inline(always)]
     fn context_op(&mut self, tag: u8, cid: Cid) {
-        self.w.put_u8(tag);
-        self.w.put_varint(u64::from(cid));
+        let w = self.w.open_chunk(MAX_EVENT_LEN);
+        w.push(tag);
+        put_varint(w, u64::from(cid));
         if let Some(Ok(feed)) = &self.feed {
             if usize::from(cid) >= feed.set.ctable_slots {
                 return self.reject_context(cid);
@@ -230,17 +237,19 @@ impl FrontendProbe for FrontendRecorder {
             LaneOp::Read(a) => {
                 // The live value: replay lanes must reproduce it.
                 let value = value.expect("reads return a value");
-                self.w.put_u8(FTAG_READ);
-                self.w.put_varint(u64::from(a.cid));
-                self.w.put_u8(a.offset);
-                self.w.put_varint(u64::from(value));
+                let w = self.w.open_chunk(MAX_EVENT_LEN);
+                w.push(FTAG_READ);
+                put_varint(w, u64::from(a.cid));
+                w.push(a.offset);
+                put_varint(w, u64::from(value));
                 self.feed(FTAG_READ, a.offset, a.cid, value, 0, 0);
             }
             LaneOp::Write(a, v) => {
-                self.w.put_u8(FTAG_WRITE);
-                self.w.put_varint(u64::from(a.cid));
-                self.w.put_u8(a.offset);
-                self.w.put_varint(u64::from(v));
+                let w = self.w.open_chunk(MAX_EVENT_LEN);
+                w.push(FTAG_WRITE);
+                put_varint(w, u64::from(a.cid));
+                w.push(a.offset);
+                put_varint(w, u64::from(v));
                 self.feed(FTAG_WRITE, a.offset, a.cid, v, 0, 0);
             }
             LaneOp::SwitchTo(cid) => self.context_op(FTAG_SWITCH, cid),
@@ -248,9 +257,10 @@ impl FrontendProbe for FrontendRecorder {
             LaneOp::ThreadSwitch(cid) => self.context_op(FTAG_THREAD_SWITCH, cid),
             LaneOp::FreeContext(cid) => self.context_op(FTAG_FREE_CONTEXT, cid),
             LaneOp::FreeReg(a) => {
-                self.w.put_u8(FTAG_FREE_REG);
-                self.w.put_varint(u64::from(a.cid));
-                self.w.put_u8(a.offset);
+                let w = self.w.open_chunk(MAX_EVENT_LEN);
+                w.push(FTAG_FREE_REG);
+                put_varint(w, u64::from(a.cid));
+                w.push(a.offset);
                 self.feed(FTAG_FREE_REG, a.offset, a.cid, 0, 0, 0);
             }
         }
@@ -259,28 +269,31 @@ impl FrontendProbe for FrontendRecorder {
     #[inline(always)]
     fn mem_load(&mut self, addr: Addr, value: Word) {
         self.events += 1;
-        self.w.put_u8(FTAG_LOAD);
-        self.w.put_varint(u64::from(addr));
-        self.w.put_varint(u64::from(value));
+        let w = self.w.open_chunk(MAX_EVENT_LEN);
+        w.push(FTAG_LOAD);
+        put_varint(w, u64::from(addr));
+        put_varint(w, u64::from(value));
         self.feed(FTAG_LOAD, 0, 0, addr, value, 0);
     }
 
     #[inline(always)]
     fn mem_store(&mut self, addr: Addr, value: Word) {
         self.events += 1;
-        self.w.put_u8(FTAG_STORE);
-        self.w.put_varint(u64::from(addr));
-        self.w.put_varint(u64::from(value));
+        let w = self.w.open_chunk(MAX_EVENT_LEN);
+        w.push(FTAG_STORE);
+        put_varint(w, u64::from(addr));
+        put_varint(w, u64::from(value));
         self.feed(FTAG_STORE, 0, 0, addr, value, 0);
     }
 
     #[inline(always)]
     fn mem_amo(&mut self, addr: Addr, delta: i32, old: Word) {
         self.events += 1;
-        self.w.put_u8(FTAG_AMO);
-        self.w.put_varint(u64::from(addr));
-        self.w.put_varint_signed(i64::from(delta));
-        self.w.put_varint(u64::from(old));
+        let w = self.w.open_chunk(MAX_EVENT_LEN);
+        w.push(FTAG_AMO);
+        put_varint(w, u64::from(addr));
+        put_varint(w, zigzag(i64::from(delta)));
+        put_varint(w, u64::from(old));
         self.feed(FTAG_AMO, 0, 0, addr, delta as u32, old);
     }
 
@@ -294,7 +307,7 @@ impl FrontendProbe for FrontendRecorder {
     #[inline(always)]
     fn occupancy_sample(&mut self) {
         self.events += 1;
-        self.w.put_u8(FTAG_SAMPLE);
+        self.w.open_chunk(1).push(FTAG_SAMPLE);
         self.feed(FTAG_SAMPLE, 0, 0, 0, 0, 0);
     }
 }
@@ -311,7 +324,7 @@ pub struct FrontendBuffer {
     pub cfg: SimConfig,
     /// The encoded event stream (crate-visible so `crate::store` can
     /// persist and reconstruct buffers without re-encoding).
-    pub(crate) bytes: Vec<u8>,
+    pub(crate) bytes: ChunkedBytes,
     /// Number of events encoded.
     pub events: u64,
     /// Sum of the lane-invariant frontend cycle charges.
@@ -343,7 +356,7 @@ pub struct TraceStream {
     /// Sum of the lane-invariant frontend cycle charges.
     pub shared_cycles: u64,
     /// The encoded event stream.
-    pub(crate) bytes: Vec<u8>,
+    pub(crate) bytes: ChunkedBytes,
 }
 
 impl TraceStream {
@@ -479,7 +492,7 @@ pub fn capture_group(
     let fed = rec.finish_feed();
     let buf = FrontendBuffer {
         cfg,
-        bytes: rec.w.into_bytes(),
+        bytes: rec.w,
         events: rec.events,
         shared_cycles: rec.shared_cycles,
         report,
@@ -619,12 +632,14 @@ impl ReplayOp {
     }
 }
 
-/// Decode-time cursor. [`crate::frame::VarReader`] reads the same
-/// encoding, but its per-field `Result` plumbing costs real time at half
-/// a dozen calls per event times hundreds of thousands of events; this
-/// cursor keeps the reads `Option`-shaped and fully inlined around the
-/// shared decode step (`frame::read_varint`), and the (cold) error
-/// formatting lives in [`corrupt_at`].
+/// Decode-time cursor over one slice. [`crate::frame::VarReader`] reads
+/// the same encoding, but its per-field `Result` plumbing costs real time
+/// at half a dozen calls per event times hundreds of thousands of events;
+/// this cursor keeps the reads `Option`-shaped and fully inlined around
+/// the shared decode step (`frame::read_varint`), and the (cold) error
+/// formatting lives in [`corrupt_at`]. It reads one slice, so its fields
+/// stay in registers through the decode loop; [`StreamCursor`] hands it
+/// a stream's chunks, and the seams between them, one at a time.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -689,22 +704,28 @@ fn beyond_ctable(cid: Cid, event: u64, ctable_slots: usize) -> SimError {
     ))
 }
 
-/// Decodes the next tile of the event stream into `tile`: up to
-/// [`REPLAY_TILE_OPS`] ops from `cur`, the first of them event
-/// `first_event`. `tile` is cleared first and reused across tiles, so a
-/// replay holds one tile of decoded ops at a time, never the whole
-/// stream. Truncation, over-long varints, unknown tags and contexts
-/// beyond the Ctable surface as [`SimError::BadConfig`]; `tile` then
-/// holds every op decoded before the failing event, so the lanes can run
-/// them first.
+/// The most bytes decoding one event can read before it succeeds or
+/// fails: a tag and three varints of at most ten bytes each (an AMO; a
+/// register op is a tag, two varints and an offset byte). So also more
+/// than any event's encoding, which the recorder reserves at once.
+const MAX_EVENT_LEN: usize = 32;
+
+/// Decodes events from `cur` into `tile` while the tile has room and the
+/// next event starts before `limit`: the first of them is event
+/// `first_event + tile.len()`. Truncation, over-long varints, unknown
+/// tags and contexts beyond the Ctable surface as [`SimError::BadConfig`];
+/// `tile` then holds every op decoded before the failing event, so the
+/// lanes can run them first.
 fn decode_ops(
     cur: &mut Cursor<'_>,
+    limit: usize,
     first_event: u64,
     ctable_slots: usize,
     tile: &mut Vec<ReplayOp>,
 ) -> Result<(), SimError> {
-    tile.clear();
-    while tile.len() < REPLAY_TILE_OPS && cur.pos < cur.bytes.len() {
+    // Bounded by the slice, so the tag read below needs no check.
+    let limit = limit.min(cur.bytes.len());
+    while tile.len() < REPLAY_TILE_OPS && cur.pos < limit {
         let event = first_event + tile.len() as u64;
         macro_rules! field {
             ($read:expr) => {
@@ -752,22 +773,131 @@ fn decode_ops(
     Ok(())
 }
 
+/// A position in a stream's chunks, for the tile decoder. An event that
+/// starts at least [`MAX_EVENT_LEN`] bytes before its chunk's end, or in
+/// the last chunk, decodes in place, so a malformed one fails where one
+/// slice of the whole stream would make it fail. The few events that
+/// start nearer the end of an earlier chunk decode from a seam: that
+/// chunk's last bytes joined with the bytes after them, enough for any
+/// event starting in the chunk. So an event may straddle any chunk
+/// edge, and the tiles and errors are exactly one slice's.
+struct StreamCursor<'a> {
+    chunk: &'a [u8],
+    pos: usize,
+    /// `true` when no byte follows `chunk`.
+    last: bool,
+    later: Chunks<'a>,
+}
+
+impl<'a> StreamCursor<'a> {
+    fn new(stream: &'a ChunkedBytes) -> Self {
+        let mut cursor = StreamCursor {
+            chunk: &[],
+            pos: 0,
+            last: false,
+            later: stream.chunks(),
+        };
+        cursor.next_chunk();
+        cursor
+    }
+
+    /// Moves to the next non-empty chunk (or to the end).
+    fn next_chunk(&mut self) {
+        self.chunk = self.later.find(|c| !c.is_empty()).unwrap_or(&[]);
+        self.pos = 0;
+        self.last = self.later.clone().all(<[u8]>::is_empty);
+    }
+
+    /// Moves `n` bytes on, across chunk edges.
+    fn advance(&mut self, mut n: usize) {
+        while self.pos + n >= self.chunk.len() && !self.last {
+            n -= self.chunk.len() - self.pos;
+            self.next_chunk();
+        }
+        self.pos += n;
+    }
+
+    /// `true` while a byte is left.
+    fn more(&self) -> bool {
+        self.pos < self.chunk.len()
+    }
+
+    /// Decodes the next tile of the event stream into `tile`: up to
+    /// [`REPLAY_TILE_OPS`] ops, the first of them event `first_event`.
+    /// `tile` is cleared first and reused across tiles, so a replay holds
+    /// one tile of decoded ops at a time, never the whole stream. Errors
+    /// are [`decode_ops`]'s.
+    fn decode_tile(
+        &mut self,
+        first_event: u64,
+        ctable_slots: usize,
+        tile: &mut Vec<ReplayOp>,
+    ) -> Result<(), SimError> {
+        tile.clear();
+        let mut seam = [0u8; 2 * MAX_EVENT_LEN];
+        while tile.len() < REPLAY_TILE_OPS && self.more() {
+            let safe = if self.last {
+                self.chunk.len()
+            } else {
+                self.chunk.len().saturating_sub(MAX_EVENT_LEN)
+            };
+            let in_seam = self.pos >= safe;
+            let mut cur = if in_seam {
+                // The events that start in the chunk's last bytes, from a
+                // seam of those bytes and the ones after them.
+                let mut len = 0;
+                let rest = std::iter::once(&self.chunk[self.pos..]).chain(self.later.clone());
+                for chunk in rest {
+                    let take = chunk.len().min(seam.len() - len);
+                    seam[len..len + take].copy_from_slice(&chunk[..take]);
+                    len += take;
+                    if len == seam.len() {
+                        break;
+                    }
+                }
+                Cursor {
+                    bytes: &seam[..len],
+                    pos: 0,
+                }
+            } else {
+                Cursor {
+                    bytes: self.chunk,
+                    pos: self.pos,
+                }
+            };
+            let limit = if in_seam {
+                self.chunk.len() - self.pos
+            } else {
+                safe
+            };
+            let decoded = decode_ops(&mut cur, limit, first_event, ctable_slots, tile);
+            if in_seam {
+                self.advance(cur.pos);
+            } else {
+                self.pos = cur.pos;
+            }
+            decoded?;
+        }
+        Ok(())
+    }
+}
+
 /// Decodes `bytes`, a stream of `events` events, a tile at a time into
 /// one reused buffer and hands each tile to `run`, which sees every op
 /// decoded before a malformed field ends the tile; an error `run` returns
 /// wins over that decode error. Contexts at or beyond `ctable_slots` are
 /// malformed. The event count is checked after the last tile.
 pub(crate) fn for_each_tile(
-    bytes: &[u8],
+    bytes: &ChunkedBytes,
     events: u64,
     ctable_slots: usize,
     mut run: impl FnMut(&[ReplayOp]) -> Result<(), SimError>,
 ) -> Result<(), SimError> {
-    let mut cur = Cursor { bytes, pos: 0 };
+    let mut cur = StreamCursor::new(bytes);
     let mut event: u64 = 0;
     let mut tile = Vec::with_capacity(REPLAY_TILE_OPS);
-    while cur.pos < cur.bytes.len() {
-        let decoded = decode_ops(&mut cur, event, ctable_slots, &mut tile);
+    while cur.more() {
+        let decoded = cur.decode_tile(event, ctable_slots, &mut tile);
         event += tile.len() as u64;
         run(&tile)?;
         decoded?;
@@ -834,7 +964,7 @@ impl ReplaySet {
     pub(crate) fn replay(
         cfgs: &[SimConfig],
         staged: &[(Addr, Vec<Word>)],
-        bytes: &[u8],
+        bytes: &ChunkedBytes,
         events: u64,
     ) -> Result<Self, SimError> {
         let mut set = ReplaySet::new(cfgs, staged)?;
@@ -850,7 +980,7 @@ impl ReplaySet {
     /// the lanes run the ops before it, and a divergence among them wins
     /// over the decode error. The event count is checked after the last
     /// tile.
-    pub(crate) fn run(&mut self, bytes: &[u8], events: u64) -> Result<(), SimError> {
+    pub(crate) fn run(&mut self, bytes: &ChunkedBytes, events: u64) -> Result<(), SimError> {
         for_each_tile(bytes, events, self.ctable_slots, |tile| self.run_tile(tile))
     }
 
@@ -1138,7 +1268,7 @@ mod tests {
         for (name, w, hash, events, shared_cycles) in pins {
             let buf = capture_frontend(&w, cfg).unwrap();
             assert_eq!(
-                (fnv1a64(&buf.bytes), buf.events, buf.shared_cycles),
+                (fnv1a64(&buf.bytes.to_vec()), buf.events, buf.shared_cycles),
                 (hash, events, shared_cycles),
                 "{name}"
             );
@@ -1246,7 +1376,8 @@ mod tests {
         let w = nsf_workloads::gatesim::build(0);
         let cfg = SimConfig::default();
         let mut buf = capture_frontend(&w, cfg).unwrap();
-        buf.bytes.truncate(buf.bytes.len() / 2);
+        let whole = buf.bytes.to_vec();
+        buf.bytes = ChunkedBytes::from_slice(&whole[..whole.len() / 2]);
         let err = replay_frontend(&buf, &w, &[cfg]).unwrap_err();
         let WorkloadError::Sim(SimError::BadConfig(msg)) = &err else {
             panic!("expected BadConfig, got {err:?}");
@@ -1255,8 +1386,8 @@ mod tests {
     }
 
     /// Encodes a hand-built event stream in the capture format.
-    fn encode(events: &[(u8, u32, u32)]) -> (Vec<u8>, u64) {
-        let mut w = VarWriter::default();
+    fn encode(events: &[(u8, u32, u32)]) -> (ChunkedBytes, u64) {
+        let mut w = crate::frame::VarWriter::new();
         for &(tag, x, y) in events {
             w.put_u8(tag);
             match tag {
@@ -1277,7 +1408,7 @@ mod tests {
                 other => panic!("test encoder has no tag {other}"),
             }
         }
-        (w.into_bytes(), events.len() as u64)
+        (w.into_bytes().into(), events.len() as u64)
     }
 
     /// The first failure event-by-event lockstep over all lanes reports:
@@ -1357,7 +1488,9 @@ mod tests {
     /// `u16`, an unknown tag, a context beyond the Ctable, and a load
     /// cut off mid-field.
     fn malformed_events(cfg: &SimConfig) -> Vec<(Vec<u8>, &'static str)> {
-        let beyond = encode(&[(FTAG_SWITCH, cfg.mem.ctable_slots as u32, 0)]).0;
+        let beyond = encode(&[(FTAG_SWITCH, cfg.mem.ctable_slots as u32, 0)])
+            .0
+            .to_vec();
         vec![
             (vec![FTAG_SWITCH, 0x80, 0x80, 0x04], "malformed field"),
             (vec![0xEE], "unknown event tag 238"),
@@ -1384,7 +1517,7 @@ mod tests {
         ev.resize(2 * REPLAY_TILE_OPS + 5, (FTAG_SAMPLE, 0, 0));
         let (clean, events) = encode(&ev);
         for (bad, _) in malformed_events(&nsf) {
-            (buf.bytes, buf.events) = ([clean.as_slice(), &bad].concat(), events + 1);
+            (buf.bytes, buf.events) = ([clean.to_vec(), bad].concat().into(), events + 1);
             for cfgs in [[nsf, conv, nsf], [conv, nsf, conv]] {
                 let want = lockstep_first(&buf, &w, &cfgs);
                 match replay_frontend(&buf, &w, &cfgs) {
@@ -1409,7 +1542,7 @@ mod tests {
         let bad_at = REPLAY_TILE_OPS + 5;
         let (clean, _) = encode(&vec![(FTAG_SAMPLE, 0, 0); bad_at]);
         for (bad, names) in malformed_events(&nsf) {
-            buf.bytes = [clean.as_slice(), &bad].concat();
+            buf.bytes = [clean.to_vec(), bad].concat().into();
             buf.events = bad_at as u64 + 1;
             let mut set = ReplaySet::new(&[nsf, conv], &[]).unwrap();
             match set.run(&buf.bytes, buf.events) {
@@ -1548,7 +1681,7 @@ mod tests {
     /// Feeds a hand-built event stream to lanes under `cfgs` through the
     /// recorder's probe hooks, as a capture would: the encoded bytes and
     /// the feed's outcome.
-    fn feed(cfgs: &[SimConfig], events: &[(u8, u32, u32)]) -> (Vec<u8>, Result<(), SimError>) {
+    fn feed(cfgs: &[SimConfig], events: &[(u8, u32, u32)]) -> (ChunkedBytes, Result<(), SimError>) {
         let mut rec = FrontendRecorder {
             feed: Some(ReplaySet::new(cfgs, &[]).map(Feed::new)),
             ..FrontendRecorder::default()
@@ -1567,7 +1700,7 @@ mod tests {
             }
         }
         let outcome = rec.finish_feed().expect("lanes were fed").map(|_| ());
-        (rec.w.into_bytes(), outcome)
+        (rec.w, outcome)
     }
 
     #[test]
@@ -1601,6 +1734,91 @@ mod tests {
         }
     }
 
+    /// The tiles [`for_each_tile`] makes of `stream`, and how it ended.
+    fn tiles_of(stream: &ChunkedBytes, events: u64, slots: usize) -> (Vec<Vec<ReplayOp>>, String) {
+        let mut tiles = Vec::new();
+        let end = for_each_tile(stream, events, slots, |tile| {
+            tiles.push(tile.to_vec());
+            Ok(())
+        });
+        (tiles, format!("{end:?}"))
+    }
+
+    /// `bytes` with chunk edges at `cuts` (ascending offsets).
+    fn cut_at(bytes: &[u8], cuts: &[usize]) -> ChunkedBytes {
+        let edges: Vec<usize> = [0]
+            .iter()
+            .chain(cuts)
+            .chain([bytes.len()].iter())
+            .copied()
+            .collect();
+        ChunkedBytes::from_chunks(
+            edges
+                .windows(2)
+                .map(|w| bytes[w[0]..w[1]].to_vec())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn chunk_edges_inside_the_first_events_decode_like_one_slice() {
+        let cfg = SimConfig::default();
+        let slots = cfg.mem.ctable_slots;
+        let buf = capture_frontend(&nsf_workloads::gatesim::build(0), cfg).unwrap();
+        let bytes = buf.bytes.to_vec();
+        let whole = tiles_of(
+            &ChunkedBytes::from_chunks(vec![bytes.clone()]),
+            buf.events,
+            slots,
+        );
+        assert_eq!(whole.1, "Ok(())");
+        // One edge at every offset of the first events, then runs of
+        // chunks 1 to 5 bytes wide across them.
+        let first = 96;
+        for cut in 1..first {
+            let got = tiles_of(&cut_at(&bytes, &[cut]), buf.events, slots);
+            assert!(got == whole, "edge at {cut}");
+        }
+        for width in 1..=5 {
+            let cuts: Vec<usize> = (1..first / width).map(|k| k * width).collect();
+            let got = tiles_of(&cut_at(&bytes, &cuts), buf.events, slots);
+            assert!(got == whole, "chunks of {width}");
+        }
+        // A tile that fills in the last bytes of a chunk, where events
+        // decode from the seam between two chunks.
+        let samples = vec![FTAG_SAMPLE; 2 * REPLAY_TILE_OPS + 7];
+        let count = samples.len() as u64;
+        let whole = tiles_of(
+            &ChunkedBytes::from_chunks(vec![samples.clone()]),
+            count,
+            slots,
+        );
+        for cut in REPLAY_TILE_OPS - 40..REPLAY_TILE_OPS + 40 {
+            for cuts in [vec![cut], vec![cut, cut + 3], vec![cut - 50, cut]] {
+                let got = tiles_of(&cut_at(&samples, &cuts), count, slots);
+                assert!(got == whole, "edges at {cuts:?}");
+            }
+        }
+        // A malformed last event fails with the same error and the same
+        // ops before it, wherever an edge falls.
+        let (prefix, events) = encode(&split_divergence(&cfg, 2));
+        for (bad, names) in malformed_events(&cfg) {
+            let bytes = [prefix.to_vec(), bad].concat();
+            let whole = tiles_of(
+                &ChunkedBytes::from_chunks(vec![bytes.clone()]),
+                events + 1,
+                slots,
+            );
+            assert!(whole.1.contains(names), "{}", whole.1);
+            for cut in 1..bytes.len() {
+                let got = tiles_of(&cut_at(&bytes, &[cut]), events + 1, slots);
+                assert!(got == whole, "{names}: edge at {cut}");
+            }
+            let every: Vec<usize> = (1..bytes.len()).collect();
+            assert!(tiles_of(&cut_at(&bytes, &every), events + 1, slots) == whole);
+        }
+    }
+
     #[test]
     fn context_beyond_the_ctable_is_a_typed_error() {
         // Stored buffers are read back from disk: a context no Ctable
@@ -1610,12 +1828,14 @@ mod tests {
         let beyond = cfg.mem.ctable_slots as u32;
         for tag in [FTAG_SWITCH, FTAG_FREE_CONTEXT] {
             (buf.bytes, buf.events) = encode(&[(tag, beyond, 0)]);
+            let bytes = buf.bytes.to_vec();
             let mut cur = Cursor {
-                bytes: &buf.bytes,
+                bytes: &bytes,
                 pos: 0,
             };
             let mut tile = Vec::new();
-            let err = decode_ops(&mut cur, 0, cfg.mem.ctable_slots, &mut tile).unwrap_err();
+            let err =
+                decode_ops(&mut cur, bytes.len(), 0, cfg.mem.ctable_slots, &mut tile).unwrap_err();
             assert!(tile.is_empty());
             assert!(
                 matches!(&err, SimError::BadConfig(m) if m.contains("beyond")),
@@ -1631,7 +1851,8 @@ mod tests {
         let mut buf = capture_frontend(&w, cfg).unwrap();
         // Flip the recorded value of the first read event: replay must
         // notice the engine no longer agrees with the "live" recording.
-        let mut r = VarReader::new(&buf.bytes);
+        let mut bytes = buf.bytes.to_vec();
+        let mut r = VarReader::new(&bytes);
         let mut patch_at = None;
         while !r.done() {
             let tag = r.get_u8().unwrap();
@@ -1670,8 +1891,9 @@ mod tests {
         let at = patch_at.expect("gatesim reads registers");
         // Single-byte varints (< 0x80) can be flipped in place without
         // breaking the framing; skip the (rare) multi-byte case.
-        if buf.bytes[at] < 0x80 {
-            buf.bytes[at] ^= 1;
+        if bytes[at] < 0x80 {
+            bytes[at] ^= 1;
+            buf.bytes = bytes.into();
             let err = replay_frontend(&buf, &w, &[cfg]).unwrap_err();
             assert!(
                 matches!(err, WorkloadError::Sim(SimError::LaneDivergence { .. })),

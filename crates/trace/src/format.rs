@@ -22,18 +22,21 @@
 //! the store's sealed stream container with the metadata and staged
 //! memory as its identity block, so one encoder and one decoder serve
 //! both formats. The checksum is [`crate::frame::seal_checksum`] over
-//! every byte from the magic through the stream, taken over head and
-//! stream as two slices: [`Trace::write_file`] writes the three parts in
-//! turn and never copies the stream. [`Trace::from_vec`] checks length,
-//! header and checksum before it parses any field. So truncation and bit
-//! rot surface as typed [`TraceError`]s. The stream's events are decoded
+//! every byte from the magic through the stream, taken over the head and
+//! then the stream chunk by chunk: [`Trace::write_file`] writes the head,
+//! each chunk and the seal in turn and never copies the stream.
+//! [`Trace::read_file`] reads the file a chunk at a time, hashing each
+//! as it arrives, and [`Trace::from_bytes`] takes a whole image; both
+//! check length, header and checksum before they parse any field, and
+//! the head may span chunks. So truncation and bit rot surface as typed
+//! [`TraceError`]s. The stream's events are decoded
 //! lazily, a tile at a time, by whatever reads them
 //! ([`crate::replay_events`], [`TraceStream::kind_counts`]); a malformed
 //! event is a typed error there.
 
 use crate::fcache::TraceStream;
-use crate::frame::{write_atomic, FrameError, VarReader, VarWriter};
-use crate::store::{decode_sealed_stream, SealedStream};
+use crate::frame::{write_atomic, ChunkedBytes, FrameError, SealedImage, VarReader, VarWriter};
+use crate::store::{decode_sealed_image, decode_sealed_slice, SealedStream, StreamTail};
 use nsf_mem::{Addr, Word};
 use nsf_sim::{RunReport, SimError};
 use std::fmt;
@@ -181,25 +184,9 @@ impl Trace {
         self.sealed().parts().concat()
     }
 
-    /// Decodes a complete `.nsftrace` image, taking ownership of it:
-    /// the image's own allocation becomes the stream (header, fields and
-    /// seal are trimmed in place), so a decoded trace holds one copy of
-    /// it. Length, header and checksum are checked before any field is
-    /// parsed.
-    pub fn from_vec(image: Vec<u8>) -> Result<Self, TraceError> {
-        let ((meta, mem_init), tail, bytes) =
-            decode_sealed_stream(image, (MAGIC, FORMAT_VERSION), |r| {
-                let meta = TraceMeta {
-                    workload: get_str(r)?,
-                    engine: get_str(r)?,
-                    scale: r.get_int()?,
-                    instructions: r.get_varint()?,
-                    cycles: r.get_varint()?,
-                    context_switches: r.get_varint()?,
-                };
-                Ok::<_, TraceError>((meta, get_blocks(r)?))
-            })?;
-        Ok(Trace {
+    /// The trace a decoded image holds.
+    fn decoded(((meta, mem_init), tail, bytes): (Identity, StreamTail, ChunkedBytes)) -> Self {
+        Trace {
             meta,
             events: TraceStream {
                 mem_init,
@@ -208,12 +195,20 @@ impl Trace {
                 bytes,
             },
             report: tail.report,
-        })
+        }
     }
 
-    /// Decodes a complete in-memory `.nsftrace` image (a copy of it).
+    /// Decodes a complete `.nsftrace` image taken by value
+    /// ([`Trace::from_bytes`]).
+    pub fn from_vec(image: Vec<u8>) -> Result<Self, TraceError> {
+        Self::from_bytes(&image)
+    }
+
+    /// Decodes a complete in-memory `.nsftrace` image, copying the stream
+    /// out into chunks. Length, header and checksum are checked before
+    /// any field is parsed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        Self::from_vec(bytes.to_vec())
+        decode_sealed_slice(bytes, (MAGIC, FORMAT_VERSION), identity).map(Self::decoded)
     }
 
     /// Writes the trace to `path` atomically ([`write_atomic`]), without
@@ -222,15 +217,34 @@ impl Trace {
         Ok(write_atomic(path.as_ref(), &self.sealed().parts())?)
     }
 
-    /// Reads and decodes the trace at `path`.
+    /// Reads and decodes the trace at `path` a chunk at a time
+    /// (`SealedImage::read`): the stream is cut out of the file's own
+    /// chunks, so no allocation is the size of the file.
     pub fn read_file(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::from_vec(std::fs::read(path)?)
+        let image = SealedImage::read(path.as_ref())?;
+        decode_sealed_image(image, (MAGIC, FORMAT_VERSION), identity).map(Self::decoded)
     }
+}
+
+/// The `.nsftrace` identity block: the metadata and the staged memory.
+type Identity = (TraceMeta, Vec<(Addr, Vec<Word>)>);
+
+/// Decodes the `.nsftrace` identity block.
+fn identity(r: &mut VarReader<'_>) -> Result<Identity, TraceError> {
+    let meta = TraceMeta {
+        workload: get_str(r)?,
+        engine: get_str(r)?,
+        scale: r.get_int()?,
+        instructions: r.get_varint()?,
+        cycles: r.get_varint()?,
+        context_switches: r.get_varint()?,
+    };
+    Ok((meta, get_blocks(r)?))
 }
 
 fn get_str(r: &mut VarReader<'_>) -> Result<String, TraceError> {
     let len: usize = r.get_int()?;
-    String::from_utf8(r.get_bytes(len)?.to_vec()).map_err(|_| TraceError::BadString)
+    String::from_utf8(r.get_bytes(len)?).map_err(|_| TraceError::BadString)
 }
 
 /// The staged memory blocks. Every word is at least one byte, so a word
@@ -242,7 +256,7 @@ fn get_blocks(r: &mut VarReader<'_>) -> Result<Vec<(Addr, Vec<Word>)>, FrameErro
     for _ in 0..count {
         let addr: Addr = r.get_int()?;
         let len: usize = r.get_int()?;
-        if len > r.rest().len() {
+        if len > r.remaining() {
             return Err(FrameError::Truncated);
         }
         let mut words = Vec::with_capacity(len);
@@ -416,7 +430,9 @@ mod tests {
         // Framing is checked at decode; events are checked by the tile
         // decoder when something reads them.
         let mut t = sample();
-        t.events.bytes.push(0xEE);
+        let mut bytes = t.events.bytes.to_vec();
+        bytes.push(0xEE);
+        t.events.bytes = bytes.into();
         t.events.events += 1;
         let back = Trace::from_bytes(&t.to_bytes()).unwrap();
         let err = back.events.kind_counts().unwrap_err();
@@ -424,7 +440,9 @@ mod tests {
             matches!(&err, TraceError::Stream(SimError::BadConfig(m)) if m.contains("tag 238")),
             "{err}"
         );
-        t.events.bytes.pop();
+        let mut bytes = t.events.bytes.to_vec();
+        bytes.pop();
+        t.events.bytes = bytes.into();
         assert!(matches!(
             t.events.lane_ops(),
             Err(TraceError::Stream(SimError::BadConfig(_)))
@@ -457,6 +475,39 @@ mod tests {
                 LaneOp::SwitchTo(0),
             ]
         );
+    }
+
+    #[test]
+    fn a_head_spanning_chunks_reads_back_from_a_file() {
+        // Staged memory of 40,000 three-byte words and a report with one
+        // count per thread for 30,000 threads: a head of over 180 KB, so
+        // the file's first chunks hold nothing but head, and the stream
+        // starts inside a later chunk.
+        let mut t = sample();
+        t.events.mem_init = vec![(0x0010_0000, (0..40_000).map(|i| 0x4000 + i).collect())];
+        t.report.thread_instructions = (0..30_000).map(|i| 1 << 14 | i).collect();
+        let image = t.to_bytes();
+        assert!(image.len() > 3 * crate::frame::CHUNK_LEN, "{}", image.len());
+        let dir = std::env::temp_dir().join(format!("nsf-trace-head-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("head.nsftrace");
+        t.write_file(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        assert_eq!(Trace::read_file(&path).unwrap(), t);
+        // Cut at and around a chunk edge inside the head: the file read in
+        // chunks fails as the image does.
+        let edge = crate::frame::CHUNK_LEN;
+        for cut in [edge - 1, edge, edge + 1, image.len() - 1] {
+            std::fs::write(&path, &image[..cut]).unwrap();
+            let from_file = Trace::read_file(&path).unwrap_err();
+            let from_bytes = Trace::from_bytes(&image[..cut]).unwrap_err();
+            assert_eq!(
+                format!("{from_file:?}"),
+                format!("{from_bytes:?}"),
+                "cut {cut}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,6 +5,16 @@
 //!
 //! Every framing decision lives here, once:
 //!
+//! - **Stream buffers:** a frontend stream runs to megabytes, so it is
+//!   never one allocation: `ChunkedBytes` holds it in chunks of at
+//!   most `CHUNK_LEN` bytes, each well under glibc's 128 KiB mmap
+//!   threshold. The recorder appends to one, a writer hands its chunks
+//!   to [`write_atomic`] as parts, and `SealedImage::read` reads a
+//!   sealed file into one a chunk at a time, hashing each chunk as it
+//!   arrives. No allocation is sized by a stream or a file, and no
+//!   buffer is ever regrown past one chunk. A dropped buffer's whole
+//!   chunks stay spare for the next one, up to one buffer's worth, so a
+//!   stream does not fault freshly trimmed heap pages back in.
 //! - **Checksums:** two, one per layout.
 //!   - [`seal_checksum`] seals blobs. It reads the image as 8-byte
 //!     little-endian words in four independent lanes, so the multiply
@@ -20,25 +30,27 @@
 //!     records of a record log, and is the content hash behind every key
 //!     (`stream_fingerprint`, `memo_key`, `ExploreSpec::fingerprint`).
 //!     Those inputs are tens of bytes, where a byte loop costs nothing.
-//! - **Varints:** LEB128 — `put_varint` under [`VarWriter`] to encode,
-//!   one decode step (`read_varint`) under [`VarReader`] and the replay
-//!   cursor. Decoding is strict:
+//! - **Varints:** LEB128 — `put_varint` under [`VarWriter`] and
+//!   `ChunkedBytes` to encode, one decode step (`read_varint`) under
+//!   [`VarReader`] and the replay cursor, both of which read across
+//!   chunk edges. Decoding is strict:
 //!   a varint wider than a `u64` or not in its shortest form is
 //!   [`FrameError::BadVarint`], so every image that decodes re-encodes
 //!   to the same bytes.
 //! - **Header:** `magic[4] | version u8`, checked by `check_header`.
 //! - **Two checksum layouts:**
-//!   - a *sealed blob* ([`seal`] / [`unseal`]): header, body, then an
-//!     8-byte little-endian [`seal_checksum`] of everything before it
+//!   - a *sealed blob* ([`seal`] / [`unseal`] in one slice,
+//!     `SealedImage` in chunks): header, body, then an 8-byte
+//!     little-endian [`seal_checksum`] of everything before it
 //!     (`.nsftrace`, `.nsfs`);
 //!   - a *checksummed record log* ([`checked_record`] / [`parse_log`]):
 //!     a header block and then records, each followed by the varint FNV
 //!     of its own bytes. Parsing keeps the longest intact prefix and
 //!     reports its length ([`RecordLog::valid_len`]), so a torn append
 //!     costs only the torn record (`.nsfx`, `.nsfm`).
-//! - **Files:** [`write_atomic`] (temporary sibling plus rename, the
-//!   image's parts written in turn) and [`truncate_to`] (cut a log back
-//!   to its valid prefix).
+//! - **Files:** [`write_atomic`] (a temporary sibling of its own plus
+//!   rename, the image's parts written in turn), `SealedImage::read`
+//!   and [`truncate_to`] (cut a log back to its valid prefix).
 //!
 //! | format      | magic  | version | checksum layout          | checksum | torn tail               |
 //! |-------------|--------|---------|--------------------------|----------|-------------------------|
@@ -52,8 +64,11 @@
 //! known-answer tests below pin both.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Width of the `magic | version` header.
 pub const HEADER_LEN: usize = 5;
@@ -317,14 +332,6 @@ impl VarWriter {
         VarWriter::default()
     }
 
-    /// An empty buffer with `cap` bytes reserved — capture-sized streams
-    /// (megabytes at `--scale 1`) skip the cold vector's doubling copies.
-    pub fn with_capacity(cap: usize) -> Self {
-        VarWriter {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
     /// A buffer that starts with the `magic | version` header.
     pub fn with_header(magic: [u8; 4], version: u8) -> Self {
         let mut w = VarWriter::new();
@@ -354,7 +361,7 @@ impl VarWriter {
     /// magnitudes of either sign stay one byte).
     #[inline]
     pub fn put_varint_signed(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+        self.put_varint(zigzag(v));
     }
 
     /// Consumes the writer, yielding the encoded bytes.
@@ -363,49 +370,361 @@ impl VarWriter {
     }
 }
 
-/// In-memory reader matching [`VarWriter`]. Running past the end is
+/// Bytes per chunk of a [`ChunkedBytes`]. Half of glibc's 128 KiB mmap
+/// threshold, so every chunk comes from the heap, where a stream-sized
+/// buffer is mapped whole, or regrown through copies; freeing such a
+/// buffer raises glibc's threshold to its size and leaves the heap
+/// holding and fragmenting megabytes.
+pub(crate) const CHUNK_LEN: usize = 64 << 10;
+
+/// The most whole chunks ever kept spare: 32 MiB, the most a stream
+/// buffer glibc's own dynamic mmap threshold would keep on the heap.
+const MAX_SPARE_CHUNKS: usize = 512;
+
+/// Whole chunks that no buffer holds any more, kept for the next buffer.
+/// A chunk handed back to the allocator is trimmed off the top of the
+/// heap with its neighbours, so the next stream would fault every page
+/// of its chunks in afresh (about a tenth of simbench `figure-narrow`'s
+/// throughput); a spare chunk is resident already. One buffer's worth is
+/// kept, as many chunks as the largest buffer dropped so far held (at
+/// most [`MAX_SPARE_CHUNKS`]): the next stream of that size faults
+/// nothing in, and memory held spare never exceeds one stream.
+struct Spare {
+    chunks: Vec<Vec<u8>>,
+    /// Whole chunks in the largest buffer dropped so far.
+    most: usize,
+}
+
+static SPARE: Mutex<Spare> = Mutex::new(Spare {
+    chunks: Vec::new(),
+    most: 0,
+});
+
+/// The spare chunks. Every update leaves them valid, so ones a
+/// panicking thread held are still good.
+fn spare_chunks() -> MutexGuard<'static, Spare> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An empty chunk with room for [`CHUNK_LEN`] bytes, a spare one if any.
+fn whole_chunk() -> Vec<u8> {
+    spare_chunks()
+        .chunks
+        .pop()
+        .unwrap_or_else(|| Vec::with_capacity(CHUNK_LEN))
+}
+
+/// Keeps the whole chunks among `chunks`, one dropped buffer's, spare
+/// while there is room.
+fn recycle(chunks: impl IntoIterator<Item = Vec<u8>>) {
+    let whole: Vec<Vec<u8>> = chunks
+        .into_iter()
+        .filter(|c| c.capacity() == CHUNK_LEN)
+        .collect();
+    if whole.is_empty() {
+        return;
+    }
+    let mut spare = spare_chunks();
+    spare.most = spare.most.max(whole.len()).min(MAX_SPARE_CHUNKS);
+    let room = spare.most.saturating_sub(spare.chunks.len());
+    for mut chunk in whole.into_iter().take(room) {
+        chunk.clear();
+        spare.chunks.push(chunk);
+    }
+}
+
+/// The chunks of a [`ChunkedBytes`], in order, as slices.
+pub(crate) type Chunks<'a> = std::iter::Chain<
+    std::iter::Map<std::slice::Iter<'a, Vec<u8>>, fn(&Vec<u8>) -> &[u8]>,
+    std::iter::Once<&'a [u8]>,
+>;
+
+/// An append-only byte buffer held in chunks of at most [`CHUNK_LEN`]
+/// bytes: the one buffer behind every frontend stream, recorded, loaded
+/// or decoded. Appending never copies a whole chunk: the first chunk
+/// grows by doubling up to [`CHUNK_LEN`], so a stream shorter than one
+/// chunk pays for its own length only, and every later chunk is one
+/// whole chunk, spare or newly allocated. A chunk is closed when the
+/// next write would not fit it, so a write never straddles two chunks
+/// the buffer appended itself, but a buffer read from a file or built
+/// from a slice is cut at fixed offsets, so its readers ([`VarReader`],
+/// the replay cursor) read across any chunk edge. Dropping a buffer
+/// keeps its whole chunks spare. Equality is of the bytes, whatever
+/// the chunk edges.
+#[derive(Clone, Default)]
+pub(crate) struct ChunkedBytes {
+    /// The closed chunks, none of them empty.
+    full: Vec<Vec<u8>>,
+    /// Bytes in `full`.
+    full_len: usize,
+    /// The open chunk appends go to.
+    tail: Vec<u8>,
+}
+
+impl ChunkedBytes {
+    /// An empty buffer; it allocates on the first append.
+    pub(crate) fn new() -> Self {
+        ChunkedBytes::default()
+    }
+
+    /// A copy of `bytes`, cut into chunks of [`CHUNK_LEN`] bytes and a
+    /// last one of the rest.
+    pub(crate) fn from_slice(bytes: &[u8]) -> Self {
+        let mut out = ChunkedBytes::new();
+        for piece in bytes.chunks(CHUNK_LEN) {
+            let mut chunk = if piece.len() == CHUNK_LEN {
+                whole_chunk()
+            } else {
+                Vec::with_capacity(piece.len())
+            };
+            chunk.extend_from_slice(piece);
+            out.full.push(chunk);
+        }
+        out.full_len = bytes.len();
+        out
+    }
+
+    /// A buffer cut at the given chunk edges, for tests of readers at
+    /// every edge.
+    #[cfg(test)]
+    pub(crate) fn from_chunks(chunks: Vec<Vec<u8>>) -> Self {
+        let full: Vec<Vec<u8>> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
+        ChunkedBytes {
+            full_len: full.iter().map(Vec::len).sum(),
+            full,
+            tail: Vec::new(),
+        }
+    }
+
+    /// Number of bytes held.
+    pub(crate) fn len(&self) -> usize {
+        self.full_len + self.tail.len()
+    }
+
+    /// The chunks in order (the open one last, possibly empty).
+    pub(crate) fn chunks(&self) -> Chunks<'_> {
+        let as_slice: fn(&Vec<u8>) -> &[u8] = Vec::as_slice;
+        self.full
+            .iter()
+            .map(as_slice)
+            .chain(std::iter::once(self.tail.as_slice()))
+    }
+
+    /// The bytes joined into one vector: a stream-sized copy, for tests.
+    #[cfg(test)]
+    pub(crate) fn to_vec(&self) -> Vec<u8> {
+        self.chunks().collect::<Vec<_>>().concat()
+    }
+
+    /// The open chunk, with room for `n` more bytes (`n` at most 128):
+    /// one write of up to `n` bytes pushed onto it never regrows it. How
+    /// the recorder appends an event, with one check for all its fields.
+    #[inline(always)]
+    pub(crate) fn open_chunk(&mut self, n: usize) -> &mut Vec<u8> {
+        if self.tail.capacity() - self.tail.len() < n {
+            self.make_room(n);
+        }
+        &mut self.tail
+    }
+
+    /// Grows a short open chunk by doubling, up to [`CHUNK_LEN`], or
+    /// closes a chunk too full for `n` more bytes and opens a whole one.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self, n: usize) {
+        let (len, cap) = (self.tail.len(), self.tail.capacity());
+        if cap < CHUNK_LEN && len + n <= CHUNK_LEN {
+            let want = (2 * cap).clamp(256, CHUNK_LEN);
+            self.tail.reserve_exact(want - len);
+        } else {
+            let closed = std::mem::replace(&mut self.tail, whole_chunk());
+            if !closed.is_empty() {
+                self.full_len += closed.len();
+                self.full.push(closed);
+            }
+        }
+    }
+
+    /// Keeps the bytes in `range` and drops the rest, in place: chunks
+    /// outside it are freed, and only the first kept chunk moves its
+    /// bytes (at most [`CHUNK_LEN`] of them). How a loaded file becomes
+    /// its stream without a copy of the stream.
+    pub(crate) fn into_range(mut self, range: Range<usize>) -> Self {
+        let mut out = ChunkedBytes::new();
+        let mut dropped = Vec::new();
+        let mut at = 0;
+        let chunks = std::mem::take(&mut self.full);
+        for mut chunk in chunks.into_iter().chain([std::mem::take(&mut self.tail)]) {
+            let start = at;
+            at += chunk.len();
+            if at <= range.start || start >= range.end {
+                dropped.push(chunk);
+                continue;
+            }
+            chunk.truncate(range.end.min(at) - start);
+            chunk.drain(..range.start.saturating_sub(start));
+            if !chunk.is_empty() {
+                out.full_len += chunk.len();
+                out.full.push(chunk);
+            }
+        }
+        recycle(dropped);
+        out
+    }
+}
+
+impl Drop for ChunkedBytes {
+    fn drop(&mut self) {
+        recycle(self.full.drain(..).chain([std::mem::take(&mut self.tail)]));
+    }
+}
+
+#[cfg(test)]
+impl From<Vec<u8>> for ChunkedBytes {
+    /// [`ChunkedBytes::from_slice`] of the vector.
+    fn from(bytes: Vec<u8>) -> Self {
+        ChunkedBytes::from_slice(&bytes)
+    }
+}
+
+impl PartialEq for ChunkedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.chunks().flatten().eq(other.chunks().flatten())
+    }
+}
+
+impl Eq for ChunkedBytes {}
+
+impl fmt::Debug for ChunkedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ChunkedBytes")
+            .field("len", &self.len())
+            .field("chunks", &(self.full.len() + 1))
+            .finish()
+    }
+}
+
+/// No chunks at all: what follows the one slice of a reader over a
+/// slice.
+fn no_chunks<'a>() -> Chunks<'a> {
+    let as_slice: fn(&Vec<u8>) -> &[u8] = Vec::as_slice;
+    [].iter().map(as_slice).chain(std::iter::once(&[][..]))
+}
+
+/// The zigzag map of a signed value into a varint's range: small
+/// magnitudes of either sign stay one byte.
+#[inline(always)]
+pub(crate) fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Reader matching [`VarWriter`] and `ChunkedBytes`, over one slice or
+/// across the chunks of a buffer. Running past the end is
 /// [`FrameError::Truncated`]; malformed varints are
 /// [`FrameError::BadVarint`].
 #[derive(Debug)]
 pub struct VarReader<'a> {
+    /// The chunk being read, cut at the end of the readable bytes.
     bytes: &'a [u8],
     pos: usize,
+    /// Bytes in the chunks before `bytes`.
+    before: usize,
+    /// The chunks after `bytes`, of which `after` bytes are readable.
+    later: Chunks<'a>,
+    after: usize,
 }
 
 impl<'a> VarReader<'a> {
     /// A reader at the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        VarReader { bytes, pos: 0 }
+        VarReader {
+            bytes,
+            pos: 0,
+            before: 0,
+            later: no_chunks(),
+            after: 0,
+        }
+    }
+
+    /// A reader at the start of `chunks`, over their first `len` bytes.
+    fn over(chunks: Chunks<'a>, len: usize) -> Self {
+        let mut r = VarReader {
+            bytes: &[],
+            pos: 0,
+            before: 0,
+            later: chunks,
+            after: len,
+        };
+        r.next_chunk();
+        r
+    }
+
+    /// Moves to the next readable chunk; `false` when none is left.
+    #[cold]
+    fn next_chunk(&mut self) -> bool {
+        while self.after > 0 {
+            let Some(chunk) = self.later.next() else {
+                self.after = 0;
+                break;
+            };
+            let take = chunk.len().min(self.after);
+            if take > 0 {
+                self.before += self.bytes.len();
+                self.bytes = &chunk[..take];
+                self.pos = 0;
+                self.after -= take;
+                return true;
+            }
+        }
+        false
     }
 
     /// `true` once every byte has been consumed.
     pub fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
+        self.remaining() == 0
     }
 
-    /// Byte offset of the next read.
+    /// Byte offset of the next read from the start.
     pub fn pos(&self) -> usize {
-        self.pos
+        self.before + self.pos
     }
 
-    /// The bytes not yet read.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.bytes[self.pos..]
+    /// How many bytes are left to read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos + self.after
     }
 
     /// Reads one raw byte.
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8, FrameError> {
-        let b = *self.bytes.get(self.pos).ok_or(FrameError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
+        if let Some(&b) = self.bytes.get(self.pos) {
+            self.pos += 1;
+            return Ok(b);
+        }
+        if !self.next_chunk() {
+            return Err(FrameError::Truncated);
+        }
+        self.pos = 1;
+        Ok(self.bytes[0])
     }
 
-    /// Reads `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let bytes = self.rest().get(..n).ok_or(FrameError::Truncated)?;
-        self.pos += n;
-        Ok(bytes)
+    /// Reads `n` raw bytes into a vector of their own; `n` beyond the
+    /// bytes left is [`FrameError::Truncated`] before anything is
+    /// allocated.
+    pub fn get_bytes(&mut self, n: usize) -> Result<Vec<u8>, FrameError> {
+        if n > self.remaining() {
+            return Err(FrameError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            if self.pos == self.bytes.len() {
+                self.next_chunk();
+            }
+            let take = (n - out.len()).min(self.bytes.len() - self.pos);
+            out.extend_from_slice(&self.bytes[self.pos..self.pos + take]);
+            self.pos += take;
+        }
+        Ok(out)
     }
 
     /// Reads a LEB128 varint.
@@ -467,6 +786,98 @@ pub fn unseal(bytes: &[u8], magic: [u8; 4], version: u8) -> Result<&[u8], FrameE
     Ok(&covered[HEADER_LEN..])
 }
 
+/// A sealed blob read from a file a chunk at a time, with the
+/// [`seal_checksum`] of every byte before its trailer, taken as each
+/// chunk arrived. [`body`](Self::body) makes [`unseal`]'s checks, in
+/// [`unseal`]'s order, so a damaged file fails here exactly as its bytes
+/// fail there.
+#[derive(Debug)]
+pub(crate) struct SealedImage {
+    bytes: ChunkedBytes,
+    computed: u64,
+}
+
+impl SealedImage {
+    /// Reads the file at `path` in chunks of [`CHUNK_LEN`] bytes (a
+    /// shorter file in one allocation of its own length), hashing each
+    /// chunk while it is hot.
+    pub(crate) fn read(path: &Path) -> io::Result<Self> {
+        let mut file = std::fs::File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large"))?;
+        let covered = len.saturating_sub(SEAL_LEN);
+        let mut hasher = SealHasher::default();
+        let mut bytes = ChunkedBytes::new();
+        bytes.full.reserve_exact(len.div_ceil(CHUNK_LEN));
+        while bytes.full_len < len {
+            let n = (len - bytes.full_len).min(CHUNK_LEN);
+            let mut chunk = if n == CHUNK_LEN {
+                whole_chunk()
+            } else {
+                Vec::with_capacity(n)
+            };
+            // The chunk has room for exactly `n` bytes, so reading them
+            // never regrows it.
+            Read::by_ref(&mut file)
+                .take(n as u64)
+                .read_to_end(&mut chunk)?;
+            if chunk.len() < n {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            let at = bytes.full_len;
+            hasher.update(&chunk[..covered.saturating_sub(at).min(n)]);
+            bytes.full_len += n;
+            bytes.full.push(chunk);
+        }
+        Ok(SealedImage {
+            bytes,
+            computed: hasher.finish(),
+        })
+    }
+
+    /// The file's length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Checks the length, the header and the trailer checksum, as
+    /// [`unseal`] does, and returns a reader over the body: its
+    /// [`pos`](VarReader::pos) counts from the start of the file.
+    pub(crate) fn body(&self, magic: [u8; 4], version: u8) -> Result<VarReader<'_>, FrameError> {
+        let len = self.bytes.len();
+        if len < HEADER_LEN + SEAL_LEN {
+            return Err(FrameError::Truncated);
+        }
+        let mut r = VarReader::over(self.bytes.chunks(), len - SEAL_LEN);
+        let mut header = [0; HEADER_LEN];
+        for b in &mut header {
+            *b = r.get_u8()?;
+        }
+        check_header(&header, magic, version)?;
+        let mut trailer = [0; SEAL_LEN];
+        let mut need = SEAL_LEN;
+        for chunk in self.bytes.chunks().rev() {
+            let take = need.min(chunk.len());
+            trailer[need - take..need].copy_from_slice(&chunk[chunk.len() - take..]);
+            need -= take;
+        }
+        let stored = u64::from_le_bytes(trailer);
+        if stored != self.computed {
+            return Err(FrameError::ChecksumMismatch {
+                stored,
+                computed: self.computed,
+            });
+        }
+        Ok(r)
+    }
+
+    /// The file's bytes in `range`, cut out of its chunks in place
+    /// ([`ChunkedBytes::into_range`]).
+    pub(crate) fn into_range(self, range: Range<usize>) -> ChunkedBytes {
+        self.bytes.into_range(range)
+    }
+}
+
 /// Finishes one record of a checksummed log: the record's bytes
 /// followed by the varint FNV-1a-64 of them.
 pub fn checked_record(record: VarWriter) -> Vec<u8> {
@@ -497,7 +908,8 @@ impl<H, T> RecordLog<H, T> {
 }
 
 /// Decodes one checksummed record whose checksum covers
-/// `r.bytes[start..]` up to the end of what `decode` consumed.
+/// `r.bytes[start..]` up to the end of what `decode` consumed. A record
+/// log is parsed from one slice, so `r.bytes` is all of it.
 fn read_checked<T>(
     r: &mut VarReader<'_>,
     start: usize,
@@ -526,10 +938,8 @@ pub fn parse_log<H, T>(
     mut record: impl FnMut(&mut VarReader<'_>) -> Result<T, FrameError>,
 ) -> Result<RecordLog<H, T>, FrameError> {
     check_header(bytes, magic, version)?;
-    let mut r = VarReader {
-        bytes,
-        pos: HEADER_LEN,
-    };
+    let mut r = VarReader::new(bytes);
+    r.pos = HEADER_LEN;
     let header = read_checked(&mut r, 0, header)?;
     let mut records = Vec::new();
     let mut valid_len = r.pos;
@@ -552,18 +962,40 @@ pub fn parse_log<H, T>(
 /// Writes `parts` in turn (an image need not be joined in memory) to
 /// `path` through a temporary sibling and an atomic rename, so
 /// concurrent readers and a writer killed mid-write only ever leave the
-/// old file or the complete new one. The temporary name carries `.tmp`
-/// and the process id (stray ones are what `store_tool gc` sweeps). It
-/// does not fsync: every file written this way is checksummed, so one
-/// torn by a power loss is rejected on load, never trusted.
+/// old file or the complete new one. The temporary name carries `.tmp`,
+/// the process id and a count of the process's writes, so it is this
+/// writer's own: two threads saving one entry at once never write into
+/// each other's temporary, and the last rename wins whole (stray
+/// temporaries are what `store_tool gc` sweeps). It does not fsync:
+/// every file written this way is checksummed, so one torn by a power
+/// loss is rejected on load, never trusted.
 pub fn write_atomic(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let nth = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp{}-{nth}", std::process::id()));
     std::fs::File::create(&tmp)
-        .and_then(|mut f| parts.iter().try_for_each(|part| f.write_all(part)))
+        .and_then(|mut f| write_all_parts(&mut f, parts))
         .and_then(|()| std::fs::rename(&tmp, path))
         .inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
         })
+}
+
+/// Writes `parts` in turn with vectored writes: a stream's chunks go
+/// out in a few system calls, not one each.
+fn write_all_parts(out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|part| IoSlice::new(part)).collect();
+    let mut rest = &mut slices[..];
+    IoSlice::advance_slices(&mut rest, 0);
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Cuts the file at `path` back to `valid_len` bytes when it is longer:
@@ -843,6 +1275,208 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"abcd");
         let names: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(names.len(), 1, "no temporary left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_tear_it() {
+        // Two threads of one process save different 1 MiB images to one
+        // path at once, in 4 KiB parts, as two frontend groups with one
+        // fingerprint save one store entry. Every save must succeed, and
+        // the file must then hold one of the images whole.
+        let dir = std::env::temp_dir().join(format!("nsf-frame-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.nsfq");
+        let images: Vec<Vec<u8>> = (0..2u8)
+            .map(|k| {
+                (0..1u32 << 20)
+                    .map(|i| (i % 251) as u8 ^ (0x5A * k))
+                    .collect()
+            })
+            .collect();
+        let barrier = std::sync::Barrier::new(images.len());
+        for round in 0..200 {
+            std::thread::scope(|s| {
+                for image in &images {
+                    let (barrier, path) = (&barrier, &path);
+                    s.spawn(move || {
+                        let parts: Vec<&[u8]> = image.chunks(4096).collect();
+                        barrier.wait();
+                        write_atomic(path, &parts)
+                            .unwrap_or_else(|e| panic!("round {round}: save failed: {e}"));
+                    });
+                }
+            });
+            let got = std::fs::read(&path).unwrap();
+            assert!(images.contains(&got), "round {round}: the entry is torn");
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(names.len(), 1, "no temporary left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The widest varint.
+    const VARINT_LEN: usize = 10;
+
+    /// Varints of every width, and raw bytes, as both writers encode them.
+    fn mixed_fields(n: u64, w: &mut impl FnMut(Option<u8>, u64)) {
+        for i in 0..n {
+            w(Some((i % 13) as u8), 0);
+            w(None, i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64));
+        }
+    }
+
+    #[test]
+    fn chunked_appends_match_the_flat_writer_in_bounded_chunks() {
+        let mut flat = VarWriter::new();
+        let mut chunked = ChunkedBytes::new();
+        mixed_fields(150_000, &mut |byte, v| match byte {
+            Some(b) => {
+                flat.put_u8(b);
+                chunked.open_chunk(1).push(b);
+            }
+            None => {
+                flat.put_varint(v);
+                put_varint(chunked.open_chunk(VARINT_LEN), v);
+            }
+        });
+        let flat = flat.into_bytes();
+        assert!(flat.len() > 10 * CHUNK_LEN, "{}", flat.len());
+        assert_eq!(chunked.len(), flat.len());
+        assert_eq!(chunked.to_vec(), flat);
+        assert_eq!(
+            chunked,
+            ChunkedBytes::from_slice(&flat),
+            "equal across edges"
+        );
+        // Closed chunks are full but for the room a varint did not find.
+        for chunk in &chunked.full {
+            assert!(chunk.capacity() <= CHUNK_LEN, "{}", chunk.capacity());
+            assert!(chunk.len() > CHUNK_LEN - VARINT_LEN, "{}", chunk.len());
+        }
+        assert!(chunked.tail.capacity() <= CHUNK_LEN);
+    }
+
+    #[test]
+    fn a_short_buffer_pays_for_its_own_length_only() {
+        let mut short = ChunkedBytes::new();
+        for i in 0..100 {
+            put_varint(short.open_chunk(VARINT_LEN), i);
+        }
+        assert_eq!(short.len(), 100);
+        assert_eq!(short.tail.capacity(), 256);
+        let copied = ChunkedBytes::from_slice(&[7; 300]);
+        assert_eq!(copied.full.iter().map(Vec::capacity).sum::<usize>(), 300);
+        assert!(ChunkedBytes::from_slice(&[]).full.is_empty());
+    }
+
+    #[test]
+    fn into_range_keeps_exactly_the_range_in_place() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let edges = [0, 1, 2, 5, 64, 300, 301, 999, 1000];
+        let chunked = || {
+            let cuts = [0, 3, 4, 200, 513, 1000];
+            ChunkedBytes::from_chunks(
+                cuts.windows(2)
+                    .map(|w| bytes[w[0]..w[1]].to_vec())
+                    .collect(),
+            )
+        };
+        for &start in &edges {
+            for &end in edges.iter().filter(|&&e| e >= start) {
+                let kept = chunked().into_range(start..end);
+                assert_eq!(kept.to_vec(), &bytes[start..end], "{start}..{end}");
+                assert_eq!(kept.len(), end - start);
+                assert!(kept.full.iter().all(|c| !c.is_empty()));
+            }
+        }
+    }
+
+    #[test]
+    fn reader_reads_across_every_chunk_edge() {
+        let mut w = VarWriter::new();
+        let mut want = Vec::new();
+        mixed_fields(20, &mut |byte, v| match byte {
+            Some(b) => w.put_u8(b),
+            None => {
+                w.put_varint(v);
+                want.push(v);
+            }
+        });
+        w.put_bytes(b"tail bytes");
+        let bytes = w.into_bytes();
+        let read_all = |chunks: Vec<Vec<u8>>| {
+            let stream = ChunkedBytes::from_chunks(chunks);
+            let mut r = VarReader::over(stream.chunks(), stream.len());
+            let mut got = Vec::new();
+            for i in 0..want.len() {
+                assert_eq!(r.get_u8(), Ok((i % 13) as u8));
+                got.push(r.get_varint().unwrap());
+            }
+            assert_eq!(r.remaining(), 10);
+            assert_eq!(r.pos(), bytes.len() - 10);
+            assert_eq!(r.get_bytes(11), Err(FrameError::Truncated));
+            assert_eq!(r.get_bytes(10).unwrap(), b"tail bytes");
+            assert!(r.done());
+            assert_eq!(r.get_u8(), Err(FrameError::Truncated));
+            got
+        };
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(read_all(vec![a.to_vec(), b.to_vec()]), want, "cut {cut}");
+        }
+        for width in 1..8 {
+            let chunks = bytes.chunks(width).map(<[u8]>::to_vec).collect();
+            assert_eq!(read_all(chunks), want, "width {width}");
+        }
+        // A reader over a prefix stops at its end, whatever follows.
+        let stream = ChunkedBytes::from_chunks(vec![bytes[..3].to_vec(), bytes[3..].to_vec()]);
+        let mut r = VarReader::over(stream.chunks(), 5);
+        assert_eq!(r.get_bytes(5).unwrap(), &bytes[..5]);
+        assert_eq!(r.get_u8(), Err(FrameError::Truncated));
+    }
+
+    #[test]
+    fn a_sealed_file_opens_as_unseal_opens_its_bytes() {
+        let dir = std::env::temp_dir().join(format!("nsf-frame-sealed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("image.nsfq");
+        let mut w = VarWriter::with_header(MAGIC, 1);
+        for i in 0..3 * CHUNK_LEN as u32 / 2 {
+            w.put_u8(i as u8);
+        }
+        let image = seal(w.into_bytes());
+        let chunk_edge = CHUNK_LEN;
+        let mut cases = vec![image.clone(), image[..chunk_edge].to_vec(), Vec::new()];
+        for cut in [3, 5, 12, 13, chunk_edge + 1, image.len() - 1] {
+            cases.push(image[..cut].to_vec());
+        }
+        for at in [
+            0,
+            4,
+            5,
+            chunk_edge - 1,
+            chunk_edge,
+            image.len() - 5,
+            image.len() - 1,
+        ] {
+            let mut flipped = image.clone();
+            flipped[at] ^= 0x10;
+            cases.push(flipped);
+        }
+        for bytes in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let read = SealedImage::read(&path).unwrap();
+            assert_eq!(read.len(), bytes.len());
+            let want = unseal(&bytes, MAGIC, 1).map(<[u8]>::len);
+            let got = read.body(MAGIC, 1).map(|r| r.remaining());
+            assert_eq!(got, want, "{} bytes", bytes.len());
+            if let Ok(body) = unseal(&bytes, MAGIC, 1) {
+                let end = bytes.len() - SEAL_LEN;
+                assert_eq!(read.into_range(HEADER_LEN..end).to_vec(), body);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,7 +18,9 @@
 //!   FNV-1a-64 for records and keys), the LEB128 varint codec, the
 //!   `magic | version` header check, the sealed-blob and
 //!   checksummed-record-log layouts with their typed [`FrameError`]s,
-//!   and the atomic-save and torn-tail-truncation file helpers.
+//!   the chunked stream buffer (`ChunkedBytes`, 64 KiB chunks, so no
+//!   allocation is sized by a stream or a file), and the atomic-save,
+//!   chunked sealed-read and torn-tail-truncation file helpers.
 //! - **Stream** ([`fcache`], [`store`], [`Trace`]): a
 //!   [`nsf_sim::FrontendProbe`] on the simulator's run encodes every
 //!   register, memory and context operation with the live values it
@@ -28,7 +30,8 @@
 //!   ([`store`]); [`capture`] keeps it with the workload's staged memory
 //!   and the run's report as a `.nsftrace` file ([`mod@format`]), for any
 //!   program. Both files are one sealed stream container with one
-//!   encoder, which never copies the stream, and one decoder.
+//!   encoder, which never copies the stream, and one decoder, which
+//!   reads a file a chunk at a time.
 //! - **Replay** ([`replay_frontend`], [`replay()`], [`diff`]): the
 //!   stream is decoded one tile at a time and every lane runs a tile
 //!   behind the simulator's own Ctable-over-data-cache backing store,
@@ -58,8 +61,8 @@ pub use frame::{FrameError, VarReader, VarWriter};
 pub use nsf_sim::spec::{default_engine_spec, parse_engine, SpecError};
 pub use replay::{diff, replay, replay_events, DiffReport, Divergence, ReplayReport, StatDelta};
 pub use store::{
-    decode_stream, encode_stream, stream_fingerprint, validate_stream_bytes, StoreError,
-    StreamStore, STORE_MAGIC, STORE_VERSION,
+    decode_stream, encode_stream, stream_fingerprint, validate_stream_bytes, validate_stream_file,
+    StoreError, StreamStore, STORE_MAGIC, STORE_VERSION,
 };
 
 use fcache::FrontendRecorder;

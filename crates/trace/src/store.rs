@@ -30,9 +30,18 @@
 //! parsed, and every failure mode (foreign magic, unknown version,
 //! truncation, bit corruption, a field or stream length that does not
 //! decode, fingerprint mismatch) is a typed [`StoreError`]; callers fall
-//! back to live capture. [`validate_stream_bytes`] runs the loader's
-//! decoder without keeping the stream, so `store_tool` counts an entry
-//! as intact exactly when it loads. Even a
+//! back to live capture. [`validate_stream_file`] runs the loader's
+//! chunked read and decoder without keeping the stream, so `store_tool`
+//! counts an entry as intact exactly when it loads.
+//!
+//! ## Memory: one stream, in chunks
+//!
+//! A stream is never one allocation. [`StreamStore::save_stream`] seals
+//! and writes the captured `crate::frame::ChunkedBytes` chunk by
+//! chunk; [`StreamStore::load_stream`] reads the file a 64 KiB chunk at
+//! a time, hashing each as it arrives, and cuts the stream out of the
+//! file's own chunks in place. So a warm hit holds one copy of its
+//! stream and no allocation is the size of a stream or a file. Even a
 //! loaded stream is still subject to the full equivalence wall: replay
 //! checks every value-bearing event against the recording
 //! ([`nsf_sim::SimError::LaneDivergence`]) and every lane against the
@@ -41,14 +50,14 @@
 
 use crate::fcache::FrontendBuffer;
 use crate::frame::{
-    unseal, write_atomic, Fnv64, FrameError, SealHasher, VarReader, VarWriter, SEAL_LEN,
+    unseal, write_atomic, ChunkedBytes, Fnv64, FrameError, SealHasher, SealedImage, VarReader,
+    VarWriter, SEAL_LEN,
 };
 use nsf_mem::CacheStats;
 use nsf_sim::{OccupancySummary, RunReport, SimConfig};
 use nsf_workloads::Workload;
 use std::fmt;
 use std::io::{self, ErrorKind};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magic for persisted stream entries ("Named-State File Stream").
@@ -156,11 +165,12 @@ pub fn stream_fingerprint(workload: &Workload, cfg: &SimConfig) -> Option<u64> {
 /// `.nsftrace` files: a head of `magic | version | identity | events |
 /// shared cycles | report | stream length`, the stream, and the seal
 /// over both. Only the identity block is the format's own. The stream
-/// is borrowed: the seal is taken over head and stream as two slices,
-/// and a file gets the three [`parts`](Self::parts) in turn.
+/// is borrowed: the seal is taken over the head and then the stream
+/// chunk by chunk, and a file gets the head, each chunk and the seal in
+/// turn as [`parts`](Self::parts).
 pub(crate) struct SealedStream<'a> {
     head: Vec<u8>,
-    stream: &'a [u8],
+    stream: &'a ChunkedBytes,
     seal: [u8; SEAL_LEN],
 }
 
@@ -172,7 +182,7 @@ impl<'a> SealedStream<'a> {
         events: u64,
         shared_cycles: u64,
         report: &RunReport,
-        stream: &'a [u8],
+        stream: &'a ChunkedBytes,
     ) -> Self {
         let mut w = VarWriter::with_header(magic, version);
         identity(&mut w);
@@ -183,14 +193,17 @@ impl<'a> SealedStream<'a> {
         let head = w.into_bytes();
         let mut seal = SealHasher::default();
         seal.update(&head);
-        seal.update(stream);
+        stream.chunks().for_each(|chunk| seal.update(chunk));
         let seal = seal.finish().to_le_bytes();
         SealedStream { head, stream, seal }
     }
 
     /// The image as the slices it is made of, in order.
-    pub(crate) fn parts(&self) -> [&[u8]; 3] {
-        [&self.head, self.stream, &self.seal]
+    pub(crate) fn parts(&self) -> Vec<&[u8]> {
+        let mut parts = vec![self.head.as_slice()];
+        parts.extend(self.stream.chunks());
+        parts.push(&self.seal);
+        parts
     }
 }
 
@@ -201,42 +214,53 @@ pub(crate) struct StreamTail {
     pub(crate) report: RunReport,
 }
 
-/// The one decoder, in place: checks length, header and seal before any
-/// field is parsed, decodes the identity block with `identity`, then the
-/// tail, and checks that the stream runs exactly to the end of the body.
-/// Returns the stream's byte range in `image` beside the fields.
-pub(crate) fn open_sealed_stream<I, E: From<FrameError>>(
+/// The one decoder, on `body`, a reader over an image's bytes after its
+/// header and before its seal, both already checked: decodes the
+/// identity block with `identity`, then the tail, and checks that the
+/// stream runs exactly to the end of the body. Returns, beside the
+/// fields, the reader's [`pos`](VarReader::pos) where the stream starts.
+fn open_sealed_stream<I, E: From<FrameError>>(
+    mut body: VarReader<'_>,
+    identity: impl FnOnce(&mut VarReader<'_>) -> Result<I, E>,
+) -> Result<(I, StreamTail, usize), E> {
+    let id = identity(&mut body)?;
+    let tail = StreamTail {
+        events: body.get_varint()?,
+        shared_cycles: body.get_varint()?,
+        report: decode_report(&mut body)?,
+    };
+    // Compared, not added, so no length can overflow.
+    let stream_len = body.get_varint()?;
+    if stream_len != body.remaining() as u64 {
+        return Err(FrameError::Truncated.into());
+    }
+    Ok((id, tail, body.pos()))
+}
+
+/// [`open_sealed_stream`] on a whole image in one slice; the stream is
+/// copied out into chunks.
+pub(crate) fn decode_sealed_slice<I, E: From<FrameError>>(
     image: &[u8],
     (magic, version): ([u8; 4], u8),
     identity: impl FnOnce(&mut VarReader<'_>) -> Result<I, E>,
-) -> Result<(I, StreamTail, Range<usize>), E> {
-    let mut r = VarReader::new(unseal(image, magic, version)?);
-    let id = identity(&mut r)?;
-    let tail = StreamTail {
-        events: r.get_varint()?,
-        shared_cycles: r.get_varint()?,
-        report: decode_report(&mut r)?,
-    };
-    // Compared, not added, so no length can overflow.
-    let stream_len = r.get_varint()?;
-    if stream_len != r.rest().len() as u64 {
-        return Err(FrameError::Truncated.into());
-    }
-    let end = image.len() - SEAL_LEN;
-    Ok((id, tail, end - r.rest().len()..end))
+) -> Result<(I, StreamTail, ChunkedBytes), E> {
+    let body = unseal(image, magic, version)?;
+    let (id, tail, start) = open_sealed_stream(VarReader::new(body), identity)?;
+    Ok((id, tail, ChunkedBytes::from_slice(&body[start..])))
 }
 
-/// [`open_sealed_stream`] on an image it owns, which it then trims in
-/// place into the stream: a decoded stream holds one copy of it.
-pub(crate) fn decode_sealed_stream<I, E: From<FrameError>>(
-    mut image: Vec<u8>,
-    format: ([u8; 4], u8),
+/// [`open_sealed_stream`] on an image read from a file a chunk at a time
+/// ([`SealedImage::read`]); the stream is cut out of the file's own
+/// chunks in place, so a loaded stream holds one copy of it and no
+/// allocation is the size of the file.
+pub(crate) fn decode_sealed_image<I, E: From<FrameError>>(
+    image: SealedImage,
+    (magic, version): ([u8; 4], u8),
     identity: impl FnOnce(&mut VarReader<'_>) -> Result<I, E>,
-) -> Result<(I, StreamTail, Vec<u8>), E> {
-    let (id, tail, stream) = open_sealed_stream(&image, format, identity)?;
-    image.truncate(stream.end);
-    image.drain(..stream.start);
-    Ok((id, tail, image))
+) -> Result<(I, StreamTail, ChunkedBytes), E> {
+    let (id, tail, start) = open_sealed_stream(image.body(magic, version)?, identity)?;
+    let end = image.len() - SEAL_LEN;
+    Ok((id, tail, image.into_range(start..end)))
 }
 
 /// The `.nsfs` magic and version.
@@ -263,7 +287,7 @@ fn sealed_entry(fingerprint: u64, buf: &FrontendBuffer) -> SealedStream<'_> {
 }
 
 /// The buffer a decoded entry holds, under the caller's `cfg`.
-fn buffer(cfg: &SimConfig, tail: StreamTail, bytes: Vec<u8>) -> FrontendBuffer {
+fn buffer(cfg: &SimConfig, tail: StreamTail, bytes: ChunkedBytes) -> FrontendBuffer {
     FrontendBuffer {
         cfg: *cfg,
         bytes,
@@ -279,14 +303,27 @@ pub fn encode_stream(fingerprint: u64, buf: &FrontendBuffer) -> Vec<u8> {
 }
 
 /// Runs the checks [`StreamStore::load_stream`] runs on a raw entry,
-/// without keeping the stream (what `store_tool` runs over every file):
-/// an entry passes here exactly when it loads.
+/// without keeping the stream: an entry passes here exactly when it
+/// loads.
 pub fn validate_stream_bytes(bytes: &[u8], expected: u64) -> Result<(), StoreError> {
-    open_sealed_stream(bytes, STORE_FORMAT, fingerprint_is(expected)).map(drop)
+    let body = unseal(bytes, STORE_MAGIC, STORE_VERSION)?;
+    open_sealed_stream(VarReader::new(body), fingerprint_is(expected)).map(drop)
+}
+
+/// [`validate_stream_bytes`] on the entry file at `path`, read a chunk
+/// at a time as [`StreamStore::load_stream`] reads it (what `store_tool`
+/// runs over every file). An unreadable file is [`StoreError::Io`].
+pub fn validate_stream_file(path: &Path, expected: u64) -> Result<(), StoreError> {
+    decode_sealed_image(
+        SealedImage::read(path)?,
+        STORE_FORMAT,
+        fingerprint_is(expected),
+    )
+    .map(drop)
 }
 
 /// Decodes a store entry back into a [`FrontendBuffer`], copying the
-/// stream out of `bytes`. `cfg` becomes
+/// stream out of `bytes` into chunks. `cfg` becomes
 /// the buffer's configuration: the fingerprint covers exactly the
 /// [`SimConfig::frontend_eq`] field set, so a fingerprint match proves
 /// the entry was captured under a frontend-equal configuration and the
@@ -296,8 +333,8 @@ pub fn decode_stream(
     expected: u64,
     cfg: &SimConfig,
 ) -> Result<FrontendBuffer, StoreError> {
-    let ((), tail, stream) = open_sealed_stream(bytes, STORE_FORMAT, fingerprint_is(expected))?;
-    Ok(buffer(cfg, tail, bytes[stream].to_vec()))
+    let ((), tail, stream) = decode_sealed_slice(bytes, STORE_FORMAT, fingerprint_is(expected))?;
+    Ok(buffer(cfg, tail, stream))
 }
 
 fn encode_report(w: &mut VarWriter, r: &RunReport) {
@@ -349,7 +386,7 @@ fn decode_report(r: &mut VarReader<'_>) -> Result<RunReport, FrameError> {
     let mut rep = RunReport::default();
     let desc_len: usize = r.get_int()?;
     let desc = r.get_bytes(desc_len)?;
-    rep.regfile_desc = String::from_utf8(desc.to_vec()).map_err(|_| FrameError::BadVarint)?;
+    rep.regfile_desc = String::from_utf8(desc).map_err(|_| FrameError::BadVarint)?;
     rep.regfile_capacity = r.get_int()?;
     rep.instructions = r.get_varint()?;
     rep.cycles = r.get_varint()?;
@@ -424,24 +461,31 @@ impl StreamStore {
     /// Loads the entry for `fingerprint`, if present and intact.
     /// `Ok(None)` is a plain miss (no file); any present-but-unusable
     /// entry is a typed error so the caller can decide to delete it.
+    ///
+    /// The file is read a chunk at a time (`SealedImage::read`), each
+    /// chunk hashed as it arrives; the seal is checked before any field
+    /// is parsed, and the stream is then cut out of the file's own
+    /// chunks in place. Every damaged entry fails with the error
+    /// [`decode_stream`] gives on its bytes.
     pub fn load_stream(
         &self,
         fingerprint: u64,
         cfg: &SimConfig,
     ) -> Result<Option<FrontendBuffer>, StoreError> {
-        let bytes = match std::fs::read(self.stream_path(fingerprint)) {
-            Ok(b) => b,
+        let image = match SealedImage::read(&self.stream_path(fingerprint)) {
+            Ok(image) => image,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
         let ((), tail, stream) =
-            decode_sealed_stream(bytes, STORE_FORMAT, fingerprint_is(fingerprint))?;
+            decode_sealed_image(image, STORE_FORMAT, fingerprint_is(fingerprint))?;
         Ok(Some(buffer(cfg, tail, stream)))
     }
 
     /// Persists `buf` as the entry for `fingerprint` with
-    /// [`write_atomic`], so concurrent readers and a crash mid-write can
-    /// only ever observe a complete entry or none.
+    /// [`write_atomic`], its stream written chunk by chunk, so concurrent
+    /// readers, concurrent savers and a crash mid-write can only ever
+    /// observe a complete entry or none.
     pub fn save_stream(&self, fingerprint: u64, buf: &FrontendBuffer) -> Result<(), StoreError> {
         std::fs::create_dir_all(&self.dir)?;
         let entry = sealed_entry(fingerprint, buf);
@@ -461,7 +505,7 @@ impl StreamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fcache::capture_frontend;
+    use crate::fcache::{capture_frontend, replay_frontend};
     use crate::frame::seal;
     use nsf_sim::RegFileSpec;
     use proptest::prelude::*;
@@ -508,19 +552,112 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn load_trims_the_file_in_place_like_decode_stream() {
-        let (_, cfg, buf, fp) = captured();
-        let dir = std::env::temp_dir().join(format!("nsfs-trim-{}", std::process::id()));
+    /// A buffer under `cfg` whose stream is exactly `len` bytes: when
+    /// there is room, a switch, a write and a read of the written value
+    /// (10 bytes), then one-byte occupancy samples.
+    fn stream_of_len(cfg: &SimConfig, len: usize) -> FrontendBuffer {
+        use nsf_core::{LaneOp, RegAddr};
+        use nsf_sim::FrontendProbe;
+        let mut rec = crate::fcache::FrontendRecorder::default();
+        if len >= 10 {
+            let reg = RegAddr::new(1, 3);
+            rec.reg_op(LaneOp::SwitchTo(1), None);
+            rec.reg_op(LaneOp::Write(reg, 5), None);
+            rec.reg_op(LaneOp::Read(reg), Some(5));
+        }
+        while rec.stream_len() < len {
+            rec.occupancy_sample();
+        }
+        let stream = rec.into_stream(Vec::new());
+        assert_eq!(stream.encoded_len(), len);
+        FrontendBuffer {
+            cfg: *cfg,
+            bytes: stream.bytes,
+            events: stream.events,
+            shared_cycles: 0,
+            report: RunReport::default(),
+        }
+    }
+
+    fn temp_store(name: &str) -> StreamStore {
+        let dir = std::env::temp_dir().join(format!("nsfs-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = StreamStore::open(&dir);
+        StreamStore::open(dir)
+    }
+
+    #[test]
+    fn loaded_entries_replay_like_the_captured_buffer_at_every_length() {
+        use crate::frame::CHUNK_LEN;
+        let (_, cfg, _, fp) = captured();
+        let w = Workload {
+            name: "chunk_lengths",
+            parallel: false,
+            program: nsf_isa::asm::assemble("main: halt").unwrap(),
+            source_lines: 0,
+            mem_init: Vec::new(),
+            check: Box::new(|_| Ok(())),
+        };
+        let cfgs = [
+            *cfg,
+            SimConfig {
+                regfile: RegFileSpec::paper_segmented(4, 32),
+                ..*cfg
+            },
+        ];
+        let store = temp_store("lengths");
+        for len in [
+            0,
+            1,
+            CHUNK_LEN - 1,
+            CHUNK_LEN,
+            CHUNK_LEN + 1,
+            3 * CHUNK_LEN + 5,
+        ] {
+            let buf = stream_of_len(cfg, len);
+            store.save_stream(*fp, &buf).unwrap();
+            let loaded = store.load_stream(*fp, cfg).unwrap().expect("hit");
+            assert!(loaded.bytes == buf.bytes, "{len} bytes");
+            assert_eq!(
+                replay_frontend(&loaded, &w, &cfgs).unwrap(),
+                replay_frontend(&buf, &w, &cfgs).unwrap(),
+                "{len} bytes"
+            );
+        }
+        // A real multi-chunk stream, every engine family.
+        let zip = nsf_workloads::zipfile::build(0);
+        let buf = capture_frontend(&zip, *cfg).unwrap();
+        assert!(buf.encoded_len() > 4 * CHUNK_LEN, "{}", buf.encoded_len());
+        let zfp = stream_fingerprint(&zip, cfg).unwrap();
+        store.save_stream(zfp, &buf).unwrap();
+        let loaded = store.load_stream(zfp, cfg).unwrap().expect("hit");
+        let cfgs: Vec<SimConfig> = [
+            RegFileSpec::paper_nsf(64),
+            RegFileSpec::paper_segmented(4, 32),
+            RegFileSpec::sparc_windows(32),
+            RegFileSpec::Oracle,
+        ]
+        .into_iter()
+        .map(|regfile| SimConfig { regfile, ..*cfg })
+        .collect();
+        assert_eq!(
+            replay_frontend(&loaded, &zip, &cfgs).unwrap(),
+            replay_frontend(&buf, &zip, &cfgs).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn chunked_load_fails_like_decode_stream() {
+        use crate::frame::CHUNK_LEN;
+        let (_, cfg, buf, fp) = captured();
+        let store = temp_store("damage");
         store.save_stream(*fp, buf).unwrap();
         let path = store.stream_path(*fp);
         let good = std::fs::read(&path).unwrap();
         let loaded = store.load_stream(*fp, cfg).unwrap().expect("hit");
         let decoded = decode_stream(&good, *fp, cfg).unwrap();
-        assert_eq!(loaded.bytes, decoded.bytes);
-        assert_eq!(loaded.bytes, buf.bytes);
+        assert!(loaded.bytes == decoded.bytes);
+        assert!(loaded.bytes == buf.bytes);
         assert_eq!(
             (loaded.events, loaded.shared_cycles, &loaded.report),
             (decoded.events, decoded.shared_cycles, &decoded.report)
@@ -528,7 +665,9 @@ mod tests {
         assert!(loaded.cfg.frontend_eq(&decoded.cfg));
         // Damaged entries fail through all three paths with the same
         // typed error: foreign magic, a torn write, a flipped bit, a stream
-        // length that disagrees with the body, and a misfiled entry.
+        // length that disagrees with the body, and a misfiled entry; and
+        // on a multi-chunk entry, a tear at a chunk edge and a flip in the
+        // seal.
         let mut magic = good.clone();
         magic[0] ^= 0xFF;
         let mut flipped = good.clone();
@@ -536,21 +675,35 @@ mod tests {
         let mut body = good[..good.len() - SEAL_LEN].to_vec();
         body.push(0);
         let misfiled = encode_stream(fp.wrapping_add(1), buf);
+        let big = encode_stream(*fp, &stream_of_len(cfg, 2 * CHUNK_LEN + 100));
+        let mut big_seal = big.clone();
+        big_seal[big.len() - 3] ^= 0x01;
         for bad in [
             magic,
             good[..good.len() - 3].to_vec(),
             flipped,
             seal(body),
             misfiled,
+            big[..CHUNK_LEN].to_vec(),
+            big[..2 * CHUNK_LEN].to_vec(),
+            big_seal,
         ] {
             std::fs::write(&path, &bad).unwrap();
             let via_load = store.load_stream(*fp, cfg).unwrap_err();
+            let via_file = validate_stream_file(&path, *fp).unwrap_err();
             let via_decode = decode_stream(&bad, *fp, cfg).unwrap_err();
             let via_validate = validate_stream_bytes(&bad, *fp).unwrap_err();
             assert_eq!(format!("{via_load:?}"), format!("{via_decode:?}"));
             assert_eq!(format!("{via_load:?}"), format!("{via_validate:?}"));
+            assert_eq!(format!("{via_load:?}"), format!("{via_file:?}"));
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::write(&path, &big).unwrap();
+        assert!(validate_stream_file(&path, *fp).is_ok());
+        assert!(matches!(
+            validate_stream_file(&store.stream_path(0), 0),
+            Err(StoreError::Io(_))
+        ));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -705,7 +858,7 @@ mod tests {
         let (_, cfg, _, fp) = captured();
         let empty = FrontendBuffer {
             cfg: *cfg,
-            bytes: Vec::new(),
+            bytes: ChunkedBytes::new(),
             events: 0,
             shared_cycles: 0,
             report: RunReport::default(),
