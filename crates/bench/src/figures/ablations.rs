@@ -26,7 +26,7 @@ const ACTIVE_REGS: [u8; 7] = [4, 8, 12, 16, 20, 24, 28];
 /// Ablation 4's switch quanta (`None` = block multithreading).
 const QUANTA: [Option<u64>; 4] = [None, Some(256), Some(64), Some(16)];
 /// Ablation 5's NSF sizes.
-const HINT_REGS: [u32; 3] = [40, 60, 80];
+pub(crate) const HINT_REGS: [u32; 3] = [40, 60, 80];
 
 fn nsf_with(replacement: ReplacementPolicy, write_miss: WriteMissPolicy, total: u32) -> SimConfig {
     let mut cfg = NsfConfig::paper_default(total);

@@ -19,8 +19,7 @@ pub fn grid(scale: u32) -> Sweep {
 
 /// Suite-aggregated reload traffic per (line width, strategy) cell.
 pub fn render(scale: u32, sweep: &Sweep, reports: &[RunReport], quiet: bool) -> String {
-    let seq_len = sweep.workloads.iter().filter(|w| !w.parallel).count();
-    let par_len = sweep.workloads.len() - seq_len;
+    let (seq_len, par_len) = super::suite_lens(sweep);
     let mut out = String::new();
     writeln!(
         out,

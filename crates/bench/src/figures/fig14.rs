@@ -2,6 +2,7 @@
 //! program execution time, for NSF / segmented-HW / segmented-SW files.
 
 use super::rule;
+use crate::claims::claim;
 use crate::runner::{Cursor, Sweep};
 use crate::{aggregate, pct};
 use nsf_sim::RunReport;
@@ -19,8 +20,7 @@ pub fn grid(scale: u32) -> Sweep {
 
 /// Suite-aggregated overhead, one row per suite.
 pub fn render(scale: u32, sweep: &Sweep, reports: &[RunReport], quiet: bool) -> String {
-    let seq_len = sweep.workloads.iter().filter(|w| !w.parallel).count();
-    let par_len = sweep.workloads.len() - seq_len;
+    let (seq_len, par_len) = super::suite_lens(sweep);
     let mut out = String::new();
     writeln!(
         out,
@@ -52,7 +52,13 @@ pub fn render(scale: u32, sweep: &Sweep, reports: &[RunReport], quiet: bool) -> 
     c.finish();
     rule(&mut out, 52);
     if !quiet {
-        out.push_str("Paper: serial 0.01% / 8.47% / 15.54%; parallel 12.12% / 26.67% / 38.12%.\n");
+        let p = claim("overhead").numbers;
+        writeln!(
+            out,
+            "Paper: serial {:.2}% / {:.2}% / {:.2}%; parallel {:.2}% / {:.2}% / {:.2}%.",
+            p[0], p[1], p[2], p[3], p[4], p[5]
+        )
+        .unwrap();
         out.push_str("The NSF eliminates sequential spill overhead entirely and roughly\n");
         out.push_str("halves it for parallel programs.\n");
     }

@@ -77,8 +77,7 @@ fn conflicts_per_ki(r: &RunReport) -> f64 {
 /// One row per (suite, engine): CPI at each width, and the port
 /// pressure the multi-issue widths ran into.
 pub fn render(scale: u32, sweep: &Sweep, reports: &[RunReport], quiet: bool) -> String {
-    let seq_len = sweep.workloads.iter().filter(|w| !w.parallel).count();
-    let par_len = sweep.workloads.len() - seq_len;
+    let (seq_len, par_len) = super::suite_lens(sweep);
     let mut out = String::new();
     writeln!(
         out,

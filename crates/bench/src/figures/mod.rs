@@ -78,6 +78,12 @@ pub const FIGURES: &[Figure] = &[
     figure("table1", table1::grid, Some(table1::render)),
 ];
 
+/// The number of sequential and of parallel workloads in `sweep`.
+pub(crate) fn suite_lens(sweep: &Sweep) -> (usize, usize) {
+    let seq_len = sweep.workloads.iter().filter(|w| !w.parallel).count();
+    (seq_len, sweep.workloads.len() - seq_len)
+}
+
 /// Appends a horizontal rule (string-building form of [`crate::rule`]).
 pub(crate) fn rule(out: &mut String, width: usize) {
     out.push_str(&"-".repeat(width));

@@ -11,13 +11,15 @@
 //! parallelism) to fan the sweep across a thread pool — output is
 //! byte-identical for every thread count — and `--quiet` to drop the
 //! commentary footers. This library holds the shared configuration
-//! points, the sweep runner ([`runner`]) and the per-figure grid/render
-//! pairs ([`figures`]).
+//! points, the sweep runner ([`runner`]), the per-figure grid/render
+//! pairs ([`figures`]) and the paper's claims as checked data
+//! ([`claims`]).
 
 use nsf_core::{segmented::FramePolicy, NsfConfig, ReloadPolicy, SegmentedConfig, SpillEngine};
 use nsf_sim::{RunReport, SimConfig};
 use nsf_workloads::{run, Workload};
 
+pub mod claims;
 pub mod cli;
 pub mod figures;
 pub mod runner;

@@ -21,7 +21,6 @@ use nsf_bench::Sweep;
 use nsf_sim::SpecError;
 use nsf_trace::frame::{truncate_to, write_atomic};
 use nsf_trace::{stream_fingerprint, StreamStore};
-use nsf_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -289,29 +288,28 @@ impl Explorer {
         chunk: &[Point],
         mut ctx: Option<&mut StoreCtx>,
     ) -> Result<(Vec<LedgerRecord>, u64), ExploreError> {
-        // Workloads memoised per chunk (built once, shared by index);
-        // kept out of the sweep until we know which points must run,
-        // because fingerprinting needs the workload content.
-        let mut built: Vec<(usize, Workload)> = Vec::new();
-        let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        // Every distinct workload of the chunk, built once and
+        // registered up front: the sweep is also where the content keys
+        // read workloads from.
+        let mut sweep = Sweep::new();
+        let mut sweep_of: HashMap<usize, usize> = HashMap::new();
         for p in chunk {
-            if let std::collections::hash_map::Entry::Vacant(e) = slot_of.entry(p.workload) {
+            if let std::collections::hash_map::Entry::Vacant(e) = sweep_of.entry(p.workload) {
                 let name = &self.spec.workloads[p.workload];
-                e.insert(built.len());
-                built.push((p.workload, workload_builder(name)?(self.spec.scale)));
+                e.insert(sweep.workload(workload_builder(name)?(self.spec.scale)));
             }
         }
 
         // Content keys, and the hit/miss split. A point whose frontend
         // cannot be fingerprinted (or with no store open) simply never
-        // memoizes.
+        // memoizes. The misses run as the sweep's points, in chunk order.
         let mut records: Vec<Option<LedgerRecord>> = vec![None; chunk.len()];
         let mut keys: Vec<Option<u64>> = vec![None; chunk.len()];
         let mut misses: Vec<usize> = Vec::new();
         for (i, p) in chunk.iter().enumerate() {
+            let w = sweep_of[&p.workload];
             if let Some(c) = ctx.as_deref_mut() {
-                let w = &built[slot_of[&p.workload]].1;
-                keys[i] = stream_fingerprint(w, &p.sim_config()?)
+                keys[i] = stream_fingerprint(&sweep.workloads[w], &p.sim_config()?)
                     .map(|fp| memo_key(fp, &p.engine, nsf_vlsi::MODEL_VERSION));
                 if let Some(m) = keys[i].and_then(|k| c.memo.get(&k)) {
                     records[i] = Some(LedgerRecord {
@@ -324,27 +322,10 @@ impl Explorer {
                 }
             }
             misses.push(i);
+            sweep.point(w, p.sim_config()?);
         }
         let hits = (chunk.len() - misses.len()) as u64;
 
-        // Simulate the misses in one sweep (chunk order preserved).
-        let mut sweep = Sweep::new();
-        let mut workloads: Vec<Option<Workload>> =
-            built.into_iter().map(|(_, w)| Some(w)).collect();
-        let mut sweep_idx: HashMap<usize, usize> = HashMap::new();
-        for &i in &misses {
-            let p = &chunk[i];
-            let slot = slot_of[&p.workload];
-            let wl = match sweep_idx.get(&p.workload) {
-                Some(&wl) => wl,
-                None => {
-                    let wl = sweep.workload(workloads[slot].take().expect("workload built once"));
-                    sweep_idx.insert(p.workload, wl);
-                    wl
-                }
-            };
-            sweep.point(wl, p.sim_config()?);
-        }
         let store = ctx.as_deref().map(|c| &c.store);
         let reports = sweep.run_stored(self.threads, store);
 

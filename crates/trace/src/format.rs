@@ -36,7 +36,7 @@
 
 use crate::fcache::TraceStream;
 use crate::frame::{write_atomic, ChunkedBytes, FrameError, SealedImage, VarReader, VarWriter};
-use crate::store::{decode_sealed_image, decode_sealed_slice, SealedStream, StreamTail};
+use crate::store::{decode_sealed_image, SealedStream, StreamTail};
 use nsf_mem::{Addr, Word};
 use nsf_sim::{RunReport, SimError};
 use std::fmt;
@@ -198,17 +198,12 @@ impl Trace {
         }
     }
 
-    /// Decodes a complete `.nsftrace` image taken by value
-    /// ([`Trace::from_bytes`]).
-    pub fn from_vec(image: Vec<u8>) -> Result<Self, TraceError> {
-        Self::from_bytes(&image)
-    }
-
     /// Decodes a complete in-memory `.nsftrace` image, copying the stream
     /// out into chunks. Length, header and checksum are checked before
     /// any field is parsed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        decode_sealed_slice(bytes, (MAGIC, FORMAT_VERSION), identity).map(Self::decoded)
+        let image = SealedImage::of_slice(bytes);
+        decode_sealed_image(image, (MAGIC, FORMAT_VERSION), identity).map(Self::decoded)
     }
 
     /// Writes the trace to `path` atomically ([`write_atomic`]), without
@@ -321,7 +316,7 @@ mod tests {
         let back = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(back, t);
         assert_eq!(back.events.len(), 6);
-        assert_eq!(Trace::from_vec(bytes).unwrap(), t);
+        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
     }
 
     #[test]

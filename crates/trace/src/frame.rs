@@ -9,8 +9,8 @@
 //!   never one allocation: `ChunkedBytes` holds it in chunks of at
 //!   most `CHUNK_LEN` bytes, each well under glibc's 128 KiB mmap
 //!   threshold. The recorder appends to one, a writer hands its chunks
-//!   to [`write_atomic`] as parts, and `SealedImage::read` reads a
-//!   sealed file into one a chunk at a time, hashing each chunk as it
+//!   to [`write_atomic`] as parts, and `SealedImage` reads a sealed
+//!   file or slice into one a chunk at a time, hashing each chunk as it
 //!   arrives. No allocation is sized by a stream or a file, and no
 //!   buffer is ever regrown past one chunk. A dropped buffer's whole
 //!   chunks stay spare for the next one, up to one buffer's worth, so a
@@ -39,8 +39,8 @@
 //!   to the same bytes.
 //! - **Header:** `magic[4] | version u8`, checked by `check_header`.
 //! - **Two checksum layouts:**
-//!   - a *sealed blob* ([`seal`] / [`unseal`] in one slice,
-//!     `SealedImage` in chunks): header, body, then an 8-byte
+//!   - a *sealed blob* ([`seal`] to write, `SealedImage` to open, from
+//!     a file or a slice alike): header, body, then an 8-byte
 //!     little-endian [`seal_checksum`] of everything before it
 //!     (`.nsftrace`, `.nsfs`);
 //!   - a *checksummed record log* ([`checked_record`] / [`parse_log`]):
@@ -469,6 +469,7 @@ impl ChunkedBytes {
 
     /// A copy of `bytes`, cut into chunks of [`CHUNK_LEN`] bytes and a
     /// last one of the rest.
+    #[cfg(test)]
     pub(crate) fn from_slice(bytes: &[u8]) -> Self {
         let mut out = ChunkedBytes::new();
         for piece in bytes.chunks(CHUNK_LEN) {
@@ -769,28 +770,11 @@ pub fn seal(mut blob: Vec<u8>) -> Vec<u8> {
     blob
 }
 
-/// Opens a sealed blob: checks the length, the header and the trailer
-/// checksum — before any field is parsed — and returns the body between
-/// header and trailer.
-pub fn unseal(bytes: &[u8], magic: [u8; 4], version: u8) -> Result<&[u8], FrameError> {
-    if bytes.len() < HEADER_LEN + SEAL_LEN {
-        return Err(FrameError::Truncated);
-    }
-    check_header(bytes, magic, version)?;
-    let (covered, trailer) = bytes.split_at(bytes.len() - SEAL_LEN);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let computed = seal_checksum(covered);
-    if stored != computed {
-        return Err(FrameError::ChecksumMismatch { stored, computed });
-    }
-    Ok(&covered[HEADER_LEN..])
-}
-
-/// A sealed blob read from a file a chunk at a time, with the
-/// [`seal_checksum`] of every byte before its trailer, taken as each
-/// chunk arrived. [`body`](Self::body) makes [`unseal`]'s checks, in
-/// [`unseal`]'s order, so a damaged file fails here exactly as its bytes
-/// fail there.
+/// A sealed blob read a chunk at a time, with the [`seal_checksum`] of
+/// every byte before its trailer, taken as each chunk arrived. It is the
+/// one opener of sealed blobs, in memory or in a file:
+/// [`body`](Self::body) checks the length, then the header, then the
+/// trailer, before any field is parsed.
 #[derive(Debug)]
 pub(crate) struct SealedImage {
     bytes: ChunkedBytes,
@@ -798,13 +782,20 @@ pub(crate) struct SealedImage {
 }
 
 impl SealedImage {
-    /// Reads the file at `path` in chunks of [`CHUNK_LEN`] bytes (a
-    /// shorter file in one allocation of its own length), hashing each
-    /// chunk while it is hot.
+    /// Reads the file at `path` ([`SealedImage::read_from`] over its
+    /// length).
     pub(crate) fn read(path: &Path) -> io::Result<Self> {
-        let mut file = std::fs::File::open(path)?;
+        let file = std::fs::File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large"))?;
+        Self::read_from(file, len)
+    }
+
+    /// Reads the `len` bytes of a sealed blob from `src` in chunks of
+    /// [`CHUNK_LEN`] bytes (a shorter blob in one allocation of its own
+    /// length), hashing each chunk while it is hot. A source that ends
+    /// early is [`io::ErrorKind::UnexpectedEof`].
+    pub(crate) fn read_from(mut src: impl Read, len: usize) -> io::Result<Self> {
         let covered = len.saturating_sub(SEAL_LEN);
         let mut hasher = SealHasher::default();
         let mut bytes = ChunkedBytes::new();
@@ -818,7 +809,7 @@ impl SealedImage {
             };
             // The chunk has room for exactly `n` bytes, so reading them
             // never regrows it.
-            Read::by_ref(&mut file)
+            Read::by_ref(&mut src)
                 .take(n as u64)
                 .read_to_end(&mut chunk)?;
             if chunk.len() < n {
@@ -835,14 +826,22 @@ impl SealedImage {
         })
     }
 
-    /// The file's length in bytes.
+    /// The sealed blob in `bytes`, copied into chunks.
+    pub(crate) fn of_slice(bytes: &[u8]) -> Self {
+        Self::read_from(bytes, bytes.len()).expect("a slice holds its own length")
+    }
+
+    /// The blob's length in bytes.
     pub(crate) fn len(&self) -> usize {
         self.bytes.len()
     }
 
-    /// Checks the length, the header and the trailer checksum, as
-    /// [`unseal`] does, and returns a reader over the body: its
-    /// [`pos`](VarReader::pos) counts from the start of the file.
+    /// Checks the length, the header and the trailer checksum, in that
+    /// order, and returns a reader over the body: its
+    /// [`pos`](VarReader::pos) counts from the start of the blob. A blob
+    /// shorter than header and trailer is [`FrameError::Truncated`];
+    /// header damage is classified ([`check_header`]) before the
+    /// checksum runs.
     pub(crate) fn body(&self, magic: [u8; 4], version: u8) -> Result<VarReader<'_>, FrameError> {
         let len = self.bytes.len();
         if len < HEADER_LEN + SEAL_LEN {
@@ -1139,11 +1138,18 @@ mod tests {
         bytes[bit / 8] ^= 1 << (bit % 8);
     }
 
-    /// What `unseal` must report for `image` with `bits` flipped: header
+    /// Opens `image` as a sealed blob; its body's length.
+    fn open(image: &[u8]) -> Result<usize, FrameError> {
+        let image = SealedImage::of_slice(image);
+        let body = image.body(MAGIC, 1);
+        body.map(|r| r.remaining())
+    }
+
+    /// What opening `image` with `bits` flipped must report: header
     /// damage is classified before the checksum runs, and everything
     /// else is a checksum mismatch.
     fn assert_rejected(image: &[u8], bits: &[usize]) {
-        let err = unseal(image, MAGIC, 1).unwrap_err();
+        let err = open(image).unwrap_err();
         let first = bits.iter().map(|b| b / 8).min().unwrap();
         let ok = match first {
             0..=3 => matches!(err, FrameError::BadMagic(_)),
@@ -1194,7 +1200,7 @@ mod tests {
     fn every_truncation_of_a_sealed_image_is_rejected() {
         let image = sealed_256();
         for cut in 0..image.len() {
-            let err = unseal(&image[..cut], MAGIC, 1).unwrap_err();
+            let err = open(&image[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1223,18 +1229,20 @@ mod tests {
 
     #[test]
     fn sealed_blob_round_trips_and_rejects_damage() {
-        let mut w = VarWriter::with_header(*b"NSFQ", 1);
+        let mut w = VarWriter::with_header(MAGIC, 1);
         w.put_varint(300);
         let sealed = seal(w.into_bytes());
-        let body = unseal(&sealed, *b"NSFQ", 1).unwrap();
-        assert_eq!(VarReader::new(body).get_varint(), Ok(300));
+        let image = SealedImage::of_slice(&sealed);
+        let mut body = image.body(MAGIC, 1).unwrap();
+        assert_eq!(body.get_varint(), Ok(300));
+        assert!(body.done());
         for cut in 0..sealed.len() {
-            assert!(unseal(&sealed[..cut], *b"NSFQ", 1).is_err());
+            assert!(open(&sealed[..cut]).is_err());
         }
         let mut flipped = sealed.clone();
         flipped[HEADER_LEN] ^= 1;
         assert!(matches!(
-            unseal(&flipped, *b"NSFQ", 1),
+            open(&flipped),
             Err(FrameError::ChecksumMismatch { .. })
         ));
     }
@@ -1438,7 +1446,7 @@ mod tests {
     }
 
     #[test]
-    fn a_sealed_file_opens_as_unseal_opens_its_bytes() {
+    fn a_sealed_file_opens_as_its_bytes_open() {
         let dir = std::env::temp_dir().join(format!("nsf-frame-sealed-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("image.nsfq");
@@ -1469,12 +1477,27 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             let read = SealedImage::read(&path).unwrap();
             assert_eq!(read.len(), bytes.len());
-            let want = unseal(&bytes, MAGIC, 1).map(<[u8]>::len);
+            let want = match bytes.len() {
+                n if n < HEADER_LEN + SEAL_LEN => Err(FrameError::Truncated),
+                _ if bytes[..4] != MAGIC => {
+                    Err(FrameError::BadMagic(bytes[..4].try_into().unwrap()))
+                }
+                _ if bytes[4] != 1 => Err(FrameError::UnsupportedVersion(bytes[4])),
+                n if bytes != image => Err(FrameError::ChecksumMismatch {
+                    stored: u64::from_le_bytes(bytes[n - SEAL_LEN..].try_into().unwrap()),
+                    computed: seal_checksum(&bytes[..n - SEAL_LEN]),
+                }),
+                n => Ok(n - HEADER_LEN - SEAL_LEN),
+            };
             let got = read.body(MAGIC, 1).map(|r| r.remaining());
             assert_eq!(got, want, "{} bytes", bytes.len());
-            if let Ok(body) = unseal(&bytes, MAGIC, 1) {
+            assert_eq!(open(&bytes), want, "{} bytes in memory", bytes.len());
+            if got.is_ok() {
                 let end = bytes.len() - SEAL_LEN;
-                assert_eq!(read.into_range(HEADER_LEN..end).to_vec(), body);
+                assert_eq!(
+                    read.into_range(HEADER_LEN..end).to_vec(),
+                    &bytes[HEADER_LEN..end]
+                );
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -31,7 +31,7 @@
 //!   and the run's report as a `.nsftrace` file ([`mod@format`]), for any
 //!   program. Both files are one sealed stream container with one
 //!   encoder, which never copies the stream, and one decoder, which
-//!   reads a file a chunk at a time.
+//!   reads a file or a slice a chunk at a time.
 //! - **Replay** ([`replay_frontend`], [`replay()`], [`diff`]): the
 //!   stream is decoded one tile at a time and every lane runs a tile
 //!   behind the simulator's own Ctable-over-data-cache backing store,

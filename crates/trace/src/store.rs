@@ -50,8 +50,8 @@
 
 use crate::fcache::FrontendBuffer;
 use crate::frame::{
-    unseal, write_atomic, ChunkedBytes, Fnv64, FrameError, SealHasher, SealedImage, VarReader,
-    VarWriter, SEAL_LEN,
+    write_atomic, ChunkedBytes, Fnv64, FrameError, SealHasher, SealedImage, VarReader, VarWriter,
+    SEAL_LEN,
 };
 use nsf_mem::CacheStats;
 use nsf_sim::{OccupancySummary, RunReport, SimConfig};
@@ -237,22 +237,10 @@ fn open_sealed_stream<I, E: From<FrameError>>(
     Ok((id, tail, body.pos()))
 }
 
-/// [`open_sealed_stream`] on a whole image in one slice; the stream is
-/// copied out into chunks.
-pub(crate) fn decode_sealed_slice<I, E: From<FrameError>>(
-    image: &[u8],
-    (magic, version): ([u8; 4], u8),
-    identity: impl FnOnce(&mut VarReader<'_>) -> Result<I, E>,
-) -> Result<(I, StreamTail, ChunkedBytes), E> {
-    let body = unseal(image, magic, version)?;
-    let (id, tail, start) = open_sealed_stream(VarReader::new(body), identity)?;
-    Ok((id, tail, ChunkedBytes::from_slice(&body[start..])))
-}
-
-/// [`open_sealed_stream`] on an image read from a file a chunk at a time
-/// ([`SealedImage::read`]); the stream is cut out of the file's own
-/// chunks in place, so a loaded stream holds one copy of it and no
-/// allocation is the size of the file.
+/// [`open_sealed_stream`] on an image read a chunk at a time
+/// ([`SealedImage`], from a file or a slice); the stream is cut out of
+/// the image's own chunks in place, so a loaded stream holds one copy of
+/// it and no allocation is the size of the image.
 pub(crate) fn decode_sealed_image<I, E: From<FrameError>>(
     image: SealedImage,
     (magic, version): ([u8; 4], u8),
@@ -306,8 +294,12 @@ pub fn encode_stream(fingerprint: u64, buf: &FrontendBuffer) -> Vec<u8> {
 /// without keeping the stream: an entry passes here exactly when it
 /// loads.
 pub fn validate_stream_bytes(bytes: &[u8], expected: u64) -> Result<(), StoreError> {
-    let body = unseal(bytes, STORE_MAGIC, STORE_VERSION)?;
-    open_sealed_stream(VarReader::new(body), fingerprint_is(expected)).map(drop)
+    decode_sealed_image(
+        SealedImage::of_slice(bytes),
+        STORE_FORMAT,
+        fingerprint_is(expected),
+    )
+    .map(drop)
 }
 
 /// [`validate_stream_bytes`] on the entry file at `path`, read a chunk
@@ -333,7 +325,8 @@ pub fn decode_stream(
     expected: u64,
     cfg: &SimConfig,
 ) -> Result<FrontendBuffer, StoreError> {
-    let ((), tail, stream) = decode_sealed_slice(bytes, STORE_FORMAT, fingerprint_is(expected))?;
+    let image = SealedImage::of_slice(bytes);
+    let ((), tail, stream) = decode_sealed_image(image, STORE_FORMAT, fingerprint_is(expected))?;
     Ok(buffer(cfg, tail, stream))
 }
 

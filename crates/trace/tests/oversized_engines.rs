@@ -75,9 +75,9 @@ fn oversized_engines_fail_typed_without_allocating() {
         assert!(peak <= MAX_REQUEST, "{spec}: build asked for {peak} bytes");
 
         // The same engine, named by a re-sealed trace's metadata.
-        let mut trace = Trace::from_vec(golden.clone()).expect("golden trace decodes");
+        let mut trace = Trace::from_bytes(&golden).expect("golden trace decodes");
         trace.meta.engine = spec.to_string();
-        let forged = Trace::from_vec(trace.to_bytes()).expect("re-sealed trace decodes");
+        let forged = Trace::from_bytes(&trace.to_bytes()).expect("re-sealed trace decodes");
         assert_eq!(forged.meta.engine, spec);
         let cfg = SimConfig::with_regfile(parse_engine(&forged.meta.engine).expect("parses"));
         let (replayed, peak) = peak_of(|| replay(&forged, &cfg).map(|_| ()));
